@@ -90,45 +90,6 @@ REPLAY_SPEEDUP_GATE = 2.5
 #: ratio, so it is machine-independent and normally enforced everywhere.
 SKIP_WALLCLOCK_GATE_ENV = "REPRO_BENCH_SKIP_WALLCLOCK_GATE"
 
-#: The PR-5 serial replay wall-clock baseline for the batched-engine
-#: gate: ``jobs_per_sec`` of ``serial_throughput_100k`` in the full
-#: PR-5 entry of ``BENCH_replay_throughput.json`` — the scalar fused
-#: ArrayProfile + calendar-queue pipeline on the perf-tracking machine.
-PR5_SERIAL_JOBS_PER_SEC_100K = 83_254
-
-#: The PR-6 two-arm gate for hosts with >= 2 cores: the batched/epoch
-#: engine must either beat the verbatim PR-5 serial pipeline by this
-#: in-run multiple, or clear :data:`BATCH_ABS_JOBS_PER_SEC` absolute.
-BATCH_SPEEDUP_GATE = 2.5
-BATCH_ABS_JOBS_PER_SEC = 250_000
-
-#: Default no-regression floor: byte-identical epoch sharding serializes
-#: on the frontier-checkpoint chain, so commodity 1-2 core hosts (CI
-#: runners, this dev box) cannot physically reach the two-arm targets —
-#: there the honest gate is "batched never loses to scalar", enforced
-#: as this interleaved in-run ratio.  The full two-arm targets are
-#: *measured and recorded* on every host and *enforced* where
-#: :data:`ENFORCE_EPOCH_GATE_ENV` says the hardware was calibrated for
-#: them (the perf-tracking box).
-BATCH_FLOOR_RATIO = 0.97
-
-#: Second arm of the floor mode, same dual-noise-mode logic as the
-#: PR-5 gate: transient host pressure can dent one interleaved leg
-#: more than the other, so an absolute wall-clock arm (fraction of the
-#: checked-in PR-5 number, machine-calibrated like its cousin) backs
-#: the ratio arm up — both must fail for the gate to fail.
-BATCH_FLOOR_ABS_FRACTION = 0.9
-
-#: Opt-in switch that promotes the batched/epoch gate from the
-#: no-regression floor to full two-arm enforcement
-#: (:data:`BATCH_SPEEDUP_GATE`× in-run or
-#: :data:`BATCH_ABS_JOBS_PER_SEC` absolute).
-ENFORCE_EPOCH_GATE_ENV = "REPRO_BENCH_ENFORCE_EPOCH_GATE"
-
-#: Epoch workers the gate's parallel leg uses (capped so the leg
-#: measures scaling, not scheduler thrash on huge hosts).
-EPOCH_GATE_WORKERS = 4
-
 #: Profile backend the 1M bounded-memory replay legs run on (the CI
 #: bench-smoke matrix sweeps it; the gate scenario always measures the
 #: array kernel against the PR-4 configuration regardless).
@@ -416,156 +377,6 @@ def _run_serial_gate(
         raise SystemExit(1)
 
 
-def _run_batched_gate(
-    repeats: int, small_n: int, m: int, seed: int,
-    profile: str, scenarios: Dict,
-) -> None:
-    """The PR-6 batched/epoch gate (see bench_replay_throughput).
-
-    Interleaves the batched columnar engine against the **verbatim PR-5
-    serial pipeline** — the same engine with ``batch=False`` and nothing
-    else changed — best-of-N, full pipeline (generation included).  On
-    hosts with >= 2 cores an epoch-sharded leg
-    (:func:`repro.simulation.replay.replay_epochs`,
-    ``min(EPOCH_GATE_WORKERS, cores)`` process workers) is measured and
-    recorded alongside.
-
-    Enforcement depends on the host (``gate_mode`` in the scenario):
-
-    * ``two-arm`` (:data:`ENFORCE_EPOCH_GATE_ENV` set — the calibrated
-      perf-tracking box): in-run ratio >= :data:`BATCH_SPEEDUP_GATE` or
-      best absolute jobs/s >= :data:`BATCH_ABS_JOBS_PER_SEC`.
-    * ``floor`` (default): the in-run ratio must stay above
-      :data:`BATCH_FLOOR_RATIO`, backed by an absolute arm at
-      :data:`BATCH_FLOOR_ABS_FRACTION` of the checked-in PR-5 number —
-      commodity hosts cannot reach the two-arm targets because
-      byte-identical epoch sharding serializes on the
-      frontier-checkpoint chain, so the honest universal gate is
-      "batched never loses to scalar".
-    * ``identity-only`` (numpy unavailable/disabled): the batched leg
-      *is* the scalar fallback, so the ratio measures noise; only the
-      identity assertions apply.
-
-    Every mode asserts batched == scalar == epoch-sharded schedules.
-    """
-    from repro.core.profiles import numpy_module
-    from repro.simulation import ReplayEngine
-    from repro.simulation.replay import replay_epochs
-    from repro.workloads.swf import synth_swf_jobs
-
-    gate_repeats = max(repeats, 6)
-    batched_s = pr5_s = math.inf
-    batched_result = pr5_result = None
-    for _ in range(gate_repeats):
-        t0 = time.perf_counter()
-        batched_result = ReplayEngine(m, policy="easy", batch=True).run(
-            synth_swf_jobs(profile, small_n, m=m, seed=seed)
-        )
-        batched_s = min(batched_s, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        pr5_result = ReplayEngine(m, policy="easy", batch=False).run(
-            synth_swf_jobs(profile, small_n, m=m, seed=seed)
-        )
-        pr5_s = min(pr5_s, time.perf_counter() - t0)
-    assert (
-        batched_result.totals["makespan"] == pr5_result.totals["makespan"]
-        and batched_result.totals["mean_wait"]
-        == pr5_result.totals["mean_wait"]
-    ), (
-        "batched engine and PR-5 scalar pipeline disagree on the "
-        "schedule — differential guarantee violated"
-    )
-    batched_jps = small_n / batched_s
-    pr5_jps = small_n / pr5_s
-    ratio = batched_jps / pr5_jps
-
-    cores = os.cpu_count() or 1
-    epoch_workers = min(EPOCH_GATE_WORKERS, cores)
-    epoch_jps = None
-    if cores >= 2:
-        source = f"synth:{profile}:{small_n}"
-        epoch_s = math.inf
-        for _ in range(max(2, repeats)):
-            t0 = time.perf_counter()
-            epoch_result = replay_epochs(
-                source, policy="easy", epochs=epoch_workers, m=m,
-                seed=seed, use_processes=True,
-            )
-            epoch_s = min(epoch_s, time.perf_counter() - t0)
-        assert (
-            epoch_result.totals["makespan"]
-            == pr5_result.totals["makespan"]
-        ), "epoch-sharded replay diverged from serial"
-        epoch_jps = small_n / epoch_s
-
-    best_jps = max(batched_jps, epoch_jps or 0)
-    wallclock_gate = os.environ.get(SKIP_WALLCLOCK_GATE_ENV) is None
-    if numpy_module() is None:
-        gate_mode = "identity-only"
-    elif os.environ.get(ENFORCE_EPOCH_GATE_ENV):
-        gate_mode = "two-arm"
-    else:
-        gate_mode = "floor"
-    scenarios["batched_throughput_100k"] = {
-        "jobs": small_n,
-        "jobs_per_sec": round(batched_jps),
-        "pr5_pipeline_jobs_per_sec": round(pr5_jps),
-        "pr5_checked_in_jobs_per_sec": PR5_SERIAL_JOBS_PER_SEC_100K,
-        "epoch_jobs_per_sec": round(epoch_jps) if epoch_jps else None,
-        "epoch_workers": epoch_workers if cores >= 2 else 0,
-        "cores": cores,
-        "speedup": round(ratio, 2),
-        "vs_pr5_checked_in": round(
-            batched_jps / PR5_SERIAL_JOBS_PER_SEC_100K, 2
-        ),
-        "gate": BATCH_SPEEDUP_GATE,
-        "gate_abs_jobs_per_sec": BATCH_ABS_JOBS_PER_SEC,
-        "gate_mode": gate_mode,
-        "gate_floor": BATCH_FLOOR_RATIO,
-        "gate_applied": wallclock_gate and gate_mode != "identity-only",
-        "identical_schedules": True,
-    }
-    epoch_note = (
-        f", epoch x{epoch_workers} {epoch_jps:,.0f} jobs/s"
-        if epoch_jps else " (single core: epoch leg skipped)"
-    )
-    print(
-        f"  batched {batched_jps:,.0f} jobs/s vs PR-5 pipeline "
-        f"{pr5_jps:,.0f} jobs/s — {ratio:.2f}x in-run{epoch_note} "
-        f"[gate mode: {gate_mode}"
-        + ("" if wallclock_gate else "; gate SKIPPED by env") + "]"
-    )
-    if not wallclock_gate or gate_mode == "identity-only":
-        return
-    if gate_mode == "two-arm":
-        if ratio < BATCH_SPEEDUP_GATE and best_jps < BATCH_ABS_JOBS_PER_SEC:
-            print(
-                f"FAIL: batched/epoch replay is {ratio:.2f}x the in-run "
-                f"PR-5 pipeline and {best_jps:,.0f} jobs/s absolute — "
-                f"neither arm reaches {BATCH_SPEEDUP_GATE}x / "
-                f"{BATCH_ABS_JOBS_PER_SEC:,} jobs/s; unset "
-                f"{ENFORCE_EPOCH_GATE_ENV} on machines other than the "
-                "perf-tracking box",
-                file=sys.stderr,
-            )
-            raise SystemExit(1)
-    else:
-        abs_floor = BATCH_FLOOR_ABS_FRACTION * PR5_SERIAL_JOBS_PER_SEC_100K
-        if ratio < BATCH_FLOOR_RATIO and batched_jps < abs_floor:
-            print(
-                f"FAIL: batched replay is {ratio:.2f}x the in-run PR-5 "
-                f"scalar pipeline and {batched_jps:,.0f} jobs/s absolute "
-                f"— below both the {BATCH_FLOOR_RATIO}x no-regression "
-                f"floor and {abs_floor:,.0f} jobs/s "
-                f"({BATCH_FLOOR_ABS_FRACTION}x the checked-in PR-5 "
-                "number); set "
-                f"{SKIP_WALLCLOCK_GATE_ENV}=1 only on machines slower "
-                "than the perf-tracking box",
-                file=sys.stderr,
-            )
-            raise SystemExit(1)
-
-
 def _run_journal_overhead(
     repeats: int, small_n: int, m: int, seed: int,
     profile: str, scenarios: Dict,
@@ -734,14 +545,6 @@ def bench_replay_throughput(
       the checked-in PR-4 wall-clock number
       (:data:`PR4_SERIAL_JOBS_PER_SEC_100K`) is recorded alongside for
       the trajectory.
-    * ``batched_throughput_100k`` — **the PR-6 gate**: the batched
-      columnar engine interleaved against the verbatim PR-5 scalar
-      pipeline, plus an epoch-sharded process leg on multi-core hosts;
-      two-arm (:data:`BATCH_SPEEDUP_GATE`× in-run or
-      :data:`BATCH_ABS_JOBS_PER_SEC` absolute) where
-      :data:`ENFORCE_EPOCH_GATE_ENV` says the host is calibrated for
-      it, the :data:`BATCH_FLOOR_RATIO` no-regression floor elsewhere
-      (see :func:`_run_batched_gate`).
     * ``replay_1m_<policy>`` — replay 100k then 1M jobs and **assert**
       the peak profile segments, peak queue length and RSS high-water
       stay flat across the 10x scale jump (the bounded-memory gate);
@@ -763,12 +566,12 @@ def bench_replay_throughput(
       replay must reproduce its start times and int-exact metrics on
       every profile backend × plain/gzip ingestion; additionally the
       multi-policy sharded runner's merged rows must equal the serial
-      runner's byte for byte, and the batch/epoch matrix (scalar,
-      batched, epoch-sharded K∈{2,3,7} in-process + K=3 across real
-      processes, per policy — 24 configs full, 6 quick) must agree on
-      totals, window rows and every start time.  Quick runs shrink the matrix to one
-      policy × (array, list) × gzip.  The conservative policy's
-      in-memory reference is super-quadratic in trace length, so its
+      runner's byte for byte.  Quick runs shrink the matrix to one
+      policy × (array, list) × gzip.  (Checkpoint-chained replay is
+      held to the serial rows by ``journal_overhead_100k``, whose
+      journaled leg runs the trace as a chain of ``run_slice`` calls.)
+      The conservative policy's in-memory reference is super-quadratic
+      in trace length, so its
       ``OnlineSimulation`` leg runs on a 2k prefix and its full-length
       runs are checked for mutual identity across configs instead (see
       the inline note).
@@ -784,7 +587,6 @@ def bench_replay_throughput(
     from repro.core.metrics import summarize
     from repro.simulation import (
         OnlineSimulation,
-        ReplayEngine,
         replay,
         replay_policies,
         replay_swf,
@@ -821,8 +623,6 @@ def bench_replay_throughput(
     if full_harness:
         print(f"serial replay gate: synth:{profile}:{small_n} on m={m} ...")
         _run_serial_gate(repeats, small_n, m, seed, profile, scenarios)
-        print(f"batched/epoch gate: synth:{profile}:{small_n} on m={m} ...")
-        _run_batched_gate(repeats, small_n, m, seed, profile, scenarios)
         print(f"journal overhead: synth:{profile}:{small_n} on m={m} ...")
         _run_journal_overhead(repeats, small_n, m, seed, profile, scenarios)
         print(f"uncertainty overhead: synth:{profile}:{small_n} on m={m} ...")
@@ -1018,67 +818,6 @@ def bench_replay_throughput(
                 "sharded multi-policy rows diverged from the serial runner"
             )
 
-            # -- batch/epoch identity matrix: per policy, the scalar
-            # serial run is the reference and every engine config must
-            # reproduce it exactly — totals (minus wall clock), window
-            # rows and every start time.  6 configs x 4 policies = the
-            # 24-config matrix of the acceptance criteria (quick: x1).
-            from repro.simulation.replay import replay_epochs
-
-            engine_configs = (
-                ("batched", {"kind": "batched"}),
-                ("epoch-k2", {"kind": "epochs", "k": 2, "proc": False}),
-                ("epoch-k3", {"kind": "epochs", "k": 3, "proc": False}),
-                ("epoch-k7", {"kind": "epochs", "k": 7, "proc": False}),
-                ("epoch-k3-proc", {"kind": "epochs", "k": 3, "proc": True}),
-            )
-            volatile = {"elapsed_seconds"}
-
-            def _identity_view(result):
-                totals = {k: v for k, v in result.totals.items()
-                          if k not in volatile}
-                return totals, result.windows, result.starts
-
-            matrix_checked = 0
-            print(
-                f"batch/epoch identity matrix: {len(id_policies)} policies "
-                f"x {1 + len(engine_configs)} engine configs ..."
-            )
-            for policy in id_policies:
-                conservative = policy == "conservative"
-                matrix_n = 20_000 if conservative else small_n
-                engine_opts = (
-                    {"prune_interval": 256} if conservative else {}
-                )
-                jobs = list(
-                    synth_swf_jobs(profile, matrix_n, m=m, seed=seed)
-                )
-                reference = ReplayEngine(
-                    m, policy=policy, window=25_000, batch=False,
-                    record_starts=True, **engine_opts,
-                ).run(jobs)
-                matrix_checked += 1
-                ref_view = _identity_view(reference)
-                for label, cfg in engine_configs:
-                    if cfg["kind"] == "batched":
-                        run = ReplayEngine(
-                            m, policy=policy, window=25_000, batch=True,
-                            record_starts=True, **engine_opts,
-                        ).run(jobs)
-                    else:
-                        run = replay_epochs(
-                            jobs, policy=policy, epochs=cfg["k"], m=m,
-                            use_processes=cfg["proc"], window=25_000,
-                            record_starts=True, **engine_opts,
-                        )
-                    assert _identity_view(run) == ref_view, (
-                        f"{policy}/{label}: batch/epoch replay diverged "
-                        "from the scalar serial reference"
-                    )
-                    matrix_checked += 1
-                print(f"  {policy}: scalar == batched == epoch-sharded "
-                      f"across {len(engine_configs)} configs at "
-                      f"n={matrix_n}")
             scenarios["identity_100k"] = {
                 "jobs": small_n,
                 "policies": list(id_policies),
@@ -1086,8 +825,6 @@ def bench_replay_throughput(
                 "compressions": len(id_compressions),
                 "reference_jobs": reference_jobs,
                 "replay_configs_checked": checked,
-                "batch_epoch_configs_checked": matrix_checked,
-                "epoch_ks": [2, 3, 7],
                 "identical_schedules": True,
                 "identical_metrics": True,
                 "serial_equals_sharded": True,
@@ -1109,7 +846,7 @@ def bench_replay_throughput(
             "policies": list(policies),
             "backend": backend,
             "repeats": repeats,
-            "engine": "array+calendar+fused+batched",
+            "engine": "array+calendar+fused",
         },
         "scenarios": scenarios,
     }
@@ -1336,6 +1073,9 @@ def check_regressions(
     measured = _scenario_ratios(report.get("scenarios", {}))
     expected = _scenario_ratios(baseline)
     problems = []
+    for name in sorted(set(expected) - set(measured)):
+        print(f"  {bench.name}/{name}: in the baseline but not measured "
+              "by this run (not checked)")
     for name in sorted(set(measured) & set(expected)):
         floor = min(expected[name], cap) / REGRESSION_TOLERANCE
         status = "ok" if measured[name] >= floor else "REGRESSED"

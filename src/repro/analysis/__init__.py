@@ -1,4 +1,8 @@
-"""Experiment running, ratio measurement, statistics and reporting."""
+"""Ratio measurement, anomaly search, statistics and reporting.
+
+Experiments are declared with :class:`repro.run.ExperimentSpec` and
+executed by :class:`repro.run.Runner`.
+"""
 
 from .anomalies import (
     AnomalyWitness,
@@ -9,7 +13,6 @@ from .anomalies import (
     shortening_anomaly,
 )
 from .certificates import ClaimResult, PaperReport, verify_paper_claims
-from .experiments import SweepPoint, SweepResult, run_sweep
 from .plotting import ascii_histogram, ascii_plot
 from .ratio import (
     RatioReport,
@@ -29,9 +32,6 @@ from .stats import (
 from .tables import format_markdown, format_table, write_csv
 
 __all__ = [
-    "run_sweep",
-    "SweepPoint",
-    "SweepResult",
     "measure_ratio",
     "compare_algorithms",
     "RatioReport",

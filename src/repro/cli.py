@@ -301,7 +301,6 @@ def _cmd_replay(args) -> int:
         DEFAULT_SYNTH_JOBS,
         ReplayEngine,
         parse_synth_source,
-        replay_epochs,
         replay_policies,
         replay_swf,
     )
@@ -311,7 +310,6 @@ def _cmd_replay(args) -> int:
     if not policies:
         print("error: no policy given", file=sys.stderr)
         return 2
-    batch = "auto" if args.batch is None else args.batch
     # Raw spec string; the engines parse and validate it (workers get
     # the string, not the model, so spec errors surface identically
     # serial and sharded).  Absent flag means absent kwarg: the certain
@@ -371,8 +369,7 @@ def _cmd_replay(args) -> int:
                 m=args.machines, n=n, max_jobs=args.max_jobs,
                 seed=args.seed, store=args.out, resume=args.resume,
                 snapshot_interval=interval, window=args.window,
-                profile_backend=args.backend, batch=batch,
-                **uncertain_kwargs,
+                profile_backend=args.backend, **uncertain_kwargs,
             )
         except JournalError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -399,7 +396,7 @@ def _cmd_replay(args) -> int:
         multi = replay_policies(
             args.trace, policies, m=args.machines, jobs=args.jobs,
             store=args.out, n=n, max_jobs=args.max_jobs, seed=args.seed,
-            window=args.window, profile_backend=args.backend, batch=batch,
+            window=args.window, profile_backend=args.backend,
             **uncertain_kwargs,
         )
         for policy in policies:
@@ -419,52 +416,29 @@ def _cmd_replay(args) -> int:
             print(f"{len(multi.rows)} merged rows written to {args.out}")
         return 0
 
-    if args.jobs > 1:
-        # single policy + --jobs: shard the trace itself into time
-        # epochs; stitched output is byte-identical to a serial run
-        result = replay_epochs(
-            args.trace, policy=policies[0], epochs=args.jobs,
-            m=args.machines, n=n, max_jobs=args.max_jobs, seed=args.seed,
-            store=args.out, window=args.window,
-            profile_backend=args.backend, batch=batch,
-            **uncertain_kwargs,
-        )
-        for rec in result.recoveries:
-            print(
-                f"warning: epoch {rec['epoch']} worker healed "
-                f"(attempt {rec['attempt']}, {rec['action']}): "
-                f"{rec['error']}",
-                file=sys.stderr,
-            )
-        shard_note = f"  [{args.jobs} epoch workers]"
+    # a single policy replays serially whatever --jobs says: one trace
+    # is one sequential event loop
+    kwargs = dict(
+        policy=policies[0],
+        window=args.window,
+        store=args.out,
+        profile_backend=args.backend,
+        **uncertain_kwargs,
+    )
+    if n is not None:
+        m = args.machines or 256
+        engine = ReplayEngine(m, **kwargs)
+        result = engine.run(synth_swf_jobs(profile, n, m=m, seed=args.seed))
     else:
-        kwargs = dict(
-            policy=policies[0],
-            window=args.window,
-            store=args.out,
-            profile_backend=args.backend,
-            batch=batch,
-            **uncertain_kwargs,
+        result = replay_swf(
+            args.trace, m=args.machines, max_jobs=args.max_jobs, **kwargs
         )
-        if n is not None:
-            m = args.machines or 256
-            engine = ReplayEngine(m, **kwargs)
-            result = engine.run(
-                synth_swf_jobs(profile, n, m=m, seed=args.seed)
-            )
-        else:
-            result = replay_swf(
-                args.trace, m=args.machines, max_jobs=args.max_jobs,
-                **kwargs
-            )
-        shard_note = ""
     t = result.totals
     _warn_demotion(policies[0], t)
     print(
         f"replayed {t['n_jobs']} jobs with {policies[0]} on m={result.m}: "
         f"Cmax={t['makespan']}  util={t['utilization']:.3f}  "
         f"mean_wait={t['mean_wait']:.6g}  ratio_lb={t['ratio_lb']:.4f}"
-        f"{shard_note}"
     )
     print(
         f"bounded memory: peak queue {t['peak_queue_length']}, "
@@ -788,10 +762,10 @@ def build_parser() -> argparse.ArgumentParser:
              "replay several policies (see 'repro list --kind policies')",
     )
     p.add_argument("-j", "--jobs", type=int, default=1,
-                   help="worker processes: multi-policy replay shards one "
-                        "worker per policy; a single-policy replay shards "
-                        "the trace itself into N time epochs (output is "
-                        "byte-identical to serial either way)")
+                   help="worker processes for a multi-policy replay, one "
+                        "policy per worker (output is byte-identical to "
+                        "serial); a single-policy replay always runs "
+                        "serially")
     p.add_argument("-m", "--machines", type=int,
                    help="machine size (default: the trace's MaxProcs "
                         "header; 256 for synthetic profiles)")
@@ -803,13 +777,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="profile backend (default: auto — the int64 "
                         "array kernel, demoting to 'list' on "
                         "non-integral traces)")
-    p.add_argument("--batch", dest="batch", action="store_true",
-                   default=None,
-                   help="force the batched columnar decision engine "
-                        "(default: auto — on whenever numpy and the "
-                        "array kernel are available)")
-    p.add_argument("--no-batch", dest="batch", action="store_false",
-                   help="pin the scalar fused engine (the A/B baseline)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for synth:<profile> traces")
     p.add_argument("--uncertainty", metavar="SPEC",

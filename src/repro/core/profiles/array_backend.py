@@ -43,7 +43,7 @@ import os
 from array import array
 from bisect import bisect_left, bisect_right
 from types import ModuleType
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ...errors import CapacityError, InvalidInstanceError
 from .base import (
@@ -59,8 +59,8 @@ from .base import (
 
 #: Environment kill-switch for the vectorised path: set (to any non-empty
 #: value) before the first import to force the pure-stdlib scalar
-#: fallback even when numpy is installed.  CI's numpy-absent bench leg
-#: uses it to assert the fallback is output-identical.
+#: fallback even when numpy is installed (reported by
+#: :func:`vector_info`).
 NUMPY_DISABLE_ENV = "REPRO_NO_NUMPY"
 
 
@@ -351,129 +351,6 @@ class ArrayProfile(ProfileBackend):
             i += 1
         return None  # the final (infinite) segment's capacity is below q
 
-    def earliest_fit_many(
-        self,
-        widths: Sequence[int],
-        durations: Sequence[Time],
-        after: Time = 0,
-    ) -> List[Optional[Time]]:
-        """Per-job earliest fits, answered in **one vectorised sweep**.
-
-        Semantically ``[earliest_fit(q, d, after) for q, d in
-        zip(widths, durations)]`` — every job is probed against the
-        *same* (unmutated) profile, which is exactly the batched decision
-        engine's screening question at one event time.  With numpy
-        available the whole batch is answered by a handful of
-        elementwise passes over the live columns: for each position the
-        start of its maximal ``cap >= q`` run (a running maximum of
-        failure indices) and the run's end give the candidate start and
-        its extent, so the first feasible run per row is one ``argmax``.
-        The stdlib fallback (and the tiny-batch case) is the scalar
-        loop, property-tested identical.
-        """
-        qs = list(widths)
-        ds = list(durations)
-        if len(qs) != len(ds):
-            raise InvalidInstanceError(
-                "earliest_fit_many needs equal-length widths and durations"
-            )
-        for q, d in zip(qs, ds):
-            if d <= 0:
-                raise InvalidInstanceError("duration must be positive")
-            if q < 0:
-                raise InvalidInstanceError("width must be non-negative")
-        if not qs:
-            return []
-        np = _np
-        if (
-            np is None
-            or len(qs) < 2
-            or not isinstance(after, numbers.Integral)
-            or not all(isinstance(d, numbers.Integral) for d in ds)
-        ):
-            return [self.earliest_fit(q, d, after) for q, d in zip(qs, ds)]
-        lo = self._lo
-        if after > 0:
-            i0 = bisect_right(self._times, after, lo) - 1
-        else:
-            i0 = lo
-        t = np.frombuffer(self._times, dtype=np.int64)[i0:]
-        c = np.frombuffer(self._caps, dtype=np.int64)[i0:]
-        n = len(c)
-        after_i = int(after)
-        qa = np.asarray(qs, dtype=np.int64)[:, None]
-        da = np.asarray(ds, dtype=np.int64)[:, None]
-        ok = c[None, :] >= qa                       # (jobs, segments)
-        idx = np.arange(n, dtype=np.int64)
-        # start index of the ok-run containing each position: one past
-        # the most recent failing position (running maximum)
-        run_start = np.maximum.accumulate(np.where(ok, -1, idx), axis=1) + 1
-        # a failing final position would index one past the columns; its
-        # candidate is never read (masked by `ok`), so clamp it
-        cand = np.maximum(t[np.minimum(run_start, n - 1)], after_i)
-        # first failing position at or after each position (reversed
-        # running minimum); n is the "no failure until infinity" sentinel
-        nxt = np.minimum.accumulate(
-            np.where(ok, n, idx)[:, ::-1], axis=1
-        )[:, ::-1]
-        t_ext = np.concatenate((t, (np.iinfo(np.int64).max,)))
-        feasible = ok & ((nxt == n) | (t_ext[nxt] - cand >= da))
-        hit = feasible.any(axis=1)
-        first = feasible.argmax(axis=1)
-        starts = cand[np.arange(len(qs)), first]
-        return [
-            int(s) if h else None for s, h in zip(starts.tolist(), hit.tolist())
-        ]
-
-    def fits_many_at(
-        self,
-        start: Time,
-        widths: Sequence[int],
-        durations: Sequence[Time],
-    ) -> List[bool]:
-        """Batched "fits at ``start``" from one cumulative minimum.
-
-        All the windows share their left edge, so ``min_capacity(start,
-        start + d)`` for every job is a prefix minimum of the live
-        capacity column starting at ``start``'s segment: one 1-D
-        ``minimum.accumulate`` plus a single ``searchsorted`` over the
-        batch's window ends answers the whole batch — the cheap form of
-        the :meth:`earliest_fit_many` screen the batched replay loop
-        asks at every event time.  Falls back to the scalar loop
-        without numpy, for tiny batches, or off-grid arguments.
-        """
-        qs = list(widths)
-        ds = list(durations)
-        if len(qs) != len(ds):
-            raise InvalidInstanceError(
-                "fits_many_at needs equal-length widths and durations"
-            )
-        np = _np
-        if (
-            np is None
-            or len(qs) < 2
-            or type(start) is not int
-            or not all(type(d) is int and d > 0 for d in ds)
-            or not all(type(q) is int and q >= 0 for q in qs)
-        ):
-            return [self.fits(q, start, d) for q, d in zip(qs, ds)]
-        times, caps = self._times, self._caps
-        lo = self._lo
-        i0 = bisect_right(times, start, lo) - 1 if start > 0 else lo
-        try:
-            ends = np.asarray([start + d - 1 for d in ds], dtype=np.int64)
-        except OverflowError:
-            return [self.fits(q, start, d) for q, d in zip(qs, ds)]
-        t = np.frombuffer(times, dtype=np.int64)[i0:]
-        cm = np.minimum.accumulate(np.frombuffer(caps, dtype=np.int64)[i0:])
-        # the last segment covered by [start, end): the one containing
-        # end - 1 (ends beyond the final breakpoint clamp to it, which
-        # is exactly the infinite tail segment)
-        idx = np.searchsorted(t, ends, side="right") - 1
-        fit = cm[idx] >= np.asarray(qs, dtype=np.int64)
-        result: List[bool] = fit.tolist()
-        return result
-
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
@@ -664,51 +541,6 @@ class ArrayProfile(ProfileBackend):
         self._times = times
         self._caps = _int64_column(new_caps, "capacities")
         self._lo = 0
-
-    def try_reserve_many(
-        self, start: Time, blocks: Sequence[Tuple[Time, int]]
-    ) -> bool:
-        """All-or-nothing commit of co-starting blocks, overlay-checked.
-
-        See :meth:`ProfileBackend.try_reserve_many` for the contract.
-        Because every block starts at ``start``, the batch's outstanding
-        demand is a staircase that only steps *down* at each distinct
-        block end — so feasibility is at most ``len(blocks)`` windowed
-        minima over the live columns (no profile rebuild), and the
-        commit reuses the single-reservation fast path per block.
-        """
-        pending: List[Tuple[int, int]] = []
-        for duration, amount in blocks:
-            check_reserve_args(start, duration, amount, "reserved")
-            if type(duration) is not int:
-                duration = _as_int_time(duration, "reservation duration")
-            if amount:
-                pending.append((duration, int(amount)))
-        if not pending:
-            return True
-        if type(start) is not int:
-            start = _as_int_time(start, "reservation start")
-        depth = 0
-        ends: List[Tuple[int, int]] = []
-        for duration, amount in pending:
-            end = start + duration
-            if end > _INT64_MAX:
-                raise InvalidInstanceError(
-                    f"array backend requires machine-int (int64) times: "
-                    f"window end {end!r} overflows"
-                )
-            depth += amount
-            ends.append((end, amount))
-        ends.sort()
-        prev = start
-        for end, amount in ends:
-            if end > prev and self.min_capacity(prev, end) < depth:
-                return False
-            prev = end
-            depth -= amount
-        for duration, amount in pending:
-            self.reserve_fitting(start, duration, amount)
-        return True
 
     # ------------------------------------------------------------------
     # derived quantities

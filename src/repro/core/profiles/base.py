@@ -391,51 +391,6 @@ class ProfileBackend:
         """True when a ``q``-wide block of length ``duration`` fits at ``start``."""
         return self.min_capacity(start, start + duration) >= q
 
-    def earliest_fit_many(
-        self,
-        widths: Sequence[int],
-        durations: Sequence[Time],
-        after: Time = 0,
-    ) -> List[Optional[Time]]:
-        """Per-job earliest fits against the *same* (unmutated) profile.
-
-        Semantically ``[earliest_fit(q, d, after) for q, d in
-        zip(widths, durations)]`` — the batched replay engine's
-        screening query at one event time.  The generic implementation
-        is that scalar loop; the array backend overrides it with a
-        single vectorised sweep over its columns when numpy is present.
-        """
-        qs = list(widths)
-        ds = list(durations)
-        if len(qs) != len(ds):
-            raise InvalidInstanceError(
-                "earliest_fit_many needs equal-length widths and durations"
-            )
-        return [self.earliest_fit(q, d, after) for q, d in zip(qs, ds)]
-
-    def fits_many_at(
-        self,
-        start: Time,
-        widths: Sequence[int],
-        durations: Sequence[Time],
-    ) -> List[bool]:
-        """Per-job "does it fit at ``start``" against the same profile.
-
-        Semantically ``[self.fits(q, start, d) for q, d in zip(widths,
-        durations)]`` — the ``after=start`` specialisation of
-        :meth:`earliest_fit_many` restricted to the one candidate the
-        batched decision pass screens on.  Because every window shares
-        the left edge, the array backend answers the whole batch from a
-        single cumulative minimum over its live columns.
-        """
-        qs = list(widths)
-        ds = list(durations)
-        if len(qs) != len(ds):
-            raise InvalidInstanceError(
-                "fits_many_at needs equal-length widths and durations"
-            )
-        return [self.fits(q, start, d) for q, d in zip(qs, ds)]
-
     def max_capacity_between(self, start: Time,
                              end: Optional[Time] = None) -> int:
         """Largest capacity reached on the window ``[start, end)``.
@@ -491,33 +446,6 @@ class ProfileBackend:
                 if amount:
                     self.add(start, duration, amount)
             raise
-
-    def try_reserve_many(
-        self, start: Time, blocks: Sequence[Tuple[Time, int]]
-    ) -> bool:
-        """Commit many ``(duration, amount)`` blocks all starting at
-        ``start`` iff they fit **together**; returns whether committed.
-
-        The batched twin of :meth:`try_reserve`: a batched decision pass
-        screens each job individually, then commits every accepted
-        placement of one event time atomically — ``False`` leaves the
-        profile untouched, and the caller falls back to the scalar
-        sequential pass (batch interference is possible even when every
-        block fits alone).  The generic implementation defers to the
-        all-or-nothing :meth:`reserve_many`; the array backend overrides
-        it with layered windowed-minimum checks on its live columns.
-        """
-        pending: List[Tuple[Time, int]] = []
-        for duration, amount in blocks:
-            check_reserve_args(start, duration, amount, "reserved")
-            pending.append((duration, amount))
-        try:
-            self.reserve_many(
-                (start, duration, amount) for duration, amount in pending
-            )
-        except CapacityError:
-            return False
-        return True
 
     # ------------------------------------------------------------------
     # derived transformations (shared)

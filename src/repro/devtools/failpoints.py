@@ -1,7 +1,7 @@
 """Deterministic fault injection for the durability layer.
 
 Every crash-recovery guarantee in :mod:`repro.durability` and the
-epoch-sharded replay is backed by a *failpoint*: a named site in the
+``repro serve`` daemon is backed by a *failpoint*: a named site in the
 code (:data:`CATALOG`) where a test can deterministically kill, delay,
 or fail the process.  Sites call :func:`fire`, which is a near-no-op
 until the failpoint is armed — either programmatically (:func:`arm`)
@@ -26,9 +26,9 @@ Recognised keys:
     Sleep duration in seconds for ``mode=delay`` (default 1.0).
 ``once``
     Path to a sentinel file claimed with ``O_EXCL`` before firing, so
-    the failpoint fires exactly once *across processes*.  Essential for
-    epoch-worker crash tests: workers inherit the environment, so
-    without ``once`` a retried worker would re-crash forever.
+    the failpoint fires exactly once *across processes*.  Essential
+    when a killed process is restarted under the same environment:
+    without ``once`` the restarted process would re-crash forever.
 
 Hit counters are per-process; determinism comes from the sites being
 on deterministic code paths (the replay engine), not from the harness.
@@ -121,23 +121,6 @@ CATALOG: Tuple[Failpoint, ...] = (
         "crash between the journal and the visible JSONL store",
     ),
     Failpoint(
-        "epoch.slice.run",
-        "simulation.replay worker — before an epoch slice replays",
-        "kill or hang one epoch worker (self-healing must recover)",
-    ),
-    Failpoint(
-        "epoch.checkpoint.publish",
-        "simulation.replay worker — before the frontier checkpoint "
-        "is published to the relay",
-        "kill a worker after its slice but before its handoff",
-    ),
-    Failpoint(
-        "epoch.error.mark",
-        "simulation.replay worker — before the structured error "
-        "record is written",
-        "kill a failing worker before it can even report the failure",
-    ),
-    Failpoint(
         "serve.op.apply",
         "serve.daemon — after a request is validated, before its op is "
         "applied to the live SchedulerCore",
@@ -156,7 +139,7 @@ CATALOG: Tuple[Failpoint, ...] = (
         "simulation.scheduler_core — when a job fails mid-run, before "
         "its capacity is released and it re-enters the queue",
         "kill or delay at the failure instant (requeue state must "
-        "survive checkpoints and epoch handoffs)",
+        "survive checkpoints and slice handoffs)",
     ),
     Failpoint(
         "uncertainty.overrun_kill",

@@ -1,7 +1,8 @@
 """RPL1xx — determinism of engine code.
 
-Byte-identical replay (the 24-config identity matrix, serial==sharded
-epoch stitching, resume-by-key experiment rows) is only sound while the
+Byte-identical replay (the identity matrix, serial == sharded
+multi-policy rows, checkpoint-chained slices, resume-by-key experiment
+rows) is only sound while the
 code under ``determinism-paths`` never reads a wall clock, OS entropy, or
 the process-salted iteration order of a bare ``set``.  ``time.
 perf_counter`` stays legal: elapsed-time gauges are stripped from

@@ -27,7 +27,7 @@ def qualified_scopes(
     """``qualname -> definition nodes`` for every function/class.
 
     Nesting uses dotted names without the ``<locals>`` marker
-    (``ReplayEngine._run_batched``), matching the config syntax.
+    (``ReplayEngine._run_fused``), matching the config syntax.
     """
     scopes: Dict[str, List[ast.AST]] = {}
 

@@ -1,19 +1,19 @@
 """RPL503: reach-ins to declared engine internals.
 
-The replay engine's fused loops (``ReplayEngine._run_fused`` /
-``_run_batched`` / ``_run_generic``) are implementation twins of one
+The replay engine's loops (``ReplayEngine._run_fused`` /
+``_run_generic``) are implementation twins of one
 event-application loop, kept byte-identical by differential tests —
 they are not an extension surface.  Code that wants to drive the
 scheduler embeds :class:`repro.simulation.SchedulerCore` (or registers
 a policy) instead of calling into the loops directly, because a direct
-caller silently bypasses the engine's dispatch (batch/fused/backend
+caller silently bypasses the engine's dispatch (fused/backend
 selection) and the identity matrix stops protecting it.
 
 Which attribute names are internal, and which files own them, is
 repository knowledge::
 
     [tool.repro-lint]
-    engine-internal-names = ["_run_fused", "_run_batched", "_run_generic"]
+    engine-internal-names = ["_run_fused", "_run_generic"]
     engine-internal-owners = ["src/repro/simulation/replay.py"]
 
 Any attribute access on a declared name outside an owner file is

@@ -172,7 +172,7 @@ RULES: Tuple[Rule, ...] = (
         "its owner file",
         "engine embedding contract: drivers program against "
         "repro.simulation.SchedulerCore, never the replay engine's "
-        "fused loop internals (_run_fused/_run_batched/_run_generic)",
+        "loop internals (_run_fused/_run_generic)",
     ),
 )
 

@@ -4,9 +4,8 @@
 Closures, lambdas and functions defined inside another function pickle
 by *qualified name lookup* and fail at runtime — but only on the first
 sharded run, which is exactly the configuration CI smoke tests skip.
-The sharded replay entry points (``_run_policy_shard``,
-``_run_epoch_shard``, ``execute_point``) are module-level for this
-reason; this rule keeps it that way.
+The sharded entry points (``_run_policy_shard``, ``execute_point``)
+are module-level for this reason; this rule keeps it that way.
 """
 
 from __future__ import annotations

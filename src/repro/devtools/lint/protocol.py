@@ -2,8 +2,8 @@
 
 The three profile backends must stay method-for-method aligned with the
 :class:`~repro.core.profiles.base.ProfileBackend` protocol as it grows
-(``try_reserve``, ``fits_many_at`` and ``try_reserve_many`` each landed
-in separate PRs; drift was previously caught by hand).  This checker
+(``try_reserve`` and ``reserve_fitting`` landed in separate PRs; drift
+was previously caught by hand).  This checker
 compares the *ASTs* of the protocol class and each backend class:
 
 * **RPL301** — a protocol *primitive* (base body is just ``raise
@@ -17,8 +17,8 @@ compares the *ASTs* of the protocol class and each backend class:
 * **RPL304** — a backend lost a fast-path override that
   ``[tool.repro-lint.protocol.require-override]`` declares required
   (the replay engine's throughput depends on the array backend's
-  vectorised overrides; losing one falls back to the generic scalar
-  loop with no functional failure).
+  column-level overrides; losing one falls back to the generic
+  implementation with no functional failure).
 """
 
 from __future__ import annotations

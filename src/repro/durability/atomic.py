@@ -7,11 +7,9 @@ either the old content exists or the new content exists, nothing in
 between.  Lint rule RPL402 enforces the discipline by flagging direct
 truncating writes on durable paths.
 
-The tmp name carries the writer's PID: concurrent publishers of the
-*same* path (a healed epoch re-publishing a checkpoint while the
-abandoned hung worker limps after it) never collide on the tmp file,
-and because both compute byte-identical content the double
-``os.replace`` is harmless.
+The tmp name carries the writer's PID, so concurrent publishers of the
+*same* path never collide on the tmp file; when they publish identical
+content, the double ``os.replace`` is harmless.
 """
 
 from __future__ import annotations

@@ -4,8 +4,7 @@ The driver wraps the replay engine *outside* its hot loops — the engine
 itself is untouched, which is what makes the journal's cost zero when
 disabled.  The arrival stream is cut into chunks of
 ``snapshot_interval`` jobs (each cut pushed past ties in release time,
-the same frontier-quiescence rule as :func:`~repro.simulation.replay.
-epoch_boundaries`), and each chunk runs through
+so every boundary is frontier-quiescent), and each chunk runs through
 :meth:`~repro.simulation.replay.ReplayEngine.run_slice`:
 
 * after a non-final chunk, the engine's
@@ -208,7 +207,7 @@ def replay_journaled(
     the recorded result returned.
 
     ``engine_kwargs`` pass through to :class:`ReplayEngine` (window,
-    profile_backend, batch, ...); the calendar completion queue is
+    profile_backend, uncertainty, ...); the calendar completion queue is
     required and ``record_starts`` is unsupported (starts are not
     journaled).  Returns the stitched :class:`ReplayResult`.
     """

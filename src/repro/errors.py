@@ -72,17 +72,6 @@ class SearchBudgetExceeded(SchedulingError):
         self.incumbent = incumbent
 
 
-class ReplayRelayError(SchedulingError):
-    """The epoch-checkpoint relay between sharded replay workers broke.
-
-    Raised by a successor epoch when its predecessor published a
-    structured failure record, stopped heartbeating (died without
-    publishing anything), or exceeded the relay's bounded wait.  The
-    self-healing orchestrator catches it, retries the failed epoch, and
-    degrades to serial re-execution before giving up.
-    """
-
-
 class JournalError(ReproError):
     """A replay journal directory cannot be used as requested.
 

@@ -66,6 +66,17 @@ DEFAULT_OP_SNAPSHOT_INTERVAL = 256
 #: journal (the two recover differently; mixing them must fail loudly).
 SERVE_MODE = "serve"
 
+#: Largest accepted ``POST /v1/op`` body.  A request advertising more
+#: (or a negative ``Content-Length``) is refused with a ``protocol``
+#: error before a byte of its body is read.
+MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a client may stall mid-request (request line, headers or
+#: body) before its connection is dropped.  The daemon is
+#: single-threaded, so without this bound one stalled client would
+#: block every other client.
+REQUEST_TIMEOUT = 30.0
+
 
 class SchedulerService:
     """Transport-free op application over one core + one journal."""
@@ -258,6 +269,10 @@ class _ServeHandler(BaseHTTPRequestHandler):
     """One ``repro-serve/1`` request-response exchange."""
 
     server: "_ServeHTTPServer"
+    #: per-connection socket timeout (``socketserver`` applies it in
+    #: ``setup``); a stalled request line or header is dropped by
+    #: ``http.server`` itself, a stalled body by :meth:`do_POST`
+    timeout = REQUEST_TIMEOUT
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # the daemon is quiet; state lives in the journal
@@ -297,7 +312,18 @@ class _ServeHandler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", 0))
         except ValueError:
             length = 0
-        raw = self.rfile.read(length) if length else b""
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # refused unread: the connection closes after the response
+            self.close_connection = True
+            self._respond(error_envelope(ServeProtocolError(
+                f"Content-Length {length} outside [0, {MAX_BODY_BYTES}]"
+            )))
+            return
+        try:
+            raw = self.rfile.read(length) if length else b""
+        except TimeoutError:
+            self.close_connection = True  # stalled mid-body: drop it
+            return
         try:
             body = json.loads(raw) if raw else None
         except json.JSONDecodeError as exc:

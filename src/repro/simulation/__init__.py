@@ -13,11 +13,11 @@
   event-application loop as a standalone ``submit`` / ``cancel`` /
   ``advance_to`` / ``drain`` surface.
 
-:class:`SchedulerCore` is the supported embedding API: batch replay
-(:class:`ReplayEngine`), epoch sharding and the ``repro serve`` daemon
-are all thin drivers of it.  Reaching into the engine's fused loops
-(``ReplayEngine._run_fused`` / ``_run_batched`` / ``_run_generic``) is
-deprecated outside the engine itself and flagged by lint rule RPL503.
+:class:`SchedulerCore` is the supported embedding API: trace replay
+(:class:`ReplayEngine`), journaled replay and the ``repro serve`` daemon
+all drive it.  Reaching into the engine's loops
+(``ReplayEngine._run_fused`` / ``_run_generic``) is deprecated outside
+the engine itself and flagged by lint rule RPL503.
 """
 
 from .cluster import ClusterState, RunningJob

@@ -58,6 +58,13 @@ Two structures bound the per-event cost:
   reference the ``replay-throughput`` benchmark gate measures against,
   and both modes are asserted row-identical.
 
+Built-in policies run in one fused loop (:meth:`ReplayEngine._run_fused`)
+with two scalar shortcuts for the operation mix real traces produce
+(~95% of event times carry a single arrival): with an empty queue, every
+completion before the next arrival drains in one tight loop with a
+single compaction, and a lone arrival on an empty queue starts through
+one ``try_reserve`` probe without entering the queue.
+
 ``repro replay`` can also run **several policies at once** — serially,
 or sharded across worker processes with ``--jobs N``
 (:func:`replay_policies`): each policy's replay is independent, workers
@@ -66,19 +73,12 @@ written policy by policy in declaration order, so serial and sharded
 output files are byte-identical (volatile wall-clock fields are kept
 out of the merged rows).
 
-A **single** policy's replay can be sharded too: ``--jobs K`` with one
-policy cuts the trace at frontier-quiescent boundaries
-(:func:`epoch_boundaries`) and relays each epoch's final engine state —
-pruned profile, queued and in-flight jobs, open window accumulators,
-every counter — to the next worker as a :class:`ReplayCheckpoint`
-(:func:`replay_epochs`), so the stitched rows are byte-identical to a
-serial run.  On top of the scalar fused loops, the **batched columnar
-engine** (``batch="auto"``) collects each event time's arrivals into
-int64 columns, screens them with one vectorised prefix-min sweep
-(:meth:`~repro.core.profiles.ArrayProfile.fits_many_at`) and commits
-accepted placements through an all-or-nothing ``try_reserve_many`` —
-falling back losslessly to the scalar path when numpy is absent, the
-batch has one job, or the profile has demoted off the array kernel.
+A replay can also stop mid-stream and resume: :meth:`ReplayEngine.
+run_slice` with ``drain=False`` captures the frontier state — pruned
+profile, queued and in-flight jobs, open window accumulators, every
+counter — as a :class:`ReplayCheckpoint`, and a successor slice resumed
+from it continues byte-identically to a serial run.  The journaled
+replay of :mod:`repro.durability.journaled` snapshots these checkpoints.
 
 Windowed metrics
 ----------------
@@ -97,12 +97,9 @@ from __future__ import annotations
 
 import time as _time
 import warnings
-from array import array
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import chain, islice
 from numbers import Integral
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -115,22 +112,11 @@ from ..core.metrics import (
     quantile,
 )
 from ..core.profiles import (
-    ArrayProfile,
     BackendSpec,
     convert_profile,
     make_profile,
-    numpy_module,
-    resolve_backend,
 )
-from ..core.profiles.array_backend import _INT64_MAX
-from ..devtools.failpoints import fire
-from ..errors import (
-    CapacityError,
-    InvalidInstanceError,
-    ReplayRelayError,
-    SchedulingError,
-    TraceFormatError,
-)
+from ..errors import CapacityError, SchedulingError, TraceFormatError
 from .online_sim import POLICIES
 
 #: Default window size (jobs per metrics window).
@@ -143,11 +129,6 @@ DEFAULT_WINDOW = 10_000
 #: completion instead, which keeps the live profile at active-window
 #: size and this constant irrelevant to them.
 DEFAULT_PRUNE_INTERVAL = 4096
-
-#: Arrivals ingested per columnar chunk by the batched engine — large
-#: enough to amortise the numpy conversions, small enough that only the
-#: live chunk's Job objects are resident (the constant-memory contract).
-_BATCH_CHUNK = 8192
 
 #: ``totals`` fields excluded from the merged multi-policy JSONL rows:
 #: anything wall-clock-dependent would break the byte-identity of
@@ -198,7 +179,7 @@ def _note_demotion(job: Job) -> Dict:
     return record
 
 
-#: Counter names carried across an epoch boundary (one source of truth
+#: Counter names carried across a slice boundary (one source of truth
 #: for the checkpoint builders and the resume hydrators).
 _CKPT_COUNTERS = (
     "arrived", "completed", "events", "total_work", "pmax",
@@ -211,15 +192,15 @@ _CKPT_COUNTERS = (
 
 @dataclass
 class ReplayCheckpoint:
-    """Full engine state at a frontier between two epoch slices.
+    """Full engine state at a frontier between two replay slices.
 
     Produced by :meth:`ReplayEngine.run_slice` with ``drain=False``
     after the last arrival of a slice's event time has been fully
     processed (completions < arrivals < decision < prune), and consumed
-    by the successor epoch's ``run_slice(..., resume=...)`` — the
-    deterministic frontier handoff that makes epoch-sharded replay
-    byte-identical to serial.  Everything is plain picklable data so the
-    handoff crosses process boundaries.
+    by the successor slice's ``run_slice(..., resume=...)`` — the
+    deterministic frontier handoff that makes a chain of slices
+    byte-identical to one serial run.  Everything is plain picklable
+    data, so journal snapshots can store it.
     """
 
     #: engine-config fingerprint (validated on resume, loud on mismatch)
@@ -438,14 +419,9 @@ class ReplayResult:
     #: small traces — it is the one unbounded structure).
     starts: Optional[Dict] = None
     #: engine state at the slice frontier — set only by
-    #: :meth:`ReplayEngine.run_slice` with ``drain=False`` (epoch
-    #: sharding); ``None`` on every fully-drained run.
+    #: :meth:`ReplayEngine.run_slice` with ``drain=False``; ``None`` on
+    #: every fully-drained run.
     checkpoint: Optional[ReplayCheckpoint] = None
-    #: structured records of epoch-worker failures that were healed
-    #: (retried or re-executed serially) by :func:`replay_epochs`.
-    #: Deliberately *not* part of ``totals``: recovery metadata is
-    #: volatile and must never break serial-vs-sharded byte identity.
-    recoveries: List[Dict] = field(default_factory=list)
 
     @property
     def n_jobs(self) -> int:
@@ -500,16 +476,6 @@ class ReplayEngine:
         (identical semantics, fewer indirection layers; see the module
         docs).  ``False`` forces the generic registry functions — the
         A/B reference configuration.
-    batch:
-        ``"auto"`` (default) runs the **batched decision engine** — the
-        columnar event-batch loop of :meth:`_run_batched` — whenever the
-        policy has a fused twin, the calendar queue is active, the
-        profile backend is the int64 array kernel and numpy is present;
-        anything else falls back losslessly to the PR-5 scalar fused
-        path.  ``True`` asks for it explicitly (still falling back
-        losslessly when numpy is absent, per the batched engine's
-        contract); ``False`` pins the scalar engine — the A/B baseline
-        leg of the throughput gate.
     """
 
     def __init__(
@@ -524,7 +490,6 @@ class ReplayEngine:
         record_starts: bool = False,
         completion_queue: str = "calendar",
         fused_policies: bool = True,
-        batch="auto",
         uncertainty=None,
     ):
         if m < 1:
@@ -538,10 +503,6 @@ class ReplayEngine:
                 f"completion_queue must be 'calendar' or 'heap', "
                 f"got {completion_queue!r}"
             )
-        if batch not in ("auto", True, False):
-            raise SchedulingError(
-                f"batch must be 'auto', True or False, got {batch!r}"
-            )
         self.m = m
         self.policy_name = policy
         self._policy = POLICIES.get(policy)
@@ -552,13 +513,12 @@ class ReplayEngine:
         self.record_starts = record_starts
         self.completion_queue = completion_queue
         self.fused_policies = fused_policies
-        self.batch = batch
         from ..workloads.uncertainty import resolve_uncertainty
 
         model = resolve_uncertainty(uncertainty)
         if model is not None and model.is_exact:
             # the degenerate model is no model: the run dispatches to
-            # the fused/batched twins and stays byte-identical
+            # the fused loop and stays byte-identical
             model = None
         if model is not None and completion_queue != "calendar":
             raise SchedulingError(
@@ -575,13 +535,12 @@ class ReplayEngine:
     def run(self, arrivals: Iterable[Job]) -> ReplayResult:
         """Replay ``arrivals``; returns the :class:`ReplayResult`.
 
-        Dispatches to the batched columnar loop (:meth:`_run_batched`)
-        when active (see the ``batch`` parameter), else to the fused
-        hot loop (:meth:`_run_fused`) when the policy is a built-in with
-        a fused twin and the calendar queue is active; the generic loop
-        remains the reference implementation for custom policies, the
-        heap queue and ``fused_policies=False`` — all produce identical
-        rows (differential-tested).
+        Dispatches to the fused hot loop (:meth:`_run_fused`) when the
+        policy is a built-in with a fused twin and the calendar queue is
+        active; the generic loop remains the reference implementation
+        for custom policies, the heap queue, stochastic runs and
+        ``fused_policies=False`` — all produce identical rows
+        (differential-tested).
         """
         return self.run_slice(arrivals)
 
@@ -593,15 +552,15 @@ class ReplayEngine:
     ) -> ReplayResult:
         """Replay one slice of an arrival stream, optionally mid-state.
 
-        The epoch-sharded entry point: with ``resume`` the engine starts
-        from a predecessor's :class:`ReplayCheckpoint` (pruned profile +
-        in-flight queue snapshot) instead of an empty machine; with
-        ``drain=False`` it stops once the slice's last arrival's event
-        time is fully processed — leaving in-flight jobs in flight — and
-        attaches the frontier state as ``result.checkpoint`` (totals are
-        then left empty; windowed rows emitted by this slice are in
-        ``result.windows``).  ``run_slice(arrivals)`` is exactly
-        :meth:`run`.  Epoch slicing requires the calendar queue.
+        The checkpoint-chaining entry point: with ``resume`` the engine
+        starts from a predecessor's :class:`ReplayCheckpoint` (pruned
+        profile + in-flight queue snapshot) instead of an empty machine;
+        with ``drain=False`` it stops once the slice's last arrival's
+        event time is fully processed — leaving in-flight jobs in flight
+        — and attaches the frontier state as ``result.checkpoint``
+        (totals are then left empty; windowed rows emitted by this slice
+        are in ``result.windows``).  ``run_slice(arrivals)`` is exactly
+        :meth:`run`.  Slicing requires the calendar queue.
         """
         if resume is not None:
             if (resume.m, resume.policy, resume.window) != (
@@ -615,7 +574,7 @@ class ReplayEngine:
                 )
         if (resume is not None or not drain) and self.completion_queue != "calendar":
             raise SchedulingError(
-                "epoch-sharded replay requires completion_queue='calendar'"
+                "sliced replay requires completion_queue='calendar'"
             )
         if self.uncertainty is not None:
             # stochastic runs delegate to the generic reference loop:
@@ -627,31 +586,8 @@ class ReplayEngine:
             and self.completion_queue == "calendar"
             and _fused_policy_kind(self._policy) is not None
         ):
-            if self._batch_active(resume):
-                return self._run_batched(arrivals, resume, drain)
             return self._run_fused(arrivals, resume, drain)
         return self._run_generic(arrivals, resume, drain)
-
-    def _batch_active(self, resume: Optional[ReplayCheckpoint]) -> bool:
-        """Whether the batched columnar loop handles this run.
-
-        Requires the int64 array kernel (``profile_backend`` ``"auto"``
-        or ``"array"``) and numpy; ``batch=False`` pins the scalar
-        engine, and a checkpoint that already demoted to the list
-        backend resumes on the scalar path too (the batched loop is
-        array-only).
-        """
-        if self.batch is False:
-            return False
-        if numpy_module() is None:
-            return False  # lossless fallback: scalar fused path
-        if self.profile_backend not in ("auto", "array"):
-            return False
-        if resolve_backend("array") is not ArrayProfile:
-            return False  # a re-registered "array" has no int64 columns
-        if resume is not None and resume.demoted:
-            return False
-        return True
 
     def _run_generic(
         self,
@@ -849,6 +785,44 @@ class ReplayEngine:
                     f"replay stalled with {len(queue)} queued job(s) "
                     "that can never start"
                 )
+            if cheap_prune and not queue and time_heap:
+                tc = time_heap[0]
+                if t_arrival is None or tc < t_arrival:
+                    # Empty-queue drain: no decision can start anything,
+                    # so every completion before the next arrival is
+                    # processed in one tight loop.  Nothing commits while
+                    # draining and completions leave the profile alone,
+                    # so one segment sample on entry equals the peak of
+                    # the per-completion samples, and one prune on exit
+                    # reaches the same live window as one per completion.
+                    segments = seg_count()
+                    if segments > peak_segments:
+                        peak_segments = segments
+                    while True:
+                        heappop(time_heap)
+                        finished = buckets.pop(tc)
+                        n_finished = len(finished)
+                        completed += n_finished
+                        since_prune += n_finished
+                        running_count -= n_finished
+                        if window:
+                            for job in finished:
+                                acc = window_of.pop(job.id)
+                                acc.completed += 1
+                                acc.last_completion = tc
+                                if acc.full and acc.completed == acc.arrived:
+                                    emit_done_windows()
+                        if not time_heap:
+                            break
+                        tn = time_heap[0]
+                        if t_arrival is not None and tn >= t_arrival:
+                            break
+                        tc = tn
+                    now = last_completion = tc
+                    pruned_to = completed
+                    prune(now)
+                    if t_arrival is None:
+                        continue  # drained dry: the loop condition ends it
             # clock advance fused with completion processing: when the
             # next completion is due it *is* the event
             if time_heap:
@@ -876,6 +850,7 @@ class ReplayEngine:
                 now = t_arrival
 
             # 2. arrivals at `now` join the queue in stream order
+            probed = False
             while t_arrival == now and pending is not None:
                 job = pending
                 if watch_times and not (
@@ -901,12 +876,6 @@ class ReplayEngine:
                         f"job {job.id!r} requires {jq} processors but the "
                         f"machine only has {m}"
                     )
-                queue[job.id] = job
-                # the queue only grows during the arrival phase, so
-                # sampling after each enqueue sees every high-water mark
-                qlen = len(queue)
-                if qlen > peak_queue:
-                    peak_queue = qlen
                 jp = job.p
                 rel = job.release
                 area = jp * jq
@@ -942,22 +911,69 @@ class ReplayEngine:
                 pending = next(it, None)
                 if pending is not None:
                     t_arrival = pending.release
+                else:
+                    t_arrival = None
+                    if window and drain:
+                        # the stream ended: flush the partial trailing
+                        # window, then every open window is full
+                        if cur_acc is not None:
+                            acc = cur_acc
+                            acc.arrived = wa_arrived
+                            acc.first_release = wa_first
+                            acc.work = wa_work
+                            acc.pmax = wa_pmax
+                            acc.latest_lb_finish = wa_latest
+                            cur_acc = None
+                        for acc in windows.values():
+                            acc.full = True
+                        emit_done_windows()
+                if queue or t_arrival == now:
+                    queue[job.id] = job
+                    # the queue only grows during the arrival phase, so
+                    # sampling after each enqueue sees every high-water
+                    # mark
+                    qlen = len(queue)
+                    if qlen > peak_queue:
+                        peak_queue = qlen
                     continue
-                t_arrival = None
-                if window and drain:
-                    # the stream ended: flush the partial trailing
-                    # window, then every open window is full
-                    if cur_acc is not None:
-                        acc = cur_acc
-                        acc.arrived = wa_arrived
-                        acc.first_release = wa_first
-                        acc.work = wa_work
-                        acc.pmax = wa_pmax
-                        acc.latest_lb_finish = wa_latest
-                        cur_acc = None
-                    for acc in windows.values():
-                        acc.full = True
-                    emit_done_windows()
+                # Lone arrival on an empty queue: every policy's pass
+                # starts it iff it fits at `now`, so one probe decides.
+                # A blocked lone head backs no backfill (and a new id
+                # misses EASY's memo), so the pass is skipped after a
+                # failed probe: it would repeat the same probe.
+                if not peak_queue:
+                    peak_queue = 1
+                if not try_reserve(now, jp, jq):
+                    queue[job.id] = job
+                    probed = True
+                    continue
+                running_count += 1
+                # wait == 0, so the slowdown and bounded slowdown are
+                # exactly 1.0 (x/x, and the clamp floors jp/tau).  The
+                # int check behind `watch_times` makes the slowdown a
+                # float; other time types (Fraction) keep the exact
+                # quotient so the sum matches the generic loop's
+                # repro: noqa-begin RPL2xx -- float slowdown/bsld gauges
+                sum_slowdown += 1.0 if watch_times else (now - rel + jp) / jp
+                sum_bsld += 1.0
+                if 1.0 > max_bsld:
+                    max_bsld = 1.0
+                if window:
+                    acc = window_of[job.id]
+                    acc.started += 1
+                    acc.sum_bsld += 1.0
+                    if 1.0 > acc.max_bsld:
+                        acc.max_bsld = 1.0
+                # repro: noqa-end RPL2xx
+                if record is not None:
+                    record[job.id] = now
+                end = now + jp
+                bucket = buckets.get(end)
+                if bucket is None:
+                    buckets[end] = [job]
+                    heappush(time_heap, end)
+                else:
+                    bucket.append(job)
 
             # 3. one inlined decision pass (identical to the registered
             # policy; see _fused_policy_kind).  The per-start bookkeeping
@@ -965,7 +981,7 @@ class ReplayEngine:
             # closure would turn every hot counter into a cell variable
             # (slowing the whole loop), and the fused-vs-generic
             # differential tests pin all copies to _run_generic anyway.
-            if queue:
+            if queue and not probed:
                 if easy:
                     # Blocked-head memo: while `blocked_id` heads the
                     # queue, `blocked_until` is its exact earliest fit.
@@ -1175,7 +1191,7 @@ class ReplayEngine:
         if not drain:
             if cur_acc is not None:
                 # fold the filling window's locals back into its acc so
-                # the successor epoch re-opens it exactly where it was
+                # the successor slice re-opens it exactly where it was
                 acc = cur_acc
                 acc.arrived = wa_arrived
                 acc.first_release = wa_first
@@ -1224,769 +1240,6 @@ class ReplayEngine:
             sum_bsld=sum_bsld, max_bsld=max_bsld, peak_queue=peak_queue,
             peak_running=peak_running, peak_segments=peak_segments,
             demoted_at=demoted_at, windows_emitted=next_emit,
-        )
-
-    # ------------------------------------------------------------------
-    def _run_batched(
-        self,
-        arrivals: Iterable[Job],
-        resume: Optional[ReplayCheckpoint] = None,
-        drain: bool = True,
-    ) -> ReplayResult:
-        """The columnar event-batch loop (the PR-6 tentpole).
-
-        Arrivals are ingested in chunks of :data:`_BATCH_CHUNK` into
-        parallel release/p/q columns; the arrival-side totals and
-        window aggregates (work, pmax, latest ``release + p`` — all
-        order-free integer stats) fold in one numpy pass per chunk
-        instead of ~15 interpreted ops per job.  At each event time the
-        whole same-release batch is decided at once: multi-arrival
-        batches are screened with one
-        :meth:`~repro.core.profiles.ArrayProfile.earliest_fit_many`
-        sweep and committed atomically via
-        :meth:`~repro.core.profiles.ArrayProfile.try_reserve_many`
-        (falling back to the exact sequential pass when the screen's
-        candidates interfere), while the dominant single-arrival /
-        empty-queue case inlines the array backend's probe-and-commit
-        directly on the int64 columns.  Order-sensitive float
-        accounting (slowdown sums) stays scalar and per-start, in start
-        order, so every row and total is byte-identical to the scalar
-        engines — the differential tests and the throughput identity
-        matrix pin this.
-
-        A chunk that violates the int64 grid (non-``int`` times, an
-        overflow, a ``q`` numpy cannot widen) hands the un-ingested
-        jobs plus the remaining stream to :meth:`_run_fused` through an
-        internal checkpoint: the scalar loop then demotes (or raises)
-        at exactly the job the serial run would have.
-        """
-        started_clock = _time.perf_counter()
-        m = self.m
-        np = numpy_module()
-        if resume is not None:
-            profile = make_profile(
-                list(resume.profile_times), list(resume.profile_caps), "array"
-            )
-        else:
-            profile = make_profile([0], [m], "array")
-        kind = _fused_policy_kind(self._policy)
-        easy = kind == "easy"
-        greedy = kind == "greedy"
-
-        ptimes = profile._times      # stable objects: the batched loop
-        pcaps = profile._caps        # never rebinds the columns
-        try_reserve = profile.try_reserve
-        reserve_fitting = profile.reserve_fitting
-        earliest_fit = profile.earliest_fit
-        fits_many_at = profile.fits_many_at
-        try_res_many = profile.try_reserve_many
-        min_capacity = profile.min_capacity
-        capacity_at = profile.capacity_at
-        fits = profile.fits
-        prune = profile.prune_before
-
-        queue: Dict[int, Job] = {}   # arrival index -> job, FIFO
-        buckets: Dict = {}           # end time -> [(job, acc-or-None)]
-        time_heap: List = []         # distinct end times
-        now = None
-        blocked_id: object = None    # easy: memoised blocked head ...
-        blocked_until = 0            # ... and its exact earliest fit
-
-        window = self.window
-        bsld_tau = self.bsld_tau
-        store = self.store
-        windows: Dict[int, _WindowAcc] = {}
-        emitted: List[Dict] = []
-        next_emit = 0
-        result = ReplayResult(
-            policy=self.policy_name, m=m, window_size=window,
-            starts={} if self.record_starts else None,
-        )
-        record = result.starts
-
-        # totals
-        arrived = 0
-        completed = 0
-        total_work = 0
-        pmax = 0
-        latest_lb_finish = 0
-        last_completion = 0
-        sum_wait = 0
-        max_wait = 0
-        sum_slowdown = 0
-        sum_bsld = 0
-        max_bsld = 0.0  # repro: noqa RPL201 -- bsld gauge is float by definition
-        peak_queue = 0
-        running_count = 0
-        peak_running = 0
-        peak_segments = 1
-        since_prune = 0
-        pruned_to = 0   # completions already compacted behind
-
-        if resume is not None:
-            windows = {
-                w: _WindowAcc.from_state(s) for w, s in resume.windows.items()
-            }
-            if window:
-                # synthesize FIFO keys that keep ``idx // window`` exact
-                # for every queued job (collision-free with future real
-                # indices: a window's queued jobs never outnumber the
-                # arrivals processed so far)
-                wcount: Dict[int, int] = {}
-                for job in resume.queue:
-                    w = resume.window_of[job.id]
-                    k = wcount.get(w, 0)
-                    wcount[w] = k + 1
-                    queue[w * window + k] = job
-            else:
-                for k, job in enumerate(resume.queue):
-                    queue[k] = job
-            for end, bucket in resume.buckets:
-                if window:
-                    buckets[end] = [
-                        (job, windows[resume.window_of[job.id]])
-                        for job in bucket
-                    ]
-                else:
-                    buckets[end] = [(job, None) for job in bucket]
-                time_heap.append(end)
-            heapify(time_heap)
-            next_emit = resume.next_emit
-            blocked_id = resume.blocked_id
-            blocked_until = resume.blocked_until
-            c = resume.counters
-            (arrived, completed, _events, total_work, pmax, latest_lb_finish,
-             last_completion, sum_wait, max_wait, sum_slowdown, sum_bsld,
-             max_bsld, peak_queue, running_count, peak_running,
-             peak_segments, since_prune, pruned_to) = (
-                c[name] for name in _CKPT_COUNTERS
-            )
-
-        def emit_ready(force: bool = False) -> None:
-            nonlocal next_emit
-            while next_emit in windows and (windows[next_emit].done or force):
-                acc = windows.pop(next_emit)
-                if acc.arrived:
-                    row = acc.row(m)
-                    emitted.append(row)
-                    if store is not None:
-                        store.append(row)
-                next_emit += 1
-
-        def make_ckpt() -> ReplayCheckpoint:
-            times_l, caps_l = profile.as_lists()
-            wof: Dict = {}
-            if window:
-                for qidx, qjob in queue.items():
-                    wof[qjob.id] = qidx // window
-                for bucket in buckets.values():
-                    for bjob, bacc in bucket:
-                        wof[bjob.id] = bacc.index
-            return ReplayCheckpoint(
-                m=m, policy=self.policy_name, window=window,
-                clock=now if now is not None else (
-                    resume.clock if resume is not None else 0
-                ),
-                profile_times=times_l, profile_caps=caps_l,
-                demoted=False, demoted_at=None,
-                queue=list(queue.values()),
-                buckets=sorted(
-                    (end, [bj for bj, _ in bucket])
-                    for end, bucket in buckets.items()
-                ),
-                window_of=wof,
-                windows={w: acc.state() for w, acc in windows.items()},
-                next_emit=next_emit,
-                counters=dict(zip(_CKPT_COUNTERS, (
-                    arrived, completed, 0, total_work, pmax,
-                    latest_lb_finish, last_completion, sum_wait, max_wait,
-                    sum_slowdown, sum_bsld, max_bsld, peak_queue,
-                    running_count, peak_running, peak_segments, since_prune,
-                    pruned_to,
-                ))),
-                blocked_id=blocked_id, blocked_until=blocked_until,
-            )
-
-        it = iter(arrivals)
-        # columnar chunk state
-        jobs_c: List[Job] = []
-        rel_l: List[int] = []
-        p_l: List[int] = []
-        q_l: List[int] = []
-        nchunk = 0
-        ci = 0
-        base = 0
-        next_base = arrived
-        stream_end = False
-
-        def load_chunk() -> Optional[List[Job]]:
-            """Ingest the next chunk; fold its arrival-side aggregates.
-
-            Returns ``None`` on success (or stream end), or the
-            un-ingested chunk when it cannot live on the int64 grid —
-            the caller then hands everything off to the scalar loop.
-            """
-            nonlocal jobs_c, rel_l, p_l, q_l, nchunk, ci, base, next_base
-            nonlocal stream_end, total_work, pmax, latest_lb_finish
-            chunk = list(islice(it, _BATCH_CHUNK))
-            if not chunk:
-                stream_end = True
-                if window and drain:
-                    # the stream ended: every open window is full
-                    for acc in windows.values():
-                        acc.full = True
-                    emit_ready()
-                return None
-            rl = [job.release for job in chunk]
-            pl = [job.p for job in chunk]
-            ql = [job.q for job in chunk]
-            try:
-                ra = np.asarray(rl)
-                pa = np.asarray(pl)
-                qa = np.asarray(ql)
-                ok = (ra.dtype == np.int64 and pa.dtype == np.int64
-                      and qa.dtype == np.int64)
-            except (OverflowError, TypeError, ValueError):
-                ok = False
-            if not ok:
-                return chunk
-            # an int64 dtype still admits bools and int subclasses that
-            # the scalar loop demotes on — the strict scan runs over the
-            # extracted primitives, where it is ~2x cheaper
-            for x in rl:
-                if type(x) is not int:
-                    return chunk  # off-grid: the scalar loop demotes
-                    # (auto) or raises (explicit array) at this job
-            for x in pl:
-                if type(x) is not int:
-                    return chunk
-            mp = int(pa.max())
-            mq = int(qa.max())
-            if (
-                int(ra.max()) + mp > _INT64_MAX  # rel + p overflows int64
-                or mp * mq > 2 ** 48             # areas could overflow sums
-                or mq > m                        # scalar raises at the job
-            ):
-                return chunk
-            n = len(chunk)
-            areas = pa * qa
-            fin = ra + pa
-            total_work += int(areas.sum())
-            if mp > pmax:
-                pmax = mp
-            mf = int(fin.max())
-            if mf > latest_lb_finish:
-                latest_lb_finish = mf
-            if window:
-                gbase = next_base
-                i0 = 0
-                while i0 < n:
-                    w = (gbase + i0) // window
-                    hi = (w + 1) * window - gbase
-                    if hi > n:
-                        hi = n
-                    acc = windows.get(w)
-                    if acc is None:
-                        acc = windows[w] = _WindowAcc(w)
-                    if acc.first_release is None:
-                        acc.first_release = rl[i0]
-                    acc.arrived += hi - i0
-                    acc.work += int(areas[i0:hi].sum())
-                    sp = int(pa[i0:hi].max())
-                    if sp > acc.pmax:
-                        acc.pmax = sp
-                    sf = int(fin[i0:hi].max())
-                    if sf > acc.latest_lb_finish:
-                        acc.latest_lb_finish = sf
-                    if acc.arrived == window:
-                        acc.full = True
-                    i0 = hi
-            jobs_c = chunk
-            rel_l = rl
-            p_l = pl
-            q_l = ql
-            nchunk = n
-            ci = 0
-            base = next_base
-            next_base = base + n
-            return None
-
-        while True:
-            if ci == nchunk and not stream_end:
-                tail = load_chunk()
-                if tail is not None:
-                    return self._run_fused(
-                        chain(tail, it), resume=make_ckpt(), drain=drain
-                    )
-            if ci < nchunk:
-                t_arrival = rel_l[ci]
-            else:
-                t_arrival = None
-                if not drain:
-                    break  # slice exhausted: suspend at the frontier
-                if not time_heap:
-                    if queue:
-                        raise SchedulingError(
-                            f"replay stalled with {len(queue)} queued "
-                            "job(s) that can never start"
-                        )
-                    break
-            # bulk completion drain: with an empty queue no decision can
-            # start anything, so every completion time before the next
-            # arrival collapses into this tight loop
-            if not queue and time_heap:
-                tc = time_heap[0]
-                if t_arrival is None or tc < t_arrival:
-                    # nothing commits while draining, so the live segment
-                    # count only shrinks: one entry sample bounds every
-                    # per-completion sample the scalar loop would take,
-                    # and one exit prune reaches the same offset state
-                    segments = len(ptimes) - profile._lo
-                    if segments > peak_segments:
-                        peak_segments = segments
-                    while t_arrival is None or tc < t_arrival:
-                        heappop(time_heap)
-                        finished = buckets.pop(tc)
-                        nf = len(finished)
-                        completed += nf
-                        since_prune += nf
-                        running_count -= nf
-                        last_completion = now = tc
-                        if window:
-                            for _job, acc in finished:
-                                acc.completed += 1
-                                acc.last_completion = tc
-                                if acc.full and acc.completed == acc.arrived:
-                                    emit_ready()
-                        if not time_heap:
-                            break
-                        tc = time_heap[0]
-                    pruned_to = completed
-                    prune(now)
-                    if t_arrival is None:
-                        continue  # drained dry: the loop top decides
-
-            # the event: completions at `now` free their processors first
-            had_completion = False
-            if time_heap:
-                tc = time_heap[0]
-                if t_arrival is None or tc <= t_arrival:
-                    now = tc
-                    heappop(time_heap)
-                    finished = buckets.pop(tc)
-                    nf = len(finished)
-                    completed += nf
-                    since_prune += nf
-                    running_count -= nf
-                    last_completion = tc
-                    if window:
-                        for _job, acc in finished:
-                            acc.completed += 1
-                            acc.last_completion = tc
-                            if acc.full and acc.completed == acc.arrived:
-                                emit_ready()
-                    had_completion = True
-                else:
-                    now = t_arrival
-            else:
-                now = t_arrival
-
-            # arrivals at `now`
-            b_B = 0
-            solo_blocked = False
-            if t_arrival == now:
-                nxt = ci + 1
-                if not queue and (
-                    (nxt < nchunk and rel_l[nxt] != now)
-                    or (nxt == nchunk and stream_end)
-                ):
-                    # fast path: one arrival, empty queue — it starts at
-                    # `now` iff it fits (all three policies agree), with
-                    # the probe-and-commit inlined on the int64 columns
-                    job = jobs_c[ci]
-                    jp = p_l[ci]
-                    jq = q_l[ci]
-                    idx = base + ci
-                    ci = nxt
-                    arrived += 1
-                    if 1 > peak_queue:
-                        peak_queue = 1
-                    end = now + jp
-                    if end > _INT64_MAX:
-                        raise InvalidInstanceError(
-                            f"array backend requires machine-int (int64) "
-                            f"times: window end {end!r} overflows"
-                        )
-                    lo = profile._lo
-                    i = bisect_right(ptimes, now, lo) - 1
-                    if pcaps[i] < jq:
-                        ok = False
-                    else:
-                        j = bisect_left(ptimes, end, i + 1)
-                        ok = j - i == 1 or min(pcaps[i:j]) >= jq
-                    if ok:
-                        if jq:
-                            if ptimes[i] != now:
-                                i += 1
-                                ptimes.insert(i, now)
-                                pcaps.insert(i, pcaps[i - 1])
-                                j += 1
-                            if j == len(ptimes) or ptimes[j] != end:
-                                ptimes.insert(j, end)
-                                pcaps.insert(j, pcaps[j - 1])
-                            if j - i == 1:
-                                pcaps[i] -= jq
-                            else:
-                                pcaps[i:j] = array(
-                                    "q", [c - jq for c in pcaps[i:j]]
-                                )
-                            if pcaps[j] == pcaps[j - 1]:
-                                del ptimes[j]
-                                del pcaps[j]
-                            if i > lo and pcaps[i] == pcaps[i - 1]:
-                                del ptimes[i]
-                                del pcaps[i]
-                        running_count += 1
-                        # wait == 0 exactly, so the float block collapses
-                        # (x/x == 1.0 and the clamp floors jp/tau): the
-                        # same 1.0 the scalar engines accumulate
-                        # repro: noqa-begin RPL2xx -- float gauge updates
-                        sum_slowdown += 1.0
-                        sum_bsld += 1.0
-                        if 1.0 > max_bsld:
-                            max_bsld = 1.0
-                        if window:
-                            wacc = windows[idx // window]
-                            wacc.started += 1
-                            wacc.sum_bsld += 1.0
-                            if 1.0 > wacc.max_bsld:
-                                wacc.max_bsld = 1.0
-                        # repro: noqa-end RPL2xx
-                        else:
-                            wacc = None
-                        if record is not None:
-                            record[job.id] = now
-                        bucket = buckets.get(end)
-                        if bucket is None:
-                            buckets[end] = [(job, wacc)]
-                            heappush(time_heap, end)
-                        else:
-                            bucket.append((job, wacc))
-                    else:
-                        # the inline probe IS the head probe the decision
-                        # pass would repeat, and a lone blocked head backs
-                        # no backfill: the pass is provably a no-op
-                        queue[idx] = job
-                        solo_blocked = True
-                else:
-                    # general path: collect the whole same-time batch
-                    # (loading across chunk boundaries when it spans)
-                    j = nxt
-                    while j < nchunk and rel_l[j] == now:
-                        j += 1
-                    if j - ci == 1 and (j < nchunk or stream_end):
-                        # one arrival joining a live queue: plain enqueue,
-                        # none of the batch-column machinery
-                        queue[base + ci] = jobs_c[ci]
-                        ci = j
-                        arrived += 1
-                        qlen = len(queue)
-                        if qlen > peak_queue:
-                            peak_queue = qlen
-                    else:
-                        b_jobs = jobs_c[ci:j]
-                        b_p = p_l[ci:j]
-                        b_q = q_l[ci:j]
-                        b_idx = list(range(base + ci, base + j))
-                        ci = j
-                        while ci == nchunk and not stream_end:
-                            tail = load_chunk()
-                            if tail is not None:
-                                return self._run_fused(
-                                    chain(b_jobs, tail, it),
-                                    resume=make_ckpt(), drain=drain,
-                                )
-                            if stream_end:
-                                break
-                            j = 0
-                            while j < nchunk and rel_l[j] == now:
-                                j += 1
-                            if j:
-                                b_jobs += jobs_c[:j]
-                                b_p += p_l[:j]
-                                b_q += q_l[:j]
-                                b_idx += range(base, base + j)
-                                ci = j
-                        b_B = len(b_jobs)
-                        b_was_empty = not queue
-                        for k in range(b_B):
-                            queue[b_idx[k]] = b_jobs[k]
-                        arrived += b_B
-                        qlen = len(queue)
-                        if qlen > peak_queue:
-                            peak_queue = qlen
-
-            # one decision pass (exactly the fused policies' semantics)
-            if queue and not solo_blocked:
-                scalar_pass = True
-                if (
-                    b_B >= 2 and b_was_empty
-                    and sum(b_q) <= capacity_at(now)
-                ):
-                    # vectorized screen: one cumulative-min sweep answers
-                    # every batch job's fit at `now` (the earliest-fit
-                    # question restricted to the one candidate a decision
-                    # pass at `now` acts on).  A screen miss is final
-                    # (capacity only shrinks during a pass); screen hits
-                    # commit atomically, and any interference inside the
-                    # batch falls back to the exact sequential pass.  The
-                    # sum gate is the necessary co-start condition: when
-                    # the whole batch cannot even fit at `now`, the
-                    # sweep mostly misses and the scalar pass wins.
-                    fits_v = fits_many_at(now, b_q, b_p)
-                    if greedy:
-                        commit = [k for k in range(b_B) if fits_v[k]]
-                    else:
-                        # fcfs stops at its first blocked job; easy's
-                        # phase 1 starts heads until one blocks
-                        cut = 0
-                        while cut < b_B and fits_v[cut]:
-                            cut += 1
-                        commit = list(range(cut))
-                    if not commit or try_res_many(
-                        now, [(b_p[k], b_q[k]) for k in commit]
-                    ):
-                        scalar_pass = False
-                        for k in commit:
-                            job = b_jobs[k]
-                            jp = b_p[k]
-                            kidx = b_idx[k]
-                            del queue[kidx]
-                            running_count += 1
-                            # repro: noqa-begin RPL2xx -- float gauge updates
-                            sum_slowdown += 1.0  # wait == 0 exactly
-                            sum_bsld += 1.0
-                            if 1.0 > max_bsld:
-                                max_bsld = 1.0
-                            if window:
-                                acc = windows[kidx // window]
-                                acc.started += 1
-                                acc.sum_bsld += 1.0
-                                if 1.0 > acc.max_bsld:
-                                    acc.max_bsld = 1.0
-                            # repro: noqa-end RPL2xx
-                            else:
-                                acc = None
-                            if record is not None:
-                                record[job.id] = now
-                            end = now + jp
-                            bucket = buckets.get(end)
-                            if bucket is None:
-                                buckets[end] = [(job, acc)]
-                                heappush(time_heap, end)
-                            else:
-                                bucket.append((job, acc))
-                if scalar_pass:
-                    if easy:
-                        # phase 1: heads (the blocked-head memo argument
-                        # of _run_fused carries over verbatim)
-                        while queue:
-                            hkey = next(iter(queue))
-                            head = queue[hkey]
-                            if blocked_id == head.id and now < blocked_until:
-                                break
-                            jp = head.p
-                            if not try_reserve(now, jp, head.q):
-                                break
-                            del queue[hkey]
-                            running_count += 1
-                            wait = now - head.release
-                            sum_wait += wait
-                            if wait > max_wait:
-                                max_wait = wait
-                            # repro: noqa-begin RPL2xx -- float slowdown/bsld
-                            # gauges; never read back into grid times
-                            sum_slowdown += (wait + jp) / jp
-                            den = jp if jp > bsld_tau else bsld_tau
-                            bsld = float(wait + jp) / float(den)
-                            if bsld < 1.0:
-                                bsld = 1.0
-                            # repro: noqa-end RPL2xx
-                            sum_bsld += bsld
-                            if bsld > max_bsld:
-                                max_bsld = bsld
-                            if window:
-                                acc = windows[hkey // window]
-                                acc.started += 1
-                                acc.sum_wait += wait
-                                if wait > acc.max_wait:
-                                    acc.max_wait = wait
-                                acc.sum_bsld += bsld
-                                if bsld > acc.max_bsld:
-                                    acc.max_bsld = bsld
-                            else:
-                                acc = None
-                            if record is not None:
-                                record[head.id] = now
-                            end = now + jp
-                            bucket = buckets.get(end)
-                            if bucket is None:
-                                buckets[end] = [(head, acc)]
-                                heappush(time_heap, end)
-                            else:
-                                bucket.append((head, acc))
-                    else:
-                        # fcfs / greedy: one ordered sweep
-                        for kidx, job in list(queue.items()):
-                            jp = job.p
-                            if not try_reserve(now, jp, job.q):
-                                if greedy:
-                                    continue
-                                break
-                            del queue[kidx]
-                            running_count += 1
-                            wait = now - job.release
-                            sum_wait += wait
-                            if wait > max_wait:
-                                max_wait = wait
-                            # repro: noqa-begin RPL2xx -- float slowdown/bsld
-                            # gauges; never read back into grid times
-                            sum_slowdown += (wait + jp) / jp
-                            den = jp if jp > bsld_tau else bsld_tau
-                            bsld = float(wait + jp) / float(den)
-                            if bsld < 1.0:
-                                bsld = 1.0
-                            # repro: noqa-end RPL2xx
-                            sum_bsld += bsld
-                            if bsld > max_bsld:
-                                max_bsld = bsld
-                            if window:
-                                acc = windows[kidx // window]
-                                acc.started += 1
-                                acc.sum_wait += wait
-                                if wait > acc.max_wait:
-                                    acc.max_wait = wait
-                                acc.sum_bsld += bsld
-                                if bsld > acc.max_bsld:
-                                    acc.max_bsld = bsld
-                            else:
-                                acc = None
-                            if record is not None:
-                                record[job.id] = now
-                            end = now + jp
-                            bucket = buckets.get(end)
-                            if bucket is None:
-                                buckets[end] = [(job, acc)]
-                                heappush(time_heap, end)
-                            else:
-                                bucket.append((job, acc))
-                if easy and len(queue) > 1:
-                    # phase 2: the head's shadow reservation as <=3
-                    # window queries (see _run_fused; identical code,
-                    # index-keyed queue)
-                    items = iter(list(queue.items()))
-                    _hkey, head = next(items)
-                    hp = head.p
-                    hq = head.q
-                    if blocked_id == head.id:
-                        s_head = blocked_until
-                    else:
-                        s_head = earliest_fit(hq, hp, after=now)
-                        if s_head is None:
-                            raise SchedulingError(
-                                f"job {head.id!r} can never start"
-                            )
-                        blocked_id = head.id
-                        blocked_until = s_head
-                    h_end = s_head + hp
-                    cap_now = capacity_at(now)
-                    for kidx, job in items:
-                        jq = job.q
-                        if jq > cap_now:
-                            continue
-                        jp = job.p
-                        j_end = now + jp
-                        if s_head >= j_end:
-                            ok = fits(jq, now, jp)
-                        else:
-                            lim = j_end if j_end < h_end else h_end
-                            ok = (
-                                min_capacity(s_head, lim) >= jq + hq
-                                and (s_head <= now
-                                     or min_capacity(now, s_head) >= jq)
-                                and (j_end <= h_end
-                                     or min_capacity(h_end, j_end) >= jq)
-                            )
-                        if ok:
-                            cap_now -= jq
-                            reserve_fitting(now, jp, jq)
-                            del queue[kidx]
-                            running_count += 1
-                            wait = now - job.release
-                            sum_wait += wait
-                            if wait > max_wait:
-                                max_wait = wait
-                            # repro: noqa-begin RPL2xx -- float slowdown/bsld
-                            # gauges; never read back into grid times
-                            sum_slowdown += (wait + jp) / jp
-                            den = jp if jp > bsld_tau else bsld_tau
-                            bsld = float(wait + jp) / float(den)
-                            if bsld < 1.0:
-                                bsld = 1.0
-                            # repro: noqa-end RPL2xx
-                            sum_bsld += bsld
-                            if bsld > max_bsld:
-                                max_bsld = bsld
-                            if window:
-                                acc = windows[kidx // window]
-                                acc.started += 1
-                                acc.sum_wait += wait
-                                if wait > acc.max_wait:
-                                    acc.max_wait = wait
-                                acc.sum_bsld += bsld
-                                if bsld > acc.max_bsld:
-                                    acc.max_bsld = bsld
-                            else:
-                                acc = None
-                            if record is not None:
-                                record[job.id] = now
-                            end = now + jp
-                            bucket = buckets.get(end)
-                            if bucket is None:
-                                buckets[end] = [(job, acc)]
-                                heappush(time_heap, end)
-                            else:
-                                bucket.append((job, acc))
-
-            if running_count > peak_running:
-                peak_running = running_count
-            if had_completion:
-                pruned_to = completed
-                segments = len(ptimes) - profile._lo
-                if segments > peak_segments:
-                    peak_segments = segments
-                prune(now)
-
-        if not drain:
-            result.windows = emitted
-            result.checkpoint = make_ckpt()
-            return result
-
-        if window:
-            emit_ready(force=True)
-        segments = len(ptimes) - profile._lo
-        if segments > peak_segments:
-            peak_segments = segments
-
-        return self._finalize(
-            result, emitted, started_clock,
-            arrived=arrived, events=3 * arrived, total_work=total_work,
-            pmax=pmax, latest_lb_finish=latest_lb_finish,
-            last_completion=last_completion, sum_wait=sum_wait,
-            max_wait=max_wait, sum_slowdown=sum_slowdown,
-            sum_bsld=sum_bsld, max_bsld=max_bsld, peak_queue=peak_queue,
-            peak_running=peak_running, peak_segments=peak_segments,
-            windows_emitted=next_emit,
         )
 
     # ------------------------------------------------------------------
@@ -2248,591 +1501,3 @@ def replay_policies(
             for row in rows:
                 store.append(row)
     return merged
-
-
-# ---------------------------------------------------------------------------
-# epoch-sharded single-policy replay
-# ---------------------------------------------------------------------------
-
-#: Seconds an epoch worker waits for its predecessor's checkpoint before
-#: giving up (a deadlock backstop, not a tuning knob — the relay normally
-#: resolves in milliseconds once the predecessor finishes its slice).
-#: Also the parent orchestrator's per-epoch hang budget.
-EPOCH_RELAY_TIMEOUT = 600.0
-
-#: Seconds without a heartbeat update before a worker is presumed dead.
-#: A live worker beats every :data:`EPOCH_HEARTBEAT_INTERVAL` from a
-#: daemon thread, so staleness means the *process* died (a kill, an
-#: OOM) without publishing either its checkpoint or an error record —
-#: the liveness hole that previously left successors waiting for the
-#: full relay timeout.
-EPOCH_LIVENESS_TIMEOUT = 30.0
-
-#: Seconds between heartbeat touches by a live epoch worker.
-EPOCH_HEARTBEAT_INTERVAL = 0.1
-
-#: Default retry budget for a failed epoch worker before the
-#: orchestrator degrades to serial re-execution in the parent.
-EPOCH_MAX_RETRIES = 2
-
-#: Base of the exponential backoff between epoch retries (seconds):
-#: attempt ``i`` sleeps ``EPOCH_RETRY_BACKOFF * 2**(i-1)``.
-EPOCH_RETRY_BACKOFF = 0.25
-
-
-def epoch_boundaries(releases: "List", epochs: int) -> List[int]:
-    """Frontier-quiescent cut indices for ``epochs`` slices of a trace.
-
-    A cut at index ``i`` means slice boundaries ``[.., i), [i, ..)``.
-    Cuts start at the even split points ``n*k/epochs`` and are pushed
-    *forward* past any run of equal release times, so no two slices
-    share an arrival event time — the engine checkpoints after an event
-    time is fully processed (completions < arrivals < decision), and a
-    tie split across two slices would hand half an arrival batch to
-    each.  Release times must be non-decreasing (the replay engine's
-    own streaming contract).  Degenerate cuts collapse, so fewer than
-    ``epochs`` slices come back when the trace is too short or too tied.
-    """
-    n = len(releases)
-    if epochs <= 1 or n == 0:
-        return []
-    cuts: List[int] = []
-    for k in range(1, epochs):
-        i = (n * k) // epochs
-        if cuts and i <= cuts[-1]:
-            i = cuts[-1] + 1
-        while 0 < i < n and releases[i] == releases[i - 1]:
-            i += 1
-        if i >= n:
-            break
-        if i > 0 and (not cuts or i > cuts[-1]):
-            cuts.append(i)
-    return cuts
-
-
-def _epoch_ckpt_paths(relay_dir: str, k: int) -> Tuple[str, str, str]:
-    import os
-
-    return (
-        os.path.join(relay_dir, f"ckpt-{k:04d}.pkl"),
-        os.path.join(relay_dir, f"ckpt-{k:04d}.err"),
-        os.path.join(relay_dir, f"hb-{k:04d}"),
-    )
-
-
-class _EpochHeartbeat:
-    """Daemon thread touching an epoch worker's heartbeat file.
-
-    A live worker refreshes the file's mtime every
-    :data:`EPOCH_HEARTBEAT_INTERVAL`; a successor (or the parent
-    orchestrator) that sees no mtime *change* for the liveness timeout
-    may presume the process dead.  Only changes are compared, against
-    the monotonic clock — wall-clock time never enters the judgment.
-    """
-
-    def __init__(self, path: str) -> None:
-        import threading
-
-        self._path = path
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._beat, daemon=True)
-
-    def _touch(self) -> None:
-        import os
-
-        with open(self._path, "a"):
-            pass
-        os.utime(self._path)
-
-    def _beat(self) -> None:
-        while not self._stop.wait(EPOCH_HEARTBEAT_INTERVAL):
-            try:
-                self._touch()
-            except OSError:
-                return
-
-    def start(self) -> None:
-        try:
-            self._touch()
-        except OSError:
-            return
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread.is_alive():
-            self._thread.join(timeout=1.0)
-
-
-def _mark_epoch_error(relay_dir: str, k: int, exc: BaseException) -> None:
-    """Publish a structured error record for epoch ``k``.
-
-    Successors fail fast with the recorded cause, and the parent
-    orchestrator's retry loop knows what it is healing.  Atomic, so a
-    reader never sees a half-written record; local import because the
-    durability package itself imports this module.
-    """
-    import json
-
-    from ..durability.atomic import atomic_write_bytes
-
-    _, err_path, _ = _epoch_ckpt_paths(relay_dir, k)
-    record = {"epoch": k, "type": type(exc).__name__, "error": str(exc)}
-    fire("epoch.error.mark")
-    try:
-        atomic_write_bytes(
-            err_path, json.dumps(record, sort_keys=True).encode("utf-8")
-        )
-    except OSError:
-        pass
-
-
-def _await_epoch_checkpoint(
-    relay_dir: str,
-    k: int,
-    timeout: float = EPOCH_RELAY_TIMEOUT,
-    liveness_timeout: float = EPOCH_LIVENESS_TIMEOUT,
-) -> ReplayCheckpoint:
-    """Block until epoch ``k``'s checkpoint file appears, then load it.
-
-    Fails fast instead of deadlocking on a dead predecessor:
-
-    * an ``.err`` record aborts immediately with the recorded cause;
-    * a heartbeat that stops updating for ``liveness_timeout`` seconds
-      means the predecessor died (kill, OOM) without publishing either
-      its checkpoint or an error record — previously that hole left
-      every successor waiting out the full relay timeout;
-    * ``timeout`` still bounds the total wait regardless.
-    """
-    import json
-    import os
-    import pickle
-
-    path, err_path, hb_path = _epoch_ckpt_paths(relay_dir, k)
-    start = _time.monotonic()
-    deadline = start + timeout
-    last_beat_ns: Optional[int] = None
-    last_change = start
-    while not os.path.exists(path):
-        if os.path.exists(err_path):
-            try:
-                with open(err_path, "rb") as fh:
-                    cause = json.loads(fh.read().decode("utf-8"))
-            except (OSError, ValueError):
-                cause = {}
-            detail = (
-                f": {cause.get('type')}: {cause.get('error')}"
-                if cause else ""
-            )
-            raise ReplayRelayError(
-                f"epoch worker {k} failed{detail}"
-            )
-        now = _time.monotonic()
-        try:
-            beat_ns: Optional[int] = os.stat(hb_path).st_mtime_ns
-        except OSError:
-            beat_ns = None
-        if beat_ns != last_beat_ns:
-            last_beat_ns = beat_ns
-            last_change = now
-        elif now - last_change > liveness_timeout:
-            raise ReplayRelayError(
-                f"epoch worker {k} stopped heartbeating (no update for "
-                f"{liveness_timeout:.1f}s) without publishing a "
-                "checkpoint or an error record — presumed dead"
-            )
-        if now > deadline:
-            raise ReplayRelayError(
-                f"timed out after {timeout:.1f}s waiting for epoch "
-                f"{k}'s checkpoint"
-            )
-        _time.sleep(0.002)
-    with open(path, "rb") as fh:
-        ckpt = pickle.load(fh)
-    if not isinstance(ckpt, ReplayCheckpoint):
-        raise ReplayRelayError(
-            f"epoch relay file {path!r} did not contain a checkpoint"
-        )
-    return ckpt
-
-
-def _publish_epoch_checkpoint(
-    relay_dir: str, k: int, ckpt: ReplayCheckpoint
-) -> None:
-    """Publish epoch ``k``'s checkpoint atomically (tmp + rename), so a
-    polling successor never observes a half-written pickle.  Double
-    publishes — a healed re-execution racing an abandoned worker — are
-    benign: both compute byte-identical state and ``os.replace`` is
-    atomic, so either write yields the same readable file.
-    """
-    from ..durability.atomic import atomic_pickle
-
-    path, _, _ = _epoch_ckpt_paths(relay_dir, k)
-    fire("epoch.checkpoint.publish")
-    atomic_pickle(path, ckpt)
-
-
-def _run_epoch_shard(payload: Tuple) -> Tuple[int, List[Dict], Dict, Optional[Dict]]:
-    """One epoch worker: resume from the predecessor's frontier, replay
-    this slice's arrivals, publish the new frontier.
-
-    Module-level so :class:`~concurrent.futures.ProcessPoolExecutor`
-    can pickle it (the parent also calls it directly for serial
-    fallback after the retry budget is spent).  Returns ``(k, window
-    rows, totals, starts)`` — totals are empty for every non-final
-    epoch (the counters ride the checkpoint relay instead, which is
-    what makes the final totals identical to a serial run's).
-    """
-    (k, final, jobs, relay_dir, m, policy, engine_kwargs,
-     liveness_timeout, relay_timeout) = payload
-    heartbeat = _EpochHeartbeat(_epoch_ckpt_paths(relay_dir, k)[2])
-    heartbeat.start()
-    try:
-        fire("epoch.slice.run")
-        resume = None
-        if k > 0:
-            resume = _await_epoch_checkpoint(
-                relay_dir, k - 1,
-                timeout=relay_timeout, liveness_timeout=liveness_timeout,
-            )
-        engine = ReplayEngine(m, policy=policy, **engine_kwargs)
-        result = engine.run_slice(jobs, resume=resume, drain=final)
-        if not final:
-            assert result.checkpoint is not None
-            _publish_epoch_checkpoint(relay_dir, k, result.checkpoint)
-        return k, result.windows, result.totals, result.starts
-    except BaseException as exc:
-        # structured marker: successors stop polling and fail fast,
-        # the orchestrator records what it healed
-        _mark_epoch_error(relay_dir, k, exc)
-        raise
-    finally:
-        heartbeat.stop()
-
-
-class _EpochHungError(ReplayRelayError):
-    """An epoch worker exceeded the orchestrator's hang budget without
-    returning, failing, or breaking the pool — internal to the healing
-    loop, which responds by recreating the pool and retrying."""
-
-
-def _replay_epochs_processes(
-    payloads: List[Tuple],
-    relay_dir: str,
-    max_retries: int,
-    retry_backoff: float,
-    epoch_timeout: float,
-) -> Tuple[List[Tuple[int, List[Dict], Dict, Optional[Dict]]], List[Dict]]:
-    """Run epoch shards in a process pool, healing failed workers.
-
-    Epochs are all submitted up front (pipelining: worker startup and
-    arrival deserialisation overlap the predecessor's replay) but
-    reaped strictly in order.  When epoch ``k`` fails — its worker
-    raised, was killed (the pool breaks wholesale), or hung past
-    ``epoch_timeout`` — the orchestrator heals it instead of failing
-    the run: clear the error marker, recreate the pool if it broke,
-    back off exponentially, and resubmit, up to ``max_retries``
-    attempts; after that, degrade to serial re-execution of just that
-    epoch in the parent process (its predecessor's checkpoint is
-    already on disk, so nothing upstream is recomputed).  Successor
-    workers that failed fast on ``k``'s error marker are healed the
-    same way when their turn comes, at which point the repaired
-    predecessor checkpoint lets them succeed immediately.
-
-    Returns ``(outcomes, recoveries)`` — outcomes in epoch order, and
-    one structured record per healing action (``action`` is ``retry``
-    or ``serial-fallback``).  Recoveries are reported on the result,
-    never written to stores: recovery metadata is volatile and must not
-    break serial-vs-sharded byte identity.
-    """
-    import os
-    from concurrent.futures import (
-        BrokenExecutor,
-        ProcessPoolExecutor,
-    )
-    from concurrent.futures import (
-        TimeoutError as _FuturesTimeout,
-    )
-
-    k_eff = len(payloads)
-    outcomes: List[Tuple[int, List[Dict], Dict, Optional[Dict]]] = []
-    recoveries: List[Dict] = []
-    pool = ProcessPoolExecutor(max_workers=k_eff)
-    futures: Dict[int, object] = {}
-
-    def _clear_err(k: int) -> None:
-        _, err_path, _ = _epoch_ckpt_paths(relay_dir, k)
-        try:
-            os.unlink(err_path)
-        except OSError:
-            pass
-
-    def _submit(k: int) -> None:
-        _clear_err(k)
-        futures[k] = pool.submit(_run_epoch_shard, payloads[k])
-
-    def _reap(k: int) -> Tuple[int, List[Dict], Dict, Optional[Dict]]:
-        deadline = _time.monotonic() + epoch_timeout
-        fut = futures[k]
-        while True:
-            try:
-                return fut.result(timeout=0.05)  # type: ignore[attr-defined]
-            except _FuturesTimeout:
-                if _time.monotonic() > deadline:
-                    raise _EpochHungError(
-                        f"epoch worker {k} still running after "
-                        f"{epoch_timeout:.1f}s — presumed hung"
-                    ) from None
-
-    try:
-        for k in range(k_eff):
-            _submit(k)
-        for k in range(k_eff):
-            attempt = 0
-            while True:
-                try:
-                    outcomes.append(_reap(k))
-                    break
-                except Exception as exc:
-                    attempt += 1
-                    broken = isinstance(
-                        exc, (BrokenExecutor, _EpochHungError)
-                    )
-                    if broken:
-                        # a SIGKILLed worker breaks the whole pool; a
-                        # hung worker poisons its slot — either way,
-                        # start a fresh pool and resubmit everything
-                        # still outstanding
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        pool = ProcessPoolExecutor(max_workers=k_eff)
-                    if attempt <= max_retries:
-                        recoveries.append({
-                            "epoch": k,
-                            "attempt": attempt,
-                            "error": f"{type(exc).__name__}: {exc}",
-                            "action": "retry",
-                        })
-                        _time.sleep(retry_backoff * (2 ** (attempt - 1)))
-                        _submit(k)
-                        if broken:
-                            for j in range(k + 1, k_eff):
-                                _submit(j)
-                        continue
-                    # budget spent: re-execute just this epoch in the
-                    # parent, off the predecessor checkpoint already on
-                    # disk — the run degrades, it does not fail
-                    recoveries.append({
-                        "epoch": k,
-                        "attempt": attempt,
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "action": "serial-fallback",
-                    })
-                    _clear_err(k)
-                    outcomes.append(_run_epoch_shard(payloads[k]))
-                    if broken:
-                        # the successors' futures died with the old
-                        # pool; give them to the fresh one
-                        for j in range(k + 1, k_eff):
-                            _submit(j)
-                    break
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-    return outcomes, recoveries
-
-
-def _materialize_trace(
-    source,
-    m: Optional[int],
-    n: Optional[int],
-    max_jobs: Optional[int],
-    seed: int,
-) -> Tuple[List[Job], int, Dict]:
-    """Resolve a replay source to ``(jobs, machine size, extra totals)``.
-
-    Accepts the same sources as :func:`replay_policies` — an SWF path,
-    a ``synth:<profile>[:<n>]`` spec — plus any in-memory iterable of
-    jobs (``m`` is then required).  Epoch boundaries need every release
-    time up front, so the trace is materialised here once, in the
-    parent; slices ship to the workers by pickle.
-    """
-    if isinstance(source, str) and source.startswith(SYNTH_PREFIX):
-        from ..workloads.swf import synth_swf_jobs
-
-        profile, parsed_n = parse_synth_source(source)
-        jobs_n = n if n is not None else (parsed_n or DEFAULT_SYNTH_JOBS)
-        if max_jobs is not None:
-            jobs_n = min(jobs_n, max_jobs)
-        machine = m or 256
-        return (
-            list(synth_swf_jobs(profile, jobs_n, m=machine, seed=seed)),
-            machine,
-            {},
-        )
-    if isinstance(source, str):
-        from ..workloads.swf import iter_swf
-
-        stream = iter_swf(source, m=m, max_jobs=max_jobs)
-        jobs = list(stream)
-        if not jobs:
-            raise TraceFormatError("SWF stream contains no usable jobs")
-        return jobs, stream.m, {
-            "skipped_lines": stream.n_skipped,
-            "clipped_jobs": stream.n_clipped,
-        }
-    jobs = list(source)
-    if m is None:
-        raise SchedulingError(
-            "epoch-sharded replay of an in-memory job list needs m="
-        )
-    if max_jobs is not None:
-        jobs = jobs[:max_jobs]
-    return jobs, m, {}
-
-
-def replay_epochs(
-    source,
-    policy: str = "easy",
-    epochs: int = 2,
-    m: Optional[int] = None,
-    n: Optional[int] = None,
-    max_jobs: Optional[int] = None,
-    seed: int = 0,
-    store=None,
-    use_processes: bool = True,
-    max_retries: int = EPOCH_MAX_RETRIES,
-    retry_backoff: float = EPOCH_RETRY_BACKOFF,
-    liveness_timeout: float = EPOCH_LIVENESS_TIMEOUT,
-    epoch_timeout: float = EPOCH_RELAY_TIMEOUT,
-    **engine_kwargs,
-) -> ReplayResult:
-    """Epoch-sharded replay of **one** policy on one trace.
-
-    The trace is cut at frontier-quiescent boundaries
-    (:func:`epoch_boundaries`), each slice runs in its own worker, and
-    the frontier is handed from slice ``k`` to ``k+1`` as a
-    :class:`ReplayCheckpoint` — the predecessor's pruned profile plus
-    its in-flight and queued job snapshot — over an atomic file relay
-    (``use_processes=True``, the default) or directly in-process
-    (``use_processes=False``, for tests and single-core hosts where
-    process spawn overhead buys nothing).  Totals counters ride the
-    relay, so the stitched result — window rows, totals, recorded
-    starts — is **identical to a serial run** of the same engine
-    configuration; only the volatile wall-clock fields differ.
-
-    Workers replay strictly in epoch order (slice ``k+1`` cannot move
-    before ``k``'s frontier exists); the process pool overlaps worker
-    startup, arrival deserialisation and row marshalling with the
-    predecessor's replay, which is where multi-core wall-clock goes.
-    On a single core ``use_processes=False`` is the honest choice.
-
-    The process path **self-heals**: a worker that raises, is killed,
-    or hangs past ``epoch_timeout`` is retried with exponential backoff
-    (``retry_backoff * 2**(attempt-1)``) up to ``max_retries`` times,
-    then degraded to serial re-execution of just that epoch in the
-    parent — the run completes with identical output either way, and
-    each healing action is recorded in
-    :attr:`ReplayResult.recoveries` (never in stores: recovery
-    metadata is volatile).  Workers heartbeat every
-    :data:`EPOCH_HEARTBEAT_INTERVAL`; a successor whose predecessor
-    stops beating for ``liveness_timeout`` without publishing a
-    checkpoint or error record raises
-    :class:`~repro.errors.ReplayRelayError` instead of waiting out the
-    relay timeout.
-
-    ``engine_kwargs`` pass through to :class:`ReplayEngine` (window,
-    profile_backend, batch, record_starts, ...); ``store`` receives the
-    stitched window rows and totals row (the same JSONL a serial run
-    writes).  Returns the stitched :class:`ReplayResult`.
-    """
-    started_clock = _time.perf_counter()
-    if epochs < 1:
-        raise SchedulingError(f"epochs must be >= 1, got {epochs!r}")
-    if "store" in engine_kwargs:
-        raise SchedulingError("pass store= to replay_epochs, not the engine")
-    if engine_kwargs.get("completion_queue", "calendar") != "calendar":
-        raise SchedulingError(
-            "epoch-sharded replay requires completion_queue='calendar'"
-        )
-    POLICIES.get(policy)  # loud, early resolution
-    if store is not None and not hasattr(store, "append"):
-        from ..run.store import JsonlStore
-
-        store = JsonlStore(store)
-
-    jobs, machine, extra_totals = _materialize_trace(
-        source, m, n, max_jobs, seed
-    )
-    cuts = epoch_boundaries([job.release for job in jobs], epochs)
-    bounds = [0, *cuts, len(jobs)]
-    slices = [
-        (jobs[bounds[i]:bounds[i + 1]]) for i in range(len(bounds) - 1)
-    ]
-    k_eff = len(slices)
-
-    if k_eff == 1:
-        engine = ReplayEngine(machine, policy=policy, store=store,
-                              **engine_kwargs)
-        result = engine.run(jobs)
-        result.totals.update(extra_totals)
-        return result
-
-    outcomes: List[Tuple[int, List[Dict], Dict, Optional[Dict]]]
-    recoveries: List[Dict] = []
-    if not use_processes:
-        # same relay, no files: hand each checkpoint to the next slice
-        # directly — the reference implementation the process path is
-        # differential-tested against
-        outcomes = []
-        resume: Optional[ReplayCheckpoint] = None
-        for k, chunk in enumerate(slices):
-            final = k == k_eff - 1
-            engine = ReplayEngine(machine, policy=policy, **engine_kwargs)
-            result = engine.run_slice(chunk, resume=resume, drain=final)
-            resume = result.checkpoint
-            outcomes.append((k, result.windows, result.totals, result.starts))
-    else:
-        import tempfile
-
-        # abandoned hung workers may still write relay files after
-        # healing finishes; their late scribbles must not turn cleanup
-        # into an error
-        with tempfile.TemporaryDirectory(
-            prefix="repro-epochs-", ignore_cleanup_errors=True
-        ) as relay:
-            payloads = [
-                (k, k == k_eff - 1, chunk, relay, machine, policy,
-                 dict(engine_kwargs), liveness_timeout, epoch_timeout)
-                for k, chunk in enumerate(slices)
-            ]
-            outcomes, recoveries = _replay_epochs_processes(
-                payloads, relay, max_retries, retry_backoff, epoch_timeout
-            )
-
-    outcomes.sort(key=lambda item: item[0])
-    windows: List[Dict] = []
-    starts: Optional[Dict] = None
-    for _, slice_windows, _, slice_starts in outcomes:
-        windows.extend(slice_windows)
-        if slice_starts is not None:
-            if starts is None:
-                starts = {}
-            starts.update(slice_starts)
-    totals = dict(outcomes[-1][2])
-    totals.update(extra_totals)
-    # the final worker timed only its own slice; report the whole
-    # sharded run (volatile field — never part of identity comparisons)
-    totals["elapsed_seconds"] = _time.perf_counter() - started_clock
-    result = ReplayResult(
-        policy=policy,
-        m=machine,
-        window_size=engine_kwargs.get("window", DEFAULT_WINDOW),
-        totals=totals,
-        windows=windows,
-        starts=starts,
-        recoveries=recoveries,
-    )
-    if store is not None:
-        for row in windows:
-            store.append(row)
-        store.append({"key": "totals", **totals})
-    return result

@@ -13,7 +13,7 @@ four-verb surface:
     Apply every pending event (completions, staged arrivals, one
     policy decision pass, profile compaction) with event time ``<= t``.
 ``cancel(job_id)``
-    Withdraw a staged or queued job (a live-service verb batch replay
+    Withdraw a staged or queued job (a live-service verb trace replay
     never uses; running jobs cannot be cancelled).
 ``drain()``
     Declare the arrival stream finished and run the event loop to
@@ -30,9 +30,9 @@ checkpoints are byte-identical whichever driver is in front.
 
 Embedders should program against this class (re-exported as
 ``repro.simulation.SchedulerCore``) rather than reaching into
-``ReplayEngine._run_fused``/``_run_batched``/``_run_generic``; those
-fused twins are engine internals, deprecated as extension points and
-guarded by the ``RPL503`` lint rule.
+``ReplayEngine._run_fused``/``_run_generic``; the fused loop is an
+engine internal, deprecated as an extension point and guarded by the
+``RPL503`` lint rule.
 
 State beyond the :class:`~repro.simulation.replay.ReplayCheckpoint`
 (staged future arrivals, the cancel count, the advanced horizon) is
@@ -75,8 +75,8 @@ class SchedulerCore:
 
     Parameters mirror :class:`~repro.simulation.replay.ReplayEngine`
     (same names, same validation, same defaults) minus the dispatch
-    knobs (``fused_policies``/``batch``) that select between engine
-    loops — the core *is* the reference loop.
+    knob (``fused_policies``) that selects between engine loops — the
+    core *is* the reference loop.
 
     ``decide`` optionally injects the policy function directly (an
     embedding convenience, and how the engine pins the function it
@@ -84,7 +84,7 @@ class SchedulerCore:
     :data:`~repro.simulation.online_sim.POLICIES`.
 
     ``resume`` rehydrates a :class:`ReplayCheckpoint` — the calendar
-    completion queue is required then, as for epoch-sharded replay.
+    completion queue is required then, as for sliced replay.
     """
 
     def __init__(
@@ -118,7 +118,7 @@ class SchedulerCore:
             )
         if resume is not None and completion_queue != "calendar":
             raise SchedulingError(
-                "epoch-sharded replay requires completion_queue='calendar'"
+                "checkpoints require completion_queue='calendar'"
             )
         if resume is not None and (resume.m, resume.policy, resume.window) != (
             m, policy, window
@@ -412,11 +412,11 @@ class SchedulerCore:
 
     # -- snapshots ---------------------------------------------------------
     def checkpoint(self) -> ReplayCheckpoint:
-        """Frontier state as a :class:`ReplayCheckpoint` (the epoch-relay
+        """Frontier state as a :class:`ReplayCheckpoint` (the slice-chaining
         and journal-snapshot format; calendar queue only)."""
         if self.use_heap:
             raise SchedulingError(
-                "epoch-sharded replay requires completion_queue='calendar'"
+                "checkpoints require completion_queue='calendar'"
             )
         times_l, caps_l = self.state.profile.as_lists()
         return ReplayCheckpoint(

@@ -37,9 +37,9 @@ capacity-checked, killing only when the extension does not fit.
 
 Determinism is the whole design: every draw comes from a
 ``random.Random`` seeded by SHA-256 of ``(model seed, job id, attempt)``
-— independent of processing order, process identity and engine
-sharding, which is what makes serial and epoch-sharded stochastic
-replays byte-identical and the exact model a true no-op.
+— independent of processing order, process identity and where a run
+was sliced, which is what makes a serial stochastic replay and a chain
+of checkpointed slices byte-identical and the exact model a true no-op.
 
 Models are name-addressable through :data:`UNCERTAINTY_MODELS` (the
 same registry pattern as workloads); ``repro replay

@@ -145,3 +145,36 @@ def random_resa(seed: int, n=None, m=None, n_res=None) -> ReservationInstance:
         m=m, jobs=tuple(jobs), reservations=tuple(reservations),
         name=f"randres{seed}",
     )
+
+
+# ---------------------------------------------------------------------------
+# checkpoint chaining
+# ---------------------------------------------------------------------------
+
+def replay_chained(jobs, interval, m, store=None, **engine_kwargs):
+    """Replay ``jobs`` as a chain of ``run_slice`` calls cut like the
+    journaled driver cuts them, each engine resumed from its
+    predecessor's checkpoint after a pickle round trip (the
+    journal-snapshot format).  Returns a result stitched from the
+    slices: the final slice's totals, every slice's window rows and
+    the union of their recorded starts."""
+    import pickle
+
+    from repro.durability.journaled import _chunk_stream
+    from repro.simulation.replay import ReplayEngine
+
+    ckpt = None
+    windows = []
+    starts = None
+    result = None
+    for chunk, final in _chunk_stream(jobs, interval):
+        engine = ReplayEngine(m, store=store, **engine_kwargs)
+        result = engine.run_slice(chunk, resume=ckpt, drain=final)
+        if result.starts is not None:
+            starts = {**(starts or {}), **result.starts}
+        if not final:
+            windows.extend(result.windows)
+            ckpt = pickle.loads(pickle.dumps(result.checkpoint))
+    result.windows = windows + result.windows
+    result.starts = starts
+    return result

@@ -1,4 +1,4 @@
-"""Tests for the analysis toolkit: stats, tables, plots, sweeps, ratios."""
+"""Tests for the analysis toolkit: stats, tables, plots, ratios."""
 
 import math
 
@@ -16,7 +16,6 @@ from repro.analysis import (
     mean,
     measure_ratio,
     quantile,
-    run_sweep,
     std,
     write_csv,
 )
@@ -126,42 +125,6 @@ class TestPlotting:
     def test_histogram_empty(self):
         with pytest.raises(InvalidInstanceError):
             ascii_histogram([])
-
-
-class TestSweep:
-    def test_cartesian_product(self):
-        result = run_sweep(
-            {"a": [1, 2], "b": ["x", "y", "z"]},
-            lambda point: {"echo": (point["a"], point["b"])},
-        )
-        assert len(result.rows) == 6
-        assert result.rows[0]["echo"] == (1, "x")
-        assert result.column("a").count(1) == 3
-
-    def test_repeats_and_seed_stability(self):
-        seeds = {}
-
-        def runner(point):
-            seeds.setdefault((point["a"], point["repeat"]), point.seed)
-            return {"seed": point.seed}
-
-        r1 = run_sweep({"a": [1, 2]}, runner, repeats=2)
-        r2 = run_sweep({"a": [1, 2]}, runner, repeats=2)
-        assert [row["seed"] for row in r1.rows] == [
-            row["seed"] for row in r2.rows
-        ]
-
-    def test_filtered(self):
-        result = run_sweep(
-            {"a": [1, 2]}, lambda p: {"val": p["a"] * 10}
-        )
-        assert result.filtered(a=2)[0]["val"] == 20
-
-    def test_validation(self):
-        with pytest.raises(InvalidInstanceError):
-            run_sweep({}, lambda p: {})
-        with pytest.raises(InvalidInstanceError):
-            run_sweep({"a": [1]}, lambda p: {}, repeats=0)
 
 
 class TestRatioMeasurement:

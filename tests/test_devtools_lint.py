@@ -47,7 +47,7 @@ backends = [
     "src/repro/core/profiles/array_backend.py::ArrayProfile",
 ]
 [tool.repro-lint.protocol.require-override]
-"src/repro/core/profiles/array_backend.py::ArrayProfile" = ["fits_many_at"]
+"src/repro/core/profiles/array_backend.py::ArrayProfile" = ["try_reserve"]
 """
 
 
@@ -298,7 +298,7 @@ def test_protocol_copies_are_aligned(profile_copy):
 
 def test_deleting_required_override_fires_rpl304(profile_copy):
     array = profile_copy / "src/repro/core/profiles/array_backend.py"
-    _delete_method(array, "ArrayProfile", "fits_many_at")
+    _delete_method(array, "ArrayProfile", "try_reserve")
     assert "RPL304" in codes(run_lint([profile_copy / "src"]))
 
 
@@ -663,16 +663,16 @@ def test_repro_lint_src_exits_zero(capsys):
 # ---------------------------------------------------------------------------
 
 ENGINE_INTERNALS_CONFIG = """
-    engine-internal-names = ["_run_fused", "_run_batched"]
+    engine-internal-names = ["_run_fused", "_run_generic"]
     engine-internal-owners = ["src/engine.py"]
 """
 
 ENGINE_SRC = """
     class Engine:
         def _run_fused(self):
-            return self._run_batched()
+            return self._run_generic()
 
-        def _run_batched(self):
+        def _run_generic(self):
             return 1
 """
 
@@ -705,12 +705,12 @@ def test_engine_owner_file_is_exempt(tmp_path):
 
 
 def test_engine_reach_in_flags_any_receiver(tmp_path):
-    # the check is syntactic: `x._run_batched` fires whatever `x` is
+    # the check is syntactic: `x._run_generic` fires whatever `x` is
     project = make_project(
         tmp_path,
         {"src/other.py": """
             def probe(x):
-                return x._run_batched
+                return x._run_generic
         """},
         config=ENGINE_INTERNALS_CONFIG,
     )

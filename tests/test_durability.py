@@ -6,19 +6,15 @@ failpoint on the journaled path (nothing is flushed, no ``atexit`` runs
 is byte-identical to an uninterrupted run's.  Corruption tests damage
 journal bytes directly: a mid-file bit flip must reject loudly
 (:class:`JournalCorruptError`), while the same damage at the tail is a
-torn write and recovers cleanly.  The epoch tests kill and hang sharded
-replay workers and assert the self-healing orchestrator still produces
-serial-identical output, recording what it healed.
+torn write and recovers cleanly.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import subprocess
 import sys
-import time
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -28,14 +24,8 @@ import repro
 from repro.devtools import failpoints
 from repro.devtools.failpoints import FailpointError
 from repro.durability import Journal, replay_journaled, scan_journal
-from repro.errors import JournalCorruptError, JournalError, ReplayRelayError
+from repro.errors import JournalCorruptError, JournalError
 from repro.run.store import JsonlStore
-from repro.simulation.replay import (
-    ReplayEngine,
-    _await_epoch_checkpoint,
-    replay_epochs,
-)
-from repro.workloads.swf import synth_swf_jobs
 
 SRC_ROOT = Path(repro.__file__).resolve().parents[1]
 
@@ -298,98 +288,6 @@ def test_before_callback_runs_only_when_firing():
     with pytest.raises(FailpointError):
         failpoints.fire("journal.record.torn", before=lambda: staged.append(1))
     assert staged == [1]
-
-
-# ---------------------------------------------------------------------------
-# self-healing epoch replay
-# ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def epoch_reference():
-    jobs = list(synth_swf_jobs("steady", 3000, m=M, seed=3))
-    engine = ReplayEngine(M, policy="easy", window=WINDOW)
-    result = engine.run(list(jobs))
-    return jobs, result
-
-
-def _stable_totals(totals):
-    return {k: v for k, v in totals.items() if k != "elapsed_seconds"}
-
-
-def test_killed_epoch_worker_is_retried(tmp_path, epoch_reference, monkeypatch):
-    jobs, reference = epoch_reference
-    monkeypatch.setenv(
-        failpoints.ENV_VAR,
-        f"epoch.slice.run:mode=crash:once={tmp_path / 'fired'}",
-    )
-    result = replay_epochs(
-        list(jobs), policy="easy", epochs=3, m=M, window=WINDOW,
-        retry_backoff=0.05,
-    )
-    assert result.windows == reference.windows
-    assert _stable_totals(result.totals) == _stable_totals(reference.totals)
-    assert [rec["action"] for rec in result.recoveries] == ["retry"]
-
-
-def test_exhausted_retries_degrade_to_serial(
-    tmp_path, epoch_reference, monkeypatch
-):
-    jobs, reference = epoch_reference
-    monkeypatch.setenv(
-        failpoints.ENV_VAR,
-        f"epoch.checkpoint.publish:mode=crash:once={tmp_path / 'fired'}",
-    )
-    result = replay_epochs(
-        list(jobs), policy="easy", epochs=3, m=M, window=WINDOW,
-        max_retries=0, retry_backoff=0.05,
-    )
-    assert result.windows == reference.windows
-    assert _stable_totals(result.totals) == _stable_totals(reference.totals)
-    assert [rec["action"] for rec in result.recoveries] == ["serial-fallback"]
-
-
-def test_recoveries_never_reach_the_store(tmp_path, epoch_reference, monkeypatch):
-    jobs, reference = epoch_reference
-    plain = tmp_path / "plain.jsonl"
-    engine = ReplayEngine(M, policy="easy", window=WINDOW, store=str(plain))
-    engine.run(list(jobs))
-    monkeypatch.setenv(
-        failpoints.ENV_VAR,
-        f"epoch.slice.run:mode=crash:once={tmp_path / 'fired'}",
-    )
-    healed = tmp_path / "healed.jsonl"
-    result = replay_epochs(
-        list(jobs), policy="easy", epochs=3, m=M, window=WINDOW,
-        store=str(healed), retry_backoff=0.05,
-    )
-    assert result.recoveries
-    plain_rows = [json.loads(line) for line in plain.read_text().splitlines()]
-    healed_rows = [json.loads(line) for line in healed.read_text().splitlines()]
-    for rows in (plain_rows, healed_rows):
-        for row in rows:
-            row.pop("elapsed_seconds", None)
-    assert healed_rows == plain_rows
-
-
-def test_await_epoch_checkpoint_detects_dead_predecessor(tmp_path):
-    """The liveness fix: no heartbeat, no checkpoint, no error record
-    must fail in ~liveness_timeout, not the full relay timeout."""
-    started = time.monotonic()
-    with pytest.raises(ReplayRelayError, match="heartbeat"):
-        _await_epoch_checkpoint(
-            str(tmp_path), 0, timeout=60.0, liveness_timeout=0.2
-        )
-    assert time.monotonic() - started < 5.0
-
-
-def test_await_epoch_checkpoint_reports_recorded_cause(tmp_path):
-    err = tmp_path / "ckpt-0000.err"
-    err.write_text(json.dumps(
-        {"epoch": 0, "type": "ValueError", "error": "boom"}
-    ))
-    with pytest.raises(ReplayRelayError, match="ValueError: boom"):
-        _await_epoch_checkpoint(str(tmp_path), 0, timeout=5.0)
 
 
 # ---------------------------------------------------------------------------

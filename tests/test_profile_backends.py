@@ -665,3 +665,64 @@ class TestArrayIntOnly:
         p.reserve(True, 2, 1)  # bools are Integral: coerced, not rejected
         assert p.capacity_at(1) == 2
         assert p.capacity_at(0) == 3
+
+
+class TestArrayWideScans:
+    """``min_capacity``/``max_capacity_between`` over windows of at
+    least ``_VECTOR_MIN_SEGMENTS`` live segments take the numpy
+    reduction when numpy is present and a scalar scan when it is not;
+    both must equal each other and the list backend."""
+
+    @staticmethod
+    def _profiles(seed):
+        rng = random.Random(seed)
+        m = 64
+        array_p = ArrayProfile.constant(m)
+        list_p = ListProfile.constant(m)
+        t = 0
+        for _ in range(400):
+            t += rng.randrange(1, 4)
+            p = rng.randrange(1, 30)
+            q = rng.randrange(1, 9)
+            if list_p.fits(q, t, p):
+                array_p.reserve(t, p, q)
+                list_p.reserve(t, p, q)
+        # prune part of the history so the live window starts at an
+        # offset inside the array columns
+        cut = t // 4
+        array_p.prune_before(cut)
+        list_p.prune_before(cut)
+        return rng, cut, t, array_p, list_p
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scalar_fallback_matches_numpy_and_list(self, seed, monkeypatch):
+        from repro.core.profiles import array_backend
+
+        minimum = array_backend._VECTOR_MIN_SEGMENTS
+        rng, cut, horizon, array_p, list_p = self._profiles(seed)
+        times = array_p.breakpoints
+        assert len(times) > 3 * minimum
+        windows = []
+        for _ in range(60):
+            i = rng.randrange(0, len(times) - minimum)
+            j = rng.randrange(i + minimum, len(times))
+            start = times[i] + rng.randrange(0, 2)
+            windows.append((start, times[j] + rng.randrange(1, 3)))
+        windows.append((cut, horizon + 50))
+        with_numpy = [
+            (array_p.min_capacity(s, e), array_p.max_capacity_between(s, e),
+             array_p.max_capacity_between(s))
+            for s, e in windows
+        ]
+        monkeypatch.setattr(array_backend, "_np", None)
+        scalar = [
+            (array_p.min_capacity(s, e), array_p.max_capacity_between(s, e),
+             array_p.max_capacity_between(s))
+            for s, e in windows
+        ]
+        reference = [
+            (list_p.min_capacity(s, e), list_p.max_capacity_between(s, e),
+             list_p.max_capacity_between(s))
+            for s, e in windows
+        ]
+        assert scalar == with_numpy == reference

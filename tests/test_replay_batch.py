@@ -1,30 +1,33 @@
-"""Differential tests for the batched decision engine, the vectorized
-many-job profile queries, and epoch-sharded single-trace replay.
+"""Differential tests for checkpoint chaining and the fused loop's
+scalar shortcuts.
 
-The invariants here are the PR's contract: the batched columnar loop,
-the scalar fused loop and the epoch-sharded stitcher all produce
-byte-identical rows (modulo volatile wall-clock fields), and every
-vectorized many-query equals its scalar per-job loop exactly.
+The invariants here are the engine's contract: a trace replayed as a
+chain of ``run_slice`` calls, each resumed from its predecessor's
+checkpoint, produces byte-identical rows (modulo volatile wall-clock
+fields) to one serial run; and the fused loop's empty-queue drain and
+lone-arrival probe produce exactly the generic reference loop's rows
+and a schedule ``Schedule.verify()`` accepts.
 """
 
 import json
-import random
+from fractions import Fraction
 
 import pytest
+from conftest import replay_chained
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import _warn_demotion, main
+from repro.core.instance import ReservationInstance
 from repro.core.job import Job
-from repro.core.profiles import ArrayProfile, ListProfile, TreeProfile
-from repro.errors import InvalidInstanceError, SchedulingError
-from repro.simulation.replay import (
-    ReplayEngine,
-    epoch_boundaries,
-    replay_epochs,
-)
+from repro.core.profiles import ArrayProfile
+from repro.core.schedule import Schedule
+from repro.durability.journaled import _chunk_stream
+from repro.errors import SchedulingError
+from repro.run.store import JsonlStore
+from repro.simulation.replay import VOLATILE_TOTAL_FIELDS, ReplayEngine
 
 #: wall-clock fields that legitimately differ between identical runs
-VOLATILE = {"elapsed_seconds"}
+VOLATILE = VOLATILE_TOTAL_FIELDS
 
 
 def _trim(result):
@@ -32,14 +35,23 @@ def _trim(result):
     return totals, result.windows, result.starts
 
 
-def _jobs_from_rows(rows, m):
-    """(gap, runtime, procs) tuples -> released Job list."""
+def _jobs_from_rows(rows, m, time_type=int):
+    """(gap, runtime, procs) tuples -> released Job list; ``time_type``
+    converts the release times (runtimes stay ints)."""
     jobs = []
     t = 0
     for i, (gap, p, q) in enumerate(rows):
         t += gap
-        jobs.append(Job.trusted(i, p, min(q, m), t))
+        jobs.append(Job.trusted(i, p, min(q, m), time_type(t)))
     return jobs
+
+
+def _stored_rows(path):
+    """The JSONL rows a store holds, volatile fields dropped."""
+    rows = []
+    for row in JsonlStore(str(path)).load():
+        rows.append({k: v for k, v in row.items() if k not in VOLATILE})
+    return [json.dumps(row, sort_keys=True) for row in rows]
 
 
 _trace_rows = st.lists(
@@ -52,271 +64,169 @@ _trace_rows = st.lists(
     max_size=60,
 )
 
+#: sparse traces: long idle gaps (the queue empties and completions
+#: drain before the next arrival) and mostly lone arrivals, with the
+#: occasional tie or burst so both shortcuts meet live queues too
+_sparse_rows = st.lists(
+    st.tuples(
+        st.sampled_from([0, 1, 3, 20, 45, 90]),   # submit gap
+        st.integers(min_value=1, max_value=40),   # runtime
+        st.integers(min_value=1, max_value=16),   # processors
+    ),
+    min_size=1,
+    max_size=50,
+)
+
 _policies = st.sampled_from(["fcfs", "greedy", "easy"])
 
 
 # ---------------------------------------------------------------------------
-# batched engine == scalar fused engine
+# the fused loop's scalar shortcuts == the generic reference loop
 # ---------------------------------------------------------------------------
 
-class TestBatchedEngineIdentity:
-    @given(rows=_trace_rows, policy=_policies, window=st.sampled_from([0, 7]),
-           uncertainty=st.sampled_from([None, "exact"]))
-    @settings(max_examples=60, deadline=None)
-    def test_batched_equals_scalar(self, rows, policy, window, uncertainty):
-        """The satellite property: batched earliest-fit decisions equal
-        the scalar per-job path across random traces x all policies —
-        totals, window rows and every recorded start.  The degenerate
-        ``exact`` uncertainty model rides along: it must not perturb
-        either engine by a single byte."""
+class TestFusedShortcuts:
+    @given(rows=_sparse_rows, policy=_policies,
+           window=st.sampled_from([0, 4]),
+           config=st.sampled_from([("auto", int), ("list", int),
+                                   ("list", Fraction)]))
+    @settings(max_examples=80, deadline=None)
+    def test_sparse_traces_fused_equals_generic(
+        self, rows, policy, window, config
+    ):
+        """Idle gaps and lone arrivals drive the empty-queue drain and
+        the lone-arrival probe; the fused rows must equal the generic
+        loop's (Fraction releases included: their slowdown sums stay
+        exact), and the recorded starts must be a feasible schedule of
+        the certain-world instance."""
         m = 16
-        jobs = _jobs_from_rows(rows, m)
-        scalar = ReplayEngine(
-            m, policy=policy, window=window, batch=False,
-            record_starts=True, uncertainty=uncertainty,
-        ).run(jobs)
-        batched = ReplayEngine(
-            m, policy=policy, window=window, batch=True,
-            record_starts=True, uncertainty=uncertainty,
-        ).run(jobs)
-        assert _trim(batched) == _trim(scalar)
+        backend, time_type = config
+        jobs = _jobs_from_rows(rows, m, time_type)
+        kwargs = dict(policy=policy, window=window, profile_backend=backend,
+                      record_starts=True)
+        fused = ReplayEngine(m, **kwargs).run(jobs)
+        generic = ReplayEngine(m, fused_policies=False, **kwargs).run(jobs)
+        assert _trim(fused) == _trim(generic)
+        instance = ReservationInstance(m=m, jobs=jobs)
+        Schedule(instance, fused.starts).verify()
 
-    def test_batch_auto_inactive_without_numpy(self, monkeypatch):
-        """numpy absent => lossless fallback to the scalar fused path
-        (same results, batched loop never entered)."""
-        import importlib
+    def test_shortcuts_cut_profile_calls(self, monkeypatch):
+        """Jobs that each arrive on an idle machine start through one
+        probe apiece, and each idle gap compacts the profile once."""
+        calls = {"try_reserve": 0, "prune_before": 0}
+        for name in calls:
+            original = getattr(ArrayProfile, name)
 
-        replay_mod = importlib.import_module("repro.simulation.replay")
+            def counted(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
 
-        jobs = _jobs_from_rows([(1, 5, 4), (0, 3, 8), (2, 7, 2)], 8)
-        with_numpy = ReplayEngine(8, batch=True, record_starts=True).run(jobs)
+            monkeypatch.setattr(ArrayProfile, name, counted)
+        # three jobs overlap at t=0..5, the rest arrive after idle gaps
+        jobs = [Job.trusted(i, 5, 2, t)
+                for i, t in enumerate([0, 1, 2, 50, 100, 150, 200])]
+        result = ReplayEngine(8, policy="easy", window=0).run(jobs)
+        assert result.totals["n_jobs"] == 7
+        assert calls["try_reserve"] == 7
+        # one prune per drained idle gap, plus the trailing drain
+        assert calls["prune_before"] == 5
 
-        monkeypatch.setattr(replay_mod, "numpy_module", lambda: None)
-        engine = ReplayEngine(8, batch=True, record_starts=True)
-        assert engine._batch_active(None) is False
-        without = engine.run(jobs)
-        assert _trim(without) == _trim(with_numpy)
-
-    def test_batch_false_pins_scalar(self):
-        engine = ReplayEngine(8, batch=False)
-        assert engine._batch_active(None) is False
-
-    def test_batch_rejects_garbage(self):
-        with pytest.raises(SchedulingError):
-            ReplayEngine(8, batch="yes")
-
-    def test_non_array_backend_disables_batch(self):
-        engine = ReplayEngine(8, batch="auto", profile_backend="list")
-        assert engine._batch_active(None) is False
-
-    def test_demotion_identical_under_batch(self):
-        """A trace that demotes mid-stream (non-integral times) leaves
-        the batched run with the same demotion record and the same
-        schedule as the scalar run."""
-        jobs = [
-            Job(0, 5, 4, 0),
-            Job(1, 3, 2, 1.5),     # forces auto -> list demotion
-            Job(2, 7, 8, 3.0),
-        ]
-        results = {}
-        for batch in (False, True):
-            with pytest.warns(RuntimeWarning):
-                results[batch] = ReplayEngine(
-                    8, batch=batch, record_starts=True
-                ).run(jobs)
-        assert _trim(results[True]) == _trim(results[False])
-        record = results[True].totals["demoted_to_list_at"]
-        assert record == {"job": 1, "release": 1.5}
+    def test_drain_streams_finished_windows(self):
+        """A window whose last job completes inside an empty-queue drain
+        is emitted then, not at the end of the run."""
+        jobs = [Job.trusted(i, 5, 2, t) for i, t in enumerate([0, 1, 50])]
+        result = ReplayEngine(8, window=2).run_slice(jobs, drain=False)
+        assert [row["window"] for row in result.windows] == [0]
+        assert result.windows[0]["t_end"] == 6
 
 
 # ---------------------------------------------------------------------------
-# vectorized many-queries == scalar loops
-# ---------------------------------------------------------------------------
-
-def _random_profile(cls, seed, m=32):
-    rng = random.Random(seed)
-    profile = cls([0], [m])
-    t = 0
-    for _ in range(rng.randrange(0, 25)):
-        t += rng.randrange(0, 4)
-        p = rng.randrange(1, 12)
-        q = rng.randrange(1, m + 1)
-        if profile.fits(q, t, p):
-            profile.reserve(t, p, q)
-    return profile
-
-
-class TestManyQueries:
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        start=st.integers(min_value=0, max_value=40),
-        batch=st.lists(
-            st.tuples(st.integers(min_value=0, max_value=33),
-                      st.integers(min_value=1, max_value=20)),
-            min_size=1, max_size=8,
-        ),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_fits_many_at_equals_scalar(self, seed, start, batch):
-        profile = _random_profile(ArrayProfile, seed)
-        widths = [q for q, _ in batch]
-        durations = [p for _, p in batch]
-        expect = [profile.fits(q, start, p) for q, p in batch]
-        assert profile.fits_many_at(start, widths, durations) == expect
-
-    @given(
-        seed=st.integers(min_value=0, max_value=10_000),
-        after=st.integers(min_value=0, max_value=40),
-        batch=st.lists(
-            st.tuples(st.integers(min_value=1, max_value=32),
-                      st.integers(min_value=1, max_value=20)),
-            min_size=1, max_size=8,
-        ),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_earliest_fit_many_equals_scalar(self, seed, after, batch):
-        """The batched earliest-fit sweep returns exactly the per-job
-        scalar answers, in input order."""
-        profile = _random_profile(ArrayProfile, seed)
-        widths = [q for q, _ in batch]
-        durations = [p for _, p in batch]
-        expect = [
-            profile.earliest_fit(q, p, after=after) for q, p in batch
-        ]
-        assert profile.earliest_fit_many(widths, durations, after=after) \
-            == expect
-
-    @pytest.mark.parametrize("cls", [ListProfile, TreeProfile])
-    def test_generic_fits_many_at_matches_array(self, cls):
-        generic = _random_profile(cls, 7)
-        vector = _random_profile(ArrayProfile, 7)
-        batch = [(4, 3), (33, 1), (1, 50), (16, 2), (0, 1)]
-        widths = [q for q, _ in batch]
-        durations = [p for _, p in batch]
-        for start in range(0, 30, 3):
-            assert generic.fits_many_at(start, widths, durations) == \
-                vector.fits_many_at(start, widths, durations)
-
-    def test_fits_many_at_length_mismatch(self):
-        profile = ArrayProfile([0], [8])
-        with pytest.raises(InvalidInstanceError):
-            profile.fits_many_at(0, [1, 2], [3])
-
-    def test_try_reserve_many_commits_all_or_nothing(self):
-        profile = ArrayProfile([0], [8])
-        before = profile.as_lists()
-        # second block cannot fit at t=0 alongside the first
-        assert profile.try_reserve_many(0, [(3, 5), (2, 6)]) is False
-        assert profile.as_lists() == before
-        # (p=3, q=5) occupies [0,3); (p=2, q=3) occupies [0,2)
-        assert profile.try_reserve_many(0, [(3, 5), (2, 3)]) is True
-        assert profile.min_capacity(0, 2) == 8 - 5 - 3
-        assert profile.min_capacity(2, 3) == 8 - 5
-        assert profile.min_capacity(3, 10) == 8
-
-
-# ---------------------------------------------------------------------------
-# epoch-sharded replay == serial replay
+# slice boundaries
 # ---------------------------------------------------------------------------
 
 class TestEpochBoundaries:
     @given(
         gaps=st.lists(st.integers(min_value=0, max_value=3),
                       min_size=0, max_size=80),
-        epochs=st.integers(min_value=1, max_value=9),
+        interval=st.integers(min_value=1, max_value=9),
     )
     @settings(max_examples=120, deadline=None)
-    def test_cuts_are_quiescent_and_increasing(self, gaps, epochs):
-        releases = []
+    def test_cuts_are_quiescent_and_increasing(self, gaps, interval):
+        jobs = []
         t = 0
-        for gap in gaps:
+        for i, gap in enumerate(gaps):
             t += gap
-            releases.append(t)
-        cuts = epoch_boundaries(releases, epochs)
-        assert cuts == sorted(set(cuts))
-        assert len(cuts) <= epochs - 1
-        for c in cuts:
-            assert 0 < c < len(releases)
+            jobs.append(Job.trusted(i, 1, 1, t))
+        chunks = list(_chunk_stream(jobs, interval))
+        assert [job for chunk, _ in chunks for job in chunk] == jobs
+        assert [final for _, final in chunks] == \
+            [False] * (len(chunks) - 1) + [True]
+        for (chunk, _), (successor, _) in zip(chunks, chunks[1:]):
+            assert len(chunk) >= interval
             # a cut never splits a run of equal release times
-            assert releases[c] != releases[c - 1]
+            assert chunk[-1].release != successor[0].release
 
     def test_trivial_cases(self):
-        assert epoch_boundaries([], 4) == []
-        assert epoch_boundaries([0, 1, 2], 1) == []
+        assert list(_chunk_stream([], 4)) == [([], True)]
+        jobs = [Job.trusted(i, 1, 1, i) for i in range(3)]
+        assert list(_chunk_stream(jobs, 5)) == [(jobs, True)]
         # one long tie cannot be cut at all
-        assert epoch_boundaries([5] * 20, 4) == []
+        tie = [Job.trusted(i, 1, 1, 5) for i in range(20)]
+        assert list(_chunk_stream(tie, 4)) == [(tie, True)]
 
+
+# ---------------------------------------------------------------------------
+# a chain of checkpointed slices == one serial replay
+# ---------------------------------------------------------------------------
 
 class TestEpochShardedReplay:
     @given(
         rows=_trace_rows,
         policy=_policies,
-        epochs=st.sampled_from([2, 3, 7]),
+        model=st.sampled_from([None, "lognormal:sigma=0.5", "early-exit"]),
+        interval=st.sampled_from([1, 3, 11]),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_sharded_equals_serial(self, rows, policy, epochs):
-        """The satellite property: epoch-sharded replay (K in {2,3,7})
-        is identical to serial — totals, window-aggregate rows, starts."""
+    @settings(max_examples=60, deadline=None)
+    def test_sharded_equals_serial(self, rows, policy, model, interval,
+                                   tmp_path_factory):
+        """A chain of ``run_slice`` calls equals one serial run byte for
+        byte — totals, window rows, recorded starts and the JSONL store
+        — for every fused policy, certain or stochastic."""
         m = 16
         jobs = _jobs_from_rows(rows, m)
-        serial = ReplayEngine(
-            m, policy=policy, window=7, record_starts=True
-        ).run(jobs)
-        sharded = replay_epochs(
-            jobs, policy=policy, epochs=epochs, m=m,
-            use_processes=False, window=7, record_starts=True,
-        )
-        assert _trim(sharded) == _trim(serial)
-
-    def test_process_relay_store_is_byte_identical(self, tmp_path):
-        """The real multiprocess relay: stitched JSONL equals the serial
-        engine's file row for row once volatile fields are dropped."""
-        serial_path = tmp_path / "serial.jsonl"
-        epoch_path = tmp_path / "epochs.jsonl"
-        from repro.workloads.swf import synth_swf_jobs
-
-        jobs = list(synth_swf_jobs("steady", 3000, m=64, seed=11))
-        ReplayEngine(
-            64, policy="easy", window=400, store=str(serial_path)
-        ).run(jobs)
-        replay_epochs(
-            "synth:steady:3000", policy="easy", epochs=3, m=64, seed=11,
-            store=str(epoch_path), use_processes=True, window=400,
-        )
-
-        def rows(path):
-            out = []
-            for line in path.read_text().splitlines():
-                row = json.loads(line)
-                for key in VOLATILE:
-                    row.pop(key, None)
-                out.append(row)
-            return out
-
-        assert rows(epoch_path) == rows(serial_path)
+        kwargs = dict(policy=policy, window=7, record_starts=True,
+                      uncertainty=model)
+        tmp = tmp_path_factory.mktemp("chain")
+        serial = ReplayEngine(m, store=str(tmp / "serial.jsonl"),
+                              **kwargs).run(jobs)
+        chained = replay_chained(jobs, interval, m,
+                           store=JsonlStore(str(tmp / "chain.jsonl")),
+                           **kwargs)
+        assert _trim(chained) == _trim(serial)
+        assert _stored_rows(tmp / "chain.jsonl") == \
+            _stored_rows(tmp / "serial.jsonl")
 
     def test_demotion_record_crosses_epochs(self):
-        """A demotion in epoch 0 rides the checkpoint relay: the final
+        """A demotion in the first slice rides the checkpoint: the final
         totals carry the original offending job, and the schedule is
         the serial one."""
         jobs = [Job(i, 4, 2, i) for i in range(8)]
         jobs[1] = Job(1, 4, 2, 0.5)
-        serial = ReplayEngine(8, record_starts=True).run(jobs)
-        sharded = replay_epochs(
-            jobs, epochs=3, m=8, use_processes=False, record_starts=True,
-        )
-        assert _trim(sharded) == _trim(serial)
-        assert sharded.totals["demoted_to_list_at"] == \
+        with pytest.warns(RuntimeWarning):
+            serial = ReplayEngine(8, record_starts=True).run(jobs)
+        with pytest.warns(RuntimeWarning):
+            chained = replay_chained(jobs, 3, 8, record_starts=True)
+        assert _trim(chained) == _trim(serial)
+        assert chained.totals["demoted_to_list_at"] == \
             {"job": 1, "release": 0.5}
 
     def test_rejects_bad_arguments(self):
-        jobs = [Job.trusted(0, 1, 1, 0)]
-        with pytest.raises(SchedulingError):
-            replay_epochs(jobs, epochs=0, m=4)
-        with pytest.raises(SchedulingError):
-            replay_epochs(jobs, epochs=2)  # in-memory list needs m=
-        with pytest.raises(SchedulingError):
-            replay_epochs(jobs, epochs=2, m=4, completion_queue="heap")
+        jobs = [Job.trusted(i, 3, 2, i) for i in range(4)]
+        heap = ReplayEngine(8, completion_queue="heap")
+        with pytest.raises(SchedulingError, match="calendar"):
+            heap.run_slice(jobs, drain=False)
+        ckpt = ReplayEngine(8).run_slice(jobs[:2], drain=False).checkpoint
+        with pytest.raises(SchedulingError, match="calendar"):
+            heap.run_slice(jobs[2:], resume=ckpt)
 
     def test_checkpoint_config_mismatch_is_loud(self):
         jobs = [Job.trusted(i, 3, 2, i) for i in range(6)]
@@ -331,20 +241,18 @@ class TestEpochShardedReplay:
 # ---------------------------------------------------------------------------
 
 class TestReplayCli:
-    def test_single_policy_epoch_sharding(self, capsys):
-        assert main([
-            "replay", "synth:steady:800", "-p", "easy", "-j", "2",
-            "--window", "400",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "2 epoch workers" in out
-
-    def test_no_batch_flag(self, capsys):
-        assert main([
-            "replay", "synth:steady:400", "-p", "easy", "--no-batch",
-            "--window", "0",
-        ]) == 0
-        assert "replayed 400 jobs" in capsys.readouterr().out
+    def test_single_policy_jobs_runs_serially(self, capsys, tmp_path):
+        """``--jobs`` does not shard a single policy: the rows are the
+        serial run's."""
+        paths = {}
+        for jobs in ("1", "2"):
+            paths[jobs] = tmp_path / f"j{jobs}.jsonl"
+            assert main([
+                "replay", "synth:steady:800", "-p", "easy", "-j", jobs,
+                "--window", "400", "-o", str(paths[jobs]),
+            ]) == 0
+        assert "replayed 800 jobs" in capsys.readouterr().out
+        assert _stored_rows(paths["2"]) == _stored_rows(paths["1"])
 
     def test_list_backends_reports_vector_path(self, capsys):
         assert main(["list", "--kind", "backends"]) == 0

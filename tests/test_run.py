@@ -433,18 +433,3 @@ class TestPresets:
         series = mean_metric_series(result, "ratio_lb", algorithm="lsrc")
         assert len(series) == 1 and series[0][0] == 0.5
         assert series[0][1] >= 1.0 - 1e-9
-
-
-class TestRunSweepShim:
-    def test_deprecation_and_equivalence(self):
-        from repro.analysis import run_sweep
-
-        with pytest.warns(DeprecationWarning, match="ExperimentSpec"):
-            result = run_sweep(
-                {"a": [1, 2], "b": ["x", "y"]},
-                lambda point: {"echo": (point["a"], point["b"])},
-                repeats=2,
-            )
-        assert len(result.rows) == 8
-        assert result.rows[0]["echo"] == (1, "x")
-        assert result.rows[0]["repeat"] == 0

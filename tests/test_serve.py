@@ -23,8 +23,10 @@ import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -599,3 +601,80 @@ def test_resume_refuses_while_config_flags_given(tmp_path, capsys):
     assert main(["serve", str(tmp_path / "j"), "--resume", "-m", "8"]) == 2
     err = capsys.readouterr().err
     assert "--resume takes its configuration from the journal" in err
+
+
+# ---------------------------------------------------------------------------
+# hostile clients: body-size limit and read timeout
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def live_daemon(monkeypatch):
+    """An in-process daemon on a background thread with a short read
+    timeout; yields its port and shuts it down afterwards."""
+    from repro.serve import daemon as daemon_module
+
+    # the shipped handler bounds every read; tests only shorten it
+    assert daemon_module._ServeHandler.timeout == daemon_module.REQUEST_TIMEOUT
+    assert 0 < daemon_module.REQUEST_TIMEOUT < float("inf")
+    monkeypatch.setattr(daemon_module._ServeHandler, "timeout", 0.5)
+    daemon = ServeDaemon(SchedulerService(SchedulerCore(4)))
+    thread = threading.Thread(target=daemon.serve_forever, daemon=True)
+    thread.start()
+    port = daemon.address[1]
+    yield port
+    _http("POST", port, "/v1/shutdown")
+    thread.join(timeout=10)
+    daemon.close()
+    assert not thread.is_alive()
+
+
+def _raw_exchange(port, head: bytes, body: bytes = b"") -> bytes:
+    """Send raw request bytes and read until the server closes."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(head + body)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _post_head(length) -> bytes:
+    return (
+        f"POST /v1/op HTTP/1.1\r\nHost: localhost\r\n"
+        f"Content-Type: application/json\r\n"
+        f"Content-Length: {length}\r\n\r\n"
+    ).encode()
+
+
+def _next_client_is_served(port):
+    env = _post_op(port, make_submit("after", 3, 1, 0))
+    assert env["ok"], env
+    assert _http("GET", port, "/v1/status")["ok"]
+
+
+@pytest.mark.parametrize("length", [-5, 1 << 30])
+def test_bad_content_length_is_refused_unread(live_daemon, length):
+    response = _raw_exchange(live_daemon, _post_head(length))
+    status, _, payload = response.partition(b"\r\n\r\n")
+    assert status.startswith(b"HTTP/1.0 400"), status
+    envelope = json.loads(payload)
+    assert envelope["error"]["kind"] == "protocol"
+    assert "Content-Length" in envelope["error"]["message"]
+    _next_client_is_served(live_daemon)
+
+
+def test_stalled_body_is_dropped(live_daemon, capfd):
+    with socket.create_connection(("127.0.0.1", live_daemon),
+                                  timeout=10) as sock:
+        sock.sendall(_post_head(100) + b'{"format": ')
+        started = time.monotonic()
+        # the daemon gives up on the half-sent body and closes without
+        # a response
+        assert sock.recv(65536) == b""
+        assert time.monotonic() - started < 5.0
+    _next_client_is_served(live_daemon)
+    # dropped quietly: a timeout is an expected event, not a crash
+    assert "Traceback" not in capfd.readouterr().err

@@ -3,17 +3,19 @@
 The contracts under test are the PR's acceptance bar:
 
 * the ``exact`` model is *byte-identical* to no model at all, across
-  policies x profile backends x batched/scalar engines — window rows,
+  policies x profile backends x fused/generic loops — window rows,
   totals and recorded starts;
 * every stochastic model is seed-deterministic: same seed => identical
   output, different seed => different draws, and a serial replay equals
-  its epoch-sharded twin (checkpoints round-trip the uncertainty state);
+  a chain of checkpointed slices (checkpoints round-trip the
+  uncertainty state);
 * the event mechanics hold individually: failure/requeue with bounded
   retries, walltime kills, grace extensions, early-exit capacity
   credit, reservation no-shows, and the ``unstaged`` cancel gauge.
 """
 
 import pytest
+from conftest import replay_chained
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
@@ -23,11 +25,7 @@ from repro.devtools import failpoints
 from repro.devtools.failpoints import CATALOG_BY_NAME, FailpointError
 from repro.errors import InvalidInstanceError, ReproError, SchedulingError
 from repro.simulation.online_sim import simulate
-from repro.simulation.replay import (
-    UNCERTAINTY_METRIC_FIELDS,
-    ReplayEngine,
-    replay_epochs,
-)
+from repro.simulation.replay import UNCERTAINTY_METRIC_FIELDS, ReplayEngine
 from repro.simulation.scheduler_core import SchedulerCore
 from repro.workloads.uncertainty import (
     UNCERTAINTY_MODELS,
@@ -196,16 +194,16 @@ class TestModelSpec:
 class TestExactIdentity:
     @pytest.mark.parametrize("policy", ["fcfs", "greedy", "easy"])
     @pytest.mark.parametrize("backend", ["array", "list"])
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_identity_matrix(self, policy, backend, batch):
-        """policies x backends x batched/scalar: ``exact`` changes no byte."""
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_identity_matrix(self, policy, backend, fused):
+        """policies x backends x fused/generic: ``exact`` changes no byte."""
         m = 16
         jobs = _jobs_from_rows(
             [(i % 3, 5 + (i * 7) % 23, 1 + (i * 5) % 16) for i in range(80)],
             m,
         )
         kwargs = dict(policy=policy, window=7, profile_backend=backend,
-                      batch=batch, record_starts=True)
+                      fused_policies=fused, record_starts=True)
         plain = ReplayEngine(m, **kwargs).run(jobs)
         exact = ReplayEngine(m, uncertainty="exact", **kwargs).run(jobs)
         assert _trim(exact) == _trim(plain)
@@ -239,7 +237,7 @@ class TestExactIdentity:
 
 
 # ---------------------------------------------------------------------------
-# seeded determinism + serial == epoch-sharded
+# seeded determinism + serial == chained slices
 # ---------------------------------------------------------------------------
 
 class TestSeededDeterminism:
@@ -263,35 +261,19 @@ class TestSeededDeterminism:
         assert _trim(other) != _trim(runs[0])
 
     @given(rows=_trace_rows, policy=_policies, model=_models,
-           epochs=st.sampled_from([2, 3]))
+           interval=st.sampled_from([2, 9, 25]))
     @settings(max_examples=25, deadline=None)
-    def test_sharded_equals_serial(self, rows, policy, model, epochs):
-        """The checkpoint round-trips the full uncertainty state: an
-        epoch-sharded stochastic replay is byte-identical to serial."""
+    def test_sharded_equals_serial(self, rows, policy, model, interval):
+        """The checkpoint round-trips the full uncertainty state: a
+        chain of checkpointed stochastic slices is byte-identical to
+        one serial run."""
         m = 16
         jobs = _jobs_from_rows(rows, m)
-        serial = ReplayEngine(m, policy=policy, window=7, record_starts=True,
-                              uncertainty=model).run(jobs)
-        sharded = replay_epochs(
-            jobs, policy=policy, epochs=epochs, m=m, use_processes=False,
-            window=7, record_starts=True, uncertainty=model,
-        )
-        assert _trim(sharded) == _trim(serial)
-
-    def test_sharded_process_workers_identical(self):
-        m = 32
-        jobs = _jobs_from_rows(
-            [(1, 8 + (i * 13) % 40, 1 + (i * 7) % 24) for i in range(300)],
-            m,
-        )
-        model = "underestimate:factor=2:overrun=grace:seed=11"
-        serial = ReplayEngine(m, policy="easy", window=50,
-                              uncertainty=model).run(jobs)
-        sharded = replay_epochs(
-            jobs, policy="easy", epochs=3, m=m, use_processes=True,
-            window=50, uncertainty=model,
-        )
-        assert _trim(sharded)[:2] == _trim(serial)[:2]
+        kwargs = dict(policy=policy, window=7, record_starts=True,
+                      uncertainty=model)
+        serial = ReplayEngine(m, **kwargs).run(jobs)
+        chained = replay_chained(jobs, interval, m, **kwargs)
+        assert _trim(chained) == _trim(serial)
 
     def test_resume_under_different_model_is_loud(self):
         jobs = _jobs_from_rows([(1, 10, 4)] * 30, 8)
