@@ -13,13 +13,13 @@ families and leaves only the everywhere-rules RPL4xx/RPL5xx active)::
     determinism-paths = ["src/repro/simulation", ...]   # RPL1xx scope
     int-kernel-modules = ["src/repro/core/timebase.py"] # RPL2xx: whole file
     int-kernel-functions = [                            # RPL2xx: one scope
-        "src/repro/simulation/replay.py::ReplayState",  #   (class = all
+        "src/repro/simulation/replay.py::ReplayCheckpoint", # (class = all
     ]                                                   #   of its methods)
     registry-register-names = ["register", ...]         # RPL501/RPL502
     registry-duplicate-paths = ["src/repro"]            # RPL502 scope
     durable-write-paths = ["src/repro/durability", ...] # RPL402 scope
-    engine-internal-names = ["_run_fused", ...]         # RPL503: flagged
-    engine-internal-owners = ["src/.../replay.py"]      #   outside owners
+    engine-internal-names = ["_event_loop"]             # RPL503: flagged
+    engine-internal-owners = ["src/.../scheduler_core.py"] # outside owners
 
     [tool.repro-lint.protocol]                          # RPL3xx
     base = "src/repro/core/profiles/base.py::ProfileBackend"

@@ -17,7 +17,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set
 from .config import LintConfig, resolve_config
 from .determinism import check_determinism
 from .durable_io import check_durable_io
-from .exactness import check_exactness
+from .exactness import check_exactness, check_kernel_scopes
 from .internals import check_internals
 from .model import Violation, expand_rule_selector
 from .multiproc import check_multiproc
@@ -130,9 +130,10 @@ def run_lint(
 ) -> LintReport:
     """Lint ``paths`` and return the report.
 
-    Raises :class:`~.config.LintConfigError` when the pyproject table or
-    a configured protocol scope is broken, and :class:`ValueError` for an
-    unknown ``--rule`` selector — tool misuse is distinct from findings.
+    Raises :class:`~.config.LintConfigError` when the pyproject table, a
+    configured int-kernel scope or a protocol scope is broken, and
+    :class:`ValueError` for an unknown ``--rule`` selector — tool misuse
+    is distinct from findings.
     """
     selected = _selected_codes(rules)
     if config is None:
@@ -181,6 +182,7 @@ def run_lint(
             sources[rel] = source
         return source
 
+    check_kernel_scopes(config, load)
     violations.extend(check_protocol(config, load))
 
     kept: List[Violation] = []

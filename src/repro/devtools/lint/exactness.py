@@ -12,9 +12,9 @@ individual functions or classes via ``int-kernel-functions``.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from .config import LintConfig
+from .config import LintConfig, LintConfigError
 from .model import Violation
 from .source import SourceFile
 
@@ -27,7 +27,7 @@ def qualified_scopes(
     """``qualname -> definition nodes`` for every function/class.
 
     Nesting uses dotted names without the ``<locals>`` marker
-    (``ReplayEngine._run_fused``), matching the config syntax.
+    (``SchedulerCore._event_loop``), matching the config syntax.
     """
     scopes: Dict[str, List[ast.AST]] = {}
 
@@ -106,3 +106,25 @@ def check_exactness(source: SourceFile, config: LintConfig) -> Iterator[Violatio
     for qualname in declared:
         for node in scopes.get(qualname, []):
             yield from _scan_scope(node, source, seen)
+
+
+def check_kernel_scopes(
+    config: LintConfig, load: Callable[[str], Optional[SourceFile]]
+) -> None:
+    """Raise :class:`~.config.LintConfigError` for an
+    ``int-kernel-functions`` entry whose module or scope no longer
+    exists — a stale entry would silently check nothing."""
+    for ref in config.int_kernel_functions:
+        source = load(ref.path)
+        if source is None:
+            raise LintConfigError(
+                f"int-kernel scope {ref.path}::{ref.qualname} not found "
+                "(module missing or unparsable)"
+            )
+        if ref.qualname is not None and ref.qualname not in qualified_scopes(
+            source.tree
+        ):
+            raise LintConfigError(
+                f"int-kernel scope {ref.path}::{ref.qualname} not found "
+                "(function or class missing from the module)"
+            )

@@ -1,23 +1,21 @@
 """RPL503: reach-ins to declared engine internals.
 
-The replay engine's loops (``ReplayEngine._run_fused`` /
-``_run_generic``) are implementation twins of one
-event-application loop, kept byte-identical by differential tests —
-they are not an extension surface.  Code that wants to drive the
-scheduler embeds :class:`repro.simulation.SchedulerCore` (or registers
-a policy) instead of calling into the loops directly, because a direct
-caller silently bypasses the engine's dispatch (fused/backend
-selection) and the identity matrix stops protecting it.
+The scheduler core's event loop (``SchedulerCore._event_loop``) is
+private: its call contract (look-ahead push-back, the frontier stop,
+hot counters written back on return) is kept by the core's verbs, not
+an extension surface.  Code that wants to drive the scheduler uses
+:class:`repro.simulation.SchedulerCore`'s verbs (or registers a policy)
+instead of calling into the loop directly.
 
 Which attribute names are internal, and which files own them, is
 repository knowledge::
 
     [tool.repro-lint]
-    engine-internal-names = ["_run_fused", "_run_generic"]
-    engine-internal-owners = ["src/repro/simulation/replay.py"]
+    engine-internal-names = ["_event_loop"]
+    engine-internal-owners = ["src/repro/simulation/scheduler_core.py"]
 
 Any attribute access on a declared name outside an owner file is
-flagged.  The check is syntactic (``x._run_fused`` flags regardless of
+flagged.  The check is syntactic (``x._event_loop`` flags regardless of
 what ``x`` is): the names are private and engine-specific, so a
 collision is overwhelmingly more likely to be a reach-in than an
 unrelated API — and a false positive can carry a ``repro: noqa

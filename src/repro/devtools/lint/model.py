@@ -171,8 +171,8 @@ RULES: Tuple[Rule, ...] = (
         "attribute access on a declared engine-internal name outside "
         "its owner file",
         "engine embedding contract: drivers program against "
-        "repro.simulation.SchedulerCore, never the replay engine's "
-        "loop internals (_run_fused/_run_generic)",
+        "repro.simulation.SchedulerCore's verbs, never its private "
+        "event loop (_event_loop)",
     ),
 )
 

@@ -48,6 +48,7 @@ from ..errors import (
     TraceFormatError,
 )
 from ..simulation.replay import (
+    CHECKPOINT_VERSION,
     DEFAULT_SYNTH_JOBS,
     DEFAULT_WINDOW,
     SYNTH_PREFIX,
@@ -242,6 +243,7 @@ def replay_journaled(
     u_model = resolve_uncertainty(engine_kwargs.get("uncertainty"))
     config = {
         "format": JOURNAL_VERSION,
+        "checkpoint": CHECKPOINT_VERSION,
         "source": source if isinstance(source, str) else None,
         "m": machine,
         "policy": policy,

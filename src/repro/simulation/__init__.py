@@ -9,15 +9,14 @@
 * :mod:`repro.simulation.replay` — rolling-horizon replay of arrival
   *streams* (SWF traces, synthetic generators) with bounded memory and
   windowed metrics, for traces too large to materialise;
-* :mod:`repro.simulation.scheduler_core` — the replay engine's
-  event-application loop as a standalone ``submit`` / ``cancel`` /
-  ``advance_to`` / ``drain`` surface.
+* :mod:`repro.simulation.scheduler_core` — the one event loop (with
+  the built-in policies' inlined passes) behind a ``submit`` / ``feed``
+  / ``reserve`` / ``cancel`` / ``advance_to`` / ``drain`` surface.
 
 :class:`SchedulerCore` is the supported embedding API: trace replay
 (:class:`ReplayEngine`), journaled replay and the ``repro serve`` daemon
-all drive it.  Reaching into the engine's loops
-(``ReplayEngine._run_fused`` / ``_run_generic``) is deprecated outside
-the engine itself and flagged by lint rule RPL503.
+all drive it.  Reaching into its private loop
+(``SchedulerCore._event_loop``) is flagged by lint rule RPL503.
 """
 
 from .cluster import ClusterState, RunningJob
@@ -42,7 +41,6 @@ from .replay import (
     ReplayCheckpoint,
     ReplayEngine,
     ReplayResult,
-    ReplayState,
     replay,
     replay_policies,
     replay_swf,
@@ -76,7 +74,6 @@ __all__ = [
     "ReplayCheckpoint",
     "ReplayEngine",
     "ReplayResult",
-    "ReplayState",
     "SchedulerCore",
     "MultiReplayResult",
     "replay",

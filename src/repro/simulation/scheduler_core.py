@@ -1,63 +1,74 @@
-"""The scheduler engine core: one event loop, many drivers.
+"""The scheduler engine core: the one event loop behind replay and serve.
 
-:class:`SchedulerCore` is the event-application half of the replay
-engine, promoted to a supported embedding API.  It owns the live
-availability profile, the arrived-but-unstarted queue, the in-flight
-calendar and the window/total accumulators, and exposes an explicit
-four-verb surface:
+:class:`SchedulerCore` owns the live availability profile, the
+arrived-but-unstarted queue, the in-flight calendar and the
+window/total accumulators, and exposes an explicit verb surface:
 
 ``submit(job)``
     Stage an arrival.  Releases must be non-decreasing and at or after
     the advanced horizon — the core never time-travels.
+``feed(arrivals)``
+    Stream a release-ordered arrival iterator through the loop in one
+    call, stopping once the last arrival's event time is fully
+    processed (the replay driver's verb: release order is checked as
+    for ``submit``, id uniqueness is left to the stream).
 ``advance_to(t)``
     Apply every pending event (completions, staged arrivals, one
     policy decision pass, profile compaction) with event time ``<= t``.
+``reserve(start, p, q)``
+    Carve a reservation hole out of the live profile.
 ``cancel(job_id)``
-    Withdraw a staged or queued job (a live-service verb trace replay
-    never uses; running jobs cannot be cancelled).
+    Withdraw a staged or queued job (running jobs cannot be cancelled).
 ``drain()``
     Declare the arrival stream finished and run the event loop to
     quiescence, emitting every remaining window row.
 
-:class:`~repro.simulation.replay.ReplayEngine` is now a thin
-trace-driving client of this class (its generic loop groups an SWF
-iterator's arrivals by release time and feeds them through
-``submit``/``advance_to``), and ``repro serve`` is another driver
-feeding the same core from sockets.  Both observe the exact event
-ordering the replay module documents — completions < arrivals < one
-decision pass < prune at each distinct time — so rows, totals and
-checkpoints are byte-identical whichever driver is in front.
+:class:`~repro.simulation.replay.ReplayEngine` is a short trace-driving
+client of this class (``feed`` then ``drain``, or a checkpoint), and
+``repro serve`` is another driver feeding the same core from sockets.
+Both run the same loop, so rows, totals and checkpoints are
+byte-identical whichever driver is in front.  At each distinct event
+time the loop applies completions, then uncertainty events, then
+arrivals, then one policy decision pass, then profile compaction.
 
-Embedders should program against this class (re-exported as
-``repro.simulation.SchedulerCore``) rather than reaching into
-``ReplayEngine._run_fused``/``_run_generic``; the fused loop is an
-engine internal, deprecated as an extension point and guarded by the
-``RPL503`` lint rule.
+The built-in ``fcfs``/``greedy``/``easy`` policies — recognised by the
+identity of the resolved policy function — run as passes inlined into
+the loop: placement through one
+:meth:`~repro.core.profiles.base.ProfileBackend.try_reserve` probe,
+EASY's shadow reservation as three window queries, a blocked-head
+earliest-fit memo and a capacity-at-now screen.  Two scalar shortcuts
+cover the operation mix real traces produce (~95% of event times carry
+a single arrival): with an empty queue, every completion before the
+next arrival drains in one tight loop with a single compaction, and a
+lone arrival on an empty queue starts through one probe without
+entering the queue.  Any other callable (including a wrapper
+re-registered under a built-in name) runs through ``decide(core, now)``
+against the policy protocol — ``queue``, ``queue_in_order``,
+``can_start_now``, ``start_job``, ``earliest_start`` and ``profile`` —
+which is also the reference configuration the differential tests pin
+the inlined passes to.
 
 State beyond the :class:`~repro.simulation.replay.ReplayCheckpoint`
 (staged future arrivals, the cancel count, the advanced horizon) is
 exported by :meth:`SchedulerCore.extra_state` so a live service can
 snapshot and restore the *whole* core, not just the replay-visible
-part.
+part.  The private loop is guarded by the ``RPL503`` lint rule.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from ..core.job import Job
-from ..core.metrics import (
-    BSLD_TAU,
-    DEFAULT_SLOWDOWN_THRESHOLD,
-    bounded_slowdown,
-)
+from ..core.metrics import BSLD_TAU, DEFAULT_SLOWDOWN_THRESHOLD
 from ..core.profiles import BackendSpec, convert_profile, make_profile
 from ..devtools.failpoints import fire
 from ..errors import CapacityError, SchedulingError
 from ..workloads.uncertainty import resolve_uncertainty
-from .online_sim import POLICIES
+from .online_sim import POLICIES, policy_easy, policy_fcfs, policy_greedy
 from .replay import (
     _CKPT_COUNTERS,
     _note_demotion,
@@ -69,19 +80,73 @@ from .replay import (
 
 __all__ = ["SchedulerCore"]
 
+#: The policy functions with a pass inlined into the event loop.
+_FAST_PASSES = (
+    ("fcfs", policy_fcfs), ("greedy", policy_greedy), ("easy", policy_easy),
+)
+
+
+def resolve_engine_config(m, window, prune_interval, completion_queue,
+                          uncertainty):
+    """Validate the knobs :class:`SchedulerCore` and
+    :class:`~repro.simulation.replay.ReplayEngine` share; returns the
+    live uncertainty model (``None`` in the certain world)."""
+    if m < 1:
+        raise SchedulingError(f"machine size must be >= 1, got {m!r}")
+    if window < 0:
+        raise SchedulingError(f"window must be >= 0, got {window!r}")
+    if prune_interval < 1:
+        raise SchedulingError("prune_interval must be >= 1")
+    if completion_queue not in ("calendar", "heap"):
+        raise SchedulingError(
+            f"completion_queue must be 'calendar' or 'heap', "
+            f"got {completion_queue!r}"
+        )
+    model = resolve_uncertainty(uncertainty)
+    if model is not None and model.is_exact:
+        # the degenerate model IS the certain world: dropping it here
+        # keeps every downstream byte (rows, checkpoints, gauges)
+        # identical to a run with no model at all
+        model = None
+    if model is not None and completion_queue != "calendar":
+        raise SchedulingError(
+            "uncertainty models require completion_queue='calendar' "
+            "(requeue and no-show wake-ups ride the calendar buckets)"
+        )
+    return model
+
+
+def _profile_ops(profile):
+    """The profile methods the event loop binds to locals."""
+    return (profile.try_reserve, profile.reserve_fitting, profile.earliest_fit,
+            profile.min_capacity, profile.capacity_at, profile.fits,
+            profile.prune_before, profile.segment_count)
+
+
+def _out_of_order(job: Job, clock) -> SchedulingError:
+    return SchedulingError(
+        f"job {job.id!r} arrives out of order: release "
+        f"{job.release!r} is before the clock at {clock!r}"
+    )
+
 
 class SchedulerCore:
-    """Live scheduling state plus the event-application loop.
+    """Live scheduling state plus the event loop.
 
     Parameters mirror :class:`~repro.simulation.replay.ReplayEngine`
-    (same names, same validation, same defaults) minus the dispatch
-    knob (``fused_policies``) that selects between engine loops — the
-    core *is* the reference loop.
+    (same names, same validation, same defaults) minus
+    ``fused_policies``: the core picks its pass from ``decide``.
 
     ``decide`` optionally injects the policy function directly (an
     embedding convenience, and how the engine pins the function it
     resolved at construction time); by default the name is looked up in
-    :data:`~repro.simulation.online_sim.POLICIES`.
+    :data:`~repro.simulation.online_sim.POLICIES`.  The registered
+    ``fcfs``/``greedy``/``easy`` functions run as inlined passes; any
+    other callable runs through the policy protocol.
+
+    ``completion_queue="heap"`` gives every in-flight job its own heap
+    entry instead of one per distinct end time — the per-job reference
+    for the calendar queue (no checkpoints, reservations or uncertainty).
 
     ``resume`` rehydrates a :class:`ReplayCheckpoint` — the calendar
     completion queue is required then, as for sliced replay.
@@ -103,19 +168,9 @@ class SchedulerCore:
         resume: Optional[ReplayCheckpoint] = None,
         uncertainty=None,
     ):
-        from .replay import ReplayState  # circular-at-import-time guard
-
-        if m < 1:
-            raise SchedulingError(f"machine size must be >= 1, got {m!r}")
-        if window < 0:
-            raise SchedulingError(f"window must be >= 0, got {window!r}")
-        if prune_interval < 1:
-            raise SchedulingError("prune_interval must be >= 1")
-        if completion_queue not in ("calendar", "heap"):
-            raise SchedulingError(
-                f"completion_queue must be 'calendar' or 'heap', "
-                f"got {completion_queue!r}"
-            )
+        model = resolve_engine_config(
+            m, window, prune_interval, completion_queue, uncertainty
+        )
         if resume is not None and completion_queue != "calendar":
             raise SchedulingError(
                 "checkpoints require completion_queue='calendar'"
@@ -129,17 +184,6 @@ class SchedulerCore:
                 f"window={resume.window}); this engine has m={m}, "
                 f"policy={policy!r}, window={window}"
             )
-        model = resolve_uncertainty(uncertainty)
-        if model is not None and model.is_exact:
-            # the degenerate model IS the certain world: dropping it here
-            # keeps every downstream byte (rows, checkpoints, gauges)
-            # identical to a run with no model at all
-            model = None
-        if model is not None and completion_queue != "calendar":
-            raise SchedulingError(
-                "uncertainty models require completion_queue='calendar' "
-                "(requeue and no-show wake-ups ride the calendar buckets)"
-            )
         self.uncertainty = model
         resume_u = getattr(resume, "uncertainty", None)
         if resume is not None:
@@ -152,7 +196,12 @@ class SchedulerCore:
                 )
         self.m = m
         self.policy_name = policy
-        self._decide = decide if decide is not None else POLICIES.get(policy)
+        if decide is None:
+            decide = POLICIES.get(policy)
+        self._decide = decide
+        self._pass = next(
+            (kind for kind, fn in _FAST_PASSES if fn is decide), None
+        )
         self.window = window
         self.prune_interval = prune_interval
         self.bsld_tau = bsld_tau
@@ -164,30 +213,43 @@ class SchedulerCore:
         self.store = store
 
         backend: BackendSpec = profile_backend
-        self._auto_backend = backend == "auto"
+        auto_backend = backend == "auto"
         self.demoted = resume is not None and resume.demoted
         self.demoted_at = resume.demoted_at if resume is not None else None
-        if self._auto_backend:
+        if auto_backend:
             backend = "list" if self.demoted else "array"
-        self.state = ReplayState(m, backend)
+        if resume is not None:
+            self.profile = make_profile(
+                list(resume.profile_times), list(resume.profile_caps), backend
+            )
+        else:
+            self.profile = make_profile([0], [m], backend)
         # `auto` watches for non-integral job times and demotes the live
         # profile to the exact list backend before they reach the int64
         # columns; an explicit backend choice is honoured (and loud).
-        self._watch_times = self._auto_backend and getattr(
-            self.state.profile, "CHEAP_PRUNE", False
-        )
-        self._cheap_prune = getattr(self.state.profile, "CHEAP_PRUNE", False)
+        self._cheap_prune = getattr(self.profile, "CHEAP_PRUNE", False)
+        self._watch_times = auto_backend and self._cheap_prune
 
-        self.heap: List[Tuple] = []     # heap mode: (end time, seq, job id)
-        self.buckets: Dict = {}         # calendar mode: end time -> [jobs]
-        self.time_heap: List = []       # calendar mode: distinct end times
-        self.seq = 0
+        self.queue: Dict[object, Job] = {}  # arrived, unstarted; in order
+        self.buckets: Dict = {}         # end time -> jobs finishing then
+        self.time_heap: List = []       # end times (one per job in heap mode)
         self.now = None                 # last processed event time
+        # ids in flight, built on the first `_is_running` query (the
+        # serve verbs) and kept by the loop from then on; replay never
+        # asks, so its loop only pays a `None` test per start/completion
+        self._running_ids: Optional[set] = None
         self._resume_clock = resume.clock if resume is not None else 0
         self.horizon = self._resume_clock  # furthest advance_to target
+        # EASY's blocked-head memo: while `_blocked_id` heads the queue,
+        # `_blocked_until` is its exact earliest fit.  An exact cache, so
+        # checkpoints leave it out; every profile change the decision
+        # pass did not make itself clears it.
+        self._blocked_id: object = None
+        self._blocked_until = 0
 
         self.windows: Dict[int, _WindowAcc] = {}
-        self.window_of: Dict[object, int] = {}   # live jobs only
+        #: live job id -> the accumulator of its arrival window
+        self.window_of: Dict[object, _WindowAcc] = {}
         self.emitted: List[Dict] = []
         self.next_emit = 0
         self.starts: Optional[Dict] = {} if record_starts else None
@@ -211,7 +273,8 @@ class SchedulerCore:
         self.n_starts = 0    # final (completing) attempts measured
         self.n_bsld_le = 0   # ... of which bsld <= the guarantee threshold
 
-        # totals (names match _CKPT_COUNTERS where checkpointed)
+        # totals: the checkpointed counters, which the loop keeps in
+        # locals (the names are _CKPT_COUNTERS)
         self.arrived = 0
         self.completed = 0
         self.events = 0
@@ -225,35 +288,28 @@ class SchedulerCore:
         self.sum_bsld = 0
         self.max_bsld = 0.0  # repro: noqa RPL201 -- bsld gauge is float by definition
         self.peak_queue = 0
+        self.running_count = 0
         self.peak_running = 0
         self.peak_segments = 1
         self.since_prune = 0
         self.pruned_to = 0   # completions already compacted behind
 
         if resume is not None:
-            self.state.profile = make_profile(
-                list(resume.profile_times), list(resume.profile_caps), backend
-            )
             for job in resume.queue:
-                self.state.queue[job.id] = job
+                self.queue[job.id] = job
             for end, bucket in resume.buckets:
                 self.buckets[end] = list(bucket)
                 self.time_heap.append(end)
-                for job in bucket:
-                    self.state.running[job.id] = job
             heapify(self.time_heap)
             self.windows = {
                 w: _WindowAcc.from_state(s) for w, s in resume.windows.items()
             }
-            self.window_of = dict(resume.window_of)
+            self.window_of = {
+                jid: self.windows[w] for jid, w in resume.window_of.items()
+            }
             self.next_emit = resume.next_emit
-            c = resume.counters
-            (self.arrived, self.completed, self.events, self.total_work,
-             self.pmax, self.latest_lb_finish, self.last_completion,
-             self.sum_wait, self.max_wait, self.sum_slowdown, self.sum_bsld,
-             self.max_bsld, self.peak_queue, _running_count,
-             self.peak_running, self.peak_segments, self.since_prune,
-             self.pruned_to) = (c[name] for name in _CKPT_COUNTERS)
+            for name in _CKPT_COUNTERS:
+                setattr(self, name, resume.counters[name])
             if resume_u is not None:
                 self._fates = {k: tuple(v) for k, v in resume_u["fates"]}
                 self._attempts = dict(resume_u["attempts"])
@@ -268,7 +324,29 @@ class SchedulerCore:
                 (self.requeues, self.kills, self.no_shows, self.early_exits,
                  self.n_starts, self.n_bsld_le) = resume_u["counters"]
 
-    # -- the four verbs ---------------------------------------------------
+    # -- the policy protocol (what ``decide(core, now)`` programs against) --
+    def queue_in_order(self) -> List[Job]:
+        """Arrived jobs in submission order."""
+        return list(self.queue.values())
+
+    def can_start_now(self, job: Job, now) -> bool:
+        return self.profile.fits(job.q, now, job.p)
+
+    def start_job(self, job: Job, now) -> None:
+        # `reserve` re-validates capacity atomically, so committing costs
+        # one windowed min instead of a check-then-reserve two
+        try:
+            self.profile.reserve(now, job.p, job.q)
+        except CapacityError:
+            raise SchedulingError(
+                f"job {job.id!r} does not fit at time {now}"
+            ) from None
+        del self.queue[job.id]
+
+    def earliest_start(self, job: Job, now):
+        return self.profile.earliest_fit(job.q, job.p, after=now)
+
+    # -- the verbs ---------------------------------------------------------
     def submit(self, job: Job) -> None:
         """Stage one arrival (applied when ``advance_to`` reaches its
         release).  Releases are validated non-decreasing and at or
@@ -282,18 +360,29 @@ class SchedulerCore:
         else:
             floor = self.horizon
         if job.release < floor:
-            raise SchedulingError(
-                f"job {job.id!r} arrives out of order: release "
-                f"{job.release!r} is before the clock at {floor!r}"
-            )
+            raise _out_of_order(job, floor)
         if (
             job.id in self._staged_ids
-            or job.id in self.state.queue
-            or job.id in self.state.running
+            or job.id in self.queue
+            or self._is_running(job.id)
         ):
             raise SchedulingError(f"job id {job.id!r} is already live")
         self._staged.append(job)
         self._staged_ids.add(job.id)
+
+    def feed(self, arrivals: Iterable[Job]) -> None:
+        """Stream ``arrivals`` (release-ordered, unique ids) through the
+        event loop in one call, after anything already staged; stops
+        once the last arrival's event time is fully processed, leaving
+        later completions in flight.  A release before the clock raises
+        :class:`~repro.errors.SchedulingError`."""
+        if self._eof:
+            raise SchedulingError("arrivals fed after drain: the stream has ended")
+        if self._staged:
+            arrivals = chain(self._unstage(), arrivals)
+        self._event_loop(arrivals, None, False)
+        if self.now is not None and self.now > self.horizon:
+            self.horizon = self.now
 
     def cancel(self, job_id) -> str:
         """Withdraw ``job_id``; returns where it was found (``"staged"``
@@ -305,12 +394,14 @@ class SchedulerCore:
             self._staged_ids.discard(job_id)
             self.unstaged += 1
             return "staged"
-        if job_id in self.state.queue:
-            del self.state.queue[job_id]
+        if job_id in self.queue:
+            del self.queue[job_id]
+            if job_id == self._blocked_id:
+                # the id may come back as another job
+                self._blocked_id = None
             self.cancelled += 1
-            w = self.window_of.pop(job_id, None)
-            if w is not None:
-                acc = self.windows[w]
+            acc = self.window_of.pop(job_id, None)
+            if acc is not None:
                 acc.completed += 1
                 t = self.horizon
                 if acc.last_completion is None or t > acc.last_completion:
@@ -318,7 +409,7 @@ class SchedulerCore:
                 if acc.done:
                     self._emit_done_windows()
             return "queued"
-        if job_id in self.state.running:
+        if self._is_running(job_id):
             raise SchedulingError(
                 f"job {job_id!r} is running and cannot be cancelled"
             )
@@ -352,12 +443,13 @@ class SchedulerCore:
                 f"already at {self.horizon!r}"
             )
         try:
-            self.state.profile.reserve(start, p, q)
+            self.profile.reserve(start, p, q)
         except CapacityError:
             raise SchedulingError(
                 f"reservation of {q} processors at {start!r} for {p!r} "
                 "does not fit"
             ) from None
+        self._blocked_id = None
         end = start + p
         if (self.now is None or end > self.now) and end not in self.buckets:
             self.buckets[end] = []
@@ -370,7 +462,7 @@ class SchedulerCore:
                 if self.now is not None and start <= self.now:
                     # committed at the current instant and already a
                     # no-show: release the hole immediately
-                    self.state.profile.add(start, p, q)
+                    self.profile.add(start, p, q)
                     self.no_shows += 1
                     self.events += 1
                 else:
@@ -388,7 +480,7 @@ class SchedulerCore:
                 f"cannot advance to {t!r}: the clock is already at "
                 f"{self.horizon!r}"
             )
-        self._run_events(t)
+        self._event_loop(self._unstage(), t, self._eof)
         self.horizon = t
 
     def drain(self) -> None:
@@ -398,15 +490,15 @@ class SchedulerCore:
         (wider than the machine after a demotion, for instance); emits
         every remaining window row."""
         self._eof = True
-        self._run_events(None)
-        if self.state.queue:
+        self._event_loop(self._unstage(), None, True)
+        if self.queue:
             raise SchedulingError(
-                f"replay stalled with {len(self.state.queue)} queued job(s) "
+                f"replay stalled with {len(self.queue)} queued job(s) "
                 "that can never start"
             )
         if self.window:
             self._emit_done_windows(force=True)
-        segments = self.state.profile.segment_count()
+        segments = self.profile.segment_count()
         if segments > self.peak_segments:
             self.peak_segments = segments
 
@@ -418,25 +510,18 @@ class SchedulerCore:
             raise SchedulingError(
                 "checkpoints require completion_queue='calendar'"
             )
-        times_l, caps_l = self.state.profile.as_lists()
+        times_l, caps_l = self.profile.as_lists()
         return ReplayCheckpoint(
             m=self.m, policy=self.policy_name, window=self.window,
             clock=self.now if self.now is not None else self._resume_clock,
             profile_times=times_l, profile_caps=caps_l,
             demoted=self.demoted, demoted_at=self.demoted_at,
-            queue=list(self.state.queue.values()),
-            buckets=sorted(self.buckets.items()),
-            window_of=dict(self.window_of),
+            queue=list(self.queue.values()),
+            buckets=[(end, list(b)) for end, b in sorted(self.buckets.items())],
+            window_of={jid: acc.index for jid, acc in self.window_of.items()},
             windows={w: acc.state() for w, acc in self.windows.items()},
             next_emit=self.next_emit,
-            counters=dict(zip(_CKPT_COUNTERS, (
-                self.arrived, self.completed, self.events, self.total_work,
-                self.pmax, self.latest_lb_finish, self.last_completion,
-                self.sum_wait, self.max_wait, self.sum_slowdown,
-                self.sum_bsld, self.max_bsld, self.peak_queue,
-                len(self.state.running), self.peak_running,
-                self.peak_segments, self.since_prune, self.pruned_to,
-            ))),
+            counters={name: getattr(self, name) for name in _CKPT_COUNTERS},
             uncertainty=self._uncertainty_state(),
         )
 
@@ -495,8 +580,8 @@ class SchedulerCore:
             "completed": self.completed,
             "cancelled": self.cancelled,
             "unstaged": self.unstaged,
-            "queued": len(self.state.queue),
-            "running": len(self.state.running),
+            "queued": len(self.queue),
+            "running": self.running_count,
             "staged": len(self._staged),
             "events": self.events,
             "windows_emitted": self.next_emit,
@@ -521,6 +606,7 @@ class SchedulerCore:
             ]
 
         ck = self.checkpoint()
+        u = ck.uncertainty
         return {
             "m": ck.m,
             "policy": ck.policy,
@@ -541,86 +627,59 @@ class SchedulerCore:
             "windows": {str(w): s for w, s in sorted(ck.windows.items())},
             "next_emit": ck.next_emit,
             "counters": ck.counters,
-            "uncertainty": None if self.uncertainty is None else {
-                "spec": self.uncertainty.spec,
+            "uncertainty": None if u is None else {
+                "spec": u["spec"],
                 "fates": {
                     str(k): list(v)
-                    for k, v in sorted(
-                        self._fates.items(), key=lambda kv: str(kv[0])
-                    )
+                    for k, v in sorted(u["fates"], key=lambda kv: str(kv[0]))
                 },
                 "attempts": {
                     str(k): v
-                    for k, v in sorted(
-                        self._attempts.items(), key=lambda kv: str(kv[0])
-                    )
+                    for k, v in sorted(u["attempts"], key=lambda kv: str(kv[0]))
                 },
                 "requeue_ready": [
-                    [t, plain(jobs)]
-                    for t, jobs in sorted(self._requeue_ready.items())
+                    [t, plain(jobs)] for t, jobs in u["requeue_ready"]
                 ],
                 "no_shows_at": [
                     [t, [list(hole) for hole in holes]]
-                    for t, holes in sorted(self._no_shows_at.items())
+                    for t, holes in u["no_shows_at"]
                 ],
-                "resv_seq": self._resv_seq,
-                "counters": {
-                    "requeues": self.requeues,
-                    "kills": self.kills,
-                    "no_shows": self.no_shows,
-                    "early_exits": self.early_exits,
-                    "n_starts": self.n_starts,
-                    "n_bsld_le": self.n_bsld_le,
-                },
+                "resv_seq": u["resv_seq"],
+                "counters": dict(zip(
+                    ("requeues", "kills", "no_shows", "early_exits",
+                     "n_starts", "n_bsld_le"),
+                    u["counters"],
+                )),
             },
         }
 
-    def totals_kwargs(self) -> Dict:
-        """Keyword arguments for the engine's ``_finalize`` totals row."""
-        kwargs = self._plain_totals_kwargs()
-        if self.uncertainty is not None:
-            n = self.n_starts
-            kwargs["uncertainty_totals"] = {
-                "uncertainty": self.uncertainty.spec,
-                # repro: noqa-begin RPL2xx -- the guarantee level is a
-                # probability, a float by definition
-                "p_slowdown_le": (self.n_bsld_le / n) if n else 1.0,
-                # repro: noqa-end RPL2xx
-                "requeues": self.requeues,
-                "kills": self.kills,
-                "no_shows": self.no_shows,
-                "early_exits": self.early_exits,
+    # -- helpers -----------------------------------------------------------
+    def _is_running(self, job_id) -> bool:
+        """Whether ``job_id`` is in flight (the first query indexes the
+        calendar; the loop keeps the index current after that)."""
+        if self._running_ids is None:
+            self._running_ids = {
+                job.id for bucket in self.buckets.values() for job in bucket
             }
-        return kwargs
+        return job_id in self._running_ids
 
-    def _plain_totals_kwargs(self) -> Dict:
-        return {
-            "arrived": self.arrived, "events": self.events,
-            "total_work": self.total_work, "pmax": self.pmax,
-            "latest_lb_finish": self.latest_lb_finish,
-            "last_completion": self.last_completion,
-            "sum_wait": self.sum_wait, "max_wait": self.max_wait,
-            "sum_slowdown": self.sum_slowdown, "sum_bsld": self.sum_bsld,
-            "max_bsld": self.max_bsld, "peak_queue": self.peak_queue,
-            "peak_running": self.peak_running,
-            "peak_segments": self.peak_segments,
-            "demoted_at": self.demoted_at,
-            "windows_emitted": self.next_emit,
-        }
+    def _unstage(self) -> Iterator[Job]:
+        """Staged arrivals, handed to the loop one at a time (a look-ahead
+        past the loop's limit is pushed back on return)."""
+        staged = self._staged
+        ids = self._staged_ids
+        while staged:
+            job = staged.popleft()
+            ids.discard(job.id)
+            yield job
 
-    # -- event loop --------------------------------------------------------
-    def _current_window(self, index: int) -> Optional[_WindowAcc]:
-        if not self.window:
-            return None
-        w = index // self.window
-        acc = self.windows.get(w)
-        if acc is None:
-            acc = self.windows[w] = _WindowAcc(w)
-            if self.uncertainty is not None:
-                # under uncertainty, window rows carry distributional
-                # metrics: collect the per-job samples to quantile over
-                acc.waits = []
-                acc.bslds = []
+    def _new_window(self, index: int) -> _WindowAcc:
+        acc = self.windows[index] = _WindowAcc(index)
+        if self.uncertainty is not None:
+            # under uncertainty, window rows carry distributional
+            # metrics: collect the per-job samples to quantile over
+            acc.waits = []
+            acc.bslds = []
         return acc
 
     def _emit_done_windows(self, force: bool = False) -> None:
@@ -636,204 +695,517 @@ class SchedulerCore:
                     self.store.append(row)
             self.next_emit += 1
 
-    def _run_events(self, limit) -> None:
-        """Apply pending events in time order, stopping after the last
-        event time ``<= limit`` (``None``: run to quiescence)."""
-        staged = self._staged
-        while True:
-            if self.use_heap:
-                t_completion = self.heap[0][0] if self.heap else None
-            else:
-                t_completion = self.time_heap[0] if self.time_heap else None
-            t_arrival = staged[0].release if staged else None
-            if t_completion is not None and (
-                t_arrival is None or t_completion <= t_arrival
-            ):
-                now = t_completion
-            elif t_arrival is not None:
-                now = t_arrival
-            else:
-                break
-            if limit is not None and now > limit:
-                break
-            self._apply_event(now)
+    def _close_windows(self) -> None:
+        """The stream ended: every open window is full."""
+        for acc in self.windows.values():
+            acc.full = True
+        self._emit_done_windows()
 
-    def _apply_event(self, now) -> None:
-        """One event: completions, then arrivals, then one decision
-        pass, then profile compaction — the documented ordering."""
-        state = self.state
-        queue = state.queue
-        running = state.running
+    # -- the event loop ----------------------------------------------------
+    def _event_loop(self, arrivals: Iterable[Job], limit, eof: bool) -> None:
+        """Apply events in time order — at each distinct time:
+        completions, uncertainty events, arrivals, one decision pass,
+        profile compaction.
+
+        Arrivals are pulled from ``arrivals`` one look-ahead at a time.
+        The loop stops before the first event time past ``limit``; with
+        no limit and an open stream (``eof`` false) it stops once the
+        arrivals run out (the slice frontier); otherwise it runs until
+        no event remains.  Hot state lives in locals for the call and is
+        written back on return, the event count included.  The
+        per-start bookkeeping is inline, not a helper: a call per start,
+        or a closure turning every hot counter into a cell variable,
+        would slow the whole loop."""
+        m = self.m
+        window = self.window
+        prune_interval = self.prune_interval
+        bsld_tau = self.bsld_tau
+        record = self.starts
+        queue = self.queue
+        buckets = self.buckets
+        time_heap = self.time_heap
         windows = self.windows
         window_of = self.window_of
-        staged = self._staged
+        use_heap = self.use_heap
+        uncertain = self.uncertainty is not None
+        decide = self._decide
+        kind = self._pass
+        easy = kind == "easy"
+        greedy = kind == "greedy"
+        # the two scalar shortcuts are certain-world fast-pass only: the
+        # reference runs without them, and under uncertainty completions
+        # resolve fates and credit capacity back
+        shortcuts = kind is not None and not uncertain and not use_heap
 
-        # 1. completions at `now` free their processors first
-        if self.use_heap:
-            heap = self.heap
-            while heap and heap[0][0] == now:
-                _, _, job_id = heappop(heap)
-                state.complete_job(job_id)
-                self.events += 1
-                self.completed += 1
-                self.since_prune += 1
-                self.last_completion = now
-                w = window_of.pop(job_id, None)
-                if w is not None:
-                    acc = windows[w]
-                    acc.completed += 1
-                    acc.last_completion = now
-                    if acc.done:
-                        self._emit_done_windows()
-        elif self.time_heap and self.time_heap[0] == now:
-            # one bucket holds every job finishing at `now`, in start
-            # order — a single heap pop serves them all
-            heappop(self.time_heap)
-            bucket = self.buckets.pop(now)
-            if self.uncertainty is not None and bucket:
-                bucket = self._apply_uncertain_completions(now, bucket)
-            for job in bucket:
-                job_id = job.id
-                del running[job_id]
-                self.events += 1
-                self.completed += 1
-                self.since_prune += 1
-                self.last_completion = now
-                w = window_of.pop(job_id, None)
-                if w is not None:
-                    acc = windows[w]
-                    acc.completed += 1
-                    acc.last_completion = now
-                    if acc.done:
-                        self._emit_done_windows()
+        profile = self.profile
+        (try_reserve, reserve_fitting, earliest_fit, min_capacity, capacity_at,
+         fits, prune, seg_count) = _profile_ops(profile)
+        watch_times = self._watch_times
+        cheap_prune = self._cheap_prune
+        fast_drain = shortcuts and cheap_prune
 
-        # 1b. uncertainty events at `now`: no-show holes release their
-        # capacity, backed-off failed jobs re-enter the queue — both
-        # before arrivals, so the decision pass sees the true state
-        if self.uncertainty is not None:
-            self._apply_uncertainty_events(now)
+        blocked_id = self._blocked_id
+        blocked_until = self._blocked_until
+        running_ids = self._running_ids
+        now = self.now
+        (arrived, completed, events, total_work, pmax, latest_lb_finish,
+         last_completion, sum_wait, max_wait, sum_slowdown, sum_bsld, max_bsld,
+         peak_queue, running_count, peak_running, peak_segments, since_prune,
+         pruned_to) = [
+            getattr(self, name) for name in _CKPT_COUNTERS
+        ]
 
-        # 2. arrivals at `now` join the queue in submission order
-        while staged and staged[0].release == now:
-            job = staged.popleft()
-            self._staged_ids.discard(job.id)
-            if self._watch_times and not (
-                type(job.p) is int and type(job.release) is int
-            ):
-                # non-integral trace: demote the live profile to the
-                # exact list backend (state converts losslessly)
-                state.profile = convert_profile(state.profile, "list")
-                self._watch_times = self._cheap_prune = False
-                self.demoted = True
-                self.demoted_at = _note_demotion(job)
-            state.enqueue(job)
-            self.events += 1
-            acc = self._current_window(self.arrived)
-            if acc is not None:
-                window_of[job.id] = acc.index
-                acc.arrived += 1
-                if acc.first_release is None:
-                    acc.first_release = job.release
-                acc.work += job.area
-                if job.p > acc.pmax:
-                    acc.pmax = job.p
-                finish = job.release + job.p
-                if finish > acc.latest_lb_finish:
-                    acc.latest_lb_finish = finish
-                if acc.arrived == self.window:
-                    acc.full = True
-            self.arrived += 1
-            self.total_work += job.area
-            if job.p > self.pmax:
-                self.pmax = job.p
-            if job.release + job.p > self.latest_lb_finish:
-                self.latest_lb_finish = job.release + job.p
-        if self._eof and not staged and self.window:
-            # the stream ended: the partial trailing window is full
-            for acc in windows.values():
-                acc.full = True
-            self._emit_done_windows()
+        arrived0 = arrived
+        completed0 = completed
+        running0 = running_count
+        uncertain_events = 0
 
-        if len(queue) > self.peak_queue:
-            self.peak_queue = len(queue)
+        it = iter(arrivals)
+        pending = next(it, None)
+        t_arrival = pending.release if pending is not None else None
+        if pending is not None and t_arrival < self.horizon:
+            raise _out_of_order(pending, self.horizon)
+        if pending is None and eof and window:
+            self._close_windows()
+        frontier = limit is None and not eof
+        # arrival-side accumulators of the window currently filling —
+        # arrivals are strictly sequential by index, so these live in
+        # locals and fold into the _WindowAcc at rollover and on return
+        cur_acc = None
+        wa_arrived = wa_work = wa_pmax = wa_latest = 0
+        wa_first = None
+        if window:
+            acc = windows.get(arrived // window)
+            if acc is not None and not acc.full:
+                cur_acc = acc
+                wa_arrived = acc.arrived
+                wa_work = acc.work
+                wa_pmax = acc.pmax
+                wa_latest = acc.latest_lb_finish
+                wa_first = acc.first_release
 
-        # 3. one decision pass (policies are pass-idempotent)
-        for job in self._decide(state, now) if queue else ():
-            self.events += 1
-            end = now + job.p
-            doomed = False
-            if self.uncertainty is not None:
-                end, doomed = self._draw_fate(job, now)
-            if self.starts is not None:
-                # restarted jobs overwrite: the recorded start is the
-                # final (completing) attempt's
-                self.starts[job.id] = now
-            if not doomed:
-                # metrics measure each job's final attempt only — a
-                # doomed attempt's wait is not the job's wait
-                wait = now - job.release
-                self.sum_wait += wait
-                if wait > self.max_wait:
-                    self.max_wait = wait
-                # slowdown means are floats (order-noise accepted); the
-                # identity-tested totals stay int-exact sums
-                self.sum_slowdown += (wait + job.p) / job.p
-                bsld = bounded_slowdown(wait, job.p, self.bsld_tau)
-                self.sum_bsld += bsld
-                if bsld > self.max_bsld:
-                    self.max_bsld = bsld
-                if self.uncertainty is not None:
-                    self.n_starts += 1
-                    if bsld <= DEFAULT_SLOWDOWN_THRESHOLD:
-                        self.n_bsld_le += 1
-                w = window_of.get(job.id)
-                if w is not None:
-                    acc = windows[w]
-                    acc.started += 1
-                    acc.sum_wait += wait
-                    if wait > acc.max_wait:
-                        acc.max_wait = wait
-                    acc.sum_bsld += bsld
-                    if bsld > acc.max_bsld:
-                        acc.max_bsld = bsld
-                    if acc.waits is not None:
-                        acc.waits.append(wait)
-                        acc.bslds.append(bsld)
-            if self.use_heap:
-                self.seq += 1
-                heappush(self.heap, (end, self.seq, job.id))
-            else:
-                bucket = self.buckets.get(end)
-                if bucket is None:
-                    self.buckets[end] = [job]
-                    heappush(self.time_heap, end)
+        try:
+            while True:
+                if pending is None and frontier:
+                    break  # slice exhausted: suspend at the frontier
+                if fast_drain and not queue and time_heap:
+                    tc = time_heap[0]
+                    if (t_arrival is None or tc < t_arrival) and (
+                        limit is None or tc <= limit
+                    ):
+                        # Empty-queue drain: no decision can start
+                        # anything, so every completion before the next
+                        # arrival is processed in one tight loop.
+                        # Nothing commits while draining and completions
+                        # leave the profile alone, so one segment sample
+                        # equals the peak of per-completion samples, and
+                        # one prune reaches the same live window as one
+                        # per completion.
+                        while True:
+                            heappop(time_heap)
+                            finished = buckets.pop(tc)
+                            if finished:
+                                n = len(finished)
+                                completed += n
+                                since_prune += n
+                                running_count -= n
+                                last_completion = tc
+                                if running_ids is not None:
+                                    running_ids.difference_update(
+                                        [job.id for job in finished]
+                                    )
+                                if window:
+                                    for job in finished:
+                                        acc = window_of.pop(job.id)
+                                        acc.completed += 1
+                                        acc.last_completion = tc
+                                        if acc.full and acc.completed == acc.arrived:
+                                            self._emit_done_windows()
+                            if not time_heap:
+                                break
+                            tn = time_heap[0]
+                            if (t_arrival is not None and tn >= t_arrival) or (
+                                limit is not None and tn > limit
+                            ):
+                                break
+                            tc = tn
+                        now = tc
+                        if completed != pruned_to:
+                            pruned_to = completed
+                            segments = seg_count()
+                            if segments > peak_segments:
+                                peak_segments = segments
+                            prune(last_completion)
+
+                # clock advance fused with completion processing: when
+                # the next completion is due it *is* the event
+                if time_heap and (t_arrival is None or time_heap[0] <= t_arrival):
+                    tc = time_heap[0]
+                    if limit is not None and tc > limit:
+                        break
+                    now = tc
+                    # 1. completions at `now` free their processors first
+                    heappop(time_heap)
+                    finished = buckets.pop(now)
+                    if use_heap:
+                        for _ in range(1, len(finished)):
+                            heappop(time_heap)
+                    elif uncertain and finished:
+                        finished, extra, requeued = self._resolve_fates(
+                            now, finished
+                        )
+                        # a requeue leaves the running count without a
+                        # completion: count its start here
+                        uncertain_events += extra + requeued
+                        running_count -= requeued
+                        blocked_id = None
+                    if finished:
+                        n = len(finished)
+                        completed += n
+                        since_prune += n
+                        running_count -= n
+                        last_completion = now
+                        if running_ids is not None:
+                            running_ids.difference_update([j.id for j in finished])
+                        if window:
+                            for job in finished:
+                                acc = window_of.pop(job.id)
+                                acc.completed += 1
+                                acc.last_completion = now
+                                if acc.full and acc.completed == acc.arrived:
+                                    self._emit_done_windows()
+                    # 1b. uncertainty events at `now` (each has a wake
+                    # bucket): no-show holes release their capacity,
+                    # backed-off failed jobs re-enter the queue — both
+                    # before arrivals, so the decision pass sees the
+                    # true state
+                    if uncertain and (
+                        now in self._no_shows_at or now in self._requeue_ready
+                    ):
+                        uncertain_events += self._release_due(now)
+                        blocked_id = None
+                        if len(queue) > peak_queue:
+                            peak_queue = len(queue)
+                elif pending is not None:
+                    if limit is not None and t_arrival > limit:
+                        break
+                    now = t_arrival
                 else:
-                    bucket.append(job)
+                    break
 
-        if len(running) > self.peak_running:
-            self.peak_running = len(running)
+                # 2. arrivals at `now` join the queue in stream order
+                probed = False
+                while t_arrival == now and pending is not None:
+                    job = pending
+                    if watch_times and not (
+                        type(job.p) is int and type(job.release) is int
+                    ):
+                        # non-integral trace: demote to the exact list
+                        # backend (conversion preserves the function)
+                        profile = self.profile = convert_profile(profile, "list")
+                        watch_times = cheap_prune = fast_drain = False
+                        self.demoted = True
+                        self.demoted_at = _note_demotion(job)
+                        (try_reserve, reserve_fitting, earliest_fit,
+                         min_capacity, capacity_at, fits, prune,
+                         seg_count) = _profile_ops(profile)
+                    jq = job.q
+                    if jq > m:
+                        raise SchedulingError(
+                            f"job {job.id!r} requires {jq} processors but the "
+                            f"machine only has {m}"
+                        )
+                    jp = job.p
+                    rel = job.release
+                    area = jp * jq
+                    finish = rel + jp
+                    if window:
+                        if cur_acc is None:
+                            cur_acc = self._new_window(arrived // window)
+                            wa_arrived = wa_work = wa_pmax = wa_latest = 0
+                            wa_first = rel
+                        window_of[job.id] = cur_acc
+                        wa_arrived += 1
+                        wa_work += area
+                        if jp > wa_pmax:
+                            wa_pmax = jp
+                        if finish > wa_latest:
+                            wa_latest = finish
+                        if wa_arrived == window:
+                            cur_acc.fill(window, wa_first, wa_work, wa_pmax, wa_latest)
+                            cur_acc.full = True
+                            cur_acc = None
+                    arrived += 1
+                    total_work += area
+                    if jp > pmax:
+                        pmax = jp
+                    if finish > latest_lb_finish:
+                        latest_lb_finish = finish
+                    pending = next(it, None)
+                    if pending is not None:
+                        t_arrival = pending.release
+                        if t_arrival < now:
+                            raise _out_of_order(pending, now)
+                    else:
+                        t_arrival = None
+                        if eof and window:
+                            # the stream ended: flush the partial trailing
+                            # window, then every open window is full
+                            if cur_acc is not None:
+                                cur_acc.fill(wa_arrived, wa_first, wa_work,
+                                             wa_pmax, wa_latest)
+                                cur_acc = None
+                            self._close_windows()
+                    if queue or t_arrival == now or not shortcuts:
+                        queue[job.id] = job
+                        # the queue only grows during the arrival phase,
+                        # so sampling after each enqueue sees every
+                        # high-water mark
+                        qlen = len(queue)
+                        if qlen > peak_queue:
+                            peak_queue = qlen
+                        continue
+                    # Lone arrival on an empty queue: every built-in
+                    # pass starts it iff it fits at `now`, so one probe
+                    # decides.  A blocked lone head backs no backfill
+                    # (and a new id misses EASY's memo), so the pass is
+                    # skipped after a failed probe: it would repeat it.
+                    if not peak_queue:
+                        peak_queue = 1
+                    if not try_reserve(now, jp, jq):
+                        queue[job.id] = job
+                        probed = True
+                        continue
+                    running_count += 1
+                    # wait == 0, so the slowdown and bounded slowdown are
+                    # exactly 1.0 (x/x, and the clamp floors jp/tau).  The
+                    # int check behind `watch_times` makes the slowdown a
+                    # float; other time types (Fraction) keep the exact
+                    # quotient so the sum matches the reference pass's
+                    # repro: noqa-begin RPL2xx -- float slowdown/bsld gauges
+                    sum_slowdown += 1.0 if watch_times else (now - rel + jp) / jp
+                    sum_bsld += 1.0
+                    if 1.0 > max_bsld:
+                        max_bsld = 1.0
+                    if window:
+                        acc = window_of[job.id]
+                        acc.started += 1
+                        acc.sum_bsld += 1.0
+                        if 1.0 > acc.max_bsld:
+                            acc.max_bsld = 1.0
+                    # repro: noqa-end RPL2xx
+                    if record is not None:
+                        record[job.id] = now
+                    if running_ids is not None:
+                        running_ids.add(job.id)
+                    end = now + jp
+                    bucket = buckets.get(end)
+                    if bucket is None:
+                        buckets[end] = [job]
+                        heappush(time_heap, end)
+                    else:
+                        bucket.append(job)
 
-        # 4. compact the profile behind the clock (high-water sampled
-        # just before pruning: the honest peak — cheap-prune backends
-        # compact on every completion event, so the gauge is sampled
-        # on a cadence)
-        if self._cheap_prune:
-            # O(1) prune and O(1) size probe: sample before every
-            # compaction, so the peak gauge is exact
-            if self.completed != self.pruned_to:
-                self.pruned_to = self.completed
-                segments = state.profile.segment_count()
-                if segments > self.peak_segments:
-                    self.peak_segments = segments
-                state.profile.prune_before(now)
-        elif self.since_prune >= self.prune_interval:
-            self.since_prune = 0
-            segments = state.profile.segment_count()
-            if segments > self.peak_segments:
-                self.peak_segments = segments
-            state.profile.prune_before(now)
+                # 3. one decision pass (passes are idempotent per instant)
+                if queue and not probed:
+                    if easy:
+                        # Blocked-head memo: while `blocked_id` heads the
+                        # queue, `blocked_until` is its exact earliest
+                        # fit.  Inside the passes the profile only ever
+                        # *loses* capacity (no shadow mutation), and each
+                        # commit is either a head start — which changes
+                        # the head id, missing the memo — or a
+                        # shadow-checked backfill, which by construction
+                        # leaves the head fitting at `blocked_until`
+                        # while capacity loss cannot move an earliest fit
+                        # earlier.  Every other profile change clears the
+                        # memo.  So `now < blocked_until` proves the head
+                        # probe fails and phase 2 may reuse the value.  A
+                        # memoised head starts no earlier than
+                        # `blocked_until`, so a later job reusing its id
+                        # (serve allows that once the first finishes)
+                        # meets the memo only at `now >= blocked_until`,
+                        # where both phases ignore it.
+                        started = []
+                        # phase 1: heads (the queue is not empty here)
+                        while queue:
+                            head = next(iter(queue.values()))
+                            if blocked_id == head.id and now < blocked_until:
+                                break
+                            if not try_reserve(now, head.p, head.q):
+                                break
+                            del queue[head.id]
+                            started.append(head)
+                        if len(queue) > 1:
+                            # phase 2: the head's shadow reservation,
+                            # expressed as window queries — a backfill
+                            # candidate fits under the shadow iff each of
+                            # the <=3 sub-windows clears its demand.
+                            # (With no candidates behind the head the
+                            # shadow can start nothing: skipped outright.)
+                            hp = head.p
+                            hq = head.q
+                            if blocked_id == head.id and now < blocked_until:
+                                s_head = blocked_until
+                            else:
+                                s_head = earliest_fit(hq, hp, after=now)
+                                if s_head is None:
+                                    raise SchedulingError(
+                                        f"job {head.id!r} can never start"
+                                    )
+                                blocked_id = head.id
+                                blocked_until = s_head
+                            h_end = s_head + hp
+                            # Every candidate's window contains `now`, and
+                            # the shadow starts strictly after `now` (the
+                            # head just failed to fit), so a width above
+                            # the capacity at `now` cannot start: one int
+                            # compare screens most blocked candidates.
+                            cap_now = capacity_at(now)
+                            backfill = iter(list(queue.values()))
+                            next(backfill)  # the head itself
+                            for job in backfill:
+                                jq = job.q
+                                if jq > cap_now:
+                                    continue
+                                jp = job.p
+                                j_end = now + jp
+                                if s_head >= j_end:
+                                    ok = fits(jq, now, jp)
+                                else:
+                                    lim = j_end if j_end < h_end else h_end
+                                    ok = (
+                                        min_capacity(s_head, lim) >= jq + hq
+                                        and (s_head <= now
+                                             or min_capacity(now, s_head) >= jq)
+                                        and (j_end <= h_end
+                                             or min_capacity(h_end, j_end) >= jq)
+                                    )
+                                if ok:
+                                    cap_now -= jq
+                                    reserve_fitting(now, jp, jq)
+                                    del queue[job.id]
+                                    started.append(job)
+                    elif kind is not None:
+                        # fcfs / greedy: one ordered sweep; fcfs stops at
+                        # the first job that does not fit
+                        started = []
+                        for job in list(queue.values()):
+                            if not try_reserve(now, job.p, job.q):
+                                if greedy:
+                                    continue
+                                break
+                            del queue[job.id]
+                            started.append(job)
+                    else:
+                        started = decide(self, now)
+                    for job in started:
+                        running_count += 1
+                        jp = job.p
+                        end = now + jp
+                        if uncertain:
+                            end, doomed = self._draw_fate(job, now)
+                        bucket = buckets.get(end)
+                        if bucket is None:
+                            buckets[end] = [job]
+                            heappush(time_heap, end)
+                        else:
+                            bucket.append(job)
+                            if use_heap:
+                                heappush(time_heap, end)
+                        if record is not None:
+                            # restarted jobs overwrite: the recorded start
+                            # is the final (completing) attempt's
+                            record[job.id] = now
+                        if running_ids is not None:
+                            running_ids.add(job.id)
+                        if not (uncertain and doomed):
+                            # metrics measure each job's final attempt
+                            # only — a doomed attempt's wait is not the
+                            # job's wait
+                            wait = now - job.release
+                            sum_wait += wait
+                            if wait > max_wait:
+                                max_wait = wait
+                            # repro: noqa-begin RPL2xx -- slowdown/bsld gauges
+                            # are float aggregates; grid times never read them
+                            sum_slowdown += (wait + jp) / jp
+                            den = jp if jp > bsld_tau else bsld_tau
+                            bsld = float(wait + jp) / float(den)
+                            if bsld < 1.0:
+                                bsld = 1.0
+                            # repro: noqa-end RPL2xx
+                            sum_bsld += bsld
+                            if bsld > max_bsld:
+                                max_bsld = bsld
+                            if window:
+                                acc = window_of[job.id]
+                                acc.started += 1
+                                acc.sum_wait += wait
+                                if wait > acc.max_wait:
+                                    acc.max_wait = wait
+                                acc.sum_bsld += bsld
+                                if bsld > acc.max_bsld:
+                                    acc.max_bsld = bsld
+                            if uncertain:
+                                self.n_starts += 1
+                                if bsld <= DEFAULT_SLOWDOWN_THRESHOLD:
+                                    self.n_bsld_le += 1
+                                if window:
+                                    acc.waits.append(wait)
+                                    acc.bslds.append(bsld)
 
-        self.now = now
+                if running_count > peak_running:
+                    peak_running = running_count
+
+                # 4. compact the profile behind the clock (completion
+                # events only: capacity history only accrues when jobs
+                # finish).  Cheap-prune backends have an O(1)
+                # segment_count, so the peak gauge samples before every
+                # compaction and is exact; others sample on the cadence.
+                if cheap_prune:
+                    if completed != pruned_to:
+                        pruned_to = completed
+                        segments = seg_count()
+                        if segments > peak_segments:
+                            peak_segments = segments
+                        prune(now)
+                elif since_prune >= prune_interval:
+                    since_prune = 0
+                    segments = seg_count()
+                    if segments > peak_segments:
+                        peak_segments = segments
+                    prune(now)
+
+            if pending is not None:
+                # the look-ahead lies past `limit`: stage it again
+                self._staged.appendleft(pending)
+                self._staged_ids.add(pending.id)
+        finally:
+            if cur_acc is not None:
+                # fold the filling window's locals back into its acc so
+                # the next call (or a checkpoint) sees it exactly
+                cur_acc.fill(wa_arrived, wa_first, wa_work, wa_pmax, wa_latest)
+            self._watch_times = watch_times
+            self._cheap_prune = cheap_prune
+            self._blocked_id = blocked_id
+            self._blocked_until = blocked_until
+            self.now = now
+            # every event is an arrival, a start, a completion or an
+            # uncertainty event; starts are not counted one by one but
+            # recovered from the running count, which each start enters
+            # and each completion (or requeue, counted above) leaves
+            events += (
+                arrived - arrived0 + 2 * (completed - completed0)
+                + running_count - running0 + uncertain_events
+            )
+            for name, value in zip(_CKPT_COUNTERS, (
+                arrived, completed, events, total_work, pmax,
+                latest_lb_finish, last_completion, sum_wait, max_wait,
+                sum_slowdown, sum_bsld, max_bsld, peak_queue, running_count,
+                peak_running, peak_segments, since_prune, pruned_to,
+            )):
+                setattr(self, name, value)
 
     # -- uncertainty mechanics ---------------------------------------------
     def _draw_fate(self, job: Job, now):
@@ -863,18 +1235,19 @@ class SchedulerCore:
             return est_end, False
         return est_end, False
 
-    def _apply_uncertain_completions(self, now, bucket: List[Job]):
-        """Resolve the calendar bucket at ``now`` against recorded fates,
-        returning the jobs that actually complete here.
+    def _resolve_fates(self, now, bucket: List[Job]):
+        """Resolve the calendar bucket at ``now`` against recorded fates:
+        ``(jobs completing here, extra events, jobs requeued)``.
 
         Failures credit their unused reservation tail and park the job
         for requeue; early exits credit the tail and complete; overruns
         are killed at the estimate or granted a capacity-checked grace
         extension (and re-bucketed at its end)."""
         model = self.uncertainty
-        state = self.state
+        profile = self.profile
         window_of = self.window_of
         out: List[Job] = []
+        extra = requeued = 0
         for job in bucket:
             fate = self._fates.pop(job.id, None)
             if fate is None:
@@ -883,21 +1256,23 @@ class SchedulerCore:
             kind, boundary = fate
             if kind == "early":
                 # finished short of the estimate: free the tail now
-                state.profile.add(now, boundary - now, job.q)
+                profile.add(now, boundary - now, job.q)
                 self.early_exits += 1
                 out.append(job)
             elif kind == "fail":
                 fire("uncertainty.requeue")
                 if boundary > now:
                     # a p=1 job failing at its only tick has no tail
-                    state.profile.add(now, boundary - now, job.q)
-                del state.running[job.id]
+                    profile.add(now, boundary - now, job.q)
                 self._attempts[job.id] = self._attempts.get(job.id, 0) + 1
+                if self._running_ids is not None:
+                    self._running_ids.discard(job.id)
                 self.requeues += 1
-                self.events += 1
-                w = window_of.get(job.id)
-                if w is not None:
-                    self.windows[w].requeues += 1
+                extra += 1
+                requeued += 1
+                acc = window_of.get(job.id)
+                if acc is not None:
+                    acc.requeues += 1
                 ready = now + model.backoff
                 self._requeue_ready.setdefault(ready, []).append(job)
                 if ready not in self.buckets:
@@ -906,9 +1281,9 @@ class SchedulerCore:
             elif kind == "kill":
                 fire("uncertainty.overrun_kill")
                 self.kills += 1
-                w = window_of.get(job.id)
-                if w is not None:
-                    self.windows[w].kills += 1
+                acc = window_of.get(job.id)
+                if acc is not None:
+                    acc.kills += 1
                 out.append(job)
             elif kind == "grace":
                 actual_end = boundary
@@ -916,17 +1291,17 @@ class SchedulerCore:
                 if actual_end < cap_end:
                     cap_end = actual_end
                 try:
-                    state.profile.reserve(now, cap_end - now, job.q)
+                    profile.reserve(now, cap_end - now, job.q)
                 except CapacityError:
                     # the extension does not fit: walltime kill after all
                     fire("uncertainty.overrun_kill")
                     self.kills += 1
-                    w = window_of.get(job.id)
-                    if w is not None:
-                        self.windows[w].kills += 1
+                    acc = window_of.get(job.id)
+                    if acc is not None:
+                        acc.kills += 1
                     out.append(job)
                     continue
-                self.events += 1
+                extra += 1
                 if cap_end < actual_end:
                     # grace budget exhausted before the actual runtime:
                     # the kill lands at the extension boundary
@@ -943,20 +1318,23 @@ class SchedulerCore:
                 )
         for job in out:
             self._attempts.pop(job.id, None)
-        return out
+        return out, extra, requeued
 
-    def _apply_uncertainty_events(self, now) -> None:
-        """No-show hole releases and failure re-entries due at ``now``."""
+    def _release_due(self, now) -> int:
+        """Apply the no-show hole releases and failure re-entries due at
+        ``now``; returns the number of events."""
+        events = 0
         holes = self._no_shows_at.pop(now, None)
         if holes:
             for p, q in holes:
-                self.state.profile.add(now, p, q)
+                self.profile.add(now, p, q)
                 self.no_shows += 1
-                self.events += 1
+                events += 1
         ready = self._requeue_ready.pop(now, None)
         if ready:
             for job in ready:
                 # the job arrived once: re-entry touches no arrival
                 # counters, only the queue (and its retained window slot)
-                self.state.enqueue(job)
-                self.events += 1
+                self.queue[job.id] = job
+                events += 1
+        return events

@@ -210,6 +210,24 @@ def test_exactness_function_scope_only(tmp_path):
     assert report.violations[0].line == 4  # the leading newline is line 1
 
 
+@pytest.mark.parametrize("entry", [
+    "src/engine.py::Engine._no_such_loop",   # scope renamed or deleted
+    "src/gone.py::Engine.hot",               # module deleted
+])
+def test_stale_kernel_scope_is_a_config_error(tmp_path, entry):
+    project = make_project(
+        tmp_path,
+        {"src/engine.py": """
+            class Engine:
+                def hot(self, t):
+                    return t // 2
+        """},
+        config=f'int-kernel-functions = ["src/engine.py::Engine.hot", "{entry}"]\n',
+    )
+    with pytest.raises(LintConfigError, match="int-kernel scope"):
+        run_lint([project / "src"])
+
+
 def test_exactness_region_suppression(tmp_path):
     project = make_project(
         tmp_path,
@@ -663,17 +681,17 @@ def test_repro_lint_src_exits_zero(capsys):
 # ---------------------------------------------------------------------------
 
 ENGINE_INTERNALS_CONFIG = """
-    engine-internal-names = ["_run_fused", "_run_generic"]
-    engine-internal-owners = ["src/engine.py"]
+    engine-internal-names = ["_event_loop"]
+    engine-internal-owners = ["src/core.py"]
 """
 
 ENGINE_SRC = """
-    class Engine:
-        def _run_fused(self):
-            return self._run_generic()
+    class Core:
+        def advance_to(self, t):
+            return self._event_loop(t)
 
-        def _run_generic(self):
-            return 1
+        def _event_loop(self, t):
+            return t
 """
 
 
@@ -681,10 +699,10 @@ def test_engine_reach_in_fires_outside_owner(tmp_path):
     project = make_project(
         tmp_path,
         {
-            "src/engine.py": ENGINE_SRC,
+            "src/core.py": ENGINE_SRC,
             "src/driver.py": """
-                def go(engine):
-                    return engine._run_fused()
+                def go(core):
+                    return core._event_loop(0)
             """,
         },
         config=ENGINE_INTERNALS_CONFIG,
@@ -698,19 +716,19 @@ def test_engine_reach_in_fires_outside_owner(tmp_path):
 
 def test_engine_owner_file_is_exempt(tmp_path):
     project = make_project(
-        tmp_path, {"src/engine.py": ENGINE_SRC},
+        tmp_path, {"src/core.py": ENGINE_SRC},
         config=ENGINE_INTERNALS_CONFIG,
     )
     assert run_lint([project / "src"]).clean
 
 
 def test_engine_reach_in_flags_any_receiver(tmp_path):
-    # the check is syntactic: `x._run_generic` fires whatever `x` is
+    # the check is syntactic: `x._event_loop` fires whatever `x` is
     project = make_project(
         tmp_path,
         {"src/other.py": """
             def probe(x):
-                return x._run_generic
+                return x._event_loop
         """},
         config=ENGINE_INTERNALS_CONFIG,
     )
@@ -721,9 +739,9 @@ def test_engine_reach_in_noqa_suppresses(tmp_path):
     project = make_project(
         tmp_path,
         {"src/bench.py": """
-            def gate(engine):
-                # differential twin: measured on purpose
-                return engine._run_fused()  # repro: noqa RPL503 -- twin gate
+            def gate(core):
+                # loop benchmark: measured on purpose
+                return core._event_loop(0)  # repro: noqa RPL503 -- loop bench
         """},
         config=ENGINE_INTERNALS_CONFIG,
     )
@@ -734,8 +752,8 @@ def test_engine_internals_unconfigured_is_clean(tmp_path):
     project = make_project(
         tmp_path,
         {"src/driver.py": """
-            def go(engine):
-                return engine._run_fused()
+            def go(core):
+                return core._event_loop(0)
         """},
     )
     assert run_lint([project / "src"]).clean
@@ -745,5 +763,6 @@ def test_engine_internals_config_parses():
     from repro.devtools.lint.config import load_config
 
     config = load_config(REPO_ROOT / "pyproject.toml")
-    assert "_run_fused" in config.engine_internal_names
-    assert "src/repro/simulation/replay.py" in config.engine_internal_owners
+    assert "_event_loop" in config.engine_internal_names
+    assert "src/repro/simulation/scheduler_core.py" in \
+        config.engine_internal_owners

@@ -172,6 +172,19 @@ def test_resume_rejects_mismatched_config(tmp_path):
         )
 
 
+def test_resume_rejects_other_checkpoint_version(tmp_path, monkeypatch):
+    """A journal whose header predates the checkpoint-version key (its
+    snapshots carry another loop's counters) fails the header check
+    instead of resuming with a wrong event count."""
+    import repro.durability.journaled as journaled
+
+    with monkeypatch.context() as patched:
+        patched.setattr(journaled, "CHECKPOINT_VERSION", None)
+        journal_dir, store = _complete_journal(tmp_path)
+    with pytest.raises(JournalError, match="checkpoint"):
+        _journaled(str(journal_dir), str(store), resume=True)
+
+
 def test_resume_of_nothing_is_loud(tmp_path):
     with pytest.raises(JournalError, match="no journal"):
         _journaled(str(tmp_path / "absent"), None, resume=True)

@@ -631,14 +631,15 @@ class TestReplayCLI:
 
 
 # ---------------------------------------------------------------------------
-# engine configurations: fused vs generic, calendar vs heap, auto demotion
+# engine configurations: inlined vs reference passes, calendar vs heap,
+# auto demotion
 # ---------------------------------------------------------------------------
 
 class TestEngineConfigurations:
     @pytest.mark.parametrize("policy", ["fcfs", "greedy", "easy"])
     def test_fused_equals_generic_rows(self, policy):
-        """The fused in-engine decision passes must reproduce the
-        registered policy functions row for row (windows included)."""
+        """The inlined decision passes must reproduce the registered
+        policy functions row for row (windows included)."""
         jobs = list(synth_swf_jobs("bursty", 3000, m=64, seed=5))
         fused = ReplayEngine(64, policy=policy, window=500,
                              record_starts=True).run(jobs)
@@ -666,10 +667,34 @@ class TestEngineConfigurations:
             ReplayEngine(8, completion_queue="ring")
 
     def test_conservative_routes_to_generic_loop(self):
-        # no fused twin: dispatch must fall back, not crash
+        # no inlined pass: runs through the policy protocol
         jobs = list(synth_swf_jobs("steady", 300, m=16, seed=0))
         result = ReplayEngine(16, policy="conservative").run(jobs)
         assert result.totals["n_jobs"] == 300
+
+    @pytest.mark.parametrize("policy,uncertainty,fused", [
+        ("easy", None, True),
+        ("easy", None, False),
+        ("greedy", "lognormal:sigma=0.5", True),
+        ("fcfs", "early-exit", False),
+        ("conservative", None, True),
+        ("conservative", "lognormal:sigma=0.5", True),
+    ])
+    def test_unsorted_stream_rejected(self, policy, uncertainty, fused):
+        """Every pass, the protocol path and the uncertainty layer
+        refuse a release before the clock instead of moving it back."""
+        from repro.core.job import Job
+
+        jobs = [Job(id=1, p=5, q=2, release=0), Job(id=2, p=3, q=2, release=4),
+                Job(id=3, p=2, q=2, release=2)]
+        engine = ReplayEngine(8, policy=policy, uncertainty=uncertainty,
+                              fused_policies=fused)
+        with pytest.raises(SchedulingError, match="out of order"):
+            engine.run(jobs)
+        # a resumed slice may not start before the checkpoint's clock
+        ck = engine.run_slice(jobs[:2], drain=False).checkpoint
+        with pytest.raises(SchedulingError, match="out of order"):
+            engine.run_slice(jobs[2:], resume=ck)
 
     def test_auto_demotes_on_float_times(self):
         """A non-integral trace under the default auto backend demotes

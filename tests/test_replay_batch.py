@@ -1,12 +1,12 @@
-"""Differential tests for checkpoint chaining and the fused loop's
+"""Differential tests for checkpoint chaining and the event loop's
 scalar shortcuts.
 
 The invariants here are the engine's contract: a trace replayed as a
 chain of ``run_slice`` calls, each resumed from its predecessor's
 checkpoint, produces byte-identical rows (modulo volatile wall-clock
-fields) to one serial run; and the fused loop's empty-queue drain and
-lone-arrival probe produce exactly the generic reference loop's rows
-and a schedule ``Schedule.verify()`` accepts.
+fields) to one serial run; and the inlined passes' empty-queue drain
+and lone-arrival probe produce exactly the reference protocol pass's
+rows and a schedule ``Schedule.verify()`` accepts.
 """
 
 import json
@@ -25,6 +25,7 @@ from repro.durability.journaled import _chunk_stream
 from repro.errors import SchedulingError
 from repro.run.store import JsonlStore
 from repro.simulation.replay import VOLATILE_TOTAL_FIELDS, ReplayEngine
+from repro.workloads.swf import synth_swf_jobs
 
 #: wall-clock fields that legitimately differ between identical runs
 VOLATILE = VOLATILE_TOTAL_FIELDS
@@ -81,7 +82,7 @@ _policies = st.sampled_from(["fcfs", "greedy", "easy"])
 
 
 # ---------------------------------------------------------------------------
-# the fused loop's scalar shortcuts == the generic reference loop
+# the scalar shortcuts == the reference protocol pass
 # ---------------------------------------------------------------------------
 
 class TestFusedShortcuts:
@@ -94,8 +95,8 @@ class TestFusedShortcuts:
         self, rows, policy, window, config
     ):
         """Idle gaps and lone arrivals drive the empty-queue drain and
-        the lone-arrival probe; the fused rows must equal the generic
-        loop's (Fraction releases included: their slowdown sums stay
+        the lone-arrival probe; the fused rows must equal the reference
+        pass's (Fraction releases included: their slowdown sums stay
         exact), and the recorded starts must be a feasible schedule of
         the certain-world instance."""
         m = 16
@@ -204,6 +205,26 @@ class TestEpochShardedReplay:
         assert _trim(chained) == _trim(serial)
         assert _stored_rows(tmp / "chain.jsonl") == \
             _stored_rows(tmp / "serial.jsonl")
+
+    @pytest.mark.parametrize("first_fast", [True, False])
+    def test_chain_across_fast_and_reference_passes(self, first_fast):
+        """A checkpoint cut by the inlined passes resumes under the
+        reference protocol pass (and vice versa) with the serial run's
+        totals and rows — ``events`` included: the checkpoint carries
+        the live count of every arrival, start and completion."""
+        jobs = list(synth_swf_jobs("steady", 400, m=64, seed=3))
+        serial = ReplayEngine(64, window=50, record_starts=True).run(jobs)
+        first = ReplayEngine(64, window=50, record_starts=True,
+                             fused_policies=first_fast)
+        head = first.run_slice(jobs[:200], drain=False)
+        assert head.checkpoint.counters["events"] > 2 * 200
+        second = ReplayEngine(64, window=50, record_starts=True,
+                              fused_policies=not first_fast)
+        tail = second.run_slice(jobs[200:], resume=head.checkpoint)
+        assert tail.totals["events"] == serial.totals["events"] == 3 * 400
+        tail.windows = head.windows + tail.windows
+        tail.starts = {**head.starts, **tail.starts}
+        assert _trim(tail) == _trim(serial)
 
     def test_demotion_record_crosses_epochs(self):
         """A demotion in the first slice rides the checkpoint: the final

@@ -30,12 +30,15 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.core.job import Job
+from repro.core.instance import ReservationInstance
+from repro.core.job import Job, Reservation
+from repro.core.schedule import Schedule
 from repro.devtools import failpoints
 from repro.durability import Journal
 from repro.errors import SchedulingError, ServeError, ServeProtocolError
@@ -57,7 +60,7 @@ from repro.serve.api import (
     parse_request,
     raise_for_envelope,
 )
-from repro.simulation import SchedulerCore
+from repro.simulation import POLICIES, SchedulerCore
 
 SRC_ROOT = Path(repro.__file__).resolve().parents[1]
 
@@ -288,6 +291,113 @@ class TestCoreVerbs:
         core.reserve(0, 10, 4)
         with pytest.raises(SchedulingError, match="does not fit"):
             core.reserve(5, 1, 1)
+
+    @staticmethod
+    def _blocked_head_session(fast):
+        """An EASY head blocked across ``reserve`` and ``cancel`` calls.
+
+        ``a`` holds the whole machine over [0, 10); head ``h`` (4 wide)
+        is blocked and ``b`` waits behind it, so the pass memoises h's
+        earliest fit, 10.  Reserving [10, 30) x 2 moves that fit to 30,
+        which lets ``b`` backfill at 10.  Cancelling ``h`` and
+        resubmitting a 1-wide job under the same id (next to ``c``) must
+        probe it afresh at 11."""
+        easy = POLICIES.get("easy")
+        core = SchedulerCore(4, "easy", window=0, record_starts=True,
+                             decide=easy if fast else partial(easy))
+        core.submit(Job(id="a", p=10, q=4, release=0))
+        core.submit(Job(id="h", p=5, q=4, release=1))
+        core.submit(Job(id="b", p=3, q=1, release=1))
+        core.advance_to(1)
+        core.reserve(10, 20, 2)
+        core.advance_to(10)
+        assert core.cancel("h") == "queued"
+        core.submit(Job(id="h", p=1, q=1, release=11))
+        core.submit(Job(id="c", p=1, q=1, release=11))
+        core.drain()
+        return core
+
+    def test_reserve_and_cancel_invalidate_blocked_head_memo(self):
+        fast = self._blocked_head_session(True)
+        reference = self._blocked_head_session(False)
+        assert fast.starts == {"a": 0, "b": 10, "h": 11, "c": 12}
+        assert json.dumps(fast.describe_state(), sort_keys=True) == \
+            json.dumps(reference.describe_state(), sort_keys=True)
+        assert fast.starts == reference.starts
+        # an independent oracle: the starts, with the hole as a
+        # reservation, are a feasible schedule
+        instance = ReservationInstance(
+            m=4,
+            jobs=(Job(id="a", p=10, q=4, release=0),
+                  Job(id="b", p=3, q=1, release=1),
+                  Job(id="h", p=1, q=1, release=11),
+                  Job(id="c", p=1, q=1, release=11)),
+            reservations=(Reservation(id="r", start=10, p=20, q=2),),
+        )
+        Schedule(instance, fast.starts).verify()
+
+    @staticmethod
+    def _reused_head_session(fast):
+        """A memoised EASY head starts, finishes, and its id returns as
+        a blocked head with a backfill candidate behind it.
+
+        At 0, ``X`` waits behind the full-width ``a`` with ``b`` behind
+        it, so the pass memoises X's earliest fit, 10; X starts there.
+        The second ``X`` (5 wide) queues at 20 behind ``c`` while ``e``
+        holds 2 processors, so its earliest fit is 30 — and ``d`` would
+        delay it if backfilled against the first X's memo."""
+        easy = POLICIES.get("easy")
+        core = SchedulerCore(8, "easy", window=0, record_starts=True,
+                             decide=easy if fast else partial(easy))
+        core.submit(Job(id="a", p=10, q=8, release=0))
+        core.submit(Job(id="X", p=5, q=1, release=0))
+        core.submit(Job(id="b", p=5, q=8, release=0))
+        core.advance_to(0)
+        assert core.cancel("b") == "queued"
+        core.advance_to(10)
+        with pytest.raises(SchedulingError, match="already live"):
+            core.submit(Job(id="X", p=5, q=5, release=20))  # still running
+        core.submit(Job(id="e", p=100, q=2, release=16))
+        core.advance_to(16)
+        core.submit(Job(id="c", p=10, q=4, release=20))
+        core.submit(Job(id="X", p=5, q=5, release=20))
+        core.submit(Job(id="d", p=30, q=2, release=20))
+        core.advance_to(20)
+        core.drain()
+        return core
+
+    def test_reused_id_of_started_head_misses_the_memo(self):
+        fast = self._reused_head_session(True)
+        reference = self._reused_head_session(False)
+        assert fast.starts == {"a": 0, "X": 30, "e": 16, "c": 20, "d": 35}
+        assert fast.starts == reference.starts
+        assert json.dumps(fast.describe_state(), sort_keys=True) == \
+            json.dumps(reference.describe_state(), sort_keys=True)
+        # the first X ran over [10, 15): a reservation for the oracle
+        instance = ReservationInstance(
+            m=8,
+            jobs=(Job(id="a", p=10, q=8, release=0),
+                  Job(id="e", p=100, q=2, release=16),
+                  Job(id="c", p=10, q=4, release=20),
+                  Job(id="X", p=5, q=5, release=20),
+                  Job(id="d", p=30, q=2, release=20)),
+            reservations=(Reservation(id="X0", start=10, p=5, q=1),),
+        )
+        Schedule(instance, fast.starts).verify()
+
+    @pytest.mark.parametrize("uncertainty", [None, "lognormal:sigma=0.5:failure_rate=0.3:seed=5"])
+    def test_running_index_follows_the_loop(self, uncertainty):
+        """Once a submit has indexed the running jobs, starts, completions
+        and failure requeues keep the index equal to the calendar."""
+        core = SchedulerCore(4, "easy", window=0, uncertainty=uncertainty)
+        core.submit(Job(id="j0", p=4, q=2, release=0))
+        for t in range(1, 40):
+            core.submit(Job(id=f"j{t}", p=1 + t % 5, q=1 + t % 3, release=t))
+            core.advance_to(t)
+            in_flight = {j.id for b in core.buckets.values() for j in b}
+            assert core._running_ids == in_flight
+        core.drain()
+        assert core._running_ids == set()
 
     def test_describe_state_is_deterministic_and_json_safe(self):
         def run():

@@ -3,28 +3,37 @@
 The contracts under test are the PR's acceptance bar:
 
 * the ``exact`` model is *byte-identical* to no model at all, across
-  policies x profile backends x fused/generic loops — window rows,
+  policies x profile backends x inlined/reference passes — window rows,
   totals and recorded starts;
 * every stochastic model is seed-deterministic: same seed => identical
   output, different seed => different draws, and a serial replay equals
   a chain of checkpointed slices (checkpoints round-trip the
   uncertainty state);
+* the inlined fcfs/greedy/easy passes equal the registered functions
+  run through the policy protocol under every uncertainty mechanism, in
+  replay, sliced replay and serve-style core sessions;
 * the event mechanics hold individually: failure/requeue with bounded
   retries, walltime kills, grace extensions, early-exit capacity
   credit, reservation no-shows, and the ``unstaged`` cancel gauge.
 """
+
+import json
+import pickle
+from functools import partial
 
 import pytest
 from conftest import replay_chained
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
+from repro.core.instance import ReservationInstance
 from repro.core.job import Job
 from repro.core.metrics import p_slowdown_le, quantile
 from repro.devtools import failpoints
 from repro.devtools.failpoints import CATALOG_BY_NAME, FailpointError
+from repro.core.schedule import Schedule
 from repro.errors import InvalidInstanceError, ReproError, SchedulingError
-from repro.simulation.online_sim import simulate
+from repro.simulation.online_sim import POLICIES, simulate
 from repro.simulation.replay import UNCERTAINTY_METRIC_FIELDS, ReplayEngine
 from repro.simulation.scheduler_core import SchedulerCore
 from repro.workloads.uncertainty import (
@@ -196,7 +205,8 @@ class TestExactIdentity:
     @pytest.mark.parametrize("backend", ["array", "list"])
     @pytest.mark.parametrize("fused", [False, True])
     def test_identity_matrix(self, policy, backend, fused):
-        """policies x backends x fused/generic: ``exact`` changes no byte."""
+        """policies x backends x inlined/reference passes: ``exact``
+        changes no byte."""
         m = 16
         jobs = _jobs_from_rows(
             [(i % 3, 5 + (i * 7) % 23, 1 + (i * 5) % 16) for i in range(80)],
@@ -208,6 +218,9 @@ class TestExactIdentity:
         exact = ReplayEngine(m, uncertainty="exact", **kwargs).run(jobs)
         assert _trim(exact) == _trim(plain)
         assert not (UNCERTAINTY_METRIC_FIELDS & exact.totals.keys())
+        # an independent oracle: the recorded starts are a feasible
+        # schedule of the certain-world instance
+        Schedule(ReservationInstance(m=m, jobs=jobs), plain.starts).verify()
 
     @given(rows=_trace_rows, policy=_policies,
            window=st.sampled_from([0, 7]))
@@ -234,6 +247,81 @@ class TestExactIdentity:
             ReplayEngine(8, completion_queue="heap",
                          uncertainty="lognormal")
         ReplayEngine(8, completion_queue="heap", uncertainty="exact")
+
+
+# ---------------------------------------------------------------------------
+# the inlined passes == the reference protocol pass, under uncertainty
+# ---------------------------------------------------------------------------
+
+#: one model per uncertainty mechanism the passes meet: failures and
+#: requeues, early-exit tail credits, reservation no-shows, grace
+#: extensions
+_IDENTITY_MODELS = [
+    "lognormal:sigma=0.5:failure_rate=0.1:seed=3",
+    "early-exit:seed=2",
+    "exact:no_show_rate=0.5:seed=4",
+    "underestimate:factor=1.4:overrun=grace:grace=0.5:seed=5",
+]
+
+
+def _core_session(m, policy, backend, model, fast, jobs):
+    """A serve-style session on a bare core — reservations and cancels
+    between ``advance_to`` calls — returning its canonical state at a
+    midpoint and at the end, its rows and its starts."""
+    decide = POLICIES.get(policy)
+    core = SchedulerCore(
+        m, policy, profile_backend=backend, window=7, record_starts=True,
+        uncertainty=model, decide=decide if fast else partial(decide),
+    )
+    states = []
+    for i, job in enumerate(jobs):
+        if i % 10 == 5:
+            try:
+                core.reserve(job.release + 4, 12, 1 + i % 3)
+            except SchedulingError:
+                pass  # does not fit: refused alike by both passes
+        core.submit(job)
+        core.advance_to(job.release)
+        if i % 9 == 4:
+            try:
+                core.cancel(job.id)
+            except SchedulingError:
+                pass  # already running
+        if i == len(jobs) // 2:
+            states.append(json.dumps(core.describe_state(), sort_keys=True))
+    core.drain()
+    states.append(json.dumps(core.describe_state(), sort_keys=True))
+    return states, core.emitted, core.starts
+
+
+class TestFastPassIdentity:
+    @pytest.mark.parametrize("policy", ["fcfs", "greedy", "easy"])
+    @pytest.mark.parametrize("backend", ["array", "list"])
+    @pytest.mark.parametrize("model", _IDENTITY_MODELS)
+    def test_fast_equals_reference(self, policy, backend, model):
+        """Under every uncertainty mechanism, the inlined passes and the
+        registered functions run through the policy protocol
+        (``fused_policies=False``) produce the same rows, totals,
+        recorded starts and checkpoints, byte for byte — in replay, in
+        a sliced replay and in a serve-style core session."""
+        m = 16
+        jobs = _jobs_from_rows(
+            [(i % 3, 5 + (i * 7) % 23, 1 + (i * 5) % 16) for i in range(80)],
+            m,
+        )
+        runs = {}
+        for fast in (True, False):
+            kwargs = dict(policy=policy, window=7, profile_backend=backend,
+                          record_starts=True, uncertainty=model,
+                          fused_policies=fast)
+            full = ReplayEngine(m, **kwargs).run(jobs)
+            head = ReplayEngine(m, **kwargs).run_slice(jobs[:40], drain=False)
+            runs[fast] = (
+                _trim(full), head.windows, head.starts,
+                pickle.dumps(head.checkpoint),
+                _core_session(m, policy, backend, model, fast, jobs),
+            )
+        assert runs[True] == runs[False]
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +395,7 @@ class TestMechanics:
         fail1 = model.draw("j", 20, 0)[1]
         fail2 = model.draw("j", 20, 1)[1]
         expected = (fail1 + 10) + (fail2 + 10) + 20
-        assert core.state.profile.earliest_fit(4, 1, after=0) is not None
+        assert core.profile.earliest_fit(4, 1, after=0) is not None
         assert st_["clock"] == expected
 
     def test_overrun_kill_at_estimate(self):
