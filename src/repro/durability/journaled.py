@@ -237,10 +237,16 @@ def replay_journaled(
     # row, so resuming under a different model must fail the header check
     # exactly like a different trace would.  The degenerate exact model
     # fingerprints as None — it IS the certain world, and old journals
-    # (no key) resume under it unchanged.
-    from ..workloads.uncertainty import resolve_uncertainty
+    # (no key) resume under it unchanged.  A stochastic model also
+    # records the draw-stream version: rows drawn by an older stream
+    # must not be spliced onto rows drawn by this one.
+    from ..workloads.uncertainty import (
+        DRAW_STREAM_VERSION,
+        resolve_uncertainty,
+    )
 
     u_model = resolve_uncertainty(engine_kwargs.get("uncertainty"))
+    stochastic = u_model is not None and not u_model.is_exact
     config = {
         "format": JOURNAL_VERSION,
         "checkpoint": CHECKPOINT_VERSION,
@@ -252,10 +258,10 @@ def replay_journaled(
         "n": n,
         "max_jobs": max_jobs,
         "seed": seed,
-        "uncertainty": (
-            None if u_model is None or u_model.is_exact else u_model.spec
-        ),
+        "uncertainty": u_model.spec if stochastic else None,
     }
+    if stochastic:
+        config["draw_stream"] = DRAW_STREAM_VERSION
 
     ckpt: Optional[ReplayCheckpoint] = None
     committed_rows: List[Dict] = []

@@ -76,7 +76,9 @@ class ExperimentPoint:
         row was computed under the default, so default-timebase keys must
         keep matching them on resume.  ``uncertainty`` follows the same
         rule: the default exact model is byte-identical to no model, so
-        pre-uncertainty rows keep resuming.
+        pre-uncertainty rows keep resuming.  A stochastic uncertainty
+        factor also keys on the draw-stream version, so rows drawn by an
+        older stream are recomputed rather than resumed.
         """
         factors = {
             "workload": self.workload,
@@ -88,7 +90,14 @@ class ExperimentPoint:
         if self.timebase != DEFAULT_TIMEBASE:
             factors["timebase"] = self.timebase
         if self.uncertainty != DEFAULT_UNCERTAINTY:
+            from ..workloads.uncertainty import (
+                DRAW_STREAM_VERSION,
+                parse_uncertainty,
+            )
+
             factors["uncertainty"] = self.uncertainty
+            if not parse_uncertainty(self.uncertainty).is_exact:
+                factors["draw_stream"] = DRAW_STREAM_VERSION
         return factors
 
     @property

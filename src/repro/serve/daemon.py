@@ -48,6 +48,7 @@ from ..devtools.failpoints import fire
 from ..durability.journal import Journal, OpRecovery
 from ..errors import ReproError, ServeError, ServeProtocolError
 from ..simulation.scheduler_core import SchedulerCore
+from ..workloads.uncertainty import DRAW_STREAM_VERSION
 from .api import (
     MUTATING_OPS,
     SERVE_FORMAT,
@@ -124,8 +125,10 @@ class SchedulerService:
         }
         if core.uncertainty is not None:
             # the canonical spec, not the raw flag: resume must rebuild
-            # the exact same model the journaled ops were applied under
+            # the exact same model the journaled ops were applied under,
+            # drawing from the same stream
             config["uncertainty"] = core.uncertainty.spec
+            config["draw_stream"] = DRAW_STREAM_VERSION
         journal = Journal.create(directory, config, fsync=fsync)
         return cls(core, journal, snapshot_interval)
 
@@ -155,6 +158,18 @@ class SchedulerService:
         policy = config["policy"]
         window = int(config["window"])
         uncertainty = config.get("uncertainty")
+        if (
+            uncertainty is not None
+            and config.get("draw_stream") != DRAW_STREAM_VERSION
+        ):
+            journal.close()
+            raise ServeError(
+                f"journal {directory!r} was written under uncertainty "
+                f"draw stream {config.get('draw_stream', 1)!r}, this "
+                f"build draws from stream {DRAW_STREAM_VERSION}; its ops "
+                "cannot be re-applied byte-identically (start a fresh "
+                "journal)"
+            )
         if recovery.snapshot is not None:
             checkpoint, extras = pickle.loads(recovery.snapshot)
             core = SchedulerCore(m, policy, window=window, resume=checkpoint,

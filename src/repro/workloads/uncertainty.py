@@ -36,10 +36,15 @@ tries to extend the allocation by up to ``grace * p`` extra time —
 capacity-checked, killing only when the extension does not fit.
 
 Determinism is the whole design: every draw comes from a
-``random.Random`` seeded by SHA-256 of ``(model seed, job id, attempt)``
-— independent of processing order, process identity and where a run
-was sliced, which is what makes a serial stochastic replay and a chain
-of checkpointed slices byte-identical and the exact model a true no-op.
+:class:`DrawStream`, a counter-based uniform stream cut straight out of
+SHA-256 of ``(model seed, job id, attempt)`` — independent of
+processing order, process identity and where a run was sliced, which
+is what makes a serial stochastic replay and a chain of checkpointed
+slices byte-identical and the exact model a true no-op.  Changing the
+stream changes every stochastic row, so :data:`DRAW_STREAM_VERSION`
+joins the identity of every stochastic replay journal, serve journal
+and experiment-store key: nothing resumes into rows drawn from two
+different streams.
 
 Models are name-addressable through :data:`UNCERTAINTY_MODELS` (the
 same registry pattern as workloads); ``repro replay
@@ -52,10 +57,10 @@ and register a factory via :func:`register_uncertainty_model`.
 
 from __future__ import annotations
 
-import hashlib
 import math
-import random
+import struct
 from dataclasses import dataclass
+from hashlib import sha256
 from typing import Callable, FrozenSet, Optional, Tuple
 
 from ..core.registry import Registry
@@ -63,6 +68,8 @@ from ..errors import InvalidInstanceError
 
 __all__ = [
     "DEFAULT_FAILURE_RATE",
+    "DRAW_STREAM_VERSION",
+    "DrawStream",
     "UNCERTAINTY_MODELS",
     "UncertaintyModel",
     "available_uncertainty_models",
@@ -94,6 +101,12 @@ DEFAULT_GRACE = 0.25
 #: Recognised overrun policies.
 OVERRUN_POLICIES = ("kill", "grace")
 
+#: Version of the :class:`DrawStream` draws.  Stochastic replay journals,
+#: serve journals and experiment-store keys record it, so state drawn
+#: from an older stream (version 1: a ``random.Random`` seeded per draw)
+#: fails loudly or recomputes instead of resuming into mixed rows.
+DRAW_STREAM_VERSION = 2
+
 _FLOAT_KEYS = frozenset(
     {"factor", "sigma", "failure_rate", "no_show_rate", "grace"}
 )
@@ -102,6 +115,47 @@ _COMMON_KEYS = frozenset(
     {"failure_rate", "max_retries", "backoff", "no_show_rate",
      "overrun", "grace", "seed"}
 )
+
+
+_WORDS = struct.Struct(">4Q").unpack
+_TWO_PI = 2.0 * math.pi
+_INV_2_53 = 1.0 / (1 << 53)
+
+
+class DrawStream:
+    """Counter-based uniform stream keyed by one SHA-256 basis string.
+
+    Block 0 is ``SHA-256(basis)``, block ``k > 0`` is
+    ``SHA-256(f"{basis}:{k}")``; each 32-byte block is four big-endian
+    64-bit words whose top 53 bits give four uniforms in ``[0, 1)``.
+    Every value is a pure function of the basis and its position, so a
+    draw needs no generator state beyond one digest.
+    """
+
+    __slots__ = ("_basis", "_block", "_words", "_next")
+
+    def __init__(self, basis: str):
+        self._basis = basis
+        self._block = 0
+        self._words = _WORDS(sha256(basis.encode()).digest())
+        self._next = 0
+
+    def random(self) -> float:
+        """The next uniform in ``[0, 1)`` (a multiple of ``2**-53``)."""
+        i = self._next
+        if i == 4:
+            self._block += 1
+            self._words = _WORDS(
+                sha256(f"{self._basis}:{self._block}".encode()).digest()
+            )
+            i = 0
+        self._next = i + 1
+        return (self._words[i] >> 11) * _INV_2_53
+
+    def gauss(self, mu: float = 0.0, sigma: float = 1.0) -> float:
+        """A normal variate from exactly two uniforms (Box–Muller)."""
+        radius = math.sqrt(-2.0 * math.log(1.0 - self.random()))
+        return mu + sigma * radius * math.cos(_TWO_PI * self.random())
 
 
 @dataclass(frozen=True)
@@ -190,14 +244,6 @@ class UncertaintyModel:
         return ":".join(parts)
 
     # -- seeded draws -------------------------------------------------------
-    def _rng(self, *parts) -> random.Random:
-        """A ``random.Random`` seeded by SHA-256 of the identifying
-        parts — stable across processes (no string-hash salt) and
-        independent of draw order elsewhere."""
-        basis = ":".join(str(part) for part in (self.seed, *parts))
-        digest = hashlib.sha256(basis.encode("utf-8")).digest()
-        return random.Random(int.from_bytes(digest[:8], "big"))
-
     def _grid(self, value, p):
         """Clamp a drawn runtime back onto the trace's time grid:
         integer estimates yield integer actuals (the replay engine's
@@ -207,11 +253,16 @@ class UncertaintyModel:
             return v if v >= 1 else 1
         return value if value > 0 else p
 
-    def _actual(self, rng: random.Random, p):
+    def _actual(self, rng: DrawStream, p):
         """The model's actual-runtime draw (third-party override point).
 
-        Must consume a fixed number of draws per call so the failure
-        draws that follow stay aligned."""
+        ``rng`` is the attempt's :class:`DrawStream`, which offers
+        exactly two methods: ``rng.random()``, the next uniform in
+        ``[0, 1)``, and ``rng.gauss(mu=0.0, sigma=1.0)``, a normal
+        variate that consumes two uniforms.  The failure test and the
+        failure instant of :meth:`draw` are the next uniforms on the
+        same stream; the built-in models take at most two, so one
+        SHA-256 digest (four uniforms) covers a whole fate."""
         model = self.model
         if model == "exact":
             return p
@@ -243,7 +294,7 @@ class UncertaintyModel:
         an attempt past the retry budget never fails — bounded requeue
         with guaranteed completion.
         """
-        rng = self._rng("job", job_id, attempt)
+        rng = DrawStream(f"{self.seed}:job:{job_id}:{attempt}")
         actual = self._actual(rng, p)
         fail_at = None
         if (
@@ -265,7 +316,10 @@ class UncertaintyModel:
         (deterministic per reservation-acceptance order)."""
         if self.no_show_rate <= 0.0:
             return False
-        return self._rng("resv", index).random() < self.no_show_rate
+        return (
+            DrawStream(f"{self.seed}:resv:{index}").random()
+            < self.no_show_rate
+        )
 
     def grace_budget(self, p):
         """Maximum extension past the estimate under ``overrun="grace"``."""

@@ -17,9 +17,15 @@ The contracts under test are the PR's acceptance bar:
   credit, reservation no-shows, and the ``unstaged`` cancel gauge.
 """
 
+import hashlib
 import json
+import math
 import pickle
+import struct
+import zlib
+from dataclasses import dataclass
 from functools import partial
+from pathlib import Path
 
 import pytest
 from conftest import replay_chained
@@ -37,7 +43,9 @@ from repro.simulation.online_sim import POLICIES, simulate
 from repro.simulation.replay import UNCERTAINTY_METRIC_FIELDS, ReplayEngine
 from repro.simulation.scheduler_core import SchedulerCore
 from repro.workloads.uncertainty import (
+    DRAW_STREAM_VERSION,
     UNCERTAINTY_MODELS,
+    DrawStream,
     UncertaintyModel,
     available_uncertainty_models,
     parse_uncertainty,
@@ -185,6 +193,75 @@ class TestModelSpec:
         sure = parse_uncertainty("exact:no_show_rate=1")
         assert sure.is_no_show(0) and sure.is_no_show(5)
 
+    #: pinned ``draw(job id, p, attempt)`` results for ``p = 100`` (the
+    #: integer grid) and ``p = 12.5`` under
+    #: ``<model>:failure_rate=0.5:seed=<seed>``, keyed by model
+    DRAW_GOLDEN = {
+        "exact": [
+            ((0, 0, 0), (100, None), (12.5, None)),
+            ((1, 1, 0), (100, 65), (12.5, 8.095778211053215)),
+            ((7, "job-3", 1), (100, None), (12.5, None)),
+            ((42, 12345, 2), (100, None), (12.5, None)),
+        ],
+        "overestimate:factor=4": [
+            ((0, 0, 0), (67, None), (8.389330175587611, None)),
+            ((1, 1, 0), (32, None), (4.079751591941655, None)),
+            ((7, "job-3", 1), (66, None), (8.36000393245953, None)),
+            ((42, 12345, 2), (98, 37), (12.3495029816446, 4.642500919231305)),
+        ],
+        "underestimate:factor=2": [
+            ((0, 0, 0), (156, None), (19.51910690078348, None)),
+            ((1, 1, 0), (110, None), (13.773002122588874, None)),
+            ((7, "job-3", 1), (155, None), (19.480005243279376, None)),
+            ((42, 12345, 2), (198, 38), (24.799337308859467, 4.699076681599636)),
+        ],
+        "lognormal:sigma=1": [
+            ((0, 0, 0), (39, 9), (4.986341848562927, 1.0542077564890135)),
+            ((1, 1, 0), (75, None), (9.467107138825877, None)),
+            ((7, "job-3", 1), (154, 89), (19.369491530403103, 11.126042779665802)),
+            ((42, 12345, 2), (25, 15), (3.1352309033718972, 1.91093900292321)),
+        ],
+        "early-exit": [
+            ((0, 0, 0), (56, None), (7.019106900783481, None)),
+            ((1, 1, 0), (10, None), (1.2730021225888732, None)),
+            ((7, "job-3", 1), (55, None), (6.980005243279375, None)),
+            ((42, 12345, 2), (98, 37), (12.299337308859467, 4.623642331775195)),
+        ],
+    }
+
+    def test_draw_stream_golden(self):
+        """Every stochastic row rests on these values: a change to the
+        stream must show up here (and bump DRAW_STREAM_VERSION)."""
+        assert DRAW_STREAM_VERSION == 2
+        for spec, rows in self.DRAW_GOLDEN.items():
+            for (seed, job_id, attempt), on_grid, off_grid in rows:
+                model = parse_uncertainty(
+                    f"{spec}:failure_rate=0.5:seed={seed}"
+                )
+                assert model.draw(job_id, 100, attempt) == on_grid
+                assert model.draw(job_id, 12.5, attempt) == pytest.approx(
+                    off_grid, rel=1e-12
+                )
+        model = parse_uncertainty("exact:no_show_rate=0.5:seed=3")
+        assert [model.is_no_show(i) for i in range(8)] == [
+            False, True, True, False, True, True, False, False,
+        ]
+
+    def test_draw_stream_spans_blocks(self):
+        """Uniforms five and six come from the second block,
+        ``SHA-256(basis + ":1")``."""
+        stream = DrawStream("3:job:9:0")
+        drawn = [stream.random() for _ in range(6)]
+        assert drawn == [
+            0.43222330267146747, 0.19661832227235998, 0.08583044801116013,
+            0.7802090123346626, 0.6969081083499556, 0.5527918690546662,
+        ]
+        words = struct.unpack(">4Q", hashlib.sha256(b"3:job:9:0:1").digest())
+        assert drawn[4:] == [(w >> 11) / 2**53 for w in words[:2]]
+        assert DrawStream("3:job:9:0").gauss() == pytest.approx(
+            0.3502128428231193, rel=1e-12
+        )
+
     def test_metric_helpers(self):
         assert quantile([3, 1, 2], 0.5) == 2
         assert quantile([3, 1, 2], 0.99) == 3
@@ -194,6 +271,126 @@ class TestModelSpec:
             quantile([1], 1.5)
         assert p_slowdown_le([1, 5, 50]) == pytest.approx(2 / 3)
         assert p_slowdown_le([]) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the stream's distributions
+# ---------------------------------------------------------------------------
+
+#: draws per distribution check; every tolerance below is at least four
+#: standard errors, and the seeds are fixed, so the checks are
+#: deterministic and only a broken stream fails them
+N_DRAWS = 20_000
+
+
+def _mean_std(values):
+    mean = sum(values) / len(values)
+    var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
+    return mean, math.sqrt(var)
+
+
+class TestDrawDistributions:
+    def test_uniforms_lie_in_unit_interval_and_fill_it(self):
+        long_stream = DrawStream("7:uniform")
+        values = [long_stream.random() for _ in range(N_DRAWS)]
+        values += [DrawStream(f"7:u:{i}").random() for i in range(N_DRAWS)]
+        assert all(0.0 <= v < 1.0 for v in values)
+        mean, std = _mean_std(values)
+        se = math.sqrt(1 / 12 / len(values))
+        assert abs(mean - 0.5) < 4 * se
+        assert abs(std - math.sqrt(1 / 12)) < 0.005
+        bins = [0] * 10
+        for v in values:
+            bins[int(v * 10)] += 1
+        expected = len(values) / 10
+        assert all(abs(b - expected) < 4 * math.sqrt(expected) for b in bins)
+
+    def test_gauss_is_standard_normal(self):
+        stream = DrawStream("7:gauss")
+        values = [stream.gauss() for _ in range(N_DRAWS)]
+        mean, std = _mean_std(values)
+        assert abs(mean) < 4 / math.sqrt(N_DRAWS)
+        assert abs(std - 1.0) < 4 / math.sqrt(2 * N_DRAWS)
+        inside = sum(1 for v in values if abs(v) < 1.0) / N_DRAWS
+        assert abs(inside - 0.6827) < 0.015
+
+    def test_lognormal_log_ratio_moments(self):
+        sigma = 0.5
+        model = parse_uncertainty(
+            f"lognormal:sigma={sigma}:failure_rate=0:seed=11"
+        )
+        p = 1000.0
+        logs = [math.log(model.draw(j, p)[0] / p) for j in range(N_DRAWS)]
+        mean, std = _mean_std(logs)
+        assert abs(mean) < 4 * sigma / math.sqrt(N_DRAWS)
+        assert abs(std - sigma) < 4 * sigma / math.sqrt(2 * N_DRAWS)
+
+    @pytest.mark.parametrize("p", [100, 100.0])
+    def test_failure_frequency_and_instant(self, p):
+        rate = 0.1
+        model = parse_uncertainty(
+            f"lognormal:sigma=0.5:failure_rate={rate}:seed=11"
+        )
+        fractions = []
+        for j in range(N_DRAWS):
+            actual, fail_at = model.draw(j, p)
+            if fail_at is None:
+                continue
+            horizon = min(actual, p)
+            assert isinstance(fail_at, type(p))
+            if isinstance(p, int):
+                assert 1 <= fail_at <= horizon
+            else:
+                assert 0 < fail_at <= horizon
+            fractions.append(fail_at / horizon)
+        freq = len(fractions) / N_DRAWS
+        assert abs(freq - rate) < 4 * math.sqrt(rate * (1 - rate) / N_DRAWS)
+        # the failure instant is spread over the window, not bunched
+        mean, _ = _mean_std(fractions)
+        assert 0.4 < mean < 0.6
+
+    def test_no_show_frequency(self):
+        rate = 0.3
+        model = parse_uncertainty(f"exact:no_show_rate={rate}:seed=11")
+        freq = sum(model.is_no_show(i) for i in range(N_DRAWS)) / N_DRAWS
+        assert abs(freq - rate) < 4 * math.sqrt(rate * (1 - rate) / N_DRAWS)
+
+
+# ---------------------------------------------------------------------------
+# third-party models: the _actual override contract
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _BimodalModel(UncertaintyModel):
+    """A third-party model: half the jobs exit at a fifth of their
+    estimate, every job carries lognormal noise.  It takes three
+    uniforms, so a failing attempt's instant comes from the stream's
+    second block."""
+
+    def _actual(self, rng, p):
+        scale = 0.2 if rng.random() < 0.5 else 1.0
+        return self._grid(p * scale * math.exp(0.3 * rng.gauss()), p)
+
+
+class TestThirdPartyModel:
+    def test_actual_override_replays_deterministically(self):
+        m = 16
+        jobs = _jobs_from_rows(
+            [(i % 3, 5 + (i * 7) % 23, 1 + (i * 5) % 16) for i in range(120)],
+            m,
+        )
+        model = _BimodalModel(model="bimodal", failure_rate=0.2, seed=3)
+        assert not model.is_exact
+        kwargs = dict(policy="easy", window=10, record_starts=True,
+                      uncertainty=model)
+        runs = [ReplayEngine(m, **kwargs).run(jobs) for _ in range(2)]
+        assert _trim(runs[0]) == _trim(runs[1])
+        assert _trim(replay_chained(jobs, 30, m, **kwargs)) == _trim(runs[0])
+        totals = runs[0].totals
+        assert totals["early_exits"] > 0 and totals["requeues"] > 0
+        certain = ReplayEngine(m, policy="easy", window=10,
+                               record_starts=True).run(jobs)
+        assert _trim(certain) != _trim(runs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +854,46 @@ class TestExperimentFactor:
         with pytest.raises(InvalidInstanceError, match="unknown"):
             self._spec(uncertainties=["weibull"]).validate()
 
+    def test_store_keys_carry_the_stream_for_stochastic_factors(self):
+        from repro.run.runner import expand_points
+
+        spec = self._spec(
+            uncertainties=["exact", "exact:seed=3", "lognormal:sigma=0.5"]
+        )
+        factors = [point.factors for point in expand_points(spec)]
+        assert ["draw_stream" in f for f in factors] == [False, False, True]
+        assert factors[2]["draw_stream"] == DRAW_STREAM_VERSION
+
+    def test_pre_stream_store_rows_are_recomputed(self, tmp_path):
+        """A row keyed before the stream was versioned stands in for no
+        stochastic point; the exact point's key is unchanged."""
+        from repro.run import run_experiment
+        from repro.run.runner import expand_points
+        from repro.run.spec import canonical_json
+
+        spec = self._spec(uncertainties=["exact", "lognormal:sigma=0.5"])
+        store = tmp_path / "rows.jsonl"
+        first = run_experiment(spec, store=str(store))
+        assert first.computed == 2
+        again = run_experiment(spec, store=str(store))
+        assert again.computed == 0 and again.rows == first.rows
+
+        def pre_stream_key(point):
+            factors = dict(point.factors)
+            factors.pop("draw_stream", None)
+            digest = hashlib.sha256(canonical_json(factors).encode())
+            return digest.hexdigest()[:16]
+
+        old_keys = {p.key: pre_stream_key(p) for p in expand_points(spec)}
+        rows = [json.loads(line) for line in store.read_text().splitlines()]
+        store.write_text("".join(
+            json.dumps(dict(row, key=old_keys[row["key"]])) + "\n"
+            for row in rows
+        ))
+        third = run_experiment(spec, store=str(store))
+        assert third.computed == 1 and third.skipped == 1
+        assert third.rows == first.rows
+
     def test_uncertainties_require_traces(self):
         from repro.run import ExperimentSpec
 
@@ -676,6 +913,28 @@ class TestExperimentFactor:
 # ---------------------------------------------------------------------------
 # journal fingerprint
 # ---------------------------------------------------------------------------
+
+def _as_pre_stream_journal(journal_dir):
+    """Rewrite a journal's header record as it was written before the
+    draw stream was versioned: the same config without ``draw_stream``."""
+    seg0 = Path(journal_dir) / "seg-00000000.wal"
+    data = seg0.read_bytes()
+    length, _ = struct.unpack_from("<II", data)
+    header = json.loads(data[8:8 + length])
+    del header["config"]["draw_stream"]
+    payload = json.dumps(header, sort_keys=True).encode()
+    seg0.write_bytes(
+        struct.pack("<II", len(payload), zlib.crc32(payload))
+        + payload + data[8 + length:]
+    )
+
+
+def _journal_config(journal_dir):
+    """The config recorded in a journal's header (a read-only scan)."""
+    from repro.durability import scan_journal
+
+    return scan_journal(str(journal_dir)).records[0].record["config"]
+
 
 class TestJournalFingerprint:
     def test_resume_under_different_model_is_loud(self, tmp_path):
@@ -704,3 +963,108 @@ class TestJournalFingerprint:
             window=50, resume=True, uncertainty="exact",
         )
         assert result.totals["n_jobs"] == 200
+        exact = str(tmp_path / "exact")
+        replay_journaled("synth:steady:200", exact, policy="easy",
+                         n=200, window=50, uncertainty="exact")
+        assert _journal_config(exact) == _journal_config(journal)
+        assert "draw_stream" not in _journal_config(exact)
+
+    def _interrupted(self, journal, store):
+        """A stochastic journaled replay killed before its third slice
+        (two snapshots are committed)."""
+        failpoints.arm("replay.slice.start", "error", after=2)
+        with pytest.raises(FailpointError):
+            self._replay(journal, store)
+        failpoints.reset()
+
+    @staticmethod
+    def _replay(journal, store, **kwargs):
+        from repro.durability import replay_journaled
+
+        return replay_journaled(
+            "synth:steady:1200", str(journal), policy="easy", m=64,
+            window=100, snapshot_interval=300, store=str(store),
+            uncertainty="lognormal:sigma=0.5:failure_rate=0.1:seed=1",
+            **kwargs,
+        )
+
+    def test_stochastic_journal_resumes_byte_identically(self, tmp_path):
+        self._replay(tmp_path / "ref", tmp_path / "ref.jsonl")
+        assert _journal_config(tmp_path / "ref")["draw_stream"] == (
+            DRAW_STREAM_VERSION
+        )
+        self._interrupted(tmp_path / "j", tmp_path / "rows.jsonl")
+        self._replay(tmp_path / "j", tmp_path / "rows.jsonl", resume=True)
+        assert (tmp_path / "rows.jsonl").read_bytes() == (
+            tmp_path / "ref.jsonl"
+        ).read_bytes()
+
+    def test_pre_stream_journal_refuses_to_resume(self, tmp_path):
+        from repro.errors import JournalError
+
+        self._interrupted(tmp_path / "j", tmp_path / "rows.jsonl")
+        _as_pre_stream_journal(tmp_path / "j")
+        with pytest.raises(JournalError, match="draw_stream"):
+            self._replay(tmp_path / "j", tmp_path / "rows.jsonl",
+                         resume=True)
+
+
+class TestServeJournalStream:
+    MODEL = "lognormal:sigma=0.5:failure_rate=0.3:seed=5"
+
+    @staticmethod
+    def _ops():
+        from repro.serve.api import make_advance, make_submit
+
+        ops = []
+        for i in range(16):
+            ops.append(make_submit(f"j{i}", 4 + (i * 5) % 11, 1 + i % 4, i))
+            ops.append(make_advance(i))
+        return ops
+
+    def _journaled_session(self, directory, uncertainty):
+        from repro.serve import SchedulerService
+
+        service = SchedulerService.create(
+            str(directory), m=8, window=4, snapshot_interval=5,
+            uncertainty=uncertainty,
+        )
+        for body in self._ops():
+            assert service.handle(body)["ok"]
+        service.close()
+
+    def test_stochastic_serve_journal_resumes_byte_identically(
+            self, tmp_path):
+        from repro.serve import SchedulerService
+
+        reference = SchedulerService(
+            SchedulerCore(8, "easy", window=4, uncertainty=self.MODEL)
+        )
+        for body in self._ops():
+            assert reference.handle(body)["ok"]
+        assert reference.core.requeues > 0
+        self._journaled_session(tmp_path / "j", self.MODEL)
+        assert _journal_config(tmp_path / "j")["draw_stream"] == (
+            DRAW_STREAM_VERSION
+        )
+        recovered, _ = SchedulerService.resume(str(tmp_path / "j"))
+        assert json.dumps(recovered.core.describe_state(), sort_keys=True) \
+            == json.dumps(reference.core.describe_state(), sort_keys=True)
+        recovered.close()
+
+    def test_pre_stream_serve_journal_refuses_to_resume(self, tmp_path):
+        from repro.errors import ServeError
+        from repro.serve import SchedulerService
+
+        self._journaled_session(tmp_path / "j", self.MODEL)
+        _as_pre_stream_journal(tmp_path / "j")
+        with pytest.raises(ServeError, match="draw stream"):
+            SchedulerService.resume(str(tmp_path / "j"))
+
+    def test_exact_serve_journal_header_is_unchanged(self, tmp_path):
+        self._journaled_session(tmp_path / "exact", "exact")
+        self._journaled_session(tmp_path / "certain", None)
+        assert _journal_config(tmp_path / "exact") == _journal_config(
+            tmp_path / "certain"
+        )
+        assert "draw_stream" not in _journal_config(tmp_path / "exact")
