@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Profile-backend benchmark: list vs tree vs array on large traces.
+"""Profile-backend benchmark: list vs array on large traces.
 
 Measures the three profile workloads that dominate scheduler cost and
 asserts *identical* scheduling results across backends while timing them:
@@ -9,21 +9,21 @@ asserts *identical* scheduling results across backends while timing them:
   jobs with release times, on a machine carrying periodic-maintenance
   reservations, executed through the :mod:`repro.run` experiment layer
   (the trace is a registered workload, the differential check a
-  registered metric), pinned to ``timebase="exact"`` since the integer
-  fast path deliberately bypasses the backends being measured.
+  registered metric), pinned to ``timebase="exact"`` (the trace is
+  integer-timed, so this only skips the no-op normalisation).
 * ``mutation churn`` — interleaved ``reserve``/``add`` pairs (EASY
   backfilling's shadow probing pattern) on an already-fragmented profile.
 * ``windowed queries`` — ``area`` / ``min_capacity`` /
   ``first_time_area_reaches`` over windows deep inside a profile with
   tens of thousands of breakpoints (quantifies the bisect-to-window fix).
 
-Historical note: the tree once won the first two scenarios ~9-17x
-against the list backend's O(n)-per-mutation rebuild.  Since the list
-backend learned O(window) local mutation (``_shift_window``), the flat
-arrays win sweep-local mutation on constants, and the tree's asymptotic
-edge shows where it structurally must — wide windowed *queries* answered
-from subtree aggregates (~100x).  The headline gate therefore sits on
-``windowed_queries``; scheduling/churn are tracked for the trajectory.
+Historical note: an augmented-treap backend once won the first two
+scenarios ~9-17x against the list backend's O(n)-per-mutation rebuild.
+Once the list backend learned O(window) local mutation
+(``_shift_window``) the flat arrays won every scenario but wide
+windowed queries, which no scheduler issues, and the treap was deleted.
+The checked-in ``BENCH_profile_backends.json`` still records its
+numbers; the scenarios here are tracked for the trajectory, not gated.
 
 Run directly (writes ``BENCH_profile_backends.json`` at the repo root)::
 
@@ -31,7 +31,7 @@ Run directly (writes ``BENCH_profile_backends.json`` at the repo root)::
     python benchmarks/bench_profile_backends.py --quick    # CI smoke
 
 The differential guarantee — every job starts at the same time under both
-backends — is asserted on every run, so the speedup never silently buys a
+backends — is asserted on every run, so a timing never silently buys a
 different schedule.
 """
 
@@ -54,7 +54,6 @@ from repro.core.metrics import register_metric  # noqa: E402
 from repro.core.profiles import (  # noqa: E402
     ArrayProfile,
     ListProfile,
-    TreeProfile,
     resolve_backend,
 )
 from repro.run import ExperimentSpec, Runner, WorkloadSpec  # noqa: E402
@@ -62,7 +61,7 @@ from repro.workloads.registry import register_workload  # noqa: E402
 from repro.workloads.reservations import periodic_maintenance  # noqa: E402
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-BACKENDS = {"list": ListProfile, "tree": TreeProfile, "array": ArrayProfile}
+BACKENDS = {"list": ListProfile, "array": ArrayProfile}
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +123,6 @@ def bench_scheduling(instance, repeats: int):
             seeds=(0,),
             metrics=("makespan", "bench-starts-checksum"),
             profile_backends=(name,),
-            # pin the exact engine: this bench measures the *backends*,
-            # and the integer fast path (timebase="auto") bypasses them
             timebases=("exact",),
         )
         best = math.inf
@@ -154,7 +151,7 @@ def _fragmented_lists(n_breakpoints: int):
 
 def bench_mutation_churn(n_breakpoints: int, ops: int, seed: int, repeats: int):
     """reserve/add probe pairs (EASY's shadow pattern) on a fragmented
-    profile: the list backend pays a full O(n) re-merge per call."""
+    profile."""
     rng = random.Random(seed)
     times, caps = _fragmented_lists(n_breakpoints)
     probes = []
@@ -179,10 +176,10 @@ def bench_mutation_churn(n_breakpoints: int, ops: int, seed: int, repeats: int):
 
 
 def bench_windowed_queries(n_breakpoints: int, queries: int, seed: int, repeats: int):
-    """Wide-window area/min_capacity/first_time_area_reaches: the tree
-    answers from subtree aggregates, the list walks every segment in the
-    window (though no longer the segments *before* it — that is the
-    bisect-to-window fix, asserted separately in the tests)."""
+    """Wide-window area/min_capacity/first_time_area_reaches: both
+    backends walk every segment in the window (though not the segments
+    *before* it — that is the bisect-to-window fix, asserted separately
+    in the tests)."""
     rng = random.Random(seed)
     times, caps = _fragmented_lists(n_breakpoints)
     span = n_breakpoints // 3
@@ -218,11 +215,6 @@ def bench_windowed_queries(n_breakpoints: int, queries: int, seed: int, repeats:
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
-
-def speedup(timings):
-    """The tracked list/tree ratio (the historical gate axis)."""
-    return timings["list"] / timings["tree"] if timings["tree"] > 0 else math.inf
-
 
 def speedup_array(timings):
     """list/array: how far the flat int64 kernel beats the reference."""
@@ -277,13 +269,11 @@ def main(argv=None) -> int:
     sched = bench_scheduling(instance, args.repeats)
     report["scenarios"]["scheduling"] = {
         **{k: round(v, 4) for k, v in sched.items()},
-        "speedup": round(speedup(sched), 2),
         "speedup_array": round(speedup_array(sched), 2),
         "identical_schedules": True,
     }
-    print(f"  list {sched['list']:.3f}s  tree {sched['tree']:.3f}s  "
-          f"array {sched['array']:.3f}s  "
-          f"speedup {speedup(sched):.1f}x (schedules identical)")
+    print(f"  list {sched['list']:.3f}s  array {sched['array']:.3f}s  "
+          f"(schedules identical)")
 
     print("scenario 2/3: reserve/add mutation churn ...")
     churn = bench_mutation_churn(n_bp, churn_ops, args.seed, args.repeats)
@@ -291,11 +281,9 @@ def main(argv=None) -> int:
         **{k: round(v, 4) for k, v in churn.items()},
         "ops": churn_ops,
         "breakpoints": n_bp,
-        "speedup": round(speedup(churn), 2),
         "speedup_array": round(speedup_array(churn), 2),
     }
-    print(f"  list {churn['list']:.3f}s  tree {churn['tree']:.3f}s  "
-          f"array {churn['array']:.3f}s  speedup {speedup(churn):.1f}x")
+    print(f"  list {churn['list']:.3f}s  array {churn['array']:.3f}s")
 
     print("scenario 3/3: windowed queries on a big profile ...")
     win = bench_windowed_queries(n_bp, n_queries, args.seed, args.repeats)
@@ -303,22 +291,12 @@ def main(argv=None) -> int:
         **{k: round(v, 4) for k, v in win.items()},
         "breakpoints": n_bp,
         "queries": n_queries,
-        "speedup": round(speedup(win), 2),
         "speedup_array": round(speedup_array(win), 2),
     }
-    print(f"  list {win['list']:.3f}s  tree {win['tree']:.3f}s  "
-          f"array {win['array']:.3f}s  speedup {speedup(win):.1f}x")
+    print(f"  list {win['list']:.3f}s  array {win['array']:.3f}s")
 
     args.out.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.out}")
-
-    # The 5x acceptance gate sits on the scenario the tree backend is
-    # *for* (windowed queries from subtree aggregates) and only at full
-    # scale: small runs are dominated by constants, where the list wins.
-    if not args.quick and n_bp >= 20_000 and speedup(win) < 5:
-        print("WARNING: windowed-query speedup below the 5x acceptance target",
-              file=sys.stderr)
-        return 1
     return 0
 
 

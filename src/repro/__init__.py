@@ -44,11 +44,9 @@ from .core import (
     RigidInstance,
     Schedule,
     ScheduleMetrics,
-    TreeProfile,
     area_bound,
     as_reservation_instance,
     available_backends,
-    get_default_backend,
     left_shifted,
     lower_bound,
     make_jobs,
@@ -56,8 +54,6 @@ from .core import (
     make_reservations,
     pmax_bound,
     ratio_to_lower_bound,
-    register_backend,
-    set_default_backend,
     summarize,
     work_bound,
 )
@@ -84,12 +80,8 @@ __all__ = [
     "ReservationInstance",
     "ResourceProfile",
     "ListProfile",
-    "TreeProfile",
     "ProfileBackend",
     "available_backends",
-    "register_backend",
-    "set_default_backend",
-    "get_default_backend",
     "make_profile",
     "Schedule",
     "ScheduleMetrics",

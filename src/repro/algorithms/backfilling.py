@@ -7,7 +7,7 @@ probably) harms nobody.  The paper discusses the spectrum:
 * **conservative backfilling** — every job is placed at the earliest time
   that does not delay *any previously scheduled* job.  Offline this is a
   single pass over the queue placing each job with
-  :meth:`~repro.core.profile.ResourceProfile.earliest_fit`;
+  :meth:`~repro.core.profiles.ListProfile.earliest_fit`;
 * **EASY backfilling** — only the queue *head* gets a guaranteed
   reservation; any other ready job may start now if it does not push the
   head's reserved start back;
@@ -25,10 +25,10 @@ from typing import Dict, List, Optional
 
 from ..core.instance import ReservationInstance
 from ..core.schedule import Schedule
-from ..core.timebase import check_timebase_policy, int_sweep_profile, timebase_for
+from ..core.timebase import check_timebase_policy, timebase_for
 from ..errors import SchedulingError
 from .base import Scheduler, register
-from .list_scheduling import ListScheduler, sequential_placement
+from .list_scheduling import ListScheduler, earliest_fit_placement
 from .priority import PriorityRule, get_rule
 
 
@@ -63,25 +63,9 @@ class ConservativeBackfillScheduler(Scheduler):
             if self._priority is not None
             else sorted(instance.jobs, key=lambda j: j.release)
         )
-        tb = timebase_for(instance, self.timebase)
-        if tb is not None:
-            grid_starts = sequential_placement(
-                [(tb.scale_time(j.release), tb.scale_time(j.p), j.q, j.id)
-                 for j in jobs],
-                int_sweep_profile(instance, tb),
-            )
-            return Schedule(instance, tb.denormalize_starts(grid_starts))
-        profile = instance.availability_profile(self.profile_backend)
-        starts: Dict = {}
-        for job in jobs:
-            s = profile.earliest_fit(job.q, job.p, after=job.release)
-            if s is None:
-                raise SchedulingError(
-                    f"job {job.id!r} (q={job.q}) never fits in the profile"
-                )
-            profile.reserve(s, job.p, job.q)
-            starts[job.id] = s
-        return Schedule(instance, starts)
+        return earliest_fit_placement(
+            instance, jobs, self.profile_backend, self.timebase
+        )
 
 
 class EasyBackfillScheduler(Scheduler):

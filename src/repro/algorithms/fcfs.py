@@ -38,8 +38,8 @@ class FCFSScheduler(Scheduler):
         the instance order / release order, which is what "first come"
         means).  Exposed so experiments can study e.g. FCFS-LPT.
     profile_backend:
-        Availability-profile backend (``"list"``/``"tree"``/class); ``None``
-        uses the :mod:`repro.core.profiles` default.
+        Availability-profile backend (``"list"``/``"array"``/class);
+        ``None`` means ``"list"``.
     """
 
     def __init__(

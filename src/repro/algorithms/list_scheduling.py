@@ -172,10 +172,10 @@ class ListScheduler(Scheduler):
         :mod:`repro.algorithms.priority` (for example ``"lpt"``), or a
         callable ``jobs -> ordered jobs``.
     profile_backend:
-        Availability-profile backend (``"list"``/``"tree"``/class); ``None``
-        uses the :mod:`repro.core.profiles` default.  Only the exact
-        reference sweep consults it — the integer fast path runs on its
-        own sweep structure.
+        Availability-profile backend (``"list"``/``"array"``/class);
+        ``None`` means ``"list"``.  Only the exact reference sweep
+        consults it — the integer fast path runs on its own sweep
+        structure.
     timebase:
         ``"auto"`` (default) runs the incremental integer sweep whenever
         the instance's times normalise exactly (ints/Fractions) and the
@@ -301,41 +301,46 @@ class SequentialPlacementScheduler(Scheduler):
             if self._priority is not None
             else list(instance.jobs)
         )
-        tb = timebase_for(instance, self.timebase)
-        if tb is not None:
-            grid_starts = sequential_placement(
-                [(tb.scale_time(j.release), tb.scale_time(j.p), j.q, j.id)
-                 for j in jobs],
-                int_sweep_profile(instance, tb),
+        return earliest_fit_placement(
+            instance, jobs, self.profile_backend, self.timebase
+        )
+
+
+def earliest_fit_placement(
+    instance: ReservationInstance,
+    jobs: Sequence,
+    profile_backend=None,
+    timebase: str = "auto",
+) -> Schedule:
+    """Place ``jobs`` in list order, each at its earliest feasible start
+    on ``instance.availability_profile(profile_backend)``, never
+    revisiting an earlier placement — conservative backfilling's engine.
+
+    Like EASY's sweep, the loop has no specialised integer core: when
+    ``timebase`` grids the instance it runs on the integer twin
+    (machine-int arithmetic) and denormalises the starts.
+    """
+    tb = timebase_for(instance, timebase)
+    if tb is not None:
+        twin = tb.normalize_instance(instance)
+        if twin is not instance:
+            twin_jobs = twin.job_by_id
+            placed = earliest_fit_placement(
+                twin, [twin_jobs[job.id] for job in jobs], profile_backend,
+                "exact",
             )
-            return Schedule(instance, tb.denormalize_starts(grid_starts))
-        profile = instance.availability_profile(self.profile_backend)
-        starts: Dict = {}
-        for job in jobs:
-            s = profile.earliest_fit(job.q, job.p, after=job.release)
-            if s is None:
-                raise SchedulingError(
-                    f"job {job.id!r} (q={job.q}) never fits in the profile"
-                )
-            profile.reserve(s, job.p, job.q)
-            starts[job.id] = s
-        return Schedule(instance, starts)
-
-
-def sequential_placement(job_rows: List, profile: IntSweepProfile) -> Dict:
-    """Earliest-fit placement in list order on an integer-grid profile —
-    conservative backfilling's engine (``job_rows`` as in
-    :func:`incremental_sweep`).  Returns ``{id: start}``."""
+            return Schedule(instance, tb.denormalize_starts(placed.starts))
+    profile = instance.availability_profile(profile_backend)
     starts: Dict = {}
-    for release, p, q, jid in job_rows:
-        s = profile.earliest_fit(q, p, after=release)
+    for job in jobs:
+        s = profile.earliest_fit(job.q, job.p, after=job.release)
         if s is None:
             raise SchedulingError(
-                f"job {jid!r} (q={q}) never fits in the profile"
+                f"job {job.id!r} (q={job.q}) never fits in the profile"
             )
-        profile.reserve(s, p, q)
-        starts[jid] = s
-    return starts
+        profile.reserve(s, job.p, job.q)
+        starts[job.id] = s
+    return Schedule(instance, starts)
 
 
 def list_schedule(

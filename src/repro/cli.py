@@ -774,9 +774,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-jobs", type=int,
                    help="stop after this many jobs")
     p.add_argument("--backend", default="auto",
-                   help="profile backend (default: auto — the int64 "
-                        "array kernel, demoting to 'list' on "
-                        "non-integral traces)")
+                   help="profile backend: auto, list or array (default: "
+                        "auto — the int64 array kernel, demoting to "
+                        "'list' on non-integral traces)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for synth:<profile> traces")
     p.add_argument("--uncertainty", metavar="SPEC",

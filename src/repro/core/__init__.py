@@ -49,15 +49,10 @@ from .profiles import (
     ListProfile,
     ProfileBackend,
     ResourceProfile,
-    TreeProfile,
     available_backends,
     convert_profile,
-    get_default_backend,
-    get_default_backend_name,
     make_profile,
-    register_backend,
     resolve_backend,
-    set_default_backend,
 )
 from .schedule import Schedule, ScheduledJob, left_shifted
 from .timebase import (
@@ -91,14 +86,9 @@ __all__ = [
     "as_reservation_instance",
     "ResourceProfile",
     "ListProfile",
-    "TreeProfile",
     "ProfileBackend",
-    "register_backend",
     "available_backends",
     "resolve_backend",
-    "set_default_backend",
-    "get_default_backend",
-    "get_default_backend_name",
     "make_profile",
     "convert_profile",
     "Schedule",

@@ -260,9 +260,8 @@ class ReservationInstance:
         Each call returns an independent copy so schedulers can commit
         placements without corrupting the instance.  ``profile_backend``
         selects the availability structure (a name such as ``"list"`` or
-        ``"tree"``, or a :class:`~repro.core.profiles.ProfileBackend`
-        subclass); ``None`` uses the module default
-        (:func:`repro.core.profiles.set_default_backend`).
+        ``"array"``, or a :class:`~repro.core.profiles.ProfileBackend`
+        subclass); ``None`` means ``"list"``.
         """
         return convert_profile(
             self._master_profile, profile_backend  # type: ignore[attr-defined]

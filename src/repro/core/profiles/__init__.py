@@ -1,27 +1,17 @@
-"""Pluggable availability-profile backends.
+"""Availability-profile backends.
 
 The availability profile ``m(t) = m - U(t)`` (Section 3.1) is the data
 structure every scheduler layer queries and mutates.  This package keeps
 the *protocol* (:class:`~repro.core.profiles.base.ProfileBackend`)
-separate from its implementations so the library can trade constants for
-asymptotics per use case:
+separate from its two implementations:
 
 ``"list"`` — :class:`ListProfile`
-    Flat sorted breakpoint arrays, O(n) mutation, tiny constants, fully
-    transparent.  The *reference* backend: the theory modules'
-    Fraction-exact worst-case constructions cite it, and the
-    differential tests measure every other implementation against it.
-
-``"tree"`` — :class:`TreeProfile`
-    Augmented treap with subtree min/max/area aggregates and lazy range
-    updates: O(log n) ``capacity_at`` / ``min_capacity`` /
-    ``max_capacity_between`` / ``area`` / ``reserve`` / ``add`` and
-    run-skipping ``earliest_fit``.  The process-wide **default** since
-    the backends are proven schedule-identical; its structural edge is
-    wide windowed *queries* answered from subtree aggregates (~100× on
-    20k-breakpoint profiles), while the list backend's O(window) local
-    mutation wins sweep-local ``reserve``/``add`` on constants (see
-    ``benchmarks/bench_profile_backends.py``).
+    Flat sorted breakpoint arrays, O(window) local mutation, tiny
+    constants, fully transparent.  The **default** (``None`` resolves
+    to it) and the *reference*: it accepts any exact time type, the
+    theory modules' Fraction-exact worst-case constructions cite it,
+    and the differential tests measure the other implementation against
+    it.
 
 ``"array"`` — :class:`ArrayProfile`
     Contiguous int64 ``array('q')`` time/capacity columns with O(1)
@@ -33,50 +23,32 @@ asymptotics per use case:
     numeric, construction/mutation with ``Fraction``/``float`` times
     raise loudly.
 
-All backends implement identical semantics — exact integer capacities,
+Both backends implement identical semantics — exact integer capacities,
 canonical merged segments, times of any ordered numeric type (integer
 grid only for ``"array"``) — and compare equal whenever they represent
 the same function, which the differential tests exploit to prove
-schedulers produce byte-identical schedules under any backend.
+schedulers produce byte-identical schedules under either backend.
+LSRC's incremental integer sweep runs on a third, protocol-free
+structure, :class:`~repro.core.timebase.IntSweepProfile`.
 
 When exactness costs you
 ------------------------
 Profiles are exact at *every* layer: capacities are ints, times keep
 whatever exact type the instance uses (``int``/``Fraction``), and every
 query is answered without rounding.  That is what makes the paper's
-worst-case certificates checkable, but it has a price ladder worth
-knowing:
-
-1. ``Fraction`` times pay a gcd per arithmetic op — an order of
-   magnitude over machine ints.  Schedulers therefore normalise exact
-   instances onto an integer grid first (``timebase="auto"``, see
-   :mod:`repro.core.timebase`) and only denormalise the final schedule;
-   the profile then never sees a Fraction in the hot loop.
-2. The ``"list"`` backend pays O(window + log n) per mutation and
-   O(window) per windowed query; ``"tree"`` pays O(log n) for both,
-   with a larger constant.  Sweep-local work (schedulers reserving near
-   a moving front) favors the flat list; wide windows deep inside big
-   profiles (analysis, bounds, ``first_time_area_reaches``) favor the
-   tree by ~100×.
-
-Pick ``"list"`` when auditing a construction step by step or writing a
-tight scheduling loop against the exact path, ``"tree"`` (the default)
-for general/analysis workloads at scale, ``"array"`` for rolling-horizon
-sweeps on the integer grid (trace replay prunes behind its clock, where
-O(1) ``prune_before`` keeps the live window tiny), and leave schedulers
-on ``timebase="auto"`` unless you are debugging the exact path itself.
+worst-case certificates checkable, but ``Fraction`` times pay a gcd per
+arithmetic op — an order of magnitude over machine ints.  Schedulers
+therefore normalise exact instances onto an integer grid first
+(``timebase="auto"``, see :mod:`repro.core.timebase`) and only
+denormalise the final schedule; the profile then never sees a Fraction
+in the hot loop.
 
 Selecting a backend
 -------------------
 Call sites accept a ``profile_backend`` argument (a registry name or a
-backend class); ``None`` defers to the module default:
+backend class); ``None`` means ``"list"``:
 
->>> from repro.core.profiles import set_default_backend
->>> inst.availability_profile(profile_backend="list")   # one call site
->>> set_default_backend("list")                          # whole process
-
-Third-party backends can join via :func:`register_backend` as long as
-they subclass :class:`ProfileBackend`.
+>>> inst.availability_profile(profile_backend="array")
 
 For backward compatibility :data:`ResourceProfile` remains an alias of
 :class:`ListProfile`.
@@ -95,7 +67,6 @@ from .array_backend import (
 )
 from .base import ProfileBackend, Segment, Time
 from .list_backend import ListProfile
-from .tree_backend import TreeProfile
 
 #: Backward-compatible name for the historical flat-list implementation.
 ResourceProfile = ListProfile
@@ -104,24 +75,8 @@ BackendSpec = Union[None, str, Type[ProfileBackend]]
 
 _BACKENDS: Dict[str, Type[ProfileBackend]] = {
     "list": ListProfile,
-    "tree": TreeProfile,
     "array": ArrayProfile,
 }
-
-#: Process-wide default.  ``"tree"`` since the differential tests prove
-#: both backends schedule-identical; ``"list"`` remains the documented
-#: reference backend for the theory modules (pass it explicitly there).
-_default_backend: str = "tree"
-
-
-def register_backend(name: str, backend: Type[ProfileBackend]) -> None:
-    """Add a backend class to the registry (overwrites silently, like the
-    scheduler registry, so notebook reloads do not error)."""
-    if not (isinstance(backend, type) and issubclass(backend, ProfileBackend)):
-        raise InvalidInstanceError(
-            f"profile backend must subclass ProfileBackend, got {backend!r}"
-        )
-    _BACKENDS[name] = backend
 
 
 def available_backends() -> List[str]:
@@ -158,11 +113,11 @@ def backend_details() -> List[str]:
 def resolve_backend(spec: BackendSpec = None) -> Type[ProfileBackend]:
     """Map a ``profile_backend`` argument to a backend class.
 
-    ``None`` resolves to the module default; a string is looked up in the
-    registry; a :class:`ProfileBackend` subclass passes through.
+    ``None`` resolves to :class:`ListProfile`; a string is looked up in
+    the registry; a :class:`ProfileBackend` subclass passes through.
     """
     if spec is None:
-        return _BACKENDS[_default_backend]
+        return ListProfile
     if isinstance(spec, str):
         try:
             return _BACKENDS[spec]
@@ -179,32 +134,9 @@ def resolve_backend(spec: BackendSpec = None) -> Type[ProfileBackend]:
     )
 
 
-def set_default_backend(spec: BackendSpec) -> None:
-    """Set the process-wide default backend (name or registered class)."""
-    global _default_backend
-    cls = resolve_backend(spec if spec is not None else _default_backend)
-    for name, registered in _BACKENDS.items():
-        if registered is cls:
-            _default_backend = name
-            return
-    raise InvalidInstanceError(
-        f"backend {cls.__name__} is not registered; call register_backend first"
-    )
-
-
-def get_default_backend() -> Type[ProfileBackend]:
-    """The backend class used when ``profile_backend`` is ``None``."""
-    return _BACKENDS[_default_backend]
-
-
-def get_default_backend_name() -> str:
-    """Registry name of the default backend."""
-    return _default_backend
-
-
 def make_profile(times: List[Time], caps: List[int],
                  profile_backend: BackendSpec = None) -> ProfileBackend:
-    """Construct a profile on the selected (or default) backend."""
+    """Construct a profile on the selected backend (``None``: list)."""
     return resolve_backend(profile_backend)(times, caps)
 
 
@@ -224,18 +156,13 @@ __all__ = [
     "Time",
     "ResourceProfile",
     "ListProfile",
-    "TreeProfile",
     "ArrayProfile",
-    "register_backend",
     "available_backends",
     "backend_details",
     "numpy_module",
     "vector_info",
     "NUMPY_DISABLE_ENV",
     "resolve_backend",
-    "set_default_backend",
-    "get_default_backend",
-    "get_default_backend_name",
     "make_profile",
     "convert_profile",
 ]

@@ -3,8 +3,8 @@
 :class:`ArrayProfile` is the cache-friendly kernel of the profile
 protocol: breakpoint times and segment capacities live in two contiguous
 ``array('q')`` (int64) columns, so the structures the replay hot loop
-touches every event are two machine-typed buffers instead of trees or
-boxed lists.  Three design points give it its speed:
+touches every event are two machine-typed buffers instead of boxed
+lists.  Three design points give it its speed:
 
 * **offset-bump pruning** — :meth:`prune_before` advances a live-window
   offset and re-anchors the frontier segment in O(1); the dead prefix is
@@ -32,7 +32,7 @@ every SWF archive and the synthetic trace pack are integral already) and
 raise :class:`~repro.errors.InvalidInstanceError` loudly otherwise —
 *queries* accept any ordered numeric, so probing an integer profile at a
 ``Fraction`` instant still works.  For exact ``Fraction``/``float``
-breakpoints use the ``"list"`` or ``"tree"`` backends.
+breakpoints use the ``"list"`` backend.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def _as_int_time(value: object, what: str) -> int:
         return int(value)
     raise InvalidInstanceError(
         f"array backend requires integer {what}, got {value!r} "
-        f"({type(value).__name__}); use the 'list' or 'tree' backend for "
+        f"({type(value).__name__}); use the 'list' backend for "
         f"exact Fraction/float breakpoints, or normalise onto the integer "
         f"grid first (timebase='auto')"
     )

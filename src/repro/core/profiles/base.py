@@ -53,19 +53,14 @@ segments costs, per backend:
   replaced the original O(n) full re-merge with this local
   ``_shift_window``; the interior update is still Θ(w), so *wide*
   windows (w → n) remain linear — that is a deliberate gate, not an
-  accident: making it sublinear needs lazy range-add aggregates, which
-  is exactly the ``tree`` backend, and duplicating that machinery in
-  the flat backend would cost its small constants.
-* ``tree`` — O(log n) lazy range add regardless of w: wins wide-window
-  *churn* asymptotically, loses narrow sweep-local mutation on
-  constants.
+  accident: making it sublinear needs lazy range-add aggregates (an
+  augmented tree), whose constants lost to the flat arrays on every
+  caller the repo runs, so no such backend ships.
 * ``array`` — same O(w + log n) shape as ``list`` but on int64 columns
   with O(1) ``prune_before``, so a rolling sweep that prunes behind its
   clock keeps n (and hence every w) at the active-window size.
 
-``benchmarks/bench_profile_backends.py`` measures all three per
-scenario; pick the backend whose winning column matches the workload
-(see the package docstring's "choosing a backend" table).
+``benchmarks/bench_profile_backends.py`` measures both per scenario.
 """
 
 from __future__ import annotations
@@ -246,8 +241,8 @@ class ProfileBackend:
 
     def area(self, start: Time, end: Time) -> Time:
         """Integral of the capacity over ``[start, end)`` (available work
-        area).  Implementations locate ``start``'s segment by bisection /
-        tree descent rather than scanning from time 0."""
+        area).  Implementations locate ``start``'s segment by bisection
+        rather than scanning from time 0."""
         raise NotImplementedError
 
     def earliest_fit(self, q: int, duration: Time,

@@ -5,13 +5,10 @@ implementation of the profile protocol: two parallel lists (breakpoint
 times and segment capacities) kept in canonical merged form after every
 mutation.  Point and window queries bisect into the arrays; mutations
 splice and re-merge, which is O(n) per call but with small constants and
-zero bookkeeping — the right trade-off for the exact Fraction-heavy
-constructions of :mod:`repro.theory` and for small instances.
-
-For large traces the tree backend
-(:class:`~repro.core.profiles.tree_backend.TreeProfile`) implements the
-same protocol in O(log n) per operation; ``benchmarks/
-bench_profile_backends.py`` measures the crossover.
+zero bookkeeping.  It is the default backend (``profile_backend=None``)
+and the exact, Fraction-capable oracle the differential tests hold the
+int64 :class:`~repro.core.profiles.array_backend.ArrayProfile` to;
+``benchmarks/bench_profile_backends.py`` times the two.
 """
 
 from __future__ import annotations
@@ -94,8 +91,8 @@ class ListProfile(ProfileBackend):
         splice instead of ``w`` indexed ``+=``), which keeps wide-window
         churn competitive with the other backends; the Θ(w) shape
         itself is the documented trade (see the mutation-cost ledger in
-        :mod:`repro.core.profiles.base`) — going sublinear needs the
-        tree backend's lazy aggregates.
+        :mod:`repro.core.profiles.base`) — going sublinear would need
+        lazy range-add aggregates.
         """
         i = self._ensure_breakpoint(start)
         j = self._ensure_breakpoint(end)

@@ -28,8 +28,8 @@ This module exploits that closure property:
 
 ``IntSweepProfile`` is deliberately **not** a registered profile backend:
 pruning violates the protocol's ``[0, inf)`` canonical-form contract (the
-past is gone), which is exactly what makes it fast.  Use ``"list"`` /
-``"tree"`` for anything that needs the full protocol — or ``"array"``
+past is gone), which is exactly what makes it fast.  Use ``"list"``
+for anything that needs the full protocol — or ``"array"``
 (:class:`~repro.core.profiles.ArrayProfile`), which implements the full
 protocol *on* this module's integer grid: int64 flat columns plus a
 frontier-compacting ``prune_before`` that keeps the history-dropping

@@ -225,7 +225,6 @@ def execute_point(point: ExperimentPoint) -> Dict:
     """
     from ..algorithms.base import get_scheduler
     from ..core.metrics import evaluate_metrics
-    from ..core.profiles import get_default_backend_name, set_default_backend
     from ..simulation.online_sim import simulate
     from ..workloads.registry import make_workload
 
@@ -249,32 +248,29 @@ def execute_point(point: ExperimentPoint) -> Dict:
     instance = make_workload(
         point.workload, seed=point.derived_seed, **point.params
     )
-    previous_backend = get_default_backend_name()
-    set_default_backend(point.profile_backend)
-    try:
-        if point.algorithm.startswith(ONLINE_PREFIX):
-            policy = point.algorithm[len(ONLINE_PREFIX):]
-            schedule = simulate(
-                instance, policy, profile_backend=point.profile_backend,
-                timebase=point.timebase,
-            ).schedule
-        else:
-            scheduler = get_scheduler(point.algorithm)
-            if hasattr(scheduler, "timebase"):
-                scheduler.timebase = point.timebase
-            elif point.timebase != DEFAULT_TIMEBASE:
-                import warnings
+    if point.algorithm.startswith(ONLINE_PREFIX):
+        policy = point.algorithm[len(ONLINE_PREFIX):]
+        schedule = simulate(
+            instance, policy, profile_backend=point.profile_backend,
+            timebase=point.timebase,
+        ).schedule
+    else:
+        scheduler = get_scheduler(point.algorithm)
+        if hasattr(scheduler, "profile_backend"):
+            scheduler.profile_backend = point.profile_backend
+        if hasattr(scheduler, "timebase"):
+            scheduler.timebase = point.timebase
+        elif point.timebase != DEFAULT_TIMEBASE:
+            import warnings
 
-                warnings.warn(
-                    f"scheduler {point.algorithm!r} has no timebase knob; "
-                    f"the timebase={point.timebase!r} grid cell runs the "
-                    "scheduler's only engine (row label is aspirational)",
-                    stacklevel=2,
-                )
-            schedule = scheduler.schedule(instance)
-        values = evaluate_metrics(schedule, point.metrics)
-    finally:
-        set_default_backend(previous_backend)
+            warnings.warn(
+                f"scheduler {point.algorithm!r} has no timebase knob; "
+                f"the timebase={point.timebase!r} grid cell runs the "
+                "scheduler's only engine (row label is aspirational)",
+                stacklevel=2,
+            )
+        schedule = scheduler.schedule(instance)
+    values = evaluate_metrics(schedule, point.metrics)
     row = {
         "key": point.key,
         "workload": point.workload,

@@ -3,9 +3,8 @@
 An :class:`ExperimentSpec` names a *factor grid* — algorithms (registry
 names, with ``"online:<policy>"`` addressing the simulation policies),
 workloads (registry name + parameters, with an optional per-parameter
-value grid), profile backends (any registered name: ``"list"``,
-``"tree"``, ``"array"``, ...), seeds and metric extractors — and
-round-trips to JSON (format ``repro-spec/1``) so an experiment is a
+value grid), profile backends (``"list"`` or ``"array"``), seeds and
+metric extractors — and round-trips to JSON (format ``repro-spec/1``) so an experiment is a
 durable artifact like instances and schedules, not a script.
 
 The grid semantics mirror the paper's evaluation: every figure is an

@@ -352,12 +352,11 @@ class ReplayEngine:
     policy:
         Registered online policy name (``repro list --kind policies``).
     profile_backend:
-        Availability structure (``"list"``/``"tree"``/``"array"``/class,
-        ``None`` for the module default, or the replay-specific
-        ``"auto"``, the default).  ``"auto"`` starts on the int64
-        flat-array kernel — pruned O(1) behind the clock on every
-        completion, it holds only the active window, where flat columns
-        beat both exact backends — and demotes the live profile to the
+        Availability structure (``"list"``/``"array"``/class, ``None``
+        for ``"list"``, or the replay-specific ``"auto"``, the default).
+        ``"auto"`` starts on the int64 flat-array kernel — pruned O(1)
+        behind the clock on every completion, it holds only the active
+        window — and demotes the live profile to the
         exact ``"list"`` backend the moment a non-integral job time
         appears (conversion preserves the represented function, so
         results are identical; integer traces never demote).

@@ -189,7 +189,7 @@ class TestRunAndList:
         ("workloads", "alpha-uniform"),
         ("policies", "conservative"),
         ("metrics", "ratio_lb"),
-        ("backends", "tree"),
+        ("backends", "list"),
     ])
     def test_list_kinds(self, kind, expected, capsys):
         assert main(["list", "--kind", kind]) == 0

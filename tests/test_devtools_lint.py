@@ -34,7 +34,6 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 PROFILE_FILES = (
     "src/repro/core/profiles/base.py",
     "src/repro/core/profiles/list_backend.py",
-    "src/repro/core/profiles/tree_backend.py",
     "src/repro/core/profiles/array_backend.py",
 )
 
@@ -43,7 +42,6 @@ PROTOCOL_CONFIG = """
 base = "src/repro/core/profiles/base.py::ProfileBackend"
 backends = [
     "src/repro/core/profiles/list_backend.py::ListProfile",
-    "src/repro/core/profiles/tree_backend.py::TreeProfile",
     "src/repro/core/profiles/array_backend.py::ArrayProfile",
 ]
 [tool.repro-lint.protocol.require-override]

@@ -1,7 +1,7 @@
-"""The profile-backend protocol: three implementations, one behaviour.
+"""The profile-backend protocol: two implementations, one behaviour.
 
-Three layers of evidence that :class:`TreeProfile` and
-:class:`ArrayProfile` are drop-ins for :class:`ListProfile`:
+Three layers of evidence that :class:`ArrayProfile` is a drop-in for
+:class:`ListProfile` on the integer grid:
 
 * *property round-trips* — reserve-then-add restores the profile, queries
   agree with brute-force references, Fraction/float breakpoints and
@@ -11,8 +11,9 @@ Three layers of evidence that :class:`TreeProfile` and
 * *cross-backend equivalence* — identical op sequences leave every
   backend representing the same function, query for query;
 * *scheduler differential* — LSRC, FCFS, conservative backfilling and
-  shelf produce **identical schedules** under any backend on 50+
-  randomized instances with mixed int/Fraction times.
+  shelf produce **identical schedules** under either backend on 50+
+  randomized instances with mixed int/Fraction times (Fraction-timed
+  ones reach the array backend through their integer twin).
 """
 
 import random
@@ -32,23 +33,17 @@ from repro.core.profiles import (
     ArrayProfile,
     ListProfile,
     ProfileBackend,
-    TreeProfile,
     available_backends,
     convert_profile,
-    get_default_backend,
-    get_default_backend_name,
     make_profile,
     resolve_backend,
-    set_default_backend,
 )
+from repro.core.timebase import Timebase
 from repro.errors import CapacityError, InvalidInstanceError
 
 from conftest import NaiveCapacity, random_resa
 
-BACKENDS = [ListProfile, TreeProfile, ArrayProfile]
-#: Backends accepting Fraction/float breakpoints (the array backend's
-#: integer-grid contract is asserted separately in TestArrayIntOnly).
-EXACT_TIME_BACKENDS = [ListProfile, TreeProfile]
+BACKENDS = [ListProfile, ArrayProfile]
 
 
 @pytest.fixture(params=BACKENDS, ids=lambda cls: cls.__name__)
@@ -68,40 +63,29 @@ def skip_unless_exact_times(backend):
 
 class TestRegistry:
     def test_registry_names(self):
-        assert {"list", "tree", "array"} <= set(available_backends())
+        assert available_backends() == ["array", "list"]
 
     def test_resolve_by_name_class_and_none(self):
         assert resolve_backend("list") is ListProfile
-        assert resolve_backend("tree") is TreeProfile
         assert resolve_backend("array") is ArrayProfile
-        assert resolve_backend(TreeProfile) is TreeProfile
-        assert resolve_backend(None) is get_default_backend()
+        assert resolve_backend(ArrayProfile) is ArrayProfile
+        assert resolve_backend(None) is ListProfile
+        inst = ReservationInstance.from_specs(4, [(2, 2)], [(1, 1, 1)])
+        assert type(inst.availability_profile()) is ListProfile
 
     def test_resolve_unknown_rejected(self):
-        with pytest.raises(InvalidInstanceError):
-            resolve_backend("btree")
-        with pytest.raises(InvalidInstanceError):
-            resolve_backend(42)
-
-    def test_default_backend_switch(self):
-        original = get_default_backend_name()
-        try:
-            set_default_backend("tree")
-            assert get_default_backend() is TreeProfile
-            inst = ReservationInstance.from_specs(4, [(2, 2)], [(1, 1, 1)])
-            assert isinstance(inst.availability_profile(), TreeProfile)
-        finally:
-            set_default_backend(original)
-        assert get_default_backend_name() == original
+        for name in ("btree", "tree", 42):
+            with pytest.raises(InvalidInstanceError):
+                resolve_backend(name)
 
     def test_make_and_convert(self):
-        p = make_profile([0, 2], [4, 1], "tree")
-        assert isinstance(p, TreeProfile)
+        p = make_profile([0, 2], [4, 1], "array")
+        assert isinstance(p, ArrayProfile)
         q = convert_profile(p, "list")
         assert isinstance(q, ListProfile)
         assert p == q
         # conversion is a copy either way
-        r = convert_profile(p, "tree")
+        r = convert_profile(p, "array")
         r.add(0, 1, 1)
         assert p != r
 
@@ -204,13 +188,11 @@ class TestBackendBasics:
 
     def test_cross_backend_equality_and_hash(self):
         a = ListProfile.from_segments([(0, 2), (1, 3)])
-        b = TreeProfile.from_segments([(0, 2), (1, 3)])
         c = ArrayProfile.from_segments([(0, 2), (1, 3)])
-        assert a == b == c
-        assert hash(a) == hash(b) == hash(c)
-        b.add(5, 1, 1)
-        assert a != b
         assert a == c
+        assert hash(a) == hash(c)
+        c.add(5, 1, 1)
+        assert a != c
 
     def test_protocol_subclass(self, backend):
         assert issubclass(backend, ProfileBackend)
@@ -266,7 +248,7 @@ class TestReserveMany:
         assert p == backend.constant(3)
 
     def test_random_batches_agree_across_backends(self):
-        """TreeProfile.reserve_many's single split/merge sweep must land on
+        """ArrayProfile.reserve_many's single overlay sweep must land on
         exactly the list backend's atomic result, block order included."""
         rng = random.Random(42)
         for _ in range(40):
@@ -274,17 +256,17 @@ class TestReserveMany:
             if not times or times[0] != 0:
                 times.insert(0, 0)
             caps = [rng.randint(2, 10) for _ in times]
-            lp, tp = ListProfile(times, caps), TreeProfile(times, caps)
+            lp, tp = ListProfile(times, caps), ArrayProfile(times, caps)
             blocks = []
             for _ in range(rng.randint(1, 10)):
-                start = Fraction(rng.randint(0, 120), rng.choice([1, 2]))
+                start = rng.randint(0, 120)
                 blocks.append((start, rng.randint(1, 20), rng.randint(0, 2)))
             try:
                 lp.reserve_many(blocks)
             except CapacityError:
                 with pytest.raises(CapacityError):
                     tp.reserve_many(blocks)
-                assert tp == TreeProfile(times, caps)  # untouched
+                assert tp == ArrayProfile(times, caps)  # untouched
                 continue
             tp.reserve_many(blocks)
             assert lp == tp
@@ -343,7 +325,7 @@ class TestMaxCapacityBetween:
             if not times or times[0] != 0:
                 times.insert(0, 0)
             caps = [rng.randint(0, 9) for _ in times]
-            lp, tp = ListProfile(times, caps), TreeProfile(times, caps)
+            lp, tp = ListProfile(times, caps), ArrayProfile(times, caps)
             for _ in range(8):
                 start = rng.randint(0, 55)
                 dur = rng.randint(1, 15)
@@ -495,31 +477,25 @@ def test_backend_earliest_fit_matches_naive(cls, m, holds, q, duration, after):
 @given(
     m=st.integers(min_value=2, max_value=12),
     holds=hold_lists,
-    kind=time_kinds,
 )
-def test_backends_agree_segmentwise(m, holds, kind):
-    """Identical op sequences leave every backend representing the same
-    function — segments, aggregates, areas and fits included (the array
-    backend joins on integer-timed sequences)."""
-    profiles = [ListProfile.constant(m), TreeProfile.constant(m)]
-    if kind == "int":
-        profiles.append(ArrayProfile.constant(m))
-    lp = profiles[0]
+def test_backends_agree_segmentwise(m, holds):
+    """Identical (integer-timed) op sequences leave both backends
+    representing the same function — segments, aggregates, areas and
+    fits included."""
+    lp, tp = ListProfile.constant(m), ArrayProfile.constant(m)
     for start, dur, amount in holds:
-        start, dur = _cast(start, kind), _cast(dur, kind)
         if lp.min_capacity(start, start + dur) >= amount:
-            for p in profiles:
-                p.reserve(start, dur, amount)
-    for tp in profiles[1:]:
-        assert list(lp.segments()) == list(tp.segments())
-        assert lp.breakpoints == tp.breakpoints
-        assert lp.min_capacity_overall() == tp.min_capacity_overall()
-        assert lp.max_capacity() == tp.max_capacity()
-        assert lp.final_capacity() == tp.final_capacity()
-        for a in range(0, 24, 5):
-            assert lp.area(a, a + 7) == tp.area(a, a + 7)
-            assert lp.first_time_area_reaches(11, start=a) == tp.first_time_area_reaches(11, start=a)
-        assert lp.is_nondecreasing() == tp.is_nondecreasing()
+            lp.reserve(start, dur, amount)
+            tp.reserve(start, dur, amount)
+    assert list(lp.segments()) == list(tp.segments())
+    assert lp.breakpoints == tp.breakpoints
+    assert lp.min_capacity_overall() == tp.min_capacity_overall()
+    assert lp.max_capacity() == tp.max_capacity()
+    assert lp.final_capacity() == tp.final_capacity()
+    for a in range(0, 24, 5):
+        assert lp.area(a, a + 7) == tp.area(a, a + 7)
+        assert lp.first_time_area_reaches(11, start=a) == tp.first_time_area_reaches(11, start=a)
+    assert lp.is_nondecreasing() == tp.is_nondecreasing()
 
 
 # ---------------------------------------------------------------------------
@@ -562,17 +538,14 @@ def test_schedulers_identical_across_backends(name, factory):
         if name == "shelf-ff" and any(j.release > 0 for j in inst.jobs):
             continue
         a = factory("list").schedule(inst)
-        b = factory("tree").schedule(inst)
         a.verify()
-        b.verify()
-        assert a.starts == b.starts, f"{name} diverged on seed {seed}"
-        assert a.makespan == b.makespan
-        if seed % 2 != 0:  # integer-timed instances: the array backend too
-            c = factory("array").schedule(inst)
-            c.verify()
-            assert c.starts == a.starts, (
-                f"{name} (array) diverged on seed {seed}"
-            )
+        # the array backend is integer-grid only: Fraction-timed
+        # instances reach it through their integer twin
+        tb = Timebase.of(inst)
+        c = factory("array").schedule(tb.normalize_instance(inst))
+        assert tb.denormalize_starts(c.starts) == a.starts, (
+            f"{name} (array) diverged on seed {seed}"
+        )
         checked += 1
 
 

@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.core.metrics import summarize
-from repro.core.profiles import ArrayProfile, ListProfile, TreeProfile
+from repro.core.profiles import ArrayProfile, ListProfile
 from repro.errors import SchedulingError, TraceFormatError
 from repro.run import ExperimentSpec, Runner, TraceSpec, dumps_spec, loads_spec
 from repro.simulation import (
@@ -220,7 +220,7 @@ class TestSynthPack:
 # prune_before soundness (differential vs the unpruned reference)
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("cls", [ListProfile, TreeProfile, ArrayProfile])
+@pytest.mark.parametrize("cls", [ListProfile, ArrayProfile])
 class TestPruneBefore:
     def test_post_frontier_queries_unchanged(self, cls):
         rng = random.Random(17)
@@ -315,7 +315,7 @@ class TestPruneBefore:
 
 @settings(max_examples=40, deadline=None)
 @given(
-    cls=st.sampled_from([ListProfile, TreeProfile, ArrayProfile]),
+    cls=st.sampled_from([ListProfile, ArrayProfile]),
     seed=st.integers(min_value=0, max_value=10_000),
     frontier=st.integers(min_value=0, max_value=220),
 )
@@ -451,7 +451,7 @@ _job_rows = st.lists(
 @given(
     rows=_job_rows,
     policy=st.sampled_from(["fcfs", "greedy", "easy", "conservative"]),
-    backend=st.sampled_from(["list", "tree", "array", "auto"]),
+    backend=st.sampled_from(["list", "array", "auto"]),
     compress=st.booleans(),
 )
 @settings(max_examples=80, deadline=None)
@@ -543,9 +543,9 @@ class TestTracesFactor:
     def test_backends_factor_sweeps_array(self):
         """The spec's profile_backends factor reaches the replay
         engine; every backend must agree on the replay metrics."""
-        spec = self._spec(profile_backends=("list", "tree", "array"))
+        spec = self._spec(profile_backends=("list", "array"))
         result = Runner().run(spec)
-        assert len(result.rows) == 3
+        assert len(result.rows) == 2
         reference = result.rows[0]
         for row in result.rows[1:]:
             assert row["makespan"] == reference["makespan"]
