@@ -35,21 +35,17 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import __version__
-from .algorithms import available_schedulers, branch_and_bound, get_scheduler
-from .analysis import format_table
-from .core import lower_bound, summarize
-from .core.serialize import (
-    dumps_instance,
-    dumps_schedule,
-    load_instance,
-    load_schedule,
-    save_instance,
-    save_schedule,
-)
 from .errors import ReproError
+
+# Every handler imports what it uses: a subcommand (``repro serve`` above
+# all) pays only for its own modules, not for the whole library.
 
 
 def _cmd_schedule(args) -> int:
+    from .algorithms import get_scheduler
+    from .core import lower_bound, summarize
+    from .core.serialize import dumps_schedule, load_instance, save_schedule
+
     instance = load_instance(args.instance)
     scheduler = get_scheduler(args.algorithm)
     schedule = scheduler.schedule(instance)
@@ -68,6 +64,9 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_optimal(args) -> int:
+    from .algorithms import branch_and_bound
+    from .core.serialize import load_instance, save_schedule
+
     instance = load_instance(args.instance)
     result = branch_and_bound(instance, node_limit=args.node_limit)
     result.schedule.verify()
@@ -89,6 +88,7 @@ def _parse_alpha(token: str) -> Fraction:
 
 
 def _cmd_bounds(args) -> int:
+    from .analysis import format_table
     from .theory import lower_bound_b1, lower_bound_b2, upper_bound
 
     rows = []
@@ -193,6 +193,7 @@ def _cmd_figure(args) -> int:
 
 def _cmd_generate(args) -> int:
     from .core import ReservationInstance
+    from .core.serialize import dumps_instance, save_instance
     from .workloads import (
         alpha_constrained_instance,
         feitelson_instance,
@@ -229,6 +230,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_gantt(args) -> int:
+    from .core.serialize import load_schedule
     from .viz import render_gantt, save_svg
 
     schedule = load_schedule(args.schedule)
@@ -240,6 +242,8 @@ def _cmd_gantt(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .core import summarize
+    from .core.serialize import load_instance, save_schedule
     from .simulation import simulate
 
     instance = load_instance(args.instance)
@@ -257,6 +261,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_swf(args) -> int:
+    from .core.serialize import dumps_instance, save_instance
     from .workloads import read_swf
 
     with open(args.trace) as fh:
@@ -502,6 +507,9 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_info(args) -> int:
+    from .analysis import format_table
+    from .core import lower_bound
+    from .core.serialize import load_instance
     from .workloads.characterize import characterize
 
     instance = load_instance(args.instance)
@@ -513,6 +521,7 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .analysis import format_table
     from .core.serialize import load_spec
     from .run import Runner, summary_rows
 
@@ -596,6 +605,12 @@ def _cmd_bench(args) -> int:
     return suite.main(argv)
 
 
+def _algorithm_names() -> List[str]:
+    from .algorithms import available_schedulers
+
+    return available_schedulers()
+
+
 def _workload_names() -> List[str]:
     from .workloads import available_workloads
 
@@ -640,7 +655,7 @@ def _uncertainty_names() -> List[str]:
 
 #: ``repro list --kind`` dispatch; the argparse choices derive from this.
 _LIST_LOADERS = {
-    "algorithms": available_schedulers,
+    "algorithms": _algorithm_names,
     "workloads": _workload_names,
     "policies": _policy_names,
     "metrics": _metric_names,

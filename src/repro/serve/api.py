@@ -50,6 +50,8 @@ concrete :class:`~repro.errors.ReproError` subclass for diagnostics.
 
 from __future__ import annotations
 
+import json
+import math
 from numbers import Integral, Real
 from typing import Dict, Optional, Tuple
 
@@ -110,12 +112,39 @@ def make_query(op: str) -> Dict:
 
 # -- request validation (the server side of the same contract) --------------
 
+def _refuse_constant(name: str):
+    raise ServeProtocolError(
+        f"request body holds {name}, which is not a JSON number"
+    )
+
+
+#: Strict JSON: Python's decoder otherwise accepts ``NaN``/``Infinity``.
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
+def decode_request(raw: bytes):
+    """Decode one request body: UTF-8 JSON with finite numbers only.
+
+    Raises :class:`~repro.errors.ServeProtocolError` on anything else
+    (invalid UTF-8, malformed JSON, a ``NaN``/``Infinity`` literal).
+    """
+    try:
+        return _DECODER.decode(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ServeProtocolError(f"request body is not JSON: {exc}") from None
+
+
 def _require_number(payload: Dict, key: str, op: str):
     value = payload.get(key)
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ServeProtocolError(
             f"{op} request field {key!r} must be a number, "
             f"got {type(value).__name__}"
+        )
+    # 1e400 decodes to inf; neither it nor nan is a logical time or size
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ServeProtocolError(
+            f"{op} request field {key!r} must be finite, got {value!r}"
         )
     # JSON has no int/float split the engine can rely on: an integral
     # float from a sloppy client must not demote the int64 kernel
@@ -250,6 +279,7 @@ __all__ = [
     "MUTATING_OPS",
     "OPS",
     "SERVE_FORMAT",
+    "decode_request",
     "error_envelope",
     "error_kind",
     "job_from_payload",

@@ -52,6 +52,7 @@ from ..workloads.uncertainty import DRAW_STREAM_VERSION
 from .api import (
     MUTATING_OPS,
     SERVE_FORMAT,
+    decode_request,
     error_envelope,
     error_kind,
     job_from_payload,
@@ -68,8 +69,8 @@ DEFAULT_OP_SNAPSHOT_INTERVAL = 256
 SERVE_MODE = "serve"
 
 #: Largest accepted ``POST /v1/op`` body.  A request advertising more
-#: (or a negative ``Content-Length``) is refused with a ``protocol``
-#: error before a byte of its body is read.
+#: (or a negative or non-integer ``Content-Length``) is refused with a
+#: ``protocol`` error before a byte of its body is read.
 MAX_BODY_BYTES = 1 << 20
 
 #: Seconds a client may stall mid-request (request line, headers or
@@ -323,15 +324,17 @@ class _ServeHandler(BaseHTTPRequestHandler):
                 ServeProtocolError(f"unknown path {self.path!r}")
             ))
             return
+        header = self.headers.get("Content-Length", "0")
         try:
-            length = int(self.headers.get("Content-Length", 0))
+            length = int(header)
         except ValueError:
-            length = 0
+            length = -1
         if not 0 <= length <= MAX_BODY_BYTES:
             # refused unread: the connection closes after the response
             self.close_connection = True
             self._respond(error_envelope(ServeProtocolError(
-                f"Content-Length {length} outside [0, {MAX_BODY_BYTES}]"
+                f"Content-Length {header!r} is not an integer in "
+                f"[0, {MAX_BODY_BYTES}]"
             )))
             return
         try:
@@ -340,11 +343,9 @@ class _ServeHandler(BaseHTTPRequestHandler):
             self.close_connection = True  # stalled mid-body: drop it
             return
         try:
-            body = json.loads(raw) if raw else None
-        except json.JSONDecodeError as exc:
-            self._respond(error_envelope(
-                ServeProtocolError(f"request body is not JSON: {exc}")
-            ))
+            body = decode_request(raw) if raw else None
+        except ServeProtocolError as exc:
+            self._respond(error_envelope(exc))
             return
         self._respond(self.server.service.handle(body))
 

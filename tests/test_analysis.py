@@ -19,6 +19,7 @@ from repro.analysis import (
     std,
     write_csv,
 )
+from repro.analysis.stats import _t_quantile
 from repro.errors import InvalidInstanceError
 from repro.workloads import uniform_instance
 
@@ -61,6 +62,67 @@ class TestStats:
         assert geometric_mean([1, 4]) == pytest.approx(2.0)
         with pytest.raises(InvalidInstanceError):
             geometric_mean([1, 0])
+
+    def test_small_sample_ci_uses_student_t(self):
+        # n = 5: the 95% half-width is t(4) = 2.7764, not the normal 1.96
+        xs = [1.0, 2.0, 3.0, 4.0, 5.0]
+        lo, hi = confidence_interval(xs)
+        assert hi - 3.0 == pytest.approx(2.7764451052 * std(xs) / math.sqrt(5))
+        assert 3.0 - lo == pytest.approx(hi - 3.0)
+
+    def test_ci_rejects_confidence_outside_unit_interval(self):
+        with pytest.raises(InvalidInstanceError):
+            confidence_interval([1.0, 2.0], confidence=1.5)
+        with pytest.raises(InvalidInstanceError):
+            confidence_interval([7.0], confidence=0.0)
+
+
+#: Two-sided Student-t critical values t(df, confidence) from the
+#: standard printed table (four decimals).
+_T_TABLE = {
+    1: (6.3138, 12.7062, 63.6567),
+    2: (2.9200, 4.3027, 9.9248),
+    5: (2.0150, 2.5706, 4.0321),
+    10: (1.8125, 2.2281, 3.1693),
+    30: (1.6973, 2.0423, 2.7500),
+    120: (1.6577, 1.9799, 2.6174),
+}
+
+
+class TestTQuantile:
+    @pytest.mark.parametrize("df", sorted(_T_TABLE))
+    @pytest.mark.parametrize("column,confidence",
+                             enumerate((0.90, 0.95, 0.99)))
+    def test_matches_published_table(self, df, column, confidence):
+        assert round(_t_quantile(df, confidence), 4) == _T_TABLE[df][column]
+
+    @pytest.mark.parametrize("confidence",
+                             [1e-6, 0.1, 0.5, 0.9, 0.95, 0.99, 0.9999])
+    def test_one_degree_of_freedom_is_cauchy(self, confidence):
+        # t with df = 1 is the Cauchy law: t = tan(pi c / 2), written as
+        # cot(pi (1 - c) / 2) so c near 1 does not lose digits
+        expected = 1.0 / math.tan(math.pi * (1.0 - confidence) / 2.0)
+        assert _t_quantile(1, confidence) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 7, 10, 29, 30, 120, 1000, 10**5])
+    def test_matches_scipy(self, df):
+        stats = pytest.importorskip("scipy.stats")
+        for confidence in (0.5, 0.8, 0.9, 0.95, 0.975, 0.99, 0.999):
+            expected = float(stats.t.ppf(0.5 + confidence / 2, df))
+            assert _t_quantile(df, confidence) == pytest.approx(
+                expected, rel=1e-9, abs=0
+            ), (df, confidence)
+
+    @pytest.mark.parametrize("confidence",
+                             [0.0, 1.0, -0.1, 1.5, float("nan")])
+    def test_rejects_confidence_outside_unit_interval(self, confidence):
+        with pytest.raises(InvalidInstanceError, match="confidence"):
+            _t_quantile(5, confidence)
+
+    @pytest.mark.parametrize("df", [0, 0.5, -3, float("inf"), float("nan")])
+    def test_rejects_bad_degrees_of_freedom(self, df):
+        with pytest.raises(InvalidInstanceError, match="degrees of freedom"):
+            _t_quantile(df, 0.95)
 
 
 class TestTables:

@@ -1,9 +1,14 @@
 """Tests for the command-line interface (direct main() calls)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.core import load_instance, load_schedule
 from repro.workloads import SAMPLE_SWF
@@ -238,3 +243,48 @@ class TestServeValidation:
         err = capsys.readouterr().err
         assert "--resume takes its configuration from the journal" in err
         assert flags[0].lstrip("-").split()[0] in err.replace("/", " ")
+
+
+class TestLeanImports:
+    """Each subcommand imports only what it uses, so ``import repro.cli``
+    (the cost every ``repro`` process pays, ``repro serve`` included)
+    stays free of scipy and of the analysis, algorithm and experiment
+    layers.  Fresh interpreters: this process has imported them all."""
+
+    SRC_ROOT = Path(repro.__file__).resolve().parents[1]
+
+    def _python(self, *args):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (
+            str(self.SRC_ROOT) + os.pathsep + env.get("PYTHONPATH", "")
+        )
+        proc = subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True,
+            text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def _loaded(self, module, candidates):
+        probe = (
+            f"import json, sys, {module}; "
+            f"print(json.dumps([m for m in {candidates!r} "
+            f"if m in sys.modules]))"
+        )
+        return json.loads(self._python("-c", probe))
+
+    def test_cli_import_skips_heavy_layers(self):
+        heavy = ["scipy", "repro.analysis", "repro.algorithms", "repro.run"]
+        assert self._loaded("repro.cli", heavy) == []
+
+    def test_serve_daemon_import_skips_scipy(self):
+        assert self._loaded("repro.serve.daemon",
+                            ["scipy", "repro.analysis"]) == []
+
+    def test_version_and_algorithm_list_still_work(self):
+        assert self._python("-m", "repro", "--version").strip() == (
+            repro.__version__
+        )
+        names = self._python("-m", "repro", "list", "--kind",
+                             "algorithms").split()
+        assert "lsrc" in names

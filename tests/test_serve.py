@@ -179,6 +179,21 @@ class TestApiRoundTrip:
         with pytest.raises(ServeProtocolError):
             parse_request(body)
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"format": SERVE_FORMAT, "op": "submit",
+             "job": {"id": "j", "p": float("inf"), "q": 1, "release": 0}},
+            {"format": SERVE_FORMAT, "op": "advance", "to": float("nan")},
+            {"format": SERVE_FORMAT, "op": "reserve",
+             "start": float("-inf"), "p": 1, "q": 1},
+        ],
+        ids=lambda b: b["op"],
+    )
+    def test_non_finite_numbers_reject(self, body):
+        with pytest.raises(ServeProtocolError):
+            parse_request(body)
+
     def test_ops_catalog_is_consistent(self):
         assert set(MUTATING_OPS) < set(ALL_OPS)
         assert len(ALL_OPS) == len(set(ALL_OPS))
@@ -765,15 +780,47 @@ def _next_client_is_served(port):
     assert _http("GET", port, "/v1/status")["ok"]
 
 
-@pytest.mark.parametrize("length", [-5, 1 << 30])
-def test_bad_content_length_is_refused_unread(live_daemon, length):
-    response = _raw_exchange(live_daemon, _post_head(length))
+def _refused_as_protocol_error(response: bytes) -> str:
     status, _, payload = response.partition(b"\r\n\r\n")
     assert status.startswith(b"HTTP/1.0 400"), status
     envelope = json.loads(payload)
     assert envelope["error"]["kind"] == "protocol"
-    assert "Content-Length" in envelope["error"]["message"]
+    return envelope["error"]["message"]
+
+
+@pytest.mark.parametrize("length", [-5, 1 << 30, "abc"])
+def test_bad_content_length_is_refused_unread(live_daemon, length):
+    response = _raw_exchange(live_daemon, _post_head(length))
+    message = _refused_as_protocol_error(response)
+    assert f"Content-Length {str(length)!r}" in message
     _next_client_is_served(live_daemon)
+
+
+def test_non_utf8_body_is_a_protocol_error(live_daemon, capfd):
+    body = b"\xff\x80"
+    response = _raw_exchange(live_daemon, _post_head(len(body)), body)
+    assert "not JSON" in _refused_as_protocol_error(response)
+    _next_client_is_served(live_daemon)
+    assert "Traceback" not in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("body", [
+    b'{"format": "repro-serve/1", "op": "advance", "to": NaN}',
+    b'{"format": "repro-serve/1", "op": "advance", "to": -Infinity}',
+    b'{"format": "repro-serve/1", "op": "submit",'
+    b' "job": {"id": "big", "p": 1e400, "q": 1, "release": 0}}',
+], ids=["nan-literal", "infinity-literal", "overflowing-float"])
+def test_non_finite_numbers_are_refused(live_daemon, body):
+    response = _raw_exchange(live_daemon, _post_head(len(body)), body)
+    _refused_as_protocol_error(response)
+    _next_client_is_served(live_daemon)
+    # nothing non-finite reached the core: the status body is strict JSON
+    raw = urllib.request.urlopen(
+        f"http://127.0.0.1:{live_daemon}/v1/status", timeout=10
+    ).read()
+    status = json.loads(raw, parse_constant=pytest.fail)["result"]
+    # the refused op changed nothing; only the follow-up job is staged
+    assert (status["horizon"], status["staged"]) == (0, 1)
 
 
 def test_stalled_body_is_dropped(live_daemon, capfd):
