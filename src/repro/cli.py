@@ -302,14 +302,24 @@ def _warn_demotion(policy: str, totals: dict) -> None:
 
 
 def _cmd_replay(args) -> int:
+    from .errors import TraceFormatError
+
+    # a source that does not parse (unknown synth profile, malformed
+    # SWF) is a usage error on every path, plain, multi-policy or
+    # journaled
+    try:
+        return _replay(args)
+    except TraceFormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _replay(args) -> int:
     from .simulation.replay import (
-        DEFAULT_SYNTH_JOBS,
         ReplayEngine,
-        parse_synth_source,
+        open_replay_source,
         replay_policies,
-        replay_swf,
     )
-    from .workloads.swf import synth_swf_jobs
 
     policies = [p for p in args.policy.split(",") if p]
     if not policies:
@@ -330,20 +340,6 @@ def _cmd_replay(args) -> int:
         except ReproError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    n = None
-    if args.trace.startswith("synth:"):
-        # synth:<profile>[:<n>] replays the scenario pack directly — no
-        # trace file needed for demos and smoke runs (parsing shared
-        # with the sharded runner, so messages/defaults cannot drift)
-        try:
-            profile, parsed_n = parse_synth_source(args.trace)
-        except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        n = parsed_n if parsed_n is not None else DEFAULT_SYNTH_JOBS
-        if args.max_jobs is not None:
-            n = min(n, args.max_jobs)
-
     if args.resume and not args.journal:
         print("error: --resume requires --journal DIR", file=sys.stderr)
         return 2
@@ -371,7 +367,7 @@ def _cmd_replay(args) -> int:
         try:
             result = replay_journaled(
                 args.trace, args.journal, policy=policies[0],
-                m=args.machines, n=n, max_jobs=args.max_jobs,
+                m=args.machines, max_jobs=args.max_jobs,
                 seed=args.seed, store=args.out, resume=args.resume,
                 snapshot_interval=interval, window=args.window,
                 profile_backend=args.backend, **uncertain_kwargs,
@@ -400,7 +396,7 @@ def _cmd_replay(args) -> int:
         # are byte-identical to a serial run
         multi = replay_policies(
             args.trace, policies, m=args.machines, jobs=args.jobs,
-            store=args.out, n=n, max_jobs=args.max_jobs, seed=args.seed,
+            store=args.out, max_jobs=args.max_jobs, seed=args.seed,
             window=args.window, profile_backend=args.backend,
             **uncertain_kwargs,
         )
@@ -423,21 +419,14 @@ def _cmd_replay(args) -> int:
 
     # a single policy replays serially whatever --jobs says: one trace
     # is one sequential event loop
-    kwargs = dict(
-        policy=policies[0],
-        window=args.window,
-        store=args.out,
-        profile_backend=args.backend,
-        **uncertain_kwargs,
+    arrivals, machine, stream = open_replay_source(
+        args.trace, m=args.machines, max_jobs=args.max_jobs, seed=args.seed
     )
-    if n is not None:
-        m = args.machines or 256
-        engine = ReplayEngine(m, **kwargs)
-        result = engine.run(synth_swf_jobs(profile, n, m=m, seed=args.seed))
-    else:
-        result = replay_swf(
-            args.trace, m=args.machines, max_jobs=args.max_jobs, **kwargs
-        )
+    engine = ReplayEngine(
+        machine, policy=policies[0], window=args.window, store=args.out,
+        profile_backend=args.backend, **uncertain_kwargs,
+    )
+    result = engine.run(arrivals, stream=stream)
     t = result.totals
     _warn_demotion(policies[0], t)
     print(

@@ -5,8 +5,11 @@ Three pieces, each usable on its own:
 * :mod:`repro.durability.atomic` — tmp + ``os.replace`` publication of
   every durable file (enforced by lint rule RPL402);
 * :mod:`repro.durability.journal` — an append-only journal of
-  CRC-framed records with snapshot-rolled segments and a recovery scan
-  that truncates torn tails;
+  CRC-framed records with snapshot-rolled segments and one recovery
+  routine, :meth:`~repro.durability.journal.Journal.recover`: it
+  truncates a torn tail, checks the committed snapshot and splits the
+  records at the last snapshot marker.  Journaled replay drops what
+  follows the marker and re-executes it; ``repro serve`` re-applies it;
 * :mod:`repro.durability.journaled` — the journaled replay driver
   behind ``repro replay --journal DIR`` / ``--resume``, whose invariant
   is kill-anywhere byte-identity: SIGKILL the process at any registered
@@ -20,7 +23,6 @@ from .journal import (
     Journal,
     JournalRecovery,
     JournalScan,
-    OpRecovery,
     scan_journal,
 )
 from .journaled import DEFAULT_SNAPSHOT_INTERVAL, replay_journaled
@@ -31,7 +33,6 @@ __all__ = [
     "Journal",
     "JournalRecovery",
     "JournalScan",
-    "OpRecovery",
     "atomic_pickle",
     "atomic_write_bytes",
     "atomic_write_text",

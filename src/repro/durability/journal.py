@@ -1,9 +1,10 @@
-"""Append-only replay journal: CRC-framed records + snapshot segments.
+"""Append-only journal: CRC-framed records + snapshot segments.
 
-A journal directory holds two kinds of files::
+Journaled replay and ``repro serve`` write the same format.  A journal
+directory holds two kinds of files::
 
-    seg-00000000.wal    length-prefixed records (header, rows, markers)
-    snap-00000001.ckpt  pickled ReplayCheckpoint bytes (atomic publish)
+    seg-00000000.wal    length-prefixed records (header, rows/ops, markers)
+    snap-00000001.ckpt  snapshot bytes (atomic publish)
 
 Each record is framed ``<u32 payload length><u32 CRC32(payload)>`` +
 payload, where the payload is canonical JSON (sorted keys).  Segments
@@ -13,7 +14,8 @@ and segment ``k`` (``k >= 1``) is *created atomically* with snapshot
 when its marker is durable, and the first record of a segment can never
 be torn.
 
-Crash semantics (the recovery scan's contract):
+Crash semantics (the contract of :meth:`Journal.recover`, the one
+recovery routine both writers use):
 
 * an incomplete or CRC-failing record **at the tail of the last
   segment** is a torn write — expected after a kill — and is truncated
@@ -21,9 +23,11 @@ Crash semantics (the recovery scan's contract):
 * the same damage anywhere else is real corruption and raises
   :class:`~repro.errors.JournalCorruptError` (a mid-file bit flip must
   reject loudly, never "recover" silently);
-* rows recorded after the last snapshot marker are uncommitted — they
-  are dropped on resume and re-emitted by deterministic re-execution,
-  which is what makes kill-anywhere recovery byte-identical;
+* the last snapshot marker splits the records into a committed prefix
+  and a tail.  Journaled replay drops the tail (its rows are re-emitted
+  by deterministic re-execution, which is what makes kill-anywhere
+  recovery byte-identical); ``repro serve`` re-applies the tail's op
+  records, because an acknowledged op cannot be re-derived;
 * a snapshot file without its marker (crash between the two) is simply
   superseded: re-execution reaches the same boundary and atomically
   rewrites the same snapshot index.
@@ -93,39 +97,27 @@ class JournalScan:
 
 
 @dataclass
-class OpRecovery:
-    """What :meth:`Journal.open_event_sourced` reconstructed.
+class JournalRecovery:
+    """What :meth:`Journal.recover` reconstructed.
 
-    The event-sourced twin of :class:`JournalRecovery`: the latest
-    committed snapshot plus every ``op`` record accepted *after* it.
-    Unlike replay rows — re-derivable by re-executing the trace, so
-    dropped on resume — op records are the source of truth of a live
-    service and are re-applied, never discarded.
+    The last snapshot marker (else the header) splits the records:
+    journaled replay drops :attr:`after` (:meth:`Journal.truncate`) and
+    re-derives its rows from the trace; ``repro serve`` re-applies the
+    ``op`` records in it, which nothing else can re-derive.
     """
 
     config: Dict
     #: latest committed snapshot payload (``None``: restart from scratch)
     snapshot: Optional[bytes]
     snapshot_meta: Optional[Dict]
-    #: op records after the snapshot boundary, in acceptance order
-    ops: List[Dict] = field(default_factory=list)
-    torn: Optional[str] = None
-
-
-@dataclass
-class JournalRecovery:
-    """What :meth:`Journal.open_for_resume` reconstructed."""
-
-    config: Dict
-    #: latest committed snapshot payload (``None``: restart from scratch)
-    snapshot: Optional[bytes]
-    snapshot_meta: Optional[Dict]
-    #: committed rows, in emission order
-    rows: List[Dict] = field(default_factory=list)
+    #: records between the header and the last marker, in journal order
+    before: List[Dict] = field(default_factory=list)
+    #: records after the last marker (after the header if none)
+    after: List[Dict] = field(default_factory=list)
     #: the run finished (commit record present); nothing to re-execute
     committed: bool = False
-    #: uncommitted rows dropped during repair
-    discarded_rows: int = 0
+    #: byte offset in the tail segment where the committed prefix ends
+    boundary: int = 0
     torn: Optional[str] = None
 
 
@@ -201,9 +193,9 @@ def scan_journal(directory: str) -> JournalScan:
 class Journal:
     """Writer handle for one journal directory.
 
-    Use :meth:`create` for a fresh run and :meth:`open_for_resume` to
-    recover and continue an interrupted one; the constructor itself
-    performs no I/O.
+    Use :meth:`create` for a fresh run and :meth:`recover` to repair
+    and continue an interrupted one; the constructor itself performs no
+    I/O.
     """
 
     def __init__(self, directory: str, *, fsync: bool = False):
@@ -231,137 +223,17 @@ class Journal:
         return journal
 
     @classmethod
-    def open_for_resume(
+    def recover(
         cls, directory: str, *, fsync: bool = False
     ) -> Tuple["Journal", JournalRecovery]:
-        """Repair ``directory`` and reconstruct its committed state.
+        """Repair ``directory`` and split it at its last snapshot marker.
 
-        Truncates a torn tail, drops rows recorded after the last
-        snapshot marker (uncommitted), validates the snapshot bytes
-        against the marker's CRC, sweeps stranded ``*.tmp.*`` files,
-        and returns the journal (positioned to append) plus the
-        :class:`JournalRecovery`.
-        """
-        scan = scan_journal(directory)
-        directory = scan.directory
-        torn_note: Optional[str] = None
-        if scan.torn is not None:
-            seg, keep, reason = scan.torn
-            path = _segment_path(directory, seg)
-            os.truncate(path, keep)
-            torn_note = f"{os.path.basename(path)}: {reason}, truncated to {keep} bytes"
-
-        records = [item.record for item in scan.records]
-        if not records or records[0].get("t") != "header":
-            raise JournalCorruptError(
-                f"journal {directory!r} does not start with a header record"
-            )
-        config = records[0].get("config")
-        if not isinstance(config, dict):
-            raise JournalCorruptError(
-                f"journal {directory!r} header carries no config object"
-            )
-
-        committed = any(r.get("t") == "commit" for r in records)
-        last_marker: Optional[ScannedRecord] = None
-        for item in scan.records:
-            if item.record.get("t") == "snap":
-                last_marker = item
-        tail_segment = scan.segments[-1]
-        marker_segment = -1 if last_marker is None else last_marker.segment
-        if not committed and tail_segment > 0 and marker_segment != tail_segment:
-            # segments are born atomically with their marker as the
-            # first record; a tail segment without one is not a crash
-            # artefact, it is damage
-            raise JournalCorruptError(
-                f"journal {directory!r}: segment {tail_segment} has no "
-                "snapshot marker"
-            )
-
-        rows: List[Dict] = []
-        discarded = 0
-        snapshot: Optional[bytes] = None
-        snapshot_meta: Optional[Dict] = None
-        if committed:
-            rows = [r["row"] for r in records if r.get("t") == "row"]
-        else:
-            marker_end = None
-            if last_marker is not None:
-                snapshot_meta = last_marker.record
-                boundary = (last_marker.segment, last_marker.offset)
-            else:
-                boundary = (0, 0)  # only the header is committed
-            for item in scan.records:
-                if item.record.get("t") != "row":
-                    continue
-                if (item.segment, item.offset) < boundary:
-                    rows.append(item.record["row"])
-                else:
-                    discarded += 1
-            if last_marker is not None:
-                marker_end = last_marker.end
-                snap_path = _snapshot_path(
-                    directory, int(last_marker.record["snap"])
-                )
-                try:
-                    with open(snap_path, "rb") as fh:
-                        snapshot = fh.read()
-                except FileNotFoundError:
-                    raise JournalCorruptError(
-                        f"{snap_path}: snapshot file missing but its "
-                        "marker is committed"
-                    ) from None
-                if (
-                    len(snapshot) != last_marker.record.get("size")
-                    or zlib.crc32(snapshot) != last_marker.record.get("crc")
-                ):
-                    raise JournalCorruptError(
-                        f"{snap_path}: snapshot bytes do not match the "
-                        "committed marker (size/CRC mismatch)"
-                    )
-            # drop everything after the committed boundary: the resumed
-            # run re-emits it deterministically
-            keep = marker_end if marker_end is not None else None
-            if last_marker is None:
-                # segment 0 keeps only its header record
-                keep = scan.records[0].end
-            assert keep is not None
-            os.truncate(_segment_path(directory, tail_segment), keep)
-
-        # sweep tmp files stranded by a crash inside an atomic publish
-        for name in os.listdir(directory):
-            if ".tmp." in name:
-                try:
-                    os.remove(os.path.join(directory, name))
-                except OSError:
-                    pass
-
-        journal = cls(directory, fsync=fsync)
-        journal._open_segment(scan.segments[-1])
-        recovery = JournalRecovery(
-            config=config,
-            snapshot=snapshot,
-            snapshot_meta=snapshot_meta,
-            rows=rows,
-            committed=committed,
-            discarded_rows=discarded,
-            torn=torn_note,
-        )
-        return journal, recovery
-
-    @classmethod
-    def open_event_sourced(
-        cls, directory: str, *, fsync: bool = False
-    ) -> Tuple["Journal", OpRecovery]:
-        """Repair ``directory`` and reconstruct an event-sourced state.
-
-        The serve-mode twin of :meth:`open_for_resume`: a torn tail is
-        truncated and stranded ``*.tmp.*`` files are swept exactly as
-        there, but records after the last snapshot marker are **kept**
-        and returned (as :attr:`OpRecovery.ops`) instead of dropped —
-        an acknowledged op cannot be re-derived from a trace, so the
-        journal is its single source of truth.  The returned journal is
-        positioned to append to the tail segment.
+        Truncates a torn tail, checks the header, the tail segment's
+        marker and the committed snapshot's size and CRC, sweeps
+        stranded ``*.tmp.*`` files, and returns the journal (positioned
+        to append to the tail segment) plus the
+        :class:`JournalRecovery`.  Nothing after the marker is touched:
+        the caller decides whether to keep it.
         """
         scan = scan_journal(directory)
         directory = scan.directory
@@ -374,24 +246,26 @@ class Journal:
                 f"{os.path.basename(path)}: {reason}, truncated to {keep} bytes"
             )
 
-        records = [item.record for item in scan.records]
-        if not records or records[0].get("t") != "header":
+        records = scan.records
+        if not records or records[0].record.get("t") != "header":
             raise JournalCorruptError(
                 f"journal {directory!r} does not start with a header record"
             )
-        config = records[0].get("config")
+        config = records[0].record.get("config")
         if not isinstance(config, dict):
             raise JournalCorruptError(
                 f"journal {directory!r} header carries no config object"
             )
 
-        last_marker: Optional[ScannedRecord] = None
-        for item in scan.records:
+        committed = any(item.record.get("t") == "commit" for item in records)
+        split = 0  # index of the header, unless a marker follows
+        marker: Optional[ScannedRecord] = None
+        for index, item in enumerate(records):
             if item.record.get("t") == "snap":
-                last_marker = item
+                split, marker = index, item
+        boundary = records[split]
         tail_segment = scan.segments[-1]
-        marker_segment = -1 if last_marker is None else last_marker.segment
-        if tail_segment > 0 and marker_segment != tail_segment:
+        if not committed and boundary.segment != tail_segment:
             # segments are born atomically with their marker as the
             # first record; a tail segment without one is not a crash
             # artefact, it is damage
@@ -401,14 +275,8 @@ class Journal:
             )
 
         snapshot: Optional[bytes] = None
-        snapshot_meta: Optional[Dict] = None
-        boundary = (0, 0)
-        if last_marker is not None:
-            snapshot_meta = last_marker.record
-            boundary = (last_marker.segment, last_marker.offset)
-            snap_path = _snapshot_path(
-                directory, int(last_marker.record["snap"])
-            )
+        if marker is not None:
+            snap_path = _snapshot_path(directory, int(marker.record["snap"]))
             try:
                 with open(snap_path, "rb") as fh:
                     snapshot = fh.read()
@@ -418,19 +286,13 @@ class Journal:
                     "marker is committed"
                 ) from None
             if (
-                len(snapshot) != last_marker.record.get("size")
-                or zlib.crc32(snapshot) != last_marker.record.get("crc")
+                len(snapshot) != marker.record.get("size")
+                or zlib.crc32(snapshot) != marker.record.get("crc")
             ):
                 raise JournalCorruptError(
                     f"{snap_path}: snapshot bytes do not match the "
                     "committed marker (size/CRC mismatch)"
                 )
-        ops = [
-            item.record
-            for item in scan.records
-            if item.record.get("t") == "op"
-            and (item.segment, item.offset) >= boundary
-        ]
 
         # sweep tmp files stranded by a crash inside an atomic publish
         for name in os.listdir(directory):
@@ -442,14 +304,26 @@ class Journal:
 
         journal = cls(directory, fsync=fsync)
         journal._open_segment(tail_segment)
-        recovery = OpRecovery(
+        recovery = JournalRecovery(
             config=config,
             snapshot=snapshot,
-            snapshot_meta=snapshot_meta,
-            ops=ops,
+            snapshot_meta=None if marker is None else marker.record,
+            before=[item.record for item in records[1:split]],
+            after=[item.record for item in records[split + 1:]],
+            committed=committed,
+            boundary=boundary.end,
             torn=torn_note,
         )
         return journal, recovery
+
+    def truncate(self, size: int) -> None:
+        """Cut the active segment back to ``size`` bytes — how journaled
+        replay drops the records after :attr:`JournalRecovery.boundary`
+        before re-executing them."""
+        if self._fh is None:
+            raise JournalError("journal is closed")
+        self._fh.truncate(size)
+        self._fh.seek(0, os.SEEK_END)
 
     def _open_segment(self, index: int) -> None:
         if self._fh is not None:

@@ -13,10 +13,12 @@ so every boundary is frontier-quiescent), and each chunk runs through
 * the final chunk drains, journals its rows plus the totals row, and
   writes the commit record.
 
-``resume=True`` repairs the journal (truncating a torn tail), loads the
-latest committed snapshot, **rewrites the JSONL store** to exactly the
-committed rows, skips the checkpoint's ``arrived`` jobs of a freshly
-re-opened stream, and continues.  Because chunk boundaries are
+``resume=True`` repairs the journal with
+:meth:`~repro.durability.journal.Journal.recover` (the routine
+``repro serve`` resumes through too), truncates the rows after the last
+snapshot marker, loads that snapshot, **rewrites the JSONL store** to
+exactly the committed rows, skips the checkpoint's ``arrived`` jobs of
+a freshly re-opened stream, and continues.  Because chunk boundaries are
 recomputed identically and ``run_slice`` chaining is byte-identical to
 a serial run, the stitched output after any number of kills equals the
 uninterrupted run's output byte for byte (the kill-anywhere matrix in
@@ -37,26 +39,21 @@ import json
 import pickle
 import time as _time
 import warnings
-from itertools import chain, islice
+from itertools import islice
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..devtools.failpoints import fire
-from ..errors import (
-    JournalCorruptError,
-    JournalError,
-    SchedulingError,
-    TraceFormatError,
-)
+from ..errors import JournalCorruptError, JournalError, SchedulingError
 from ..simulation.replay import (
     CHECKPOINT_VERSION,
-    DEFAULT_SYNTH_JOBS,
     DEFAULT_WINDOW,
-    SYNTH_PREFIX,
     VOLATILE_TOTAL_FIELDS,
     ReplayCheckpoint,
     ReplayEngine,
     ReplayResult,
-    parse_synth_source,
+    open_replay_source,
+    resolve_store,
+    swf_counters,
 )
 from .atomic import atomic_write_bytes
 from .journal import JOURNAL_VERSION, Journal
@@ -65,42 +62,6 @@ from .journal import JOURNAL_VERSION, Journal
 #: engine's millions-of-jobs/s throughput this bounds recomputation
 #: after a kill to well under a second of lost work.
 DEFAULT_SNAPSHOT_INTERVAL = 100_000
-
-
-def _open_stream(source, m, n, max_jobs, seed) -> Tuple[Iterator, int]:
-    """Resolve a replay source to ``(arrival iterator, machine size)``.
-
-    Accepts the same sources as :func:`~repro.simulation.replay.
-    replay_policies` — an SWF path, ``synth:<profile>[:<n>]``, or any
-    in-memory iterable of jobs (``m`` then required).  Streaming: the
-    trace is never materialised.
-    """
-    if isinstance(source, str) and source.startswith(SYNTH_PREFIX):
-        from ..workloads.swf import synth_swf_jobs
-
-        profile, parsed_n = parse_synth_source(source)
-        jobs_n = n if n is not None else (parsed_n or DEFAULT_SYNTH_JOBS)
-        if max_jobs is not None:
-            jobs_n = min(jobs_n, max_jobs)
-        machine = m or 256
-        return synth_swf_jobs(profile, jobs_n, m=machine, seed=seed), machine
-    if isinstance(source, str):
-        from ..workloads.swf import iter_swf
-
-        stream = iter_swf(source, m=m, max_jobs=max_jobs)
-        it = iter(stream)
-        first = next(it, None)
-        if first is None:
-            raise TraceFormatError("SWF stream contains no usable jobs")
-        return chain([first], it), stream.m
-    if m is None:
-        raise SchedulingError(
-            "journaled replay of an in-memory job stream needs m="
-        )
-    it = iter(source)
-    if max_jobs is not None:
-        it = islice(it, max_jobs)
-    return it, m
 
 
 def _chunk_stream(
@@ -133,12 +94,9 @@ def _chunk_stream(
             return
 
 
-def _resolve_store(store):
-    if store is None or hasattr(store, "append"):
-        return store
-    from ..run.store import JsonlStore
-
-    return JsonlStore(store)
+def _rows(records: List[Dict]) -> List[Dict]:
+    """The emitted rows among journal ``records``, in order."""
+    return [r["row"] for r in records if r.get("t") == "row"]
 
 
 def _rewrite_store(store, rows: List[Dict]) -> None:
@@ -194,6 +152,11 @@ def replay_journaled(
 ) -> ReplayResult:
     """Replay ``source`` under a durable journal at ``journal_dir``.
 
+    ``source``, ``m``, ``n``, ``max_jobs`` and ``seed`` mean what they
+    mean to :func:`~repro.simulation.replay.open_replay_source`; an SWF
+    source's totals carry its ``skipped_lines``/``clipped_jobs``
+    counters, as on every replay path.
+
     Fresh runs (``resume=False``) require ``journal_dir`` to hold no
     journal yet; the run's configuration fingerprint is recorded in the
     journal header and validated on every resume — resuming with a
@@ -230,8 +193,10 @@ def replay_journaled(
         raise SchedulingError(
             "journaled replay requires completion_queue='calendar'"
         )
-    store = _resolve_store(store)
-    stream, machine = _open_stream(source, m, n, max_jobs, seed)
+    store = resolve_store(store)
+    stream, machine, swf = open_replay_source(
+        source, m=m, n=n, max_jobs=max_jobs, seed=seed
+    )
     window = engine_kwargs.get("window", DEFAULT_WINDOW)
     # Canonical uncertainty fingerprint: the model changes every journaled
     # row, so resuming under a different model must fail the header check
@@ -266,7 +231,7 @@ def replay_journaled(
     ckpt: Optional[ReplayCheckpoint] = None
     committed_rows: List[Dict] = []
     if resume:
-        journal, recovery = Journal.open_for_resume(journal_dir, fsync=fsync)
+        journal, recovery = Journal.recover(journal_dir, fsync=fsync)
         stored = recovery.config
         mismatch = {
             key: (stored.get(key), value)
@@ -284,9 +249,9 @@ def replay_journaled(
                 f"journal {journal.directory}: recovered torn tail "
                 f"({recovery.torn})"
             )
-        committed_rows = list(recovery.rows)
         if recovery.committed:
             journal.close()
+            committed_rows = _rows(recovery.before + recovery.after)
             _rewrite_store(store, committed_rows)
             return _result_from_rows(
                 policy, machine, window, committed_rows,
@@ -300,10 +265,14 @@ def replay_journaled(
                     f"journal {journal.directory}: snapshot did not "
                     "deserialize to a ReplayCheckpoint"
                 )
+        # drop everything after the committed boundary: the resumed run
+        # re-emits it deterministically
+        committed_rows = _rows(recovery.before)
+        journal.truncate(recovery.boundary)
         journal.append({
             "t": "resume",
             "snap": journal.snapshot_count,
-            "discarded": recovery.discarded_rows,
+            "discarded": len(_rows(recovery.after)),
         })
         _rewrite_store(store, committed_rows)
     else:
@@ -321,7 +290,6 @@ def replay_journaled(
             )
 
     all_rows: List[Dict] = list(committed_rows)
-    totals: Dict = {}
     try:
         for chunk, final in _chunk_stream(stream, snapshot_interval):
             fire("replay.slice.start")
@@ -334,7 +302,7 @@ def replay_journaled(
                     k: v for k, v in result.totals.items()
                     if k not in VOLATILE_TOTAL_FIELDS
                 }
-                emitted.append({"key": "totals", **totals})
+                emitted.append({"key": "totals", **totals, **swf_counters(swf)})
             for row in emitted:
                 journal.append_row(row)
                 if store is not None:
@@ -355,12 +323,7 @@ def replay_journaled(
     finally:
         journal.close()
 
-    totals["elapsed_seconds"] = _time.perf_counter() - started_clock
-    window_rows = [r for r in all_rows if r.get("key") != "totals"]
-    return ReplayResult(
-        policy=policy,
-        m=machine,
-        window_size=window,
-        totals=totals,
-        windows=window_rows,
+    return _result_from_rows(
+        policy, machine, window, all_rows,
+        _time.perf_counter() - started_clock,
     )

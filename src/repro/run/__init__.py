@@ -54,7 +54,6 @@ from .runner import (
 from .spec import (
     ONLINE_PREFIX,
     SPEC_FORMAT,
-    SYNTH_TRACE_PREFIX,
     TRACE_WORKLOAD,
     ExperimentSpec,
     TraceSpec,
@@ -74,7 +73,6 @@ __all__ = [
     "WorkloadSpec",
     "TraceSpec",
     "TRACE_WORKLOAD",
-    "SYNTH_TRACE_PREFIX",
     "Runner",
     "RunResult",
     "ExperimentPoint",

@@ -36,7 +36,7 @@ from .spec import (
     DEFAULT_TIMEBASE,
     DEFAULT_UNCERTAINTY,
     ONLINE_PREFIX,
-    SYNTH_TRACE_PREFIX,
+    TRACE_SYNTH_JOBS,
     TRACE_WORKLOAD,
     ExperimentSpec,
     canonical_json,
@@ -169,8 +169,7 @@ def _execute_trace_point(point: ExperimentPoint) -> Dict:
     Synthetic sources are seeded with the point's derived seed; file
     sources are deterministic (the seed factor only names the row).
     """
-    from ..simulation.replay import ReplayEngine, replay_swf
-    from ..workloads.swf import synth_swf_jobs
+    from ..simulation.replay import ReplayEngine, open_replay_source
     from ..workloads.uncertainty import parse_uncertainty
 
     params = dict(point.params)
@@ -187,24 +186,14 @@ def _execute_trace_point(point: ExperimentPoint) -> Dict:
         kwargs["uncertainty"] = parse_uncertainty(
             point.uncertainty, default_seed=point.derived_seed
         )
-    if source.startswith(SYNTH_TRACE_PREFIX):
-        profile = source[len(SYNTH_TRACE_PREFIX):]
-        m = params.pop("m", 256)
-        n = params.pop("n", 10_000)
-        max_jobs = params.pop("max_jobs", None)
-        if max_jobs is not None:  # same truncation semantics as the CLI
-            n = min(n, max_jobs)
-        engine = ReplayEngine(m, **kwargs)
-        result = engine.run(
-            synth_swf_jobs(profile, n, m=m, seed=point.derived_seed)
-        )
-    else:
-        result = replay_swf(
-            source,
-            m=params.pop("m", None),
-            max_jobs=params.pop("max_jobs", None),
-            **kwargs,
-        )
+    arrivals, m, stream = open_replay_source(
+        source,
+        m=params.pop("m", None),
+        n=params.pop("n", TRACE_SYNTH_JOBS),
+        max_jobs=params.pop("max_jobs", None),
+        seed=point.derived_seed,
+    )
+    result = ReplayEngine(m, **kwargs).run(arrivals, stream=stream)
     missing = [name for name in point.metrics if name not in result.totals]
     if missing:
         raise InvalidInstanceError(

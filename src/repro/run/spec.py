@@ -58,8 +58,9 @@ ONLINE_PREFIX = "online:"
 #: rolling-horizon engine instead of a registered generator).
 TRACE_WORKLOAD = "trace"
 
-#: Prefix selecting a synthetic scenario-pack trace as a replay source.
-SYNTH_TRACE_PREFIX = "synth:"
+#: Length of a ``synth:<profile>`` trace point that sets neither an
+#: ``n`` parameter nor a ``:<n>`` suffix (the CLI's default is longer).
+TRACE_SYNTH_JOBS = 10_000
 
 #: Parameters a :class:`TraceSpec` accepts (anything else is a typo).
 TRACE_PARAMS = frozenset({"m", "n", "max_jobs", "window"})
@@ -195,13 +196,18 @@ class WorkloadSpec:
 class TraceSpec:
     """One replay trace of the grid's ``traces`` factor.
 
-    ``source`` is an SWF path (``.swf`` / ``.swf.gz``) streamed through
-    :func:`repro.simulation.replay.replay_swf`, or ``synth:<profile>``
+    ``source`` is read by :func:`repro.simulation.replay.
+    open_replay_source`, the one grammar ``repro replay`` uses too: an
+    SWF path (``.swf`` / ``.swf.gz``), or ``synth:<profile>[:<n>]``
     naming the deterministic scenario pack
     (:func:`repro.workloads.swf.synth_swf_jobs`, seeded per point).
-    ``params`` tune the replay: ``m`` (machine size), ``n`` (synthetic
-    trace length), ``max_jobs`` (file truncation) and ``window``
-    (metrics window).  Trace points cross with the ``algorithms``
+    ``params`` tune the replay: ``m`` (machine size, default 256 for a
+    synthetic trace), ``n`` (synthetic trace length when the source
+    names no ``:<n>``, default :data:`TRACE_SYNTH_JOBS`), ``max_jobs``
+    (truncation) and ``window`` (metrics window).  File traces' totals
+    carry their ``skipped_lines``/``clipped_jobs`` counters too, but a
+    point keeps only the spec's ``metrics``.  Trace points cross with
+    the ``algorithms``
     (online policies only), ``profile_backends`` and ``seeds`` factors;
     file traces are deterministic, so give them ``seeds=[0]``.
     """
@@ -395,8 +401,11 @@ class ExperimentSpec:
     def _validate_traces(self) -> None:
         import os
 
-        from ..simulation.replay import REPLAY_METRIC_FIELDS
-        from ..workloads.swf import SYNTH_PROFILES
+        from ..simulation.replay import (
+            REPLAY_METRIC_FIELDS,
+            SYNTH_PREFIX,
+            parse_synth_source,
+        )
 
         for algo in self.algorithms:
             if not algo.startswith(ONLINE_PREFIX):
@@ -417,13 +426,8 @@ class ExperimentSpec:
                 "path is intrinsic); use the default timebases with traces"
             )
         for trace in self.traces:
-            if trace.source.startswith(SYNTH_TRACE_PREFIX):
-                profile = trace.source[len(SYNTH_TRACE_PREFIX):]
-                if profile not in SYNTH_PROFILES:
-                    raise InvalidInstanceError(
-                        f"unknown synthetic trace profile {profile!r}; "
-                        f"known profiles: {', '.join(SYNTH_PROFILES)}"
-                    )
+            if trace.source.startswith(SYNTH_PREFIX):
+                parse_synth_source(trace.source)
             elif not os.path.exists(trace.source):
                 raise InvalidInstanceError(
                     f"trace file {trace.source!r} does not exist"

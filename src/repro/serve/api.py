@@ -18,7 +18,7 @@ queries:
 op        payload                                 mutates state
 ========= ======================================= ====================
 submit    ``job``: ``{id, p, q, release[, name]}``  yes (journaled)
-cancel    ``job``: job id                           yes (journaled)
+cancel    ``job``: job id (string or integer)       yes (journaled)
 advance   ``to``: logical time                      yes (journaled)
 reserve   ``start``, ``p``, ``q``                   yes (journaled)
 drain     —                                         yes (journaled)
@@ -155,13 +155,26 @@ def _require_number(payload: Dict, key: str, op: str):
     return value
 
 
+def _require_id(value, op: str):
+    # bool is an int subclass, and True == 1 would alias job 1
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ServeProtocolError(
+            f"{op} request job id must be a JSON string or integer, "
+            f"got {type(value).__name__}"
+        )
+    return value
+
+
 def parse_request(body) -> Tuple[str, Dict]:
     """Validate one request body; returns ``(op, body)``.
 
     Raises :class:`~repro.errors.ServeProtocolError` on anything
     malformed: wrong or missing ``format`` tag, unknown ``op``, missing
-    or mistyped payload fields.  The returned body has its numeric
-    fields normalised (integral floats to ``int``).
+    or mistyped payload fields.  Job ids (``submit``'s ``job.id``,
+    ``cancel``'s ``job``) must be JSON strings or integers; ``true``,
+    ``false``, ``null``, fractional numbers, lists and objects are
+    refused.  The returned body has its numeric fields normalised
+    (integral floats to ``int``).
     """
     if not isinstance(body, dict):
         raise ServeProtocolError(
@@ -188,7 +201,7 @@ def parse_request(body) -> Tuple[str, Dict]:
             )
         if "id" not in job:
             raise ServeProtocolError("submit job has no id")
-        normalised = {"id": job["id"]}
+        normalised = {"id": _require_id(job["id"], "submit")}
         for key in ("p", "q", "release"):
             if key not in job:
                 raise ServeProtocolError(f"submit job has no {key!r}")
@@ -202,6 +215,7 @@ def parse_request(body) -> Tuple[str, Dict]:
     elif op == "cancel":
         if "job" not in body:
             raise ServeProtocolError("cancel request names no job id")
+        _require_id(body["job"], "cancel")
     elif op == "advance":
         body = dict(body, to=_require_number(body, "to", "advance"))
     elif op == "reserve":

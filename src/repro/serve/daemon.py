@@ -19,10 +19,16 @@ Two layers, separable for testing:
       snapshot/segment-roll protocol, exactly as journaled batch replay
       does.
     * **recovery = snapshot + op replay.**  :meth:`SchedulerService.resume`
-      rehydrates the last committed snapshot and re-applies the op
-      records after it (:meth:`Journal.open_event_sourced` keeps them —
-      unlike batch-replay rows they cannot be re-derived from a trace),
-      yielding a core byte-identical to the uninterrupted one.
+      runs :meth:`~repro.durability.journal.Journal.recover`, the
+      recovery routine of journaled batch replay too, rehydrates the
+      last committed snapshot and re-applies the op records after its
+      marker (batch replay drops its rows there and re-derives them;
+      an acknowledged op exists only in the journal), yielding a core
+      byte-identical to the uninterrupted one.
+    * **journaled ⟹ appliable.**  An op is validated in full before it
+      is applied and journaled (``SchedulerCore.submit`` refuses a job
+      the event loop could not place), so re-applying the journal
+      cannot fail and a rejected op changes nothing.
 
     Determinism holds because time is *logical*: the clock moves only
     on client ``advance`` ops, which are journaled like every other
@@ -45,7 +51,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Dict, Optional, Tuple
 
 from ..devtools.failpoints import fire
-from ..durability.journal import Journal, OpRecovery
+from ..durability.journal import Journal, JournalRecovery
 from ..errors import ReproError, ServeError, ServeProtocolError
 from ..simulation.scheduler_core import SchedulerCore
 from ..workloads.uncertainty import DRAW_STREAM_VERSION
@@ -78,6 +84,11 @@ MAX_BODY_BYTES = 1 << 20
 #: single-threaded, so without this bound one stalled client would
 #: block every other client.
 REQUEST_TIMEOUT = 30.0
+
+
+def _ops(recovery: JournalRecovery):
+    """The op records a serve journal holds after its last snapshot."""
+    return [r for r in recovery.after if r.get("t") == "op"]
 
 
 class SchedulerService:
@@ -136,7 +147,7 @@ class SchedulerService:
     @classmethod
     def resume(
         cls, directory: str, *, fsync: bool = False
-    ) -> Tuple["SchedulerService", OpRecovery]:
+    ) -> Tuple["SchedulerService", JournalRecovery]:
         """Recover a killed service from its journal.
 
         Rehydrates the last committed snapshot (or an empty core) and
@@ -144,7 +155,7 @@ class SchedulerService:
         the recovered core is byte-identical to the state at the last
         acked op.
         """
-        journal, recovery = Journal.open_event_sourced(directory, fsync=fsync)
+        journal, recovery = Journal.recover(directory, fsync=fsync)
         config = recovery.config
         if config.get("mode") != SERVE_MODE:
             journal.close()
@@ -182,7 +193,7 @@ class SchedulerService:
                                  uncertainty=uncertainty)
             seq = 0
         service = cls(core, journal, snapshot_interval, start_seq=seq)
-        for item in recovery.ops:
+        for item in _ops(recovery):
             # journaled ⟹ appliable: these succeeded once and the core
             # is deterministic, so re-application cannot fail
             service._apply(item["op"], item["body"])
@@ -412,7 +423,7 @@ def run_serve(
             print(f"repro serve: repaired {recovery.torn}", file=stream)
         print(
             f"repro serve: recovered {service.seq} op(s) "
-            f"({len(recovery.ops)} replayed after the last snapshot)",
+            f"({len(_ops(recovery))} replayed after the last snapshot)",
             file=stream,
         )
     else:

@@ -85,19 +85,24 @@ replay costs no memory.
 
 from __future__ import annotations
 
+import os
 import time as _time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import chain, islice
 from numbers import Integral
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..core.job import Job
 from ..core.metrics import BSLD_TAU, TAIL_QUANTILES, p_slowdown_le, quantile
 from ..core.profiles import BackendSpec
 from ..errors import SchedulingError, TraceFormatError
 from .online_sim import POLICIES
+
+if TYPE_CHECKING:
+    from ..workloads.swf import SWFStream
 
 #: Default window size (jobs per metrics window).
 DEFAULT_WINDOW = 10_000
@@ -417,22 +422,21 @@ class ReplayEngine:
         self.bsld_tau = bsld_tau
         self.record_starts = record_starts
         self.completion_queue = completion_queue
-        if store is not None and not hasattr(store, "append"):
-            from ..run.store import JsonlStore
-
-            store = JsonlStore(store)
-        self.store = store
+        self.store = resolve_store(store)
 
     # ------------------------------------------------------------------
-    def run(self, arrivals: Iterable[Job]) -> ReplayResult:
-        """Replay ``arrivals``; returns the :class:`ReplayResult`."""
-        return self.run_slice(arrivals)
+    def run(self, arrivals: Iterable[Job], stream=None) -> ReplayResult:
+        """Replay ``arrivals``; returns the :class:`ReplayResult`.  The
+        :func:`swf_counters` of ``stream``, the SWF stream the arrivals
+        come from (if any), join the totals."""
+        return self.run_slice(arrivals, stream=stream)
 
     def run_slice(
         self,
         arrivals: Iterable[Job],
         resume: Optional[ReplayCheckpoint] = None,
         drain: bool = True,
+        stream=None,
     ) -> ReplayResult:
         """Replay one slice of an arrival stream, optionally mid-state.
 
@@ -467,9 +471,11 @@ class ReplayEngine:
             result.checkpoint = core.checkpoint()
             return result
         core.drain()
-        return self._finalize(result, core, started_clock)
+        return self._finalize(result, core, started_clock, stream)
 
-    def _finalize(self, result: ReplayResult, core, started_clock) -> ReplayResult:
+    def _finalize(
+        self, result: ReplayResult, core, started_clock, stream
+    ) -> ReplayResult:
         """Assemble the totals row from a drained core."""
         arrived = core.arrived
         makespan = core.last_completion
@@ -513,6 +519,7 @@ class ReplayEngine:
                 "no_shows": core.no_shows,
                 "early_exits": core.early_exits,
             })
+        result.totals.update(swf_counters(stream))
         if self.store is not None:
             self.store.append({"key": "totals", **result.totals})
         return result
@@ -548,37 +555,37 @@ def replay_swf(
     the replay engine.
 
     The machine size comes from ``m=`` or the trace's ``; MaxProcs:``
-    header (resolved from the first arrival before the engine starts).
-    Returns the :class:`ReplayResult`; the stream's counters are
-    attached as ``totals["skipped_lines"]`` (lines dropped from the
-    stream) and ``totals["clipped_jobs"]`` (jobs replayed at reduced
-    width).
+    header (see :func:`open_replay_source`).  Returns the
+    :class:`ReplayResult`, whose totals carry the stream's
+    :func:`swf_counters`.
     """
-    from itertools import chain
+    arrivals, machine, stream = open_replay_source(
+        source, m=m, max_jobs=max_jobs
+    )
+    engine = ReplayEngine(machine, policy=policy, **engine_kwargs)
+    return engine.run(arrivals, stream=stream)
 
-    from ..workloads.swf import iter_swf
 
-    stream = iter_swf(source, m=m, max_jobs=max_jobs)
-    it: Iterator[Job] = iter(stream)
-    first = next(it, None)
-    if first is None:
-        raise TraceFormatError("SWF stream contains no usable jobs")
-    engine = ReplayEngine(stream.m, policy=policy, **engine_kwargs)
-    result = engine.run(chain([first], it))
-    result.totals["skipped_lines"] = stream.n_skipped
-    result.totals["clipped_jobs"] = stream.n_clipped
-    return result
+def resolve_store(store):
+    """``store`` as an appendable row store: ``None`` and objects with
+    an ``append`` method pass through, a path opens a
+    :class:`~repro.run.store.JsonlStore`."""
+    if store is None or hasattr(store, "append"):
+        return store
+    from ..run.store import JsonlStore
+
+    return JsonlStore(store)
 
 
 # ---------------------------------------------------------------------------
-# sharded multi-policy replay
+# replay sources
 # ---------------------------------------------------------------------------
 
 #: Prefix of a synthetic scenario-pack source (``synth:<profile>[:<n>]``).
 SYNTH_PREFIX = "synth:"
 
-#: Job count of a synthetic source that names no ``:<n>`` (shared by the
-#: CLI and the sharded runner so the default cannot drift).
+#: Length of a synthetic source that names no ``:<n>`` when the caller
+#: passes no ``n`` either.
 DEFAULT_SYNTH_JOBS = 100_000
 
 
@@ -586,8 +593,7 @@ def parse_synth_source(source: str) -> Tuple[str, Optional[int]]:
     """Split ``synth:<profile>[:<n>]`` into ``(profile, n-or-None)``.
 
     Raises :class:`~repro.errors.TraceFormatError` on unknown profiles
-    or a non-integer length, so the CLI and the sharded runner reject
-    malformed sources with the same message.
+    or a non-integer length.
     """
     from ..workloads.swf import SYNTH_PROFILES
 
@@ -607,6 +613,74 @@ def parse_synth_source(source: str) -> Tuple[str, Optional[int]]:
                 "(expected synth:<profile>[:<n>])"
             ) from None
     return profile, None
+
+
+def open_replay_source(
+    source,
+    *,
+    m: Optional[int] = None,
+    n: Optional[int] = None,
+    max_jobs: Optional[int] = None,
+    seed: int = 0,
+) -> Tuple[Iterator[Job], int, Optional["SWFStream"]]:
+    """Resolve a replay source to ``(arrivals, machine size, SWF stream)``.
+
+    The one reading of a source for every replay path (``repro replay``
+    plain, multi-policy and ``--journal``, :func:`replay_swf`, ``repro
+    run`` trace points); nothing is materialised.
+
+    * ``synth:<profile>[:<n>]`` — the scenario pack
+      (:func:`~repro.workloads.swf.synth_swf_jobs`, seeded by ``seed``)
+      on ``m`` machines (default 256); its length is the source's own
+      ``:<n>``, else ``n``, else :data:`DEFAULT_SYNTH_JOBS`, capped at
+      ``max_jobs``.
+    * any other string, path or text stream — an SWF trace on ``m`` or
+      its ``; MaxProcs:`` header, read from the first arrival up front.
+    * any other iterable of jobs (``m`` required), capped at ``max_jobs``.
+
+    The third item is the :class:`~repro.workloads.swf.SWFStream` of an
+    SWF source, else ``None``; pass it to :meth:`ReplayEngine.run`.
+    """
+    if isinstance(source, str) and source.startswith(SYNTH_PREFIX):
+        from ..workloads.swf import synth_swf_jobs
+
+        profile, jobs_n = parse_synth_source(source)
+        if jobs_n is None:
+            jobs_n = n if n is not None else DEFAULT_SYNTH_JOBS
+        if max_jobs is not None:
+            jobs_n = min(jobs_n, max_jobs)
+        machine = m or 256
+        return synth_swf_jobs(profile, jobs_n, m=machine, seed=seed), machine, None
+    if isinstance(source, (str, os.PathLike)) or hasattr(source, "read"):
+        from ..workloads.swf import iter_swf
+
+        stream = iter_swf(source, m=m, max_jobs=max_jobs)
+        it = iter(stream)
+        first = next(it, None)
+        if first is None:
+            raise TraceFormatError("SWF stream contains no usable jobs")
+        return chain([first], it), stream.m, stream
+    if m is None:
+        raise SchedulingError("replaying an in-memory job stream needs m=")
+    it = iter(source)
+    if max_jobs is not None:
+        it = islice(it, max_jobs)
+    return it, m, None
+
+
+def swf_counters(stream) -> Dict:
+    """The totals fields an SWF source adds: ``skipped_lines`` (lines
+    dropped from the stream) and ``clipped_jobs`` (jobs replayed at
+    reduced width).  Empty for synthetic and in-memory sources
+    (``stream`` is ``None``), which keeps their rows unchanged."""
+    if stream is None:
+        return {}
+    return {"skipped_lines": stream.n_skipped, "clipped_jobs": stream.n_clipped}
+
+
+# ---------------------------------------------------------------------------
+# sharded multi-policy replay
+# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -650,22 +724,11 @@ def _run_policy_shard(payload: Tuple) -> Tuple[str, ReplayResult]:
     worker (streams themselves are not picklable).
     """
     source, policy, m, n, max_jobs, seed, engine_kwargs = payload
-    if isinstance(source, str) and source.startswith(SYNTH_PREFIX):
-        from ..workloads.swf import synth_swf_jobs
-
-        profile, parsed_n = parse_synth_source(source)
-        jobs_n = n if n is not None else (parsed_n or DEFAULT_SYNTH_JOBS)
-        if max_jobs is not None:
-            jobs_n = min(jobs_n, max_jobs)
-        machine = m or 256
-        engine = ReplayEngine(machine, policy=policy, **engine_kwargs)
-        result = engine.run(
-            synth_swf_jobs(profile, jobs_n, m=machine, seed=seed)
-        )
-    else:
-        result = replay_swf(
-            source, policy=policy, m=m, max_jobs=max_jobs, **engine_kwargs
-        )
+    arrivals, machine, stream = open_replay_source(
+        source, m=m, n=n, max_jobs=max_jobs, seed=seed
+    )
+    engine = ReplayEngine(machine, policy=policy, **engine_kwargs)
+    result = engine.run(arrivals, stream=stream)
     return policy, result
 
 
@@ -705,10 +768,7 @@ def replay_policies(
         POLICIES.get(name)  # loud, early resolution
     if jobs < 1:
         raise SchedulingError(f"jobs must be >= 1, got {jobs!r}")
-    if store is not None and not hasattr(store, "append"):
-        from ..run.store import JsonlStore
-
-        store = JsonlStore(store)
+    store = resolve_store(store)
 
     payloads = [
         (source, policy, m, n, max_jobs, seed, dict(engine_kwargs))

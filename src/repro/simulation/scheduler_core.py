@@ -57,16 +57,19 @@ part.  The private loop is guarded by the ``RPL503`` lint rule.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from heapq import heapify, heappop, heappush
 from itertools import chain
+from numbers import Integral
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from ..core.job import Job
 from ..core.metrics import BSLD_TAU, DEFAULT_SLOWDOWN_THRESHOLD
 from ..core.profiles import BackendSpec, convert_profile, make_profile
+from ..core.profiles.array_backend import _INT64_MAX
 from ..devtools.failpoints import fire
-from ..errors import CapacityError, SchedulingError
+from ..errors import CapacityError, InvalidInstanceError, SchedulingError
 from ..workloads.uncertainty import resolve_uncertainty
 from .online_sim import POLICIES, policy_easy, policy_fcfs, policy_greedy
 from .replay import (
@@ -76,9 +79,13 @@ from .replay import (
     DEFAULT_PRUNE_INTERVAL,
     DEFAULT_WINDOW,
     ReplayCheckpoint,
+    resolve_store,
 )
 
 __all__ = ["SchedulerCore"]
+
+#: Largest float: the window rows' metrics are floats of the times' sums.
+_FLOAT_MAX = sys.float_info.max
 
 #: The policy functions with a pass inlined into the event loop.
 _FAST_PASSES = (
@@ -121,6 +128,13 @@ def _profile_ops(profile):
     return (profile.try_reserve, profile.reserve_fitting, profile.earliest_fit,
             profile.min_capacity, profile.capacity_at, profile.fits,
             profile.prune_before, profile.segment_count)
+
+
+def _id_order(item):
+    """Sort key of a ``(job id, value)`` pair: ids of one type sort
+    natively, and a mix of int and string ids (both valid serve ids)
+    sorts ints first instead of raising ``TypeError``."""
+    return isinstance(item[0], str), item[0]
 
 
 def _out_of_order(job: Job, clock) -> SchedulingError:
@@ -206,11 +220,7 @@ class SchedulerCore:
         self.prune_interval = prune_interval
         self.bsld_tau = bsld_tau
         self.use_heap = completion_queue == "heap"
-        if store is not None and not hasattr(store, "append"):
-            from ..run.store import JsonlStore
-
-            store = JsonlStore(store)
-        self.store = store
+        self.store = resolve_store(store)
 
         backend: BackendSpec = profile_backend
         auto_backend = backend == "auto"
@@ -259,6 +269,9 @@ class SchedulerCore:
         self._eof = False
         self.cancelled = 0  # live-service gauge; not a checkpoint counter
         self.unstaged = 0   # staged reservations withdrawn before arrival
+        # (latest release or hole end, summed job occupancy, shortest
+        # job) over every submit/reserve: see `_bound_checked`
+        self._time_bound = (0, 0, None)
 
         # uncertainty state (empty and inert when no model is active)
         self._fates: Dict = {}          # job id -> (kind, boundary time)
@@ -350,10 +363,29 @@ class SchedulerCore:
     def submit(self, job: Job) -> None:
         """Stage one arrival (applied when ``advance_to`` reaches its
         release).  Releases are validated non-decreasing and at or
-        after the horizon; ids must be unique among live jobs."""
+        after the horizon; ids must be unique among live jobs.
+
+        A job the event loop would refuse is refused here, before it is
+        staged: wider than the machine, or able to carry the schedule
+        past a time the loop cannot handle (see :meth:`_bound_checked`).
+        So a later ``advance_to`` never fails halfway through a pass,
+        and every accepted submit can be re-applied from a journal."""
         if self._eof:
             raise SchedulingError(
                 f"job {job.id!r} submitted after drain: the stream has ended"
+            )
+        if job.q > self.m:
+            raise SchedulingError(
+                f"job {job.id!r} requires {job.q} processors but the "
+                f"machine only has {self.m}"
+            )
+        if self._cheap_prune and not self._watch_times and not (
+            isinstance(job.p, Integral) and isinstance(job.release, Integral)
+        ):
+            # an explicit array backend cannot demote to the list one
+            raise InvalidInstanceError(
+                f"job {job.id!r} has non-integral times, which the int64 "
+                "array kernel cannot hold"
             )
         if self._staged:
             floor = self._staged[-1].release
@@ -367,8 +399,51 @@ class SchedulerCore:
             or self._is_running(job.id)
         ):
             raise SchedulingError(f"job id {job.id!r} is already live")
+        self._time_bound = self._bound_checked(
+            job.release, job.p, f"job {job.id!r}"
+        )
         self._staged.append(job)
         self._staged_ids.add(job.id)
+
+    def _bound_checked(self, top, p, what: str):
+        """The time bound after one more :meth:`submit` (a job of
+        length ``p``) or :meth:`reserve` (``p`` None), refused when the
+        loop could not handle a time below it.
+
+        Past the latest release and hole end (``top``), the machine is
+        never idle while a job waits, so no time the loop handles
+        exceeds that plus the machine time all jobs can hold (under
+        uncertainty: every attempt, grace and backoff).  Up to there
+        window sums must convert to floats, the int64 array kernel must
+        hold every time, and the shortest job must still end after it
+        starts (``t + p > t`` fails for a tiny float ``p``).  A per-job
+        check would miss a short job queued behind a long one."""
+        latest, held, shortest = self._time_bound
+        latest = max(latest, top)
+        if p is not None:
+            model = self.uncertainty
+            if model is None:
+                held += p
+            else:
+                retries = model.max_retries
+                attempt = p
+                if model.overrun == "grace":
+                    attempt += model.grace_budget(p)
+                held += (retries + 1) * attempt + retries * model.backoff
+            if shortest is None or p < shortest:
+                shortest = p
+        end = latest + held
+        if end * self.m * max(self.window, 1) > _FLOAT_MAX:
+            limit = "the float range of the window metrics"
+        elif self._cheap_prune and end > _INT64_MAX:
+            limit = "the int64 array kernel's largest time"
+        elif shortest is not None and end + shortest <= end:
+            limit = f"the float resolution of a job of length {shortest!r}"
+        else:
+            return latest, held, shortest
+        raise InvalidInstanceError(
+            f"{what} could carry the schedule to {end!r}, past {limit}"
+        )
 
     def feed(self, arrivals: Iterable[Job]) -> None:
         """Stream ``arrivals`` (release-ordered, unique ids) through the
@@ -442,6 +517,7 @@ class SchedulerCore:
                 f"reservation at {start!r} is in the past: the clock is "
                 f"already at {self.horizon!r}"
             )
+        bound = self._bound_checked(start + p, None, f"reservation at {start!r}")
         try:
             self.profile.reserve(start, p, q)
         except CapacityError:
@@ -449,6 +525,7 @@ class SchedulerCore:
                 f"reservation of {q} processors at {start!r} for {p!r} "
                 "does not fit"
             ) from None
+        self._time_bound = bound
         self._blocked_id = None
         end = start + p
         if (self.now is None or end > self.now) and end not in self.buckets:
@@ -551,13 +628,15 @@ class SchedulerCore:
 
     def extra_state(self) -> Dict:
         """Live-service state a :class:`ReplayCheckpoint` does not carry
-        (staged future arrivals, cancel count, horizon, eof flag)."""
+        (staged future arrivals, cancel count, horizon, eof flag, the
+        time bound of :meth:`submit`'s checks)."""
         return {
             "staged": list(self._staged),
             "cancelled": self.cancelled,
             "unstaged": self.unstaged,
             "horizon": self.horizon,
             "eof": self._eof,
+            "time_bound": self._time_bound,
         }
 
     def restore_extra_state(self, extras: Dict) -> None:
@@ -570,6 +649,7 @@ class SchedulerCore:
         self.unstaged = extras.get("unstaged", 0)
         self.horizon = extras["horizon"]
         self._eof = extras["eof"]
+        self._time_bound = extras.get("time_bound", (0, 0, None))
 
     def status(self) -> Dict:
         """Cheap JSON-safe live gauges (the serve ``/v1/status`` body)."""
@@ -623,7 +703,9 @@ class SchedulerCore:
             "staged": plain(self._staged),
             "queue": plain(ck.queue),
             "buckets": [[end, plain(bucket)] for end, bucket in ck.buckets],
-            "window_of": {str(k): v for k, v in sorted(ck.window_of.items())},
+            "window_of": {
+                str(k): v for k, v in sorted(ck.window_of.items(), key=_id_order)
+            },
             "windows": {str(w): s for w, s in sorted(ck.windows.items())},
             "next_emit": ck.next_emit,
             "counters": ck.counters,

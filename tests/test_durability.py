@@ -11,6 +11,7 @@ torn write and recovers cleanly.
 
 from __future__ import annotations
 
+import json
 import os
 import signal
 import subprocess
@@ -199,7 +200,7 @@ def test_mid_file_bit_flip_rejects_loudly(tmp_path):
     with pytest.raises(JournalCorruptError):
         scan_journal(str(journal_dir))
     with pytest.raises(JournalCorruptError):
-        Journal.open_for_resume(str(journal_dir))
+        Journal.recover(str(journal_dir))
 
 
 def test_truncated_tail_recovers_cleanly(tmp_path, reference_store_bytes):
@@ -223,10 +224,12 @@ def test_create_then_scan_roundtrip(tmp_path):
         journal.snapshot(b"state-1", {"arrived": 10})
         journal.append_row({"key": "w1", "v": 2})
         journal.commit({"rows": 2})
-    journal, recovery = Journal.open_for_resume(str(journal_dir))
+    journal, recovery = Journal.recover(str(journal_dir))
     journal.close()
     assert recovery.committed
-    assert recovery.rows == [{"key": "w0", "v": 1}, {"key": "w1", "v": 2}]
+    assert _rows(recovery.before + recovery.after) == [
+        {"key": "w0", "v": 1}, {"key": "w1", "v": 2}
+    ]
     assert recovery.config == {"demo": 1}
 
 
@@ -236,12 +239,162 @@ def test_uncommitted_rows_are_dropped_on_resume(tmp_path):
         journal.append_row({"key": "w0"})
         journal.snapshot(b"state-1", {"arrived": 10})
         journal.append_row({"key": "w1"})  # uncommitted: after the marker
-    journal, recovery = Journal.open_for_resume(str(journal_dir))
-    journal.close()
+    journal, recovery = Journal.recover(str(journal_dir))
     assert not recovery.committed
-    assert recovery.rows == [{"key": "w0"}]
-    assert recovery.discarded_rows == 1
+    assert _rows(recovery.before) == [{"key": "w0"}]
+    assert _rows(recovery.after) == [{"key": "w1"}]  # the one to discard
     assert recovery.snapshot == b"state-1"
+    journal.truncate(recovery.boundary)
+    journal.close()
+    journal, recovery = Journal.recover(str(journal_dir))
+    journal.close()
+    assert _rows(recovery.before) == [{"key": "w0"}]
+    assert recovery.after == []
+
+
+# ---------------------------------------------------------------------------
+# the recovery-failure matrix: both callers of Journal.recover
+# ---------------------------------------------------------------------------
+
+
+def _rows(records):
+    return [r["row"] for r in records if r["t"] == "row"]
+
+
+def _replay_journal(base):
+    """A journaled replay killed before its commit record: three
+    snapshots, the final chunk's rows after the last marker."""
+    journal_dir = base / "journal"
+    failpoints.arm("journal.commit", "error")
+    with pytest.raises(FailpointError):
+        _journaled(str(journal_dir), None)
+    failpoints.reset()
+    return journal_dir
+
+
+def _resume_replay(base, reference):
+    store = base / "rows.jsonl"
+    _journaled(str(base / "journal"), str(store), resume=True)
+    assert store.read_bytes() == reference["replay"]
+
+
+def _serve_journal(base):
+    """A serve session closed without a final snapshot: four
+    snapshots plus ops after the last marker."""
+    from repro.serve import SchedulerService
+    from repro.serve.api import make_advance, make_submit
+
+    service = SchedulerService.create(
+        str(base / "journal"), m=8, window=2, snapshot_interval=3
+    )
+    for i in range(7):
+        assert service.handle(make_submit(f"j{i}", 3 + i, 1 + i % 8, i))["ok"]
+        assert service.handle(make_advance(i))["ok"]
+    service.close()
+    return base / "journal"
+
+
+def _resume_serve(base, reference):
+    from repro.serve import SchedulerService
+
+    service, _ = SchedulerService.resume(str(base / "journal"))
+    state = json.dumps(service.core.describe_state(), sort_keys=True)
+    service.close()
+    assert state == reference["serve"]
+
+
+@pytest.fixture(scope="module")
+def reference_outcomes(tmp_path_factory, reference_store_bytes):
+    """What an undamaged resume of each caller's journal yields."""
+    from repro.serve import SchedulerService
+
+    base = tmp_path_factory.mktemp("serve-reference")
+    _serve_journal(base)
+    service, _ = SchedulerService.resume(str(base / "journal"))
+    state = json.dumps(service.core.describe_state(), sort_keys=True)
+    service.close()
+    return {"replay": reference_store_bytes, "serve": state}
+
+
+CALLERS = {
+    "replay": (_replay_journal, _resume_replay),
+    "serve": (_serve_journal, _resume_serve),
+}
+
+
+def _last_snapshot(journal_dir) -> Path:
+    return sorted(journal_dir.glob("snap-*.ckpt"))[-1]
+
+
+def _drop_last_snapshot(journal_dir):
+    _last_snapshot(journal_dir).unlink()
+
+
+def _flip_last_snapshot(journal_dir):
+    path = _last_snapshot(journal_dir)
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def _truncate_last_snapshot(journal_dir):
+    path = _last_snapshot(journal_dir)
+    os.truncate(path, path.stat().st_size - 1)
+
+
+def _markerless_tail(journal_dir):
+    from repro.durability.journal import _encode, _frame
+
+    index = len(list(journal_dir.glob("seg-*.wal")))
+    (journal_dir / f"seg-{index:08d}.wal").write_bytes(
+        _frame(_encode({"t": "row", "row": {"key": "stray"}}))
+    )
+
+
+def _segment_gap(journal_dir):
+    last = sorted(journal_dir.glob("seg-*.wal"))[-1]
+    index = int(last.stem.split("-")[1])
+    last.rename(journal_dir / f"seg-{index + 1:08d}.wal")
+
+
+DAMAGE = {
+    "snapshot-missing": (_drop_last_snapshot, "snapshot file missing"),
+    "snapshot-crc": (_flip_last_snapshot, "size/CRC mismatch"),
+    "snapshot-size": (_truncate_last_snapshot, "size/CRC mismatch"),
+    "tail-without-marker": (_markerless_tail, "has no snapshot marker"),
+    "segment-gap": (_segment_gap, "non-contiguous segments"),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(CALLERS))
+@pytest.mark.parametrize("damage", sorted(DAMAGE))
+def test_recovery_rejects_damage(tmp_path, caller, damage, reference_outcomes):
+    """Every damaged journal rejects loudly on both callers' resume,
+    and nothing of it is repaired away: the error repeats."""
+    build, resume = CALLERS[caller]
+    harm, message = DAMAGE[damage]
+    journal_dir = build(tmp_path)
+    assert len(list(journal_dir.glob("snap-*.ckpt"))) >= 3
+    harm(journal_dir)
+    for _ in range(2):
+        with pytest.raises(JournalCorruptError, match=message):
+            resume(tmp_path, reference_outcomes)
+
+
+@pytest.mark.parametrize("caller", sorted(CALLERS))
+def test_recovery_sweeps_stranded_tmp_files(tmp_path, caller, reference_outcomes):
+    """Files a crash strands inside an atomic publish (``*.tmp.<pid>``)
+    are swept, and the resume reaches the undamaged outcome."""
+    build, resume = CALLERS[caller]
+    journal_dir = build(tmp_path)
+    stranded = [
+        journal_dir / (_last_snapshot(journal_dir).name + ".tmp.4242"),
+        journal_dir / "seg-00000099.wal.tmp.4242",
+    ]
+    for path in stranded:
+        path.write_bytes(b"half-published")
+    resume(tmp_path, reference_outcomes)
+    assert not any(path.exists() for path in stranded)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from repro.simulation import (
     replay_policies,
     replay_swf,
 )
+from repro.durability import replay_journaled
 from repro.simulation.replay import parse_synth_source
 from repro.workloads import (
     SYNTH_PROFILES,
@@ -582,6 +583,65 @@ class TestTracesFactor:
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
+
+class TestSourceCounters:
+    """One rule on every replay path: an SWF source's totals, returned
+    and stored, carry ``skipped_lines`` and ``clipped_jobs``; synthetic
+    sources carry neither (their rows stay as they were)."""
+
+    COUNTERS = ("skipped_lines", "clipped_jobs")
+
+    @staticmethod
+    def _stored(path, key):
+        rows = [json.loads(line) for line in open(path)]
+        totals = next(r for r in rows if r["key"] == key)
+        return {
+            k: v for k, v in totals.items()
+            if k not in ("key", "policy", "elapsed_seconds")
+        }
+
+    def _three_paths(self, tmp_path, source, *extra):
+        """Stored easy totals of a multi-policy, a single-policy and a
+        journaled ``repro replay`` of ``source``."""
+        out = {name: str(tmp_path / f"{name}.jsonl")
+               for name in ("multi", "single", "journaled")}
+        base = ["replay", source, "--window", "20", *extra]
+        assert main([*base, "-p", "easy,fcfs", "-o", out["multi"]]) == 0
+        assert main([*base, "-p", "easy", "-o", out["single"]]) == 0
+        assert main([*base, "-p", "easy", "-o", out["journaled"],
+                     "--journal", str(tmp_path / "journal")]) == 0
+        return (self._stored(out["multi"], "easy/totals"),
+                self._stored(out["single"], "totals"),
+                self._stored(out["journaled"], "totals"))
+
+    def test_swf_totals_carry_counters_on_every_path(self, tmp_path):
+        rows = [(i, 2 * i, 3 + i % 5, 1 + i % 4) for i in range(1, 80)]
+        rows.insert(40, (500, 7, 4, 1))   # submit goes backwards: skipped
+        rows.append((501, 200, 5, 64))    # wider than MaxProcs: clipped
+        trace = tmp_path / "t.swf"
+        trace.write_text(_swf_text(rows, maxprocs=8))
+        expected = {"skipped_lines": 1, "clipped_jobs": 1}
+        multi, single, journaled = self._three_paths(tmp_path, str(trace))
+        assert multi == single == journaled
+        assert {k: single[k] for k in self.COUNTERS} == expected
+        result = replay_journaled(
+            str(trace), str(tmp_path / "api-journal"), policy="easy",
+            window=20,
+        )
+        assert {k: result.totals[k] for k in self.COUNTERS} == expected
+        resumed = replay_journaled(
+            str(trace), str(tmp_path / "api-journal"), policy="easy",
+            window=20, resume=True,
+        )
+        assert {k: resumed.totals[k] for k in self.COUNTERS} == expected
+
+    def test_synth_totals_carry_none(self, tmp_path):
+        multi, single, journaled = self._three_paths(
+            tmp_path, "synth:steady:300", "-m", "16"
+        )
+        assert multi == single == journaled
+        assert not set(self.COUNTERS) & set(single)
+
 
 class TestReplayCLI:
     def test_multi_policy_sharded_equals_serial(self, capsys, tmp_path):
