@@ -212,12 +212,17 @@ class ListScheduler(Scheduler):
             else list(instance.jobs)
         )
         tb = timebase_for(instance, self.timebase)
-        if tb is not None:
-            scale = tb.scale_time
-            rows = [(scale(j.release), scale(j.p), j.q, j.id) for j in jobs]
-            grid_starts = incremental_sweep(rows, int_sweep_profile(instance, tb))
-            return Schedule(instance, tb.denormalize_starts(grid_starts))
-        return self._run_exact(instance, jobs)
+        if tb is None:
+            return self._run_exact(instance, jobs)
+        profile = int_sweep_profile(instance, tb)
+        if tb.is_own_twin(instance):
+            # already on the grid: nothing to convert in or out
+            rows = [(j.release, j.p, j.q, j.id) for j in jobs]
+            return Schedule(instance, incremental_sweep(rows, profile))
+        scale = tb.scale_time
+        rows = [(scale(j.release), scale(j.p), j.q, j.id) for j in jobs]
+        grid_starts = incremental_sweep(rows, profile)
+        return Schedule(instance, tb.denormalize_starts(grid_starts))
 
     def _run_exact(self, instance: ReservationInstance, jobs: List) -> Schedule:
         profile = instance.availability_profile(self.profile_backend)

@@ -167,13 +167,18 @@ class Reservation:
     name: str = ""
 
     def __post_init__(self):
-        _check_real(self.start, "start time", f"reservation {self.id!r}")
-        _check_real(self.p, "duration", f"reservation {self.id!r}")
+        # exact-type fast paths first, as in Job.__post_init__
+        if not (type(self.start) is int or type(self.start) is float):
+            _check_real(self.start, "start time", f"reservation {self.id!r}")
+        if not (type(self.p) is int or type(self.p) is float):
+            _check_real(self.p, "duration", f"reservation {self.id!r}")
         if self.p <= 0:
             raise InvalidInstanceError(
                 f"reservation {self.id!r}: duration must be positive, got {self.p}"
             )
-        if not isinstance(self.q, numbers.Integral) or isinstance(self.q, bool):
+        if type(self.q) is not int and (
+            not isinstance(self.q, numbers.Integral) or isinstance(self.q, bool)
+        ):
             raise InvalidInstanceError(
                 f"reservation {self.id!r}: processor count must be an integer, "
                 f"got {self.q!r}"

@@ -53,6 +53,7 @@ from fractions import Fraction
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..errors import InvalidInstanceError
+from .profiles import ListProfile
 
 #: Recognised timebase policies for scheduler/simulation entry points.
 TIMEBASE_POLICIES = ("auto", "int", "exact")
@@ -113,34 +114,59 @@ class Timebase:
     schedule of it, closed under addition) can produce.
     """
 
-    __slots__ = ("scale",)
+    __slots__ = ("scale", "_source", "_native")
 
     def __init__(self, scale: int = 1) -> None:
-        if not isinstance(scale, numbers.Integral) or scale < 1:
+        if (
+            type(scale) is not int and not isinstance(scale, numbers.Integral)
+        ) or scale < 1:
             raise InvalidInstanceError(
                 f"timebase scale must be a positive integer, got {scale!r}"
             )
         self.scale = int(scale)
+        # the instance :meth:`of` scanned, and whether every one of its
+        # times was already an int (then it is its own integer twin)
+        self._source: Any = None
+        self._native = False
 
     @classmethod
     def of(cls, instance: Any, exact_only: bool = True) -> Optional["Timebase"]:
         """The timebase of an instance, or ``None`` when some time cannot
         be normalised (non-finite float, exotic type) — or, with
-        ``exact_only`` (the default), when any time is a float at all."""
+        ``exact_only`` (the default), when any time is a float at all.
+
+        One pass over the instance's times, with a ``type(t) is int``
+        test before any ABC or :class:`Fraction` check.  The same pass
+        notes whether every time is already an int, so
+        :meth:`normalize_instance` on this instance returns it without
+        scanning again.
+        """
         scale = 1
+        native = True
         for t in _iter_instance_times(instance):
+            if type(t) is int:
+                continue
             den = _denominator_of(t, exact_only)
             if den is None:
                 return None
             if den != 1:
                 scale = scale * den // math.gcd(scale, den)
-        return cls(scale)
+            # int subclasses (bool, IntEnum) keep the instance its own
+            # twin, as normalize_instance's all-int check always had it
+            if native and not isinstance(t, int):
+                native = False
+        timebase = cls(scale)
+        timebase._source = instance
+        timebase._native = native
+        return timebase
 
     # ------------------------------------------------------------------
     # value conversion
     # ------------------------------------------------------------------
     def scale_time(self, t: Any) -> int:
         """``t * scale`` as an exact int (raises when off-grid)."""
+        if type(t) is int:
+            return t * self.scale
         if isinstance(t, numbers.Integral):
             return int(t) * self.scale
         v = Fraction(t) * self.scale
@@ -165,15 +191,23 @@ class Timebase:
     # ------------------------------------------------------------------
     # instance conversion
     # ------------------------------------------------------------------
+    def is_own_twin(self, instance: Any) -> bool:
+        """True when every time of ``instance`` is already a plain int on
+        this grid (scale 1).  For the instance :meth:`of` resolved, its
+        scan already settled this; any other instance is scanned."""
+        if instance is self._source:
+            return self._native
+        return self.scale == 1 and all(
+            isinstance(t, int) for t in _iter_instance_times(instance)
+        )
+
     def normalize_instance(self, instance: Any) -> Any:
         """The integer-time twin of ``instance`` (same ids, same widths).
 
-        Returns ``instance`` itself when every time is already a plain
-        int, so the trivial case costs nothing.
+        Returns ``instance`` itself when it :meth:`is_own_twin`, so the
+        trivial case costs nothing.
         """
-        if self.scale == 1 and all(
-            isinstance(t, int) for t in _iter_instance_times(instance)
-        ):
+        if self.is_own_twin(instance):
             return instance
         jobs = tuple(
             replace(
@@ -230,10 +264,21 @@ def on_int_timebase(scheduler: Any, instance: Any, exact_only: bool = True) -> A
     Normalises the instance, schedules the integer twin, and denormalises
     the start times back onto the original instance.  Falls back to the
     plain exact path when the instance has no usable timebase.
+
+    A scheduler whose own ``timebase=`` policy makes the same decision —
+    ``"int"``, or ``"auto"`` under ``exact_only`` — gets the instance
+    as it is and resolves the timebase itself, so the instance's times
+    are scanned once per call, not once here and again inside.  Under
+    ``exact_only=False`` an ``"auto"`` scheduler still has float
+    instances put on the grid here, and an ``"exact"`` one always runs
+    its reference path on the integer twin.
     """
     from .instance import as_reservation_instance
     from .schedule import Schedule
 
+    policy = getattr(scheduler, "timebase", None)
+    if policy == "int" or (policy == "auto" and exact_only):
+        return scheduler.schedule(instance)
     inst = as_reservation_instance(instance)
     tb = Timebase.of(inst, exact_only=exact_only)
     if tb is None:
@@ -384,6 +429,17 @@ class IntSweepProfile:
 
 
 def int_sweep_profile(instance: Any, timebase: Timebase) -> IntSweepProfile:
-    """The instance's availability profile on ``timebase``'s integer grid."""
-    times, caps = instance.availability_lists()
-    return IntSweepProfile([timebase.scale_time(t) for t in times], caps)
+    """The instance's availability profile on ``timebase``'s integer grid.
+
+    Unless the instance is its own integer twin, the profile is rebuilt
+    from the scaled reservations: a float instance's own breakpoints are
+    float sums, rounded before they could be scaled.
+    """
+    if timebase.is_own_twin(instance):
+        return IntSweepProfile(*instance.availability_lists())
+    scale = timebase.scale_time
+    profile = ListProfile.constant(instance.m)
+    profile.reserve_many(
+        (scale(r.start), scale(r.p), r.q) for r in instance.reservations
+    )
+    return IntSweepProfile(*profile.as_lists())

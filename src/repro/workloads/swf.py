@@ -88,7 +88,14 @@ def _parse_swf_number(token: str):
     accepts) are malformed: a NaN runtime would silently poison every
     comparison downstream, so they are rejected as loudly as unparseable
     tokens.
+
+    Integer tokens parse with ``int`` first, so job numbers and times
+    above 2**53 stay exact instead of rounding through a float.
     """
+    try:
+        return int(token)
+    except ValueError:
+        pass
     try:
         value = float(token)
     except ValueError as exc:

@@ -101,6 +101,34 @@ class TestReservationValidation:
         with pytest.raises(InvalidInstanceError):
             Reservation(id="R", start=0, p=1, q=0)
 
+    @pytest.mark.parametrize("q", [True, False, 1.5, 2.0, Fraction(2), "2"])
+    def test_non_integer_width_rejected(self, q):
+        with pytest.raises(
+            InvalidInstanceError,
+            match=r"reservation 'R': processor count must be an integer",
+        ):
+            Reservation(id="R", start=0, p=1, q=q)
+
+    def test_integral_width_types_accepted(self):
+        from enum import IntEnum
+
+        class Width(IntEnum):
+            TWO = 2
+
+        assert Reservation(id="R", start=0, p=1, q=Width.TWO).q == 2
+        np = pytest.importorskip("numpy")
+        assert Reservation(id="R", start=0, p=1, q=np.int64(3)).q == 3
+
+    @pytest.mark.parametrize("field", ["start", "p"])
+    def test_non_numeric_time_rejected(self, field):
+        kwargs = {"start": 0, "p": 1, field: "soon"}
+        what = "start time" if field == "start" else "duration"
+        with pytest.raises(
+            InvalidInstanceError,
+            match=f"reservation 'R': {what} must be a real number",
+        ):
+            Reservation(id="R", q=1, **kwargs)
+
     def test_scaled(self):
         res = Reservation(id="R", start=1, p=2, q=3).scaled(6)
         assert res.start == 6

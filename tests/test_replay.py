@@ -69,6 +69,47 @@ class TestParseSWFNumber:
         with pytest.raises(TraceFormatError, match="malformed"):
             _parse_swf_number("12x")
 
+    @pytest.mark.parametrize(
+        "token, value, kind",
+        [
+            ("42", 42, int),
+            ("-1", -1, int),
+            ("2.5", 2.5, float),
+            ("120.0", 120, int),
+            ("1e3", 1000, int),
+            ("1_000", 1000, int),
+            ("+5", 5, int),
+            (" 7 ", 7, int),
+            # 2**53 + 1: exact, not rounded through a float to 2**53
+            ("9007199254740993", 2**53 + 1, int),
+        ],
+    )
+    def test_token_matrix_values(self, token, value, kind):
+        parsed = _parse_swf_number(token)
+        assert parsed == value and type(parsed) is kind
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [
+            ("nan", "non-finite SWF number 'nan'"),
+            ("inf", "non-finite SWF number 'inf'"),
+            ("-inf", "non-finite SWF number '-inf'"),
+            ("12x", "malformed SWF number '12x'"),
+            ("0x10", "malformed SWF number '0x10'"),
+        ],
+    )
+    def test_token_matrix_rejections(self, token, message):
+        with pytest.raises(TraceFormatError) as info:
+            _parse_swf_number(token)
+        assert str(info.value) == message
+
+    def test_job_numbers_above_2_53_do_not_collide(self):
+        big = 2**53
+        text = _swf_text([(big, 0, 10, 1), (big + 1, 5, 10, 1)], maxprocs=4)
+        ids = [j.id for j in read_swf(text).instance.jobs]
+        assert ids == [big, big + 1]
+        assert [j.id for j in iter_swf(io.StringIO(text))] == ids
+
     def test_non_finite_line_is_skipped_and_reported(self):
         text = (
             "; MaxProcs: 8\n"

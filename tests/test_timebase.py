@@ -11,7 +11,10 @@ incremental LSRC sweep, the online simulation twin).
 
 from __future__ import annotations
 
+import math
+import numbers
 import random
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
@@ -20,8 +23,10 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.algorithms import available_schedulers, get_scheduler
 from repro.algorithms.list_scheduling import ListScheduler
 from repro.core.instance import ReservationInstance
+from repro.core.job import Job, Reservation
 from repro.core.metrics import evaluate_metrics
 from repro.core.profiles import ListProfile
+from repro.core.schedule import Schedule
 from repro.core.timebase import (
     TIMEBASE_POLICIES,
     IntSweepProfile,
@@ -357,6 +362,173 @@ def test_on_int_timebase_generic_wrapper():
     exact = ListScheduler(timebase="exact")
     wrapped = on_int_timebase(exact, inst)
     assert wrapped.starts == exact.schedule(inst).starts
+
+
+def _wrapper_instance(kind: str, seed: int) -> ReservationInstance:
+    """A small contended instance whose times are all ``int``, all
+    ``Fraction`` (thirds) or all ``float`` (binary fractions plus 0.1,
+    which has no short binary expansion)."""
+    rng = random.Random(seed)
+
+    def t(k: int):
+        if kind == "int":
+            return k
+        if kind == "fraction":
+            return Fraction(k, 3)
+        return k * 0.25 + (0.1 if rng.random() < 0.3 else 0.0)
+
+    jobs = [(t(rng.randint(1, 9)), rng.randint(1, 4), t(rng.randint(0, 12)))
+            for _ in range(12)]
+    reservations = [(t(2), t(5), 1), (t(20), t(4), 2)]
+    return ReservationInstance.from_specs(4, jobs, reservations)
+
+
+WRAPPED_SCHEDULERS = ("lsrc", "backfill-cons", "backfill-easy", "seq")
+
+
+@pytest.mark.parametrize("exact_only", [True, False])
+@pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+@pytest.mark.parametrize("name", WRAPPED_SCHEDULERS)
+def test_on_int_timebase_matches_scheduler_policy(name, kind, exact_only):
+    """``on_int_timebase(registered scheduler)`` gives the starts of the
+    scheduler's own ``timebase="exact"`` run — or, for a float instance
+    forced onto the grid (``exact_only=False``), of its ``"int"`` run."""
+    reference = "int" if kind == "float" and not exact_only else "exact"
+    for seed in (1, 2, 3):
+        instance = _wrapper_instance(kind, seed)
+        wrapped = on_int_timebase(get_scheduler(name), instance, exact_only)
+        expected = _schedule_under(name, instance, reference)
+        assert wrapped.starts == expected.starts, (name, kind, seed)
+        assert wrapped.algorithm == expected.algorithm
+        assert wrapped.instance is instance
+        if reference == "int":
+            # gridded starts are exact Fractions; check them exactly
+            instance = exactify_instance(instance)
+        Schedule(instance, wrapped.starts).verify()
+
+
+def _count_passes(monkeypatch) -> list:
+    """Count the passes over an instance's times (each one is a call of
+    ``_iter_instance_times``)."""
+    import repro.core.timebase as timebase_module
+
+    passes = []
+    original = timebase_module._iter_instance_times
+
+    def counted(instance):
+        passes.append(instance)
+        return original(instance)
+
+    monkeypatch.setattr(timebase_module, "_iter_instance_times", counted)
+    return passes
+
+
+@pytest.mark.parametrize("name", WRAPPED_SCHEDULERS)
+def test_one_pass_per_offline_run(monkeypatch, name):
+    """On an all-int instance the timebase is resolved in one pass over
+    its times, through the wrapper and through the scheduler alike."""
+    instance = _wrapper_instance("int", 1)
+    passes = _count_passes(monkeypatch)
+    on_int_timebase(get_scheduler(name), instance)
+    assert len(passes) == 1
+    del passes[:]
+    get_scheduler(name).schedule(instance)
+    assert len(passes) == 1
+
+
+def test_one_pass_for_wrapped_exact_scheduler_and_simulation(monkeypatch):
+    instance = _wrapper_instance("int", 2)
+    passes = _count_passes(monkeypatch)
+    # a wrapped "exact" scheduler: the wrapper's own pass is the only one
+    on_int_timebase(ListScheduler(timebase="exact"), instance)
+    assert len(passes) == 1
+    del passes[:]
+    simulate(instance, "fcfs")
+    assert len(passes) == 1
+
+
+def _reference_scale(times, exact_only: bool):
+    """Reference LCM fold over time denominators (ABC checks only)."""
+    scale = 1
+    for t in times:
+        if isinstance(t, numbers.Integral):
+            den = 1
+        elif isinstance(t, Fraction):
+            den = t.denominator
+        elif exact_only:
+            return None
+        else:
+            try:
+                den = Fraction(t).denominator
+            except (ValueError, OverflowError, TypeError):
+                return None
+        scale = math.lcm(scale, den)
+    return scale
+
+
+class Tick(IntEnum):
+    TWO = 2
+
+
+def _typed_times():
+    values = [
+        ("bool", True),
+        ("intenum", Tick.TWO),
+        ("fraction-whole", Fraction(4, 2)),
+        ("fraction", Fraction(5, 6)),
+        ("float", 0.75),
+        ("nan", float("nan")),
+    ]
+    try:
+        import numpy
+    except ImportError:
+        pass
+    else:
+        values.append(("numpy-int64", numpy.int64(3)))
+    return values
+
+
+@pytest.mark.parametrize("exact_only", [True, False])
+@pytest.mark.parametrize("label, value", _typed_times())
+def test_timebase_of_type_fidelity(label, value, exact_only):
+    """``Timebase.of`` agrees with a reference LCM fold for every numeric
+    type a time can have, placed as a release, a processing time and a
+    reservation start; its twin has plain-int times (or is the instance
+    itself when every time already is an ``int``)."""
+    placements = {
+        "release": dict(jobs=(Job(id=0, p=3, q=1, release=value),),
+                        reservations=()),
+        "p": dict(jobs=(Job(id=0, p=value, q=1, release=2),),
+                  reservations=()),
+        "start": dict(jobs=(Job(id=0, p=3, q=1),),
+                      reservations=(Reservation(id=0, start=value, p=1, q=1),)),
+    }
+    for where, parts in placements.items():
+        instance = ReservationInstance(m=2, **parts)
+        times = [job.p for job in instance.jobs]
+        times += [job.release for job in instance.jobs]
+        times += [t for r in instance.reservations for t in (r.start, r.p)]
+        expected = _reference_scale(times, exact_only)
+        tb = Timebase.of(instance, exact_only=exact_only)
+        context = (label, where, exact_only)
+        if expected is None:
+            assert tb is None, context
+            continue
+        assert tb is not None and tb.scale == expected, context
+        twin = tb.normalize_instance(instance)
+        if all(isinstance(t, int) for t in times):
+            assert twin is instance, context
+        else:
+            assert twin is not instance, context
+            twin_times = [t for j in twin.jobs for t in (j.p, j.release)]
+            twin_times += [t for r in twin.reservations for t in (r.start, r.p)]
+            assert all(type(t) is int for t in twin_times), context
+            assert sorted(twin_times) == sorted(
+                tb.scale_time(t) for t in times
+            ), context
+        # a fresh Timebase (no scan recorded) draws the same conclusion
+        fresh = Timebase(tb.scale).normalize_instance(instance)
+        assert (fresh is instance) == (twin is instance), context
 
 
 @pytest.mark.parametrize("policy", available_policies())
