@@ -25,11 +25,11 @@ from typing import Dict, List, Optional
 
 from ..core.instance import ReservationInstance
 from ..core.schedule import Schedule
-from ..core.timebase import check_timebase_policy, timebase_for
+from ..core.timebase import check_timebase_policy
 from ..errors import SchedulingError
 from .base import Scheduler, register
 from .list_scheduling import ListScheduler, earliest_fit_placement
-from .priority import PriorityRule, get_rule
+from .priority import PriorityRule, fifo, resolve_priority
 
 
 class ConservativeBackfillScheduler(Scheduler):
@@ -48,23 +48,13 @@ class ConservativeBackfillScheduler(Scheduler):
         profile_backend=None,
         timebase: str = "auto",
     ):
-        if isinstance(priority, str):
-            self._priority = get_rule(priority)
-            self.name = f"backfill-cons[{priority}]"
-        else:
-            self._priority = priority
-            self.name = "backfill-cons" if priority is None else "backfill-cons[custom]"
+        self._order, self.name = resolve_priority(priority, "backfill-cons", fifo)
         self.profile_backend = profile_backend
         self.timebase = check_timebase_policy(timebase)
 
     def _run(self, instance: ReservationInstance) -> Schedule:
-        jobs = (
-            self._priority(instance.jobs)
-            if self._priority is not None
-            else sorted(instance.jobs, key=lambda j: j.release)
-        )
         return earliest_fit_placement(
-            instance, jobs, self.profile_backend, self.timebase
+            instance, self._order(instance.jobs), self.profile_backend
         )
 
 
@@ -86,20 +76,6 @@ class EasyBackfillScheduler(Scheduler):
         self.timebase = check_timebase_policy(timebase)
 
     def _run(self, instance: ReservationInstance) -> Schedule:
-        # EASY's shadow-probing loop has no specialised integer core, so
-        # the fast path is the generic one: run this same sweep on the
-        # integer twin (machine-int arithmetic) and denormalise.
-        tb = timebase_for(instance, self.timebase)
-        if tb is not None:
-            twin = tb.normalize_instance(instance)
-            if twin is not instance:
-                placed = self._sweep(twin)
-                return Schedule(
-                    instance, tb.denormalize_starts(placed.starts)
-                )
-        return self._sweep(instance)
-
-    def _sweep(self, instance: ReservationInstance) -> Schedule:
         jobs = sorted(instance.jobs, key=lambda j: j.release)
         profile = instance.availability_profile(self.profile_backend)
         starts: Dict = {}

@@ -15,6 +15,7 @@ from typing import Callable, Dict, Iterable, List, Optional
 from ..core.instance import ReservationInstance, as_reservation_instance
 from ..core.registry import Registry
 from ..core.schedule import Schedule
+from ..core.timebase import run_on_grid
 from ..errors import SchedulingError
 
 
@@ -25,6 +26,13 @@ class Scheduler(abc.ABC):
     :class:`~repro.core.instance.ReservationInstance`; the public
     :meth:`schedule` handles input coercion and tags the produced schedule
     with the algorithm name.
+
+    A subclass that sets a ``timebase`` attribute (``"auto"``, ``"int"``
+    or ``"exact"``, see :mod:`repro.core.timebase`) is scheduled through
+    the grid round trip: :meth:`schedule` resolves the instance's integer
+    grid once, runs :meth:`_run_grid` on the integer twin (or
+    :meth:`_run` on the instance when the policy keeps it off the grid)
+    and maps the starts back.
     """
 
     #: Registry name; subclasses override.
@@ -33,13 +41,22 @@ class Scheduler(abc.ABC):
     def schedule(self, instance) -> Schedule:
         """Produce a schedule for ``instance`` (rigid or with reservations)."""
         inst = as_reservation_instance(instance)
-        schedule = self._run(inst)
+        policy = getattr(self, "timebase", None)
+        if policy is None:
+            schedule = self._run(inst)
+        else:
+            schedule = run_on_grid(inst, policy, self._run_grid, self._run)[0]
         schedule.algorithm = self.name
         return schedule
 
     @abc.abstractmethod
     def _run(self, instance: ReservationInstance) -> Schedule:
         """Algorithm body; must return a feasible schedule."""
+
+    def _run_grid(self, instance: ReservationInstance) -> Schedule:
+        """Algorithm body on an instance whose times are all ints (the
+        integer twin); the same as :meth:`_run` unless overridden."""
+        return self._run(instance)
 
     def __call__(self, instance) -> Schedule:
         return self.schedule(instance)

@@ -25,7 +25,7 @@ from ..core.instance import ReservationInstance
 from ..core.schedule import Schedule
 from ..errors import SchedulingError
 from .base import Scheduler, register
-from .priority import PriorityRule, get_rule
+from .priority import PriorityRule, fifo, resolve_priority
 
 
 class FCFSScheduler(Scheduler):
@@ -47,20 +47,11 @@ class FCFSScheduler(Scheduler):
         priority: Optional[PriorityRule | str] = None,
         profile_backend=None,
     ):
-        if isinstance(priority, str):
-            self._priority = get_rule(priority)
-            self.name = f"fcfs[{priority}]"
-        else:
-            self._priority = priority
-            self.name = "fcfs" if priority is None else "fcfs[custom]"
+        self._order, self.name = resolve_priority(priority, "fcfs", fifo)
         self.profile_backend = profile_backend
 
     def _run(self, instance: ReservationInstance) -> Schedule:
-        jobs = (
-            self._priority(instance.jobs)
-            if self._priority is not None
-            else sorted(instance.jobs, key=lambda j: j.release)
-        )
+        jobs = self._order(instance.jobs)
         profile = instance.availability_profile(self.profile_backend)
         starts: Dict = {}
         gate = 0  # start of the previous job: FCFS forbids overtaking

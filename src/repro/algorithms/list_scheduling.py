@@ -27,20 +27,24 @@ then it did not fit at ``t`` against the jobs and reservations present.
 
 Implementation
 --------------
-Two interchangeable engines compute the *same* schedule:
+Two engines compute the *same* schedule;
+:meth:`~repro.algorithms.base.Scheduler.schedule` picks one by the
+``timebase`` policy:
 
-* the **exact reference sweep** (``timebase="exact"``): decision points
-  are time 0, every distinct release time, every availability-profile
-  breakpoint, and every job completion.  Capacity between consecutive
-  decision points is constant and the feasible window of any job only
-  ever *opens* at such a point, so scanning the list once per decision
-  point (in list order, with the profile updated as jobs start)
-  implements LSRC exactly.  Runs on any profile backend and any exact
-  time type — the transparent implementation the theory modules cite.
+* the **exact reference sweep** (:meth:`ListScheduler._run`, run under
+  ``timebase="exact"`` and on instances the policy keeps off the grid):
+  decision points are time 0, every distinct release time, every
+  availability-profile breakpoint, and every job completion.  Capacity
+  between consecutive decision points is constant and the feasible
+  window of any job only ever *opens* at such a point, so scanning the
+  list once per decision point (in list order, with the profile updated
+  as jobs start) implements LSRC exactly.  Runs on any profile backend
+  and any exact time type — the transparent implementation the theory
+  modules cite.
 
-* the **incremental integer sweep** (``timebase="auto"``/``"int"``, via
-  :mod:`repro.core.timebase`): times are normalised onto the instance's
-  integer grid and the sweep becomes *incremental* —
+* the **incremental integer sweep** (:meth:`ListScheduler._run_grid`,
+  run on the instance's integer twin under ``timebase="auto"``/``"int"``,
+  see :mod:`repro.core.timebase`): the sweep becomes *incremental* —
 
   - pending jobs live in a due-heap keyed by a cached lower bound on
     their earliest feasible start (an ``earliest_fit`` miss is
@@ -69,15 +73,10 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.instance import ReservationInstance
 from ..core.schedule import Schedule
-from ..core.timebase import (
-    IntSweepProfile,
-    check_timebase_policy,
-    int_sweep_profile,
-    timebase_for,
-)
+from ..core.timebase import IntSweepProfile, check_timebase_policy
 from ..errors import SchedulingError
 from .base import Scheduler, register
-from .priority import PriorityRule, explicit_order, get_rule
+from .priority import PriorityRule, explicit_order, resolve_priority
 
 
 def incremental_sweep(job_rows: List, profile: IntSweepProfile) -> Dict:
@@ -190,41 +189,19 @@ class ListScheduler(Scheduler):
         profile_backend=None,
         timebase: str = "auto",
     ):
-        if isinstance(priority, str):
-            self._rule_label = priority
-            self._priority = get_rule(priority)
-        elif priority is None:
-            self._rule_label = "list"
-            self._priority = None
-        else:
-            self._rule_label = getattr(priority, "__name__", "custom")
-            self._priority = priority
-        self.name = (
-            "lsrc" if self._priority is None else f"lsrc[{self._rule_label}]"
-        )
+        self._order, self.name = resolve_priority(priority, "lsrc", list)
         self.profile_backend = profile_backend
         self.timebase = check_timebase_policy(timebase)
 
-    def _run(self, instance: ReservationInstance) -> Schedule:
-        jobs = (
-            self._priority(instance.jobs)
-            if self._priority is not None
-            else list(instance.jobs)
-        )
-        tb = timebase_for(instance, self.timebase)
-        if tb is None:
-            return self._run_exact(instance, jobs)
-        profile = int_sweep_profile(instance, tb)
-        if tb.is_own_twin(instance):
-            # already on the grid: nothing to convert in or out
-            rows = [(j.release, j.p, j.q, j.id) for j in jobs]
-            return Schedule(instance, incremental_sweep(rows, profile))
-        scale = tb.scale_time
-        rows = [(scale(j.release), scale(j.p), j.q, j.id) for j in jobs]
-        grid_starts = incremental_sweep(rows, profile)
-        return Schedule(instance, tb.denormalize_starts(grid_starts))
+    def _run_grid(self, instance: ReservationInstance) -> Schedule:
+        """The incremental integer sweep."""
+        rows = [(j.release, j.p, j.q, j.id) for j in self._order(instance.jobs)]
+        profile = IntSweepProfile(*instance.availability_lists())
+        return Schedule(instance, incremental_sweep(rows, profile))
 
-    def _run_exact(self, instance: ReservationInstance, jobs: List) -> Schedule:
+    def _run(self, instance: ReservationInstance) -> Schedule:
+        """The exact reference sweep."""
+        jobs = self._order(instance.jobs)
         profile = instance.availability_profile(self.profile_backend)
         starts: Dict = {}
         pending: List = list(jobs)
@@ -285,29 +262,13 @@ class SequentialPlacementScheduler(Scheduler):
         profile_backend=None,
         timebase: str = "auto",
     ):
-        if isinstance(priority, str):
-            self._rule_label = priority
-            self._priority = get_rule(priority)
-        elif priority is None:
-            self._rule_label = "list"
-            self._priority = None
-        else:
-            self._rule_label = getattr(priority, "__name__", "custom")
-            self._priority = priority
-        self.name = (
-            "seq" if self._priority is None else f"seq[{self._rule_label}]"
-        )
+        self._order, self.name = resolve_priority(priority, "seq", list)
         self.profile_backend = profile_backend
         self.timebase = check_timebase_policy(timebase)
 
     def _run(self, instance: ReservationInstance) -> Schedule:
-        jobs = (
-            self._priority(instance.jobs)
-            if self._priority is not None
-            else list(instance.jobs)
-        )
         return earliest_fit_placement(
-            instance, jobs, self.profile_backend, self.timebase
+            instance, self._order(instance.jobs), self.profile_backend
         )
 
 
@@ -315,26 +276,11 @@ def earliest_fit_placement(
     instance: ReservationInstance,
     jobs: Sequence,
     profile_backend=None,
-    timebase: str = "auto",
 ) -> Schedule:
     """Place ``jobs`` in list order, each at its earliest feasible start
     on ``instance.availability_profile(profile_backend)``, never
     revisiting an earlier placement — conservative backfilling's engine.
-
-    Like EASY's sweep, the loop has no specialised integer core: when
-    ``timebase`` grids the instance it runs on the integer twin
-    (machine-int arithmetic) and denormalises the starts.
     """
-    tb = timebase_for(instance, timebase)
-    if tb is not None:
-        twin = tb.normalize_instance(instance)
-        if twin is not instance:
-            twin_jobs = twin.job_by_id
-            placed = earliest_fit_placement(
-                twin, [twin_jobs[job.id] for job in jobs], profile_backend,
-                "exact",
-            )
-            return Schedule(instance, tb.denormalize_starts(placed.starts))
     profile = instance.availability_profile(profile_backend)
     starts: Dict = {}
     for job in jobs:

@@ -27,7 +27,7 @@ reproducible across runs and platforms.
 from __future__ import annotations
 
 import random as _random
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.job import Job
 from ..errors import SchedulingError
@@ -110,6 +110,23 @@ def get_rule(name: str) -> PriorityRule:
         return random_order(int(seed) if seed else 0)
     known = ", ".join(sorted(RULES) + ["random[:SEED]"])
     raise SchedulingError(f"unknown priority rule {name!r}; known: {known}")
+
+
+def resolve_priority(
+    priority: Optional[PriorityRule | str], base: str, default: PriorityRule
+) -> Tuple[PriorityRule, str]:
+    """The list order and the scheduler name for a ``priority=`` argument.
+
+    ``None`` keeps the scheduler's ``default`` order under its plain
+    ``base`` name.  A rule name (see :func:`get_rule`) or a callable
+    ``jobs -> ordered jobs`` is named ``base[label]``; a callable's label
+    is its ``__name__``.
+    """
+    if priority is None:
+        return default, base
+    if isinstance(priority, str):
+        return get_rule(priority), f"{base}[{priority}]"
+    return priority, f"{base}[{getattr(priority, '__name__', 'custom')}]"
 
 
 def explicit_order(job_ids: Sequence) -> PriorityRule:

@@ -95,14 +95,17 @@ class Job:
             )
 
     @classmethod
-    def trusted(cls, id: object, p: Time, q: int, release: Time) -> "Job":
+    def trusted(
+        cls, id: object, p: Time, q: int, release: Time, name: str = ""
+    ) -> "Job":
         """Construct without re-validation — for generators whose values
         are valid *by construction* (the synthetic trace pack builds
         millions of jobs; the dataclass ``__init__``'s five frozen
         ``object.__setattr__`` calls plus ``__post_init__`` would be
-        ~half its cost).  The result is indistinguishable from a normal
-        ``Job``; callers feeding unchecked external data must use the
-        regular constructor.
+        ~half its cost; an instance's integer twin scales valid jobs).
+        The result is indistinguishable from a normal ``Job``; callers
+        feeding unchecked external data must use the regular
+        constructor.
         """
         job = object.__new__(cls)
         d = job.__dict__  # mutating the dict sidesteps the frozen setattr
@@ -110,7 +113,7 @@ class Job:
         d["p"] = p
         d["q"] = q
         d["release"] = release
-        d["name"] = ""
+        d["name"] = name
         return job
 
     @property

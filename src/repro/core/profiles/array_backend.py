@@ -316,11 +316,6 @@ class ArrayProfile(ProfileBackend):
                 total += caps[j] * (hi - lo)
         return total
 
-    def next_breakpoint_after(self, t: Time) -> Optional[Time]:
-        """Smallest breakpoint strictly greater than ``t``, or ``None``."""
-        i = bisect_right(self._times, t, self._lo)
-        return self._times[i] if i < len(self._times) else None
-
     def earliest_fit(
         self, q: int, duration: Time, after: Time = 0
     ) -> Optional[Time]:

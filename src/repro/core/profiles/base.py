@@ -29,7 +29,7 @@ Two invariants are part of the protocol, not of any one implementation:
   every backend.
 
 Concrete backends subclass this ABC and implement the primitive set; the
-derived operations (``fits``, ``inverted``, ``truncated_after``, equality,
+derived operations (``fits``, ``truncated_after``, equality,
 hashing, the constructors) are shared here so all backends agree on their
 semantics by construction.
 
@@ -333,7 +333,7 @@ class ProfileBackend:
 
         What pruning deliberately gives up is the *global* protocol
         view: ``breakpoints``, equality/hash, ``area(0, x)`` for
-        ``x < t`` and ``inverted``/``truncated_after`` now describe the
+        ``x < t`` and ``truncated_after`` now describe the
         compacted function, not the original — which is why consumers
         must own their profile copy (schedulers and the replay engine
         always do; :meth:`~repro.core.instance.ReservationInstance.
@@ -347,10 +347,6 @@ class ProfileBackend:
     def segments(self, horizon: Optional[Time] = None) -> Iterator[Segment]:
         """Yield ``(start, end, capacity)``; the last ``end`` is ``horizon``
         (if given) or ``math.inf``."""
-        raise NotImplementedError
-
-    def next_breakpoint_after(self, t: Time) -> Optional[Time]:
-        """Smallest breakpoint strictly greater than ``t``, or ``None``."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -445,21 +441,6 @@ class ProfileBackend:
     # ------------------------------------------------------------------
     # derived transformations (shared)
     # ------------------------------------------------------------------
-    def inverted(self, m: int) -> "ProfileBackend":
-        """The unavailability profile ``U(t) = m - capacity(t)``.
-
-        Raises when capacity exceeds ``m`` anywhere.
-        """
-        times, caps = self.as_lists()
-        out = []
-        for c in caps:
-            if c > m:
-                raise InvalidInstanceError(
-                    f"capacity {c} exceeds machine size {m}; cannot invert"
-                )
-            out.append(m - c)
-        return type(self)(times, out, _validate=False)
-
     def is_nondecreasing(self) -> bool:
         """True when capacity never decreases over time.
 

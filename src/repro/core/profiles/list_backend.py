@@ -198,11 +198,6 @@ class ListProfile(ProfileBackend):
             j += 1
         return hi
 
-    def next_breakpoint_after(self, t: Time) -> Optional[Time]:
-        """Smallest breakpoint strictly greater than ``t``, or ``None``."""
-        i = bisect_right(self._times, t)
-        return self._times[i] if i < len(self._times) else None
-
     def earliest_fit(self, q: int, duration: Time,
                      after: Time = 0) -> Optional[Time]:
         """Earliest ``s >= after`` such that capacity is ``>= q`` throughout

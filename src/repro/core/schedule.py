@@ -12,12 +12,28 @@ because the model does not require contiguity, Section 2.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from fractions import Fraction
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import InfeasibleScheduleError, InvalidInstanceError
 from .instance import ReservationInstance, as_reservation_instance
 from .job import Job
 from .profiles import ResourceProfile
+
+
+def end_time(start: Any, p: Any) -> Any:
+    """``start + p``, exact when ``start`` is a :class:`Fraction` and
+    ``p`` a ``float``.
+
+    ``Fraction + float`` rounds to a float.  On a float-timed instance,
+    starts computed on the integer grid come back as exact Fractions, so
+    a rounded end could overlap the next job's start.  A finite float is
+    an exact binary rational, so ``Fraction(p)`` loses nothing.  Every
+    other sum is left to Python, as the exact path computes it.
+    """
+    if type(start) is Fraction and type(p) is float:
+        return start + Fraction(p)
+    return start + p
 
 
 @dataclass(frozen=True)
@@ -30,7 +46,7 @@ class ScheduledJob:
     @property
     def end(self):
         """Completion time ``sigma_i + p_i``."""
-        return self.start + self.job.p
+        return end_time(self.start, self.job.p)
 
     @property
     def q(self) -> int:
@@ -80,7 +96,8 @@ class Schedule:
 
     def end_of(self, job_id):
         """Completion time of a job."""
-        return self.starts[job_id] + self.instance.job_by_id[job_id].p
+        job = self.instance.job_by_id[job_id]
+        return end_time(self.starts[job_id], job.p)
 
     def scheduled_jobs(self) -> List[ScheduledJob]:
         """Jobs with their start times, ordered by (start, id-string)."""
@@ -102,7 +119,7 @@ class Schedule:
         if not self.starts:
             return 0
         return max(
-            self.starts[job.id] + job.p for job in self.instance.jobs
+            end_time(self.starts[job.id], job.p) for job in self.instance.jobs
         )
 
     def event_times(self) -> List:
@@ -111,7 +128,7 @@ class Schedule:
         times = set()
         for job in self.instance.jobs:
             times.add(self.starts[job.id])
-            times.add(self.starts[job.id] + job.p)
+            times.add(end_time(self.starts[job.id], job.p))
         for res in self.instance.reservations:
             times.add(res.start)
             times.add(res.end)
@@ -123,7 +140,7 @@ class Schedule:
         return [
             job
             for job in self.instance.jobs
-            if self.starts[job.id] <= t < self.starts[job.id] + job.p
+            if self.starts[job.id] <= t < end_time(self.starts[job.id], job.p)
         ]
 
     def usage_at(self, t) -> int:
@@ -215,7 +232,7 @@ class Schedule:
         intervals: List[Tuple[object, object, int, Tuple[str, object]]] = []
         for job in inst.jobs:
             s = self.starts[job.id]
-            intervals.append((s, s + job.p, job.q, ("job", job.id)))
+            intervals.append((s, end_time(s, job.p), job.q, ("job", job.id)))
         for res in inst.reservations:
             intervals.append((res.start, res.end, res.q, ("res", res.id)))
         # Sweep event points; release processors of finished intervals,

@@ -16,15 +16,18 @@ This module exploits that closure property:
   twin denormalises to *the same schedule* the exact path produces
   (property tests in ``tests/test_timebase.py`` assert equality across
   every registered scheduler and workload generator);
-* :class:`IntSweepProfile` is the integer-grid availability structure the
-  fast scheduling paths run on: flat breakpoint arrays of machine ints,
-  mutation localised to the touched window, and — because event-driven
-  schedulers only ever move *forward* in time — :meth:`IntSweepProfile.
-  prune_before` drops segments behind the sweep front, keeping every
-  bisect/splice O(active window) instead of O(whole history);
-* :func:`on_int_timebase` is the generic wrapper (normalise → schedule
-  the twin → denormalise) that gives *any* scheduler the fast path even
-  when it has no specialised integer core.
+* :func:`run_on_grid` is the one round trip (resolve the grid, schedule
+  the twin, map the starts back).  :meth:`~repro.algorithms.base.
+  Scheduler.schedule` runs every scheduler with a ``timebase`` policy
+  through it, the online simulation uses it, and
+  :func:`on_int_timebase` wraps any other scheduler in it;
+* :class:`IntSweepProfile` is the integer-grid availability structure
+  LSRC's incremental sweep runs on: flat breakpoint arrays of machine
+  ints, mutation localised to the touched window, and — because
+  event-driven schedulers only ever move *forward* in time —
+  :meth:`IntSweepProfile.prune_before` drops segments behind the sweep
+  front, keeping every bisect/splice O(active window) instead of
+  O(whole history).
 
 ``IntSweepProfile`` is deliberately **not** a registered profile backend:
 pruning violates the protocol's ``[0, inf)`` canonical-form contract (the
@@ -41,6 +44,8 @@ bit-identical equality with the exact path is only guaranteed for
 ``int``/``Fraction`` instances.  ``Timebase.of(..., exact_only=True)``
 (the ``"auto"`` policy) therefore declines float instances; pass
 ``exact_only=False`` (the ``"int"`` policy) to force them onto the grid.
+The starts then come back as exact Fractions, which
+:class:`~repro.core.schedule.Schedule` adds to float runtimes exactly.
 """
 
 from __future__ import annotations
@@ -50,10 +55,12 @@ import numbers
 from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..errors import InvalidInstanceError
-from .profiles import ListProfile
+from .instance import as_reservation_instance
+from .job import Job
+from .schedule import Schedule, end_time
 
 #: Recognised timebase policies for scheduler/simulation entry points.
 TIMEBASE_POLICIES = ("auto", "int", "exact")
@@ -114,7 +121,7 @@ class Timebase:
     schedule of it, closed under addition) can produce.
     """
 
-    __slots__ = ("scale", "_source", "_native")
+    __slots__ = ("scale", "_source", "_native", "_floats")
 
     def __init__(self, scale: int = 1) -> None:
         if (
@@ -124,10 +131,12 @@ class Timebase:
                 f"timebase scale must be a positive integer, got {scale!r}"
             )
         self.scale = int(scale)
-        # the instance :meth:`of` scanned, and whether every one of its
-        # times was already an int (then it is its own integer twin)
+        # the instance :meth:`of` scanned, whether every one of its times
+        # was already an int (then it is its own integer twin), and
+        # whether any was a float
         self._source: Any = None
         self._native = False
+        self._floats = False
 
     @classmethod
     def of(cls, instance: Any, exact_only: bool = True) -> Optional["Timebase"]:
@@ -139,10 +148,12 @@ class Timebase:
         test before any ABC or :class:`Fraction` check.  The same pass
         notes whether every time is already an int, so
         :meth:`normalize_instance` on this instance returns it without
-        scanning again.
+        scanning again, and whether any time is a float (see
+        :meth:`denormalize`).
         """
         scale = 1
         native = True
+        floats = False
         for t in _iter_instance_times(instance):
             if type(t) is int:
                 continue
@@ -155,9 +166,12 @@ class Timebase:
             # twin, as normalize_instance's all-int check always had it
             if native and not isinstance(t, int):
                 native = False
+            if isinstance(t, float):
+                floats = True
         timebase = cls(scale)
         timebase._source = instance
         timebase._native = native
+        timebase._floats = floats
         return timebase
 
     # ------------------------------------------------------------------
@@ -167,18 +181,31 @@ class Timebase:
         """``t * scale`` as an exact int (raises when off-grid)."""
         if type(t) is int:
             return t * self.scale
-        if isinstance(t, numbers.Integral):
+        if type(t) is Fraction:
+            factor, rest = divmod(self.scale, t.denominator)
+            if not rest:
+                return t.numerator * factor
+        elif isinstance(t, numbers.Integral):
             return int(t) * self.scale
-        v = Fraction(t) * self.scale
-        if v.denominator != 1:
-            raise InvalidInstanceError(
-                f"time {t!r} is not on the 1/{self.scale} grid"
-            )
-        return v.numerator
+        else:
+            v = Fraction(t) * self.scale
+            if v.denominator == 1:
+                return v.numerator
+        raise InvalidInstanceError(
+            f"time {t!r} is not on the 1/{self.scale} grid"
+        )
 
     def denormalize(self, v: int) -> Union[int, Fraction]:
         """Grid int → exact time (``int`` when the value lands on whole
-        units, :class:`Fraction` otherwise)."""
+        units, :class:`Fraction` otherwise).
+
+        On the grid of an instance with float times it is always a
+        :class:`Fraction`: :class:`~repro.core.schedule.Schedule` adds a
+        float runtime to a Fraction start exactly, but to an int start in
+        float arithmetic, as the exact path does.
+        """
+        if self._floats:
+            return Fraction(v, self.scale)
         if self.scale == 1:
             return int(v)
         f = Fraction(v, self.scale)
@@ -205,24 +232,28 @@ class Timebase:
         """The integer-time twin of ``instance`` (same ids, same widths).
 
         Returns ``instance`` itself when it :meth:`is_own_twin`, so the
-        trivial case costs nothing.
+        trivial case costs nothing.  The twin's jobs skip re-validation:
+        scaling valid times by a positive int keeps every
+        :class:`~repro.core.job.Job` invariant.
+
+        A reservation keeps the end its instance gives it
+        (:func:`~repro.core.schedule.end_time`): on a float instance
+        ``start + p`` rounds, and the twin blocks the same window the
+        instance's own availability profile does.
         """
         if self.is_own_twin(instance):
             return instance
+        scale = self.scale_time
         jobs = tuple(
-            replace(
-                job,
-                p=self.scale_time(job.p),
-                release=self.scale_time(job.release),
-            )
+            Job.trusted(job.id, scale(job.p), job.q, scale(job.release), job.name)
             for job in instance.jobs
         )
         if getattr(instance, "reservations", None):
             reservations = tuple(
                 replace(
                     res,
-                    start=self.scale_time(res.start),
-                    p=self.scale_time(res.p),
+                    start=scale(res.start),
+                    p=scale(end_time(res.start, res.p)) - scale(res.start),
                 )
                 for res in instance.reservations
             )
@@ -234,10 +265,13 @@ def exactify_instance(instance: Any) -> Any:
     """Copy of ``instance`` with every float time replaced by its *exact*
     :class:`Fraction` value (ints and Fractions pass through untouched).
 
-    Floats are binary rationals, so this changes no time's value — it only
-    moves the instance into the exact-arithmetic regime where the integer
-    timebase guarantees schedule identity.  Used by the differential tests
-    to cover float-producing workload generators.
+    Floats are binary rationals, so this changes no job time's value — it
+    only moves the instance into the exact-arithmetic regime where the
+    integer timebase guarantees schedule identity.  A reservation keeps
+    its start and its end (a float ``start + p`` rounds, see
+    :meth:`Timebase.normalize_instance`), so the copy has the same
+    availability profile and the same integer twin.  Used by the
+    differential tests to cover float-producing workload generators.
     """
 
     def fix(t: Any) -> Any:
@@ -251,47 +285,60 @@ def exactify_instance(instance: Any) -> Any:
     )
     if getattr(instance, "reservations", None):
         reservations = tuple(
-            replace(res, start=fix(res.start), p=fix(res.p))
+            replace(
+                res,
+                start=fix(res.start),
+                p=fix(end_time(res.start, res.p)) - fix(res.start),
+            )
             for res in instance.reservations
         )
         return replace(instance, jobs=jobs, reservations=reservations)
     return replace(instance, jobs=jobs)
 
 
-def on_int_timebase(scheduler: Any, instance: Any, exact_only: bool = True) -> Any:
+def run_on_grid(
+    instance: Any,
+    policy: str,
+    run_grid: Callable[[Any], Schedule],
+    run_exact: Callable[[Any], Schedule],
+) -> Tuple[Schedule, Optional[Timebase]]:
+    """The grid round trip: resolve ``policy`` against ``instance`` once,
+    then schedule it.
+
+    ``run_grid`` gets the instance's integer twin (the instance itself
+    when it is its own twin); ``run_exact`` gets the instance when the
+    policy keeps it off the grid.  The schedule comes back on
+    ``instance``'s own times, under the run's ``algorithm`` label.  The
+    second value is the timebase of a twin the run worked on, or
+    ``None`` when it worked on the instance itself; a caller maps any
+    other time the run produced (an event trace) back through it.
+    """
+    tb = timebase_for(instance, policy)
+    if tb is None:
+        return run_exact(instance), None
+    twin = tb.normalize_instance(instance)
+    scheduled = run_grid(twin)
+    if twin is instance:
+        return scheduled, None
+    starts = tb.denormalize_starts(scheduled.starts)
+    return Schedule(instance, starts, algorithm=scheduled.algorithm), tb
+
+
+def on_int_timebase(scheduler: Any, instance: Any) -> Any:
     """Run any scheduler through the integer timebase.
 
-    Normalises the instance, schedules the integer twin, and denormalises
-    the start times back onto the original instance.  Falls back to the
-    plain exact path when the instance has no usable timebase.
-
-    A scheduler whose own ``timebase=`` policy makes the same decision —
-    ``"int"``, or ``"auto"`` under ``exact_only`` — gets the instance
-    as it is and resolves the timebase itself, so the instance's times
-    are scanned once per call, not once here and again inside.  Under
-    ``exact_only=False`` an ``"auto"`` scheduler still has float
-    instances put on the grid here, and an ``"exact"`` one always runs
-    its reference path on the integer twin.
+    A scheduler whose own ``timebase=`` policy grids int/Fraction
+    instances (``"auto"`` or ``"int"``) gets the instance unchanged:
+    :meth:`~repro.algorithms.base.Scheduler.schedule` makes the round
+    trip itself, so the instance's times are scanned once per call.  Any
+    other scheduler (an ``"exact"`` one, or one with no policy) is
+    handed the integer twin of an int/Fraction instance and its starts
+    are mapped back; a float-timed instance runs as it is.
     """
-    from .instance import as_reservation_instance
-    from .schedule import Schedule
-
-    policy = getattr(scheduler, "timebase", None)
-    if policy == "int" or (policy == "auto" and exact_only):
+    if getattr(scheduler, "timebase", None) in ("auto", "int"):
         return scheduler.schedule(instance)
-    inst = as_reservation_instance(instance)
-    tb = Timebase.of(inst, exact_only=exact_only)
-    if tb is None:
-        return scheduler.schedule(inst)
-    twin = tb.normalize_instance(inst)
-    if twin is inst:
-        return scheduler.schedule(inst)
-    scheduled = scheduler.schedule(twin)
-    return Schedule(
-        inst,
-        tb.denormalize_starts(scheduled.starts),
-        algorithm=scheduled.algorithm,
-    )
+    run = scheduler.schedule
+    return run_on_grid(as_reservation_instance(instance), "auto", run, run)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -426,20 +473,3 @@ class IntSweepProfile:
         """Add ``amount`` over ``[start, start + duration)`` (inverse of
         :meth:`reserve`; used by shadow-probing patterns)."""
         self.reserve(start, duration, -amount)
-
-
-def int_sweep_profile(instance: Any, timebase: Timebase) -> IntSweepProfile:
-    """The instance's availability profile on ``timebase``'s integer grid.
-
-    Unless the instance is its own integer twin, the profile is rebuilt
-    from the scaled reservations: a float instance's own breakpoints are
-    float sums, rounded before they could be scaled.
-    """
-    if timebase.is_own_twin(instance):
-        return IntSweepProfile(*instance.availability_lists())
-    scale = timebase.scale_time
-    profile = ListProfile.constant(instance.m)
-    profile.reserve_many(
-        (scale(r.start), scale(r.p), r.q) for r in instance.reservations
-    )
-    return IntSweepProfile(*profile.as_lists())

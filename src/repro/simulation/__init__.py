@@ -46,13 +46,6 @@ from .replay import (
     replay_swf,
 )
 from .scheduler_core import SchedulerCore
-from .timeline import (
-    TimelineSummary,
-    queue_length_timeline,
-    running_count_timeline,
-    summarize_timeline,
-    utilization_timeline,
-)
 
 __all__ = [
     "Simulator",
@@ -80,9 +73,4 @@ __all__ = [
     "replay_policies",
     "replay_swf",
     "DEFAULT_WINDOW",
-    "TimelineSummary",
-    "queue_length_timeline",
-    "running_count_timeline",
-    "utilization_timeline",
-    "summarize_timeline",
 ]

@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional
 from ..core.instance import ReservationInstance, as_reservation_instance
 from ..core.registry import Registry
 from ..core.schedule import Schedule
-from ..core.timebase import check_timebase_policy, timebase_for
+from ..core.timebase import check_timebase_policy, run_on_grid
 from ..errors import SchedulingError
 from ..workloads.uncertainty import resolve_uncertainty
 from .cluster import ClusterState, RunningJob
@@ -221,24 +221,18 @@ class OnlineSimulation:
             # draws are functions of each job's own estimate, so the
             # normalised twin would draw from rescaled estimates.
             return self._run_on(self.instance)
-        tb = timebase_for(self.instance, self.timebase)
-        if tb is not None:
-            twin = tb.normalize_instance(self.instance)
-            if twin is not self.instance:
-                result = self._run_on(twin)
-                return SimulationResult(
-                    schedule=Schedule(
-                        self.instance,
-                        tb.denormalize_starts(result.schedule.starts),
-                        algorithm=result.schedule.algorithm,
-                    ),
-                    trace=[
-                        replace(ev, time=tb.denormalize(ev.time))
-                        for ev in result.trace
-                    ],
-                    policy=result.policy,
-                )
-        return self._run_on(self.instance)
+        runs: List[SimulationResult] = []
+
+        def run_on(instance: ReservationInstance) -> Schedule:
+            runs.append(self._run_on(instance))
+            return runs[-1].schedule
+
+        schedule, tb = run_on_grid(self.instance, self.timebase, run_on, run_on)
+        result = runs[0]
+        if tb is None:
+            return result
+        trace = [replace(ev, time=tb.denormalize(ev.time)) for ev in result.trace]
+        return SimulationResult(schedule=schedule, trace=trace, policy=result.policy)
 
     def _run_on(self, instance: ReservationInstance) -> SimulationResult:
         state = ClusterState(instance, self.profile_backend)

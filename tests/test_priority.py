@@ -107,3 +107,32 @@ class TestLookup:
     def test_get_rule_unknown(self):
         with pytest.raises(SchedulingError):
             get_rule("alphabetical")
+
+
+def by_width(jobs):
+    return sorted(jobs, key=lambda j: j.q)
+
+
+class TestSchedulerNames:
+    """Every list-ordered scheduler labels its ``priority=`` the same way:
+    no bracket for the default order, the rule name for a string, and
+    the callable's ``__name__`` for a callable."""
+
+    @pytest.mark.parametrize(
+        "cls, base",
+        [
+            ("ListScheduler", "lsrc"),
+            ("SequentialPlacementScheduler", "seq"),
+            ("ConservativeBackfillScheduler", "backfill-cons"),
+            ("FCFSScheduler", "fcfs"),
+        ],
+    )
+    def test_names(self, cls, base):
+        import repro.algorithms as algorithms
+
+        scheduler = getattr(algorithms, cls)
+        assert scheduler().name == base
+        assert scheduler(None).name == base
+        assert scheduler("lpt").name == f"{base}[lpt]"
+        assert scheduler(by_width).name == f"{base}[by_width]"
+        assert scheduler(get_rule("random:3")).name == f"{base}[random(seed=3)]"

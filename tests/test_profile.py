@@ -90,11 +90,6 @@ class TestQueries:
         with pytest.raises(InvalidInstanceError):
             ResourceProfile.constant(1).capacity_at(-1)
 
-    def test_next_breakpoint(self):
-        p = ResourceProfile.from_segments([(0, 4), (2, 1)])
-        assert p.next_breakpoint_after(0) == 2
-        assert p.next_breakpoint_after(2) is None
-
     def test_final_capacity(self):
         p = ResourceProfile.from_segments([(0, 4), (2, 1), (5, 3)])
         assert p.final_capacity() == 3
@@ -200,16 +195,6 @@ class TestDerived:
     def test_first_time_area_with_start(self):
         p = ResourceProfile.constant(2)
         assert p.first_time_area_reaches(4, start=3) == 5
-
-    def test_inverted(self):
-        p = ResourceProfile.from_segments([(0, 4), (2, 1), (5, 4)])
-        u = p.inverted(4)
-        assert u.capacity_at(0) == 0
-        assert u.capacity_at(3) == 3
-
-    def test_inverted_rejects_overflow(self):
-        with pytest.raises(InvalidInstanceError):
-            ResourceProfile.constant(5).inverted(4)
 
     def test_is_nondecreasing(self):
         assert ResourceProfile.from_segments([(0, 1), (2, 3)]).is_nondecreasing()

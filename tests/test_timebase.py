@@ -11,11 +11,14 @@ incremental LSRC sweep, the online simulation twin).
 
 from __future__ import annotations
 
+import ast
 import math
 import numbers
 import random
+from dataclasses import replace
 from enum import IntEnum
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -33,7 +36,6 @@ from repro.core.timebase import (
     Timebase,
     check_timebase_policy,
     exactify_instance,
-    int_sweep_profile,
     on_int_timebase,
     timebase_for,
 )
@@ -201,8 +203,8 @@ class TestIntSweepProfile:
         inst = ReservationInstance.from_specs(
             4, [(Fraction(1, 2), 2)], [(Fraction(1, 2), Fraction(3, 2), 3)]
         )
-        tb = Timebase.of(inst)
-        fast = int_sweep_profile(inst, tb)
+        twin = Timebase.of(inst).normalize_instance(inst)
+        fast = IntSweepProfile(*twin.availability_lists())
         assert list(fast.breakpoints) == [0, 1, 4]
         assert fast.capacity_at(0) == 4 and fast.capacity_at(2) == 1
 
@@ -386,25 +388,78 @@ def _wrapper_instance(kind: str, seed: int) -> ReservationInstance:
 WRAPPED_SCHEDULERS = ("lsrc", "backfill-cons", "backfill-easy", "seq")
 
 
-@pytest.mark.parametrize("exact_only", [True, False])
+@pytest.mark.parametrize("exact_scheduler", [True, False])
 @pytest.mark.parametrize("kind", ["int", "fraction", "float"])
 @pytest.mark.parametrize("name", WRAPPED_SCHEDULERS)
-def test_on_int_timebase_matches_scheduler_policy(name, kind, exact_only):
-    """``on_int_timebase(registered scheduler)`` gives the starts of the
-    scheduler's own ``timebase="exact"`` run — or, for a float instance
-    forced onto the grid (``exact_only=False``), of its ``"int"`` run."""
-    reference = "int" if kind == "float" and not exact_only else "exact"
+def test_on_int_timebase_matches_scheduler_policy(name, kind, exact_scheduler):
+    """``on_int_timebase`` gives the starts of the scheduler's own
+    ``timebase="exact"`` run, whether it wraps an ``"exact"`` scheduler
+    (run on the integer twin of an int/Fraction instance) or the
+    registered ``"auto"`` one (handed the instance as it is)."""
     for seed in (1, 2, 3):
         instance = _wrapper_instance(kind, seed)
-        wrapped = on_int_timebase(get_scheduler(name), instance, exact_only)
-        expected = _schedule_under(name, instance, reference)
+        scheduler = get_scheduler(name)
+        if exact_scheduler:
+            scheduler.timebase = "exact"
+        wrapped = on_int_timebase(scheduler, instance)
+        expected = _schedule_under(name, instance, "exact")
         assert wrapped.starts == expected.starts, (name, kind, seed)
         assert wrapped.algorithm == expected.algorithm
         assert wrapped.instance is instance
-        if reference == "int":
-            # gridded starts are exact Fractions; check them exactly
-            instance = exactify_instance(instance)
-        Schedule(instance, wrapped.starts).verify()
+        wrapped.verify()
+
+
+FLOAT_SEEDS = range(30)
+
+
+@pytest.mark.parametrize("name", WRAPPED_SCHEDULERS)
+def test_float_instance_on_the_grid_verifies(name):
+    """``timebase="int"`` on a float-timed instance: the starts are those
+    of the exact run on the equal-valued Fraction instance, and they
+    verify against the float instance itself (exact Fraction starts plus
+    float runtimes must not round into an overlap)."""
+    for seed in FLOAT_SEEDS:
+        instance = _wrapper_instance("float", seed)
+        gridded = _schedule_under(name, instance, "int")
+        exact = _schedule_under(name, exactify_instance(instance), "exact")
+        assert gridded.starts == exact.starts, (name, seed)
+        assert gridded.instance is instance
+        assert gridded.violations() == [], (name, seed)
+
+
+@pytest.mark.parametrize("policy", available_policies())
+def test_float_simulation_on_the_grid_verifies(policy):
+    for seed in FLOAT_SEEDS:
+        instance = _wrapper_instance("float", seed)
+        result = simulate(instance, policy, timebase="int")
+        exact = simulate(exactify_instance(instance), policy, timebase="exact")
+        assert result.schedule.starts == exact.schedule.starts, (policy, seed)
+        assert [e.time for e in result.trace] == [e.time for e in exact.trace]
+        assert result.schedule.violations() == [], (policy, seed)
+
+
+def test_one_grid_step_overlap_is_reported():
+    """Exact ends must not hide a real overlap: moving a start one grid
+    step earlier into its predecessor is a violation."""
+    instance = ReservationInstance.from_specs(1, [(0.1, 1), (0.2, 1)])
+    step = Fraction(1, Timebase.of(instance, exact_only=False).scale)
+    schedule = ListScheduler(timebase="int").schedule(instance)
+    assert schedule.starts == {0: 0, 1: Fraction(0.1)}
+    assert schedule.end_of(1) == Fraction(0.1) + Fraction(0.2)
+    schedule.verify()
+    moved = Schedule(instance, {0: 0, 1: schedule.starts[1] - step})
+    assert moved.violations()
+    # LSRC is greedy (Lemma 1): a job that starts after its release did
+    # not fit any earlier, so one grid step earlier is always an overlap
+    for seed in FLOAT_SEEDS:
+        instance = _wrapper_instance("float", seed)
+        step = Fraction(1, Timebase.of(instance, exact_only=False).scale)
+        schedule = ListScheduler(timebase="int").schedule(instance)
+        for job in instance.jobs:
+            start = schedule.starts[job.id]
+            if start > job.release:
+                starts = {**schedule.starts, job.id: start - step}
+                assert Schedule(instance, starts).violations(), (seed, job.id)
 
 
 def _count_passes(monkeypatch) -> list:
@@ -445,6 +500,90 @@ def test_one_pass_for_wrapped_exact_scheduler_and_simulation(monkeypatch):
     del passes[:]
     simulate(instance, "fcfs")
     assert len(passes) == 1
+
+
+ROUND_TRIP_CALLS = ("normalize_instance", "denormalize_starts")
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+
+@pytest.mark.parametrize("package", ["algorithms", "simulation"])
+def test_schedulers_make_no_round_trip_of_their_own(package):
+    """``Scheduler.schedule`` and the online simulation reach the grid
+    through ``run_on_grid`` alone: no scheduler or simulation module
+    builds a twin or maps starts back itself."""
+    offenders = []
+    for path in sorted((SRC / package).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None
+            )
+            if name in ROUND_TRIP_CALLS:
+                offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []
+
+
+def _replace_built_twin(instance, tb):
+    """The twin built the validating way, one ``dataclasses.replace`` per
+    job and reservation."""
+    scale = tb.scale_time
+    jobs = tuple(
+        replace(job, p=scale(job.p), release=scale(job.release))
+        for job in instance.jobs
+    )
+    reservations = tuple(
+        replace(
+            res,
+            start=scale(res.start),
+            p=scale(res.start + res.p) - scale(res.start),
+        )
+        for res in instance.reservations
+    )
+    return replace(instance, jobs=jobs, reservations=reservations)
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "float"])
+def test_twin_equals_replace_built_twin(kind):
+    for seed in (1, 2, 3):
+        base = _wrapper_instance(kind, seed)
+        named = tuple(
+            replace(job, name=f"job-{job.id}") if job.id % 2 else job
+            for job in base.jobs
+        )
+        instance = replace(base, jobs=named)
+        tb = Timebase.of(instance, exact_only=False)
+        twin = tb.normalize_instance(instance)
+        expected = _replace_built_twin(instance, tb)
+        assert twin == expected
+        for got, want in zip(twin.jobs, expected.jobs):
+            assert type(got) is Job
+            assert (got.id, got.p, got.q, got.release, got.name) == (
+                want.id, want.p, want.q, want.release, want.name
+            )
+            assert type(got.p) is int and type(got.release) is int
+        assert twin.availability_lists() == expected.availability_lists()
+        if kind == "float":
+            # the exactified instance has the same twin
+            exact = exactify_instance(instance)
+            assert Timebase.of(exact).normalize_instance(exact) == twin
+
+
+def test_float_reservation_keeps_its_rounded_end():
+    """``0.6 + 1.35`` rounds up: the twin and the exactified instance
+    block the window the float instance's own profile blocks."""
+    instance = ReservationInstance.from_specs(4, [(1, 4)], [(0.6, 1.35, 1)])
+    end = instance.reservations[0].end
+    assert Fraction(end) != Fraction(0.6) + Fraction(1.35)
+    exact = exactify_instance(instance)
+    assert exact.reservations[0].end == Fraction(end)
+    tb = Timebase.of(instance, exact_only=False)
+    twin = tb.normalize_instance(instance)
+    assert twin.reservations[0].end == tb.scale_time(end)
+    gridded = ListScheduler(timebase="int").schedule(instance)
+    assert gridded.starts == {0: Fraction(end)}
+    gridded.verify()
 
 
 def _reference_scale(times, exact_only: bool):

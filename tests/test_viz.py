@@ -1,10 +1,19 @@
 """Tests for Gantt / SVG rendering."""
 
 
+import pytest
+
 from repro.algorithms import list_schedule
-from repro.core import RigidInstance, Schedule
+from repro.core import ResourceProfile, RigidInstance, Schedule
+from repro.errors import InvalidInstanceError
 from repro.theory import proposition2_instance
-from repro.viz import render_gantt, render_utilization, save_svg, schedule_to_svg
+from repro.viz import (
+    render_gantt,
+    render_profile,
+    render_utilization,
+    save_svg,
+    schedule_to_svg,
+)
 
 
 class TestGantt:
@@ -90,3 +99,20 @@ class TestSVG:
         for sched in (fam.optimal_schedule(),):
             svg = schedule_to_svg(sched)
             assert svg.count("<rect") > 180
+
+
+class TestProfileRenderer:
+    def test_renders_staircase(self):
+        profile = ResourceProfile.from_segments([(0, 2), (5, 5), (9, 8)])
+        text = render_profile(profile, width=40)
+        assert "#" in text
+        assert "availability" in text
+
+    def test_custom_title_and_horizon(self):
+        profile = ResourceProfile.constant(4)
+        text = render_profile(profile, width=30, horizon=10, title="flat")
+        assert text.startswith("flat")
+
+    def test_bad_horizon(self):
+        with pytest.raises(InvalidInstanceError):
+            render_profile(ResourceProfile.constant(1), horizon=0)
