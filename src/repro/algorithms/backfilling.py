@@ -6,8 +6,9 @@ probably) harms nobody.  The paper discusses the spectrum:
 
 * **conservative backfilling** — every job is placed at the earliest time
   that does not delay *any previously scheduled* job.  Offline this is a
-  single pass over the queue placing each job with
-  :meth:`~repro.core.profiles.ListProfile.earliest_fit`;
+  single pass over the queue placing each job at its profile's
+  ``earliest_fit``
+  (:func:`~repro.algorithms.list_scheduling.earliest_fit_placement`);
 * **EASY backfilling** — only the queue *head* gets a guaranteed
   reservation; any other ready job may start now if it does not push the
   head's reserved start back;
@@ -16,46 +17,47 @@ probably) harms nobody.  The paper discusses the spectrum:
   Scheduling ... of Garey and Graham", i.e.
   :class:`~repro.algorithms.list_scheduling.ListScheduler` (registered
   here under the alias ``backfill-aggressive``).
+
+Both schedulers run on the instance's integer twin by default
+(``timebase="auto"``, see :mod:`repro.core.timebase`) and place there on
+an :class:`~repro.core.timebase.IntSweepProfile`, unless a
+``profile_backend`` is named
+(:func:`~repro.algorithms.list_scheduling.grid_profile`); the exact path
+places on ``instance.availability_profile(profile_backend)``.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..core.instance import ReservationInstance
 from ..core.schedule import Schedule
 from ..core.timebase import check_timebase_policy
 from ..errors import SchedulingError
 from .base import Scheduler, register
-from .list_scheduling import ListScheduler, earliest_fit_placement
-from .priority import PriorityRule, fifo, resolve_priority
+from .list_scheduling import (
+    ListScheduler,
+    SequentialPlacementScheduler,
+    grid_profile,
+)
+from .priority import fifo
 
 
-class ConservativeBackfillScheduler(Scheduler):
+class ConservativeBackfillScheduler(SequentialPlacementScheduler):
     """Conservative backfilling: earliest-fit placement in queue order.
 
     Every job receives a firm start-time reservation when it is considered;
     later jobs may slide into earlier holes but can never displace an
     existing reservation — the paper's example of the non-aggressive
     variant ("task y could not have been scheduled earlier, even if x was
-    not present").
+    not present").  The engine is ``seq``'s
+    (:class:`~repro.algorithms.list_scheduling.SequentialPlacementScheduler`),
+    in FIFO (release) order by default.
     """
 
-    def __init__(
-        self,
-        priority: Optional[PriorityRule | str] = None,
-        profile_backend=None,
-        timebase: str = "auto",
-    ):
-        self._order, self.name = resolve_priority(priority, "backfill-cons", fifo)
-        self.profile_backend = profile_backend
-        self.timebase = check_timebase_policy(timebase)
-
-    def _run(self, instance: ReservationInstance) -> Schedule:
-        return earliest_fit_placement(
-            instance, self._order(instance.jobs), self.profile_backend
-        )
+    base_name = "backfill-cons"
+    default_order = staticmethod(fifo)
 
 
 class EasyBackfillScheduler(Scheduler):
@@ -75,9 +77,18 @@ class EasyBackfillScheduler(Scheduler):
         self.profile_backend = profile_backend
         self.timebase = check_timebase_policy(timebase)
 
+    def _run_grid(self, instance: ReservationInstance) -> Schedule:
+        return self._sweep(instance, grid_profile(instance, self.profile_backend))
+
     def _run(self, instance: ReservationInstance) -> Schedule:
+        return self._sweep(
+            instance, instance.availability_profile(self.profile_backend)
+        )
+
+    def _sweep(self, instance: ReservationInstance, profile) -> Schedule:
+        """The event-driven EASY pass on ``profile`` (a fresh availability
+        profile of ``instance``)."""
         jobs = sorted(instance.jobs, key=lambda j: j.release)
-        profile = instance.availability_profile(self.profile_backend)
         starts: Dict = {}
         pending: List = list(jobs)
 

@@ -44,7 +44,8 @@ Two engines compute the *same* schedule;
 
 * the **incremental integer sweep** (:meth:`ListScheduler._run_grid`,
   run on the instance's integer twin under ``timebase="auto"``/``"int"``,
-  see :mod:`repro.core.timebase`): the sweep becomes *incremental* —
+  see :mod:`repro.core.timebase`; it ignores ``profile_backend``): the
+  sweep becomes *incremental* —
 
   - pending jobs live in a due-heap keyed by a cached lower bound on
     their earliest feasible start (an ``earliest_fit`` miss is
@@ -59,11 +60,18 @@ Two engines compute the *same* schedule;
     ``tests/test_timebase.py`` checks the schedules stay identical);
   - the profile is an
     :class:`~repro.core.timebase.IntSweepProfile` whose history is
-    pruned behind the sweep front.
+    pruned behind the sweep front, and a placement is one fused
+    probe-and-commit (:meth:`~repro.core.timebase.IntSweepProfile.
+    try_reserve`).
 
   Per placed job the incremental sweep does O(1) profile operations on
   the *active* window instead of rescanning the entire pending list at
   every one of O(n + breakpoints) decision points.
+
+:class:`SequentialPlacementScheduler` (and conservative backfilling, its
+FIFO-ordered subclass) places with :func:`earliest_fit_placement` on the
+same ``IntSweepProfile`` on the integer twin, and on
+``instance.availability_profile(profile_backend)`` on the exact path.
 """
 
 from __future__ import annotations
@@ -138,11 +146,10 @@ def incremental_sweep(job_rows: List, profile: IntSweepProfile) -> Dict:
         cap_now = profile.capacity_at(t)
         for i in candidates:
             _release, p, q, jid = job_rows[i]
-            if q <= cap_now and profile.fits(q, t, p):
-                profile.reserve(t, p, q)
+            if q <= cap_now and profile.try_reserve(t, p, q):
                 starts[jid] = t
                 placed += 1
-                cap_now = profile.capacity_at(t)
+                cap_now -= q  # the committed window starts at t
                 heapq.heappush(events, t + p)
                 remaining = bucket_count[q] - 1
                 if remaining:
@@ -173,8 +180,9 @@ class ListScheduler(Scheduler):
     profile_backend:
         Availability-profile backend (``"list"``/``"array"``/class);
         ``None`` means ``"list"``.  Only the exact reference sweep
-        consults it — the integer fast path runs on its own sweep
-        structure.
+        consults it — the incremental integer sweep always runs on an
+        :class:`~repro.core.timebase.IntSweepProfile`, whose pruning the
+        backends cannot offer.
     timebase:
         ``"auto"`` (default) runs the incremental integer sweep whenever
         the instance's times normalise exactly (ints/Fractions) and the
@@ -254,7 +262,16 @@ class SequentialPlacementScheduler(Scheduler):
     Section 4 transformations; also the serial schedule-generation scheme
     of the exact solver).  Unlike LSRC it can leave a hole that a
     later-listed job could have filled at an earlier time.
+
+    ``profile_backend`` picks the exact path's profile; on the integer
+    twin ``None`` places on an
+    :class:`~repro.core.timebase.IntSweepProfile` (see
+    :func:`grid_profile`).
     """
+
+    #: Name under ``priority=None``, and the list order it keeps.
+    base_name = "seq"
+    default_order = staticmethod(list)
 
     def __init__(
         self,
@@ -262,26 +279,45 @@ class SequentialPlacementScheduler(Scheduler):
         profile_backend=None,
         timebase: str = "auto",
     ):
-        self._order, self.name = resolve_priority(priority, "seq", list)
+        self._order, self.name = resolve_priority(
+            priority, self.base_name, self.default_order
+        )
         self.profile_backend = profile_backend
         self.timebase = check_timebase_policy(timebase)
 
+    def _run_grid(self, instance: ReservationInstance) -> Schedule:
+        return earliest_fit_placement(
+            instance,
+            self._order(instance.jobs),
+            grid_profile(instance, self.profile_backend),
+        )
+
     def _run(self, instance: ReservationInstance) -> Schedule:
         return earliest_fit_placement(
-            instance, self._order(instance.jobs), self.profile_backend
+            instance,
+            self._order(instance.jobs),
+            instance.availability_profile(self.profile_backend),
         )
 
 
+def grid_profile(instance: ReservationInstance, profile_backend):
+    """The profile a scheduler places on when it runs on an integer twin:
+    an :class:`~repro.core.timebase.IntSweepProfile` when no backend was
+    named, otherwise ``instance.availability_profile(profile_backend)``
+    (so a ``profile_backends`` experiment factor still reaches the
+    grid path)."""
+    if profile_backend is None:
+        return IntSweepProfile(*instance.availability_lists())
+    return instance.availability_profile(profile_backend)
+
+
 def earliest_fit_placement(
-    instance: ReservationInstance,
-    jobs: Sequence,
-    profile_backend=None,
+    instance: ReservationInstance, jobs: Sequence, profile
 ) -> Schedule:
     """Place ``jobs`` in list order, each at its earliest feasible start
-    on ``instance.availability_profile(profile_backend)``, never
+    on ``profile`` (a fresh availability profile of ``instance``), never
     revisiting an earlier placement — conservative backfilling's engine.
     """
-    profile = instance.availability_profile(profile_backend)
     starts: Dict = {}
     for job in jobs:
         s = profile.earliest_fit(job.q, job.p, after=job.release)

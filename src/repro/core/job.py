@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, replace
-from typing import Union
+from fractions import Fraction
+from typing import Any, Union
 
 from ..errors import InvalidInstanceError
 
@@ -144,6 +145,23 @@ class Job:
         )
 
 
+def end_time(start: Any, p: Any) -> Any:
+    """``start + p``, exact when ``start`` is a :class:`Fraction` and
+    ``p`` a ``float``.
+
+    ``Fraction + float`` rounds to a float.  On a float-timed instance,
+    starts computed on the integer grid come back as exact Fractions, so
+    a rounded end could overlap the next job's start; a reservation with
+    a Fraction start and a float duration would end off the instance's
+    own grid.  A finite float is an exact binary rational, so
+    ``Fraction(p)`` loses nothing.  Every other sum is left to Python, as
+    the exact path computes it.
+    """
+    if type(start) is Fraction and type(p) is float:
+        return start + Fraction(p)
+    return start + p
+
+
 @dataclass(frozen=True, order=False)
 class Reservation:
     """An advance reservation: a fixed block of ``q`` processors.
@@ -197,8 +215,8 @@ class Reservation:
 
     @property
     def end(self) -> Time:
-        """Completion time ``start + p``."""
-        return self.start + self.p
+        """Completion time ``start + p`` (see :func:`end_time`)."""
+        return end_time(self.start, self.p)
 
     @property
     def area(self) -> Time:

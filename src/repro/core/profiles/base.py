@@ -201,10 +201,19 @@ class ProfileBackend:
         Raises :class:`~repro.errors.CapacityError` when the reservations
         overlap beyond ``m`` processors (the instance is then infeasible in
         the sense of Section 3.1).
+
+        Each reservation blocks ``[res.start, res.end)``.  A Fraction end
+        is exact, so ``end - start`` adds back to it; any other end is
+        ``start + p`` as the backend computes it.
         """
         profile = cls.constant(m)
         profile.reserve_many(
-            (res.start, res.p, res.q) for res in reservations
+            (
+                res.start,
+                res.end - res.start if type(res.end) is Fraction else res.p,
+                res.q,
+            )
+            for res in reservations
         )
         return profile
 

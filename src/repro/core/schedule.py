@@ -12,28 +12,12 @@ because the model does not require contiguity, Section 2.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import InfeasibleScheduleError, InvalidInstanceError
 from .instance import ReservationInstance, as_reservation_instance
-from .job import Job
+from .job import Job, end_time
 from .profiles import ResourceProfile
-
-
-def end_time(start: Any, p: Any) -> Any:
-    """``start + p``, exact when ``start`` is a :class:`Fraction` and
-    ``p`` a ``float``.
-
-    ``Fraction + float`` rounds to a float.  On a float-timed instance,
-    starts computed on the integer grid come back as exact Fractions, so
-    a rounded end could overlap the next job's start.  A finite float is
-    an exact binary rational, so ``Fraction(p)`` loses nothing.  Every
-    other sum is left to Python, as the exact path computes it.
-    """
-    if type(start) is Fraction and type(p) is float:
-        return start + Fraction(p)
-    return start + p
 
 
 @dataclass(frozen=True)

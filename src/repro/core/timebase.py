@@ -22,9 +22,12 @@ This module exploits that closure property:
   through it, the online simulation uses it, and
   :func:`on_int_timebase` wraps any other scheduler in it;
 * :class:`IntSweepProfile` is the integer-grid availability structure
-  LSRC's incremental sweep runs on: flat breakpoint arrays of machine
-  ints, mutation localised to the touched window, and — because
-  event-driven schedulers only ever move *forward* in time —
+  the offline schedulers place on when they run on the twin (LSRC's
+  incremental sweep, conservative backfilling, ``seq`` and EASY): flat
+  breakpoint arrays of machine ints, no argument validation, mutation
+  localised to the touched window, a fused probe-and-commit
+  (:meth:`IntSweepProfile.try_reserve`), and — because event-driven
+  schedulers only ever move *forward* in time —
   :meth:`IntSweepProfile.prune_before` drops segments behind the sweep
   front, keeping every bisect/splice O(active window) instead of
   O(whole history).
@@ -52,7 +55,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from fractions import Fraction
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
@@ -60,7 +63,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 from ..errors import InvalidInstanceError
 from .instance import as_reservation_instance
 from .job import Job
-from .schedule import Schedule, end_time
+from .schedule import Schedule
 
 #: Recognised timebase policies for scheduler/simulation entry points.
 TIMEBASE_POLICIES = ("auto", "int", "exact")
@@ -236,10 +239,9 @@ class Timebase:
         scaling valid times by a positive int keeps every
         :class:`~repro.core.job.Job` invariant.
 
-        A reservation keeps the end its instance gives it
-        (:func:`~repro.core.schedule.end_time`): on a float instance
-        ``start + p`` rounds, and the twin blocks the same window the
-        instance's own availability profile does.
+        A reservation blocks ``[res.start, res.end)``, the window its
+        instance's own availability profile blocks (on a float instance
+        ``start + p`` rounds; see :func:`~repro.core.job.end_time`).
         """
         if self.is_own_twin(instance):
             return instance
@@ -253,7 +255,7 @@ class Timebase:
                 replace(
                     res,
                     start=scale(res.start),
-                    p=scale(end_time(res.start, res.p)) - scale(res.start),
+                    p=scale(res.end) - scale(res.start),
                 )
                 for res in instance.reservations
             )
@@ -268,7 +270,7 @@ def exactify_instance(instance: Any) -> Any:
     Floats are binary rationals, so this changes no job time's value — it
     only moves the instance into the exact-arithmetic regime where the
     integer timebase guarantees schedule identity.  A reservation keeps
-    its start and its end (a float ``start + p`` rounds, see
+    ``[res.start, res.end)`` (a float ``start + p`` rounds, see
     :meth:`Timebase.normalize_instance`), so the copy has the same
     availability profile and the same integer twin.  Used by the
     differential tests to cover float-producing workload generators.
@@ -288,7 +290,7 @@ def exactify_instance(instance: Any) -> Any:
             replace(
                 res,
                 start=fix(res.start),
-                p=fix(end_time(res.start, res.p)) - fix(res.start),
+                p=fix(res.end) - fix(res.start),
             )
             for res in instance.reservations
         )
@@ -346,13 +348,21 @@ def on_int_timebase(scheduler: Any, instance: Any) -> Any:
 # ---------------------------------------------------------------------------
 
 class IntSweepProfile:
-    """Availability on the integer grid for forward-sweeping schedulers.
+    """Availability on the integer grid: the profile every offline
+    scheduler places on when it runs on an instance's integer twin (LSRC's
+    incremental sweep, conservative backfilling, ``seq`` and EASY).
 
     Two flat lists (segment start times, segment capacities — all machine
     ints), the same representation as
-    :class:`~repro.core.profiles.list_backend.ListProfile` but with two
+    :class:`~repro.core.profiles.list_backend.ListProfile` but with the
     hot-loop liberties the backend protocol forbids:
 
+    * no argument validation (durations must be positive, as every job's
+      and reservation's are), and ``reserve`` trusts its caller to have
+      checked feasibility (schedulers always probe with
+      ``fits``/``earliest_fit`` first, or commit through
+      :meth:`try_reserve`); the differential tests assert the end-to-end
+      schedules anyway;
     * mutations re-canonicalise only at the touched window's boundaries
       (a uniform delta cannot un-merge interior segments);
     * :meth:`prune_before` discards segments behind the sweep front, so a
@@ -360,11 +370,9 @@ class IntSweepProfile:
       accumulating the full placement history.
 
     Queries mirror the protocol signatures (``capacity_at`` / ``fits`` /
-    ``reserve`` / ``earliest_fit`` / ``max_capacity_between``) so the
-    scheduler sweeps are written once and run on either structure.
-    ``reserve`` trusts its caller to have checked feasibility (schedulers
-    always probe with ``fits``/``earliest_fit`` first); the differential
-    tests assert the end-to-end schedules anyway.
+    ``try_reserve`` / ``reserve`` / ``add`` / ``earliest_fit`` /
+    ``max_capacity_between`` / ``breakpoints``) so the scheduler bodies
+    are written once and run on either structure.
     """
 
     __slots__ = ("_times", "_caps")
@@ -438,6 +446,28 @@ class IntSweepProfile:
             i += 1
         return None
 
+    def try_reserve(self, start: int, duration: int, amount: int) -> bool:
+        """Subtract ``amount`` over ``[start, start + duration)`` iff
+        capacity stays ``>= amount`` there; returns whether it committed.
+
+        The fused :meth:`fits` + :meth:`reserve` of a greedy placement:
+        one bisection locates the window, the probe's scan ends at the
+        window's right edge, and the commit reuses both indices.
+        """
+        times, caps = self._times, self._caps
+        i = bisect_right(times, start) - 1
+        if caps[i] < amount:
+            return False
+        end = start + duration
+        n = len(times)
+        j = i + 1
+        while j < n and times[j] < end:
+            if caps[j] < amount:
+                return False
+            j += 1
+        self._commit(i, j, start, end, amount)
+        return True
+
     def reserve(self, start: int, duration: int, amount: int) -> None:
         """Subtract ``amount`` over ``[start, start + duration)``.
 
@@ -446,18 +476,24 @@ class IntSweepProfile:
         """
         if not amount:
             return
-        times, caps = self._times, self._caps
+        times = self._times
         end = start + duration
         i = bisect_right(times, start) - 1
-        if times[i] != start:
-            i += 1
-            times.insert(i, start)
-            caps.insert(i, caps[i - 1])
-        j = bisect_right(times, end, i) - 1
-        if times[j] != end:
-            j += 1
+        self._commit(i, bisect_left(times, end, i + 1), start, end, amount)
+
+    def _commit(self, i: int, j: int, start: int, end: int, amount: int) -> None:
+        """Subtract ``amount`` on ``[start, end)``, where segment ``i``
+        holds ``start`` and ``j`` is the first breakpoint at or after
+        ``end`` (``len`` when there is none)."""
+        times, caps = self._times, self._caps
+        if j == len(times) or times[j] != end:
             times.insert(j, end)
             caps.insert(j, caps[j - 1])
+        if times[i] != start:
+            i += 1
+            j += 1
+            times.insert(i, start)
+            caps.insert(i, caps[i - 1])
         for k in range(i, j):
             caps[k] -= amount
         # A uniform delta preserves interior inequalities; only the two

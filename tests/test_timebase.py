@@ -24,7 +24,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.algorithms import available_schedulers, get_scheduler
-from repro.algorithms.list_scheduling import ListScheduler
+from repro.algorithms.backfilling import (
+    ConservativeBackfillScheduler,
+    EasyBackfillScheduler,
+)
+from repro.algorithms.list_scheduling import (
+    ListScheduler,
+    SequentialPlacementScheduler,
+)
 from repro.core.instance import ReservationInstance
 from repro.core.job import Job, Reservation
 from repro.core.metrics import evaluate_metrics
@@ -150,6 +157,11 @@ def _random_profile(rng):
     return ref, IntSweepProfile(t, c)
 
 
+def _segments(profile):
+    """``(start, capacity)`` of every segment: the whole profile."""
+    return [(t, profile.capacity_at(t)) for t in profile.breakpoints]
+
+
 class TestIntSweepProfile:
     def test_differential_ops_against_list_backend(self):
         """Random mirrored op sequences: every query agrees with the
@@ -158,7 +170,7 @@ class TestIntSweepProfile:
         for _ in range(120):
             ref, fast = _random_profile(rng)
             for _ in range(30):
-                op = rng.randrange(5)
+                op = rng.randrange(6)
                 start = rng.randint(0, 130)
                 dur = rng.randint(1, 25)
                 q = rng.randint(1, 8)
@@ -173,6 +185,17 @@ class TestIntSweepProfile:
                     end = None if rng.random() < 0.3 else start + dur
                     assert (fast.max_capacity_between(start, end)
                             == ref.max_capacity_between(start, end))
+                elif op == 4:
+                    # the fused probe-and-commit: commits iff it fits, and
+                    # a miss leaves the profile as it was
+                    before = _segments(fast)
+                    fits = ref.fits(q, start, dur)
+                    assert fast.try_reserve(start, dur, q) == fits
+                    if fits:
+                        ref.reserve(start, dur, q)
+                    else:
+                        assert _segments(fast) == before
+                    assert _segments(fast) == _segments(ref)
                 else:
                     # mutate both sides; IntSweepProfile trusts callers to
                     # have checked feasibility, so probe the reference
@@ -326,17 +349,34 @@ _res_specs = st.lists(
 )
 
 
-@settings(max_examples=120, deadline=None)
+#: The offline schedulers with an integer-grid engine (``IntSweepProfile``),
+#: each built from a priority rule (EASY has none: it is FCFS-ordered).
+SWEEP_SCHEDULERS = {
+    "lsrc": ListScheduler,
+    "backfill-cons": ConservativeBackfillScheduler,
+    "seq": SequentialPlacementScheduler,
+    "backfill-easy": lambda priority, timebase: EasyBackfillScheduler(
+        timebase=timebase
+    ),
+}
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     m=st.integers(min_value=2, max_value=8),
     denom=st.sampled_from([1, 2, 3, 5, 12]),
     jobs=_job_specs,
     reservations=_res_specs,
     priority=st.sampled_from([None, "lpt", "spt"]),
+    scheduler=st.sampled_from(sorted(SWEEP_SCHEDULERS)),
 )
-def test_incremental_sweep_property(m, denom, jobs, reservations, priority):
-    """Hypothesis property: for any instance on any 1/denom grid, the
-    incremental integer sweep equals the exact reference sweep."""
+def test_incremental_sweep_property(
+    m, denom, jobs, reservations, priority, scheduler
+):
+    """Hypothesis property: for any instance on any 1/denom grid, each
+    offline scheduler's integer engine (LSRC's incremental sweep;
+    conservative, ``seq`` and EASY on ``IntSweepProfile``) equals its
+    exact reference path."""
     specs = [
         (Fraction(p, denom), min(q, m), Fraction(r, denom))
         for p, q, r in jobs
@@ -350,9 +390,30 @@ def test_incremental_sweep_property(m, denom, jobs, reservations, priority):
         instance = ReservationInstance.from_specs(m, specs, res)
     except ReproError:
         assume(False)  # overlapping reservations exceeded the machine
-    exact = ListScheduler(priority, timebase="exact").schedule(instance)
-    fast = ListScheduler(priority, timebase="auto").schedule(instance)
+    make = SWEEP_SCHEDULERS[scheduler]
+    exact = make(priority, timebase="exact").schedule(instance)
+    fast = make(priority, timebase="auto").schedule(instance)
     assert exact.starts == fast.starts
+
+
+def test_incremental_sweep_probes_only_jobs_that_fit_now(monkeypatch):
+    """The sweep's running capacity at ``t`` (lowered by each commit) is
+    exact, so it never probes a job wider than what is left free at
+    ``t``: two full-width jobs released together cost one probe."""
+    probes = []
+    original = IntSweepProfile.try_reserve
+
+    def try_reserve(self, start, duration, amount):
+        probes.append(amount <= self.capacity_at(start))
+        return original(self, start, duration, amount)
+
+    monkeypatch.setattr(IntSweepProfile, "try_reserve", try_reserve)
+    two_wide = ReservationInstance.from_specs(2, [(5, 2), (5, 2)])
+    assert ListScheduler().schedule(two_wide).starts == {0: 0, 1: 5}
+    assert probes == [True, True]
+    for seed in (1, 2, 3, 4, 5):
+        ListScheduler().schedule(_wrapper_instance("int", seed))
+    assert all(probes)
 
 
 def test_on_int_timebase_generic_wrapper():
@@ -584,6 +645,64 @@ def test_float_reservation_keeps_its_rounded_end():
     gridded = ListScheduler(timebase="int").schedule(instance)
     assert gridded.starts == {0: Fraction(end)}
     gridded.verify()
+
+
+MIXED_RESERVATION_STARTS = (Fraction(1, 3), Fraction(2, 3), Fraction(2, 7))
+MIXED_RESERVATION_DURATIONS = (0.1, 0.3, 0.7)
+
+
+@pytest.mark.parametrize("name", WRAPPED_SCHEDULERS)
+def test_mixed_reservation_has_one_end(name):
+    """A reservation with a Fraction start and a float duration ends at
+    its exact end, on the instance's own profile and on its twin alike,
+    so a job placed right after it verifies.  (``Fraction + float``
+    rounds: at (1/3, 0.1) and (2/3, 0.7) the rounded end falls after
+    the exact one.)"""
+    for start in MIXED_RESERVATION_STARTS:
+        for duration in MIXED_RESERVATION_DURATIONS:
+            instance = ReservationInstance.from_specs(
+                2, [(1, 2)], [(start, duration, 1)]
+            )
+            end = start + Fraction(duration)
+            assert instance.reservations[0].end == end
+            assert instance.availability_profile().breakpoints == (
+                0, start, end
+            )
+            gridded = _schedule_under(name, instance, "int")
+            assert gridded.starts == {0: end}, (name, start, duration)
+            assert gridded.violations() == [], (name, start, duration)
+
+
+GRID_PLACED_SCHEDULERS = ("backfill-cons", "seq", "backfill-easy")
+
+
+@pytest.mark.parametrize("name", GRID_PLACED_SCHEDULERS)
+def test_grid_path_places_on_int_sweep_profile(monkeypatch, name):
+    """On the integer twin, conservative, ``seq`` and EASY place on an
+    ``IntSweepProfile``; a named ``profile_backend`` still reaches the
+    grid path (the runner's ``profile_backends`` factor)."""
+    calls = {"int": 0, "list": 0}
+
+    def counting(cls, key):
+        original = cls.earliest_fit
+
+        def earliest_fit(self, *args, **kwargs):
+            calls[key] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "earliest_fit", earliest_fit)
+
+    counting(IntSweepProfile, "int")
+    counting(ListProfile, "list")
+    instance = _wrapper_instance("int", 1)
+    default = get_scheduler(name).schedule(instance)
+    assert calls["int"] > 0 and calls["list"] == 0
+    calls.update(int=0, list=0)
+    scheduler = get_scheduler(name)
+    scheduler.profile_backend = "list"
+    on_list = scheduler.schedule(instance)
+    assert calls["list"] > 0 and calls["int"] == 0
+    assert on_list.starts == default.starts
 
 
 def _reference_scale(times, exact_only: bool):
