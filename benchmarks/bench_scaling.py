@@ -36,7 +36,7 @@ def test_scaling_conservative(benchmark, n):
     assert len(result.starts) == n
 
 
-@pytest.mark.parametrize("n", [100, 500])
+@pytest.mark.parametrize("n", [100, 500, 2000])
 def test_scaling_easy(benchmark, n):
     inst = uniform_instance(n, 64, p_range=(1, 100), q_range=(1, 32), seed=3)
     result = benchmark(lambda: EasyBackfillScheduler().schedule(inst))

@@ -19,28 +19,23 @@ probably) harms nobody.  The paper discusses the spectrum:
   here under the alias ``backfill-aggressive``).
 
 Both schedulers run on the instance's integer twin by default
-(``timebase="auto"``, see :mod:`repro.core.timebase`) and place there on
-an :class:`~repro.core.timebase.IntSweepProfile`, unless a
-``profile_backend`` is named
-(:func:`~repro.algorithms.list_scheduling.grid_profile`); the exact path
-places on ``instance.availability_profile(profile_backend)``.
+(``timebase="auto"``, see :mod:`repro.core.timebase`).  Conservative
+backfilling is ``seq``'s placement engine and places there on an
+:class:`~repro.core.timebase.IntSweepProfile` unless a
+``profile_backend`` is named.  EASY has no event loop of its own: it
+drives :class:`~repro.simulation.scheduler_core.SchedulerCore`, the loop
+behind replay and ``repro serve``, whose inlined EASY pass is the one
+fast implementation of the policy.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List
-
 from ..core.instance import ReservationInstance
+from ..core.job import reservation_block
 from ..core.schedule import Schedule
 from ..core.timebase import check_timebase_policy
-from ..errors import SchedulingError
 from .base import Scheduler, register
-from .list_scheduling import (
-    ListScheduler,
-    SequentialPlacementScheduler,
-    grid_profile,
-)
+from .list_scheduling import ListScheduler, SequentialPlacementScheduler
 from .priority import fifo
 
 
@@ -69,6 +64,13 @@ class EasyBackfillScheduler(Scheduler):
     against the shadow, (4) erase the shadow.  The head is therefore never
     delayed by a backfilled job, but non-head jobs enjoy no such guarantee
     (the starvation trade-off discussed in Section 2.2).
+
+    The pass is the scheduler core's
+    (:class:`~repro.simulation.scheduler_core.SchedulerCore`, the loop
+    replay and ``repro serve`` run): the instance's reservations become
+    holes, its jobs arrive in release order, and the core drains.
+    ``profile_backend`` picks the core's profile (``None`` means
+    ``"list"``).
     """
 
     name = "backfill-easy"
@@ -77,77 +79,21 @@ class EasyBackfillScheduler(Scheduler):
         self.profile_backend = profile_backend
         self.timebase = check_timebase_policy(timebase)
 
-    def _run_grid(self, instance: ReservationInstance) -> Schedule:
-        return self._sweep(instance, grid_profile(instance, self.profile_backend))
-
     def _run(self, instance: ReservationInstance) -> Schedule:
-        return self._sweep(
-            instance, instance.availability_profile(self.profile_backend)
+        # imported here: `import repro.algorithms` loads no simulation
+        # module (offline runs time their imports)
+        from ..simulation.scheduler_core import SchedulerCore
+
+        core = SchedulerCore(
+            instance.m, "easy", window=0, record_starts=True,
+            profile_backend=self.profile_backend or "list",
         )
-
-    def _sweep(self, instance: ReservationInstance, profile) -> Schedule:
-        """The event-driven EASY pass on ``profile`` (a fresh availability
-        profile of ``instance``)."""
-        jobs = sorted(instance.jobs, key=lambda j: j.release)
-        starts: Dict = {}
-        pending: List = list(jobs)
-
-        events: List = [0]
-        events.extend(job.release for job in jobs if job.release > 0)
-        events.extend(t for t in profile.breakpoints if t > 0)
-        heapq.heapify(events)
-
-        last_time = None
-        guard = 0
-        max_iterations = 4 * (len(jobs) + len(events) + 4) * (len(jobs) + 1)
-        while pending:
-            guard += 1
-            if guard > max_iterations or not events:
-                raise SchedulingError(
-                    f"EASY backfilling failed to place {len(pending)} job(s)"
-                )
-            t = heapq.heappop(events)
-            if last_time is not None and t == last_time:
-                continue
-            last_time = t
-
-            # Phase 1: start ready queue heads while they fit right now.
-            while pending:
-                head = next((j for j in pending if j.release <= t), None)
-                if head is None or not profile.fits(head.q, t, head.p):
-                    break
-                profile.reserve(t, head.p, head.q)
-                starts[head.id] = t
-                heapq.heappush(events, t + head.p)
-                pending.remove(head)
-            if not pending:
-                break
-
-            # Phase 2: shadow-reserve the head, then backfill around it.
-            head = next((j for j in pending if j.release <= t), None)
-            if head is None:
-                continue  # nothing released yet; wait for a release event
-            s_head = profile.earliest_fit(
-                head.q, head.p, after=max(t, head.release)
-            )
-            if s_head is None:
-                raise SchedulingError(
-                    f"job {head.id!r} (q={head.q}) never fits in the profile"
-                )
-            profile.reserve(s_head, head.p, head.q)
-            backfilled: List = []
-            for job in pending:
-                if job is head or job.release > t:
-                    continue
-                if profile.fits(job.q, t, job.p):
-                    profile.reserve(t, job.p, job.q)
-                    starts[job.id] = t
-                    heapq.heappush(events, t + job.p)
-                    backfilled.append(job)
-            profile.add(s_head, head.p, head.q)
-            for job in backfilled:
-                pending.remove(job)
-        return Schedule(instance, starts)
+        for res in instance.reservations:
+            core.reserve(*reservation_block(res))
+        for job in sorted(instance.jobs, key=lambda j: j.release):
+            core.submit(job)
+        core.drain()
+        return Schedule(instance, core.starts)
 
 
 def conservative_backfill(

@@ -72,6 +72,8 @@ Two engines compute the *same* schedule;
 FIFO-ordered subclass) places with :func:`earliest_fit_placement` on the
 same ``IntSweepProfile`` on the integer twin, and on
 ``instance.availability_profile(profile_backend)`` on the exact path.
+(EASY backfilling places through the scheduler core instead, see
+:mod:`repro.algorithms.backfilling`.)
 """
 
 from __future__ import annotations
@@ -263,10 +265,9 @@ class SequentialPlacementScheduler(Scheduler):
     of the exact solver).  Unlike LSRC it can leave a hole that a
     later-listed job could have filled at an earlier time.
 
-    ``profile_backend`` picks the exact path's profile; on the integer
-    twin ``None`` places on an
-    :class:`~repro.core.timebase.IntSweepProfile` (see
-    :func:`grid_profile`).
+    ``profile_backend`` picks the profile; on the integer twin ``None``
+    places on an :class:`~repro.core.timebase.IntSweepProfile`, and on
+    the exact path it means ``"list"``.
     """
 
     #: Name under ``priority=None``, and the list order it keeps.
@@ -286,10 +287,14 @@ class SequentialPlacementScheduler(Scheduler):
         self.timebase = check_timebase_policy(timebase)
 
     def _run_grid(self, instance: ReservationInstance) -> Schedule:
+        if self.profile_backend is None:
+            profile = IntSweepProfile(*instance.availability_lists())
+        else:
+            # a named backend (a ``profile_backends`` experiment factor)
+            # reaches the grid path too
+            profile = instance.availability_profile(self.profile_backend)
         return earliest_fit_placement(
-            instance,
-            self._order(instance.jobs),
-            grid_profile(instance, self.profile_backend),
+            instance, self._order(instance.jobs), profile
         )
 
     def _run(self, instance: ReservationInstance) -> Schedule:
@@ -298,17 +303,6 @@ class SequentialPlacementScheduler(Scheduler):
             self._order(instance.jobs),
             instance.availability_profile(self.profile_backend),
         )
-
-
-def grid_profile(instance: ReservationInstance, profile_backend):
-    """The profile a scheduler places on when it runs on an integer twin:
-    an :class:`~repro.core.timebase.IntSweepProfile` when no backend was
-    named, otherwise ``instance.availability_profile(profile_backend)``
-    (so a ``profile_backends`` experiment factor still reaches the
-    grid path)."""
-    if profile_backend is None:
-        return IntSweepProfile(*instance.availability_lists())
-    return instance.availability_profile(profile_backend)
 
 
 def earliest_fit_placement(

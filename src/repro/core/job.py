@@ -21,7 +21,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Any, Union
+from typing import Any, Tuple, Union
 
 from ..errors import InvalidInstanceError
 
@@ -239,6 +239,21 @@ class Reservation:
         return replace(
             self, start=self.start * time_factor, p=self.p * time_factor
         )
+
+
+def reservation_block(res: Any) -> Tuple[Any, Any, int]:
+    """The ``(start, duration, q)`` block a profile reserves for ``res``.
+
+    It covers ``[res.start, res.end)``.  A Fraction end is exact, so
+    ``end - start`` adds back to it; any other end is ``start + p`` as
+    the profile computes it, so the duration is ``p``.
+    """
+    end = res.end
+    return (
+        res.start,
+        end - res.start if type(end) is Fraction else res.p,
+        res.q,
+    )
 
 
 def make_jobs(specs, start_id: int = 0) -> tuple:

@@ -72,6 +72,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ...errors import CapacityError, InvalidInstanceError
+from ..job import reservation_block
 
 #: The time types profiles are exercised with in practice.  The protocol
 #: is duck-typed (any ordered numeric with exact +/-/* works), but the
@@ -202,19 +203,11 @@ class ProfileBackend:
         overlap beyond ``m`` processors (the instance is then infeasible in
         the sense of Section 3.1).
 
-        Each reservation blocks ``[res.start, res.end)``.  A Fraction end
-        is exact, so ``end - start`` adds back to it; any other end is
-        ``start + p`` as the backend computes it.
+        Each reservation blocks ``[res.start, res.end)``
+        (:func:`~repro.core.job.reservation_block`).
         """
         profile = cls.constant(m)
-        profile.reserve_many(
-            (
-                res.start,
-                res.end - res.start if type(res.end) is Fraction else res.p,
-                res.q,
-            )
-            for res in reservations
-        )
+        profile.reserve_many(reservation_block(res) for res in reservations)
         return profile
 
     @classmethod

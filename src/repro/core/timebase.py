@@ -22,8 +22,8 @@ This module exploits that closure property:
   through it, the online simulation uses it, and
   :func:`on_int_timebase` wraps any other scheduler in it;
 * :class:`IntSweepProfile` is the integer-grid availability structure
-  the offline schedulers place on when they run on the twin (LSRC's
-  incremental sweep, conservative backfilling, ``seq`` and EASY): flat
+  the offline placement schedulers use when they run on the twin (LSRC's
+  incremental sweep, conservative backfilling and ``seq``): flat
   breakpoint arrays of machine ints, no argument validation, mutation
   localised to the touched window, a fused probe-and-commit
   (:meth:`IntSweepProfile.try_reserve`), and — because event-driven
@@ -348,9 +348,10 @@ def on_int_timebase(scheduler: Any, instance: Any) -> Any:
 # ---------------------------------------------------------------------------
 
 class IntSweepProfile:
-    """Availability on the integer grid: the profile every offline
-    scheduler places on when it runs on an instance's integer twin (LSRC's
-    incremental sweep, conservative backfilling, ``seq`` and EASY).
+    """Availability on the integer grid: the profile the offline placement
+    schedulers use when they run on an instance's integer twin (LSRC's
+    incremental sweep, conservative backfilling and ``seq``; EASY runs
+    the scheduler core's pass instead).
 
     Two flat lists (segment start times, segment capacities — all machine
     ints), the same representation as
@@ -360,7 +361,7 @@ class IntSweepProfile:
     * no argument validation (durations must be positive, as every job's
       and reservation's are), and ``reserve`` trusts its caller to have
       checked feasibility (schedulers always probe with
-      ``fits``/``earliest_fit`` first, or commit through
+      ``earliest_fit`` first, or commit through
       :meth:`try_reserve`); the differential tests assert the end-to-end
       schedules anyway;
     * mutations re-canonicalise only at the touched window's boundaries
@@ -370,9 +371,11 @@ class IntSweepProfile:
       accumulating the full placement history.
 
     Queries mirror the protocol signatures (``capacity_at`` / ``fits`` /
-    ``try_reserve`` / ``reserve`` / ``add`` / ``earliest_fit`` /
+    ``try_reserve`` / ``reserve`` / ``earliest_fit`` /
     ``max_capacity_between`` / ``breakpoints``) so the scheduler bodies
-    are written once and run on either structure.
+    are written once and run on either structure.  No scheduler calls
+    ``fits`` any more (LSRC commits through :meth:`try_reserve`); it is
+    kept because perfbench's tracer wraps it (``sweep.fits``).
     """
 
     __slots__ = ("_times", "_caps")
@@ -504,8 +507,3 @@ class IntSweepProfile:
         if i > 0 and caps[i] == caps[i - 1]:
             del times[i]
             del caps[i]
-
-    def add(self, start: int, duration: int, amount: int) -> None:
-        """Add ``amount`` over ``[start, start + duration)`` (inverse of
-        :meth:`reserve`; used by shadow-probing patterns)."""
-        self.reserve(start, duration, -amount)

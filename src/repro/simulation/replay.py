@@ -145,19 +145,28 @@ class ReplayDemotionWarning(RuntimeWarning):
     """``profile_backend="auto"`` demoted to the list backend mid-stream."""
 
 
-def _note_demotion(job: Job) -> Dict:
+def _note_demotion(job: Optional[Job] = None, reservation=None) -> Dict:
     """Emit the demotion warning and return the totals-row record.
 
     The demotion itself is lossless (profile state converts exactly),
     but silently switching kernels mid-stream made throughput
     regressions undiagnosable — so the offending job and time are both
-    warned about and recorded in ``totals["demoted_to_list_at"]``.
+    warned about and recorded in ``totals["demoted_to_list_at"]``.  A
+    demotion by a reservation (the ``(start, p, q)`` of
+    :meth:`~repro.simulation.scheduler_core.SchedulerCore.reserve`) is
+    recorded as ``{"reservation": {"start", "p", "q"}}``.
     """
-    record = {"job": job.id, "release": job.release}
+    if job is not None:
+        record = {"job": job.id, "release": job.release}
+        what = f"job {job.id!r} (release {job.release!r})"
+    else:
+        start, p, q = reservation
+        record = {"reservation": {"start": start, "p": p, "q": q}}
+        what = f"the reservation at {start!r} for {p!r}"
     warnings.warn(
-        f"profile_backend='auto' demoted to 'list' mid-stream: job "
-        f"{job.id!r} (release {job.release!r}) has non-integral times; "
-        f"results are unchanged but the int64 fast path is off from here",
+        f"profile_backend='auto' demoted to 'list' mid-stream: {what} "
+        f"has non-integral times; results are unchanged but the int64 "
+        f"fast path is off from here",
         ReplayDemotionWarning,
         stacklevel=3,
     )

@@ -234,9 +234,10 @@ class SchedulerCore:
             )
         else:
             self.profile = make_profile([0], [m], backend)
-        # `auto` watches for non-integral job times and demotes the live
-        # profile to the exact list backend before they reach the int64
-        # columns; an explicit backend choice is honoured (and loud).
+        # `auto` watches for non-integral job and reservation times and
+        # demotes the live profile to the exact list backend before they
+        # reach the int64 columns; an explicit backend choice is honoured
+        # (and loud).
         self._cheap_prune = getattr(self.profile, "CHEAP_PRUNE", False)
         self._watch_times = auto_backend and self._cheap_prune
 
@@ -400,15 +401,16 @@ class SchedulerCore:
         ):
             raise SchedulingError(f"job id {job.id!r} is already live")
         self._time_bound = self._bound_checked(
-            job.release, job.p, f"job {job.id!r}"
+            job.release, job.p, f"job {job.id!r}", self._cheap_prune
         )
         self._staged.append(job)
         self._staged_ids.add(job.id)
 
-    def _bound_checked(self, top, p, what: str):
+    def _bound_checked(self, top, p, what: str, int64: bool):
         """The time bound after one more :meth:`submit` (a job of
         length ``p``) or :meth:`reserve` (``p`` None), refused when the
-        loop could not handle a time below it.
+        loop could not handle a time below it (``int64``: on the int64
+        array kernel).
 
         Past the latest release and hole end (``top``), the machine is
         never idle while a job waits, so no time the loop handles
@@ -435,7 +437,7 @@ class SchedulerCore:
         end = latest + held
         if end * self.m * max(self.window, 1) > _FLOAT_MAX:
             limit = "the float range of the window metrics"
-        elif self._cheap_prune and end > _INT64_MAX:
+        elif int64 and end > _INT64_MAX:
             limit = "the int64 array kernel's largest time"
         elif shortest is not None and end + shortest <= end:
             limit = f"the float resolution of a job of length {shortest!r}"
@@ -498,7 +500,12 @@ class SchedulerCore:
         planted at ``start + p`` so a decision pass wakes up when the
         hole opens — without it an otherwise-idle machine would sleep
         through the freed capacity and :meth:`drain` would mis-report
-        a stall."""
+        a stall.
+
+        Under ``profile_backend="auto"`` a hole with non-integral times
+        demotes the live profile to the exact list backend, as a
+        non-integral job does when it arrives; the demotion sticks only
+        when the reservation is accepted."""
         if self.use_heap:
             raise SchedulingError(
                 "reservations require completion_queue='calendar'"
@@ -517,14 +524,26 @@ class SchedulerCore:
                 f"reservation at {start!r} is in the past: the clock is "
                 f"already at {self.horizon!r}"
             )
-        bound = self._bound_checked(start + p, None, f"reservation at {start!r}")
+        demote = self._watch_times and not (
+            type(start) is int and type(p) is int
+        )
+        bound = self._bound_checked(
+            start + p, None, f"reservation at {start!r}",
+            self._cheap_prune and not demote,
+        )
+        profile = convert_profile(self.profile, "list") if demote else self.profile
         try:
-            self.profile.reserve(start, p, q)
+            profile.reserve(start, p, q)
         except CapacityError:
             raise SchedulingError(
                 f"reservation of {q} processors at {start!r} for {p!r} "
                 "does not fit"
             ) from None
+        if demote:
+            self.profile = profile
+            self._watch_times = self._cheap_prune = False
+            self.demoted = True
+            self.demoted_at = _note_demotion(reservation=(start, p, q))
         self._time_bound = bound
         self._blocked_id = None
         end = start + p

@@ -277,6 +277,11 @@ class TestLeanImports:
         heavy = ["scipy", "repro.analysis", "repro.algorithms", "repro.run"]
         assert self._loaded("repro.cli", heavy) == []
 
+    def test_algorithms_import_skips_simulation(self):
+        # offline EASY imports the scheduler core lazily: an offline run
+        # (and its timed set-up) loads no simulation module
+        assert self._loaded("repro.algorithms", ["repro.simulation"]) == []
+
     def test_serve_daemon_import_skips_scipy(self):
         assert self._loaded("repro.serve.daemon",
                             ["scipy", "repro.analysis"]) == []

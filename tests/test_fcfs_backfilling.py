@@ -1,6 +1,8 @@
 """Tests for FCFS and backfilling policies (Section 2.2's spectrum)."""
 
-from hypothesis import given, settings, strategies as st
+from fractions import Fraction
+
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.algorithms import (
     ConservativeBackfillScheduler,
@@ -12,6 +14,9 @@ from repro.algorithms import (
     fcfs_schedule,
 )
 from repro.core import ReservationInstance, RigidInstance
+from repro.core.timebase import TIMEBASE_POLICIES
+from repro.errors import ReproError
+from repro.simulation import OnlineSimulation
 
 from conftest import random_resa, random_rigid
 
@@ -169,3 +174,61 @@ def test_all_policies_feasible(seed):
         EasyBackfillScheduler(),
     ):
         scheduler.schedule(inst).verify()
+
+
+def _time(kind: str, k: int, offset: bool):
+    """Grid value ``k`` as an int, a Fraction (thirds) or a float (binary
+    quarters, plus 0.1 — no short binary expansion — when ``offset``)."""
+    if kind == "int":
+        return k
+    if kind == "fraction":
+        return Fraction(k, 3)
+    return k * 0.25 + (0.1 if offset else 0.0)
+
+
+# derandomized: the same examples every run, so tier-1 stays repeatable
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    m=st.integers(min_value=2, max_value=6),
+    kind=st.sampled_from(["int", "fraction", "float"]),
+    jobs=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=8),   # p
+            st.integers(min_value=1, max_value=6),   # q
+            st.integers(min_value=0, max_value=10),  # release
+            st.booleans(),                           # float offset
+        ),
+        min_size=1, max_size=10,
+    ),
+    holes=st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=12),  # start
+            st.integers(min_value=1, max_value=5),   # duration
+            st.integers(min_value=1, max_value=3),   # q
+        ),
+        max_size=3,
+    ),
+    timebase=st.sampled_from(TIMEBASE_POLICIES),
+    array=st.booleans(),
+)
+def test_easy_matches_online_simulation(m, kind, jobs, holes, timebase, array):
+    """Offline EASY (a driver of the scheduler core's EASY pass) gives
+    the starts of ``OnlineSimulation``'s protocol-level ``easy`` policy,
+    an independent event loop, on every time type and timebase."""
+    specs = [
+        (_time(kind, p, off), min(q, m), _time(kind, r, off))
+        for p, q, r, off in jobs
+    ]
+    res = [(_time(kind, s, False), _time(kind, d, False), min(q, m - 1))
+           for s, d, q in holes]
+    try:
+        inst = ReservationInstance.from_specs(m, specs, res)
+    except ReproError:
+        assume(False)  # overlapping holes exceeded the machine
+    backend = "array" if array and kind == "int" else None
+    easy = EasyBackfillScheduler(
+        profile_backend=backend, timebase=timebase
+    ).schedule(inst)
+    reference = OnlineSimulation(inst, "easy", timebase=timebase).run()
+    assert easy.starts == reference.schedule.starts
+    easy.verify()

@@ -30,6 +30,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -67,6 +68,7 @@ from repro.serve.api import (
     raise_for_envelope,
 )
 from repro.simulation import POLICIES, SchedulerCore
+from repro.simulation.replay import ReplayDemotionWarning
 
 SRC_ROOT = Path(repro.__file__).resolve().parents[1]
 
@@ -335,6 +337,46 @@ class TestCoreVerbs:
         core.reserve(0, 10, 4)
         with pytest.raises(SchedulingError, match="does not fit"):
             core.reserve(5, 1, 1)
+
+    @staticmethod
+    def _fractional_hole_starts(backend):
+        core = SchedulerCore(
+            4, "easy", window=0, record_starts=True, profile_backend=backend
+        )
+        core.reserve(Fraction(1, 2), 1, 1)
+        for i, (p, q, release) in enumerate(
+            [(2, 3, 0), (1, 1, 0), (3, 4, 1), (1, 2, 2), (2, 1, 2)]
+        ):
+            core.submit(Job(id=i, p=p, q=q, release=release))
+        core.drain()
+        return core
+
+    def test_auto_reserve_demotes_on_fractional_times(self):
+        # a non-integral hole demotes `auto` to the list backend, as a
+        # non-integral job does on arrival, instead of reaching the
+        # int64 kernel
+        with pytest.warns(ReplayDemotionWarning, match="reservation"):
+            auto = self._fractional_hole_starts("auto")
+        exact = self._fractional_hole_starts("list")
+        assert auto.demoted and not exact.demoted
+        assert auto.demoted_at == {
+            "reservation": {"start": Fraction(1, 2), "p": 1, "q": 1}
+        }
+        assert auto.starts == exact.starts
+
+    def test_explicit_array_backend_refuses_fractional_reserve(self):
+        core = SchedulerCore(4, profile_backend="array")
+        with pytest.raises(InvalidInstanceError, match="integer"):
+            core.reserve(Fraction(1, 2), 1, 1)
+        assert not core.demoted
+
+    def test_refused_fractional_reserve_does_not_demote(self):
+        core = SchedulerCore(4)
+        core.reserve(0, 10, 4)
+        with pytest.raises(SchedulingError, match="does not fit"):
+            core.reserve(Fraction(1, 2), 1, 1)
+        assert not core.demoted and core.demoted_at is None
+        assert type(core.profile).__name__ == "ArrayProfile"
 
     @staticmethod
     def _blocked_head_session(fast):
@@ -800,6 +842,29 @@ def _state_bytes(port) -> bytes:
     request = urllib.request.Request(f"http://127.0.0.1:{port}/v1/state")
     with urllib.request.urlopen(request, timeout=30) as response:
         return response.read()
+
+
+def test_daemon_fractional_reserve_demotes(tmp_path):
+    """A non-integral hole on the default (``auto``) backend is acked:
+    the daemon demotes to the list backend instead of answering a
+    ``model`` error."""
+    proc = _spawn_serve(_fresh_args(tmp_path / "journal", tmp_path / "port"))
+    try:
+        port = _wait_for_port(tmp_path / "port", proc)
+        env = _post_op(port, make_reserve(0.5, 1, 1))
+        assert env["ok"], env
+        state = _http("GET", port, "/v1/state")["result"]
+        assert state["demoted"] is True
+        assert state["demoted_at"] == {
+            "reservation": {"start": 0.5, "p": 1, "q": 1}
+        }
+        assert state["profile_times"] == [0, 0.5, 1.5]
+        _http("POST", port, "/v1/shutdown")
+        assert proc.wait(timeout=30) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait(timeout=30)
 
 
 def test_daemon_reserve_over_http(tmp_path):

@@ -35,7 +35,7 @@ from repro.algorithms.list_scheduling import (
 from repro.core.instance import ReservationInstance
 from repro.core.job import Job, Reservation
 from repro.core.metrics import evaluate_metrics
-from repro.core.profiles import ListProfile
+from repro.core.profiles import ArrayProfile, ListProfile
 from repro.core.schedule import Schedule
 from repro.core.timebase import (
     TIMEBASE_POLICIES,
@@ -202,9 +202,6 @@ class TestIntSweepProfile:
                     if ref.min_capacity(start, start + dur) >= q:
                         ref.reserve(start, dur, q)
                         fast.reserve(start, dur, q)
-                        if rng.random() < 0.4:  # shadow-probe pattern
-                            ref.add(start, dur, q)
-                            fast.add(start, dur, q)
             assert list(fast.breakpoints), "profile must keep a segment"
 
     def test_prune_before_preserves_future_queries(self):
@@ -673,12 +670,12 @@ def test_mixed_reservation_has_one_end(name):
             assert gridded.violations() == [], (name, start, duration)
 
 
-GRID_PLACED_SCHEDULERS = ("backfill-cons", "seq", "backfill-easy")
+GRID_PLACED_SCHEDULERS = ("backfill-cons", "seq")
 
 
 @pytest.mark.parametrize("name", GRID_PLACED_SCHEDULERS)
 def test_grid_path_places_on_int_sweep_profile(monkeypatch, name):
-    """On the integer twin, conservative, ``seq`` and EASY place on an
+    """On the integer twin, conservative and ``seq`` place on an
     ``IntSweepProfile``; a named ``profile_backend`` still reaches the
     grid path (the runner's ``profile_backends`` factor)."""
     calls = {"int": 0, "list": 0}
@@ -703,6 +700,29 @@ def test_grid_path_places_on_int_sweep_profile(monkeypatch, name):
     on_list = scheduler.schedule(instance)
     assert calls["list"] > 0 and calls["int"] == 0
     assert on_list.starts == default.starts
+
+
+def test_easy_profile_backend_reaches_the_core(monkeypatch):
+    """EASY runs the scheduler core's pass on the backend it names
+    (``None`` is ``"list"``), on the grid as on the exact path."""
+    calls = []
+    original = ArrayProfile.try_reserve
+
+    def try_reserve(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(ArrayProfile, "try_reserve", try_reserve)
+    instance = _wrapper_instance("int", 1)
+    for timebase in ("auto", "exact"):
+        default = EasyBackfillScheduler(timebase=timebase).schedule(instance)
+        assert calls == []
+        on_array = EasyBackfillScheduler(
+            profile_backend="array", timebase=timebase
+        ).schedule(instance)
+        assert calls
+        assert on_array.starts == default.starts
+        calls.clear()
 
 
 def _reference_scale(times, exact_only: bool):
