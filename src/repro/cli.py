@@ -619,9 +619,9 @@ def _metric_names() -> List[str]:
 
 
 def _backend_names() -> List[str]:
-    from .core.profiles import backend_details
+    from .core.profiles import available_backends
 
-    return backend_details()
+    return available_backends()
 
 
 def _lint_rule_names() -> List[str]:

@@ -14,10 +14,10 @@ separate from its two implementations:
     it.
 
 ``"array"`` — :class:`ArrayProfile`
-    Contiguous int64 ``array('q')`` time/capacity columns with O(1)
-    offset-bump ``prune_before`` and optional numpy-vectorised wide
-    windowed min/max (a feature probe with a pure-stdlib fallback): the
-    rolling-horizon replay kernel.  **Integer-grid only** — breakpoints
+    Contiguous int64 ``array('q')`` time/capacity columns, stdlib-only,
+    pruned behind the clock on every completion with the same prefix
+    delete as the list backend: the rolling-horizon replay kernel.
+    **Integer-grid only** — breakpoints
     must be machine ints (what ``timebase="auto"`` normalisation, SWF
     archives and the synthetic pack produce); queries accept any
     numeric, construction/mutation with ``Fraction``/``float`` times
@@ -59,12 +59,7 @@ from __future__ import annotations
 from typing import Dict, List, Type, Union
 
 from ...errors import InvalidInstanceError
-from .array_backend import (
-    NUMPY_DISABLE_ENV,
-    ArrayProfile,
-    numpy_module,
-    vector_info,
-)
+from .array_backend import ArrayProfile
 from .base import ProfileBackend, Segment, Time
 from .list_backend import ListProfile
 
@@ -82,32 +77,6 @@ _BACKENDS: Dict[str, Type[ProfileBackend]] = {
 def available_backends() -> List[str]:
     """Sorted registry names."""
     return sorted(_BACKENDS)
-
-
-def backend_details() -> List[str]:
-    """Sorted registry names, annotated with runtime capabilities.
-
-    The ``array`` row reports whether its vectorised (numpy) path is
-    active — the feature ``repro list --kind backends`` surfaces so a
-    deployment can tell at a glance which kernel its replays run on.
-    """
-    info = vector_info()
-    rows = []
-    for name in available_backends():
-        if _BACKENDS[name] is ArrayProfile:
-            if info["active"]:
-                detail = f"vectorized: numpy {info['numpy_version']}"
-            elif info["disabled_by_env"]:
-                detail = (
-                    f"vectorized: off (disabled via {NUMPY_DISABLE_ENV}; "
-                    f"scalar fallback)"
-                )
-            else:
-                detail = "vectorized: off (numpy not importable; scalar fallback)"
-            rows.append(f"{name}  [{detail}]")
-        else:
-            rows.append(name)
-    return rows
 
 
 def resolve_backend(spec: BackendSpec = None) -> Type[ProfileBackend]:
@@ -158,10 +127,6 @@ __all__ = [
     "ListProfile",
     "ArrayProfile",
     "available_backends",
-    "backend_details",
-    "numpy_module",
-    "vector_info",
-    "NUMPY_DISABLE_ENV",
     "resolve_backend",
     "make_profile",
     "convert_profile",

@@ -1,33 +1,27 @@
 """The flat-array backend: contiguous int64 columns for the integer grid.
 
-:class:`ArrayProfile` is the cache-friendly kernel of the profile
-protocol: breakpoint times and segment capacities live in two contiguous
-``array('q')`` (int64) columns, so the structures the replay hot loop
-touches every event are two machine-typed buffers instead of boxed
-lists.  Three design points give it its speed:
+:class:`ArrayProfile` is the int64 kernel of the profile protocol:
+breakpoint times and segment capacities live in two contiguous
+``array('q')`` columns, so the structures the replay hot loop touches
+every event are two machine-typed buffers instead of boxed lists.  It is
+stdlib-only, and its design points are:
 
-* **offset-bump pruning** — :meth:`prune_before` advances a live-window
-  offset and re-anchors the frontier segment in O(1); the dead prefix is
-  reclaimed by periodic compaction, so a rolling-horizon sweep
-  (:mod:`repro.simulation.replay`) can prune *every* event and keep the
-  live window at tens of segments where the list backend's
-  prune-every-4096 cadence lets thousands accumulate;
-* **branch-light scans** — ``earliest_fit``/``min_capacity`` are tight
-  linear scans over the live window (bisected to the query point), which
-  on a continuously-pruned profile is the active-jobs frontier only;
+* **prefix-delete pruning** — :meth:`prune_before` deletes the
+  segments behind the frontier and re-anchors the frontier segment at
+  time 0, the rule the list backend and
+  :class:`~repro.core.timebase.IntSweepProfile` share.  A
+  rolling-horizon sweep (:mod:`repro.simulation.replay`) prunes on every
+  completion, so the live profile stays at tens of segments and the
+  prefix memmove costs about as much as bumping an offset would;
+* **branch-light scans** — ``earliest_fit``/``min_capacity``/``fits``
+  are tight linear scans bisected to the query point, which on a
+  continuously-pruned profile cover the active-jobs frontier only;
 * **batched overlay** — :meth:`reserve_many` rebuilds the columns in one
   sweep via the shared :func:`overlay_reservation_blocks` engine.
 
-When numpy is importable (a feature probe, never a requirement), wide
-windowed ``min_capacity``/``max_capacity_between`` scans are answered by
-vectorised reductions over zero-copy views of the same buffers; the
-pure-stdlib scan is the always-available fallback and the semantics are
-identical (the reductions do no arithmetic, so there is nothing to
-overflow or round).
-
 The int64 columns are also the backend's contract: **breakpoints live on
 the integer grid**.  Construction and mutation require machine-int times
-(PR 3's ``timebase="auto"`` normalisation produces exactly that grid;
+(``timebase="auto"`` normalisation produces exactly that grid;
 every SWF archive and the synthetic trace pack are integral already) and
 raise :class:`~repro.errors.InvalidInstanceError` loudly otherwise —
 *queries* accept any ordered numeric, so probing an integer profile at a
@@ -39,11 +33,10 @@ from __future__ import annotations
 
 import math
 import numbers
-import os
 from array import array
 from bisect import bisect_left, bisect_right
 from types import ModuleType
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ...errors import CapacityError, InvalidInstanceError
 from .base import (
@@ -57,58 +50,23 @@ from .base import (
     validate_profile_inputs,
 )
 
-#: Environment kill-switch for the vectorised path: set (to any non-empty
-#: value) before the first import to force the pure-stdlib scalar
-#: fallback even when numpy is installed (reported by
-#: :func:`vector_info`).
-NUMPY_DISABLE_ENV = "REPRO_NO_NUMPY"
 
+def numpy_module() -> Optional[ModuleType]:
+    """numpy when it is importable, else ``None``; imports it only when
+    called.
 
-def _probe_numpy() -> Optional[ModuleType]:
-    """The numpy feature probe: import once, honouring the kill-switch.
-
-    Runs exactly once per process (the result is cached in the
-    module-level ``_np``), so profile construction never re-probes.
+    No profile code calls this: the kernel in this module is
+    stdlib-only, so ``import repro`` never loads numpy.  It remains only
+    because perfbench's replay workload reports it in its run context.
+    ROADMAP item 1.2 drops that import, and item 2 then deletes this
+    function.
     """
-    if os.environ.get(NUMPY_DISABLE_ENV):
-        return None
-    try:  # feature probe: vectorised reductions/scans are optional
+    try:
         import numpy
-    except ImportError:  # pragma: no cover - numpy ships in the dev image
+    except ImportError:
         return None
     return numpy
 
-
-#: Cached module-level probe result — the single source of truth every
-#: vectorised code path (here and in the replay engine) branches on.
-_np: Optional[ModuleType] = _probe_numpy()
-
-
-def numpy_module() -> Optional[ModuleType]:
-    """The cached probe result (``None`` when the scalar fallback rules)."""
-    return _np
-
-
-def vector_info() -> Dict[str, object]:
-    """Whether the vectorised path is active, and why not when it isn't.
-
-    Feeds ``repro list --kind backends``; keys: ``active`` (bool),
-    ``numpy_version`` (str or None), ``disabled_by_env`` (bool).
-    """
-    return {
-        "active": _np is not None,
-        "numpy_version": getattr(_np, "__version__", None),
-        "disabled_by_env": bool(os.environ.get(NUMPY_DISABLE_ENV)),
-    }
-
-#: Window length (in segments) above which the numpy reduction beats the
-#: scalar scan; below it the per-call numpy overhead dominates.
-_VECTOR_MIN_SEGMENTS = 64
-
-#: Compaction policy: reclaim the dead prefix once it holds at least
-#: this many segments *and* at least half the buffer (so compaction work
-#: is always amortised against the O(1) prunes that created the prefix).
-_COMPACT_MIN_DEAD = 512
 
 #: Largest representable breakpoint: mutations whose window end exceeds
 #: this would otherwise surface as a raw OverflowError from the column
@@ -141,18 +99,16 @@ def _int64_column(values: Iterable[int], what: str) -> "array[int]":
 class ArrayProfile(ProfileBackend):
     """Integer-grid capacity profile on flat int64 time/capacity columns.
 
-    Storage is ``self._times[self._lo:]`` / ``self._caps[self._lo:]`` —
-    the *live window*; indices before ``_lo`` are a dead prefix left by
-    O(1) pruning, invisible to every query and reclaimed by periodic
-    compaction.  The first live time is always 0 (re-anchored by
-    :meth:`prune_before`), so the live slice stays sorted and bisect
-    works with ``lo=self._lo`` untouched.
+    ``self._times``/``self._caps`` hold exactly the live segments,
+    indexed from 0; the first time is always 0 (re-anchored by
+    :meth:`prune_before`).
     """
 
-    __slots__ = ("_times", "_caps", "_lo")
+    __slots__ = ("_times", "_caps")
 
-    #: Engine hint: :meth:`prune_before` is O(1), so sweep callers may
-    #: prune on every event instead of amortising over a coarse cadence.
+    #: Engine hint: :meth:`prune_before` costs O(live segments) and the
+    #: live window stays small, so sweep callers may prune on every
+    #: event instead of amortising over a coarse cadence.
     CHEAP_PRUNE = True
 
     def __init__(
@@ -170,38 +126,35 @@ class ArrayProfile(ProfileBackend):
         self._caps: "array[int]" = _int64_column(
             (int(c) for c in merged_c), "capacities"
         )
-        self._lo: int = 0
 
     def copy(self) -> "ArrayProfile":
-        """Independent mutable copy (the dead prefix is not copied)."""
+        """Independent mutable copy."""
         clone = type(self).__new__(type(self))
-        clone._times = self._times[self._lo:]
-        clone._caps = self._caps[self._lo:]
-        clone._lo = 0
+        clone._times = self._times[:]
+        clone._caps = self._caps[:]
         return clone
 
     def as_lists(self) -> Tuple[List[Time], List[int]]:
         """Canonical ``(times, caps)`` lists (fresh copies)."""
-        lo = self._lo
-        return list(self._times[lo:]), list(self._caps[lo:])
+        return list(self._times), list(self._caps)
 
     def segment_count(self) -> int:
-        """Number of live segments — O(1) (the replay engine samples
-        this on every compaction for an exact peak gauge)."""
-        return len(self._times) - self._lo
+        """Number of segments — O(1) (the replay engine samples this on
+        every compaction for an exact peak gauge)."""
+        return len(self._times)
 
     # ------------------------------------------------------------------
     # internal helpers
     # ------------------------------------------------------------------
     def _index_at(self, t: Time) -> int:
-        """Index of the live segment containing time ``t >= 0``."""
+        """Index of the segment containing time ``t >= 0``."""
         if t < 0:
             raise InvalidInstanceError(f"profile queried at negative time {t!r}")
-        return bisect_right(self._times, t, self._lo) - 1
+        return bisect_right(self._times, t) - 1
 
     def _ensure_breakpoint(self, t: int) -> int:
         """Split the segment containing ``t`` so ``t`` is a breakpoint."""
-        i = bisect_right(self._times, t, self._lo) - 1
+        i = bisect_right(self._times, t) - 1
         if self._times[i] == t:
             return i
         self._times.insert(i + 1, t)
@@ -221,7 +174,7 @@ class ArrayProfile(ProfileBackend):
         if caps[j] == caps[j - 1]:
             del self._times[j]
             del caps[j]
-        if i > self._lo and caps[i] == caps[i - 1]:
+        if i > 0 and caps[i] == caps[i - 1]:
             del self._times[i]
             del caps[i]
 
@@ -231,7 +184,7 @@ class ArrayProfile(ProfileBackend):
     @property
     def breakpoints(self) -> Tuple[Time, ...]:
         """The times at which capacity changes (first is always 0)."""
-        return tuple(self._times[self._lo:])
+        return tuple(self._times)
 
     def capacity_at(self, t: Time) -> int:
         """Number of free processors at time ``t``."""
@@ -243,18 +196,16 @@ class ArrayProfile(ProfileBackend):
 
     def max_capacity(self) -> int:
         """Largest capacity reached anywhere."""
-        return max(self._caps[self._lo:])
+        return max(self._caps)
 
     def min_capacity_overall(self) -> int:
         """Smallest capacity reached anywhere."""
-        return min(self._caps[self._lo:])
+        return min(self._caps)
 
     def segments(self, horizon: Optional[Time] = None) -> Iterator[Segment]:
         """Yield ``(start, end, capacity)``; the last ``end`` is ``horizon``
         (if given) or ``math.inf``."""
-        return iter_segments(
-            self._times[self._lo:], self._caps[self._lo:], horizon
-        )
+        return iter_segments(self._times, self._caps, horizon)
 
     def min_capacity(self, start: Time, end: Time) -> int:
         """Minimum capacity over the window ``[start, end)``."""
@@ -265,13 +216,11 @@ class ArrayProfile(ProfileBackend):
                 f"profile queried at negative time {start!r}"
             )
         times = self._times
-        i = bisect_right(times, start, self._lo) - 1
+        i = bisect_right(times, start) - 1
         j = bisect_left(times, end, i + 1)
         caps = self._caps
         if j - i == 1:
             return caps[i]
-        if _np is not None and j - i >= _VECTOR_MIN_SEGMENTS:
-            return int(_np.frombuffer(caps, dtype=_np.int64)[i:j].min())
         return min(caps[i:j])
 
     def max_capacity_between(
@@ -285,13 +234,11 @@ class ArrayProfile(ProfileBackend):
                 f"profile queried at negative time {start!r}"
             )
         times = self._times
-        i = bisect_right(times, start, self._lo) - 1
+        i = bisect_right(times, start) - 1
         j = len(times) if end is None else bisect_left(times, end, i + 1)
         caps = self._caps
         if j - i == 1:
             return caps[i]
-        if _np is not None and j - i >= _VECTOR_MIN_SEGMENTS:
-            return int(_np.frombuffer(caps, dtype=_np.int64)[i:j].max())
         return max(caps[i:j])
 
     def area(self, start: Time, end: Time) -> Time:
@@ -303,7 +250,7 @@ class ArrayProfile(ProfileBackend):
             return 0
         times, caps = self._times, self._caps
         n = len(times)
-        i = self._index_at(start) if start > 0 else self._lo
+        i = self._index_at(start) if start > 0 else 0
         total: Time = 0
         for j in range(i, n):
             seg_start = times[j]
@@ -329,10 +276,7 @@ class ArrayProfile(ProfileBackend):
             raise InvalidInstanceError("width must be non-negative")
         times, caps = self._times, self._caps
         n = len(times)
-        if after > 0:
-            i = bisect_right(times, after, self._lo) - 1
-        else:
-            i = self._lo
+        i = bisect_right(times, after) - 1 if after > 0 else 0
         candidate: Optional[Time] = None
         while i < n:
             if caps[i] >= q:
@@ -379,7 +323,7 @@ class ArrayProfile(ProfileBackend):
             if caps[j] == caps[j - 1]:
                 del self._times[j]
                 del caps[j]
-            if i > self._lo and caps[i] == caps[i - 1]:
+            if i > 0 and caps[i] == caps[i - 1]:
                 del self._times[i]
                 del caps[i]
             raise CapacityError(
@@ -393,7 +337,7 @@ class ArrayProfile(ProfileBackend):
         if caps[j] == caps[j - 1]:
             del self._times[j]
             del caps[j]
-        if i > self._lo and caps[i] == caps[i - 1]:
+        if i > 0 and caps[i] == caps[i - 1]:
             del self._times[i]
             del caps[i]
 
@@ -425,7 +369,7 @@ class ArrayProfile(ProfileBackend):
                 f"profile queried at negative time {start!r}"
             )
         times = self._times
-        i = bisect_right(times, start, self._lo) - 1
+        i = bisect_right(times, start) - 1
         j = bisect_left(times, start + duration, i + 1)
         caps = self._caps
         if j - i == 1:
@@ -474,7 +418,7 @@ class ArrayProfile(ProfileBackend):
                 f"window end {end!r} overflows"
             )
         times, caps = self._times, self._caps
-        i = bisect_right(times, start, self._lo) - 1
+        i = bisect_right(times, start) - 1
         if caps[i] < amount:  # the window's first segment already fails
             return False
         j = bisect_left(times, end, i + 1)
@@ -499,30 +443,22 @@ class ArrayProfile(ProfileBackend):
         if caps[j] == caps[j - 1]:
             del times[j]
             del caps[j]
-        if i > self._lo and caps[i] == caps[i - 1]:
+        if i > 0 and caps[i] == caps[i - 1]:
             del times[i]
             del caps[i]
         return True
 
     def prune_before(self, t: Time) -> None:
-        """Compact behind the frontier ``t`` in O(1): bump the live-window
-        offset to the segment containing ``t`` and re-anchor it at time 0
-        (see :meth:`ProfileBackend.prune_before` for the soundness
-        contract).  The dead prefix is reclaimed once it exceeds
-        ``_COMPACT_MIN_DEAD`` segments *and* half the buffer, so memory
-        stays proportional to the live window while each prune stays
-        constant-time."""
+        """Drop breakpoints before ``t`` and re-anchor the frontier
+        segment at 0 (see :meth:`ProfileBackend.prune_before` for the
+        soundness contract).  One prefix deletion: O(remaining)."""
         if t <= 0:
             return
         i = self._index_at(t)
-        if i > self._lo:
-            self._lo = i
-            self._times[i] = 0
-        lo = self._lo
-        if lo >= _COMPACT_MIN_DEAD and 2 * lo >= len(self._times):
-            del self._times[:lo]
-            del self._caps[:lo]
-            self._lo = 0
+        if i > 0:
+            del self._times[:i]
+            del self._caps[:i]
+            self._times[0] = 0
 
     def reserve_many(self, blocks: Iterable[Tuple[Time, Time, int]]) -> None:
         """Apply many ``(start, duration, amount)`` reservations in one
@@ -535,7 +471,6 @@ class ArrayProfile(ProfileBackend):
         )
         self._times = times
         self._caps = _int64_column(new_caps, "capacities")
-        self._lo = 0
 
     # ------------------------------------------------------------------
     # derived quantities
@@ -547,7 +482,7 @@ class ArrayProfile(ProfileBackend):
             return start
         times, caps = self._times, self._caps
         n = len(times)
-        i = self._index_at(start) if start > 0 else self._lo
+        i = self._index_at(start) if start > 0 else 0
         acc: Time = 0
         for j in range(i, n):
             seg_start = times[j]

@@ -131,8 +131,8 @@ RULES: Tuple[Rule, ...] = (
         "RPL304",
         "missing-kernel-override",
         "backend lost a fast-path override the config declares required",
-        "replay-engine kernel contract: the array backend's vectorised "
-        "overrides may not silently fall back to the generic scalar loop",
+        "replay-engine kernel contract: the array backend's column-level "
+        "overrides may not silently fall back to the generic protocol code",
     ),
     # -- RPL4xx: multiprocessing safety ------------------------------------
     Rule(

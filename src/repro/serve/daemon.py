@@ -53,6 +53,7 @@ from typing import Dict, Optional, Tuple
 from ..devtools.failpoints import fire
 from ..durability.journal import Journal, JournalRecovery
 from ..errors import ReproError, ServeError, ServeProtocolError
+from ..simulation.replay import CHECKPOINT_VERSION
 from ..simulation.scheduler_core import SchedulerCore
 from ..workloads.uncertainty import DRAW_STREAM_VERSION
 from .api import (
@@ -134,6 +135,7 @@ class SchedulerService:
             "policy": policy,
             "window": window,
             "snapshot_interval": snapshot_interval,
+            "checkpoint": CHECKPOINT_VERSION,
         }
         if core.uncertainty is not None:
             # the canonical spec, not the raw flag: resume must rebuild
@@ -169,6 +171,17 @@ class SchedulerService:
         m = int(config["m"])
         policy = config["policy"]
         window = int(config["window"])
+        # journals written before the key existed hold version-2
+        # snapshots, the version every build since then writes
+        checkpoint_version = config.get("checkpoint", 2)
+        if checkpoint_version != CHECKPOINT_VERSION:
+            journal.close()
+            raise ServeError(
+                f"journal {directory!r} holds checkpoint version "
+                f"{checkpoint_version!r}, this build reads version "
+                f"{CHECKPOINT_VERSION}; its snapshots cannot be resumed "
+                "(start a fresh journal)"
+            )
         uncertainty = config.get("uncertainty")
         if (
             uncertainty is not None

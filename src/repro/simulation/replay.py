@@ -107,12 +107,12 @@ if TYPE_CHECKING:
 #: Default window size (jobs per metrics window).
 DEFAULT_WINDOW = 10_000
 
-#: Default completions between profile compactions for backends whose
-#: ``prune_before`` is O(active segments).  Pruning at a coarse cadence
-#: amortises it to O(1) per job; backends advertising ``CHEAP_PRUNE``
-#: (the array backend's O(1) offset bump) are pruned on every
-#: completion instead, which keeps the live profile at active-window
-#: size and this constant irrelevant to them.
+#: Default completions between profile compactions for backends that
+#: do not advertise ``CHEAP_PRUNE``.  Pruning at a coarse cadence
+#: amortises the prefix delete to O(1) per job; the array backend
+#: advertises ``CHEAP_PRUNE`` and is pruned on every completion instead,
+#: which keeps its live profile at tens of segments (so each prefix
+#: delete is cheap) and this constant irrelevant to it.
 DEFAULT_PRUNE_INTERVAL = 4096
 
 #: ``totals`` fields excluded from the merged multi-policy JSONL rows:
@@ -368,7 +368,7 @@ class ReplayEngine:
     profile_backend:
         Availability structure (``"list"``/``"array"``/class, ``None``
         for ``"list"``, or the replay-specific ``"auto"``, the default).
-        ``"auto"`` starts on the int64 flat-array kernel — pruned O(1)
+        ``"auto"`` starts on the int64 flat-array kernel — pruned
         behind the clock on every completion, it holds only the active
         window — and demotes the live profile to the
         exact ``"list"`` backend the moment a non-integral job time

@@ -370,7 +370,12 @@ class SchedulerCore:
         staged: wider than the machine, or able to carry the schedule
         past a time the loop cannot handle (see :meth:`_bound_checked`).
         So a later ``advance_to`` never fails halfway through a pass,
-        and every accepted submit can be re-applied from a journal."""
+        and every accepted submit can be re-applied from a journal.
+
+        Under ``profile_backend="auto"`` a job with non-integral times
+        demotes the live profile to the exact list backend once it is
+        accepted, as :meth:`reserve` does, so its bound check runs
+        without the int64 limit."""
         if self._eof:
             raise SchedulingError(
                 f"job {job.id!r} submitted after drain: the stream has ended"
@@ -380,6 +385,9 @@ class SchedulerCore:
                 f"job {job.id!r} requires {job.q} processors but the "
                 f"machine only has {self.m}"
             )
+        demote = self._watch_times and not (
+            type(job.p) is int and type(job.release) is int
+        )
         if self._cheap_prune and not self._watch_times and not (
             isinstance(job.p, Integral) and isinstance(job.release, Integral)
         ):
@@ -401,8 +409,14 @@ class SchedulerCore:
         ):
             raise SchedulingError(f"job id {job.id!r} is already live")
         self._time_bound = self._bound_checked(
-            job.release, job.p, f"job {job.id!r}", self._cheap_prune
+            job.release, job.p, f"job {job.id!r}",
+            self._cheap_prune and not demote,
         )
+        if demote:
+            self.profile = convert_profile(self.profile, "list")
+            self._watch_times = self._cheap_prune = False
+            self.demoted = True
+            self.demoted_at = _note_demotion(job)
         self._staged.append(job)
         self._staged_ids.add(job.id)
 

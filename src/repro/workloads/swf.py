@@ -137,13 +137,17 @@ def _parse_swf_data_line(tokens: List[str]):
 
 
 def _header_maxprocs(text: str) -> Optional[int]:
-    """The ``; MaxProcs:`` value of a header line, if this is one."""
+    """The ``; MaxProcs:`` value of a header line, if this is one.
+
+    SWF writes -1 for a missing value, so a non-positive (or
+    unparsable) machine size reads as no header at all."""
     body = text.lstrip("; \t")
     if body.lower().startswith("maxprocs:"):
         try:
-            return int(body.split(":", 1)[1].strip())
+            maxprocs = int(body.split(":", 1)[1].strip())
         except ValueError:
             return None
+        return maxprocs if maxprocs > 0 else None
     return None
 
 

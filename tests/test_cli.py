@@ -286,6 +286,13 @@ class TestLeanImports:
         assert self._loaded("repro.serve.daemon",
                             ["scipy", "repro.analysis"]) == []
 
+    def test_entry_points_import_without_numpy(self):
+        # the int64 array kernel is stdlib-only: no process pays numpy's
+        # import time and memory for it
+        modules = ("repro, repro.cli, repro.simulation.replay, "
+                   "repro.serve.daemon, repro.algorithms")
+        assert self._loaded(modules, ["numpy"]) == []
+
     def test_version_and_algorithm_list_still_work(self):
         assert self._python("-m", "repro", "--version").strip() == (
             repro.__version__

@@ -156,6 +156,30 @@ class TestIterSWF:
         jobs = list(iter_swf(io.StringIO(text), m=4))
         assert jobs[0].q == 2
 
+    @pytest.mark.parametrize("header", ["-1", "0", "abc"])
+    def test_non_positive_or_garbage_maxprocs_reads_as_missing(self, header):
+        # SWF writes -1 for a missing value: no header, not a machine
+        # every job is clipped to
+        text = _swf_text([(1, 0, 10, 2), (2, 5, 10, 3)], maxprocs=header)
+        unknown = (
+            "machine size unknown: streaming needs m= or a "
+            "'; MaxProcs:' header before the first data line"
+        )
+        with pytest.raises(TraceFormatError) as info:
+            list(iter_swf(io.StringIO(text)))
+        assert str(info.value) == unknown
+        with pytest.raises(TraceFormatError) as info:
+            replay_swf(io.StringIO(text))
+        assert str(info.value) == unknown
+        stream = iter_swf(io.StringIO(text), m=4)
+        assert [j.q for j in stream] == [2, 3]
+        assert (stream.n_skipped, stream.n_clipped) == (0, 0)
+        totals = replay_swf(io.StringIO(text), m=4).totals
+        assert (totals["skipped_lines"], totals["clipped_jobs"]) == (0, 0)
+        widest = read_swf(text)  # falls back to the widest job
+        assert widest.instance.m == 3 and widest.skipped == []
+        assert read_swf(text, m=4).instance.m == 4
+
     def test_out_of_order_submits_are_skipped(self):
         text = _swf_text(
             [(1, 10, 5, 1), (2, 4, 5, 1), (3, 12, 5, 1)], maxprocs=4

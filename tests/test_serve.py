@@ -68,7 +68,7 @@ from repro.serve.api import (
     raise_for_envelope,
 )
 from repro.simulation import POLICIES, SchedulerCore
-from repro.simulation.replay import ReplayDemotionWarning
+from repro.simulation.replay import CHECKPOINT_VERSION, ReplayDemotionWarning
 
 SRC_ROOT = Path(repro.__file__).resolve().parents[1]
 
@@ -364,6 +364,48 @@ class TestCoreVerbs:
         }
         assert auto.starts == exact.starts
 
+    @staticmethod
+    def _huge_fractional_submit(backend):
+        core = SchedulerCore(4, window=0, record_starts=True,
+                             profile_backend=backend)
+        core.submit(Job(0, 4096.5, 1, float(2**63)))
+        core.drain()
+        return core
+
+    def test_auto_submit_demotes_on_fractional_times(self):
+        # the job ends past the int64 kernel's largest time: `auto`
+        # demotes at submit, so the bound check runs as on "list"
+        with pytest.warns(ReplayDemotionWarning, match="job 0"):
+            auto = self._huge_fractional_submit("auto")
+        exact = self._huge_fractional_submit("list")
+        assert auto.demoted and not exact.demoted
+        assert auto.demoted_at == {"job": 0, "release": float(2**63)}
+        assert type(auto.profile).__name__ == "ListProfile"
+        assert auto.starts == exact.starts == {0: float(2**63)}
+
+    def test_submit_demotion_survives_cancel_and_admits_large_ints(self):
+        core = SchedulerCore(4, window=0, record_starts=True)
+        with pytest.warns(ReplayDemotionWarning):
+            core.submit(Job(id="f", p=Fraction(1, 2), q=1, release=0))
+        assert core.cancel("f") == "staged"
+        assert core.demoted and core.demoted_at == {"job": "f", "release": 0}
+        # past the int64 kernel, but the live profile is the list one now
+        core.submit(Job(id="big", p=10, q=4, release=2**63))
+        core.drain()
+        assert core.starts == {"big": 2**63}
+
+    def test_refused_fractional_submit_does_not_demote(self):
+        core = SchedulerCore(4)
+        core.submit(Job(id="a", p=1, q=1, release=10))
+        with pytest.raises(SchedulingError, match="out of order"):
+            core.submit(Job(id="b", p=1.5, q=1, release=5))
+        # the float-resolution bound holds on every backend
+        with pytest.raises(InvalidInstanceError, match="float resolution"):
+            core.submit(Job(id="c", p=0.5, q=1, release=2.0**60))
+        assert not core.demoted and core.demoted_at is None
+        assert type(core.profile).__name__ == "ArrayProfile"
+        assert [j.id for j in core._staged] == ["a"]
+
     def test_explicit_array_backend_refuses_fractional_reserve(self):
         core = SchedulerCore(4, profile_backend="array")
         with pytest.raises(InvalidInstanceError, match="integer"):
@@ -624,6 +666,23 @@ class TestSchedulerService:
         state = service.handle(make_query("state"))
         assert state["ok"]
         assert list(state["result"]["window_of"]) == ["7", "a"]
+
+    def test_resume_checks_checkpoint_version(self, tmp_path):
+        service = SchedulerService.create(str(tmp_path / "new"), m=4)
+        service.close()
+        resumed, recovery = SchedulerService.resume(str(tmp_path / "new"))
+        resumed.close()
+        assert recovery.config["checkpoint"] == CHECKPOINT_VERSION
+        config = {"mode": "serve", "format": SERVE_FORMAT, "m": 4,
+                  "policy": "easy", "window": 0}
+        # written before the key existed: version 2, still resumable
+        Journal.create(str(tmp_path / "old"), config).close()
+        resumed, _ = SchedulerService.resume(str(tmp_path / "old"))
+        resumed.close()
+        other = dict(config, checkpoint=CHECKPOINT_VERSION + 1)
+        Journal.create(str(tmp_path / "next"), other).close()
+        with pytest.raises(ServeError, match="checkpoint version"):
+            SchedulerService.resume(str(tmp_path / "next"))
 
     def test_resume_rejects_batch_replay_journal(self, tmp_path):
         journal = Journal.create(str(tmp_path / "j"), {"mode": "replay"})
