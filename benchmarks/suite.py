@@ -36,6 +36,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -245,7 +246,7 @@ def bench_core_throughput(
         },
         "scenarios": scenarios,
     }
-    _append_history(entry, out_dir)
+    _append_history(entry, quick, out_dir)
 
     gate = scenarios["lsrc_scheduling"].get("speedup_vs_baseline_tree")
     if gate is not None and gate < 5:
@@ -386,7 +387,6 @@ def _run_journal_overhead(
     ``--journal`` flag the overhead is exactly zero.
     """
     import shutil
-    import tempfile
 
     from repro.durability import replay_journaled
     from repro.simulation import replay
@@ -573,7 +573,6 @@ def bench_replay_throughput(
     ``BENCH_replay_throughput.json``.
     """
     import gzip
-    import tempfile
 
     from repro.core.metrics import summarize
     from repro.simulation import (
@@ -823,23 +822,37 @@ def bench_replay_throughput(
         },
         "scenarios": scenarios,
     }
-    _append_history(entry, out_dir, REPLAY_THROUGHPUT_JSON)
+    _append_history(entry, quick, out_dir, REPLAY_THROUGHPUT_JSON)
     return entry
 
 
+def result_path(
+    trajectory: pathlib.Path, quick: bool, out_dir: Optional[pathlib.Path]
+) -> pathlib.Path:
+    """Where one run of a harness writes its ``BENCH_*.json``.
+
+    ``--out`` wins (CI passes it so checkout state stays pristine).
+    Otherwise a full run writes the checked-in ``trajectory``, and a
+    quick run the same file name in the temp directory: quick numbers
+    are constant-dominated, so they never touch the tracked baselines,
+    and ``--check`` still reads the checked-in quick entries.
+    """
+    if out_dir is not None:
+        return pathlib.Path(out_dir) / trajectory.name
+    if quick:
+        return pathlib.Path(tempfile.gettempdir()) / trajectory.name
+    return trajectory
+
+
 def _append_history(
-    entry: Dict, out_dir: Optional[pathlib.Path],
+    entry: Dict, quick: bool, out_dir: Optional[pathlib.Path],
     trajectory: pathlib.Path = CORE_THROUGHPUT_JSON,
 ) -> None:
-    """Append one run to a perf-trajectory file.
-
-    Runs append to the checked-in ``BENCH_*.json`` trajectory unless
-    ``--out`` redirects them — CI passes ``--out`` so checkout state
-    stays pristine.  Entries carry their ``quick`` flag, and the
+    """Append one run to a perf-trajectory file (see
+    :func:`result_path`).  Entries carry their ``quick`` flag, and the
     regression check only ever compares scale-matched entries.
     """
-    path = (pathlib.Path(out_dir) / trajectory.name
-            if out_dir is not None else trajectory)
+    path = result_path(trajectory, quick, out_dir)
     report = {"history": []}
     if path.exists():
         try:
@@ -864,16 +877,9 @@ def _run_profile_backends(
     argv = ["--repeats", str(repeats)]
     if quick:
         argv.append("--quick")
-        # quick numbers are constant-dominated; never clobber the
-        # checked-in full-scale baseline with them
-        out = (pathlib.Path(out_dir) if out_dir is not None
-               else pathlib.Path("/tmp")) / PROFILE_BACKENDS_JSON.name
+    out = result_path(PROFILE_BACKENDS_JSON, quick, out_dir)
+    if out != PROFILE_BACKENDS_JSON:
         argv += ["--out", str(out)]
-    elif out_dir is not None:
-        out = pathlib.Path(out_dir) / PROFILE_BACKENDS_JSON.name
-        argv += ["--out", str(out)]
-    else:
-        out = PROFILE_BACKENDS_JSON
     rc = bench_profile_backends.main(argv)
     if rc != 0:
         raise SystemExit(rc)
@@ -1077,9 +1083,9 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=1,
                         help="best-of-N timing for the JSON harnesses")
     parser.add_argument("--out", type=pathlib.Path, default=None,
-                        help="directory for result JSONs (default: repo "
-                             "root for full runs; quick runs write only "
-                             "here)")
+                        help="directory for result JSONs (default: the "
+                             "repo root for full runs, the temp directory "
+                             "for quick runs)")
     parser.add_argument("--profile", action="store_true",
                         help="wrap each benchmark in cProfile and print "
                              "the top-20 cumulative functions — perf PRs "

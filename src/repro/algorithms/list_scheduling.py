@@ -58,10 +58,10 @@ Two engines compute the *same* schedule;
   - profile breakpoints are *not* decision points at all: the cached
     ``earliest_fit`` wake-ups subsume them (an exchange argument in
     ``tests/test_timebase.py`` checks the schedules stay identical);
-  - the profile is an
-    :class:`~repro.core.timebase.IntSweepProfile` whose history is
+  - the profile is the integer kernel
+    :class:`~repro.core.profiles.ArrayProfile`, whose history is
     pruned behind the sweep front, and a placement is one fused
-    probe-and-commit (:meth:`~repro.core.timebase.IntSweepProfile.
+    probe-and-commit (:meth:`~repro.core.profiles.ArrayProfile.
     try_reserve`).
 
   Per placed job the incremental sweep does O(1) profile operations on
@@ -70,7 +70,7 @@ Two engines compute the *same* schedule;
 
 :class:`SequentialPlacementScheduler` (and conservative backfilling, its
 FIFO-ordered subclass) places with :func:`earliest_fit_placement` on the
-same ``IntSweepProfile`` on the integer twin, and on
+same ``ArrayProfile`` on the integer twin, and on
 ``instance.availability_profile(profile_backend)`` on the exact path.
 (EASY backfilling places through the scheduler core instead, see
 :mod:`repro.algorithms.backfilling`.)
@@ -83,13 +83,14 @@ from typing import Dict, List, Optional, Sequence
 
 from ..core.instance import ReservationInstance
 from ..core.schedule import Schedule
-from ..core.timebase import IntSweepProfile, check_timebase_policy
+from ..core.profiles import ArrayProfile
+from ..core.timebase import check_timebase_policy
 from ..errors import SchedulingError
 from .base import Scheduler, register
 from .priority import PriorityRule, explicit_order, resolve_priority
 
 
-def incremental_sweep(job_rows: List, profile: IntSweepProfile) -> Dict:
+def incremental_sweep(job_rows: List, profile: ArrayProfile) -> Dict:
     """LSRC by incremental sweep on an integer-grid profile.
 
     ``job_rows`` is the priority-ordered list ``[(release, p, q, id)]``
@@ -182,9 +183,8 @@ class ListScheduler(Scheduler):
     profile_backend:
         Availability-profile backend (``"list"``/``"array"``/class);
         ``None`` means ``"list"``.  Only the exact reference sweep
-        consults it — the incremental integer sweep always runs on an
-        :class:`~repro.core.timebase.IntSweepProfile`, whose pruning the
-        backends cannot offer.
+        consults it — the incremental integer sweep always runs on the
+        integer kernel :class:`~repro.core.profiles.ArrayProfile`.
     timebase:
         ``"auto"`` (default) runs the incremental integer sweep whenever
         the instance's times normalise exactly (ints/Fractions) and the
@@ -206,7 +206,7 @@ class ListScheduler(Scheduler):
     def _run_grid(self, instance: ReservationInstance) -> Schedule:
         """The incremental integer sweep."""
         rows = [(j.release, j.p, j.q, j.id) for j in self._order(instance.jobs)]
-        profile = IntSweepProfile(*instance.availability_lists())
+        profile = ArrayProfile(*instance.availability_lists(), _validate=False)
         return Schedule(instance, incremental_sweep(rows, profile))
 
     def _run(self, instance: ReservationInstance) -> Schedule:
@@ -266,8 +266,8 @@ class SequentialPlacementScheduler(Scheduler):
     later-listed job could have filled at an earlier time.
 
     ``profile_backend`` picks the profile; on the integer twin ``None``
-    places on an :class:`~repro.core.timebase.IntSweepProfile`, and on
-    the exact path it means ``"list"``.
+    places on the integer kernel :class:`~repro.core.profiles.
+    ArrayProfile`, and on the exact path it means ``"list"``.
     """
 
     #: Name under ``priority=None``, and the list order it keeps.
@@ -288,7 +288,9 @@ class SequentialPlacementScheduler(Scheduler):
 
     def _run_grid(self, instance: ReservationInstance) -> Schedule:
         if self.profile_backend is None:
-            profile = IntSweepProfile(*instance.availability_lists())
+            profile = ArrayProfile(
+                *instance.availability_lists(), _validate=False
+            )
         else:
             # a named backend (a ``profile_backends`` experiment factor)
             # reaches the grid path too
@@ -319,7 +321,7 @@ def earliest_fit_placement(
             raise SchedulingError(
                 f"job {job.id!r} (q={job.q}) never fits in the profile"
             )
-        profile.reserve(s, job.p, job.q)
+        profile.reserve_fitting(s, job.p, job.q)  # earliest_fit verified it
         starts[job.id] = s
     return Schedule(instance, starts)
 

@@ -296,7 +296,7 @@ def _warn_demotion(policy: str, totals: dict) -> None:
             f"warning: [{policy}] profile backend 'auto' demoted to "
             f"'list' at job {record['job']!r} (release "
             f"{record['release']!r}): non-integral job times; results "
-            f"are unchanged but the int64 fast path is off from there",
+            f"are unchanged but the integer-grid kernel is off from there",
             file=sys.stderr,
         )
 
@@ -779,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop after this many jobs")
     p.add_argument("--backend", default="auto",
                    help="profile backend: auto, list or array (default: "
-                        "auto — the int64 array kernel, demoting to "
+                        "auto — the integer-grid array kernel, demoting to "
                         "'list' on non-integral traces)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for synth:<profile> traces")

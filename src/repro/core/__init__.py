@@ -57,7 +57,6 @@ from .profiles import (
 from .schedule import Schedule, ScheduledJob, left_shifted
 from .timebase import (
     TIMEBASE_POLICIES,
-    IntSweepProfile,
     Timebase,
     check_timebase_policy,
     exactify_instance,
@@ -95,7 +94,6 @@ __all__ = [
     "ScheduledJob",
     "left_shifted",
     "Timebase",
-    "IntSweepProfile",
     "TIMEBASE_POLICIES",
     "check_timebase_policy",
     "timebase_for",

@@ -14,11 +14,12 @@ separate from its two implementations:
     it.
 
 ``"array"`` — :class:`ArrayProfile`
-    Contiguous int64 ``array('q')`` time/capacity columns, stdlib-only,
-    pruned behind the clock on every completion with the same prefix
-    delete as the list backend: the rolling-horizon replay kernel.
-    **Integer-grid only** — breakpoints
-    must be machine ints (what ``timebase="auto"`` normalisation, SWF
+    The one integer kernel: plain ``list`` time/capacity columns of
+    Python ints, scanned in place, pruned behind the clock with the same
+    prefix delete as the list backend.  The offline schedulers place on
+    it on an instance's integer twin, and the replay and serve event
+    loop runs on it.  **Integer-grid only** — breakpoints must be ints,
+    of any magnitude (what ``timebase="auto"`` normalisation, SWF
     archives and the synthetic pack produce); queries accept any
     numeric, construction/mutation with ``Fraction``/``float`` times
     raise loudly.
@@ -28,8 +29,6 @@ canonical merged segments, times of any ordered numeric type (integer
 grid only for ``"array"``) — and compare equal whenever they represent
 the same function, which the differential tests exploit to prove
 schedulers produce byte-identical schedules under either backend.
-LSRC's incremental integer sweep runs on a third, protocol-free
-structure, :class:`~repro.core.timebase.IntSweepProfile`.
 
 When exactness costs you
 ------------------------

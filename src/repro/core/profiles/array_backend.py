@@ -1,39 +1,43 @@
-"""The flat-array backend: contiguous int64 columns for the integer grid.
+"""The integer-grid kernel: flat ``int`` columns, scanned in place.
 
-:class:`ArrayProfile` is the int64 kernel of the profile protocol:
-breakpoint times and segment capacities live in two contiguous
-``array('q')`` columns, so the structures the replay hot loop touches
-every event are two machine-typed buffers instead of boxed lists.  It is
-stdlib-only, and its design points are:
+:class:`ArrayProfile` is the one integer kernel of the profile
+protocol.  The offline placement schedulers (LSRC's incremental sweep,
+conservative backfilling and ``seq`` on an instance's integer twin) and
+the online event loop behind replay and ``repro serve`` all place on it.
+Breakpoint times and segment capacities live in two plain ``list``
+columns of Python ints, and its design points are:
 
 * **prefix-delete pruning** — :meth:`prune_before` deletes the
   segments behind the frontier and re-anchors the frontier segment at
-  time 0, the rule the list backend and
-  :class:`~repro.core.timebase.IntSweepProfile` share.  A
-  rolling-horizon sweep (:mod:`repro.simulation.replay`) prunes on every
-  completion, so the live profile stays at tens of segments and the
-  prefix memmove costs about as much as bumping an offset would;
-* **branch-light scans** — ``earliest_fit``/``min_capacity``/``fits``
-  are tight linear scans bisected to the query point, which on a
-  continuously-pruned profile cover the active-jobs frontier only;
+  time 0, the rule the list backend shares.  A forward sweep prunes
+  behind its clock (the replay loop on every completion), so the live
+  profile stays at tens of segments;
+* **inline scans** — ``try_reserve`` and ``max_capacity_between`` walk
+  the window from one bisection and stop at its right edge (or, for
+  ``try_reserve``, at the first segment too low to fit);
+* **one commit** — ``reserve``, ``reserve_fitting``, ``try_reserve`` and
+  ``add`` all end in :meth:`ArrayProfile._commit`, which splits the two
+  window boundaries, shifts the covered segments and re-merges only at
+  those boundaries (a uniform delta cannot un-merge interior segments);
 * **batched overlay** — :meth:`reserve_many` rebuilds the columns in one
   sweep via the shared :func:`overlay_reservation_blocks` engine.
 
-The int64 columns are also the backend's contract: **breakpoints live on
-the integer grid**.  Construction and mutation require machine-int times
-(``timebase="auto"`` normalisation produces exactly that grid;
-every SWF archive and the synthetic trace pack are integral already) and
-raise :class:`~repro.errors.InvalidInstanceError` loudly otherwise —
-*queries* accept any ordered numeric, so probing an integer profile at a
+The backend's contract is that **breakpoints live on the integer
+grid**.  Construction and mutation require integral times, of any
+magnitude (``timebase="auto"`` normalisation produces exactly that grid;
+every SWF archive and the synthetic trace pack are integral already),
+and raise :class:`~repro.errors.InvalidInstanceError` loudly otherwise.
+*Queries* accept any ordered numeric, so probing an integer profile at a
 ``Fraction`` instant still works.  For exact ``Fraction``/``float``
-breakpoints use the ``"list"`` backend.
+breakpoints use the ``"list"`` backend.  Every argument check of the
+protocol stays, screened by one ``type(x) is int`` test so the trusted
+hot-loop calls skip it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from array import array
 from bisect import bisect_left, bisect_right
 from types import ModuleType
 from typing import Iterable, Iterator, List, Optional, Tuple
@@ -68,12 +72,6 @@ def numpy_module() -> Optional[ModuleType]:
     return numpy
 
 
-#: Largest representable breakpoint: mutations whose window end exceeds
-#: this would otherwise surface as a raw OverflowError from the column
-#: insert (and, worse, after a partial boundary split).
-_INT64_MAX = 2**63 - 1
-
-
 def _as_int_time(value: object, what: str) -> int:
     """Coerce an Integral time to ``int``; anything else is a loud error."""
     if isinstance(value, numbers.Integral):
@@ -86,22 +84,35 @@ def _as_int_time(value: object, what: str) -> int:
     )
 
 
-def _int64_column(values: Iterable[int], what: str) -> "array[int]":
-    """Build an int64 column, mapping range/type failures to our error."""
-    try:
-        return array("q", values)
-    except (TypeError, OverflowError) as exc:
-        raise InvalidInstanceError(
-            f"array backend requires machine-int (int64) {what}: {exc}"
-        ) from exc
+def _time_column(times: Iterable[Time]) -> List[int]:
+    """A breakpoint column of ints; a non-integral time is a loud error."""
+    return [
+        t if type(t) is int else _as_int_time(t, "breakpoint times")
+        for t in times
+    ]
+
+
+def _grid_args(
+    start: Time, duration: Time, amount: int, verb: str
+) -> Tuple[int, int, int]:
+    """The protocol's argument checks plus the grid contract: the slow
+    path behind every mutator's ``type(x) is int`` screen."""
+    check_reserve_args(start, duration, amount, verb)
+    return (
+        _as_int_time(start, "start time"),
+        _as_int_time(duration, "duration"),
+        int(amount),
+    )
 
 
 class ArrayProfile(ProfileBackend):
-    """Integer-grid capacity profile on flat int64 time/capacity columns.
+    """Integer-grid capacity profile on flat time/capacity columns.
 
     ``self._times``/``self._caps`` hold exactly the live segments,
     indexed from 0; the first time is always 0 (re-anchored by
-    :meth:`prune_before`).
+    :meth:`prune_before`).  ``_validate=False`` trusts the caller's
+    lists to be canonical (as :meth:`as_lists` returns them), skipping
+    the shape checks and the merge but not the integer-grid check.
     """
 
     __slots__ = ("_times", "_caps")
@@ -119,13 +130,9 @@ class ArrayProfile(ProfileBackend):
     ) -> None:
         if _validate:
             validate_profile_inputs(times, caps)
-        merged_t, merged_c = merge_equal_segments(list(times), list(caps))
-        self._times: "array[int]" = _int64_column(
-            (_as_int_time(t, "breakpoint times") for t in merged_t), "times"
-        )
-        self._caps: "array[int]" = _int64_column(
-            (int(c) for c in merged_c), "capacities"
-        )
+            times, caps = merge_equal_segments(list(times), list(caps))
+        self._times: List[int] = _time_column(times)
+        self._caps: List[int] = [int(c) for c in caps]
 
     def copy(self) -> "ArrayProfile":
         """Independent mutable copy."""
@@ -152,30 +159,28 @@ class ArrayProfile(ProfileBackend):
             raise InvalidInstanceError(f"profile queried at negative time {t!r}")
         return bisect_right(self._times, t) - 1
 
-    def _ensure_breakpoint(self, t: int) -> int:
-        """Split the segment containing ``t`` so ``t`` is a breakpoint."""
-        i = bisect_right(self._times, t) - 1
-        if self._times[i] == t:
-            return i
-        self._times.insert(i + 1, t)
-        self._caps.insert(i + 1, self._caps[i])
-        return i + 1
-
-    def _shift_window(self, start: int, end: int, delta: int) -> None:
-        """Add ``delta`` on ``[start, end)`` and restore canonical form
-        locally (only the two window boundaries can need merging)."""
-        i = self._ensure_breakpoint(start)
-        j = self._ensure_breakpoint(end)
-        caps = self._caps
-        if j - i == 1:  # the common sweep case: one covered segment
-            caps[i] += delta
-        else:
-            caps[i:j] = array("q", [c + delta for c in caps[i:j]])
+    def _commit(self, i: int, j: int, start: int, end: int, amount: int) -> None:
+        """Subtract ``amount`` on ``[start, end)``, where segment ``i``
+        holds ``start`` and ``j`` is the first breakpoint at or after
+        ``end`` (``len`` when there is none); a negative ``amount`` adds."""
+        times, caps = self._times, self._caps
+        if j == len(times) or times[j] != end:
+            times.insert(j, end)
+            caps.insert(j, caps[j - 1])
+        if times[i] != start:
+            i += 1
+            j += 1
+            times.insert(i, start)
+            caps.insert(i, caps[i - 1])
+        for k in range(i, j):
+            caps[k] -= amount
+        # A uniform delta preserves interior inequalities; only the two
+        # boundaries can have become mergeable.
         if caps[j] == caps[j - 1]:
-            del self._times[j]
+            del times[j]
             del caps[j]
         if i > 0 and caps[i] == caps[i - 1]:
-            del self._times[i]
+            del times[i]
             del caps[i]
 
     # ------------------------------------------------------------------
@@ -188,7 +193,9 @@ class ArrayProfile(ProfileBackend):
 
     def capacity_at(self, t: Time) -> int:
         """Number of free processors at time ``t``."""
-        return self._caps[self._index_at(t)]
+        if t < 0:
+            raise InvalidInstanceError(f"profile queried at negative time {t!r}")
+        return self._caps[bisect_right(self._times, t) - 1]
 
     def final_capacity(self) -> int:
         """Capacity on the unbounded last segment."""
@@ -233,13 +240,18 @@ class ArrayProfile(ProfileBackend):
             raise InvalidInstanceError(
                 f"profile queried at negative time {start!r}"
             )
-        times = self._times
+        times, caps = self._times, self._caps
         i = bisect_right(times, start) - 1
-        j = len(times) if end is None else bisect_left(times, end, i + 1)
-        caps = self._caps
-        if j - i == 1:
-            return caps[i]
-        return max(caps[i:j])
+        if end is None:
+            return max(caps[i:])
+        best = caps[i]
+        n = len(times)
+        i += 1
+        while i < n and times[i] < end:
+            if caps[i] > best:
+                best = caps[i]
+            i += 1
+        return best
 
     def area(self, start: Time, end: Time) -> Time:
         """Integral of the capacity over ``[start, end)`` (exact for
@@ -267,8 +279,8 @@ class ArrayProfile(ProfileBackend):
         self, q: int, duration: Time, after: Time = 0
     ) -> Optional[Time]:
         """Earliest ``s >= after`` with capacity ``>= q`` throughout
-        ``[s, s + duration)`` — a branch-light linear scan over the live
-        columns (bisected to ``after``), ``None`` exactly when the final
+        ``[s, s + duration)`` — a linear scan over the live columns
+        (bisected to ``after``), ``None`` exactly when the final
         segment's capacity is below ``q``."""
         if duration <= 0:
             raise InvalidInstanceError("duration must be positive")
@@ -300,64 +312,41 @@ class ArrayProfile(ProfileBackend):
         when any covered instant would drop below ``amount``.  ``start``
         and ``duration`` must be integers (the backend's grid contract).
         """
-        check_reserve_args(start, duration, amount, "reserved")
-        if amount == 0:
-            return
-        if type(start) is not int:
-            start = _as_int_time(start, "reservation start")
-        if type(duration) is not int:
-            duration = _as_int_time(duration, "reservation duration")
-        end = start + duration
-        if end > _INT64_MAX:
-            raise InvalidInstanceError(
-                f"array backend requires machine-int (int64) times: "
-                f"window end {end!r} overflows"
+        if (type(start) is not int or type(duration) is not int
+                or type(amount) is not int or start < 0 or duration <= 0
+                or amount < 0):
+            start, duration, amount = _grid_args(
+                start, duration, amount, "reserved"
             )
-        i = self._ensure_breakpoint(start)
-        j = self._ensure_breakpoint(end)
-        caps = self._caps
-        amount = int(amount)
-        lowest = min(caps[i:j])
+        if not amount:
+            return
+        times, caps = self._times, self._caps
+        end = start + duration
+        i = bisect_right(times, start) - 1
+        j = bisect_left(times, end, i + 1)
+        lowest = caps[i] if j - i == 1 else min(caps[i:j])
         if lowest < amount:
-            # roll back the breakpoint splits so the profile is untouched
-            if caps[j] == caps[j - 1]:
-                del self._times[j]
-                del caps[j]
-            if i > 0 and caps[i] == caps[i - 1]:
-                del self._times[i]
-                del caps[i]
             raise CapacityError(
                 f"cannot reserve {amount} processors on [{start}, {end}): "
                 f"minimum available is {lowest}"
             )
-        if j - i == 1:
-            caps[i] -= amount
-        else:
-            caps[i:j] = array("q", [c - amount for c in caps[i:j]])
-        if caps[j] == caps[j - 1]:
-            del self._times[j]
-            del caps[j]
-        if i > 0 and caps[i] == caps[i - 1]:
-            del self._times[i]
-            del caps[i]
+        self._commit(i, j, start, end, amount)
 
     def add(self, start: Time, duration: Time, amount: int) -> None:
         """Add ``amount`` processors over ``[start, start + duration)``
         (inverse of :meth:`reserve`)."""
-        check_reserve_args(start, duration, amount, "added")
-        if amount == 0:
-            return
-        if type(start) is not int:
-            start = _as_int_time(start, "start time")
-        if type(duration) is not int:
-            duration = _as_int_time(duration, "duration")
-        end = start + duration
-        if end > _INT64_MAX:
-            raise InvalidInstanceError(
-                f"array backend requires machine-int (int64) times: "
-                f"window end {end!r} overflows"
+        if (type(start) is not int or type(duration) is not int
+                or type(amount) is not int or start < 0 or duration <= 0
+                or amount < 0):
+            start, duration, amount = _grid_args(
+                start, duration, amount, "added"
             )
-        self._shift_window(start, end, int(amount))
+        if not amount:
+            return
+        times = self._times
+        end = start + duration
+        i = bisect_right(times, start) - 1
+        self._commit(i, bisect_left(times, end, i + 1), start, end, -amount)
 
     def fits(self, q: int, start: Time, duration: Time) -> bool:
         """True when a ``q``-wide block of length ``duration`` fits at
@@ -380,72 +369,48 @@ class ArrayProfile(ProfileBackend):
         """Commit a just-verified reservation without revalidating
         capacity (see :meth:`ProfileBackend.reserve_fitting` for the
         contract; arguments are still validated — only the windowed
-        minimum is skipped); one boundary split + windowed shift."""
-        check_reserve_args(start, duration, amount, "reserved")
-        if amount == 0:
-            return
-        if type(start) is not int:
-            start = _as_int_time(start, "reservation start")
-        if type(duration) is not int:
-            duration = _as_int_time(duration, "reservation duration")
-        end = start + duration
-        if end > _INT64_MAX:
-            raise InvalidInstanceError(
-                f"array backend requires machine-int (int64) times: "
-                f"window end {end!r} overflows"
+        minimum is skipped)."""
+        if (type(start) is not int or type(duration) is not int
+                or type(amount) is not int or start < 0 or duration <= 0
+                or amount < 0):
+            start, duration, amount = _grid_args(
+                start, duration, amount, "reserved"
             )
-        self._shift_window(start, end, -int(amount))
+        if not amount:
+            return
+        times = self._times
+        end = start + duration
+        i = bisect_right(times, start) - 1
+        self._commit(i, bisect_left(times, end, i + 1), start, end, amount)
 
     def try_reserve(self, start: Time, duration: Time, amount: int) -> bool:
         """Probe-and-commit in one bisection: reserve iff it fits.
 
-        The replay hot loop's placement primitive — the probe's window
-        indices are reused for the commit, so a successful placement
-        costs one bisect pair instead of the two a ``fits`` +
+        The placement primitive of every greedy loop (LSRC's sweep, the
+        core's fused passes): the probe's scan ends at the window's right
+        edge, and the commit reuses both indices, so a successful
+        placement costs one bisection instead of the three a ``fits`` +
         ``reserve`` pair pays.
         """
-        check_reserve_args(start, duration, amount, "reserved")
-        if type(start) is not int:
-            start = _as_int_time(start, "reservation start")
-        if type(duration) is not int:
-            duration = _as_int_time(duration, "reservation duration")
-        end = start + duration
-        if end > _INT64_MAX:
-            # before the capacity screen, so an out-of-grid time is
-            # always loud, never masked as an ordinary "does not fit"
-            raise InvalidInstanceError(
-                f"array backend requires machine-int (int64) times: "
-                f"window end {end!r} overflows"
+        if (type(start) is not int or type(duration) is not int
+                or type(amount) is not int or start < 0 or duration <= 0
+                or amount < 0):
+            start, duration, amount = _grid_args(
+                start, duration, amount, "reserved"
             )
         times, caps = self._times, self._caps
         i = bisect_right(times, start) - 1
         if caps[i] < amount:  # the window's first segment already fails
             return False
-        j = bisect_left(times, end, i + 1)
-        if j - i > 1 and min(caps[i:j]) < amount:
-            return False
-        if amount == 0:
-            return True
-        # split the boundaries, reusing the probe's indices
-        if times[i] != start:
-            i += 1
-            times.insert(i, start)
-            caps.insert(i, caps[i - 1])
+        end = start + duration
+        n = len(times)
+        j = i + 1
+        while j < n and times[j] < end:
+            if caps[j] < amount:
+                return False
             j += 1
-        if j == len(times) or times[j] != end:
-            times.insert(j, end)
-            caps.insert(j, caps[j - 1])
-        amount = int(amount)
-        if j - i == 1:
-            caps[i] -= amount
-        else:
-            caps[i:j] = array("q", [c - amount for c in caps[i:j]])
-        if caps[j] == caps[j - 1]:
-            del times[j]
-            del caps[j]
-        if i > 0 and caps[i] == caps[i - 1]:
-            del times[i]
-            del caps[i]
+        if amount:
+            self._commit(i, j, start, end, amount)
         return True
 
     def prune_before(self, t: Time) -> None:
@@ -454,11 +419,12 @@ class ArrayProfile(ProfileBackend):
         soundness contract).  One prefix deletion: O(remaining)."""
         if t <= 0:
             return
-        i = self._index_at(t)
+        times = self._times
+        i = bisect_right(times, t) - 1
         if i > 0:
-            del self._times[:i]
+            del times[:i]
             del self._caps[:i]
-            self._times[0] = 0
+            times[0] = 0
 
     def reserve_many(self, blocks: Iterable[Tuple[Time, Time, int]]) -> None:
         """Apply many ``(start, duration, amount)`` reservations in one
@@ -466,11 +432,8 @@ class ArrayProfile(ProfileBackend):
         new_times, new_caps = overlay_reservation_blocks(
             *self.as_lists(), blocks
         )
-        times = _int64_column(
-            (_as_int_time(t, "breakpoint times") for t in new_times), "times"
-        )
-        self._times = times
-        self._caps = _int64_column(new_caps, "capacities")
+        self._times = _time_column(new_times)
+        self._caps = new_caps
 
     # ------------------------------------------------------------------
     # derived quantities

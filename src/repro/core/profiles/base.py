@@ -56,11 +56,11 @@ segments costs, per backend:
   accident: making it sublinear needs lazy range-add aggregates (an
   augmented tree), whose constants lost to the flat arrays on every
   caller the repo runs, so no such backend ships.
-* ``array`` — same O(w + log n) shape as ``list`` but on int64 columns.
-  Its ``prune_before`` is the list backend's prefix delete, cheap
-  enough to run on every completion, so a rolling sweep that prunes
-  behind its clock keeps n (and hence every w) at the active-window
-  size.
+* ``array`` — same O(w + log n) shape as ``list``, on integer-grid
+  columns with one shared commit helper.  Its ``prune_before`` is the
+  list backend's prefix delete, cheap enough to run on every
+  completion, so a rolling sweep that prunes behind its clock keeps n
+  (and hence every w) at the active-window size.
 
 ``benchmarks/bench_profile_backends.py`` measures both per scenario.
 """

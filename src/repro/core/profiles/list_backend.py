@@ -7,7 +7,7 @@ mutation.  Point and window queries bisect into the arrays; mutations
 splice and re-merge, which is O(n) per call but with small constants and
 zero bookkeeping.  It is the default backend (``profile_backend=None``)
 and the exact, Fraction-capable oracle the differential tests hold the
-int64 :class:`~repro.core.profiles.array_backend.ArrayProfile` to;
+integer-grid :class:`~repro.core.profiles.array_backend.ArrayProfile` to;
 ``benchmarks/bench_profile_backends.py`` times the two.
 """
 

@@ -21,25 +21,14 @@ This module exploits that closure property:
   Scheduler.schedule` runs every scheduler with a ``timebase`` policy
   through it, the online simulation uses it, and
   :func:`on_int_timebase` wraps any other scheduler in it;
-* :class:`IntSweepProfile` is the integer-grid availability structure
-  the offline placement schedulers use when they run on the twin (LSRC's
-  incremental sweep, conservative backfilling and ``seq``): flat
-  breakpoint arrays of machine ints, no argument validation, mutation
-  localised to the touched window, a fused probe-and-commit
-  (:meth:`IntSweepProfile.try_reserve`), and — because event-driven
-  schedulers only ever move *forward* in time —
-  :meth:`IntSweepProfile.prune_before` drops segments behind the sweep
-  front, keeping every bisect/splice O(active window) instead of
-  O(whole history).
-
-``IntSweepProfile`` is deliberately **not** a registered profile backend:
-pruning violates the protocol's ``[0, inf)`` canonical-form contract (the
-past is gone), which is exactly what makes it fast.  Use ``"list"``
-for anything that needs the full protocol — or ``"array"``
-(:class:`~repro.core.profiles.ArrayProfile`), which implements the full
-protocol *on* this module's integer grid: int64 flat columns plus a
-frontier-compacting ``prune_before`` that keeps the history-dropping
-trick protocol-sound (the rolling-horizon replay engine is built on it).
+* the offline placement schedulers run on the twin on
+  :class:`~repro.core.profiles.ArrayProfile`, the one integer-grid
+  profile kernel (LSRC's incremental sweep, conservative backfilling
+  and ``seq``; the replay and serve event loop places on it too).  Its
+  columns hold Python ints of any magnitude, and because event-driven
+  schedulers only ever move *forward* in time, its ``prune_before``
+  drops segments behind the sweep front, keeping every bisect/splice
+  O(active window) instead of O(whole history).
 
 Float times are exact binary rationals, so they normalise exactly too —
 but float *arithmetic* in the exact path rounds (``0.1 + 0.2``), so
@@ -55,14 +44,14 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from fractions import Fraction
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Union
 
 from ..errors import InvalidInstanceError
 from .instance import as_reservation_instance
 from .job import Job
+from .profiles.array_backend import ArrayProfile
 from .schedule import Schedule
 
 #: Recognised timebase policies for scheduler/simulation entry points.
@@ -343,167 +332,7 @@ def on_int_timebase(scheduler: Any, instance: Any) -> Any:
     return run_on_grid(as_reservation_instance(instance), "auto", run, run)[0]
 
 
-# ---------------------------------------------------------------------------
-# the integer sweep profile
-# ---------------------------------------------------------------------------
-
-class IntSweepProfile:
-    """Availability on the integer grid: the profile the offline placement
-    schedulers use when they run on an instance's integer twin (LSRC's
-    incremental sweep, conservative backfilling and ``seq``; EASY runs
-    the scheduler core's pass instead).
-
-    Two flat lists (segment start times, segment capacities — all machine
-    ints), the same representation as
-    :class:`~repro.core.profiles.list_backend.ListProfile` but with the
-    hot-loop liberties the backend protocol forbids:
-
-    * no argument validation (durations must be positive, as every job's
-      and reservation's are), and ``reserve`` trusts its caller to have
-      checked feasibility (schedulers always probe with
-      ``earliest_fit`` first, or commit through
-      :meth:`try_reserve`); the differential tests assert the end-to-end
-      schedules anyway;
-    * mutations re-canonicalise only at the touched window's boundaries
-      (a uniform delta cannot un-merge interior segments);
-    * :meth:`prune_before` discards segments behind the sweep front, so a
-      10k-job trace keeps a few hundred *active* segments live instead of
-      accumulating the full placement history.
-
-    Queries mirror the protocol signatures (``capacity_at`` / ``fits`` /
-    ``try_reserve`` / ``reserve`` / ``earliest_fit`` /
-    ``max_capacity_between`` / ``breakpoints``) so the scheduler bodies
-    are written once and run on either structure.  No scheduler calls
-    ``fits`` any more (LSRC commits through :meth:`try_reserve`); it is
-    kept because perfbench's tracer wraps it (``sweep.fits``).
-    """
-
-    __slots__ = ("_times", "_caps")
-
-    def __init__(self, times: List[int], caps: List[int]) -> None:
-        self._times = list(times)
-        self._caps = list(caps)
-
-    @property
-    def breakpoints(self) -> Tuple[int, ...]:
-        """Remaining (unpruned) segment start times."""
-        return tuple(self._times)
-
-    def prune_before(self, t: int) -> None:
-        """Drop segments that end at or before ``t`` (never queried again
-        by a forward sweep whose clock has reached ``t``)."""
-        i = bisect_right(self._times, t) - 1
-        if i > 0:
-            del self._times[:i]
-            del self._caps[:i]
-
-    def capacity_at(self, t: int) -> int:
-        return self._caps[bisect_right(self._times, t) - 1]
-
-    def fits(self, q: int, start: int, duration: int) -> bool:
-        """True when capacity stays ``>= q`` on ``[start, start+duration)``."""
-        times, caps = self._times, self._caps
-        i = bisect_right(times, start) - 1
-        if caps[i] < q:
-            return False
-        end = start + duration
-        n = len(times)
-        i += 1
-        while i < n and times[i] < end:
-            if caps[i] < q:
-                return False
-            i += 1
-        return True
-
-    def max_capacity_between(self, start: int, end: Optional[int] = None) -> int:
-        """Largest capacity on ``[start, end)`` (``end=None`` → infinity)."""
-        times, caps = self._times, self._caps
-        i = bisect_right(times, start) - 1
-        if end is None:
-            return max(caps[i:])
-        best = caps[i]
-        n = len(times)
-        i += 1
-        while i < n and times[i] < end:
-            if caps[i] > best:
-                best = caps[i]
-            i += 1
-        return best
-
-    def earliest_fit(self, q: int, duration: int, after: int = 0) -> Optional[int]:
-        """Earliest ``s >= after`` with capacity ``>= q`` throughout
-        ``[s, s + duration)``; ``None`` iff the final segment is too low."""
-        times, caps = self._times, self._caps
-        n = len(times)
-        i = bisect_right(times, after) - 1 if after > times[0] else 0
-        candidate = None
-        while i < n:
-            if caps[i] >= q:
-                if candidate is None:
-                    seg_start = times[i]
-                    candidate = seg_start if seg_start > after else after
-                if i + 1 == n or times[i + 1] - candidate >= duration:
-                    return candidate
-            else:
-                candidate = None
-            i += 1
-        return None
-
-    def try_reserve(self, start: int, duration: int, amount: int) -> bool:
-        """Subtract ``amount`` over ``[start, start + duration)`` iff
-        capacity stays ``>= amount`` there; returns whether it committed.
-
-        The fused :meth:`fits` + :meth:`reserve` of a greedy placement:
-        one bisection locates the window, the probe's scan ends at the
-        window's right edge, and the commit reuses both indices.
-        """
-        times, caps = self._times, self._caps
-        i = bisect_right(times, start) - 1
-        if caps[i] < amount:
-            return False
-        end = start + duration
-        n = len(times)
-        j = i + 1
-        while j < n and times[j] < end:
-            if caps[j] < amount:
-                return False
-            j += 1
-        self._commit(i, j, start, end, amount)
-        return True
-
-    def reserve(self, start: int, duration: int, amount: int) -> None:
-        """Subtract ``amount`` over ``[start, start + duration)``.
-
-        Feasibility is the caller's contract (see class docstring); the
-        only canonical-form work is merging the two window boundaries.
-        """
-        if not amount:
-            return
-        times = self._times
-        end = start + duration
-        i = bisect_right(times, start) - 1
-        self._commit(i, bisect_left(times, end, i + 1), start, end, amount)
-
-    def _commit(self, i: int, j: int, start: int, end: int, amount: int) -> None:
-        """Subtract ``amount`` on ``[start, end)``, where segment ``i``
-        holds ``start`` and ``j`` is the first breakpoint at or after
-        ``end`` (``len`` when there is none)."""
-        times, caps = self._times, self._caps
-        if j == len(times) or times[j] != end:
-            times.insert(j, end)
-            caps.insert(j, caps[j - 1])
-        if times[i] != start:
-            i += 1
-            j += 1
-            times.insert(i, start)
-            caps.insert(i, caps[i - 1])
-        for k in range(i, j):
-            caps[k] -= amount
-        # A uniform delta preserves interior inequalities; only the two
-        # boundaries can have become mergeable.
-        if caps[j] == caps[j - 1]:
-            del times[j]
-            del caps[j]
-        if i > 0 and caps[i] == caps[i - 1]:
-            del times[i]
-            del caps[i]
+#: Former name of the offline schedulers' integer profile, now the one
+#: integer kernel.  perfbench's tracer still imports it by this name;
+#: ROADMAP item 1.3 moves the tracer off it and then deletes the alias.
+IntSweepProfile = ArrayProfile

@@ -7,7 +7,7 @@ cheaply enforce:
 * **RPL1xx** determinism — no wall clock / OS entropy / salted set
   order in engine code (byte-identical replay);
 * **RPL2xx** int-grid exactness — no floats in declared integer-kernel
-  scopes (the int64 array kernel and LCM timebase);
+  scopes (the integer-grid array kernel and LCM timebase);
 * **RPL3xx** backend-protocol drift — profile backends stay aligned
   with :class:`~repro.core.profiles.base.ProfileBackend`;
 * **RPL4xx** multiprocessing safety — pool workers are module-level;

@@ -1,9 +1,9 @@
 """RPL2xx — integer-grid exactness.
 
-The int64 array kernel (:mod:`repro.core.profiles.array_backend`), the
-LCM timebase (:mod:`repro.core.timebase`) and the replay engine's
+The integer-grid array kernel (:mod:`repro.core.profiles.array_backend`),
+the LCM timebase (:mod:`repro.core.timebase`) and the replay engine's
 decision state all promise *exact* arithmetic: every time on the grid is
-a machine int, so a single stray float literal, true division or
+an int, so a single stray float literal, true division or
 ``float()`` coercion silently detunes byte-identity.  Scopes are declared
 in ``[tool.repro-lint]`` — whole modules via ``int-kernel-modules``,
 individual functions or classes via ``int-kernel-functions``.

@@ -147,7 +147,7 @@ def _require_number(payload: Dict, key: str, op: str):
             f"{op} request field {key!r} must be finite, got {value!r}"
         )
     # JSON has no int/float split the engine can rely on: an integral
-    # float from a sloppy client must not demote the int64 kernel
+    # float from a sloppy client must not demote the integer-grid kernel
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, Integral):

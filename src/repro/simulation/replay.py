@@ -47,8 +47,8 @@ checkpoint when asked), streams the arrival iterator into the core's
 one event loop in a single ``feed`` call, then drains or checkpoints.
 ``repro serve`` and stochastic replay run the same loop, so the
 built-in policies' inlined passes and scalar shortcuts (documented on
-the core) serve every driver.  The per-event cost rests on the int64
-array profile that ``profile_backend="auto"`` starts on and on the
+the core) serve every driver.  The per-event cost rests on the
+integer-grid array profile that ``profile_backend="auto"`` starts on and on the
 bucketed calendar completion queue (see :class:`ReplayEngine`'s
 parameters); ``fused_policies=False`` runs the registered policy
 functions through the core's policy protocol instead of the inlined
@@ -165,8 +165,8 @@ def _note_demotion(job: Optional[Job] = None, reservation=None) -> Dict:
         what = f"the reservation at {start!r} for {p!r}"
     warnings.warn(
         f"profile_backend='auto' demoted to 'list' mid-stream: {what} "
-        f"has non-integral times; results are unchanged but the int64 "
-        f"fast path is off from here",
+        f"has non-integral times; results are unchanged but the "
+        f"integer-grid kernel is off from here",
         ReplayDemotionWarning,
         stacklevel=3,
     )
@@ -368,7 +368,7 @@ class ReplayEngine:
     profile_backend:
         Availability structure (``"list"``/``"array"``/class, ``None``
         for ``"list"``, or the replay-specific ``"auto"``, the default).
-        ``"auto"`` starts on the int64 flat-array kernel — pruned
+        ``"auto"`` starts on the integer-grid array kernel — pruned
         behind the clock on every completion, it holds only the active
         window — and demotes the live profile to the
         exact ``"list"`` backend the moment a non-integral job time

@@ -67,7 +67,6 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional
 from ..core.job import Job
 from ..core.metrics import BSLD_TAU, DEFAULT_SLOWDOWN_THRESHOLD
 from ..core.profiles import BackendSpec, convert_profile, make_profile
-from ..core.profiles.array_backend import _INT64_MAX
 from ..devtools.failpoints import fire
 from ..errors import CapacityError, InvalidInstanceError, SchedulingError
 from ..workloads.uncertainty import resolve_uncertainty
@@ -236,8 +235,8 @@ class SchedulerCore:
             self.profile = make_profile([0], [m], backend)
         # `auto` watches for non-integral job and reservation times and
         # demotes the live profile to the exact list backend before they
-        # reach the int64 columns; an explicit backend choice is honoured
-        # (and loud).
+        # reach the integer-grid kernel; an explicit backend choice is
+        # honoured (and loud).
         self._cheap_prune = getattr(self.profile, "CHEAP_PRUNE", False)
         self._watch_times = auto_backend and self._cheap_prune
 
@@ -374,8 +373,7 @@ class SchedulerCore:
 
         Under ``profile_backend="auto"`` a job with non-integral times
         demotes the live profile to the exact list backend once it is
-        accepted, as :meth:`reserve` does, so its bound check runs
-        without the int64 limit."""
+        accepted, as :meth:`reserve` does."""
         if self._eof:
             raise SchedulingError(
                 f"job {job.id!r} submitted after drain: the stream has ended"
@@ -393,8 +391,8 @@ class SchedulerCore:
         ):
             # an explicit array backend cannot demote to the list one
             raise InvalidInstanceError(
-                f"job {job.id!r} has non-integral times, which the int64 "
-                "array kernel cannot hold"
+                f"job {job.id!r} has non-integral times, which the "
+                "integer-grid array kernel cannot hold"
             )
         if self._staged:
             floor = self._staged[-1].release
@@ -409,8 +407,7 @@ class SchedulerCore:
         ):
             raise SchedulingError(f"job id {job.id!r} is already live")
         self._time_bound = self._bound_checked(
-            job.release, job.p, f"job {job.id!r}",
-            self._cheap_prune and not demote,
+            job.release, job.p, f"job {job.id!r}"
         )
         if demote:
             self.profile = convert_profile(self.profile, "list")
@@ -420,20 +417,19 @@ class SchedulerCore:
         self._staged.append(job)
         self._staged_ids.add(job.id)
 
-    def _bound_checked(self, top, p, what: str, int64: bool):
+    def _bound_checked(self, top, p, what: str):
         """The time bound after one more :meth:`submit` (a job of
         length ``p``) or :meth:`reserve` (``p`` None), refused when the
-        loop could not handle a time below it (``int64``: on the int64
-        array kernel).
+        loop could not handle a time below it.
 
         Past the latest release and hole end (``top``), the machine is
         never idle while a job waits, so no time the loop handles
         exceeds that plus the machine time all jobs can hold (under
         uncertainty: every attempt, grace and backoff).  Up to there
-        window sums must convert to floats, the int64 array kernel must
-        hold every time, and the shortest job must still end after it
-        starts (``t + p > t`` fails for a tiny float ``p``).  A per-job
-        check would miss a short job queued behind a long one."""
+        window sums must convert to floats, and the shortest job must
+        still end after it starts (``t + p > t`` fails for a tiny float
+        ``p``).  A per-job check would miss a short job queued behind a
+        long one."""
         latest, held, shortest = self._time_bound
         latest = max(latest, top)
         if p is not None:
@@ -451,8 +447,6 @@ class SchedulerCore:
         end = latest + held
         if end * self.m * max(self.window, 1) > _FLOAT_MAX:
             limit = "the float range of the window metrics"
-        elif int64 and end > _INT64_MAX:
-            limit = "the int64 array kernel's largest time"
         elif shortest is not None and end + shortest <= end:
             limit = f"the float resolution of a job of length {shortest!r}"
         else:
@@ -542,8 +536,7 @@ class SchedulerCore:
             type(start) is int and type(p) is int
         )
         bound = self._bound_checked(
-            start + p, None, f"reservation at {start!r}",
-            self._cheap_prune and not demote,
+            start + p, None, f"reservation at {start!r}"
         )
         profile = convert_profile(self.profile, "list") if demote else self.profile
         try:

@@ -287,7 +287,7 @@ class TestLeanImports:
                             ["scipy", "repro.analysis"]) == []
 
     def test_entry_points_import_without_numpy(self):
-        # the int64 array kernel is stdlib-only: no process pays numpy's
+        # the array kernel is stdlib-only: no process pays numpy's
         # import time and memory for it
         modules = ("repro, repro.cli, repro.simulation.replay, "
                    "repro.serve.daemon, repro.algorithms")
@@ -300,3 +300,54 @@ class TestLeanImports:
         names = self._python("-m", "repro", "list", "--kind",
                              "algorithms").split()
         assert "lsrc" in names
+
+
+class TestBenchResultPath:
+    """``repro bench --quick`` never writes the tracked ``BENCH_*.json``
+    baselines: a quick run's entry goes to ``--out`` or the temp
+    directory, and a full run's to the checked-in trajectory."""
+
+    @pytest.fixture
+    def suite(self, monkeypatch):
+        import importlib.util
+
+        from repro.cli import _find_bench_suite
+
+        spec = importlib.util.spec_from_file_location(
+            "repro_bench_suite", _find_bench_suite()
+        )
+        module = importlib.util.module_from_spec(spec)
+        # dataclasses resolves string annotations through sys.modules
+        monkeypatch.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_path_choice(self, suite, tmp_path, monkeypatch):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        for tracked in (suite.CORE_THROUGHPUT_JSON,
+                        suite.REPLAY_THROUGHPUT_JSON,
+                        suite.PROFILE_BACKENDS_JSON):
+            assert suite.result_path(tracked, True, None) == (
+                tmp_path / "tmp" / tracked.name
+            )
+            assert suite.result_path(tracked, False, None) == tracked
+            for quick in (True, False):
+                assert suite.result_path(tracked, quick, tmp_path) == (
+                    tmp_path / tracked.name
+                )
+
+    def test_quick_entry_leaves_the_baseline_alone(
+        self, suite, tmp_path, monkeypatch
+    ):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        # a stand-in for the checked-in file, so a failure dirties nothing
+        tracked = tmp_path / "checkout" / "BENCH_core_throughput.json"
+        entry = {"quick": True, "scenarios": {}}
+        suite._append_history(entry, True, None, tracked)
+        assert not tracked.exists()
+        written = json.loads((tmp_path / "tmp" / tracked.name).read_text())
+        assert written["history"] == [entry]

@@ -6,8 +6,8 @@ Three layers of evidence that :class:`ArrayProfile` is a drop-in for
 * *property round-trips* — reserve-then-add restores the profile, queries
   agree with brute-force references, Fraction/float breakpoints and
   zero-capacity tails survive, all parametrized over the backends (the
-  array backend joins wherever times are integral — its int64 columns
-  are an explicit contract, asserted loud in ``TestArrayIntOnly``);
+  array backend joins wherever times are integral — its integer grid
+  is an explicit contract, asserted loud in ``TestArrayIntOnly``);
 * *cross-backend equivalence* — identical op sequences leave every
   backend representing the same function, query for query;
 * *scheduler differential* — LSRC, FCFS, conservative backfilling and
@@ -560,9 +560,17 @@ class TestArrayIntOnly:
         with pytest.raises(InvalidInstanceError, match="integer"):
             ArrayProfile([0, Fraction(1, 2)], [3, 2])
 
-    def test_construction_rejects_non_int64_times(self):
-        with pytest.raises(InvalidInstanceError, match="int64"):
-            ArrayProfile([0, 2**70], [3, 2])
+    def test_construction_admits_times_past_int64(self):
+        """A list column holds any int: breakpoints at and past 2**63
+        are the same function as on the list backend."""
+        for times in ([0, 2**63 - 1, 2**63], [0, 2**70]):
+            caps = [3, 2, 1][: len(times)]
+            kernel, ref = ArrayProfile(times, caps), ListProfile(times, caps)
+            assert kernel.as_lists() == ref.as_lists() == (times, caps)
+            assert kernel.capacity_at(2**70 + 1) == ref.capacity_at(2**70 + 1)
+            for q in (1, 3):
+                assert (kernel.earliest_fit(q, 5, after=2**63 - 2)
+                        == ref.earliest_fit(q, 5, after=2**63 - 2))
 
     def test_mutation_rejects_non_integral_times(self):
         p = ArrayProfile.constant(4)
@@ -613,20 +621,20 @@ class TestArrayIntOnly:
             p.try_reserve(0, 0, 1)
         assert p == ArrayProfile.constant(4)
 
-    def test_mutations_reject_int64_overflow(self):
-        """Out-of-range integer times must raise the backend's loud
-        error, never a raw OverflowError (review regression)."""
-        p = ArrayProfile.constant(4)
-        for fn in (p.reserve, p.add, p.try_reserve, p.reserve_fitting):
-            with pytest.raises(InvalidInstanceError, match="int64"):
-                fn(2**70, 5, 1)
-            with pytest.raises(InvalidInstanceError, match="int64"):
-                fn(2**62, 2**62, 1)
-        assert p == ArrayProfile.constant(4)
-        # loud even when the capacity screen would fail first
+    def test_mutations_past_int64_match_list(self):
+        """Windows that start or end at and past 2**63 mutate the
+        kernel exactly as they mutate the list backend."""
+        for verb in ("reserve", "add", "try_reserve", "reserve_fitting"):
+            kernel, ref = ArrayProfile.constant(4), ListProfile.constant(4)
+            for start, duration in ((2**70, 5), (2**62, 2**62),
+                                    (2**63 - 1, 1), (2**63 - 3, 7)):
+                getattr(kernel, verb)(start, duration, 1)
+                getattr(ref, verb)(start, duration, 1)
+                assert kernel.as_lists() == ref.as_lists(), (verb, start)
+        # a miss past 2**63 is an ordinary "does not fit"
         narrow = ArrayProfile.constant(1)
-        with pytest.raises(InvalidInstanceError, match="int64"):
-            narrow.try_reserve(2**70, 5, 2)
+        assert narrow.try_reserve(2**70, 5, 2) is False
+        assert narrow == ArrayProfile.constant(1)
 
     def test_segment_count_matches_breakpoints(self):
         for cls in BACKENDS:
@@ -694,3 +702,71 @@ class TestArrayWideScans:
             for s, e in windows
         ]
         assert scalar == reference
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the reference, op by op
+# ---------------------------------------------------------------------------
+
+#: Where a random profile's breakpoints sit: near 0, straddling 2**63
+#: and well past it (a list column holds any int).
+_KERNEL_BASES = (0, 2**63 - 60, 2**64 + 7)
+
+
+def test_kernel_random_ops_match_list_backend():
+    """Random mirrored op sequences on :class:`ArrayProfile` and
+    :class:`ListProfile`, as a forward sweep issues them (every op at
+    or after a pruning frontier that only advances): each query agrees,
+    each mutation succeeds or fails alike and leaves the same segments,
+    and a failed mutation changes nothing."""
+    rng = random.Random(20261018)
+    for _ in range(150):
+        base = rng.choice(_KERNEL_BASES)
+        times = [0] + sorted(base + t for t in rng.sample(range(1, 120), 8))
+        caps = [rng.randint(0, 12) for _ in times]
+        ref = ListProfile(times, caps)
+        kernel = ArrayProfile(times, caps)
+        assert kernel.as_lists() == ref.as_lists()
+        front = 0
+        for _ in range(40):
+            start = max(front, base) + rng.randint(0, 130)
+            dur = rng.randint(1, 25)
+            q = rng.randint(0, 8)
+            op = rng.randrange(9)
+            if op == 0:
+                assert kernel.capacity_at(start) == ref.capacity_at(start)
+                assert kernel.fits(q, start, dur) == ref.fits(q, start, dur)
+            elif op == 1:
+                assert (kernel.earliest_fit(q, dur, after=start)
+                        == ref.earliest_fit(q, dur, after=start))
+            elif op == 2:
+                end = None if rng.random() < 0.3 else start + dur
+                assert (kernel.max_capacity_between(start, end)
+                        == ref.max_capacity_between(start, end))
+            elif op == 3:
+                assert (kernel.try_reserve(start, dur, q)
+                        == ref.try_reserve(start, dur, q))
+            elif op == 4:
+                outcomes = []
+                for profile in (kernel, ref):
+                    before = profile.as_lists()
+                    try:
+                        profile.reserve(start, dur, q)
+                        outcomes.append(True)
+                    except CapacityError:
+                        assert profile.as_lists() == before
+                        outcomes.append(False)
+                assert outcomes[0] == outcomes[1]
+            elif op == 5:
+                if ref.fits(q, start, dur):  # the caller's precondition
+                    kernel.reserve_fitting(start, dur, q)
+                    ref.reserve_fitting(start, dur, q)
+            elif op == 6:
+                kernel.add(start, dur, q)
+                ref.add(start, dur, q)
+            else:
+                front = max(front, start - rng.randint(0, 30))
+                kernel.prune_before(front)
+                ref.prune_before(front)
+            assert kernel.as_lists() == ref.as_lists()
+            assert kernel.segment_count() == ref.segment_count()

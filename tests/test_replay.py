@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
+from repro.core.job import Job
 from repro.core.metrics import summarize
 from repro.core.profiles import ArrayProfile, ListProfile
 from repro.errors import SchedulingError, TraceFormatError
@@ -528,7 +529,7 @@ def test_streamed_replay_is_byte_identical_to_in_memory(
     through the pruning replay engine reproduces ``read_swf`` +
     ``OnlineSimulation`` exactly — schedules byte for byte, metrics
     int-exact — for every policy x backend combination (including the
-    int64 array kernel and the auto selector, whose fused decision
+    integer-grid array kernel and the auto selector, whose fused decision
     passes this differential therefore also covers)."""
     m = 8
     submit = 0
@@ -564,6 +565,28 @@ def test_streamed_replay_is_byte_identical_to_in_memory(
     assert streamed.totals["utilization"] == summary.utilization
     assert streamed.totals["mean_wait"] == summary.mean_wait
     assert streamed.totals["max_wait"] == summary.max_wait
+
+
+def test_replay_past_int64_matches_list():
+    """Releases and ends at and past 2**63 replay on the array kernel
+    (explicit and ``auto``) to the list backend's starts, window rows
+    and totals; only the pruning gauge and the wall clock differ."""
+    rng = random.Random(5)
+    jobs, t = [], 2**63 - 40
+    for i in range(60):
+        t += rng.randint(0, 4)
+        jobs.append(Job(id=i, p=rng.randint(1, 30), q=rng.randint(1, 8),
+                        release=t))
+    runs = {}
+    for backend in ("list", "array", "auto"):
+        result = ReplayEngine(
+            8, "easy", profile_backend=backend, window=7, record_starts=True
+        ).run(jobs)
+        totals = dict(result.totals)
+        del totals["elapsed_seconds"], totals["peak_profile_segments"]
+        runs[backend] = (result.starts, result.windows, totals)
+    assert max(runs["list"][0].values()) > 2**63
+    assert runs["array"] == runs["auto"] == runs["list"]
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,7 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.core.instance import ReservationInstance
 from repro.core.job import Job, Reservation
+from repro.core.profiles import ListProfile
 from repro.core.schedule import Schedule
 from repro.devtools import failpoints
 from repro.durability import Journal
@@ -354,7 +355,7 @@ class TestCoreVerbs:
     def test_auto_reserve_demotes_on_fractional_times(self):
         # a non-integral hole demotes `auto` to the list backend, as a
         # non-integral job does on arrival, instead of reaching the
-        # int64 kernel
+        # integer-grid kernel
         with pytest.warns(ReplayDemotionWarning, match="reservation"):
             auto = self._fractional_hole_starts("auto")
         exact = self._fractional_hole_starts("list")
@@ -373,8 +374,8 @@ class TestCoreVerbs:
         return core
 
     def test_auto_submit_demotes_on_fractional_times(self):
-        # the job ends past the int64 kernel's largest time: `auto`
-        # demotes at submit, so the bound check runs as on "list"
+        # a float time far out on the line: `auto` demotes at submit,
+        # so the job runs as on "list"
         with pytest.warns(ReplayDemotionWarning, match="job 0"):
             auto = self._huge_fractional_submit("auto")
         exact = self._huge_fractional_submit("list")
@@ -389,7 +390,7 @@ class TestCoreVerbs:
             core.submit(Job(id="f", p=Fraction(1, 2), q=1, release=0))
         assert core.cancel("f") == "staged"
         assert core.demoted and core.demoted_at == {"job": "f", "release": 0}
-        # past the int64 kernel, but the live profile is the list one now
+        # a large int, and the live profile is the list one now
         core.submit(Job(id="big", p=10, q=4, release=2**63))
         core.drain()
         assert core.starts == {"big": 2**63}
@@ -618,10 +619,9 @@ class TestSchedulerService:
         "bad",
         [
             make_submit("wide", 3, 9, 1),      # wider than m=8
-            make_submit("huge", 2**70, 1, 1),  # past the int64 kernel
             make_submit("tiny", 5e-78, 1, 1),  # 1 + p == 1 in floats
         ],
-        ids=["over-wide", "int64-overflow", "float-absorbed"],
+        ids=["over-wide", "float-absorbed"],
     )
     def test_unplaceable_submit_is_refused_and_resume_holds(
         self, tmp_path, bad
@@ -647,16 +647,48 @@ class TestSchedulerService:
         ) == live
         recovered.close()
 
-    def test_queued_job_cannot_end_past_int64(self, tmp_path):
-        """Each job's own ``release + p`` fits, but the short job queued
-        behind the long one would end past the int64 kernel: the bound
-        covers the queue, so the second submit is refused."""
-        service = SchedulerService.create(str(tmp_path / "j"), m=4)
-        assert service.handle(make_submit("long", 2**63 - 10, 4, 0))["ok"]
-        refused = service.handle(make_submit("short", 20, 4, 0))
-        assert refused["error"]["kind"] == "model"
-        assert service.handle(make_advance(1))["ok"]
+    def test_times_past_int64_match_list(self, tmp_path):
+        """Jobs and holes at and past 2**63 (a short job queued behind
+        one that ends there, a release and a hole beyond it) are accepted
+        on the default array kernel, which ends in the same state as the
+        list backend and resumes to it byte for byte."""
+        ops = [
+            make_submit("long", 2**63 - 10, 4, 0),
+            make_submit("short", 20, 4, 0),
+            make_reserve(2**64, 2**63, 2),
+            make_advance(2**63 - 10),
+            make_submit("late", 7, 3, 2**64 + 1),
+            make_submit("later", 5, 2, 2**70),
+            make_advance(2**64 + 3),
+        ]
+        service = SchedulerService.create(str(tmp_path / "j"), m=4, window=2)
+        reference = SchedulerService(
+            SchedulerCore(4, window=2, profile_backend="list")
+        )
+        for body in ops:
+            assert service.handle(body)["ok"], body
+            assert reference.handle(body)["ok"], body
+        assert type(service.core.profile).__name__ == "ArrayProfile"
+        assert not service.core.demoted
+
+        def unpruned(core):
+            # the backends prune on different cadences, so compare the
+            # profile from the clock on and drop the pruning gauges
+            state = core.describe_state()
+            profile = ListProfile(
+                state.pop("profile_times"), state.pop("profile_caps")
+            )
+            profile.prune_before(core.now)
+            for gauge in ("peak_segments", "pruned_to", "since_prune"):
+                del state["counters"][gauge]
+            return state, profile.as_lists()
+
+        assert unpruned(service.core) == unpruned(reference.core)
+        live = _state(service)
         service.close()
+        recovered, _ = SchedulerService.resume(str(tmp_path / "j"))
+        assert _state(recovered) == live
+        recovered.close()
 
     def test_mixed_int_and_string_ids_describe(self):
         service = SchedulerService(SchedulerCore(4, window=2))
@@ -711,8 +743,9 @@ _ANY_JSON = st.one_of(
     st.lists(_JSON_SCALARS, max_size=3),
     st.dictionaries(st.text(max_size=3), _JSON_SCALARS, max_size=3),
 )
-#: Numbers at the int64 array kernel's edge, on both sides of it.
-_INT64_EDGE = st.one_of(st.integers(2**63 - 64, 2**63), st.just(2**70))
+#: Integers at and past 2**63, which the array kernel holds like any
+#: other int (the HTTP front end gets them from JSON unbounded).
+_BIG_INTS = st.one_of(st.integers(2**63 - 64, 2**63), st.just(2**70))
 #: Op mix: mostly submits and advances, so streams get to schedule.
 _OPS = (["submit"] * 8 + ["advance"] * 4 + ["cancel", "reserve"] * 2
         + ["drain", "status", "state", "windows", "nope"])
@@ -721,14 +754,14 @@ _OPS = (["submit"] * 8 + ["advance"] * 4 + ["cancel", "reserve"] * 2
 @st.composite
 def _fuzz_op(draw):
     """One request: a sensible value in most fields, so streams get far
-    enough to schedule, and arbitrary JSON, int64-edge numbers, missing
+    enough to schedule, and arbitrary JSON, integers past 2**63, missing
     keys or a non-request in the rest."""
     def pick(sensible):
         roll = draw(st.integers(0, 15))
         if roll == 0:
             return draw(_ANY_JSON)
         if roll == 1:
-            return draw(_INT64_EDGE)
+            return draw(_BIG_INTS)
         if roll == 2:
             return draw(st.floats(0, 40))
         return draw(sensible)

@@ -5,8 +5,10 @@ scheduling on the scaled-integer twin and denormalising produces exactly
 the schedule the exact ``Fraction`` path produces.  These tests check it
 the hard way — hypothesis-style randomized grids across **every
 registered scheduler and workload generator**, plus targeted property
-tests of the engine pieces (``Timebase``, ``IntSweepProfile``, the
-incremental LSRC sweep, the online simulation twin).
+tests of the engine pieces (``Timebase``, the incremental LSRC sweep
+on the integer kernel, the online simulation twin).  The kernel itself,
+``ArrayProfile``, is held to the list backend op by op in
+``tests/test_profile_backends.py``.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from repro.core.profiles import ArrayProfile, ListProfile
 from repro.core.schedule import Schedule
 from repro.core.timebase import (
     TIMEBASE_POLICIES,
-    IntSweepProfile,
     Timebase,
     check_timebase_policy,
     exactify_instance,
@@ -70,6 +71,15 @@ class TestTimebase:
         )
         tb = Timebase.of(inst)
         assert tb.scale == 12  # lcm(2, 3, 6, 4, 2)
+
+    def test_twin_profile_scales_instance_times(self):
+        inst = ReservationInstance.from_specs(
+            4, [(Fraction(1, 2), 2)], [(Fraction(1, 2), Fraction(3, 2), 3)]
+        )
+        twin = Timebase.of(inst).normalize_instance(inst)
+        fast = ArrayProfile(*twin.availability_lists(), _validate=False)
+        assert list(fast.breakpoints) == [0, 1, 4]
+        assert fast.capacity_at(0) == 4 and fast.capacity_at(2) == 1
 
     def test_scale_and_denormalize_roundtrip(self):
         tb = Timebase(12)
@@ -139,94 +149,6 @@ class TestTimebase:
         assert exact.jobs[0].release == Fraction(1, 4)
         assert exact.reservations[0].start == Fraction(3, 4)
         assert isinstance(exact.jobs[0].p, Fraction)
-
-
-# ---------------------------------------------------------------------------
-# IntSweepProfile vs the exact reference backend
-# ---------------------------------------------------------------------------
-
-def _random_profile(rng):
-    n = rng.randint(1, 14)
-    times = sorted(rng.sample(range(0, 120), n))
-    if times[0] != 0:
-        times.insert(0, 0)
-    caps = [rng.randint(0, 12) for _ in times]
-    # canonicalize (merge equal neighbours) through the reference backend
-    ref = ListProfile(times, caps)
-    t, c = ref.as_lists()
-    return ref, IntSweepProfile(t, c)
-
-
-def _segments(profile):
-    """``(start, capacity)`` of every segment: the whole profile."""
-    return [(t, profile.capacity_at(t)) for t in profile.breakpoints]
-
-
-class TestIntSweepProfile:
-    def test_differential_ops_against_list_backend(self):
-        """Random mirrored op sequences: every query agrees with the
-        reference backend; mutations keep agreeing afterwards."""
-        rng = random.Random(20260730)
-        for _ in range(120):
-            ref, fast = _random_profile(rng)
-            for _ in range(30):
-                op = rng.randrange(6)
-                start = rng.randint(0, 130)
-                dur = rng.randint(1, 25)
-                q = rng.randint(1, 8)
-                if op == 0:
-                    assert fast.capacity_at(start) == ref.capacity_at(start)
-                elif op == 1:
-                    assert fast.fits(q, start, dur) == ref.fits(q, start, dur)
-                elif op == 2:
-                    assert (fast.earliest_fit(q, dur, after=start)
-                            == ref.earliest_fit(q, dur, after=start))
-                elif op == 3:
-                    end = None if rng.random() < 0.3 else start + dur
-                    assert (fast.max_capacity_between(start, end)
-                            == ref.max_capacity_between(start, end))
-                elif op == 4:
-                    # the fused probe-and-commit: commits iff it fits, and
-                    # a miss leaves the profile as it was
-                    before = _segments(fast)
-                    fits = ref.fits(q, start, dur)
-                    assert fast.try_reserve(start, dur, q) == fits
-                    if fits:
-                        ref.reserve(start, dur, q)
-                    else:
-                        assert _segments(fast) == before
-                    assert _segments(fast) == _segments(ref)
-                else:
-                    # mutate both sides; IntSweepProfile trusts callers to
-                    # have checked feasibility, so probe the reference
-                    if ref.min_capacity(start, start + dur) >= q:
-                        ref.reserve(start, dur, q)
-                        fast.reserve(start, dur, q)
-            assert list(fast.breakpoints), "profile must keep a segment"
-
-    def test_prune_before_preserves_future_queries(self):
-        rng = random.Random(7)
-        for _ in range(40):
-            ref, fast = _random_profile(rng)
-            front = rng.randint(0, 100)
-            fast.prune_before(front)
-            for _ in range(10):
-                t = front + rng.randint(0, 40)
-                dur = rng.randint(1, 20)
-                q = rng.randint(1, 8)
-                assert fast.capacity_at(t) == ref.capacity_at(t)
-                assert fast.fits(q, t, dur) == ref.fits(q, t, dur)
-                assert (fast.earliest_fit(q, dur, after=t)
-                        == ref.earliest_fit(q, dur, after=t))
-
-    def test_int_sweep_profile_scales_instance_times(self):
-        inst = ReservationInstance.from_specs(
-            4, [(Fraction(1, 2), 2)], [(Fraction(1, 2), Fraction(3, 2), 3)]
-        )
-        twin = Timebase.of(inst).normalize_instance(inst)
-        fast = IntSweepProfile(*twin.availability_lists())
-        assert list(fast.breakpoints) == [0, 1, 4]
-        assert fast.capacity_at(0) == 4 and fast.capacity_at(2) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +268,7 @@ _res_specs = st.lists(
 )
 
 
-#: The offline schedulers with an integer-grid engine (``IntSweepProfile``),
+#: The offline schedulers with an integer-grid engine (``ArrayProfile``),
 #: each built from a priority rule (EASY has none: it is FCFS-ordered).
 SWEEP_SCHEDULERS = {
     "lsrc": ListScheduler,
@@ -372,7 +294,8 @@ def test_incremental_sweep_property(
 ):
     """Hypothesis property: for any instance on any 1/denom grid, each
     offline scheduler's integer engine (LSRC's incremental sweep;
-    conservative, ``seq`` and EASY on ``IntSweepProfile``) equals its
+    conservative and ``seq`` on ``ArrayProfile``, EASY through the
+    scheduler core) equals its
     exact reference path."""
     specs = [
         (Fraction(p, denom), min(q, m), Fraction(r, denom))
@@ -398,13 +321,13 @@ def test_incremental_sweep_probes_only_jobs_that_fit_now(monkeypatch):
     exact, so it never probes a job wider than what is left free at
     ``t``: two full-width jobs released together cost one probe."""
     probes = []
-    original = IntSweepProfile.try_reserve
+    original = ArrayProfile.try_reserve
 
     def try_reserve(self, start, duration, amount):
         probes.append(amount <= self.capacity_at(start))
         return original(self, start, duration, amount)
 
-    monkeypatch.setattr(IntSweepProfile, "try_reserve", try_reserve)
+    monkeypatch.setattr(ArrayProfile, "try_reserve", try_reserve)
     two_wide = ReservationInstance.from_specs(2, [(5, 2), (5, 2)])
     assert ListScheduler().schedule(two_wide).starts == {0: 0, 1: 5}
     assert probes == [True, True]
@@ -676,7 +599,7 @@ GRID_PLACED_SCHEDULERS = ("backfill-cons", "seq")
 @pytest.mark.parametrize("name", GRID_PLACED_SCHEDULERS)
 def test_grid_path_places_on_int_sweep_profile(monkeypatch, name):
     """On the integer twin, conservative and ``seq`` place on an
-    ``IntSweepProfile``; a named ``profile_backend`` still reaches the
+    ``ArrayProfile``; a named ``profile_backend`` still reaches the
     grid path (the runner's ``profile_backends`` factor)."""
     calls = {"int": 0, "list": 0}
 
@@ -689,7 +612,7 @@ def test_grid_path_places_on_int_sweep_profile(monkeypatch, name):
 
         monkeypatch.setattr(cls, "earliest_fit", earliest_fit)
 
-    counting(IntSweepProfile, "int")
+    counting(ArrayProfile, "int")
     counting(ListProfile, "list")
     instance = _wrapper_instance("int", 1)
     default = get_scheduler(name).schedule(instance)
