@@ -5,10 +5,10 @@ scheduling on the scaled-integer twin and denormalising produces exactly
 the schedule the exact ``Fraction`` path produces.  These tests check it
 the hard way — hypothesis-style randomized grids across **every
 registered scheduler and workload generator**, plus targeted property
-tests of the engine pieces (``Timebase``, the incremental LSRC sweep
-on the integer kernel, the online simulation twin).  The kernel itself,
-``ArrayProfile``, is held to the list backend op by op in
-``tests/test_profile_backends.py``.
+tests of the engine pieces (``Timebase``, the integer sweep kernel as
+the schedulers build it, the incremental LSRC sweep, the online
+simulation twin).  The kernel, ``ArrayProfile``, is also held to the
+list backend op by op, past 2**63, in ``tests/test_profile_backends.py``.
 """
 
 from __future__ import annotations
@@ -149,6 +149,88 @@ class TestTimebase:
         assert exact.jobs[0].release == Fraction(1, 4)
         assert exact.reservations[0].start == Fraction(3, 4)
         assert isinstance(exact.jobs[0].p, Fraction)
+
+
+# ---------------------------------------------------------------------------
+# the placement kernel, as the sweep schedulers build it, vs the reference
+# ---------------------------------------------------------------------------
+
+def _random_profile(rng):
+    n = rng.randint(1, 14)
+    times = sorted(rng.sample(range(0, 120), n))
+    if times[0] != 0:
+        times.insert(0, 0)
+    caps = [rng.randint(0, 12) for _ in times]
+    # canonicalize (merge equal neighbours) through the reference backend
+    ref = ListProfile(times, caps)
+    t, c = ref.as_lists()
+    return ref, ArrayProfile(t, c, _validate=False)
+
+
+def _segments(profile):
+    """``(start, capacity)`` of every segment: the whole profile."""
+    return [(t, profile.capacity_at(t)) for t in profile.breakpoints]
+
+
+class TestIntSweepProfile:
+    """The integer sweep kernel (``ArrayProfile`` built unvalidated, as
+    LSRC, conservative backfilling and ``seq`` build it)."""
+
+    def test_differential_ops_against_list_backend(self):
+        """Random mirrored op sequences: every query agrees with the
+        reference backend; mutations keep agreeing afterwards."""
+        rng = random.Random(20260730)
+        for _ in range(120):
+            ref, fast = _random_profile(rng)
+            for _ in range(30):
+                op = rng.randrange(6)
+                start = rng.randint(0, 130)
+                dur = rng.randint(1, 25)
+                q = rng.randint(1, 8)
+                if op == 0:
+                    assert fast.capacity_at(start) == ref.capacity_at(start)
+                elif op == 1:
+                    assert fast.fits(q, start, dur) == ref.fits(q, start, dur)
+                elif op == 2:
+                    assert (fast.earliest_fit(q, dur, after=start)
+                            == ref.earliest_fit(q, dur, after=start))
+                elif op == 3:
+                    end = None if rng.random() < 0.3 else start + dur
+                    assert (fast.max_capacity_between(start, end)
+                            == ref.max_capacity_between(start, end))
+                elif op == 4:
+                    # the fused probe-and-commit: commits iff it fits, and
+                    # a miss leaves the profile as it was
+                    before = _segments(fast)
+                    fits = ref.fits(q, start, dur)
+                    assert fast.try_reserve(start, dur, q) == fits
+                    if fits:
+                        ref.reserve(start, dur, q)
+                    else:
+                        assert _segments(fast) == before
+                    assert _segments(fast) == _segments(ref)
+                else:
+                    # the sweep commits only what it has probed to fit
+                    if ref.min_capacity(start, start + dur) >= q:
+                        ref.reserve(start, dur, q)
+                        fast.reserve_fitting(start, dur, q)
+            assert list(fast.breakpoints), "profile must keep a segment"
+            assert _segments(fast) == _segments(ref)
+
+    def test_prune_before_preserves_future_queries(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            ref, fast = _random_profile(rng)
+            front = rng.randint(0, 100)
+            fast.prune_before(front)
+            for _ in range(10):
+                t = front + rng.randint(0, 40)
+                dur = rng.randint(1, 20)
+                q = rng.randint(1, 8)
+                assert fast.capacity_at(t) == ref.capacity_at(t)
+                assert fast.fits(q, t, dur) == ref.fits(q, t, dur)
+                assert (fast.earliest_fit(q, dur, after=t)
+                        == ref.earliest_fit(q, dur, after=t))
 
 
 # ---------------------------------------------------------------------------
