@@ -31,6 +31,17 @@ Two readers share one line parser, so they cannot drift:
   (:mod:`repro.simulation.replay`) and scales to multi-million-job
   archive traces that must never be held in memory at once.
 
+The line parser has a fast path for the common line, whose fields 1, 2,
+4 and 5 are plain integers with a positive runtime and processor count:
+it splits off only the first five fields and parses those four with
+``int``.  Every other line (fewer than five fields, a decimal or
+non-finite token, runtime ``-1``/``0`` falling back to field 9,
+processors ``-1`` falling back to field 8) goes through the general
+parse of the full token list; the fast path gives the general parse's
+answer wherever it answers.  A parsed row is a valid job as it
+stands, so both readers build jobs with
+:meth:`~repro.core.job.Job.trusted`.
+
 For benchmarks and CI there is also a deterministic synthetic scenario
 pack (:func:`synth_swf_jobs`): three named trace profiles at parametric
 scale whose prefixes agree across scales, so a 100k-job run is literally
@@ -56,7 +67,7 @@ from typing import (
     Union,
 )
 
-from ..core.instance import RigidInstance
+from ..core.instance import RigidInstance, _check_machine_count
 from ..core.job import Job
 from ..errors import TraceFormatError
 
@@ -107,12 +118,37 @@ def _parse_swf_number(token: str):
     return value
 
 
-def _parse_swf_data_line(tokens: List[str]):
+def _parse_swf_data_line(text: str):
     """Parse one data line into ``(job_no, submit, runtime, procs)``.
 
     Returns ``(row, None)`` on success and ``(None, reason)`` for a line
     that must be skipped.  Both :func:`read_swf` and :class:`SWFStream`
     go through here, so the readers agree field for field.
+
+    A line whose fields 1, 2, 4 and 5 are plain integers with a positive
+    runtime and processor count is answered from its first five fields;
+    every other line goes to :func:`_parse_swf_tokens` on the full split.
+    """
+    fields = text.split(None, 5)
+    try:
+        job_no = int(fields[0])
+        submit = int(fields[1])
+        runtime = int(fields[3])
+        procs = int(fields[4])
+    except (ValueError, IndexError):
+        return _parse_swf_tokens(text.split())
+    if runtime > 0 and procs > 0:
+        return (job_no, submit if submit > 0 else 0, runtime, procs), None
+    return _parse_swf_tokens(text.split())
+
+
+def _parse_swf_tokens(tokens: List[str]):
+    """The general parse of a data line's tokens, with the result
+    convention of :func:`_parse_swf_data_line`.
+
+    A returned row is a valid :class:`~repro.core.job.Job` as it stands
+    (positive runtime, integer width >= 1, release >= 0), so the readers
+    build jobs with :meth:`~repro.core.job.Job.trusted`.
     """
     if len(tokens) < 5:
         return None, "fewer than 5 fields"
@@ -127,13 +163,22 @@ def _parse_swf_data_line(tokens: List[str]):
             procs = _parse_swf_number(tokens[7])  # requested procs
     except TraceFormatError as exc:
         return None, str(exc)
-    if runtime is None or runtime <= 0:
+    if runtime <= 0:
         return None, f"unusable runtime {runtime!r}"
-    if procs is None or procs <= 0:
+    if procs < 1:  # a width in (0, 1) would truncate to no processor
         return None, f"unusable processor count {procs!r}"
     if submit < 0:
         submit = 0
     return (job_no, submit, runtime, int(procs)), None
+
+
+def _repeat_id(job_no: int, k: int) -> str:
+    """The id of the ``k``-th repeat (``k >= 1``) of a job number.
+
+    Duplicated job numbers occur in real traces; both readers count the
+    repeats of each number and name those of ``7`` ``"7+"``, ``"7++"``,
+    ..."""
+    return f"{job_no}{'+' * k}"
 
 
 def _header_maxprocs(text: str) -> Optional[int]:
@@ -189,7 +234,7 @@ def read_swf(
             if maxprocs is not None:
                 header_maxprocs = maxprocs
             continue
-        row, reason = _parse_swf_data_line(text.split())
+        row, reason = _parse_swf_data_line(text)
         if row is None:
             skipped.append((lineno, reason))
             continue
@@ -204,23 +249,19 @@ def read_swf(
     if machine is None:
         machine = max(q for (_, _, _, q) in raw_rows)
     base = min_submit or 0
-    seen_ids = set()
+    repeats = {}  # job number -> times it repeated so far
     for job_no, submit, runtime, procs in raw_rows:
-        jid = job_no
-        while jid in seen_ids:  # duplicated job numbers occur in real traces
-            jid = f"{jid}+"
-        seen_ids.add(jid)
+        k = repeats.get(job_no, -1) + 1
+        repeats[job_no] = k
+        jid = _repeat_id(job_no, k) if k else job_no
         if procs > machine:
             skipped.append(
                 (job_no, f"width {procs} exceeds machine {machine}; clipped")
             )
             procs = machine
         jobs.append(
-            Job(
-                id=jid,
-                p=runtime,
-                q=procs,
-                release=(submit - base) if use_release else 0,
+            Job.trusted(
+                jid, runtime, procs, (submit - base) if use_release else 0
             )
         )
     instance = RigidInstance(m=machine, jobs=tuple(jobs), name="swf-trace")
@@ -238,26 +279,31 @@ class _IdIntervals:
     set of a million-job trace collapses to a handful of intervals —
     duplicate detection stays exact while memory stays constant, which a
     plain ``set`` cannot offer the streaming reader.
+
+    ``next`` is one past the last interval (``None`` while the set is
+    empty).  The caller adds that number in O(1) by moving ``next`` one
+    further, which extends the last interval; any other number goes
+    through :meth:`add`, which costs a bisect.
     """
 
-    __slots__ = ("_starts", "_ends")
+    __slots__ = ("_starts", "_ends", "next")
 
     def __init__(self):
         self._starts: List[int] = []
         self._ends: List[int] = []
+        self.next: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self._starts)
 
-    def __contains__(self, value: int) -> bool:
-        i = bisect_right(self._starts, value) - 1
-        return i >= 0 and value <= self._ends[i]
-
-    def add(self, value: int) -> None:
+    def add(self, value: int) -> bool:
+        """Add ``value``; return whether it was not in the set before."""
         starts, ends = self._starts, self._ends
+        if ends:
+            ends[-1] = self.next - 1  # take in the O(1) extensions
         i = bisect_right(starts, value) - 1
-        if i >= 0 and value <= self._ends[i]:
-            return
+        if i >= 0 and value <= ends[i]:
+            return False
         join_left = i >= 0 and ends[i] == value - 1
         join_right = i + 1 < len(starts) and starts[i + 1] == value + 1
         if join_left and join_right:
@@ -271,6 +317,8 @@ class _IdIntervals:
         else:
             starts.insert(i + 1, value)
             ends.insert(i + 1, value)
+        self.next = ends[-1] + 1
+        return True
 
 
 class SWFStream:
@@ -360,9 +408,17 @@ class SWFStream:
             raise TraceFormatError("SWF stream contains no usable jobs")
 
     def _iter_jobs(self, fh: TextIO) -> Iterator[Job]:
-        int_ids = _IdIntervals()
-        renamed_ids = set()
-        last_submit = None
+        if self.m is not None:
+            _check_machine_count(self.m)
+        parse = _parse_swf_data_line
+        make_job = Job.trusted
+        ids = _IdIntervals()
+        repeats = {}  # job number -> times it repeated so far
+        max_jobs = self.max_jobs
+        m = self.m
+        base = None
+        last_submit = 0  # submits are clamped to >= 0
+        yielded = 0
         lineno = 0
         while True:
             lines = fh.readlines(STREAM_CHUNK_BYTES)
@@ -373,22 +429,22 @@ class SWFStream:
                 text = line.strip()
                 if not text:
                     continue
-                if text.startswith(";"):
+                if text[0] == ";":
                     self.header.append(text)
-                    if self.m is None:
-                        self.m = _header_maxprocs(text)
+                    if m is None:
+                        m = self.m = _header_maxprocs(text)
                     continue
-                row, reason = _parse_swf_data_line(text.split())
+                row, reason = parse(text)
                 if row is None:
                     self._skip(lineno, reason)
                     continue
                 job_no, submit, runtime, procs = row
-                if self.m is None:
+                if m is None:
                     raise TraceFormatError(
                         "machine size unknown: streaming needs m= or a "
                         "'; MaxProcs:' header before the first data line"
                     )
-                if last_submit is not None and submit < last_submit:
+                if submit < last_submit:
                     self._skip(
                         lineno,
                         f"submit time {submit} goes backwards "
@@ -396,29 +452,26 @@ class SWFStream:
                     )
                     continue
                 last_submit = submit
-                if self.base is None:
-                    self.base = submit
+                if base is None:
+                    base = self.base = submit
                 jid: object = job_no
-                if job_no in int_ids:
-                    jid = f"{job_no}+"
-                    while jid in renamed_ids:
-                        jid = f"{jid}+"
-                    renamed_ids.add(jid)
-                else:
-                    int_ids.add(job_no)
-                if procs > self.m:
+                if job_no == ids.next:
+                    ids.next = job_no + 1
+                elif not ids.add(job_no):
+                    k = repeats.get(job_no, 0) + 1
+                    repeats[job_no] = k
+                    jid = _repeat_id(job_no, k)
+                if procs > m:
                     self._clip(
                         lineno,
                         f"job {job_no}: width {procs} exceeds machine "
-                        f"{self.m}; clipped",
+                        f"{m}; clipped",
                     )
-                    procs = self.m
-                self.jobs_yielded += 1
-                yield Job(id=jid, p=runtime, q=procs, release=submit - self.base)
-                if (
-                    self.max_jobs is not None
-                    and self.jobs_yielded >= self.max_jobs
-                ):
+                    procs = m
+                yielded += 1
+                self.jobs_yielded = yielded
+                yield make_job(jid, runtime, procs, submit - base)
+                if max_jobs is not None and yielded >= max_jobs:
                     return
 
 

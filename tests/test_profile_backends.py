@@ -677,7 +677,7 @@ class TestArrayWideScans:
         return rng, cut, t, array_p, list_p
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_scalar_fallback_matches_numpy_and_list(self, seed):
+    def test_scalar_scans_match_list(self, seed):
         """The array backend's scalar scans (its only path) equal the
         list backend on wide windows."""
         minimum = 64

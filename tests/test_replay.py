@@ -199,6 +199,16 @@ class TestIterSWF:
             == [1, "1+", "1++", 7]
         )
 
+    def test_repeated_job_number_renaming_is_linear(self):
+        """3,000 repeats of one job number: each reader names the k-th
+        repeat from a count, so this takes milliseconds where probing
+        the ids already taken took seconds."""
+        n = 3000
+        text = _swf_text([(-1, i, 5, 1) for i in range(n)], maxprocs=4)
+        expected = [-1] + ["-1" + "+" * k for k in range(1, n)]
+        assert [j.id for j in read_swf(text).instance.jobs] == expected
+        assert [j.id for j in iter_swf(io.StringIO(text))] == expected
+
     def test_wide_jobs_clipped_and_reported(self):
         text = _swf_text([(1, 0, 5, 9)], maxprocs=4)
         stream = iter_swf(io.StringIO(text))

@@ -9,13 +9,19 @@ tokenised reference parse.
 """
 
 import io
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import TraceFormatError
+from repro.errors import InvalidInstanceError, TraceFormatError
 from repro.workloads import iter_swf, read_swf
-from repro.workloads.swf import _parse_swf_number
+from repro.workloads.swf import (
+    _IdIntervals,
+    _parse_swf_data_line,
+    _parse_swf_number,
+    _parse_swf_tokens,
+)
 
 #: line 1 is the header, line 2 job 1; a case's own lines start at 3
 HEAD = "; MaxProcs: 8\n1 0 0 10 1 -1 -1 1 12\n"
@@ -83,6 +89,8 @@ MATRIX = [
     ("procs-minus-1-requested-missing", ["2 5 0 60 -1 -1 -1 -1"], [],
      [(3, "unusable processor count -1")]),
     ("procs-0", ["2 5 0 60 0"], [], [(3, "unusable processor count 0")]),
+    ("procs-below-1", ["2 5 0 60 0.5"], [],
+     [(3, "unusable processor count 0.5")]),
     ("negative-submit-clamped", ["2 -7 0 60 4"], [(2, 60, 4, 0)], []),
     ("tabs-and-leading-whitespace", ["\t  2\t5 0\t60  4\t-1"],
      [(2, 60, 4, 5)], []),
@@ -162,6 +170,43 @@ def test_indented_header_lines():
     assert read_swf(alone).instance.m == 4
 
 
+@pytest.mark.parametrize("m", [0, -4, 2.5])
+def test_invalid_machine_size_is_refused(m):
+    """The readers build jobs unchecked, so a machine size that is not
+    a positive integer is refused rather than clipped to."""
+    with pytest.raises(InvalidInstanceError, match="machine count"):
+        read_swf(_trace(["2 5 0 60 9"]), m=m)
+    with pytest.raises(InvalidInstanceError, match="machine count"):
+        list(iter_swf(io.StringIO(_trace([])), m=m))
+
+
+def test_id_intervals_match_a_set():
+    rng = random.Random(7)
+    for _ in range(40):
+        ids, seen = _IdIntervals(), set()
+        for _ in range(300):
+            if ids.next is not None and rng.random() < 0.5:
+                value = ids.next
+                ids.next = value + 1  # the O(1) extension the stream uses
+                new = True
+            else:
+                value = rng.randrange(0, 200)
+                new = ids.add(value)
+            assert new == (value not in seen)
+            seen.add(value)
+        for value in range(-1, max(seen) + 2):
+            assert ids.add(value) == (value not in seen)
+            seen.add(value)
+        assert len(ids) == 1
+    sequential = _IdIntervals()
+    sequential.add(5)
+    for value in range(6, 10_000):
+        sequential.next = value + 1
+    assert len(sequential) == 1
+    assert not sequential.add(9_999) and sequential.add(10_000)
+    assert sequential.next == 10_001
+
+
 # ---------------------------------------------------------------------------
 # generated lines against a tokenised reference parse
 # ---------------------------------------------------------------------------
@@ -185,14 +230,14 @@ def _reference_parse(text):
         return None, str(exc)
     if runtime <= 0:
         return None, f"unusable runtime {runtime!r}"
-    if procs <= 0:
+    if procs < 1:
         return None, f"unusable processor count {procs!r}"
     return (job_no, max(submit, 0), runtime, int(procs)), None
 
 
 TOKENS = [
     "-1", "0", "1", "2", "7", "64", "-7", "3.0", "2.5", "1e3", "1.5e2",
-    "1_000", "+5", "abc", "nan", "inf", "-inf", "1e400", "12x",
+    "1_000", "+5", "abc", "nan", "inf", "-inf", "1e400", "12x", "0.5",
     str(2**53 + 1),
 ]
 token = st.one_of(
@@ -215,6 +260,9 @@ def data_lines(draw):
 @given(data_lines())
 def test_generated_lines_match_reference_parse(line):
     row, reason = _reference_parse(line)
+    # the fast path answers exactly as the general parse would
+    _same(_parse_swf_data_line(line), (row, reason))
+    _same(_parse_swf_tokens(line.split()), (row, reason))
     text = _trace([line])
     report, read_rows = _read(text)
     stream, stream_rows = _stream(text)

@@ -679,7 +679,7 @@ GRID_PLACED_SCHEDULERS = ("backfill-cons", "seq")
 
 
 @pytest.mark.parametrize("name", GRID_PLACED_SCHEDULERS)
-def test_grid_path_places_on_int_sweep_profile(monkeypatch, name):
+def test_grid_path_places_on_array_profile(monkeypatch, name):
     """On the integer twin, conservative and ``seq`` place on an
     ``ArrayProfile``; a named ``profile_backend`` still reaches the
     grid path (the runner's ``profile_backends`` factor)."""
