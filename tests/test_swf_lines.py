@@ -5,7 +5,8 @@ for every kind of odd line a real archive trace holds, what each reader
 makes of it: the yielded ``(id, p, q, release)`` (values *and* types),
 the skip reason text, the report line numbers and the skip/clip
 counters.  A property test then checks generated lines against a plain
-tokenised reference parse.
+tokenised reference parse, through both readers and through the
+parser's fast path and its general parse.
 """
 
 import io
