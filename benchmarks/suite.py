@@ -729,13 +729,10 @@ def bench_replay_throughput(
                 # roughly quadratic on the list backend: 0.7 s at 5k,
                 # 8.1 s at 20k, 34 s at 40k jobs on a 2-vCPU Xeon VM)
                 # runs on a 20k prefix of the same trace (synthetic
-                # traces are prefix-stable), and its replay legs prune on
-                # a tight cadence (pruning cadence never changes results
-                # — see the prune_before soundness contract — it only
-                # bounds the copied profile).
-                conservative = policy == "conservative"
-                ref_n = 20_000 if conservative else small_n
-                engine_opts = {"prune_interval": 256} if conservative else {}
+                # traces are prefix-stable).  Its replay legs stay cheap:
+                # the replay loop prunes every backend's profile after
+                # each event with completions, which bounds the copy.
+                ref_n = 20_000 if policy == "conservative" else small_n
                 reference_jobs[policy] = ref_n
                 if ref_n == small_n:
                     ref_instance = instance
@@ -754,7 +751,7 @@ def bench_replay_throughput(
                         streamed = replay_swf(
                             path, policy=policy, profile_backend=id_backend,
                             max_jobs=ref_n if ref_n != small_n else None,
-                            record_starts=True, **engine_opts,
+                            record_starts=True,
                         )
                         assert streamed.starts == reference.schedule.starts, (
                             f"{label}: streamed replay start times diverged "

@@ -10,8 +10,9 @@ columns of Python ints, and its design points are:
 * **prefix-delete pruning** — :meth:`prune_before` deletes the
   segments behind the frontier and re-anchors the frontier segment at
   time 0, the rule the list backend shares.  A forward sweep prunes
-  behind its clock (the replay loop on every completion), so the live
-  profile stays at tens of segments;
+  behind its clock (the replay loop, on either backend, after every
+  event with completions), so the live profile stays at tens of
+  segments;
 * **inline scans** — ``try_reserve`` and ``max_capacity_between`` walk
   the window from one bisection and stop at its right edge (or, for
   ``try_reserve``, at the first segment too low to fit);
@@ -117,11 +118,6 @@ class ArrayProfile(ProfileBackend):
 
     __slots__ = ("_times", "_caps")
 
-    #: Engine hint: :meth:`prune_before` costs O(live segments) and the
-    #: live window stays small, so sweep callers may prune on every
-    #: event instead of amortising over a coarse cadence.
-    CHEAP_PRUNE = True
-
     def __init__(
         self,
         times: List[Time],
@@ -146,8 +142,7 @@ class ArrayProfile(ProfileBackend):
         return list(self._times), list(self._caps)
 
     def segment_count(self) -> int:
-        """Number of segments — O(1) (the replay engine samples this on
-        every compaction for an exact peak gauge)."""
+        """Number of segments — O(1)."""
         return len(self._times)
 
     # ------------------------------------------------------------------

@@ -57,10 +57,12 @@ segments costs, per backend:
   augmented tree), whose constants lost to the flat arrays on every
   caller the repo runs, so no such backend ships.
 * ``array`` — same O(w + log n) shape as ``list``, on integer-grid
-  columns with one shared commit helper.  Its ``prune_before`` is the
-  list backend's prefix delete, cheap enough to run on every
-  completion, so a rolling sweep that prunes behind its clock keeps n
-  (and hence every w) at the active-window size.
+  columns with one shared commit helper.
+
+Both backends prune with the same prefix delete, cheap enough to run
+on every completion, so a rolling sweep that prunes behind its clock
+(the replay and serve loop does, on either backend) keeps n, and hence
+every w, at the active-window size.
 
 ``benchmarks/bench_profile_backends.py`` measures both per scenario.
 """
@@ -366,7 +368,8 @@ class ProfileBackend:
 
         Derived in O(n) here; backends with cheaper bookkeeping override
         it (the list and array backends answer in O(1)), which is what
-        lets the replay engine keep an exact peak-size gauge.
+        lets the replay engine sample an exact peak-size gauge before
+        every compaction.
         """
         return len(self.as_lists()[0])
 

@@ -1,6 +1,6 @@
 """RPL3xx — backend-protocol drift.
 
-The three profile backends must stay method-for-method aligned with the
+The profile backends must stay method-for-method aligned with the
 :class:`~repro.core.profiles.base.ProfileBackend` protocol as it grows
 (``try_reserve`` and ``reserve_fitting`` landed in separate PRs; drift
 was previously caught by hand).  This checker

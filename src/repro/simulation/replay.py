@@ -19,7 +19,9 @@ window* of the simulation rather than by trace length:
   forgotten — there is no ``finished`` dict and no event trace;
 * the availability profile is compacted behind the clock with
   :meth:`~repro.core.profiles.base.ProfileBackend.prune_before` (see the
-  soundness argument there), so it holds the active segments only.
+  soundness argument there) after every event with completions, on
+  every backend, so it holds the active segments only and the
+  ``peak_profile_segments`` gauge reads the same on each.
 
 Equivalence with the in-memory engine
 -------------------------------------
@@ -107,14 +109,6 @@ if TYPE_CHECKING:
 #: Default window size (jobs per metrics window).
 DEFAULT_WINDOW = 10_000
 
-#: Default completions between profile compactions for backends that
-#: do not advertise ``CHEAP_PRUNE``.  Pruning at a coarse cadence
-#: amortises the prefix delete to O(1) per job; the array backend
-#: advertises ``CHEAP_PRUNE`` and is pruned on every completion instead,
-#: which keeps its live profile at tens of segments (so each prefix
-#: delete is cheap) and this constant irrelevant to it.
-DEFAULT_PRUNE_INTERVAL = 4096
-
 #: ``totals`` fields excluded from the merged multi-policy JSONL rows:
 #: anything wall-clock-dependent would break the byte-identity of
 #: serial vs sharded output.
@@ -186,8 +180,7 @@ _CKPT_COUNTERS = (
     "arrived", "completed", "events", "total_work", "pmax",
     "latest_lb_finish", "last_completion", "sum_wait", "max_wait",
     "sum_slowdown", "sum_bsld", "max_bsld", "peak_queue",
-    "running_count", "peak_running", "peak_segments", "since_prune",
-    "pruned_to",
+    "running_count", "peak_running", "peak_segments", "pruned_to",
 )
 
 
@@ -368,21 +361,17 @@ class ReplayEngine:
     profile_backend:
         Availability structure (``"list"``/``"array"``/class, ``None``
         for ``"list"``, or the replay-specific ``"auto"``, the default).
-        ``"auto"`` starts on the integer-grid array kernel — pruned
-        behind the clock on every completion, it holds only the active
-        window — and demotes the live profile to the
-        exact ``"list"`` backend the moment a non-integral job time
-        appears (conversion preserves the represented function, so
-        results are identical; integer traces never demote).
+        ``"auto"`` starts on the integer-grid array kernel and demotes
+        the live profile to the exact ``"list"`` backend the moment a
+        non-integral job time appears (conversion preserves the
+        represented function, so results are identical; integer traces
+        never demote).  Every backend is pruned behind the clock after
+        each event with completions, so it holds only the active window.
     window:
         Jobs per metrics window (0 disables windowed rows).
     store:
         Optional :class:`~repro.run.store.JsonlStore` (or path) that
         window rows and the final totals row stream to.
-    prune_interval:
-        Completions between profile compactions (cheap-prune backends
-        compact every completion regardless; see
-        :data:`DEFAULT_PRUNE_INTERVAL`).
     bsld_tau:
         Bounded-slowdown runtime threshold.
     record_starts:
@@ -407,7 +396,6 @@ class ReplayEngine:
         profile_backend: BackendSpec = "auto",
         window: int = DEFAULT_WINDOW,
         store=None,
-        prune_interval: int = DEFAULT_PRUNE_INTERVAL,
         bsld_tau=BSLD_TAU,
         record_starts: bool = False,
         completion_queue: str = "calendar",
@@ -417,7 +405,7 @@ class ReplayEngine:
         from .scheduler_core import resolve_engine_config
 
         self.uncertainty = resolve_engine_config(
-            m, window, prune_interval, completion_queue, uncertainty
+            m, window, completion_queue, uncertainty
         )
         self.m = m
         self.policy_name = policy
@@ -427,7 +415,6 @@ class ReplayEngine:
         self._decide = policy_fn if fused_policies else partial(policy_fn)
         self.profile_backend = profile_backend
         self.window = window
-        self.prune_interval = prune_interval
         self.bsld_tau = bsld_tau
         self.record_starts = record_starts
         self.completion_queue = completion_queue
@@ -465,8 +452,8 @@ class ReplayEngine:
         core = SchedulerCore(
             self.m, self.policy_name,
             profile_backend=self.profile_backend, window=self.window,
-            store=self.store, prune_interval=self.prune_interval,
-            bsld_tau=self.bsld_tau, record_starts=self.record_starts,
+            store=self.store, bsld_tau=self.bsld_tau,
+            record_starts=self.record_starts,
             completion_queue=self.completion_queue, decide=self._decide,
             resume=resume, uncertainty=self.uncertainty,
         )

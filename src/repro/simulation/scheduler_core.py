@@ -66,7 +66,12 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from ..core.job import Job
 from ..core.metrics import BSLD_TAU, DEFAULT_SLOWDOWN_THRESHOLD
-from ..core.profiles import BackendSpec, convert_profile, make_profile
+from ..core.profiles import (
+    ArrayProfile,
+    BackendSpec,
+    convert_profile,
+    make_profile,
+)
 from ..devtools.failpoints import fire
 from ..errors import CapacityError, InvalidInstanceError, SchedulingError
 from ..workloads.uncertainty import resolve_uncertainty
@@ -75,7 +80,6 @@ from .replay import (
     _CKPT_COUNTERS,
     _note_demotion,
     _WindowAcc,
-    DEFAULT_PRUNE_INTERVAL,
     DEFAULT_WINDOW,
     ReplayCheckpoint,
     resolve_store,
@@ -92,8 +96,7 @@ _FAST_PASSES = (
 )
 
 
-def resolve_engine_config(m, window, prune_interval, completion_queue,
-                          uncertainty):
+def resolve_engine_config(m, window, completion_queue, uncertainty):
     """Validate the knobs :class:`SchedulerCore` and
     :class:`~repro.simulation.replay.ReplayEngine` share; returns the
     live uncertainty model (``None`` in the certain world)."""
@@ -101,8 +104,6 @@ def resolve_engine_config(m, window, prune_interval, completion_queue,
         raise SchedulingError(f"machine size must be >= 1, got {m!r}")
     if window < 0:
         raise SchedulingError(f"window must be >= 0, got {window!r}")
-    if prune_interval < 1:
-        raise SchedulingError("prune_interval must be >= 1")
     if completion_queue not in ("calendar", "heap"):
         raise SchedulingError(
             f"completion_queue must be 'calendar' or 'heap', "
@@ -173,7 +174,6 @@ class SchedulerCore:
         profile_backend: BackendSpec = "auto",
         window: int = DEFAULT_WINDOW,
         store=None,
-        prune_interval: int = DEFAULT_PRUNE_INTERVAL,
         bsld_tau=BSLD_TAU,
         record_starts: bool = False,
         completion_queue: str = "calendar",
@@ -181,9 +181,7 @@ class SchedulerCore:
         resume: Optional[ReplayCheckpoint] = None,
         uncertainty=None,
     ):
-        model = resolve_engine_config(
-            m, window, prune_interval, completion_queue, uncertainty
-        )
+        model = resolve_engine_config(m, window, completion_queue, uncertainty)
         if resume is not None and completion_queue != "calendar":
             raise SchedulingError(
                 "checkpoints require completion_queue='calendar'"
@@ -216,7 +214,6 @@ class SchedulerCore:
             (kind for kind, fn in _FAST_PASSES if fn is decide), None
         )
         self.window = window
-        self.prune_interval = prune_interval
         self.bsld_tau = bsld_tau
         self.use_heap = completion_queue == "heap"
         self.store = resolve_store(store)
@@ -237,8 +234,7 @@ class SchedulerCore:
         # demotes the live profile to the exact list backend before they
         # reach the integer-grid kernel; an explicit backend choice is
         # honoured (and loud).
-        self._cheap_prune = getattr(self.profile, "CHEAP_PRUNE", False)
-        self._watch_times = auto_backend and self._cheap_prune
+        self._watch_times = auto_backend and not self.demoted
 
         self.queue: Dict[object, Job] = {}  # arrived, unstarted; in order
         self.buckets: Dict = {}         # end time -> jobs finishing then
@@ -304,7 +300,6 @@ class SchedulerCore:
         self.running_count = 0
         self.peak_running = 0
         self.peak_segments = 1
-        self.since_prune = 0
         self.pruned_to = 0   # completions already compacted behind
 
         if resume is not None:
@@ -386,8 +381,11 @@ class SchedulerCore:
         demote = self._watch_times and not (
             type(job.p) is int and type(job.release) is int
         )
-        if self._cheap_prune and not self._watch_times and not (
-            isinstance(job.p, Integral) and isinstance(job.release, Integral)
+        if (
+            not self._watch_times
+            and isinstance(self.profile, ArrayProfile)
+            and not (isinstance(job.p, Integral)
+                     and isinstance(job.release, Integral))
         ):
             # an explicit array backend cannot demote to the list one
             raise InvalidInstanceError(
@@ -411,7 +409,7 @@ class SchedulerCore:
         )
         if demote:
             self.profile = convert_profile(self.profile, "list")
-            self._watch_times = self._cheap_prune = False
+            self._watch_times = False
             self.demoted = True
             self.demoted_at = _note_demotion(job)
         self._staged.append(job)
@@ -548,7 +546,7 @@ class SchedulerCore:
             ) from None
         if demote:
             self.profile = profile
-            self._watch_times = self._cheap_prune = False
+            self._watch_times = False
             self.demoted = True
             self.demoted_at = _note_demotion(reservation=(start, p, q))
         self._time_bound = bound
@@ -826,7 +824,6 @@ class SchedulerCore:
         would slow the whole loop."""
         m = self.m
         window = self.window
-        prune_interval = self.prune_interval
         bsld_tau = self.bsld_tau
         record = self.starts
         queue = self.queue
@@ -849,8 +846,6 @@ class SchedulerCore:
         (try_reserve, reserve_fitting, earliest_fit, min_capacity, capacity_at,
          fits, prune, seg_count) = _profile_ops(profile)
         watch_times = self._watch_times
-        cheap_prune = self._cheap_prune
-        fast_drain = shortcuts and cheap_prune
 
         blocked_id = self._blocked_id
         blocked_until = self._blocked_until
@@ -858,8 +853,7 @@ class SchedulerCore:
         now = self.now
         (arrived, completed, events, total_work, pmax, latest_lb_finish,
          last_completion, sum_wait, max_wait, sum_slowdown, sum_bsld, max_bsld,
-         peak_queue, running_count, peak_running, peak_segments, since_prune,
-         pruned_to) = [
+         peak_queue, running_count, peak_running, peak_segments, pruned_to) = [
             getattr(self, name) for name in _CKPT_COUNTERS
         ]
 
@@ -896,14 +890,14 @@ class SchedulerCore:
             while True:
                 if pending is None and frontier:
                     break  # slice exhausted: suspend at the frontier
-                if fast_drain and not queue and time_heap:
+                if shortcuts and not queue and time_heap:
                     tc = time_heap[0]
                     if (t_arrival is None or tc < t_arrival) and (
                         limit is None or tc <= limit
                     ):
-                        # Empty-queue drain: no decision can start
-                        # anything, so every completion before the next
-                        # arrival is processed in one tight loop.
+                        # Empty-queue drain (any backend): no decision
+                        # can start anything, so every completion before
+                        # the next arrival is processed in one tight loop.
                         # Nothing commits while draining and completions
                         # leave the profile alone, so one segment sample
                         # equals the peak of per-completion samples, and
@@ -915,7 +909,6 @@ class SchedulerCore:
                             if finished:
                                 n = len(finished)
                                 completed += n
-                                since_prune += n
                                 running_count -= n
                                 last_completion = tc
                                 if running_ids is not None:
@@ -970,7 +963,6 @@ class SchedulerCore:
                     if finished:
                         n = len(finished)
                         completed += n
-                        since_prune += n
                         running_count -= n
                         last_completion = now
                         if running_ids is not None:
@@ -1011,7 +1003,7 @@ class SchedulerCore:
                         # non-integral trace: demote to the exact list
                         # backend (conversion preserves the function)
                         profile = self.profile = convert_profile(profile, "list")
-                        watch_times = cheap_prune = fast_drain = False
+                        watch_times = False
                         self.demoted = True
                         self.demoted_at = _note_demotion(job)
                         (try_reserve, reserve_fitting, earliest_fit,
@@ -1266,20 +1258,14 @@ class SchedulerCore:
                 if running_count > peak_running:
                     peak_running = running_count
 
-                # 4. compact the profile behind the clock (completion
-                # events only: capacity history only accrues when jobs
-                # finish).  Cheap-prune backends have an O(1)
-                # segment_count, so the peak gauge samples before every
-                # compaction and is exact; others sample on the cadence.
-                if cheap_prune:
-                    if completed != pruned_to:
-                        pruned_to = completed
-                        segments = seg_count()
-                        if segments > peak_segments:
-                            peak_segments = segments
-                        prune(now)
-                elif since_prune >= prune_interval:
-                    since_prune = 0
+                # 4. compact the profile behind the clock after every
+                # event with completions (capacity history only accrues
+                # when jobs finish).  Both backends prune with one prefix
+                # delete and count segments in O(1), so the live profile
+                # stays at the active window and the peak gauge, sampled
+                # before each compaction, is exact.
+                if completed != pruned_to:
+                    pruned_to = completed
                     segments = seg_count()
                     if segments > peak_segments:
                         peak_segments = segments
@@ -1295,7 +1281,6 @@ class SchedulerCore:
                 # the next call (or a checkpoint) sees it exactly
                 cur_acc.fill(wa_arrived, wa_first, wa_work, wa_pmax, wa_latest)
             self._watch_times = watch_times
-            self._cheap_prune = cheap_prune
             self._blocked_id = blocked_id
             self._blocked_until = blocked_until
             self.now = now
@@ -1311,7 +1296,7 @@ class SchedulerCore:
                 arrived, completed, events, total_work, pmax,
                 latest_lb_finish, last_completion, sum_wait, max_wait,
                 sum_slowdown, sum_bsld, max_bsld, peak_queue, running_count,
-                peak_running, peak_segments, since_prune, pruned_to,
+                peak_running, peak_segments, pruned_to,
             )):
                 setattr(self, name, value)
 

@@ -207,9 +207,9 @@ def read_swf(
     Parameters
     ----------
     m:
-        Machine size.  When omitted it is taken from a
-        ``; MaxProcs:`` header line, or defaults to the maximum allocated
-        processor count seen.
+        Machine size.  When omitted it is taken from the first
+        ``; MaxProcs:`` header line (as :func:`iter_swf` takes it), or
+        defaults to the maximum allocated processor count seen.
     max_jobs:
         Stop after this many parsed jobs (trace truncation for quick
         experiments).
@@ -223,16 +223,16 @@ def read_swf(
     jobs: List[Job] = []
     header_maxprocs: Optional[int] = None
     min_submit: Optional[float] = None
-    raw_rows: List[Tuple[int, float, object, int]] = []
+    # (line number, job number, submit, runtime, processors)
+    raw_rows: List[Tuple[int, int, float, object, int]] = []
     for lineno, line in enumerate(stream, start=1):
         text = line.strip()
         if not text:
             continue
         if text.startswith(";"):
             header.append(text)
-            maxprocs = _header_maxprocs(text)
-            if maxprocs is not None:
-                header_maxprocs = maxprocs
+            if header_maxprocs is None:
+                header_maxprocs = _header_maxprocs(text)
             continue
         row, reason = _parse_swf_data_line(text)
         if row is None:
@@ -240,24 +240,26 @@ def read_swf(
             continue
         _, submit, _, _ = row
         min_submit = submit if min_submit is None else min(min_submit, submit)
-        raw_rows.append(row)
+        raw_rows.append((lineno, *row))
         if max_jobs is not None and len(raw_rows) >= max_jobs:
             break
     if not raw_rows:
         raise TraceFormatError("SWF stream contains no usable jobs")
     machine = m if m is not None else header_maxprocs
     if machine is None:
-        machine = max(q for (_, _, _, q) in raw_rows)
+        machine = max(row[4] for row in raw_rows)
     base = min_submit or 0
     repeats = {}  # job number -> times it repeated so far
-    for job_no, submit, runtime, procs in raw_rows:
+    for lineno, job_no, submit, runtime, procs in raw_rows:
         k = repeats.get(job_no, -1) + 1
         repeats[job_no] = k
         jid = _repeat_id(job_no, k) if k else job_no
         if procs > machine:
-            skipped.append(
-                (job_no, f"width {procs} exceeds machine {machine}; clipped")
-            )
+            skipped.append((
+                lineno,
+                f"job {job_no}: width {procs} exceeds machine {machine}; "
+                "clipped",
+            ))
             procs = machine
         jobs.append(
             Job.trusted(

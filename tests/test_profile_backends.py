@@ -592,11 +592,9 @@ class TestArrayIntOnly:
         assert p.area(Fraction(3, 2), Fraction(5, 2)) == Fraction(5, 2)
         assert p.earliest_fit(4, 2, after=Fraction(7, 2)) == 5
 
-    def test_cheap_prune_flag_and_offset_compaction(self):
+    def test_prune_leaves_only_live_segments(self):
         """Pruning leaves no dead prefix to compact: the columns hold
         exactly the live segments after every prune."""
-        assert ArrayProfile.CHEAP_PRUNE is True
-        assert not getattr(ListProfile, "CHEAP_PRUNE", False)
         p = ArrayProfile.constant(8)
         t = 0
         for k in range(2000):

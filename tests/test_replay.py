@@ -478,22 +478,24 @@ class TestReplayEngine:
         assert rows[-1]["n_jobs"] == 120
 
     def test_short_run_peak_segments_is_real(self):
-        """Sub-interval runs must still report the live-window peak,
-        not the post-drain size (review regression: the cheap-prune
-        gauge samples O(1) segment_count before every compaction)."""
+        """Short runs must still report the live-window peak, not the
+        post-drain size: the gauge samples the O(1) segment_count
+        before every compaction."""
         result = replay(
             synth_swf_jobs("steady", 400, m=16, seed=0), 16, window=0
         )
         assert result.totals["peak_profile_segments"] > 1
 
     def test_memory_stays_bounded(self):
-        result = replay(
-            synth_swf_jobs("steady", 4000, m=64, seed=0), 64,
-            prune_interval=200,
-        )
+        """The list backend is compacted on every completion, like the
+        array kernel, so its peak is the kernel's live window."""
+        jobs = list(synth_swf_jobs("steady", 4000, m=64, seed=0))
+        listed = replay(jobs, 64, profile_backend="list")
+        kernel = replay(jobs, 64, profile_backend="array")
+        peak = listed.totals["peak_profile_segments"]
         # without pruning the profile would hold ~2 breakpoints per job
-        assert result.totals["peak_profile_segments"] < 2000
-        assert result.starts is None
+        assert 1 < peak <= kernel.totals["peak_profile_segments"] < 200
+        assert listed.starts is None
 
     def test_impossible_job_raises(self):
         from repro.core.job import Job
@@ -566,7 +568,7 @@ def test_streamed_replay_is_byte_identical_to_in_memory(
     ).run()
     streamed = replay_swf(
         path, policy=policy, profile_backend=backend,
-        window=5, prune_interval=3, record_starts=True,
+        window=5, record_starts=True,
     )
     assert streamed.starts == reference.schedule.starts
     summary = summarize(reference.schedule)
@@ -580,7 +582,8 @@ def test_streamed_replay_is_byte_identical_to_in_memory(
 def test_replay_past_int64_matches_list():
     """Releases and ends at and past 2**63 replay on the array kernel
     (explicit and ``auto``) to the list backend's starts, window rows
-    and totals; only the pruning gauge and the wall clock differ."""
+    and totals, the peak-segment gauge included; only the wall clock
+    differs."""
     rng = random.Random(5)
     jobs, t = [], 2**63 - 40
     for i in range(60):
@@ -593,7 +596,7 @@ def test_replay_past_int64_matches_list():
             8, "easy", profile_backend=backend, window=7, record_starts=True
         ).run(jobs)
         totals = dict(result.totals)
-        del totals["elapsed_seconds"], totals["peak_profile_segments"]
+        del totals["elapsed_seconds"]
         runs[backend] = (result.starts, result.windows, totals)
     assert max(runs["list"][0].values()) > 2**63
     assert runs["array"] == runs["auto"] == runs["list"]
@@ -809,6 +812,25 @@ class TestEngineConfigurations:
         strip = lambda t: {k: v for k, v in t.items()  # noqa: E731
                            if k != "elapsed_seconds"}
         assert strip(fused.totals) == strip(generic.totals)
+
+    @pytest.mark.parametrize("policy", ["fcfs", "greedy", "easy",
+                                        "conservative"])
+    @pytest.mark.parametrize("profile", SYNTH_PROFILES)
+    def test_list_equals_array_rows(self, profile, policy):
+        """Both backends are compacted by one rule, so they agree on
+        starts, window rows and every total, ``peak_profile_segments``
+        included."""
+        jobs = list(synth_swf_jobs(profile, 1500, m=64, seed=7))
+        runs = []
+        for backend in ("list", "array"):
+            result = ReplayEngine(64, policy=policy, window=400,
+                                  profile_backend=backend,
+                                  record_starts=True).run(jobs)
+            totals = dict(result.totals)
+            del totals["elapsed_seconds"]
+            runs.append((result.starts, result.windows, totals))
+        assert runs[0] == runs[1]
+        assert runs[0][2]["peak_profile_segments"] > 1
 
     def test_calendar_equals_heap_queue(self):
         jobs = list(synth_swf_jobs("steady", 2000, m=32, seed=2))

@@ -226,6 +226,23 @@ class TestEpochShardedReplay:
         tail.starts = {**head.starts, **tail.starts}
         assert _trim(tail) == _trim(serial)
 
+    @pytest.mark.parametrize("backend", ["auto", "list"])
+    def test_checkpoint_with_since_prune_counter_resumes(self, backend):
+        """Version-2 checkpoints written before the one prune rule carry
+        a ``since_prune`` counter; a resume ignores it and continues to
+        the serial run's totals, rows and starts."""
+        jobs = list(synth_swf_jobs("bursty", 400, m=64, seed=3))
+        kwargs = dict(window=50, record_starts=True, profile_backend=backend)
+        serial = ReplayEngine(64, **kwargs).run(jobs)
+        head = ReplayEngine(64, **kwargs).run_slice(jobs[:200], drain=False)
+        ckpt = head.checkpoint
+        assert "since_prune" not in ckpt.counters
+        ckpt.counters = {**ckpt.counters, "since_prune": 117}
+        tail = ReplayEngine(64, **kwargs).run_slice(jobs[200:], resume=ckpt)
+        tail.windows = head.windows + tail.windows
+        tail.starts = {**head.starts, **tail.starts}
+        assert _trim(tail) == _trim(serial)
+
     def test_demotion_record_crosses_epochs(self):
         """A demotion in the first slice rides the checkpoint: the final
         totals carry the original offending job, and the schedule is

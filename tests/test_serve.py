@@ -40,7 +40,6 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.core.instance import ReservationInstance
 from repro.core.job import Job, Reservation
-from repro.core.profiles import ListProfile
 from repro.core.schedule import Schedule
 from repro.devtools import failpoints
 from repro.durability import Journal
@@ -670,20 +669,7 @@ class TestSchedulerService:
             assert reference.handle(body)["ok"], body
         assert type(service.core.profile).__name__ == "ArrayProfile"
         assert not service.core.demoted
-
-        def unpruned(core):
-            # the backends prune on different cadences, so compare the
-            # profile from the clock on and drop the pruning gauges
-            state = core.describe_state()
-            profile = ListProfile(
-                state.pop("profile_times"), state.pop("profile_caps")
-            )
-            profile.prune_before(core.now)
-            for gauge in ("peak_segments", "pruned_to", "since_prune"):
-                del state["counters"][gauge]
-            return state, profile.as_lists()
-
-        assert unpruned(service.core) == unpruned(reference.core)
+        assert service.core.describe_state() == reference.core.describe_state()
         live = _state(service)
         service.close()
         recovered, _ = SchedulerService.resume(str(tmp_path / "j"))

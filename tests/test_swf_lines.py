@@ -136,34 +136,37 @@ def test_backwards_submit():
 
 
 def test_width_past_machine_is_clipped():
-    """Clipped jobs are replayed, so they are reported apart from the
-    skipped ones; ``read_swf``'s entry carries the job number, the
-    stream's the line number."""
+    """Clipped jobs are replayed, so the stream reports them apart from
+    the skipped ones; both readers key the entry by line number, with
+    the same text."""
     text = _trace(["2 5 0 60 9"])
+    clipped = [(3, "job 2: width 9 exceeds machine 8; clipped")]
     report, rows = _read(text)
     _same(rows, [FIRST, (2, 60, 8, 5), LAST])
-    _same(report.skipped, [(2, "width 9 exceeds machine 8; clipped")])
+    _same(report.skipped, clipped)
     stream, rows = _stream(text)
     _same(rows, [FIRST, (2, 60, 8, 5), LAST])
     assert (stream.skipped, stream.n_skipped) == ([], 0)
-    _same(stream.clipped, [(3, "job 2: width 9 exceeds machine 8; clipped")])
+    _same(stream.clipped, clipped)
     assert stream.n_clipped == 1
 
 
 def test_indented_header_lines():
     """A ``;`` line is a header however it is indented; it is stored
-    stripped.  ``read_swf`` takes the last ``MaxProcs`` header, the
-    stream the first (it must know the machine before any job)."""
+    stripped.  Both readers take the first ``MaxProcs`` header (the
+    stream must know the machine before any job), so a later one
+    changes nothing."""
     text = _trace(["   ; MaxProcs: 16", "\t; a note", "2 5 0 60 12"])
     headers = ["; MaxProcs: 8", "; MaxProcs: 16", "; a note"]
+    clipped = [(5, "job 2: width 12 exceeds machine 8; clipped")]
     report, rows = _read(text)
-    assert report.header == headers and report.instance.m == 16
-    _same(rows, [FIRST, (2, 60, 12, 5), LAST])
-    assert report.skipped == []
+    assert report.header == headers and report.instance.m == 8
+    _same(rows, [FIRST, (2, 60, 8, 5), LAST])
+    _same(report.skipped, clipped)
     stream, rows = _stream(text)
     assert stream.header == headers and stream.m == 8
     _same(rows, [FIRST, (2, 60, 8, 5), LAST])
-    _same(stream.clipped, [(5, "job 2: width 12 exceeds machine 8; clipped")])
+    _same(stream.clipped, clipped)
     assert (stream.n_skipped, stream.n_clipped) == (0, 1)
     alone = "  ; MaxProcs: 4\n1 0 0 10 2\n"
     stream, rows = _stream(alone)
@@ -291,9 +294,8 @@ def test_generated_lines_match_reference_parse(line):
         _same(stream_rows, [FIRST, (jid, runtime, q, submit), last])
         assert stream.skipped == []
     if procs > 8:
-        _same(report.skipped,
-              [(job_no, f"width {procs} exceeds machine 8; clipped")])
-        _same(stream.clipped,
-              [(3, f"job {job_no}: width {procs} exceeds machine 8; clipped")])
+        clipped = [(3, f"job {job_no}: width {procs} exceeds machine 8; clipped")]
+        _same(report.skipped, clipped)
+        _same(stream.clipped, clipped)
     else:
         assert report.skipped == [] and stream.clipped == []
