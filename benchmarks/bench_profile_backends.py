@@ -221,7 +221,7 @@ def bench_windowed_queries(n_breakpoints: int, queries: int, seed: int, repeats:
 # ---------------------------------------------------------------------------
 
 def speedup_array(timings):
-    """list/array: how far the integer-grid kernel beats the reference."""
+    """list/array: how far the array kernel beats the reference."""
     return timings["list"] / timings["array"] if timings["array"] > 0 else math.inf
 
 

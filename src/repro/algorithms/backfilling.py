@@ -21,7 +21,7 @@ probably) harms nobody.  The paper discusses the spectrum:
 Both schedulers run on the instance's integer twin by default
 (``timebase="auto"``, see :mod:`repro.core.timebase`).  Conservative
 backfilling is ``seq``'s placement engine and places there on the
-integer kernel :class:`~repro.core.profiles.ArrayProfile` unless a
+kernel :class:`~repro.core.profiles.ArrayProfile` unless a
 ``profile_backend`` is named.  EASY has no event loop of its own: it
 drives :class:`~repro.simulation.scheduler_core.SchedulerCore`, the loop
 behind replay and ``repro serve``, whose inlined EASY pass is the one

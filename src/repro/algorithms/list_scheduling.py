@@ -58,7 +58,7 @@ Two engines compute the *same* schedule;
   - profile breakpoints are *not* decision points at all: the cached
     ``earliest_fit`` wake-ups subsume them (an exchange argument in
     ``tests/test_timebase.py`` checks the schedules stay identical);
-  - the profile is the integer kernel
+  - the profile is the kernel
     :class:`~repro.core.profiles.ArrayProfile`, whose history is
     pruned behind the sweep front, and a placement is one fused
     probe-and-commit (:meth:`~repro.core.profiles.ArrayProfile.
@@ -184,7 +184,7 @@ class ListScheduler(Scheduler):
         Availability-profile backend (``"list"``/``"array"``/class);
         ``None`` means ``"list"``.  Only the exact reference sweep
         consults it — the incremental integer sweep always runs on the
-        integer kernel :class:`~repro.core.profiles.ArrayProfile`.
+        kernel :class:`~repro.core.profiles.ArrayProfile`.
     timebase:
         ``"auto"`` (default) runs the incremental integer sweep whenever
         the instance's times normalise exactly (ints/Fractions) and the
@@ -266,8 +266,8 @@ class SequentialPlacementScheduler(Scheduler):
     later-listed job could have filled at an earlier time.
 
     ``profile_backend`` picks the profile; on the integer twin ``None``
-    places on the integer kernel :class:`~repro.core.profiles.
-    ArrayProfile`, and on the exact path it means ``"list"``.
+    places on the kernel :class:`~repro.core.profiles.ArrayProfile`,
+    and on the exact path it means ``"list"``.
     """
 
     #: Name under ``priority=None``, and the list order it keeps.

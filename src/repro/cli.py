@@ -282,25 +282,6 @@ def _cmd_swf(args) -> int:
     return 0
 
 
-def _warn_demotion(policy: str, totals: dict) -> None:
-    """Surface a mid-stream backend demotion on stderr.
-
-    The engine's ``ReplayDemotionWarning`` fires in-process, but a
-    sharded replay demotes inside a worker where the warning dies with
-    the process — the totals record is the channel that survives, so
-    the CLI reports from it unconditionally.
-    """
-    record = totals.get("demoted_to_list_at")
-    if record:
-        print(
-            f"warning: [{policy}] profile backend 'auto' demoted to "
-            f"'list' at job {record['job']!r} (release "
-            f"{record['release']!r}): non-integral job times; results "
-            f"are unchanged but the integer-grid kernel is off from there",
-            file=sys.stderr,
-        )
-
-
 def _cmd_replay(args) -> int:
     from .errors import TraceFormatError
 
@@ -376,7 +357,6 @@ def _replay(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         t = result.totals
-        _warn_demotion(policies[0], t)
         print(
             f"replayed {t['n_jobs']} jobs with {policies[0]} on "
             f"m={result.m}: Cmax={t['makespan']}  "
@@ -402,7 +382,6 @@ def _replay(args) -> int:
         )
         for policy in policies:
             t = multi.results[policy].totals
-            _warn_demotion(policy, t)
             print(
                 f"{policy:>14}: {t['n_jobs']} jobs on m={multi.m}  "
                 f"Cmax={t['makespan']}  util={t['utilization']:.3f}  "
@@ -428,7 +407,6 @@ def _replay(args) -> int:
     )
     result = engine.run(arrivals, stream=stream)
     t = result.totals
-    _warn_demotion(policies[0], t)
     print(
         f"replayed {t['n_jobs']} jobs with {policies[0]} on m={result.m}: "
         f"Cmax={t['makespan']}  util={t['utilization']:.3f}  "
@@ -779,8 +757,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop after this many jobs")
     p.add_argument("--backend", default="auto",
                    help="profile backend: auto, list or array (default: "
-                        "auto — the integer-grid array kernel, demoting to "
-                        "'list' on non-integral traces)")
+                        "auto, which is the array kernel; list is the "
+                        "simple reference, same rows)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for synth:<profile> traces")
     p.add_argument("--uncertainty", metavar="SPEC",

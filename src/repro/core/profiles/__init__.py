@@ -14,21 +14,19 @@ separate from its two implementations:
     it.
 
 ``"array"`` — :class:`ArrayProfile`
-    The one integer kernel: plain ``list`` time/capacity columns of
-    Python ints, scanned in place, pruned behind the clock with the same
-    prefix delete as the list backend.  The offline schedulers place on
-    it on an instance's integer twin, and the replay and serve event
-    loop runs on it.  **Integer-grid only** — breakpoints must be ints,
-    of any magnitude (what ``timebase="auto"`` normalisation, SWF
-    archives and the synthetic pack produce); queries accept any
-    numeric, construction/mutation with ``Fraction``/``float`` times
-    raise loudly.
+    The one fast kernel: plain ``list`` time/capacity columns, scanned
+    in place, pruned behind the clock with the same prefix delete as
+    the list backend.  The offline schedulers place on it on an
+    instance's integer twin, and the replay and serve event loop runs
+    on it (``"auto"``, the replay default, is this backend) whatever
+    the type of the trace's times.
 
 Both backends implement identical semantics — exact integer capacities,
-canonical merged segments, times of any ordered numeric type (integer
-grid only for ``"array"``) — and compare equal whenever they represent
-the same function, which the differential tests exploit to prove
-schedulers produce byte-identical schedules under either backend.
+canonical merged segments, times of any ordered numeric type, kept as
+given — and compare equal whenever they represent the same function.
+Every answer agrees in value and in type, which the differential tests
+check and exploit to prove schedulers produce byte-identical schedules
+under either backend.
 
 When exactness costs you
 ------------------------

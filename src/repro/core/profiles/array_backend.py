@@ -1,11 +1,11 @@
-"""The integer-grid kernel: flat ``int`` columns, scanned in place.
+"""The profile kernel: flat time/capacity columns, scanned in place.
 
-:class:`ArrayProfile` is the one integer kernel of the profile
+:class:`ArrayProfile` is the one fast implementation of the profile
 protocol.  The offline placement schedulers (LSRC's incremental sweep,
 conservative backfilling and ``seq`` on an instance's integer twin) and
 the online event loop behind replay and ``repro serve`` all place on it.
 Breakpoint times and segment capacities live in two plain ``list``
-columns of Python ints, and its design points are:
+columns, and its design points are:
 
 * **prefix-delete pruning** — :meth:`prune_before` deletes the
   segments behind the frontier and re-anchors the frontier segment at
@@ -23,22 +23,20 @@ columns of Python ints, and its design points are:
 * **batched overlay** — :meth:`reserve_many` rebuilds the columns in one
   sweep via the shared :func:`overlay_reservation_blocks` engine.
 
-The backend's contract is that **breakpoints live on the integer
-grid**.  Construction and mutation require integral times, of any
-magnitude (``timebase="auto"`` normalisation produces exactly that grid;
-every SWF archive and the synthetic trace pack are integral already),
-and raise :class:`~repro.errors.InvalidInstanceError` loudly otherwise.
-*Queries* accept any ordered numeric, so probing an integer profile at a
-``Fraction`` instant still works.  For exact ``Fraction``/``float``
-breakpoints use the ``"list"`` backend.  Every argument check of the
-protocol stays, screened by one ``type(x) is int`` test so the trusted
-hot-loop calls skip it.
+Times are any ordered exact type, as on the ``"list"`` backend: ints of
+any magnitude (what ``timebase="auto"`` normalisation, SWF archives and
+the synthetic trace pack produce), ``Fraction`` and ``float``, mixed
+freely.  No algorithm here depends on ``int``; the kernel stores the
+times it is given, untouched, and every answer equals the list
+backend's in value and in type (the differential tests hold it to
+that).  Every argument check of the protocol stays, screened by one
+``type(x) is int`` test per mutator so the trusted integer hot-loop
+calls skip it.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_left, bisect_right
 from types import ModuleType
 from typing import Iterable, Iterator, List, Optional, Tuple
@@ -73,47 +71,24 @@ def numpy_module() -> Optional[ModuleType]:
     return numpy
 
 
-def _as_int_time(value: object, what: str) -> int:
-    """Coerce an Integral time to ``int``; anything else is a loud error."""
-    if isinstance(value, numbers.Integral):
-        return int(value)
-    raise InvalidInstanceError(
-        f"array backend requires integer {what}, got {value!r} "
-        f"({type(value).__name__}); use the 'list' backend for "
-        f"exact Fraction/float breakpoints, or normalise onto the integer "
-        f"grid first (timebase='auto')"
-    )
-
-
-def _time_column(times: Iterable[Time]) -> List[int]:
-    """A breakpoint column of ints; a non-integral time is a loud error."""
-    return [
-        t if type(t) is int else _as_int_time(t, "breakpoint times")
-        for t in times
-    ]
-
-
-def _grid_args(
+def _checked_args(
     start: Time, duration: Time, amount: int, verb: str
-) -> Tuple[int, int, int]:
-    """The protocol's argument checks plus the grid contract: the slow
-    path behind every mutator's ``type(x) is int`` screen."""
+) -> Tuple[Time, Time, int]:
+    """The protocol's argument checks: the slow path behind every
+    mutator's ``type(x) is int`` screen (times pass through untouched,
+    as on the list backend)."""
     check_reserve_args(start, duration, amount, verb)
-    return (
-        _as_int_time(start, "start time"),
-        _as_int_time(duration, "duration"),
-        int(amount),
-    )
+    return start, duration, int(amount)
 
 
 class ArrayProfile(ProfileBackend):
-    """Integer-grid capacity profile on flat time/capacity columns.
+    """Capacity profile on flat time/capacity columns.
 
     ``self._times``/``self._caps`` hold exactly the live segments,
     indexed from 0; the first time is always 0 (re-anchored by
     :meth:`prune_before`).  ``_validate=False`` trusts the caller's
     lists to be canonical (as :meth:`as_lists` returns them), skipping
-    the shape checks and the merge but not the integer-grid check.
+    the shape checks and the merge.
     """
 
     __slots__ = ("_times", "_caps")
@@ -127,7 +102,7 @@ class ArrayProfile(ProfileBackend):
         if _validate:
             validate_profile_inputs(times, caps)
             times, caps = merge_equal_segments(list(times), list(caps))
-        self._times: List[int] = _time_column(times)
+        self._times: List[Time] = list(times)
         self._caps: List[int] = [int(c) for c in caps]
 
     def copy(self) -> "ArrayProfile":
@@ -249,8 +224,8 @@ class ArrayProfile(ProfileBackend):
         return best
 
     def area(self, start: Time, end: Time) -> Time:
-        """Integral of the capacity over ``[start, end)`` (exact for
-        integral windows; bisects to the window like the list backend)."""
+        """Integral of the capacity over ``[start, end)`` (bisects to the
+        window like the list backend)."""
         if end < start:
             raise InvalidInstanceError("area window must be ordered")
         if end == start:
@@ -264,8 +239,10 @@ class ArrayProfile(ProfileBackend):
             if seg_start >= end:
                 break
             seg_end = times[j + 1] if j + 1 < n else math.inf
-            lo = seg_start if seg_start > start else start
-            hi = seg_end if seg_end < end else end
+            # max()/min() tie-breaking, so a tie between an int and a
+            # float/Fraction keeps the list backend's type
+            lo = start if start > seg_start else seg_start
+            hi = end if end < seg_end else seg_end
             if hi > lo:
                 total += caps[j] * (hi - lo)
         return total
@@ -304,13 +281,12 @@ class ArrayProfile(ProfileBackend):
         """Subtract ``amount`` processors over ``[start, start + duration)``.
 
         Raises :class:`~repro.errors.CapacityError` (profile unchanged)
-        when any covered instant would drop below ``amount``.  ``start``
-        and ``duration`` must be integers (the backend's grid contract).
+        when any covered instant would drop below ``amount``.
         """
         if (type(start) is not int or type(duration) is not int
                 or type(amount) is not int or start < 0 or duration <= 0
                 or amount < 0):
-            start, duration, amount = _grid_args(
+            start, duration, amount = _checked_args(
                 start, duration, amount, "reserved"
             )
         if not amount:
@@ -333,7 +309,7 @@ class ArrayProfile(ProfileBackend):
         if (type(start) is not int or type(duration) is not int
                 or type(amount) is not int or start < 0 or duration <= 0
                 or amount < 0):
-            start, duration, amount = _grid_args(
+            start, duration, amount = _checked_args(
                 start, duration, amount, "added"
             )
         if not amount:
@@ -368,7 +344,7 @@ class ArrayProfile(ProfileBackend):
         if (type(start) is not int or type(duration) is not int
                 or type(amount) is not int or start < 0 or duration <= 0
                 or amount < 0):
-            start, duration, amount = _grid_args(
+            start, duration, amount = _checked_args(
                 start, duration, amount, "reserved"
             )
         if not amount:
@@ -390,7 +366,7 @@ class ArrayProfile(ProfileBackend):
         if (type(start) is not int or type(duration) is not int
                 or type(amount) is not int or start < 0 or duration <= 0
                 or amount < 0):
-            start, duration, amount = _grid_args(
+            start, duration, amount = _checked_args(
                 start, duration, amount, "reserved"
             )
         times, caps = self._times, self._caps
@@ -419,7 +395,7 @@ class ArrayProfile(ProfileBackend):
         if i > 0:
             del times[:i]
             del self._caps[:i]
-            times[0] = 0
+        times[0] = 0
 
     def reserve_many(self, blocks: Iterable[Tuple[Time, Time, int]]) -> None:
         """Apply many ``(start, duration, amount)`` reservations in one
@@ -427,8 +403,7 @@ class ArrayProfile(ProfileBackend):
         new_times, new_caps = overlay_reservation_blocks(
             *self.as_lists(), blocks
         )
-        self._times = _time_column(new_times)
-        self._caps = new_caps
+        self._times, self._caps = new_times, new_caps
 
     # ------------------------------------------------------------------
     # derived quantities
@@ -448,7 +423,7 @@ class ArrayProfile(ProfileBackend):
             cap = caps[j]
             if seg_end <= start:
                 continue
-            lo = seg_start if seg_start > start else start
+            lo = start if start > seg_start else seg_start
             if seg_end == math.inf:
                 if cap == 0:
                     return None

@@ -56,8 +56,8 @@ segments costs, per backend:
   accident: making it sublinear needs lazy range-add aggregates (an
   augmented tree), whose constants lost to the flat arrays on every
   caller the repo runs, so no such backend ships.
-* ``array`` — same O(w + log n) shape as ``list``, on integer-grid
-  columns with one shared commit helper.
+* ``array`` — same O(w + log n) shape as ``list``, on flat columns
+  with one shared commit helper.
 
 Both backends prune with the same prefix delete, cheap enough to run
 on every completion, so a rolling sweep that prunes behind its clock

@@ -6,8 +6,9 @@ times and segment capacities) kept in canonical merged form after every
 mutation.  Point and window queries bisect into the arrays; mutations
 splice and re-merge, which is O(n) per call but with small constants and
 zero bookkeeping.  It is the default backend (``profile_backend=None``)
-and the exact, Fraction-capable oracle the differential tests hold the
-integer-grid :class:`~repro.core.profiles.array_backend.ArrayProfile` to;
+and the independent oracle the differential tests hold the kernel
+:class:`~repro.core.profiles.array_backend.ArrayProfile` to, in value
+and in type, on int, ``Fraction``, ``float`` and mixed times;
 ``benchmarks/bench_profile_backends.py`` times the two.
 """
 

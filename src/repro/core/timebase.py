@@ -333,6 +333,6 @@ def on_int_timebase(scheduler: Any, instance: Any) -> Any:
 
 
 #: Former name of the offline schedulers' integer profile, now the one
-#: integer kernel.  perfbench's tracer still imports it by this name;
+#: profile kernel.  perfbench's tracer still imports it by this name;
 #: ROADMAP item 1.3 moves the tracer off it and then deletes the alias.
 IntSweepProfile = ArrayProfile

@@ -1,10 +1,11 @@
-"""RPL2xx — integer-grid exactness.
+"""RPL2xx — kernel exactness.
 
-The integer-grid array kernel (:mod:`repro.core.profiles.array_backend`),
+The array profile kernel (:mod:`repro.core.profiles.array_backend`),
 the LCM timebase (:mod:`repro.core.timebase`) and the replay engine's
-decision state all promise *exact* arithmetic: every time on the grid is
-an int, so a single stray float literal, true division or
-``float()`` coercion silently detunes byte-identity.  Scopes are declared
+decision state all promise *exact* arithmetic: they round nothing of
+their own (on the grid every time is an int, and the kernel keeps any
+other time type as given), so a single stray float literal, true
+division or ``float()`` coercion silently detunes byte-identity.  Scopes are declared
 in ``[tool.repro-lint]`` — whole modules via ``int-kernel-modules``,
 individual functions or classes via ``int-kernel-functions``.
 """

@@ -88,21 +88,21 @@ RULES: Tuple[Rule, ...] = (
         "RPL201",
         "float-literal",
         "float literal inside a declared integer-kernel scope",
-        "ArrayProfile/timebase integer-grid contract: kernel arithmetic stays "
+        "ArrayProfile/timebase exactness contract: kernel arithmetic stays "
         "exact",
     ),
     Rule(
         "RPL202",
         "true-division",
         "true division (/) inside a declared integer-kernel scope",
-        "ArrayProfile/timebase integer-grid contract: use // or Fraction, "
+        "ArrayProfile/timebase exactness contract: use // or Fraction, "
         "never float division",
     ),
     Rule(
         "RPL203",
         "float-coercion",
         "float() coercion inside a declared integer-kernel scope",
-        "ArrayProfile/timebase integer-grid contract: kernel values are never "
+        "ArrayProfile/timebase exactness contract: kernel values are never "
         "coerced to float",
     ),
     # -- RPL3xx: backend-protocol drift ------------------------------------

@@ -146,8 +146,9 @@ def _require_number(payload: Dict, key: str, op: str):
         raise ServeProtocolError(
             f"{op} request field {key!r} must be finite, got {value!r}"
         )
-    # JSON has no int/float split the engine can rely on: an integral
-    # float from a sloppy client must not demote the integer-grid kernel
+    # JSON has no int/float split the engine can rely on: ``5`` and
+    # ``5.0`` are one number, so they must give one row (an integral
+    # float keeps int-typed times, sums and windows)
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, Integral):

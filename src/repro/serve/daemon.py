@@ -172,7 +172,7 @@ class SchedulerService:
         policy = config["policy"]
         window = int(config["window"])
         # journals written before the key existed hold version-2
-        # snapshots, the version every build since then writes
+        # snapshots
         checkpoint_version = config.get("checkpoint", 2)
         if checkpoint_version != CHECKPOINT_VERSION:
             journal.close()

@@ -50,7 +50,7 @@ one event loop in a single ``feed`` call, then drains or checkpoints.
 ``repro serve`` and stochastic replay run the same loop, so the
 built-in policies' inlined passes and scalar shortcuts (documented on
 the core) serve every driver.  The per-event cost rests on the
-integer-grid array profile that ``profile_backend="auto"`` starts on and on the
+array profile kernel (``profile_backend="auto"``) and on the
 bucketed calendar completion queue (see :class:`ReplayEngine`'s
 parameters); ``fused_policies=False`` runs the registered policy
 functions through the core's policy protocol instead of the inlined
@@ -89,7 +89,6 @@ from __future__ import annotations
 
 import os
 import time as _time
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -135,44 +134,16 @@ UNCERTAINTY_METRIC_FIELDS = frozenset({
 })
 
 
-class ReplayDemotionWarning(RuntimeWarning):
-    """``profile_backend="auto"`` demoted to the list backend mid-stream."""
-
-
-def _note_demotion(job: Optional[Job] = None, reservation=None) -> Dict:
-    """Emit the demotion warning and return the totals-row record.
-
-    The demotion itself is lossless (profile state converts exactly),
-    but silently switching kernels mid-stream made throughput
-    regressions undiagnosable — so the offending job and time are both
-    warned about and recorded in ``totals["demoted_to_list_at"]``.  A
-    demotion by a reservation (the ``(start, p, q)`` of
-    :meth:`~repro.simulation.scheduler_core.SchedulerCore.reserve`) is
-    recorded as ``{"reservation": {"start", "p", "q"}}``.
-    """
-    if job is not None:
-        record = {"job": job.id, "release": job.release}
-        what = f"job {job.id!r} (release {job.release!r})"
-    else:
-        start, p, q = reservation
-        record = {"reservation": {"start": start, "p": p, "q": q}}
-        what = f"the reservation at {start!r} for {p!r}"
-    warnings.warn(
-        f"profile_backend='auto' demoted to 'list' mid-stream: {what} "
-        f"has non-integral times; results are unchanged but the "
-        f"integer-grid kernel is off from here",
-        ReplayDemotionWarning,
-        stacklevel=3,
-    )
-    return record
-
-
 #: Version of the :class:`ReplayCheckpoint` contents, part of the
 #: journaled-replay config fingerprint so a snapshot of another version
 #: fails the header check instead of resuming.  Version 2 carries the
 #: live ``events`` count (version 1 recorded 0 for exact-runtime runs)
-#: and no blocked-head memo.
-CHECKPOINT_VERSION = 2
+#: and no blocked-head memo.  Version 3 drops the ``since_prune``
+#: counter and the two fields that recorded a mid-stream switch from
+#: the array to the list backend (one profile kernel now holds every
+#: time type), so an older build refuses its snapshots instead of
+#: dying on a missing key or attribute.
+CHECKPOINT_VERSION = 3
 
 #: Counter names carried across a slice boundary (one source of truth
 #: for the checkpoint builders and the resume hydrators).
@@ -206,9 +177,6 @@ class ReplayCheckpoint:
     #: pruned live profile, as canonical lists
     profile_times: List
     profile_caps: List[int]
-    #: whether ``"auto"`` already demoted to the list backend
-    demoted: bool
-    demoted_at: Optional[Dict]
     #: queued (arrived, unstarted) jobs in submission order
     queue: List[Job]
     #: in-flight jobs bucketed by end time, ascending
@@ -360,13 +328,12 @@ class ReplayEngine:
         Registered online policy name (``repro list --kind policies``).
     profile_backend:
         Availability structure (``"list"``/``"array"``/class, ``None``
-        for ``"list"``, or the replay-specific ``"auto"``, the default).
-        ``"auto"`` starts on the integer-grid array kernel and demotes
-        the live profile to the exact ``"list"`` backend the moment a
-        non-integral job time appears (conversion preserves the
-        represented function, so results are identical; integer traces
-        never demote).  Every backend is pruned behind the clock after
-        each event with completions, so it holds only the active window.
+        for ``"list"``, or ``"auto"``, the default, which is
+        ``"array"``: the profile kernel, for times of any exact type).
+        Both backends give identical rows, totals and checkpoints; the
+        list backend is the simple reference.  Every backend is pruned
+        behind the clock after each event with completions, so it holds
+        only the active window.
     window:
         Jobs per metrics window (0 disables windowed rows).
     store:
@@ -502,8 +469,6 @@ class ReplayEngine:
             "peak_profile_segments": core.peak_segments,
             "elapsed_seconds": _time.perf_counter() - started_clock,
         }
-        if core.demoted_at is not None:
-            result.totals["demoted_to_list_at"] = dict(core.demoted_at)
         model = core.uncertainty
         if model is not None:
             n = core.n_starts

@@ -61,24 +61,17 @@ import sys
 from collections import deque
 from heapq import heapify, heappop, heappush
 from itertools import chain
-from numbers import Integral
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from ..core.job import Job
 from ..core.metrics import BSLD_TAU, DEFAULT_SLOWDOWN_THRESHOLD
-from ..core.profiles import (
-    ArrayProfile,
-    BackendSpec,
-    convert_profile,
-    make_profile,
-)
+from ..core.profiles import BackendSpec, make_profile
 from ..devtools.failpoints import fire
 from ..errors import CapacityError, InvalidInstanceError, SchedulingError
 from ..workloads.uncertainty import resolve_uncertainty
 from .online_sim import POLICIES, policy_easy, policy_fcfs, policy_greedy
 from .replay import (
     _CKPT_COUNTERS,
-    _note_demotion,
     _WindowAcc,
     DEFAULT_WINDOW,
     ReplayCheckpoint,
@@ -121,13 +114,6 @@ def resolve_engine_config(m, window, completion_queue, uncertainty):
             "(requeue and no-show wake-ups ride the calendar buckets)"
         )
     return model
-
-
-def _profile_ops(profile):
-    """The profile methods the event loop binds to locals."""
-    return (profile.try_reserve, profile.reserve_fitting, profile.earliest_fit,
-            profile.min_capacity, profile.capacity_at, profile.fits,
-            profile.prune_before, profile.segment_count)
 
 
 def _id_order(item):
@@ -218,23 +204,13 @@ class SchedulerCore:
         self.use_heap = completion_queue == "heap"
         self.store = resolve_store(store)
 
-        backend: BackendSpec = profile_backend
-        auto_backend = backend == "auto"
-        self.demoted = resume is not None and resume.demoted
-        self.demoted_at = resume.demoted_at if resume is not None else None
-        if auto_backend:
-            backend = "list" if self.demoted else "array"
+        backend = "array" if profile_backend == "auto" else profile_backend
         if resume is not None:
             self.profile = make_profile(
                 list(resume.profile_times), list(resume.profile_caps), backend
             )
         else:
             self.profile = make_profile([0], [m], backend)
-        # `auto` watches for non-integral job and reservation times and
-        # demotes the live profile to the exact list backend before they
-        # reach the integer-grid kernel; an explicit backend choice is
-        # honoured (and loud).
-        self._watch_times = auto_backend and not self.demoted
 
         self.queue: Dict[object, Job] = {}  # arrived, unstarted; in order
         self.buckets: Dict = {}         # end time -> jobs finishing then
@@ -364,11 +340,7 @@ class SchedulerCore:
         staged: wider than the machine, or able to carry the schedule
         past a time the loop cannot handle (see :meth:`_bound_checked`).
         So a later ``advance_to`` never fails halfway through a pass,
-        and every accepted submit can be re-applied from a journal.
-
-        Under ``profile_backend="auto"`` a job with non-integral times
-        demotes the live profile to the exact list backend once it is
-        accepted, as :meth:`reserve` does."""
+        and every accepted submit can be re-applied from a journal."""
         if self._eof:
             raise SchedulingError(
                 f"job {job.id!r} submitted after drain: the stream has ended"
@@ -377,20 +349,6 @@ class SchedulerCore:
             raise SchedulingError(
                 f"job {job.id!r} requires {job.q} processors but the "
                 f"machine only has {self.m}"
-            )
-        demote = self._watch_times and not (
-            type(job.p) is int and type(job.release) is int
-        )
-        if (
-            not self._watch_times
-            and isinstance(self.profile, ArrayProfile)
-            and not (isinstance(job.p, Integral)
-                     and isinstance(job.release, Integral))
-        ):
-            # an explicit array backend cannot demote to the list one
-            raise InvalidInstanceError(
-                f"job {job.id!r} has non-integral times, which the "
-                "integer-grid array kernel cannot hold"
             )
         if self._staged:
             floor = self._staged[-1].release
@@ -407,11 +365,6 @@ class SchedulerCore:
         self._time_bound = self._bound_checked(
             job.release, job.p, f"job {job.id!r}"
         )
-        if demote:
-            self.profile = convert_profile(self.profile, "list")
-            self._watch_times = False
-            self.demoted = True
-            self.demoted_at = _note_demotion(job)
         self._staged.append(job)
         self._staged_ids.add(job.id)
 
@@ -506,12 +459,7 @@ class SchedulerCore:
         planted at ``start + p`` so a decision pass wakes up when the
         hole opens — without it an otherwise-idle machine would sleep
         through the freed capacity and :meth:`drain` would mis-report
-        a stall.
-
-        Under ``profile_backend="auto"`` a hole with non-integral times
-        demotes the live profile to the exact list backend, as a
-        non-integral job does when it arrives; the demotion sticks only
-        when the reservation is accepted."""
+        a stall."""
         if self.use_heap:
             raise SchedulingError(
                 "reservations require completion_queue='calendar'"
@@ -530,25 +478,16 @@ class SchedulerCore:
                 f"reservation at {start!r} is in the past: the clock is "
                 f"already at {self.horizon!r}"
             )
-        demote = self._watch_times and not (
-            type(start) is int and type(p) is int
-        )
         bound = self._bound_checked(
             start + p, None, f"reservation at {start!r}"
         )
-        profile = convert_profile(self.profile, "list") if demote else self.profile
         try:
-            profile.reserve(start, p, q)
+            self.profile.reserve(start, p, q)
         except CapacityError:
             raise SchedulingError(
                 f"reservation of {q} processors at {start!r} for {p!r} "
                 "does not fit"
             ) from None
-        if demote:
-            self.profile = profile
-            self._watch_times = False
-            self.demoted = True
-            self.demoted_at = _note_demotion(reservation=(start, p, q))
         self._time_bound = bound
         self._blocked_id = None
         end = start + p
@@ -587,9 +526,8 @@ class SchedulerCore:
     def drain(self) -> None:
         """End the arrival stream and run the event loop to quiescence.
 
-        Raises the replay stall error when queued jobs can never start
-        (wider than the machine after a demotion, for instance); emits
-        every remaining window row."""
+        Raises the replay stall error when queued jobs can never start;
+        emits every remaining window row."""
         self._eof = True
         self._event_loop(self._unstage(), None, True)
         if self.queue:
@@ -616,7 +554,6 @@ class SchedulerCore:
             m=self.m, policy=self.policy_name, window=self.window,
             clock=self.now if self.now is not None else self._resume_clock,
             profile_times=times_l, profile_caps=caps_l,
-            demoted=self.demoted, demoted_at=self.demoted_at,
             queue=list(self.queue.values()),
             buckets=[(end, list(b)) for end, b in sorted(self.buckets.items())],
             window_of={jid: acc.index for jid, acc in self.window_of.items()},
@@ -720,8 +657,6 @@ class SchedulerCore:
             "eof": self._eof,
             "cancelled": self.cancelled,
             "unstaged": self.unstaged,
-            "demoted": ck.demoted,
-            "demoted_at": ck.demoted_at,
             "profile_times": list(ck.profile_times),
             "profile_caps": list(ck.profile_caps),
             "staged": plain(self._staged),
@@ -843,9 +778,14 @@ class SchedulerCore:
         shortcuts = kind is not None and not uncertain and not use_heap
 
         profile = self.profile
-        (try_reserve, reserve_fitting, earliest_fit, min_capacity, capacity_at,
-         fits, prune, seg_count) = _profile_ops(profile)
-        watch_times = self._watch_times
+        try_reserve = profile.try_reserve
+        reserve_fitting = profile.reserve_fitting
+        earliest_fit = profile.earliest_fit
+        min_capacity = profile.min_capacity
+        capacity_at = profile.capacity_at
+        fits = profile.fits
+        prune = profile.prune_before
+        seg_count = profile.segment_count
 
         blocked_id = self._blocked_id
         blocked_until = self._blocked_until
@@ -997,18 +937,6 @@ class SchedulerCore:
                 probed = False
                 while t_arrival == now and pending is not None:
                     job = pending
-                    if watch_times and not (
-                        type(job.p) is int and type(job.release) is int
-                    ):
-                        # non-integral trace: demote to the exact list
-                        # backend (conversion preserves the function)
-                        profile = self.profile = convert_profile(profile, "list")
-                        watch_times = False
-                        self.demoted = True
-                        self.demoted_at = _note_demotion(job)
-                        (try_reserve, reserve_fitting, earliest_fit,
-                         min_capacity, capacity_at, fits, prune,
-                         seg_count) = _profile_ops(profile)
                     jq = job.q
                     if jq > m:
                         raise SchedulingError(
@@ -1078,12 +1006,12 @@ class SchedulerCore:
                         continue
                     running_count += 1
                     # wait == 0, so the slowdown and bounded slowdown are
-                    # exactly 1.0 (x/x, and the clamp floors jp/tau).  The
-                    # int check behind `watch_times` makes the slowdown a
-                    # float; other time types (Fraction) keep the exact
-                    # quotient so the sum matches the reference pass's
+                    # exactly 1 (x/x, and the clamp floors jp/tau).  The
+                    # slowdown keeps the reference pass's quotient, whose
+                    # type follows the times' (an exact Fraction(1) when
+                    # any of them is a Fraction), so the sums match it
                     # repro: noqa-begin RPL2xx -- float slowdown/bsld gauges
-                    sum_slowdown += 1.0 if watch_times else (now - rel + jp) / jp
+                    sum_slowdown += (now - rel + jp) / jp
                     sum_bsld += 1.0
                     if 1.0 > max_bsld:
                         max_bsld = 1.0
@@ -1280,7 +1208,6 @@ class SchedulerCore:
                 # fold the filling window's locals back into its acc so
                 # the next call (or a checkpoint) sees it exactly
                 cur_acc.fill(wa_arrived, wa_first, wa_work, wa_pmax, wa_latest)
-            self._watch_times = watch_times
             self._blocked_id = blocked_id
             self._blocked_until = blocked_until
             self.now = now

@@ -186,6 +186,28 @@ def test_resume_rejects_other_checkpoint_version(tmp_path, monkeypatch):
         _journaled(str(journal_dir), str(store), resume=True)
 
 
+def test_cli_resume_refuses_checkpoint_version_2(tmp_path, monkeypatch,
+                                                  capsys):
+    """``repro replay --journal ... --resume`` refuses a journal whose
+    header records version-2 checkpoints (they carry fields this build
+    no longer reads) with an ``error:`` line, not a traceback."""
+    import repro.durability.journaled as journaled
+    from repro.cli import main
+    from repro.simulation.replay import CHECKPOINT_VERSION
+
+    args = ["replay", "synth:steady:400", "-p", "easy", "--window", "50",
+            "--journal", str(tmp_path / "j"), "--snapshot-interval", "100",
+            "-o", str(tmp_path / "rows.jsonl")]
+    with monkeypatch.context() as patched:
+        patched.setattr(journaled, "CHECKPOINT_VERSION", 2)
+        assert main(args) == 0
+    capsys.readouterr()
+    assert main([*args, "--resume"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: journal header does not match")
+    assert f"'checkpoint': (2, {CHECKPOINT_VERSION})" in err
+
+
 def test_resume_of_nothing_is_loud(tmp_path):
     with pytest.raises(JournalError, match="no journal"):
         _journaled(str(tmp_path / "absent"), None, resume=True)

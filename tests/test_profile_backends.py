@@ -1,19 +1,17 @@
 """The profile-backend protocol: two implementations, one behaviour.
 
 Three layers of evidence that :class:`ArrayProfile` is a drop-in for
-:class:`ListProfile` on the integer grid:
+:class:`ListProfile` whatever the type of the times:
 
 * *property round-trips* — reserve-then-add restores the profile, queries
   agree with brute-force references, Fraction/float breakpoints and
-  zero-capacity tails survive, all parametrized over the backends (the
-  array backend joins wherever times are integral — its integer grid
-  is an explicit contract, asserted loud in ``TestArrayIntOnly``);
-* *cross-backend equivalence* — identical op sequences leave every
-  backend representing the same function, query for query;
+  zero-capacity tails survive, all parametrized over the backends;
+* *cross-backend equivalence* — identical op sequences on int,
+  Fraction, float and mixed-type times leave every backend representing
+  the same function with the same time types, query for query;
 * *scheduler differential* — LSRC, FCFS, conservative backfilling and
   shelf produce **identical schedules** under either backend on 50+
-  randomized instances with mixed int/Fraction times (Fraction-timed
-  ones reach the array backend through their integer twin).
+  randomized instances with mixed int/Fraction times.
 """
 
 import random
@@ -38,7 +36,6 @@ from repro.core.profiles import (
     make_profile,
     resolve_backend,
 )
-from repro.core.timebase import Timebase
 from repro.errors import CapacityError, InvalidInstanceError
 
 from conftest import NaiveCapacity, random_resa
@@ -50,11 +47,6 @@ BACKENDS = [ListProfile, ArrayProfile]
 def backend(request):
     """Each test in this module runs once per backend."""
     return request.param
-
-
-def skip_unless_exact_times(backend):
-    if backend is ArrayProfile:
-        pytest.skip("array backend is integer-grid only (by contract)")
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +161,6 @@ class TestBackendBasics:
         assert p.area(0, 100) == 15
 
     def test_fraction_times(self, backend):
-        skip_unless_exact_times(backend)
         p = backend.constant(3)
         p.reserve(Fraction(1, 3), Fraction(1, 6), 2)
         assert p.capacity_at(Fraction(1, 3)) == 1
@@ -178,7 +169,6 @@ class TestBackendBasics:
         assert p.area(0, 1) == 3 - 2 * Fraction(1, 6)
 
     def test_float_times(self, backend):
-        skip_unless_exact_times(backend)
         p = backend.constant(2)
         p.reserve(0.5, 1.25, 1)
         assert p.capacity_at(0.5) == 1
@@ -212,8 +202,6 @@ class TestBackendBasics:
 class TestReserveMany:
     def test_matches_sequential(self, backend):
         blocks = [(0, 4, 2), (2, 3, 1), (Fraction(7, 2), 2, 3)]
-        if backend is ArrayProfile:
-            blocks = [(0, 4, 2), (2, 3, 1), (4, 2, 3)]
         batch = backend.constant(8)
         batch.reserve_many(blocks)
         seq = backend.constant(8)
@@ -302,7 +290,6 @@ class TestMaxCapacityBetween:
         assert p.max_capacity_between(100) == 4
 
     def test_fraction_windows(self, backend):
-        skip_unless_exact_times(backend)
         p = backend([0, Fraction(3, 2), 3], [2, 7, 1])
         assert p.max_capacity_between(0, Fraction(3, 2)) == 2
         assert p.max_capacity_between(1, 2) == 7
@@ -417,8 +404,6 @@ def _cast(value: int, kind: str):
 )
 def test_reserve_add_roundtrip(cls, m, holds, kind):
     """reserve-then-add (in reverse) restores the original profile."""
-    if cls is ArrayProfile:
-        kind = "int"  # the array backend's integer-grid contract
     p = cls.constant(m)
     applied = []
     for start, dur, amount in holds:
@@ -539,26 +524,29 @@ def test_schedulers_identical_across_backends(name, factory):
             continue
         a = factory("list").schedule(inst)
         a.verify()
-        # the array backend is integer-grid only: Fraction-timed
-        # instances reach it through their integer twin
-        tb = Timebase.of(inst)
-        c = factory("array").schedule(tb.normalize_instance(inst))
-        assert tb.denormalize_starts(c.starts) == a.starts, (
-            f"{name} (array) diverged on seed {seed}"
-        )
+        c = factory("array").schedule(inst)
+        assert c.starts == a.starts, f"{name} (array) diverged on seed {seed}"
+        assert [type(t) for t in c.starts.values()] == [
+            type(t) for t in a.starts.values()
+        ]
         checked += 1
 
 
 # ---------------------------------------------------------------------------
-# the array backend's integer-grid contract
+# the array backend's time columns
 # ---------------------------------------------------------------------------
 
 class TestArrayIntOnly:
-    def test_construction_rejects_non_integral_times(self):
-        with pytest.raises(InvalidInstanceError, match="integer"):
-            ArrayProfile([0, 1.5], [3, 2])
-        with pytest.raises(InvalidInstanceError, match="integer"):
-            ArrayProfile([0, Fraction(1, 2)], [3, 2])
+    def test_construction_holds_non_integral_times(self):
+        """Float, Fraction and mixed breakpoints are stored as given,
+        the list backend's columns exactly, types included."""
+        for times in ([0, 1.5], [0, Fraction(1, 2)], [0.0, 1, Fraction(5, 2)],
+                      [Fraction(0), 2**63, 2.0**64]):
+            caps = [3, 2, 1][: len(times)]
+            kernel, ref = ArrayProfile(times, caps), ListProfile(times, caps)
+            assert kernel.as_lists() == ref.as_lists() == (times, caps)
+            assert ([type(t) for t in kernel.breakpoints]
+                    == [type(t) for t in times])
 
     def test_construction_admits_times_past_int64(self):
         """A list column holds any int: breakpoints at and past 2**63
@@ -572,17 +560,23 @@ class TestArrayIntOnly:
                 assert (kernel.earliest_fit(q, 5, after=2**63 - 2)
                         == ref.earliest_fit(q, 5, after=2**63 - 2))
 
-    def test_mutation_rejects_non_integral_times(self):
-        p = ArrayProfile.constant(4)
-        with pytest.raises(InvalidInstanceError, match="integer"):
-            p.reserve(Fraction(1, 2), 1, 1)
-        with pytest.raises(InvalidInstanceError, match="integer"):
-            p.add(0, 1.5, 1)
-        with pytest.raises(InvalidInstanceError, match="integer"):
-            p.try_reserve(0.5, 1, 1)
-        with pytest.raises(InvalidInstanceError, match="integer"):
-            p.reserve_many([(Fraction(1, 3), 1, 1)])
-        assert p == ArrayProfile.constant(4)  # all loud failures, no state
+    def test_mutation_holds_non_integral_times(self):
+        """Every mutator takes Fraction and float windows and leaves
+        the list backend's segments, time types included."""
+        kernel, ref = ArrayProfile.constant(4), ListProfile.constant(4)
+        for verb, args in (
+            ("reserve", (Fraction(1, 2), 1, 1)),
+            ("add", (0, 1.5, 1)),
+            ("try_reserve", (0.5, 1, 1)),
+            ("reserve_fitting", (Fraction(7, 3), 2.25, 2)),
+            ("reserve_many", ([(Fraction(1, 3), 1, 1), (4, 0.5, 1)],)),
+            ("prune_before", (Fraction(1, 3),)),
+        ):
+            getattr(kernel, verb)(*args)
+            getattr(ref, verb)(*args)
+            assert kernel.as_lists() == ref.as_lists(), verb
+            assert ([type(t) for t in kernel.breakpoints]
+                    == [type(t) for t in ref.breakpoints]), verb
 
     def test_queries_accept_any_numeric(self):
         p = ArrayProfile.from_segments([(0, 4), (2, 1), (5, 4)])
@@ -643,7 +637,7 @@ class TestArrayIntOnly:
 
     def test_integral_subtypes_are_coerced(self):
         p = ArrayProfile.constant(3)
-        p.reserve(True, 2, 1)  # bools are Integral: coerced, not rejected
+        p.reserve(True, 2, 1)  # bools are Integral: accepted, as on list
         assert p.capacity_at(1) == 2
         assert p.capacity_at(0) == 3
 
@@ -703,7 +697,7 @@ class TestArrayWideScans:
 
 
 # ---------------------------------------------------------------------------
-# the integer kernel against the reference, op by op
+# the kernel against the reference, op by op, in value and in type
 # ---------------------------------------------------------------------------
 
 #: Where a random profile's breakpoints sit: near 0, straddling 2**63
@@ -711,48 +705,92 @@ class TestArrayWideScans:
 _KERNEL_BASES = (0, 2**63 - 60, 2**64 + 7)
 
 
+def _time_cast(kind, rng):
+    """How an op sequence's integer draws become times of ``kind``.
+    ``"mixed"`` gives each draw ``v`` the value ``v / 2`` as an int
+    (when integral), a Fraction or a float at random, so equal times of
+    different types meet in one profile."""
+    if kind == "int":
+        return lambda v: v
+    if kind == "fraction":
+        return lambda v: Fraction(v, 3)
+    if kind == "float":
+        return lambda v: v / 4.0
+
+    def mixed(v):
+        pick = rng.randrange(3)
+        if pick == 0 and v % 2 == 0:
+            return v // 2
+        return Fraction(v, 2) if pick == 1 else v / 2.0
+
+    return mixed
+
+
+def _typed(value):
+    return type(value), value
+
+
+def _typed_lists(profile):
+    times, caps = profile.as_lists()
+    return [_typed(t) for t in times], [_typed(c) for c in caps]
+
+
 def test_kernel_random_ops_match_list_backend():
     """Random mirrored op sequences on :class:`ArrayProfile` and
     :class:`ListProfile`, as a forward sweep issues them (every op at
-    or after a pruning frontier that only advances): each query agrees,
-    each mutation succeeds or fails alike and leaves the same segments,
-    and a failed mutation changes nothing."""
+    or after a pruning frontier that only advances), on int, Fraction,
+    float and mixed-type times: each query agrees in value and type,
+    each mutation succeeds or fails alike and leaves the same segments
+    (same types too), and a failed mutation changes nothing."""
+    for kind in ("int", "fraction", "float", "mixed"):
+        _kernel_random_ops(kind)
+
+
+def _kernel_random_ops(kind):
     rng = random.Random(20261018)
+    cast = _time_cast(kind, rng)
+    # floats are exact only well below 2**53
+    bases = _KERNEL_BASES if kind in ("int", "fraction") else (0,)
     for _ in range(150):
-        base = rng.choice(_KERNEL_BASES)
+        base = rng.choice(bases)
         times = [0] + sorted(base + t for t in rng.sample(range(1, 120), 8))
         caps = [rng.randint(0, 12) for _ in times]
+        times = [cast(t) for t in times]
         ref = ListProfile(times, caps)
         kernel = ArrayProfile(times, caps)
-        assert kernel.as_lists() == ref.as_lists()
+        assert _typed_lists(kernel) == _typed_lists(ref)
         front = 0
         for _ in range(40):
-            start = max(front, base) + rng.randint(0, 130)
-            dur = rng.randint(1, 25)
+            v = max(front, base) + rng.randint(0, 130)
+            start = cast(v)
+            dur = cast(rng.randint(1, 25))
             q = rng.randint(0, 8)
-            op = rng.randrange(9)
+            op = rng.randrange(11)
             if op == 0:
-                assert kernel.capacity_at(start) == ref.capacity_at(start)
-                assert kernel.fits(q, start, dur) == ref.fits(q, start, dur)
+                assert (_typed(kernel.capacity_at(start))
+                        == _typed(ref.capacity_at(start)))
+                assert kernel.fits(q, start, dur) is ref.fits(q, start, dur)
+                assert (_typed(kernel.min_capacity(start, start + dur))
+                        == _typed(ref.min_capacity(start, start + dur)))
             elif op == 1:
-                assert (kernel.earliest_fit(q, dur, after=start)
-                        == ref.earliest_fit(q, dur, after=start))
+                assert (_typed(kernel.earliest_fit(q, dur, after=start))
+                        == _typed(ref.earliest_fit(q, dur, after=start)))
             elif op == 2:
                 end = None if rng.random() < 0.3 else start + dur
-                assert (kernel.max_capacity_between(start, end)
-                        == ref.max_capacity_between(start, end))
+                assert (_typed(kernel.max_capacity_between(start, end))
+                        == _typed(ref.max_capacity_between(start, end)))
             elif op == 3:
                 assert (kernel.try_reserve(start, dur, q)
-                        == ref.try_reserve(start, dur, q))
+                        is ref.try_reserve(start, dur, q))
             elif op == 4:
                 outcomes = []
                 for profile in (kernel, ref):
-                    before = profile.as_lists()
+                    before = _typed_lists(profile)
                     try:
                         profile.reserve(start, dur, q)
                         outcomes.append(True)
                     except CapacityError:
-                        assert profile.as_lists() == before
+                        assert _typed_lists(profile) == before
                         outcomes.append(False)
                 assert outcomes[0] == outcomes[1]
             elif op == 5:
@@ -762,9 +800,17 @@ def test_kernel_random_ops_match_list_backend():
             elif op == 6:
                 kernel.add(start, dur, q)
                 ref.add(start, dur, q)
+            elif op == 7:
+                end = cast(v + rng.randint(0, 40))
+                assert (_typed(kernel.area(start, end))
+                        == _typed(ref.area(start, end)))
+            elif op == 8:
+                work = cast(rng.randint(0, 400))
+                assert (_typed(kernel.first_time_area_reaches(work, start))
+                        == _typed(ref.first_time_area_reaches(work, start)))
             else:
-                front = max(front, start - rng.randint(0, 30))
-                kernel.prune_before(front)
-                ref.prune_before(front)
-            assert kernel.as_lists() == ref.as_lists()
+                front = max(front, v - rng.randint(0, 30))
+                kernel.prune_before(cast(front))
+                ref.prune_before(cast(front))
+            assert _typed_lists(kernel) == _typed_lists(ref)
             assert kernel.segment_count() == ref.segment_count()

@@ -16,6 +16,7 @@ import io
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -541,8 +542,8 @@ def test_streamed_replay_is_byte_identical_to_in_memory(
     through the pruning replay engine reproduces ``read_swf`` +
     ``OnlineSimulation`` exactly — schedules byte for byte, metrics
     int-exact — for every policy x backend combination (including the
-    integer-grid array kernel and the auto selector, whose fused decision
-    passes this differential therefore also covers)."""
+    array kernel and ``"auto"``, whose fused decision passes this
+    differential therefore also covers)."""
     m = 8
     submit = 0
     swf_rows = []
@@ -560,8 +561,7 @@ def test_streamed_replay_is_byte_identical_to_in_memory(
         path.write_text(text)
 
     instance = read_swf(text).instance
-    # the in-memory engine has no "auto"; integer traces make "array"
-    # its exact equivalent
+    # the in-memory engine has no "auto", which is "array"
     ref_backend = "array" if backend == "auto" else backend
     reference = OnlineSimulation(
         instance, policy=policy, profile_backend=ref_backend
@@ -876,33 +876,46 @@ class TestEngineConfigurations:
         with pytest.raises(SchedulingError, match="out of order"):
             engine.run_slice(jobs[2:], resume=ck)
 
-    def test_auto_demotes_on_float_times(self):
-        """A non-integral trace under the default auto backend demotes
-        the live profile to the list backend mid-stream and still
-        reproduces the in-memory engine exactly."""
-        from repro.core.job import Job
-
-        jobs = [
-            Job(id=1, p=10, q=4, release=0),
-            Job(id=2, p=7.5, q=6, release=2.25),   # first non-int job
-            Job(id=3, p=3, q=8, release=4),
-            Job(id=4, p=2.5, q=2, release=4),
-        ]
+    @pytest.mark.parametrize("time_type", [float, Fraction])
+    def test_auto_array_list_agree_on_float_times(self, time_type):
+        """On a non-integral trace ``"auto"`` is the array kernel: it,
+        an explicit ``"array"`` and the ``"list"`` reference give equal
+        starts, window rows and totals, in value and in type, and the
+        starts are the in-memory engine's."""
         from repro.core.instance import RigidInstance
 
-        streamed = replay(jobs, 8, policy="easy", record_starts=True)
+        rng = random.Random(29)
+        jobs, release = [], 0
+        for i in range(400):
+            release += time_type(rng.randrange(0, 9)) / 4
+            p = time_type(rng.randrange(1, 80)) / 8
+            if i % 3 == 0:  # integral times mixed in
+                release = math.ceil(release)
+            if i % 5 == 0:
+                p = rng.randrange(1, 10)
+            jobs.append(Job(id=i, p=p, q=rng.randint(1, 8), release=release))
+
+        def typed(values):
+            return [(type(v), v) for v in values]
+
+        runs = {
+            backend: replay(jobs, 8, policy="easy", window=64,
+                            profile_backend=backend, record_starts=True)
+            for backend in ("auto", "array", "list")
+        }
+        ref = runs["list"]
+        for result in runs.values():
+            assert typed(result.starts.values()) == typed(ref.starts.values())
+            assert result.windows == ref.windows
+            for row, ref_row in zip(result.windows, ref.windows):
+                assert typed(row.values()) == typed(ref_row.values())
+            totals = dict(result.totals, elapsed_seconds=0)
+            ref_totals = dict(ref.totals, elapsed_seconds=0)
+            assert typed(totals.values()) == typed(ref_totals.values())
         reference = OnlineSimulation(
             RigidInstance(m=8, jobs=tuple(jobs)), policy="easy"
         ).run()
-        assert streamed.starts == reference.schedule.starts
-
-    def test_explicit_array_backend_is_loud_on_float_times(self):
-        from repro.core.job import Job
-        from repro.errors import InvalidInstanceError
-
-        jobs = [Job(id=1, p=1.5, q=2, release=0)]
-        with pytest.raises(InvalidInstanceError, match="integer"):
-            replay(jobs, 4, policy="easy", profile_backend="array")
+        assert ref.starts == reference.schedule.starts
 
 
 # ---------------------------------------------------------------------------

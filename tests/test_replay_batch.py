@@ -16,7 +16,7 @@ import pytest
 from conftest import replay_chained
 from hypothesis import given, settings, strategies as st
 
-from repro.cli import _warn_demotion, main
+from repro.cli import main
 from repro.core.instance import ReservationInstance
 from repro.core.job import Job
 from repro.core.profiles import ArrayProfile
@@ -24,7 +24,11 @@ from repro.core.schedule import Schedule
 from repro.durability.journaled import _chunk_stream
 from repro.errors import SchedulingError
 from repro.run.store import JsonlStore
-from repro.simulation.replay import VOLATILE_TOTAL_FIELDS, ReplayEngine
+from repro.simulation.replay import (
+    REPLAY_METRIC_FIELDS,
+    VOLATILE_TOTAL_FIELDS,
+    ReplayEngine,
+)
 from repro.workloads.swf import synth_swf_jobs
 
 #: wall-clock fields that legitimately differ between identical runs
@@ -89,7 +93,7 @@ class TestFusedShortcuts:
     @given(rows=_sparse_rows, policy=_policies,
            window=st.sampled_from([0, 4]),
            config=st.sampled_from([("auto", int), ("list", int),
-                                   ("list", Fraction)]))
+                                   ("auto", Fraction), ("list", Fraction)]))
     @settings(max_examples=80, deadline=None)
     def test_sparse_traces_fused_equals_generic(
         self, rows, policy, window, config
@@ -243,19 +247,19 @@ class TestEpochShardedReplay:
         tail.starts = {**head.starts, **tail.starts}
         assert _trim(tail) == _trim(serial)
 
-    def test_demotion_record_crosses_epochs(self):
-        """A demotion in the first slice rides the checkpoint: the final
-        totals carry the original offending job, and the schedule is
-        the serial one."""
+    def test_non_integral_stream_crosses_epochs(self):
+        """A non-integral job in the first slice leaves the kernel in
+        place: the chained run equals the serial one on either backend,
+        with nothing but the paper's metrics in its totals."""
         jobs = [Job(i, 4, 2, i) for i in range(8)]
         jobs[1] = Job(1, 4, 2, 0.5)
-        with pytest.warns(RuntimeWarning):
-            serial = ReplayEngine(8, record_starts=True).run(jobs)
-        with pytest.warns(RuntimeWarning):
-            chained = replay_chained(jobs, 3, 8, record_starts=True)
-        assert _trim(chained) == _trim(serial)
-        assert chained.totals["demoted_to_list_at"] == \
-            {"job": 1, "release": 0.5}
+        jobs[5] = Job(5, Fraction(7, 3), 2, 5)
+        serial = ReplayEngine(8, record_starts=True).run(jobs)
+        for backend in ("auto", "list"):
+            chained = replay_chained(jobs, 3, 8, record_starts=True,
+                                     profile_backend=backend)
+            assert _trim(chained) == _trim(serial)
+        assert set(serial.totals) <= REPLAY_METRIC_FIELDS
 
     def test_rejects_bad_arguments(self):
         jobs = [Job.trusted(i, 3, 2, i) for i in range(4)]
@@ -297,13 +301,21 @@ class TestReplayCli:
         assert main(["list", "--kind", "backends"]) == 0
         assert capsys.readouterr().out.split() == ["array", "list"]
 
-    def test_demotion_warning_is_printed(self, capsys):
-        _warn_demotion("easy", {
-            "demoted_to_list_at": {"job": "j42", "release": 7.5},
-        })
-        err = capsys.readouterr().err
-        assert "'j42'" in err and "7.5" in err and "demoted" in err
-
-    def test_no_demotion_no_warning(self, capsys):
-        _warn_demotion("easy", {"n_jobs": 3})
-        assert capsys.readouterr().err == ""
+    def test_no_demotion_no_warning(self, capsys, tmp_path):
+        """A trace with decimal runtimes replays on the default backend
+        with a clean stderr and writes the ``--backend list`` rows."""
+        trace = tmp_path / "decimal.swf"
+        trace.write_text("; MaxProcs: 8\n" + "".join(
+            f"{i} {3 * i} -1 {2.5 + i % 4 * 1.25} {1 + i % 8}\n"
+            for i in range(1, 40)
+        ))
+        paths = {}
+        for backend in ("auto", "array", "list"):
+            paths[backend] = tmp_path / f"{backend}.jsonl"
+            assert main([
+                "replay", str(trace), "-p", "easy", "--window", "10",
+                "--backend", backend, "-o", str(paths[backend]),
+            ]) == 0
+            assert capsys.readouterr().err == ""
+        assert _stored_rows(paths["auto"]) == _stored_rows(paths["list"])
+        assert _stored_rows(paths["array"]) == _stored_rows(paths["list"])

@@ -68,7 +68,7 @@ from repro.serve.api import (
     raise_for_envelope,
 )
 from repro.simulation import POLICIES, SchedulerCore
-from repro.simulation.replay import CHECKPOINT_VERSION, ReplayDemotionWarning
+from repro.simulation.replay import CHECKPOINT_VERSION
 
 SRC_ROOT = Path(repro.__file__).resolve().parents[1]
 
@@ -137,7 +137,7 @@ class TestApiRoundTrip:
             assert op in ALL_OPS
 
     def test_integral_floats_normalise_to_int(self):
-        # a sloppy JSON client sending 10.0 must not demote the int grid
+        # a sloppy JSON client sending 10.0 gets the rows of one sending 10
         op, parsed = parse_request(
             {"format": SERVE_FORMAT, "op": "submit",
              "job": {"id": "j", "p": 5.0, "q": 2.0, "release": 10.0}}
@@ -252,6 +252,20 @@ class TestEnvelopes:
 # ---------------------------------------------------------------------------
 
 
+def _typed(value):
+    """``value`` with each leaf paired with its type name, so states
+    that differ only in a time's type compare unequal."""
+    if isinstance(value, dict):
+        return {key: _typed(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_typed(item) for item in value]
+    return type(value).__name__, value
+
+
+def _typed_state(core):
+    return _typed(core.describe_state())
+
+
 class TestCoreVerbs:
     def test_submit_after_drain_rejects(self):
         core = SchedulerCore(4)
@@ -270,16 +284,6 @@ class TestCoreVerbs:
         core.submit(Job(id="j", p=5, q=1, release=0))
         with pytest.raises(SchedulingError, match="already live"):
             core.submit(Job(id="j", p=5, q=1, release=0))
-
-    def test_explicit_array_backend_refuses_fractional_times(self):
-        # `auto` demotes to the list backend instead; an explicit array
-        # backend cannot, so the job must not reach the loop
-        core = SchedulerCore(8, profile_backend="array")
-        with pytest.raises(InvalidInstanceError, match="non-integral"):
-            core.submit(Job(id="b", p=2.5, q=2, release=1))
-        core.submit(Job(id="a", p=4, q=8, release=0))
-        core.advance_to(10)
-        assert core.completed == 1
 
     def test_cancel_staged_then_id_is_reusable(self):
         core = SchedulerCore(4)
@@ -351,18 +355,15 @@ class TestCoreVerbs:
         core.drain()
         return core
 
-    def test_auto_reserve_demotes_on_fractional_times(self):
-        # a non-integral hole demotes `auto` to the list backend, as a
-        # non-integral job does on arrival, instead of reaching the
-        # integer-grid kernel
-        with pytest.warns(ReplayDemotionWarning, match="reservation"):
-            auto = self._fractional_hole_starts("auto")
+    def test_fractional_reserve_backends_agree(self):
+        # a non-integral hole lands in the kernel: `auto`, `array` and
+        # the `list` reference end in one state, time types included
         exact = self._fractional_hole_starts("list")
-        assert auto.demoted and not exact.demoted
-        assert auto.demoted_at == {
-            "reservation": {"start": Fraction(1, 2), "p": 1, "q": 1}
-        }
-        assert auto.starts == exact.starts
+        for backend in ("auto", "array"):
+            core = self._fractional_hole_starts(backend)
+            assert type(core.profile).__name__ == "ArrayProfile"
+            assert core.starts == exact.starts
+            assert _typed_state(core) == _typed_state(exact)
 
     @staticmethod
     def _huge_fractional_submit(backend):
@@ -372,27 +373,24 @@ class TestCoreVerbs:
         core.drain()
         return core
 
-    def test_auto_submit_demotes_on_fractional_times(self):
-        # a float time far out on the line: `auto` demotes at submit,
-        # so the job runs as on "list"
-        with pytest.warns(ReplayDemotionWarning, match="job 0"):
-            auto = self._huge_fractional_submit("auto")
+    def test_fractional_submit_backends_agree(self):
+        # a float time far out on the line runs on the kernel, `auto`
+        # or `array`, exactly as on "list"
         exact = self._huge_fractional_submit("list")
-        assert auto.demoted and not exact.demoted
-        assert auto.demoted_at == {"job": 0, "release": float(2**63)}
-        assert type(auto.profile).__name__ == "ListProfile"
-        assert auto.starts == exact.starts == {0: float(2**63)}
+        assert exact.starts == {0: float(2**63)}
+        for backend in ("auto", "array"):
+            core = self._huge_fractional_submit(backend)
+            assert type(core.profile).__name__ == "ArrayProfile"
+            assert _typed_state(core) == _typed_state(exact)
 
-    def test_submit_demotion_survives_cancel_and_admits_large_ints(self):
+    def test_cancelled_fractional_submit_admits_large_ints(self):
         core = SchedulerCore(4, window=0, record_starts=True)
-        with pytest.warns(ReplayDemotionWarning):
-            core.submit(Job(id="f", p=Fraction(1, 2), q=1, release=0))
+        core.submit(Job(id="f", p=Fraction(1, 2), q=1, release=0))
         assert core.cancel("f") == "staged"
-        assert core.demoted and core.demoted_at == {"job": "f", "release": 0}
-        # a large int, and the live profile is the list one now
         core.submit(Job(id="big", p=10, q=4, release=2**63))
         core.drain()
         assert core.starts == {"big": 2**63}
+        assert "demoted" not in core.describe_state()
 
     def test_refused_fractional_submit_does_not_demote(self):
         core = SchedulerCore(4)
@@ -402,23 +400,20 @@ class TestCoreVerbs:
         # the float-resolution bound holds on every backend
         with pytest.raises(InvalidInstanceError, match="float resolution"):
             core.submit(Job(id="c", p=0.5, q=1, release=2.0**60))
-        assert not core.demoted and core.demoted_at is None
         assert type(core.profile).__name__ == "ArrayProfile"
         assert [j.id for j in core._staged] == ["a"]
-
-    def test_explicit_array_backend_refuses_fractional_reserve(self):
-        core = SchedulerCore(4, profile_backend="array")
-        with pytest.raises(InvalidInstanceError, match="integer"):
-            core.reserve(Fraction(1, 2), 1, 1)
-        assert not core.demoted
+        accepted = SchedulerCore(4)
+        accepted.submit(Job(id="a", p=1, q=1, release=10))
+        assert core.describe_state() == accepted.describe_state()
 
     def test_refused_fractional_reserve_does_not_demote(self):
         core = SchedulerCore(4)
         core.reserve(0, 10, 4)
+        before = core.describe_state()
         with pytest.raises(SchedulingError, match="does not fit"):
             core.reserve(Fraction(1, 2), 1, 1)
-        assert not core.demoted and core.demoted_at is None
         assert type(core.profile).__name__ == "ArrayProfile"
+        assert core.describe_state() == before
 
     @staticmethod
     def _blocked_head_session(fast):
@@ -668,7 +663,6 @@ class TestSchedulerService:
             assert service.handle(body)["ok"], body
             assert reference.handle(body)["ok"], body
         assert type(service.core.profile).__name__ == "ArrayProfile"
-        assert not service.core.demoted
         assert service.core.describe_state() == reference.core.describe_state()
         live = _state(service)
         service.close()
@@ -693,14 +687,16 @@ class TestSchedulerService:
         assert recovery.config["checkpoint"] == CHECKPOINT_VERSION
         config = {"mode": "serve", "format": SERVE_FORMAT, "m": 4,
                   "policy": "easy", "window": 0}
-        # written before the key existed: version 2, still resumable
+        # written before the key existed: version 2, refused like any
+        # other version
         Journal.create(str(tmp_path / "old"), config).close()
-        resumed, _ = SchedulerService.resume(str(tmp_path / "old"))
-        resumed.close()
-        other = dict(config, checkpoint=CHECKPOINT_VERSION + 1)
-        Journal.create(str(tmp_path / "next"), other).close()
-        with pytest.raises(ServeError, match="checkpoint version"):
-            SchedulerService.resume(str(tmp_path / "next"))
+        with pytest.raises(ServeError, match="checkpoint version 2"):
+            SchedulerService.resume(str(tmp_path / "old"))
+        for version in (2, CHECKPOINT_VERSION + 1):
+            other = dict(config, checkpoint=version)
+            Journal.create(str(tmp_path / f"v{version}"), other).close()
+            with pytest.raises(ServeError, match="checkpoint version"):
+                SchedulerService.resume(str(tmp_path / f"v{version}"))
 
     def test_resume_rejects_batch_replay_journal(self, tmp_path):
         journal = Journal.create(str(tmp_path / "j"), {"mode": "replay"})
@@ -922,21 +918,30 @@ def _state_bytes(port) -> bytes:
         return response.read()
 
 
-def test_daemon_fractional_reserve_demotes(tmp_path):
-    """A non-integral hole on the default (``auto``) backend is acked:
-    the daemon demotes to the list backend instead of answering a
-    ``model`` error."""
+def test_daemon_fractional_reserve_matches_list(tmp_path):
+    """A non-integral hole and job on the default (``auto``) backend
+    are acked, and the daemon's ``/v1/state`` serialises to the ``list``
+    reference's bytes (bar the journaled-op count)."""
+    ops = [make_reserve(0.5, 1, 1), make_submit("f", 2.5, 3, 0.25),
+           make_advance(1.75)]
+    reference = SchedulerService(
+        SchedulerCore(M, window=WINDOW, profile_backend="list")
+    )
+    for body in ops:
+        assert reference.handle(body)["ok"], body
+    want = reference.handle(make_query("state"))["result"]
     proc = _spawn_serve(_fresh_args(tmp_path / "journal", tmp_path / "port"))
     try:
         port = _wait_for_port(tmp_path / "port", proc)
-        env = _post_op(port, make_reserve(0.5, 1, 1))
-        assert env["ok"], env
-        state = _http("GET", port, "/v1/state")["result"]
-        assert state["demoted"] is True
-        assert state["demoted_at"] == {
-            "reservation": {"start": 0.5, "p": 1, "q": 1}
-        }
-        assert state["profile_times"] == [0, 0.5, 1.5]
+        for body in ops:
+            env = _post_op(port, body)
+            assert env["ok"], env
+        state = json.loads(_state_bytes(port))["result"]
+        assert state.pop("ops") == len(ops) and want.pop("ops") == 0
+        assert json.dumps(state, sort_keys=True) == json.dumps(
+            want, sort_keys=True
+        )
+        assert state["profile_times"] == [0, 0.25, 0.5, 1.5, 2.75]
         _http("POST", port, "/v1/shutdown")
         assert proc.wait(timeout=30) == 0
     finally:
@@ -1047,6 +1052,28 @@ def test_resume_refuses_while_config_flags_given(tmp_path, capsys):
     assert main(["serve", str(tmp_path / "j"), "--resume", "-m", "8"]) == 2
     err = capsys.readouterr().err
     assert "--resume takes its configuration from the journal" in err
+
+
+def test_resume_refuses_checkpoint_version_2_journal(tmp_path):
+    """``repro serve --resume`` refuses a journal of version-2 snapshots
+    (they carry fields this build no longer reads) with an ``error:``
+    line and a non-zero exit, before it serves anything."""
+    config = {"mode": "serve", "format": SERVE_FORMAT, "m": M,
+              "policy": "easy", "window": WINDOW,
+              "snapshot_interval": SNAP, "checkpoint": 2}
+    Journal.create(str(tmp_path / "j"), config).close()
+    proc = _spawn_serve([str(tmp_path / "j"), "--resume",
+                         "--port-file", str(tmp_path / "port")])
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=30)
+    assert proc.returncode != 0
+    assert err.startswith("error: ") and "checkpoint version 2" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "port").exists()
 
 
 # ---------------------------------------------------------------------------
