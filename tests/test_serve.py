@@ -355,15 +355,15 @@ class TestCoreVerbs:
         core.drain()
         return core
 
-    def test_fractional_reserve_backends_agree(self):
+    @pytest.mark.parametrize("backend", ["auto", "array"])
+    def test_fractional_reserve_backends_agree(self, backend):
         # a non-integral hole lands in the kernel: `auto`, `array` and
         # the `list` reference end in one state, time types included
         exact = self._fractional_hole_starts("list")
-        for backend in ("auto", "array"):
-            core = self._fractional_hole_starts(backend)
-            assert type(core.profile).__name__ == "ArrayProfile"
-            assert core.starts == exact.starts
-            assert _typed_state(core) == _typed_state(exact)
+        core = self._fractional_hole_starts(backend)
+        assert type(core.profile).__name__ == "ArrayProfile"
+        assert core.starts == exact.starts
+        assert _typed_state(core) == _typed_state(exact)
 
     @staticmethod
     def _huge_fractional_submit(backend):
@@ -373,15 +373,15 @@ class TestCoreVerbs:
         core.drain()
         return core
 
-    def test_fractional_submit_backends_agree(self):
+    @pytest.mark.parametrize("backend", ["auto", "array"])
+    def test_fractional_submit_backends_agree(self, backend):
         # a float time far out on the line runs on the kernel, `auto`
         # or `array`, exactly as on "list"
         exact = self._huge_fractional_submit("list")
         assert exact.starts == {0: float(2**63)}
-        for backend in ("auto", "array"):
-            core = self._huge_fractional_submit(backend)
-            assert type(core.profile).__name__ == "ArrayProfile"
-            assert _typed_state(core) == _typed_state(exact)
+        core = self._huge_fractional_submit(backend)
+        assert type(core.profile).__name__ == "ArrayProfile"
+        assert _typed_state(core) == _typed_state(exact)
 
     def test_cancelled_fractional_submit_admits_large_ints(self):
         core = SchedulerCore(4, window=0, record_starts=True)
