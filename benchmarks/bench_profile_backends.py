@@ -64,7 +64,6 @@ from repro.run import ExperimentSpec, Runner, WorkloadSpec  # noqa: E402
 from repro.workloads.registry import register_workload  # noqa: E402
 from repro.workloads.reservations import periodic_maintenance  # noqa: E402
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 BACKENDS = {"list": ListProfile, "array": ArrayProfile}
 
 
@@ -237,9 +236,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--repeats", type=int, default=1,
                         help="take the best of this many timed runs")
-    parser.add_argument("--out", type=pathlib.Path,
-                        default=REPO_ROOT / "BENCH_profile_backends.json")
+    parser.add_argument("--out", type=pathlib.Path, default=None,
+                        help="report path (default: the tracked "
+                             "BENCH_profile_backends.json for a full run, "
+                             "the temp directory for --quick)")
     args = parser.parse_args(argv)
+    if args.out is None:
+        from suite import PROFILE_BACKENDS_JSON, result_path
+
+        args.out = result_path(PROFILE_BACKENDS_JSON, args.quick, None)
 
     n_jobs = args.jobs if args.jobs is not None else (800 if args.quick else 10_000)
     n_res = args.reservations if args.reservations is not None else (

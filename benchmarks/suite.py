@@ -875,8 +875,7 @@ def _run_profile_backends(
     if quick:
         argv.append("--quick")
     out = result_path(PROFILE_BACKENDS_JSON, quick, out_dir)
-    if out != PROFILE_BACKENDS_JSON:
-        argv += ["--out", str(out)]
+    argv += ["--out", str(out)]
     rc = bench_profile_backends.main(argv)
     if rc != 0:
         raise SystemExit(rc)

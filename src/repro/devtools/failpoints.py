@@ -32,6 +32,13 @@ Recognised keys:
 
 Hit counters are per-process; determinism comes from the sites being
 on deterministic code paths (the replay engine), not from the harness.
+
+The environment is read once per process, on the first :func:`fire`,
+and again only by :func:`armed_names` and on the first :func:`fire`
+after :func:`reset`.  So a disarmed :func:`fire` on a hot path (the
+stochastic replay loop's kills and requeues, every store append) is one
+flag check; a spec set in the environment of a running process takes
+effect at its next :func:`reset` or :func:`armed_names`.
 """
 
 from __future__ import annotations
@@ -169,12 +176,15 @@ class ArmedFailpoint:
 
 _armed: Dict[str, ArmedFailpoint] = {}
 #: spec string the current ``_armed`` table was parsed from (None =
-#: never synced); invalidated whenever the environment changes.
+#: not read since import or the last :func:`reset`).
 _env_spec: Optional[str] = None
 #: True once :func:`arm`/:func:`disarm` was called — programmatic
 #: arming then owns the table and the environment is ignored until
 #: :func:`reset`.
 _manual: bool = False
+#: True while :func:`fire` has nothing to do: the table is settled (the
+#: environment read, or programmatic arming in charge) and empty.
+_idle: bool = False
 
 
 def parse_spec(spec: str) -> Dict[str, ArmedFailpoint]:
@@ -222,6 +232,12 @@ def parse_spec(spec: str) -> Dict[str, ArmedFailpoint]:
     return table
 
 
+def _settle() -> None:
+    """Recompute :data:`_idle` after the table or its source changed."""
+    global _idle
+    _idle = not _armed and (_manual or _env_spec is not None)
+
+
 def arm(
     name: str,
     mode: str = "crash",
@@ -246,6 +262,7 @@ def arm(
     _armed[name] = ArmedFailpoint(
         name=name, mode=mode, after=after, count=count, delay=delay, once=once
     )
+    _settle()
 
 
 def disarm(name: str) -> None:
@@ -253,6 +270,7 @@ def disarm(name: str) -> None:
     global _manual
     _manual = True
     _armed.pop(name, None)
+    _settle()
 
 
 def reset() -> None:
@@ -261,16 +279,17 @@ def reset() -> None:
     _manual = False
     _env_spec = None
     _armed.clear()
+    _settle()
 
 
 def armed_names() -> Tuple[str, ...]:
-    """Names currently armed (after syncing with the environment)."""
+    """Names currently armed (after re-reading the environment)."""
     _sync()
     return tuple(sorted(_armed))
 
 
 def _sync() -> None:
-    """Refresh ``_armed`` from the environment when it changed.
+    """Refresh ``_armed`` from the environment.
 
     Counters survive between calls (the table is only rebuilt when the
     spec string itself changes), so ``after=N`` counts process-wide.
@@ -283,6 +302,7 @@ def _sync() -> None:
         _armed.clear()
         _armed.update(parse_spec(spec))
         _env_spec = spec
+    _settle()
 
 
 def _claim_once(path: str) -> bool:
@@ -303,9 +323,10 @@ def fire(name: str, before: Optional[Callable[[], None]] = None) -> None:
     write (the torn-tail simulation) that must not happen on ordinary
     passes through the site.
     """
-    _sync()
-    if not _armed:
+    if _idle:
         return
+    if _env_spec is None:
+        _sync()
     fp = _armed.get(name)
     if fp is None:
         return

@@ -39,9 +39,12 @@ EASY's shadow reservation as three window queries, a blocked-head
 earliest-fit memo and a capacity-at-now screen.  Two scalar shortcuts
 cover the operation mix real traces produce (~95% of event times carry
 a single arrival): with an empty queue, every completion before the
-next arrival drains in one tight loop with a single compaction, and a
-lone arrival on an empty queue starts through one probe without
-entering the queue.  Any other callable (including a wrapper
+next arrival drains in one tight loop (with a single compaction in the
+certain world; under an uncertainty model it resolves each completion's
+fate, compacts after each completion time and stops before a due
+requeue or no-show release), and a lone arrival on an empty queue
+starts through one probe without entering the queue, drawing its fate
+like any other start.  Any other callable (including a wrapper
 re-registered under a built-in name) runs through ``decide(core, now)``
 against the policy protocol — ``queue``, ``queue_in_order``,
 ``can_start_now``, ``start_job``, ``earliest_start`` and ``profile`` —
@@ -772,10 +775,13 @@ class SchedulerCore:
         kind = self._pass
         easy = kind == "easy"
         greedy = kind == "greedy"
-        # the two scalar shortcuts are certain-world fast-pass only: the
-        # reference runs without them, and under uncertainty completions
-        # resolve fates and credit capacity back
-        shortcuts = kind is not None and not uncertain and not use_heap
+        # the two scalar shortcuts belong to the inlined passes (the
+        # reference protocol path runs without them); under uncertainty
+        # they resolve fates and draw them exactly as the per-event path
+        # does, so they stay on
+        shortcuts = kind is not None and not use_heap
+        requeue_ready = self._requeue_ready
+        no_shows_at = self._no_shows_at
 
         profile = self.profile
         try_reserve = profile.try_reserve
@@ -834,18 +840,36 @@ class SchedulerCore:
                     tc = time_heap[0]
                     if (t_arrival is None or tc < t_arrival) and (
                         limit is None or tc <= limit
-                    ):
+                    ) and not (uncertain and (
+                        tc in requeue_ready or tc in no_shows_at
+                    )):
                         # Empty-queue drain (any backend): no decision
                         # can start anything, so every completion before
                         # the next arrival is processed in one tight loop.
-                        # Nothing commits while draining and completions
-                        # leave the profile alone, so one segment sample
-                        # equals the peak of per-completion samples, and
-                        # one prune reaches the same live window as one
-                        # per completion.
+                        # In the certain world nothing commits while
+                        # draining and completions leave the profile
+                        # alone, so one segment sample equals the peak
+                        # of per-completion samples, and one prune
+                        # reaches the same live window as one per
+                        # completion.  Under uncertainty completions
+                        # resolve their fates (early exits and failures
+                        # credit tails, grace extensions commit and
+                        # re-bucket), so the drain samples and prunes
+                        # after each completion time, as the per-event
+                        # path does, and stops before a time holding a
+                        # due requeue or a no-show release: those can
+                        # fill the queue.
                         while True:
                             heappop(time_heap)
                             finished = buckets.pop(tc)
+                            if uncertain and finished:
+                                finished, extra, requeued, touched = (
+                                    self._resolve_fates(tc, finished)
+                                )
+                                uncertain_events += extra + requeued
+                                running_count -= requeued
+                                if touched:
+                                    blocked_id = None
                             if finished:
                                 n = len(finished)
                                 completed += n
@@ -862,12 +886,20 @@ class SchedulerCore:
                                         acc.last_completion = tc
                                         if acc.full and acc.completed == acc.arrived:
                                             self._emit_done_windows()
+                            if uncertain and completed != pruned_to:
+                                pruned_to = completed
+                                segments = seg_count()
+                                if segments > peak_segments:
+                                    peak_segments = segments
+                                prune(tc)
                             if not time_heap:
                                 break
                             tn = time_heap[0]
                             if (t_arrival is not None and tn >= t_arrival) or (
                                 limit is not None and tn > limit
-                            ):
+                            ) or (uncertain and (
+                                tn in requeue_ready or tn in no_shows_at
+                            )):
                                 break
                             tc = tn
                         now = tc
@@ -892,14 +924,18 @@ class SchedulerCore:
                         for _ in range(1, len(finished)):
                             heappop(time_heap)
                     elif uncertain and finished:
-                        finished, extra, requeued = self._resolve_fates(
-                            now, finished
+                        finished, extra, requeued, touched = (
+                            self._resolve_fates(now, finished)
                         )
                         # a requeue leaves the running count without a
                         # completion: count its start here
                         uncertain_events += extra + requeued
                         running_count -= requeued
-                        blocked_id = None
+                        if touched:
+                            # a credited tail or a grace extension moves
+                            # the blocked head's earliest fit; kills at
+                            # the estimate and exact ends change nothing
+                            blocked_id = None
                     if finished:
                         n = len(finished)
                         completed += n
@@ -920,7 +956,7 @@ class SchedulerCore:
                     # before arrivals, so the decision pass sees the
                     # true state
                     if uncertain and (
-                        now in self._no_shows_at or now in self._requeue_ready
+                        now in no_shows_at or now in requeue_ready
                     ):
                         uncertain_events += self._release_due(now)
                         blocked_id = None
@@ -1005,28 +1041,40 @@ class SchedulerCore:
                         probed = True
                         continue
                     running_count += 1
-                    # wait == 0, so the slowdown and bounded slowdown are
-                    # exactly 1 (x/x, and the clamp floors jp/tau).  The
-                    # slowdown keeps the reference pass's quotient, whose
-                    # type follows the times' (an exact Fraction(1) when
-                    # any of them is a Fraction), so the sums match it
-                    # repro: noqa-begin RPL2xx -- float slowdown/bsld gauges
-                    sum_slowdown += (now - rel + jp) / jp
-                    sum_bsld += 1.0
-                    if 1.0 > max_bsld:
-                        max_bsld = 1.0
-                    if window:
-                        acc = window_of[job.id]
-                        acc.started += 1
-                        acc.sum_bsld += 1.0
-                        if 1.0 > acc.max_bsld:
-                            acc.max_bsld = 1.0
-                    # repro: noqa-end RPL2xx
+                    end = now + jp
+                    if uncertain:
+                        end, doomed = self._draw_fate(job, now)
+                    if not (uncertain and doomed):
+                        # wait == 0, so the slowdown and bounded slowdown
+                        # are exactly 1 (x/x, and the clamp floors
+                        # jp/tau).  The slowdown keeps the reference
+                        # pass's quotient, whose type follows the times'
+                        # (an exact Fraction(1) when any of them is a
+                        # Fraction), so the sums match it.  As in the
+                        # pass, only a final attempt is measured.
+                        # repro: noqa-begin RPL2xx -- float slowdown/bsld gauges
+                        sum_slowdown += (now - rel + jp) / jp
+                        sum_bsld += 1.0
+                        if 1.0 > max_bsld:
+                            max_bsld = 1.0
+                        if window:
+                            acc = window_of[job.id]
+                            acc.started += 1
+                            acc.sum_bsld += 1.0
+                            if 1.0 > acc.max_bsld:
+                                acc.max_bsld = 1.0
+                        if uncertain:
+                            # a bsld of 1 is within the guarantee threshold
+                            self.n_starts += 1
+                            self.n_bsld_le += 1
+                            if window:
+                                acc.waits.append(now - rel)
+                                acc.bslds.append(1.0)
+                        # repro: noqa-end RPL2xx
                     if record is not None:
                         record[job.id] = now
                     if running_ids is not None:
                         running_ids.add(job.id)
-                    end = now + jp
                     bucket = buckets.get(end)
                     if bucket is None:
                         buckets[end] = [job]
@@ -1257,7 +1305,8 @@ class SchedulerCore:
 
     def _resolve_fates(self, now, bucket: List[Job]):
         """Resolve the calendar bucket at ``now`` against recorded fates:
-        ``(jobs completing here, extra events, jobs requeued)``.
+        ``(jobs completing here, extra events, jobs requeued, whether
+        the profile changed)``.
 
         Failures credit their unused reservation tail and park the job
         for requeue; early exits credit the tail and complete; overruns
@@ -1268,6 +1317,7 @@ class SchedulerCore:
         window_of = self.window_of
         out: List[Job] = []
         extra = requeued = 0
+        touched = False
         for job in bucket:
             fate = self._fates.pop(job.id, None)
             if fate is None:
@@ -1277,6 +1327,7 @@ class SchedulerCore:
             if kind == "early":
                 # finished short of the estimate: free the tail now
                 profile.add(now, boundary - now, job.q)
+                touched = True
                 self.early_exits += 1
                 out.append(job)
             elif kind == "fail":
@@ -1284,6 +1335,7 @@ class SchedulerCore:
                 if boundary > now:
                     # a p=1 job failing at its only tick has no tail
                     profile.add(now, boundary - now, job.q)
+                    touched = True
                 self._attempts[job.id] = self._attempts.get(job.id, 0) + 1
                 if self._running_ids is not None:
                     self._running_ids.discard(job.id)
@@ -1321,6 +1373,7 @@ class SchedulerCore:
                         acc.kills += 1
                     out.append(job)
                     continue
+                touched = True
                 extra += 1
                 if cap_end < actual_end:
                     # grace budget exhausted before the actual runtime:
@@ -1336,9 +1389,11 @@ class SchedulerCore:
                 raise SchedulingError(
                     f"unknown uncertainty fate {kind!r} for job {job.id!r}"
                 )
-        for job in out:
-            self._attempts.pop(job.id, None)
-        return out, extra, requeued
+        attempts = self._attempts
+        if attempts:
+            for job in out:
+                attempts.pop(job.id, None)
+        return out, extra, requeued, touched
 
     def _release_due(self, now) -> int:
         """Apply the no-show hole releases and failure re-entries due at

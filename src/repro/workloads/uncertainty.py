@@ -35,9 +35,10 @@ the ``overrun`` policy: ``"kill"`` terminates the job at its estimate
 tries to extend the allocation by up to ``grace * p`` extra time —
 capacity-checked, killing only when the extension does not fit.
 
-Determinism is the whole design: every draw comes from a
+Determinism is the whole design: every draw takes the values of a
 :class:`DrawStream`, a counter-based uniform stream cut straight out of
-SHA-256 of ``(model seed, job id, attempt)`` — independent of
+SHA-256 of ``(model seed, job id, attempt)`` (the built-in models read
+them straight off its first block) — independent of
 processing order, process identity and where a run was sliced, which
 is what makes a serial stochastic replay and a chain of checkpointed
 slices byte-identical and the exact model a true no-op.  Changing the
@@ -117,9 +118,24 @@ _COMMON_KEYS = frozenset(
 )
 
 
+#: The models with an actual-runtime rule in :meth:`UncertaintyModel.draw`.
+_BUILTIN_MODELS = frozenset(
+    {"exact", "overestimate", "underestimate", "lognormal", "early-exit"}
+)
+
 _WORDS = struct.Struct(">4Q").unpack
 _TWO_PI = 2.0 * math.pi
 _INV_2_53 = 1.0 / (1 << 53)
+
+
+def _fail_at(actual, p, u: float):
+    """The failure instant of a failing attempt, from the uniform ``u``:
+    within ``[1, min(actual, p)]`` on the integer grid, else in
+    ``(0, min(actual, p)]``."""
+    horizon = actual if actual < p else p
+    if isinstance(horizon, int):
+        return 1 + int(u * (horizon - 1)) if horizon > 1 else 1
+    return horizon * max(u, 1e-9)
 
 
 class DrawStream:
@@ -261,24 +277,8 @@ class UncertaintyModel:
         ``[0, 1)``, and ``rng.gauss(mu=0.0, sigma=1.0)``, a normal
         variate that consumes two uniforms.  The failure test and the
         failure instant of :meth:`draw` are the next uniforms on the
-        same stream; the built-in models take at most two, so one
-        SHA-256 digest (four uniforms) covers a whole fate."""
-        model = self.model
-        if model == "exact":
-            return p
-        if model == "overestimate":
-            lo = 1.0 / self.factor
-            return self._grid(p * (lo + (1.0 - lo) * rng.random()), p)
-        if model == "underestimate":
-            return self._grid(
-                p * (1.0 + (self.factor - 1.0) * rng.random()), p
-            )
-        if model == "lognormal":
-            return self._grid(
-                p * math.exp(self.sigma * rng.gauss(0.0, 1.0)), p
-            )
-        if model == "early-exit":
-            return self._grid(p * rng.random(), p)
+        same stream.  The built-in models' rules live in :meth:`draw`;
+        a model without one must override this method."""
         raise InvalidInstanceError(
             f"uncertainty model {self.model!r} has no actual-runtime rule "
             "(third-party models must override _actual)"
@@ -293,23 +293,68 @@ class UncertaintyModel:
         job would actually occupy (``[1, min(actual, estimate)]``), and
         an attempt past the retry budget never fails — bounded requeue
         with guaranteed completion.
+
+        The built-in models take at most two uniforms of the attempt's
+        :class:`DrawStream` for the actual runtime (``lognormal`` a
+        Box–Muller normal), and the failure test and instant the next
+        two, so a whole fate lies in the stream's first SHA-256 block.
+        This method reads that block's words directly — the values a
+        :class:`DrawStream` yields, without the stream object and its
+        calls (one draw per job start is the stochastic replay's hot
+        path).  A model that overrides :meth:`_actual` draws through a
+        :class:`DrawStream`.
         """
-        rng = DrawStream(f"{self.seed}:job:{job_id}:{attempt}")
+        basis = f"{self.seed}:job:{job_id}:{attempt}"
+        model = self.model
+        if type(self)._actual is not _BASE_ACTUAL or model not in _BUILTIN_MODELS:
+            return self._stream_draw(DrawStream(basis), p, attempt)
+        words = _WORDS(sha256(basis.encode()).digest())
+        if model == "exact":
+            actual = p
+            used = 0
+        else:
+            u = (words[0] >> 11) * _INV_2_53
+            used = 1
+            if model == "lognormal":
+                # DrawStream.gauss: Box-Muller on the first two uniforms
+                gauss = math.sqrt(-2.0 * math.log(1.0 - u)) * math.cos(
+                    _TWO_PI * ((words[1] >> 11) * _INV_2_53)
+                )
+                value = p * math.exp(self.sigma * gauss)
+                used = 2
+            elif model == "overestimate":
+                lo = 1.0 / self.factor
+                value = p * (lo + (1.0 - lo) * u)
+            elif model == "underestimate":
+                value = p * (1.0 + (self.factor - 1.0) * u)
+            else:  # early-exit
+                value = p * u
+            # `_grid`, inline
+            if isinstance(p, int):
+                actual = int(value)
+                if actual < 1:
+                    actual = 1
+            else:
+                actual = value if value > 0 else p
+        if (
+            self.failure_rate > 0.0
+            and attempt < self.max_retries
+            and (words[used] >> 11) * _INV_2_53 < self.failure_rate
+        ):
+            return actual, _fail_at(actual, p, (words[used + 1] >> 11) * _INV_2_53)
+        return actual, None
+
+    def _stream_draw(self, rng: DrawStream, p, attempt: int):
+        """:meth:`draw` for a model overriding :meth:`_actual`: the
+        failure test and instant are the uniforms after its own."""
         actual = self._actual(rng, p)
-        fail_at = None
         if (
             self.failure_rate > 0.0
             and attempt < self.max_retries
             and rng.random() < self.failure_rate
         ):
-            horizon = actual if actual < p else p
-            if isinstance(horizon, int) and horizon > 1:
-                fail_at = 1 + int(rng.random() * (horizon - 1))
-            elif isinstance(horizon, int):
-                fail_at = 1
-            else:
-                fail_at = horizon * max(rng.random(), 1e-9)
-        return actual, fail_at
+            return actual, _fail_at(actual, p, rng.random())
+        return actual, None
 
     def is_no_show(self, index: int) -> bool:
         """Whether the ``index``-th committed reservation is a no-show
@@ -327,6 +372,12 @@ class UncertaintyModel:
             extra = int(p * self.grace)
             return extra if extra >= 1 else 1
         return p * self.grace
+
+
+#: The base :meth:`UncertaintyModel._actual`: a model that keeps it runs
+#: a built-in rule, read straight off one block by
+#: :meth:`UncertaintyModel.draw`.
+_BASE_ACTUAL = UncertaintyModel._actual
 
 
 # ---------------------------------------------------------------------------

@@ -351,3 +351,22 @@ class TestBenchResultPath:
         assert not tracked.exists()
         written = json.loads((tmp_path / "tmp" / tracked.name).read_text())
         assert written["history"] == [entry]
+
+    def test_quick_profile_backends_run_leaves_the_baseline_alone(
+        self, suite, tmp_path
+    ):
+        """Run directly (not through ``repro bench``), the profile
+        harness resolves its default report path as the suite does: a
+        quick run writes the temp directory."""
+        baseline = suite.PROFILE_BACKENDS_JSON.read_bytes()
+        env = dict(os.environ, TMPDIR=str(tmp_path))
+        subprocess.run(
+            [sys.executable, str(suite.BENCH_DIR / "bench_profile_backends.py"),
+             "--quick", "--jobs", "30", "--reservations", "4"],
+            env=env, check=True, capture_output=True,
+        )
+        assert suite.PROFILE_BACKENDS_JSON.read_bytes() == baseline
+        report = json.loads(
+            (tmp_path / suite.PROFILE_BACKENDS_JSON.name).read_text()
+        )
+        assert report["config"]["quick"] is True

@@ -16,6 +16,7 @@ import os
 import signal
 import subprocess
 import sys
+from collections.abc import MutableMapping
 from contextlib import nullcontext
 from pathlib import Path
 
@@ -466,6 +467,60 @@ def test_env_spec_arms_and_reset_disarms(monkeypatch):
     failpoints.reset()
     monkeypatch.delenv(failpoints.ENV_VAR)
     failpoints.fire("journal.commit")  # disarmed: no-op
+
+
+class _CountingEnviron(MutableMapping):
+    """A pass-through view of the environment that counts its reads."""
+
+    def __init__(self, real):
+        self.real = real
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self.real[key]
+
+    def __setitem__(self, key, value):
+        self.real[key] = value
+
+    def __delitem__(self, key):
+        del self.real[key]
+
+    def __iter__(self):
+        return iter(self.real)
+
+    def __len__(self):
+        return len(self.real)
+
+
+def test_disarmed_fire_reads_the_environment_once(monkeypatch):
+    """Only the first fire reads the environment: a disarmed fire on a
+    hot path is one flag check, whichever site it names."""
+    monkeypatch.delenv(failpoints.ENV_VAR, raising=False)
+    environ = _CountingEnviron(os.environ)
+    monkeypatch.setattr(os, "environ", environ)
+    failpoints.fire("journal.commit")
+    assert environ.reads == 1
+    for name in ("journal.commit", "store.append", "uncertainty.requeue",
+                 "uncertainty.overrun_kill", "serve.op.ack"):
+        for _ in range(10):
+            failpoints.fire(name)
+    assert environ.reads == 1
+
+
+def test_reset_and_armed_names_pick_up_setenv(monkeypatch):
+    monkeypatch.delenv(failpoints.ENV_VAR, raising=False)
+    failpoints.fire("journal.commit")  # reads the environment: disarmed
+    monkeypatch.setenv(failpoints.ENV_VAR, "journal.commit:mode=error")
+    failpoints.fire("journal.commit")  # not re-read: still disarmed
+    failpoints.reset()
+    with pytest.raises(FailpointError):
+        failpoints.fire("journal.commit")
+    monkeypatch.setenv(failpoints.ENV_VAR, "store.append:mode=error")
+    assert failpoints.armed_names() == ("store.append",)
+    failpoints.fire("journal.commit")  # no longer armed
+    with pytest.raises(FailpointError):
+        failpoints.fire("store.append")
 
 
 def test_before_callback_runs_only_when_firing():

@@ -461,10 +461,13 @@ _IDENTITY_MODELS = [
 ]
 
 
-def _core_session(m, policy, backend, model, fast, jobs):
+def _core_session(m, policy, backend, model, fast, jobs, reserve_every=10,
+                  halfway=False):
     """A serve-style session on a bare core — reservations and cancels
     between ``advance_to`` calls — returning its canonical state at a
-    midpoint and at the end, its rows and its starts."""
+    midpoint and at the end, its rows and its starts.  With
+    ``halfway``, the clock also stops halfway to each release, cutting
+    runs of completions at a limit."""
     decide = POLICIES.get(policy)
     core = SchedulerCore(
         m, policy, profile_backend=backend, window=7, record_starts=True,
@@ -472,7 +475,9 @@ def _core_session(m, policy, backend, model, fast, jobs):
     )
     states = []
     for i, job in enumerate(jobs):
-        if i % 10 == 5:
+        if halfway:
+            core.advance_to((core.horizon + job.release) // 2)
+        if i % reserve_every == reserve_every // 2:
             try:
                 core.reserve(job.release + 4, 12, 1 + i % 3)
             except SchedulingError:
@@ -518,6 +523,101 @@ class TestFastPassIdentity:
                 pickle.dumps(head.checkpoint),
                 _core_session(m, policy, backend, model, fast, jobs),
             )
+        assert runs[True] == runs[False]
+
+
+#: Sparse traces: bursts of arrivals apart by gaps longer than any
+#: runtime estimate, so the queue keeps emptying and the fast loop's two
+#: scalar shortcuts run — the lone-arrival start (one-job bursts) and
+#: the empty-queue drain, with failures, tail credits and grace
+#: extensions inside it and requeue and no-show wakes that must stop
+#: it.  Estimates cluster on a few values, so the jobs of a burst often
+#: share an end and exit early at different times.  The dense traces
+#: above almost never empty the queue.
+_sparse_rows = st.lists(
+    st.tuples(
+        st.sampled_from([30, 70, 130]),  # gap before the burst
+        st.lists(
+            st.tuples(
+                st.sampled_from([0, 0, 1, 2]),                # gap in the burst
+                st.sampled_from([2, 5, 10, 10, 10, 20, 25]),  # estimate
+                st.integers(min_value=1, max_value=10),       # processors
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+    ),
+    min_size=3,
+    max_size=8,
+).map(lambda bursts: [
+    (gap if k == 0 else row[0], row[1], row[2])
+    for gap, burst in bursts
+    for k, row in enumerate(burst)
+])
+
+
+def _core_replays(m, policy, backend, model, fast, jobs, cut):
+    """Replay ``jobs`` on bare cores, as :class:`ReplayEngine` does:
+    once in full, then as a chain of slices of ``cut`` arrivals resumed
+    through pickled checkpoints.  Returns the rows, starts and canonical
+    state (counters and ``peak_segments`` included) of the full replay
+    and of every slice, and every checkpoint's bytes."""
+    decide = POLICIES.get(policy)
+
+    def core(resume=None):
+        return SchedulerCore(
+            m, policy, profile_backend=backend, window=5,
+            record_starts=True, uncertainty=model, resume=resume,
+            decide=decide if fast else partial(decide),
+        )
+
+    def state(c):
+        return c.emitted, c.starts, json.dumps(c.describe_state(),
+                                               sort_keys=True)
+
+    full = core()
+    full.feed(jobs)
+    full.drain()
+    out = [state(full)]
+    ckpt = None
+    for i in range(0, len(jobs), cut):
+        part = core(ckpt)
+        part.feed(jobs[i:i + cut])
+        if i + cut >= len(jobs):
+            part.drain()
+            out.append(state(part))
+        else:
+            blob = pickle.dumps(part.checkpoint())
+            out.append((part.emitted, part.starts, blob))
+            ckpt = pickle.loads(blob)
+    return out
+
+
+class TestSparseFastPassIdentity:
+    @pytest.mark.parametrize("model", _IDENTITY_MODELS)
+    @given(rows=_sparse_rows, policy=_policies,
+           backend=st.sampled_from(["array", "list"]),
+           cut=st.integers(min_value=1, max_value=6))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_sparse_fast_equals_reference(self, model, rows, policy,
+                                          backend, cut):
+        """On traces whose queue keeps emptying, the inlined passes with
+        their scalar shortcuts equal the protocol path (``decide`` a
+        ``partial`` of the registered function) byte for byte: rows,
+        starts and canonical state (``peak_segments`` included) of a
+        full replay and of every slice of a checkpointed chain, every
+        checkpoint, and the states of a serve-style session whose clock
+        also stops between arrivals."""
+        m = 16
+        jobs = _jobs_from_rows(rows, m)
+        runs = {
+            fast: (
+                _core_replays(m, policy, backend, model, fast, jobs, cut),
+                _core_session(m, policy, backend, model, fast, jobs,
+                              reserve_every=3, halfway=True),
+            )
+            for fast in (True, False)
+        }
         assert runs[True] == runs[False]
 
 
