@@ -1,16 +1,21 @@
 #!/usr/bin/env python3
-"""Profile-backend benchmark: list vs array on large traces.
+"""Profile benchmark: the kernel (array) vs the reference (list).
 
-Measures the three profile workloads that dominate scheduler cost and
-asserts *identical* scheduling results across backends while timing them:
+Measures the three profile workloads that dominate scheduler cost on
+the kernel ``ArrayProfile`` and on the reference ``ListProfile``:
 
 * ``scheduling`` — an ``earliest_fit`` + ``reserve`` placement loop
   (conservative backfilling's engine) over an SWF-style trace of rigid
   jobs with release times, on a machine carrying periodic-maintenance
-  reservations, executed through the :mod:`repro.run` experiment layer
-  (the trace is a registered workload, the differential check a
-  registered metric), pinned to ``timebase="exact"`` (the trace is
-  integer-timed, so this only skips the no-op normalisation).
+  reservations.  The kernel runs it as the library does, through the
+  :mod:`repro.run` experiment layer (the trace is a registered
+  workload), pinned to ``timebase="exact"`` (the trace is integer-timed,
+  so this only skips the no-op normalisation); the reference runs the
+  same engine, :func:`~repro.algorithms.list_scheduling.
+  earliest_fit_placement`, on a ``ListProfile`` of the instance.  That
+  the two place every job alike is asserted by the scheduler
+  differential in ``tests/test_profile_backends.py``, on this trace
+  too.
 * ``mutation churn`` — interleaved ``reserve``/``add`` pairs (EASY
   backfilling's shadow probing pattern) on an already-fragmented profile.
 * ``windowed queries`` — ``area`` / ``min_capacity`` /
@@ -34,15 +39,13 @@ Run directly (writes ``BENCH_profile_backends.json`` at the repo root)::
     python benchmarks/bench_profile_backends.py            # full: 10k jobs
     python benchmarks/bench_profile_backends.py --quick    # CI smoke
 
-The differential guarantee — every job starts at the same time under both
-backends — is asserted on every run, so a timing never silently buys a
-different schedule.
+The windowed-query scenario asserts that both profiles give the same
+answers on every run.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import pathlib
@@ -52,14 +55,13 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from repro.algorithms.list_scheduling import (  # noqa: E402
+    earliest_fit_placement,
+)
+from repro.algorithms.priority import fifo  # noqa: E402
 from repro.core.instance import ReservationInstance  # noqa: E402
 from repro.core.job import Job  # noqa: E402
-from repro.core.metrics import register_metric  # noqa: E402
-from repro.core.profiles import (  # noqa: E402
-    ArrayProfile,
-    ListProfile,
-    resolve_backend,
-)
+from repro.core.profiles import ArrayProfile, ListProfile  # noqa: E402
 from repro.run import ExperimentSpec, Runner, WorkloadSpec  # noqa: E402
 from repro.workloads.registry import register_workload  # noqa: E402
 from repro.workloads.reservations import periodic_maintenance  # noqa: E402
@@ -100,49 +102,39 @@ def make_trace(n_jobs: int, n_reservations: int, m: int, seed: int):
 # scenarios
 # ---------------------------------------------------------------------------
 
-def _starts_checksum(schedule) -> int:
-    """Order-independent digest of every (job, start) pair — the
-    differential guarantee as a registered metric extractor."""
-    blob = repr(sorted(schedule.starts.items(), key=lambda kv: str(kv[0])))
-    return int(hashlib.sha256(blob.encode()).hexdigest()[:12], 16)
+def _best_of(repeats: int, run) -> float:
+    best = math.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def bench_scheduling(instance, repeats: int):
-    """Conservative-backfilling pass over the whole trace, executed per
-    backend through the experiment layer (:mod:`repro.run`): the trace
-    and the differential check are registered as a workload / a metric,
-    and one single-point spec per backend drives the grid Runner."""
+    """Conservative-backfilling pass over the whole trace: on the
+    kernel through the experiment layer (:mod:`repro.run`, the trace
+    registered as a workload, one single-point spec driving the grid
+    Runner), and on the reference by the same placement engine."""
     register_workload(
         "bench-swf-trace", lambda seed=0, **_: instance, overwrite=True
     )
-    register_metric("bench-starts-checksum", _starts_checksum, overwrite=True)
-    result = {}
-    rows = {}
-    for name in BACKENDS:
-        spec = ExperimentSpec(
-            name=f"bench-profile-{name}",
-            algorithms=("backfill-cons",),
-            workloads=(WorkloadSpec("bench-swf-trace"),),
-            seeds=(0,),
-            metrics=("makespan", "bench-starts-checksum"),
-            profile_backends=(name,),
-            timebases=("exact",),
-        )
-        best = math.inf
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            run = Runner(jobs=1).run(spec)
-            best = min(best, time.perf_counter() - t0)
-        result[name] = best
-        rows[name] = run.rows[0]
-    reference = next(iter(BACKENDS))
-    for name in BACKENDS:
-        assert (
-            rows[name]["makespan"] == rows[reference]["makespan"]
-            and rows[name]["bench-starts-checksum"]
-            == rows[reference]["bench-starts-checksum"]
-        ), "backends disagree on the schedule — differential check failed"
-    return result
+    spec = ExperimentSpec(
+        name="bench-profile-array",
+        algorithms=("backfill-cons",),
+        workloads=(WorkloadSpec("bench-swf-trace"),),
+        seeds=(0,),
+        metrics=("makespan",),
+        timebases=("exact",),
+    )
+    Runner(jobs=1).run(spec)  # untimed: the first run pays the imports
+    times, caps = instance.availability_profile().as_lists()
+    return {
+        "list": _best_of(repeats, lambda: earliest_fit_placement(
+            instance, fifo(instance.jobs), ListProfile(times, caps)
+        )),
+        "array": _best_of(repeats, lambda: Runner(jobs=1).run(spec)),
+    }
 
 
 def _fragmented_lists(n_breakpoints: int):
@@ -165,7 +157,7 @@ def bench_mutation_churn(n_breakpoints: int, ops: int, seed: int, repeats: int):
         probes.append((start, dur, amount))
     result = {}
     for name in BACKENDS:
-        profile = resolve_backend(name)(times, caps)
+        profile = BACKENDS[name](times, caps)
         best = math.inf
         for _ in range(repeats):
             t0 = time.perf_counter()
@@ -180,7 +172,7 @@ def bench_mutation_churn(n_breakpoints: int, ops: int, seed: int, repeats: int):
 
 def bench_windowed_queries(n_breakpoints: int, queries: int, seed: int, repeats: int):
     """Wide-window area/min_capacity/first_time_area_reaches: both
-    backends walk every segment in the window (though not the segments
+    profiles walk every segment in the window (though not the segments
     *before* it — that is the bisect-to-window fix, asserted separately
     in the tests)."""
     rng = random.Random(seed)
@@ -194,7 +186,7 @@ def bench_windowed_queries(n_breakpoints: int, queries: int, seed: int, repeats:
     result = {}
     answers = {}
     for name in BACKENDS:
-        profile = resolve_backend(name)(times, caps)
+        profile = BACKENDS[name](times, caps)
         best = math.inf
         got = None
         for _ in range(repeats):
@@ -242,9 +234,9 @@ def main(argv=None) -> int:
                              "the temp directory for --quick)")
     args = parser.parse_args(argv)
     if args.out is None:
-        from suite import PROFILE_BACKENDS_JSON, result_path
+        from suite import PROFILE_BENCH_JSON, result_path
 
-        args.out = result_path(PROFILE_BACKENDS_JSON, args.quick, None)
+        args.out = result_path(PROFILE_BENCH_JSON, args.quick, None)
 
     n_jobs = args.jobs if args.jobs is not None else (800 if args.quick else 10_000)
     n_res = args.reservations if args.reservations is not None else (
@@ -279,10 +271,8 @@ def main(argv=None) -> int:
     report["scenarios"]["scheduling"] = {
         **{k: round(v, 4) for k, v in sched.items()},
         "speedup_array": round(speedup_array(sched), 2),
-        "identical_schedules": True,
     }
-    print(f"  list {sched['list']:.3f}s  array {sched['array']:.3f}s  "
-          f"(schedules identical)")
+    print(f"  list {sched['list']:.3f}s  array {sched['array']:.3f}s")
 
     print("scenario 2/3: reserve/add mutation churn ...")
     churn = bench_mutation_churn(n_bp, churn_ops, args.seed, args.repeats)

@@ -24,7 +24,7 @@ reference LSRC sweep and with the incremental integer sweep
 (:mod:`repro.core.timebase`), asserts the schedules are *identical*, and
 appends an entry to ``BENCH_core_throughput.json`` — the acceptance gate
 is >= 5x end-to-end LSRC speedup over the frozen tree-backend number
-:data:`PROFILE_BACKENDS_TREE_SCHEDULING_S`.
+:data:`FROZEN_TREE_SCHEDULING_S`.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ RATIO_CHECK_CAP = 10.0
 QUICK_RATIO_CHECK_CAP = 4.0
 
 CORE_THROUGHPUT_JSON = REPO_ROOT / "BENCH_core_throughput.json"
-PROFILE_BACKENDS_JSON = REPO_ROOT / "BENCH_profile_backends.json"
+PROFILE_BENCH_JSON = REPO_ROOT / "BENCH_profile_backends.json"
 REPLAY_THROUGHPUT_JSON = REPO_ROOT / "BENCH_replay_throughput.json"
 
 #: Bounded-memory gates of the replay harness: the 1M-job run may not
@@ -87,7 +87,7 @@ PR4_SERIAL_JOBS_PER_SEC_100K = 32_112
 #: 10k-job maintenance trace).  Frozen here, like
 #: :data:`PR4_SERIAL_JOBS_PER_SEC_100K`, so the >= 5x LSRC gate stays
 #: enforced now that the harness measures only list vs array.
-PROFILE_BACKENDS_TREE_SCHEDULING_S = 0.6637
+FROZEN_TREE_SCHEDULING_S = 0.6637
 
 #: The tentpole acceptance gate: ArrayProfile + calendar queue + fused
 #: decision passes must replay ``synth:steady:100k`` serially at >= this
@@ -177,8 +177,8 @@ def _speedup_scenario(label, exact_fn, fast_fn, repeats, extra=None):
 def bench_core_throughput(
     quick: bool, repeats: int, out_dir: Optional[pathlib.Path]
 ) -> Dict:
-    """The exact LSRC sweep (on the default ``list`` backend) vs the
-    incremental integer sweep, end to end."""
+    """The exact LSRC sweep vs the incremental integer sweep, end to
+    end, both on the profile kernel."""
     from bench_profile_backends import make_trace
 
     from repro.algorithms import ListScheduler
@@ -191,7 +191,7 @@ def bench_core_throughput(
 
     scenarios: Dict[str, Dict] = {}
 
-    print("scenario 1/2: LSRC, exact list sweep vs integer sweep ...")
+    print("scenario 1/2: LSRC, exact sweep vs integer sweep ...")
     scenarios["lsrc_scheduling"] = _speedup_scenario(
         "lsrc_scheduling",
         lambda: ListScheduler(timebase="exact").schedule(instance),
@@ -201,7 +201,7 @@ def bench_core_throughput(
     # The acceptance gate: the int path vs the frozen tree-backend
     # scheduling number (same trace), full scale only.
     if not quick:
-        baseline_tree = PROFILE_BACKENDS_TREE_SCHEDULING_S
+        baseline_tree = FROZEN_TREE_SCHEDULING_S
         scenarios["lsrc_scheduling"]["baseline_tree_s"] = baseline_tree
         scenarios["lsrc_scheduling"]["speedup_vs_baseline_tree"] = round(
             baseline_tree / scenarios["lsrc_scheduling"]["int_s"], 2
@@ -688,7 +688,7 @@ def bench_replay_throughput(
         id_policies = ("easy",) if quick else (
             "fcfs", "greedy", "easy", "conservative"
         )
-        id_backends = ("array", "list")
+        id_backends = ("auto", "list")
         id_compressions = (True,) if quick else (False, True)
         with tempfile.TemporaryDirectory() as tmp:
             gz_path = pathlib.Path(tmp) / "steady_100k.swf.gz"
@@ -874,7 +874,7 @@ def _run_profile_backends(
     argv = ["--repeats", str(repeats)]
     if quick:
         argv.append("--quick")
-    out = result_path(PROFILE_BACKENDS_JSON, quick, out_dir)
+    out = result_path(PROFILE_BENCH_JSON, quick, out_dir)
     argv += ["--out", str(out)]
     rc = bench_profile_backends.main(argv)
     if rc != 0:
@@ -921,7 +921,7 @@ register_bench(Benchmark(
     description="ListProfile vs ArrayProfile on large traces; writes "
                 "BENCH_profile_backends.json",
     runner=_run_profile_backends,
-    baseline=PROFILE_BACKENDS_JSON,
+    baseline=PROFILE_BENCH_JSON,
     tags=("json",),
 ))
 
@@ -974,7 +974,7 @@ def merge_trend(
     workflow uploads the result as its trend artifact.
     """
     trend: Dict[str, Dict] = {}
-    for trajectory in (CORE_THROUGHPUT_JSON, PROFILE_BACKENDS_JSON,
+    for trajectory in (CORE_THROUGHPUT_JSON, PROFILE_BENCH_JSON,
                        REPLAY_THROUGHPUT_JSON):
         path = trajectory
         if out_dir is not None and (pathlib.Path(out_dir) / trajectory.name).exists():

@@ -36,7 +36,6 @@ Quickstart::
 
 from .core import (
     Job,
-    ListProfile,
     ProfileBackend,
     Reservation,
     ReservationInstance,
@@ -46,11 +45,9 @@ from .core import (
     ScheduleMetrics,
     area_bound,
     as_reservation_instance,
-    available_backends,
     left_shifted,
     lower_bound,
     make_jobs,
-    make_profile,
     make_reservations,
     pmax_bound,
     ratio_to_lower_bound,
@@ -79,10 +76,7 @@ __all__ = [
     "RigidInstance",
     "ReservationInstance",
     "ResourceProfile",
-    "ListProfile",
     "ProfileBackend",
-    "available_backends",
-    "make_profile",
     "Schedule",
     "ScheduleMetrics",
     "as_reservation_instance",

@@ -20,9 +20,8 @@ probably) harms nobody.  The paper discusses the spectrum:
 
 Both schedulers run on the instance's integer twin by default
 (``timebase="auto"``, see :mod:`repro.core.timebase`).  Conservative
-backfilling is ``seq``'s placement engine and places there on the
-kernel :class:`~repro.core.profiles.ArrayProfile` unless a
-``profile_backend`` is named.  EASY has no event loop of its own: it
+backfilling is ``seq``'s placement engine and places on the instance's
+availability profile.  EASY has no event loop of its own: it
 drives :class:`~repro.simulation.scheduler_core.SchedulerCore`, the loop
 behind replay and ``repro serve``, whose inlined EASY pass is the one
 fast implementation of the policy.
@@ -69,14 +68,11 @@ class EasyBackfillScheduler(Scheduler):
     (:class:`~repro.simulation.scheduler_core.SchedulerCore`, the loop
     replay and ``repro serve`` run): the instance's reservations become
     holes, its jobs arrive in release order, and the core drains.
-    ``profile_backend`` picks the core's profile (``None`` means
-    ``"list"``).
     """
 
     name = "backfill-easy"
 
-    def __init__(self, profile_backend=None, timebase: str = "auto"):
-        self.profile_backend = profile_backend
+    def __init__(self, timebase: str = "auto"):
         self.timebase = check_timebase_policy(timebase)
 
     def _run(self, instance: ReservationInstance) -> Schedule:
@@ -84,10 +80,7 @@ class EasyBackfillScheduler(Scheduler):
         # module (offline runs time their imports)
         from ..simulation.scheduler_core import SchedulerCore
 
-        core = SchedulerCore(
-            instance.m, "easy", window=0, record_starts=True,
-            profile_backend=self.profile_backend or "list",
-        )
+        core = SchedulerCore(instance.m, "easy", window=0, record_starts=True)
         for res in instance.reservations:
             core.reserve(*reservation_block(res))
         for job in sorted(instance.jobs, key=lambda j: j.release):
@@ -97,19 +90,17 @@ class EasyBackfillScheduler(Scheduler):
 
 
 def conservative_backfill(
-    instance, priority=None, profile_backend=None, timebase: str = "auto"
+    instance, priority=None, timebase: str = "auto"
 ) -> Schedule:
     """Convenience wrapper: conservative backfilling."""
     return ConservativeBackfillScheduler(
-        priority, profile_backend=profile_backend, timebase=timebase
+        priority, timebase=timebase
     ).schedule(instance)
 
 
-def easy_backfill(instance, profile_backend=None, timebase: str = "auto") -> Schedule:
+def easy_backfill(instance, timebase: str = "auto") -> Schedule:
     """Convenience wrapper: EASY backfilling."""
-    return EasyBackfillScheduler(
-        profile_backend=profile_backend, timebase=timebase
-    ).schedule(instance)
+    return EasyBackfillScheduler(timebase=timebase).schedule(instance)
 
 
 register("backfill-cons", ConservativeBackfillScheduler)

@@ -37,22 +37,14 @@ class FCFSScheduler(Scheduler):
         Optional re-ordering of the queue before the FCFS pass (by default
         the instance order / release order, which is what "first come"
         means).  Exposed so experiments can study e.g. FCFS-LPT.
-    profile_backend:
-        Availability-profile backend (``"list"``/``"array"``/class);
-        ``None`` means ``"list"``.
     """
 
-    def __init__(
-        self,
-        priority: Optional[PriorityRule | str] = None,
-        profile_backend=None,
-    ):
+    def __init__(self, priority: Optional[PriorityRule | str] = None):
         self._order, self.name = resolve_priority(priority, "fcfs", fifo)
-        self.profile_backend = profile_backend
 
     def _run(self, instance: ReservationInstance) -> Schedule:
         jobs = self._order(instance.jobs)
-        profile = instance.availability_profile(self.profile_backend)
+        profile = instance.availability_profile()
         starts: Dict = {}
         gate = 0  # start of the previous job: FCFS forbids overtaking
         for job in jobs:
@@ -68,11 +60,9 @@ class FCFSScheduler(Scheduler):
         return Schedule(instance, starts)
 
 
-def fcfs_schedule(instance, priority=None, profile_backend=None) -> Schedule:
+def fcfs_schedule(instance, priority=None) -> Schedule:
     """Convenience wrapper: run pure FCFS on ``instance``."""
-    return FCFSScheduler(priority, profile_backend=profile_backend).schedule(
-        instance
-    )
+    return FCFSScheduler(priority).schedule(instance)
 
 
 register("fcfs", FCFSScheduler)

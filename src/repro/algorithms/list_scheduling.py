@@ -38,13 +38,12 @@ Two engines compute the *same* schedule;
   between consecutive decision points is constant and the feasible
   window of any job only ever *opens* at such a point, so scanning the
   list once per decision point (in list order, with the profile updated
-  as jobs start) implements LSRC exactly.  Runs on any profile backend
-  and any exact time type — the transparent implementation the theory
-  modules cite.
+  as jobs start) implements LSRC exactly.  Runs on any exact time
+  type — the transparent implementation the theory modules cite.
 
 * the **incremental integer sweep** (:meth:`ListScheduler._run_grid`,
   run on the instance's integer twin under ``timebase="auto"``/``"int"``,
-  see :mod:`repro.core.timebase`; it ignores ``profile_backend``): the
+  see :mod:`repro.core.timebase`): the
   sweep becomes *incremental* —
 
   - pending jobs live in a due-heap keyed by a cached lower bound on
@@ -70,8 +69,8 @@ Two engines compute the *same* schedule;
 
 :class:`SequentialPlacementScheduler` (and conservative backfilling, its
 FIFO-ordered subclass) places with :func:`earliest_fit_placement` on the
-same ``ArrayProfile`` on the integer twin, and on
-``instance.availability_profile(profile_backend)`` on the exact path.
+instance's availability profile (the kernel ``ArrayProfile``), on the
+integer twin and on the exact path alike.
 (EASY backfilling places through the scheduler core instead, see
 :mod:`repro.algorithms.backfilling`.)
 """
@@ -180,11 +179,6 @@ class ListScheduler(Scheduler):
         ``None`` (keep instance order), a rule name from
         :mod:`repro.algorithms.priority` (for example ``"lpt"``), or a
         callable ``jobs -> ordered jobs``.
-    profile_backend:
-        Availability-profile backend (``"list"``/``"array"``/class);
-        ``None`` means ``"list"``.  Only the exact reference sweep
-        consults it — the incremental integer sweep always runs on the
-        kernel :class:`~repro.core.profiles.ArrayProfile`.
     timebase:
         ``"auto"`` (default) runs the incremental integer sweep whenever
         the instance's times normalise exactly (ints/Fractions) and the
@@ -196,23 +190,22 @@ class ListScheduler(Scheduler):
     def __init__(
         self,
         priority: Optional[PriorityRule | str] = None,
-        profile_backend=None,
         timebase: str = "auto",
     ):
         self._order, self.name = resolve_priority(priority, "lsrc", list)
-        self.profile_backend = profile_backend
         self.timebase = check_timebase_policy(timebase)
 
     def _run_grid(self, instance: ReservationInstance) -> Schedule:
         """The incremental integer sweep."""
         rows = [(j.release, j.p, j.q, j.id) for j in self._order(instance.jobs)]
-        profile = ArrayProfile(*instance.availability_lists(), _validate=False)
-        return Schedule(instance, incremental_sweep(rows, profile))
+        return Schedule(
+            instance, incremental_sweep(rows, instance.availability_profile())
+        )
 
     def _run(self, instance: ReservationInstance) -> Schedule:
         """The exact reference sweep."""
         jobs = self._order(instance.jobs)
-        profile = instance.availability_profile(self.profile_backend)
+        profile = instance.availability_profile()
         starts: Dict = {}
         pending: List = list(jobs)
 
@@ -264,10 +257,6 @@ class SequentialPlacementScheduler(Scheduler):
     Section 4 transformations; also the serial schedule-generation scheme
     of the exact solver).  Unlike LSRC it can leave a hole that a
     later-listed job could have filled at an earlier time.
-
-    ``profile_backend`` picks the profile; on the integer twin ``None``
-    places on the kernel :class:`~repro.core.profiles.ArrayProfile`,
-    and on the exact path it means ``"list"``.
     """
 
     #: Name under ``priority=None``, and the list order it keeps.
@@ -277,33 +266,18 @@ class SequentialPlacementScheduler(Scheduler):
     def __init__(
         self,
         priority: Optional[PriorityRule | str] = None,
-        profile_backend=None,
         timebase: str = "auto",
     ):
         self._order, self.name = resolve_priority(
             priority, self.base_name, self.default_order
         )
-        self.profile_backend = profile_backend
         self.timebase = check_timebase_policy(timebase)
-
-    def _run_grid(self, instance: ReservationInstance) -> Schedule:
-        if self.profile_backend is None:
-            profile = ArrayProfile(
-                *instance.availability_lists(), _validate=False
-            )
-        else:
-            # a named backend (a ``profile_backends`` experiment factor)
-            # reaches the grid path too
-            profile = instance.availability_profile(self.profile_backend)
-        return earliest_fit_placement(
-            instance, self._order(instance.jobs), profile
-        )
 
     def _run(self, instance: ReservationInstance) -> Schedule:
         return earliest_fit_placement(
             instance,
             self._order(instance.jobs),
-            instance.availability_profile(self.profile_backend),
+            instance.availability_profile(),
         )
 
 
@@ -330,7 +304,6 @@ def list_schedule(
     instance,
     priority: Optional[PriorityRule | str] = None,
     order: Optional[Sequence] = None,
-    profile_backend=None,
     timebase: str = "auto",
 ) -> Schedule:
     """Run LSRC on ``instance``.
@@ -343,9 +316,7 @@ def list_schedule(
         if priority is not None:
             raise SchedulingError("pass either priority or order, not both")
         priority = explicit_order(order)
-    return ListScheduler(
-        priority, profile_backend=profile_backend, timebase=timebase
-    ).schedule(instance)
+    return ListScheduler(priority, timebase=timebase).schedule(instance)
 
 
 register("lsrc", ListScheduler)

@@ -61,7 +61,6 @@ class LocalSearchScheduler(Scheduler):
         budget: int = 300,
         neighbourhood: str = "both",
         seed: int = 0,
-        profile_backend=None,
     ):
         if budget < 1:
             raise InvalidInstanceError("budget must be >= 1")
@@ -73,7 +72,6 @@ class LocalSearchScheduler(Scheduler):
         self.budget = budget
         self.neighbourhood = neighbourhood
         self.seed = seed
-        self.profile_backend = profile_backend
         self.name = f"lsrc-ls[{start_rule}]"
         #: statistics of the most recent run
         self.last_stats: Optional[SearchStats] = None
@@ -103,9 +101,7 @@ class LocalSearchScheduler(Scheduler):
             yield nxt
 
     def _evaluate(self, instance: ReservationInstance, order: List) -> Schedule:
-        return ListScheduler(
-            explicit_order(order), profile_backend=self.profile_backend
-        ).schedule(instance)
+        return ListScheduler(explicit_order(order)).schedule(instance)
 
     def _run(self, instance: ReservationInstance) -> Schedule:
         rng = random.Random(self.seed)
@@ -138,14 +134,12 @@ def local_search_schedule(
     start_rule: str = "lpt",
     budget: int = 300,
     seed: int = 0,
-    profile_backend=None,
 ) -> Schedule:
     """Convenience wrapper: local-search-improved LSRC."""
     return LocalSearchScheduler(
         start_rule=start_rule,
         budget=budget,
         seed=seed,
-        profile_backend=profile_backend,
     ).schedule(instance)
 
 

@@ -39,7 +39,6 @@ from typing import Dict, List, Optional
 
 from ..core.bounds import lower_bound
 from ..core.instance import ReservationInstance, as_reservation_instance
-from ..core.profiles import ResourceProfile
 from ..core.schedule import Schedule
 from ..errors import SchedulingError, SearchBudgetExceeded
 from .base import Scheduler, register
@@ -71,7 +70,6 @@ def branch_and_bound(
     instance,
     node_limit: int = 2_000_000,
     upper_bound_hint=None,
-    profile_backend=None,
 ) -> OptimalResult:
     """Exact branch-and-bound for (RESA)SCHEDULING makespan.
 
@@ -85,8 +83,6 @@ def branch_and_bound(
     upper_bound_hint:
         Optional known-feasible makespan used to seed pruning (for example
         an LSRC makespan); correctness does not depend on it.
-    profile_backend:
-        Availability-profile backend; ``None`` uses the module default.
     """
     inst = as_reservation_instance(instance)
     if not inst.jobs:
@@ -97,7 +93,7 @@ def branch_and_bound(
     global_lb = lower_bound(inst)
 
     # Seed the incumbent with a greedy sequence so pruning bites early.
-    profile0 = inst.availability_profile(profile_backend)
+    profile0 = inst.availability_profile()
     greedy_starts: Dict = {}
     for job in jobs:
         s = profile0.earliest_fit(job.q, job.p, after=job.release)
@@ -115,7 +111,7 @@ def branch_and_bound(
         best_starts = None  # type: ignore[assignment]
 
     nodes = 0
-    profile = inst.availability_profile(profile_backend)
+    profile = inst.availability_profile()
     starts: Dict = {}
 
     def remaining_lb(remaining: List, cur_cmax) -> object:
@@ -181,7 +177,7 @@ def branch_and_bound(
     return OptimalResult(schedule, best_cmax, nodes, True)
 
 
-def exhaustive_optimal(instance, profile_backend=None) -> OptimalResult:
+def exhaustive_optimal(instance) -> OptimalResult:
     """All-permutations reference solver (use only for ``n <= 7``).
 
     Shares no code with :func:`branch_and_bound`; the tests compare the
@@ -198,7 +194,7 @@ def exhaustive_optimal(instance, profile_backend=None) -> OptimalResult:
     count = 0
     for perm in itertools.permutations(jobs):
         count += 1
-        profile = inst.availability_profile(profile_backend)
+        profile = inst.availability_profile()
         starts: Dict = {}
         cmax = 0
         ok = True
@@ -221,14 +217,14 @@ def exhaustive_optimal(instance, profile_backend=None) -> OptimalResult:
     return OptimalResult(schedule, best_cmax, count, True)
 
 
-def optimal_makespan_m1(instance, profile_backend=None):
+def optimal_makespan_m1(instance):
     """Exact optimal makespan for single-machine instances via bitmask DP.
 
     ``dp[mask]`` is the earliest completion time of the job subset
     ``mask`` processed in some order around the reservation holes.  The
     exchange argument is immediate on one machine: finishing a prefix set
     earlier never hurts the next placement because
-    :meth:`~repro.core.profiles.ListProfile.earliest_fit` is monotone
+    :meth:`~repro.core.profiles.ResourceProfile.earliest_fit` is monotone
     in its ``after`` argument.
 
     This is the verifier for the Theorem 1 reduction (Figure 1), where
@@ -246,7 +242,7 @@ def optimal_makespan_m1(instance, profile_backend=None):
         raise SchedulingError(f"bitmask DP over {n} jobs is too large")
     if any(job.release != 0 for job in jobs):
         raise SchedulingError("optimal_makespan_m1 assumes offline jobs")
-    profile = inst.availability_profile(profile_backend)
+    profile = inst.availability_profile()
     size = 1 << n
     dp = [None] * size
     dp[0] = 0
@@ -272,13 +268,9 @@ def optimal_makespan_m1(instance, profile_backend=None):
     return full
 
 
-def optimal_schedule(
-    instance, node_limit: int = 2_000_000, profile_backend=None
-) -> Schedule:
+def optimal_schedule(instance, node_limit: int = 2_000_000) -> Schedule:
     """Convenience wrapper returning just the optimal schedule."""
-    return branch_and_bound(
-        instance, node_limit=node_limit, profile_backend=profile_backend
-    ).schedule
+    return branch_and_bound(instance, node_limit=node_limit).schedule
 
 
 class OptimalScheduler(Scheduler):
@@ -286,16 +278,11 @@ class OptimalScheduler(Scheduler):
 
     name = "optimal"
 
-    def __init__(self, node_limit: int = 2_000_000, profile_backend=None):
+    def __init__(self, node_limit: int = 2_000_000):
         self.node_limit = node_limit
-        self.profile_backend = profile_backend
 
     def _run(self, instance: ReservationInstance) -> Schedule:
-        return branch_and_bound(
-            instance,
-            node_limit=self.node_limit,
-            profile_backend=self.profile_backend,
-        ).schedule
+        return branch_and_bound(instance, node_limit=self.node_limit).schedule
 
 
 register("optimal", OptimalScheduler)

@@ -179,7 +179,7 @@ def _first_time_capped_area_reaches(profile, cap: int, work):
     return None  # pragma: no cover - final segment is infinite
 
 
-def preemptive_makespan(instance, profile_backend=None):
+def preemptive_makespan(instance):
     """Smallest ``T`` satisfying Schmidt's condition (exact optimum).
 
     Each ``k``-condition yields the earliest time the ``k`` largest jobs'
@@ -190,7 +190,7 @@ def preemptive_makespan(instance, profile_backend=None):
     _check_sequential(inst)
     if not inst.jobs:
         return 0
-    profile = inst.availability_profile(profile_backend)
+    profile = inst.availability_profile()
     ps = sorted((job.p for job in inst.jobs), reverse=True)
     best = 0
     prefix = 0
@@ -252,7 +252,7 @@ def _waterfill(rs: List, c: int, length):
     )
 
 
-def preemptive_schedule(instance, profile_backend=None) -> PreemptiveSchedule:
+def preemptive_schedule(instance) -> PreemptiveSchedule:
     """Construct an optimal preemptive schedule.
 
     Segment-filling: walk the availability profile up to the optimal
@@ -271,8 +271,8 @@ def preemptive_schedule(instance, profile_backend=None) -> PreemptiveSchedule:
     _check_sequential(inst)
     if not inst.jobs:
         return PreemptiveSchedule(inst, [])
-    T = preemptive_makespan(inst, profile_backend)
-    profile = inst.availability_profile(profile_backend)
+    T = preemptive_makespan(inst)
+    profile = inst.availability_profile()
     remaining: Dict[object, object] = {job.id: job.p for job in inst.jobs}
     pieces: List[PreemptivePiece] = []
 

@@ -8,7 +8,7 @@ processing time inside.  Shelf algorithms come from strip packing
 (NFDH/FFDH); for rigid jobs without reservations FFDH-style shelving is a
 classical 3-approximation-grade heuristic, and it extends naturally to
 reservations by placing each closed shelf as one rigid block with
-:meth:`~repro.core.profiles.ListProfile.earliest_fit`.
+:meth:`~repro.core.profiles.ResourceProfile.earliest_fit`.
 
 Two variants:
 
@@ -93,9 +93,6 @@ class _ShelfSchedulerBase(Scheduler):
 
     _builder = staticmethod(_build_shelves_nf)
 
-    def __init__(self, profile_backend=None):
-        self.profile_backend = profile_backend
-
     def _run(self, instance: ReservationInstance) -> Schedule:
         if any(job.release > 0 for job in instance.jobs):
             raise SchedulingError(
@@ -105,7 +102,7 @@ class _ShelfSchedulerBase(Scheduler):
         if not instance.jobs:
             return Schedule(instance, {})
         shelves = self._builder(list(instance.jobs), instance.m)
-        profile = instance.availability_profile(self.profile_backend)
+        profile = instance.availability_profile()
         starts: Dict = {}
         for shelf in shelves:
             s = profile.earliest_fit(shelf.width, shelf.height, after=0)
@@ -133,12 +130,12 @@ class FirstFitShelfScheduler(_ShelfSchedulerBase):
     _builder = staticmethod(_build_shelves_ff)
 
 
-def shelf_schedule(instance, variant: str = "ff", profile_backend=None) -> Schedule:
+def shelf_schedule(instance, variant: str = "ff") -> Schedule:
     """Convenience wrapper: run a shelf heuristic (``"ff"`` or ``"nf"``)."""
     if variant == "ff":
-        return FirstFitShelfScheduler(profile_backend).schedule(instance)
+        return FirstFitShelfScheduler().schedule(instance)
     if variant == "nf":
-        return NextFitShelfScheduler(profile_backend).schedule(instance)
+        return NextFitShelfScheduler().schedule(instance)
     raise SchedulingError(f"unknown shelf variant {variant!r}; use 'ff' or 'nf'")
 
 

@@ -351,7 +351,7 @@ def _replay(args) -> int:
                 m=args.machines, max_jobs=args.max_jobs,
                 seed=args.seed, store=args.out, resume=args.resume,
                 snapshot_interval=interval, window=args.window,
-                profile_backend=args.backend, **uncertain_kwargs,
+                **uncertain_kwargs,
             )
         except JournalError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -377,8 +377,7 @@ def _replay(args) -> int:
         multi = replay_policies(
             args.trace, policies, m=args.machines, jobs=args.jobs,
             store=args.out, max_jobs=args.max_jobs, seed=args.seed,
-            window=args.window, profile_backend=args.backend,
-            **uncertain_kwargs,
+            window=args.window, **uncertain_kwargs,
         )
         for policy in policies:
             t = multi.results[policy].totals
@@ -403,7 +402,7 @@ def _replay(args) -> int:
     )
     engine = ReplayEngine(
         machine, policy=policies[0], window=args.window, store=args.out,
-        profile_backend=args.backend, **uncertain_kwargs,
+        **uncertain_kwargs,
     )
     result = engine.run(arrivals, stream=stream)
     t = result.totals
@@ -596,12 +595,6 @@ def _metric_names() -> List[str]:
     return available_metrics()
 
 
-def _backend_names() -> List[str]:
-    from .core.profiles import available_backends
-
-    return available_backends()
-
-
 def _lint_rule_names() -> List[str]:
     from .devtools.lint import RULES
 
@@ -626,7 +619,6 @@ _LIST_LOADERS = {
     "workloads": _workload_names,
     "policies": _policy_names,
     "metrics": _metric_names,
-    "backends": _backend_names,
     "lint-rules": _lint_rule_names,
     "failpoints": _failpoint_names,
     "uncertainty-models": _uncertainty_names,
@@ -755,10 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="jobs per metrics window (0 disables windows)")
     p.add_argument("--max-jobs", type=int,
                    help="stop after this many jobs")
-    p.add_argument("--backend", default="auto",
-                   help="profile backend: auto, list or array (default: "
-                        "auto, which is the array kernel; list is the "
-                        "simple reference, same rows)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for synth:<profile> traces")
     p.add_argument("--uncertainty", metavar="SPEC",

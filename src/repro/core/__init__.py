@@ -45,15 +45,7 @@ from .metrics import (
     waiting_times,
 )
 from .registry import Registry, RegistryCollisionWarning
-from .profiles import (
-    ListProfile,
-    ProfileBackend,
-    ResourceProfile,
-    available_backends,
-    convert_profile,
-    make_profile,
-    resolve_backend,
-)
+from .profiles import ProfileBackend, ResourceProfile
 from .schedule import Schedule, ScheduledJob, left_shifted
 from .timebase import (
     TIMEBASE_POLICIES,
@@ -84,12 +76,7 @@ __all__ = [
     "ReservationInstance",
     "as_reservation_instance",
     "ResourceProfile",
-    "ListProfile",
     "ProfileBackend",
-    "available_backends",
-    "resolve_backend",
-    "make_profile",
-    "convert_profile",
     "Schedule",
     "ScheduledJob",
     "left_shifted",

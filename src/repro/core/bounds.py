@@ -36,7 +36,7 @@ def work_bound(instance) -> object:
     return inst.total_work / inst.m
 
 
-def area_bound(instance, profile_backend=None):
+def area_bound(instance):
     """Earliest ``T`` such that the machine offers ``W`` area in ``[0, T]``.
 
     With no reservations this equals ``W / m``.  With reservations it is
@@ -48,24 +48,24 @@ def area_bound(instance, profile_backend=None):
     inst = as_reservation_instance(instance)
     if not inst.jobs:
         return 0
-    profile = inst.availability_profile(profile_backend)
+    profile = inst.availability_profile()
     t = profile.first_time_area_reaches(inst.total_work)
     return t if t is not None else 0
 
 
-def pmax_bound(instance, profile_backend=None):
+def pmax_bound(instance):
     """Max over jobs of the earliest completion the job could achieve alone.
 
     Without reservations this is the appendix's ``C*max >= pmax``.  With
     reservations a job may be unable to start at 0 (not enough free
     processors), so its solo earliest completion — computed with
-    :meth:`~repro.core.profiles.ListProfile.earliest_fit` on the
+    :meth:`~repro.core.profiles.ResourceProfile.earliest_fit` on the
     reservation-only profile — is a valid, stronger bound.
     """
     inst = as_reservation_instance(instance)
     if not inst.jobs:
         return 0
-    profile = inst.availability_profile(profile_backend)
+    profile = inst.availability_profile()
     best = 0
     for job in inst.jobs:
         start = profile.earliest_fit(job.q, job.p, after=job.release)
@@ -80,7 +80,7 @@ def pmax_bound(instance, profile_backend=None):
     return best
 
 
-def squashed_area_bound(instance, profile_backend=None):
+def squashed_area_bound(instance):
     """Area bound restricted to jobs wider than half the machine.
 
     Jobs with ``q > m / 2`` can never run concurrently with one another, so
@@ -95,7 +95,7 @@ def squashed_area_bound(instance, profile_backend=None):
         return 0
     qmin = min(job.q for job in wide)
     need = sum(job.p for job in wide)
-    profile = inst.availability_profile(profile_backend)
+    profile = inst.availability_profile()
     # Accumulate time (not area) over segments with capacity >= qmin.
     acc = 0
     for seg_start, seg_end, cap in profile.segments():
@@ -118,15 +118,15 @@ def release_bound(instance):
     return max(job.release + job.p for job in inst.jobs)
 
 
-def lower_bound(instance, profile_backend=None):
+def lower_bound(instance):
     """Best available lower bound: max of all bounds in this module."""
     inst = as_reservation_instance(instance)
     if not inst.jobs:
         return 0
     return max(
-        area_bound(inst, profile_backend),
-        pmax_bound(inst, profile_backend),
-        squashed_area_bound(inst, profile_backend),
+        area_bound(inst),
+        pmax_bound(inst),
+        squashed_area_bound(inst),
         release_bound(inst),
     )
 

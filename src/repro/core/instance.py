@@ -30,7 +30,7 @@ from ..errors import (
     InvalidInstanceError,
 )
 from .job import Job, Reservation, make_jobs, make_reservations
-from .profiles import BackendSpec, ProfileBackend, ResourceProfile, convert_profile
+from .profiles import ResourceProfile
 
 
 def _check_machine_count(m) -> None:
@@ -252,27 +252,13 @@ class ReservationInstance:
         return max((res.end for res in self.reservations), default=0)
 
     # -- availability -----------------------------------------------------
-    def availability_profile(
-        self, profile_backend: BackendSpec = None
-    ) -> ProfileBackend:
+    def availability_profile(self) -> ResourceProfile:
         """Fresh mutable copy of ``m(t) = m - U(t)``.
 
         Each call returns an independent copy so schedulers can commit
-        placements without corrupting the instance.  ``profile_backend``
-        selects the availability structure (a name such as ``"list"`` or
-        ``"array"``, or a :class:`~repro.core.profiles.ProfileBackend`
-        subclass); ``None`` means ``"list"``.
+        placements without corrupting the instance.
         """
-        return convert_profile(
-            self._master_profile, profile_backend  # type: ignore[attr-defined]
-        )
-
-    def availability_lists(self) -> Tuple[list, list]:
-        """Canonical ``(times, caps)`` breakpoint lists of ``m(t)`` (fresh
-        copies).  The raw-array view the integer-timebase fast path
-        (:mod:`repro.core.timebase`) normalises without paying for a full
-        backend conversion."""
-        return self._master_profile.as_lists()  # type: ignore[attr-defined]
+        return self._master_profile.copy()  # type: ignore[attr-defined]
 
     def unavailability_at(self, t) -> int:
         """The paper's ``U(t)``: processors blocked by reservations at ``t``."""

@@ -1,16 +1,17 @@
 """The profile kernel: flat time/capacity columns, scanned in place.
 
-:class:`ArrayProfile` is the one fast implementation of the profile
-protocol.  The offline placement schedulers (LSRC's incremental sweep,
-conservative backfilling and ``seq`` on an instance's integer twin) and
-the online event loop behind replay and ``repro serve`` all place on it.
-Breakpoint times and segment capacities live in two plain ``list``
-columns, and its design points are:
+:class:`ArrayProfile` is the one profile the library builds (public
+name :data:`~repro.core.profiles.ResourceProfile`): every offline
+scheduler, bound and simulation, and the online event loop behind
+replay and ``repro serve``, place on it.  The simple
+:class:`~repro.core.profiles.list_backend.ListProfile` is the reference
+it is tested against.  Breakpoint times and segment capacities live
+in two plain ``list`` columns, and its design points are:
 
 * **prefix-delete pruning** — :meth:`prune_before` deletes the
   segments behind the frontier and re-anchors the frontier segment at
-  time 0, the rule the list backend shares.  A forward sweep prunes
-  behind its clock (the replay loop, on either backend, after every
+  time 0, the rule the reference shares.  A forward sweep prunes
+  behind its clock (the replay loop, on either profile, after every
   event with completions), so the live profile stays at tens of
   segments;
 * **inline scans** — ``try_reserve`` and ``max_capacity_between`` walk
@@ -23,7 +24,7 @@ columns, and its design points are:
 * **batched overlay** — :meth:`reserve_many` rebuilds the columns in one
   sweep via the shared :func:`overlay_reservation_blocks` engine.
 
-Times are any ordered exact type, as on the ``"list"`` backend: ints of
+Times are any ordered exact type, as on the reference: ints of
 any magnitude (what ``timebase="auto"`` normalisation, SWF archives and
 the synthetic trace pack produce), ``Fraction`` and ``float``, mixed
 freely.  No algorithm here depends on ``int``; the kernel stores the
@@ -322,7 +323,8 @@ class ArrayProfile(ProfileBackend):
     def fits(self, q: int, start: Time, duration: Time) -> bool:
         """True when a ``q``-wide block of length ``duration`` fits at
         ``start`` (inlined min scan: the hot probe of the replay loop)."""
-        if duration <= 0:
+        end = start + duration
+        if end <= start:  # as the reference's window check: start=inf too
             raise InvalidInstanceError("window must have positive length")
         if start < 0:
             raise InvalidInstanceError(
@@ -330,7 +332,7 @@ class ArrayProfile(ProfileBackend):
             )
         times = self._times
         i = bisect_right(times, start) - 1
-        j = bisect_left(times, start + duration, i + 1)
+        j = bisect_left(times, end, i + 1)
         caps = self._caps
         if j - i == 1:
             return caps[i] >= q

@@ -43,28 +43,23 @@ To extend the protocol, declare the primitive here first (body =
 docstring + ``raise NotImplementedError``), then implement it in every
 backend in the same CI run.
 
-Mutation-cost tradeoff (the ``_shift_window`` ledger)
------------------------------------------------------
+Mutation cost
+-------------
 A ``reserve``/``add`` over a window covering ``w`` of the profile's ``n``
-segments costs, per backend:
+segments costs O(w + log n) on either implementation: bisect to the
+window, split its two boundaries, shift the covered capacities and
+re-merge only at the boundaries.  The interior update is Θ(w), so
+*wide* windows (w → n) stay linear — a deliberate trade: going
+sublinear needs lazy range-add aggregates (an augmented tree), whose
+constants lost to the flat lists on every caller the repo runs.
 
-* ``list`` — O(w + log n): bisect to the window, one C-level slice
-  rewrite of the covered capacities, boundary-only re-merging.  PR 3
-  replaced the original O(n) full re-merge with this local
-  ``_shift_window``; the interior update is still Θ(w), so *wide*
-  windows (w → n) remain linear — that is a deliberate gate, not an
-  accident: making it sublinear needs lazy range-add aggregates (an
-  augmented tree), whose constants lost to the flat arrays on every
-  caller the repo runs, so no such backend ships.
-* ``array`` — same O(w + log n) shape as ``list``, on flat columns
-  with one shared commit helper.
+Both prune with the same prefix delete, cheap enough to run on every
+completion, so a rolling sweep that prunes behind its clock (the replay
+and serve loop does) keeps n, and hence every w, at the active-window
+size.
 
-Both backends prune with the same prefix delete, cheap enough to run
-on every completion, so a rolling sweep that prunes behind its clock
-(the replay and serve loop does, on either backend) keeps n, and hence
-every w, at the active-window size.
-
-``benchmarks/bench_profile_backends.py`` measures both per scenario.
+``benchmarks/bench_profile_backends.py`` times the kernel against the
+reference per scenario.
 """
 
 from __future__ import annotations
@@ -122,9 +117,16 @@ def merge_equal_segments(
 
 def check_reserve_args(start: Time, duration: Time, amount: int,
                        verb: str) -> None:
-    """Shared argument validation for reserve/add/reserve_many."""
-    if duration <= 0:
-        raise InvalidInstanceError("duration must be positive")
+    """Shared argument validation for reserve/add/reserve_many.
+
+    A NaN or infinite start and a NaN duration are refused: a NaN
+    compares false with everything, so it would slip past the order
+    checks and land as a breakpoint that breaks the canonical form.
+    """
+    if not duration > 0:  # also refuses NaN
+        raise InvalidInstanceError(
+            f"duration must be positive, got {duration!r}"
+        )
     if (type(amount) is not int and not isinstance(amount, numbers.Integral)) \
             or amount < 0:
         raise InvalidInstanceError(
@@ -134,6 +136,8 @@ def check_reserve_args(start: Time, duration: Time, amount: int,
         if verb == "added":
             raise InvalidInstanceError("cannot add capacity before time 0")
         raise InvalidInstanceError("reservation cannot start before time 0")
+    if not start < math.inf:  # NaN or +inf
+        raise InvalidInstanceError(f"{verb} start must be finite, got {start!r}")
 
 
 def overlay_reservation_blocks(
@@ -142,7 +146,7 @@ def overlay_reservation_blocks(
     """Apply many ``(start, duration, amount)`` reservations to canonical
     ``(times, caps)`` lists in **one sweep**, returning fresh merged lists.
 
-    The shared engine behind the backends' atomic :meth:`reserve_many`:
+    The engine behind the kernel's atomic :meth:`reserve_many`:
     block boundaries become capacity deltas, a single merge pass overlays
     them on the existing breakpoints, and a :class:`CapacityError` is
     raised (before anything is returned, so callers stay untouched) when
@@ -292,6 +296,7 @@ class ProfileBackend:
         window location twice).  Backends override this with a variant
         that reuses the probe's bisection for the commit.
         """
+        check_reserve_args(start, duration, amount, "reserved")
         if self.min_capacity(start, start + duration) < amount:
             return False
         self.reserve_fitting(start, duration, amount)
@@ -366,10 +371,9 @@ class ProfileBackend:
     def segment_count(self) -> int:
         """Number of segments (= breakpoints) the profile holds.
 
-        Derived in O(n) here; backends with cheaper bookkeeping override
-        it (the list and array backends answer in O(1)), which is what
+        Derived in O(n) here; the kernel answers in O(1), which is what
         lets the replay engine sample an exact peak-size gauge before
-        every compaction.
+        every compaction cheaply.
         """
         return len(self.as_lists()[0])
 
@@ -427,8 +431,8 @@ class ProfileBackend:
         Either every block is applied or (on :class:`CapacityError` or
         invalid arguments) none is.  The generic implementation validates
         every block up front, then reserves one at a time and rolls back
-        on a capacity failure; list-based backends override this with a
-        single sweep so ``k`` reservations cost one rebuild, not ``k``.
+        on a capacity failure; the kernel overrides this with a single
+        sweep so ``k`` reservations cost one rebuild, not ``k``.
         """
         pending: List[Block] = []
         for start, duration, amount in blocks:

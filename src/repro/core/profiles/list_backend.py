@@ -1,33 +1,36 @@
-"""The exact list backend: sorted breakpoint arrays, simple and canonical.
+"""The reference profile: sorted breakpoint lists, simple and canonical.
 
 :class:`ListProfile` is the original, deliberately transparent
 implementation of the profile protocol: two parallel lists (breakpoint
 times and segment capacities) kept in canonical merged form after every
-mutation.  Point and window queries bisect into the arrays; mutations
-splice and re-merge, which is O(n) per call but with small constants and
-zero bookkeeping.  It is the default backend (``profile_backend=None``)
-and the independent oracle the differential tests hold the kernel
+mutation.  Point and window queries bisect into the lists; mutations
+splice and re-merge; a batch of reservations is the protocol's
+validate-then-roll-back loop over :meth:`ListProfile.reserve`, and the
+derived queries (``breakpoints``, ``segment_count``,
+``max_capacity_between``, ...) are the protocol's generic ones.  No
+scheduler builds it: it is the independent oracle the differential
+tests hold the kernel
 :class:`~repro.core.profiles.array_backend.ArrayProfile` to, in value
-and in type, on int, ``Fraction``, ``float`` and mixed times;
-``benchmarks/bench_profile_backends.py`` times the two.
+and in type, on int, ``Fraction``, ``float`` and mixed times, and the
+profile of the replay engine's reference configuration
+(``profile_backend="list"``).  ``benchmarks/bench_profile_backends.py``
+times the two.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ...errors import CapacityError, InvalidInstanceError
 from .base import (
-    Block,
     ProfileBackend,
     Segment,
     Time,
     check_reserve_args,
     iter_segments,
     merge_equal_segments,
-    overlay_reservation_blocks,
     validate_profile_inputs,
 )
 
@@ -86,14 +89,8 @@ class ListProfile(ProfileBackend):
         """Add ``delta`` to every segment in ``[start, end)`` and restore
         canonical form *locally*: a uniform delta preserves the inequality
         between interior neighbours, so only the two window boundaries can
-        need merging — reserve/add are O(window + log n), not O(n).
-
-        The interior update is a single slice rewrite (one C-level
-        splice instead of ``w`` indexed ``+=``), which keeps wide-window
-        churn competitive with the other backends; the Θ(w) shape
-        itself is the documented trade (see the mutation-cost ledger in
-        :mod:`repro.core.profiles.base`) — going sublinear would need
-        lazy range-add aggregates.
+        need merging — reserve/add are O(window + log n), not O(n)
+        (see "Mutation cost" in :mod:`repro.core.profiles.base`).
         """
         i = self._ensure_breakpoint(start)
         j = self._ensure_breakpoint(end)
@@ -112,30 +109,9 @@ class ListProfile(ProfileBackend):
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    @property
-    def breakpoints(self) -> Tuple[Time, ...]:
-        """The times at which capacity changes (first is always 0)."""
-        return tuple(self._times)
-
     def capacity_at(self, t: Time) -> int:
         """Number of free processors at time ``t``."""
         return self._caps[self._index_at(t)]
-
-    def segment_count(self) -> int:
-        """Number of segments — O(1)."""
-        return len(self._times)
-
-    def final_capacity(self) -> int:
-        """Capacity on the unbounded last segment (after every reservation)."""
-        return self._caps[-1]
-
-    def max_capacity(self) -> int:
-        """Largest capacity reached anywhere."""
-        return max(self._caps)
-
-    def min_capacity_overall(self) -> int:
-        """Smallest capacity reached anywhere."""
-        return min(self._caps)
 
     def segments(self, horizon: Optional[Time] = None) -> Iterator[Segment]:
         """Yield ``(start, end, capacity)``; the last ``end`` is ``horizon``
@@ -179,25 +155,6 @@ class ListProfile(ProfileBackend):
             if hi > lo:
                 total += caps[j] * (hi - lo)
         return total
-
-    def max_capacity_between(self, start: Time,
-                             end: Optional[Time] = None) -> int:
-        """Largest capacity on ``[start, end)`` (``end=None`` → infinity);
-        bisects to the window like :meth:`min_capacity`."""
-        if end is not None and end <= start:
-            raise InvalidInstanceError("window must have positive length")
-        i = self._index_at(start)
-        caps = self._caps
-        if end is None:
-            return max(caps[i:])
-        hi = caps[i]
-        times = self._times
-        j = i + 1
-        while j < len(times) and times[j] < end:
-            if caps[j] > hi:
-                hi = caps[j]
-            j += 1
-        return hi
 
     def earliest_fit(self, q: int, duration: Time,
                      after: Time = 0) -> Optional[Time]:
@@ -273,19 +230,6 @@ class ListProfile(ProfileBackend):
             del self._times[:i]
             del self._caps[:i]
         self._times[0] = 0
-
-    def reserve_many(self, blocks: Iterable[Block]) -> None:
-        """Apply many ``(start, duration, amount)`` reservations in one sweep.
-
-        All-or-nothing: the combined result is computed first and the
-        profile is only replaced when no instant would drop below zero,
-        otherwise :class:`~repro.errors.CapacityError` is raised and the
-        profile is untouched.  One sweep over ``O(n + k)`` breakpoints
-        replaces ``k`` individual O(n) rebuilds.
-        """
-        self._times, self._caps = overlay_reservation_blocks(
-            self._times, self._caps, blocks
-        )
 
     # ------------------------------------------------------------------
     # derived quantities

@@ -136,8 +136,7 @@ class Schedule:
 
         Usage is constant between consecutive event points, so sampling at
         each event time fully determines the function
-        (:class:`~repro.core.profiles.ListProfile` merges equal
-        neighbouring segments).
+        (the profile merges equal neighbouring segments).
         """
         events = self.event_times()  # sorted, always contains 0
         caps = [self.usage_at(t) for t in events]

@@ -17,6 +17,7 @@ produced.  This module defines a stable JSON encoding with:
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import Dict, Union
 
@@ -48,15 +49,31 @@ def _encode_number(value):
     raise TraceFormatError(f"cannot encode number {value!r}")
 
 
-def _decode_number(value):
+def finite_number(value, what: str, error=TraceFormatError):
+    """The finite-only rule for decoded numbers: ``value`` itself, unless
+    it is a float that is not finite — a ``NaN``/``Infinity`` literal,
+    or a number such as ``1e400`` that overflows to ``inf`` — which
+    raises ``error`` naming ``what``.  Instance, schedule and spec
+    documents and ``repro serve`` requests all decode through it: no
+    such value is a time, a size or a parameter."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise error(f"{what} must be finite, got {value!r}")
+    return value
+
+
+def _decode_number(value, what: str = "number"):
     if isinstance(value, dict):
         try:
             return Fraction(value["num"], value["den"])
         except (KeyError, TypeError, ZeroDivisionError) as exc:
             raise TraceFormatError(f"malformed fraction {value!r}") from exc
     if isinstance(value, (int, float)):
-        return value
+        return finite_number(value, what)
     raise TraceFormatError(f"cannot decode number {value!r}")
+
+
+def _decode_int(value, what: str) -> int:
+    return int(finite_number(value, what))
 
 
 def _encode_id(value):
@@ -116,9 +133,11 @@ def instance_from_dict(data: Dict) -> ReservationInstance:
         jobs = tuple(
             Job(
                 id=j["id"],
-                p=_decode_number(j["p"]),
-                q=int(j["q"]),
-                release=_decode_number(j.get("release", 0)),
+                p=_decode_number(j["p"], f"job {j['id']!r} field 'p'"),
+                q=_decode_int(j["q"], f"job {j['id']!r} field 'q'"),
+                release=_decode_number(
+                    j.get("release", 0), f"job {j['id']!r} field 'release'"
+                ),
                 name=j.get("name", ""),
             )
             for j in data["jobs"]
@@ -126,15 +145,17 @@ def instance_from_dict(data: Dict) -> ReservationInstance:
         reservations = tuple(
             Reservation(
                 id=r["id"],
-                start=_decode_number(r["start"]),
-                p=_decode_number(r["p"]),
-                q=int(r["q"]),
+                start=_decode_number(
+                    r["start"], f"reservation {r['id']!r} field 'start'"
+                ),
+                p=_decode_number(r["p"], f"reservation {r['id']!r} field 'p'"),
+                q=_decode_int(r["q"], f"reservation {r['id']!r} field 'q'"),
                 name=r.get("name", ""),
             )
             for r in data.get("reservations", ())
         )
         return ReservationInstance(
-            m=int(data["m"]),
+            m=_decode_int(data["m"], "field 'm'"),
             jobs=jobs,
             reservations=reservations,
             name=data.get("name", ""),
@@ -204,13 +225,17 @@ def schedule_from_dict(data: Dict) -> Schedule:
     instance = instance_from_dict(data["instance"])
     try:
         starts = {
-            entry["job"]: _decode_number(entry["start"])
+            entry["job"]: _decode_number(
+                entry["start"], f"start of job {entry['job']!r}"
+            )
             for entry in data["starts"]
         }
     except (KeyError, TypeError) as exc:
         raise TraceFormatError(f"malformed schedule starts: {exc}") from exc
     schedule = Schedule(instance, starts, algorithm=data.get("algorithm", ""))
-    recorded = _decode_number(data.get("makespan", schedule.makespan))
+    recorded = _decode_number(
+        data.get("makespan", schedule.makespan), "field 'makespan'"
+    )
     if recorded != schedule.makespan:
         raise TraceFormatError(
             f"recorded makespan {recorded!r} does not match decoded "

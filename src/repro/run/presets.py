@@ -34,7 +34,6 @@ def paper_grid_spec(
     m: int = 32,
     seeds: Sequence[int] = range(5),
     metrics: Sequence[str] = ("makespan", "lower_bound", "ratio_lb"),
-    profile_backends: Sequence[str] = ("list",),
     name: str = "paper-grid",
 ) -> ExperimentSpec:
     """The algorithm × α × seed makespan-ratio grid of the paper."""
@@ -50,7 +49,6 @@ def paper_grid_spec(
         ),
         seeds=tuple(seeds),
         metrics=tuple(metrics),
-        profile_backends=tuple(profile_backends),
     )
 
 

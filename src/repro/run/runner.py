@@ -2,7 +2,7 @@
 
 The runner expands an :class:`~repro.run.spec.ExperimentSpec` into
 :class:`ExperimentPoint` s in a fixed order (workload → grid combo →
-profile backend → algorithm → seed), executes each point, and streams
+timebase → algorithm → seed), executes each point, and streams
 one JSON-safe row per point to an optional
 :class:`~repro.run.store.JsonlStore`.
 
@@ -57,7 +57,6 @@ class ExperimentPoint:
     workload: str
     params: Mapping
     algorithm: str
-    profile_backend: str
     seed: int
     metrics: Tuple[str, ...]
     timebase: str = DEFAULT_TIMEBASE
@@ -84,7 +83,6 @@ class ExperimentPoint:
             "workload": self.workload,
             "params": self.params,
             "algorithm": self.algorithm,
-            "profile_backend": self.profile_backend,
             "seed": self.seed,
         }
         if self.timebase != DEFAULT_TIMEBASE:
@@ -122,7 +120,7 @@ def expand_points(spec: ExperimentSpec) -> Iterator[ExperimentPoint]:
     """The spec's grid cells, in the canonical deterministic order.
 
     Trace points come after workload points.  They cross with the
-    algorithm/backend/seed factors like everything else, but pin the
+    algorithm/seed factors like everything else, but pin the
     timebase factor (the replay engine's integer fast path is intrinsic)
     and carry their trace source in ``params["source"]`` under the
     reserved workload name :data:`~repro.run.spec.TRACE_WORKLOAD`.
@@ -130,37 +128,33 @@ def expand_points(spec: ExperimentSpec) -> Iterator[ExperimentPoint]:
     index = 0
     for workload in spec.workloads:
         for params in workload.expand():
-            for backend in spec.profile_backends:
-                for timebase in spec.timebases:
-                    for algorithm in spec.algorithms:
-                        for seed in spec.seeds:
-                            yield ExperimentPoint(
-                                index=index,
-                                workload=workload.name,
-                                params=params,
-                                algorithm=algorithm,
-                                profile_backend=backend,
-                                seed=seed,
-                                metrics=spec.metrics,
-                                timebase=timebase,
-                            )
-                            index += 1
-    for trace in spec.traces:
-        for backend in spec.profile_backends:
-            for uncertainty in spec.uncertainties:
+            for timebase in spec.timebases:
                 for algorithm in spec.algorithms:
                     for seed in spec.seeds:
                         yield ExperimentPoint(
                             index=index,
-                            workload=TRACE_WORKLOAD,
-                            params={"source": trace.source, **trace.params},
+                            workload=workload.name,
+                            params=params,
                             algorithm=algorithm,
-                            profile_backend=backend,
                             seed=seed,
                             metrics=spec.metrics,
-                            uncertainty=uncertainty,
+                            timebase=timebase,
                         )
                         index += 1
+    for trace in spec.traces:
+        for uncertainty in spec.uncertainties:
+            for algorithm in spec.algorithms:
+                for seed in spec.seeds:
+                    yield ExperimentPoint(
+                        index=index,
+                        workload=TRACE_WORKLOAD,
+                        params={"source": trace.source, **trace.params},
+                        algorithm=algorithm,
+                        seed=seed,
+                        metrics=spec.metrics,
+                        uncertainty=uncertainty,
+                    )
+                    index += 1
 
 
 def _execute_trace_point(point: ExperimentPoint) -> Dict:
@@ -175,11 +169,7 @@ def _execute_trace_point(point: ExperimentPoint) -> Dict:
     params = dict(point.params)
     source = params.pop("source")
     policy = point.algorithm[len(ONLINE_PREFIX):]
-    kwargs = dict(
-        policy=policy,
-        profile_backend=point.profile_backend,
-        window=params.pop("window", 10_000),
-    )
+    kwargs = dict(policy=policy, window=params.pop("window", 10_000))
     if point.uncertainty != DEFAULT_UNCERTAINTY:
         # the model draws from the point's derived seed unless the spec
         # string pins seed= itself — every grid cell gets its own world
@@ -224,7 +214,6 @@ def execute_point(point: ExperimentPoint) -> Dict:
             "workload": point.workload,
             "params": encode_value(point.params),
             "algorithm": point.algorithm,
-            "profile_backend": point.profile_backend,
             "seed": point.seed,
             "derived_seed": point.derived_seed,
             "timebase": point.timebase,
@@ -239,14 +228,9 @@ def execute_point(point: ExperimentPoint) -> Dict:
     )
     if point.algorithm.startswith(ONLINE_PREFIX):
         policy = point.algorithm[len(ONLINE_PREFIX):]
-        schedule = simulate(
-            instance, policy, profile_backend=point.profile_backend,
-            timebase=point.timebase,
-        ).schedule
+        schedule = simulate(instance, policy, timebase=point.timebase).schedule
     else:
         scheduler = get_scheduler(point.algorithm)
-        if hasattr(scheduler, "profile_backend"):
-            scheduler.profile_backend = point.profile_backend
         if hasattr(scheduler, "timebase"):
             scheduler.timebase = point.timebase
         elif point.timebase != DEFAULT_TIMEBASE:
@@ -265,7 +249,6 @@ def execute_point(point: ExperimentPoint) -> Dict:
         "workload": point.workload,
         "params": encode_value(point.params),
         "algorithm": point.algorithm,
-        "profile_backend": point.profile_backend,
         "seed": point.seed,
         "derived_seed": point.derived_seed,
         "timebase": point.timebase,

@@ -3,8 +3,8 @@
 An :class:`ExperimentSpec` names a *factor grid* — algorithms (registry
 names, with ``"online:<policy>"`` addressing the simulation policies),
 workloads (registry name + parameters, with an optional per-parameter
-value grid), profile backends (``"list"`` or ``"array"``), seeds and
-metric extractors — and round-trips to JSON (format ``repro-spec/1``) so an experiment is a
+value grid), timebases, seeds and metric extractors — and round-trips
+to JSON (format ``repro-spec/1``) so an experiment is a
 durable artifact like instances and schedules, not a script.
 
 The grid semantics mirror the paper's evaluation: every figure is an
@@ -32,13 +32,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterator, Mapping, Sequence, Tuple
 
-from ..core.serialize import SPEC_FORMAT, _decode_number, _encode_number
+from ..core.serialize import (
+    SPEC_FORMAT,
+    _decode_number,
+    _encode_number,
+    finite_number,
+)
 from ..errors import InvalidInstanceError, TraceFormatError
 
 #: Row fields the runner owns; metric names must not shadow them.
 RESERVED_ROW_FIELDS = frozenset(
-    {"key", "workload", "params", "algorithm", "profile_backend",
-     "seed", "derived_seed", "timebase", "uncertainty"}
+    {"key", "workload", "params", "algorithm", "seed", "derived_seed",
+     "timebase", "uncertainty"}
 )
 
 #: The timebase factor value every pre-existing row implicitly ran
@@ -101,6 +106,27 @@ def decode_value(value):
     return value
 
 
+def _decode_params(params, what: str):
+    """:func:`decode_value` of a spec document's parameter mapping,
+    under the finite-only rule (:func:`~repro.core.serialize.
+    finite_number`) with each value named by its key."""
+
+    def check(value, name):
+        if isinstance(value, Mapping):
+            for item in value.values():
+                check(item, name)
+        elif isinstance(value, list):
+            for item in value:
+                check(item, name)
+        else:
+            finite_number(value, name)
+
+    if isinstance(params, Mapping):
+        for key, value in params.items():
+            check(value, f"{what} {key!r}")
+    return decode_value(params)
+
+
 def canonical_json(value) -> str:
     """Deterministic JSON text (sorted keys, no whitespace) used for
     point keys and derived seeds — stable across processes and runs."""
@@ -129,7 +155,7 @@ class WorkloadSpec:
     ``params`` are fixed keyword arguments for the registered generator;
     ``grid`` maps parameter names to value lists that are expanded as
     factors (so ``grid={"alpha": [0.25, 0.5]}`` contributes two grid
-    columns per seed/algorithm/backend combination).
+    columns per seed/algorithm combination).
     """
 
     name: str
@@ -183,8 +209,8 @@ class WorkloadSpec:
             )
         return cls(
             name=data["name"],
-            params=decode_value(data.get("params", {})),
-            grid=decode_value(data.get("grid", {})),
+            params=_decode_params(data.get("params", {}), "parameter"),
+            grid=_decode_params(data.get("grid", {}), "grid parameter"),
         )
 
 
@@ -208,7 +234,7 @@ class TraceSpec:
     carry their ``skipped_lines``/``clipped_jobs`` counters too, but a
     point keeps only the spec's ``metrics``.  Trace points cross with
     the ``algorithms``
-    (online policies only), ``profile_backends`` and ``seeds`` factors;
+    (online policies only) and ``seeds`` factors;
     file traces are deterministic, so give them ``seeds=[0]``.
     """
 
@@ -247,7 +273,7 @@ class TraceSpec:
             )
         return cls(
             source=data["source"],
-            params=decode_value(data.get("params", {})),
+            params=_decode_params(data.get("params", {}), "trace parameter"),
         )
 
 
@@ -264,7 +290,6 @@ class ExperimentSpec:
     workloads: Tuple[WorkloadSpec, ...] = ()
     seeds: Tuple[int, ...] = (0,)
     metrics: Tuple[str, ...] = ("makespan", "ratio_lb")
-    profile_backends: Tuple[str, ...] = ("list",)
     timebases: Tuple[str, ...] = (DEFAULT_TIMEBASE,)
     traces: Tuple[TraceSpec, ...] = ()
     #: uncertainty-model spec strings, a trace-replay-only factor: each
@@ -284,9 +309,6 @@ class ExperimentSpec:
         )
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "metrics", tuple(self.metrics))
-        object.__setattr__(
-            self, "profile_backends", tuple(self.profile_backends)
-        )
         object.__setattr__(self, "timebases", tuple(self.timebases))
         object.__setattr__(
             self, "uncertainties", tuple(self.uncertainties)
@@ -312,7 +334,6 @@ class ExperimentSpec:
             ("algorithms", self.algorithms),
             ("seeds", self.seeds),
             ("metrics", self.metrics),
-            ("profile_backends", self.profile_backends),
             ("timebases", self.timebases),
             ("uncertainties", self.uncertainties),
         ]:
@@ -324,7 +345,6 @@ class ExperimentSpec:
             ("algorithms", self.algorithms),
             ("seeds", self.seeds),
             ("metrics", self.metrics),
-            ("profile_backends", self.profile_backends),
             ("timebases", self.timebases),
             ("uncertainties", self.uncertainties),
             ("workloads", tuple(
@@ -350,13 +370,11 @@ class ExperimentSpec:
             per_workload
             * len(self.algorithms)
             * len(self.seeds)
-            * len(self.profile_backends)
             * len(self.timebases)
         ) + (
             len(self.traces)
             * len(self.algorithms)
             * len(self.seeds)
-            * len(self.profile_backends)
             * len(self.uncertainties)
         )
 
@@ -365,7 +383,6 @@ class ExperimentSpec:
         instead of a grid that dies on point 37."""
         from ..algorithms.base import SCHEDULERS
         from ..core.metrics import METRICS
-        from ..core.profiles import resolve_backend
         from ..core.timebase import check_timebase_policy
         from ..simulation.online_sim import POLICIES
         from ..workloads.registry import WORKLOADS
@@ -387,8 +404,6 @@ class ExperimentSpec:
                 # (requeues, kills, ...) that have no schedule extractor;
                 # _validate_traces checks those against the replay fields
                 METRICS.get(metric)
-        for backend in self.profile_backends:
-            resolve_backend(backend)
         for timebase in self.timebases:
             check_timebase_policy(timebase)
         from ..workloads.uncertainty import parse_uncertainty
@@ -443,7 +458,6 @@ class ExperimentSpec:
             "workloads": [w.to_dict() for w in self.workloads],
             "seeds": list(self.seeds),
             "metrics": list(self.metrics),
-            "profile_backends": list(self.profile_backends),
             "timebases": list(self.timebases),
         }
         if self.traces:
@@ -461,9 +475,14 @@ class ExperimentSpec:
                 f"unsupported spec format {data.get('format')!r}; "
                 f"expected {SPEC_FORMAT!r}"
             )
+        if "profile_backends" in data:
+            raise TraceFormatError(
+                "the spec factor 'profile_backends' is gone: every "
+                "scheduler runs on the one profile kernel; drop the field"
+            )
         known = {"format", "name", "algorithms", "workloads", "seeds",
-                 "repeats", "metrics", "profile_backends", "timebases",
-                 "traces", "uncertainties"}
+                 "repeats", "metrics", "timebases", "traces",
+                 "uncertainties"}
         unknown = sorted(set(data) - known)
         if unknown:
             # a typo ("seed" for "seeds") must not silently shrink a grid
@@ -474,12 +493,15 @@ class ExperimentSpec:
         if "seeds" in data and "repeats" in data:
             raise TraceFormatError("give either 'seeds' or 'repeats', not both")
         if "repeats" in data:
-            repeats = int(data["repeats"])
+            repeats = int(finite_number(data["repeats"], "field 'repeats'"))
             if repeats < 1:
                 raise TraceFormatError("repeats must be >= 1")
             seeds: Sequence[int] = range(repeats)
         else:
             seeds = data.get("seeds", (0,))
+            if isinstance(seeds, list):
+                for seed in seeds:
+                    finite_number(seed, "field 'seeds'")
         try:
             return cls(
                 name=data.get("name", "experiment"),
@@ -490,7 +512,6 @@ class ExperimentSpec:
                 ],
                 seeds=seeds,
                 metrics=data.get("metrics", ("makespan", "ratio_lb")),
-                profile_backends=data.get("profile_backends", ("list",)),
                 timebases=data.get("timebases", (DEFAULT_TIMEBASE,)),
                 traces=[
                     TraceSpec.from_dict(t) for t in data.get("traces", [])

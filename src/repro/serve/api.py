@@ -51,11 +51,11 @@ concrete :class:`~repro.errors.ReproError` subclass for diagnostics.
 from __future__ import annotations
 
 import json
-import math
 from numbers import Integral, Real
 from typing import Dict, Optional, Tuple
 
 from ..core.job import Job
+from ..core.serialize import finite_number
 from ..errors import InvalidInstanceError, SchedulingError, ServeProtocolError
 
 #: Wire-format tag carried by every serve request and response.
@@ -142,10 +142,7 @@ def _require_number(payload: Dict, key: str, op: str):
             f"got {type(value).__name__}"
         )
     # 1e400 decodes to inf; neither it nor nan is a logical time or size
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ServeProtocolError(
-            f"{op} request field {key!r} must be finite, got {value!r}"
-        )
+    finite_number(value, f"{op} request field {key!r}", ServeProtocolError)
     # JSON has no int/float split the engine can rely on: ``5`` and
     # ``5.0`` are one number, so they must give one row (an integral
     # float keeps int-typed times, sums and windows)

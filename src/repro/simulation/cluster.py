@@ -19,7 +19,7 @@ from typing import Dict, List
 
 from ..core.instance import ReservationInstance
 from ..core.job import Job
-from ..core.profiles import ProfileBackend
+from ..core.profiles import ResourceProfile
 from ..errors import SchedulingError
 
 
@@ -38,12 +38,10 @@ class RunningJob:
 class ClusterState:
     """Mutable cluster bookkeeping for one online simulation run."""
 
-    def __init__(self, instance: ReservationInstance, profile_backend=None):
+    def __init__(self, instance: ReservationInstance):
         self.instance = instance
         #: capacity left after reservations and committed jobs
-        self.profile: ProfileBackend = instance.availability_profile(
-            profile_backend
-        )
+        self.profile: ResourceProfile = instance.availability_profile()
         self.queue: List[Job] = []
         self.running: Dict[object, RunningJob] = {}
         self.finished: Dict[object, RunningJob] = {}

@@ -188,12 +188,11 @@ class OnlineSimulation:
     replay engine.
     """
 
-    def __init__(self, instance, policy: str = "greedy", profile_backend=None,
+    def __init__(self, instance, policy: str = "greedy",
                  timebase: str = "auto", uncertainty=None):
         self.instance: ReservationInstance = as_reservation_instance(instance)
         self.policy_name = policy
         self._policy = POLICIES.get(policy)
-        self.profile_backend = profile_backend
         self.timebase = check_timebase_policy(timebase)
         model = resolve_uncertainty(uncertainty)
         if model is not None and model.is_exact:
@@ -235,7 +234,7 @@ class OnlineSimulation:
         return SimulationResult(schedule=schedule, trace=trace, policy=result.policy)
 
     def _run_on(self, instance: ReservationInstance) -> SimulationResult:
-        state = ClusterState(instance, self.profile_backend)
+        state = ClusterState(instance)
         sim = Simulator()
         trace: List[TraceEvent] = []
         model = self.uncertainty
@@ -366,9 +365,9 @@ class OnlineSimulation:
         )
 
 
-def simulate(instance, policy: str = "greedy", profile_backend=None,
-             timebase: str = "auto", uncertainty=None) -> SimulationResult:
+def simulate(instance, policy: str = "greedy", timebase: str = "auto",
+             uncertainty=None) -> SimulationResult:
     """Convenience wrapper: run one online simulation."""
     return OnlineSimulation(
-        instance, policy, profile_backend, timebase, uncertainty=uncertainty
+        instance, policy, timebase, uncertainty=uncertainty
     ).run()

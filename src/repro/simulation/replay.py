@@ -19,9 +19,10 @@ window* of the simulation rather than by trace length:
   forgotten — there is no ``finished`` dict and no event trace;
 * the availability profile is compacted behind the clock with
   :meth:`~repro.core.profiles.base.ProfileBackend.prune_before` (see the
-  soundness argument there) after every event with completions, on
-  every backend, so it holds the active segments only and the
-  ``peak_profile_segments`` gauge reads the same on each.
+  soundness argument there) after every event with completions, on the
+  kernel and the reference profile alike, so it holds the active
+  segments only and the ``peak_profile_segments`` gauge reads the same
+  on each.
 
 Equivalence with the in-memory engine
 -------------------------------------
@@ -33,7 +34,7 @@ policies are *pass-idempotent* (a second decision pass at the same
 instant starts nothing new), so one pass per event time yields the exact
 start times ``OnlineSimulation`` produces; a hypothesis differential
 test in ``tests/test_replay.py`` asserts byte-identical schedules and
-metrics across policies, profile backends and plain/gzip ingestion.
+metrics across policies and plain/gzip ingestion.
 Third-party policies must be pass-idempotent to share that guarantee.
 
 Times pass through arithmetically untouched: integer traces (all SWF
@@ -54,8 +55,9 @@ array profile kernel (``profile_backend="auto"``) and on the
 bucketed calendar completion queue (see :class:`ReplayEngine`'s
 parameters); ``fused_policies=False`` runs the registered policy
 functions through the core's policy protocol instead of the inlined
-passes — the reference configuration the differential tests compare
-against.
+passes, and with ``profile_backend="list"`` and
+``completion_queue="heap"`` it makes the reference configuration the
+differential tests compare against.
 
 ``repro replay`` can also run **several policies at once** — serially,
 or sharded across worker processes with ``--jobs N``
@@ -98,7 +100,6 @@ from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tupl
 
 from ..core.job import Job
 from ..core.metrics import BSLD_TAU, TAIL_QUANTILES, p_slowdown_le, quantile
-from ..core.profiles import BackendSpec
 from ..errors import SchedulingError, TraceFormatError
 from .online_sim import POLICIES
 
@@ -327,13 +328,13 @@ class ReplayEngine:
     policy:
         Registered online policy name (``repro list --kind policies``).
     profile_backend:
-        Availability structure (``"list"``/``"array"``/class, ``None``
-        for ``"list"``, or ``"auto"``, the default, which is
-        ``"array"``: the profile kernel, for times of any exact type).
-        Both backends give identical rows, totals and checkpoints; the
-        list backend is the simple reference.  Every backend is pruned
-        behind the clock after each event with completions, so it holds
-        only the active window.
+        ``"auto"`` (the default): the profile kernel
+        :class:`~repro.core.profiles.ResourceProfile`, for times of any
+        exact type; ``"list"``: the simple reference
+        :class:`~repro.core.profiles.ListProfile`.  Both give identical
+        rows, totals and checkpoints, and both are pruned behind the
+        clock after each event with completions, so they hold only the
+        active window.
     window:
         Jobs per metrics window (0 disables windowed rows).
     store:
@@ -360,7 +361,7 @@ class ReplayEngine:
         self,
         m: int,
         policy: str = "easy",
-        profile_backend: BackendSpec = "auto",
+        profile_backend: str = "auto",
         window: int = DEFAULT_WINDOW,
         store=None,
         bsld_tau=BSLD_TAU,
@@ -372,7 +373,7 @@ class ReplayEngine:
         from .scheduler_core import resolve_engine_config
 
         self.uncertainty = resolve_engine_config(
-            m, window, completion_queue, uncertainty
+            m, window, completion_queue, uncertainty, profile_backend
         )
         self.m = m
         self.policy_name = policy

@@ -68,7 +68,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from ..core.job import Job
 from ..core.metrics import BSLD_TAU, DEFAULT_SLOWDOWN_THRESHOLD
-from ..core.profiles import BackendSpec, make_profile
+from ..core.profiles import ListProfile, ResourceProfile
 from ..devtools.failpoints import fire
 from ..errors import CapacityError, InvalidInstanceError, SchedulingError
 from ..workloads.uncertainty import resolve_uncertainty
@@ -92,10 +92,16 @@ _FAST_PASSES = (
 )
 
 
-def resolve_engine_config(m, window, completion_queue, uncertainty):
+def resolve_engine_config(m, window, completion_queue, uncertainty,
+                          profile_backend="auto"):
     """Validate the knobs :class:`SchedulerCore` and
     :class:`~repro.simulation.replay.ReplayEngine` share; returns the
     live uncertainty model (``None`` in the certain world)."""
+    if profile_backend not in ("auto", "list"):
+        raise SchedulingError(
+            f"profile_backend must be 'auto' (the kernel) or 'list' (the "
+            f"reference), got {profile_backend!r}"
+        )
     if m < 1:
         raise SchedulingError(f"machine size must be >= 1, got {m!r}")
     if window < 0:
@@ -160,7 +166,7 @@ class SchedulerCore:
         m: int,
         policy: str = "easy",
         *,
-        profile_backend: BackendSpec = "auto",
+        profile_backend: str = "auto",
         window: int = DEFAULT_WINDOW,
         store=None,
         bsld_tau=BSLD_TAU,
@@ -170,7 +176,9 @@ class SchedulerCore:
         resume: Optional[ReplayCheckpoint] = None,
         uncertainty=None,
     ):
-        model = resolve_engine_config(m, window, completion_queue, uncertainty)
+        model = resolve_engine_config(
+            m, window, completion_queue, uncertainty, profile_backend
+        )
         if resume is not None and completion_queue != "calendar":
             raise SchedulingError(
                 "checkpoints require completion_queue='calendar'"
@@ -207,13 +215,13 @@ class SchedulerCore:
         self.use_heap = completion_queue == "heap"
         self.store = resolve_store(store)
 
-        backend = "array" if profile_backend == "auto" else profile_backend
+        profile_cls = ListProfile if profile_backend == "list" else ResourceProfile
         if resume is not None:
-            self.profile = make_profile(
-                list(resume.profile_times), list(resume.profile_caps), backend
+            self.profile = profile_cls(
+                list(resume.profile_times), list(resume.profile_caps)
             )
         else:
-            self.profile = make_profile([0], [m], backend)
+            self.profile = profile_cls([0], [m])
 
         self.queue: Dict[object, Job] = {}  # arrived, unstarted; in order
         self.buckets: Dict = {}         # end time -> jobs finishing then

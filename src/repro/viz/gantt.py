@@ -125,7 +125,7 @@ def render_gantt(
 
 
 def render_profile(profile, width: int = 78, horizon=None, title: str = "") -> str:
-    """ASCII silhouette of a :class:`~repro.core.profiles.ListProfile`.
+    """ASCII silhouette of a :class:`~repro.core.profiles.ResourceProfile`.
 
     Useful for inspecting availability calendars (``m(t) = m - U(t)``)
     before scheduling anything — the shapes of Figure 2's staircases and

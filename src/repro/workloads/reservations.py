@@ -21,7 +21,7 @@ import random
 from typing import List, Tuple
 
 from ..core.job import Reservation
-from ..core.profiles import resolve_backend
+from ..core.profiles import ResourceProfile
 from ..errors import InvalidInstanceError
 
 
@@ -61,7 +61,6 @@ def random_alpha_reservations(
     count: int,
     seed: int = 0,
     max_len_fraction: float = 0.25,
-    profile_backend=None,
 ) -> Tuple[Reservation, ...]:
     """Random reservations keeping ``U(t) <= (1 - α) m`` at every time.
 
@@ -79,7 +78,7 @@ def random_alpha_reservations(
         return ()
     rng = random.Random(seed)
     # track unavailability via an availability profile of capacity `budget`
-    room = resolve_backend(profile_backend).constant(budget)
+    room = ResourceProfile.constant(budget)
     out: List[Reservation] = []
     for i in range(count):
         start = rng.uniform(0, horizon)

@@ -7,11 +7,13 @@ no bugs — with the production data structures they validate.
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
 
 from repro.core import Job, Reservation, ReservationInstance, RigidInstance
+from repro.core.profiles import ListProfile
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +68,32 @@ class NaiveCapacity:
 @pytest.fixture
 def naive_capacity():
     return NaiveCapacity
+
+
+# ---------------------------------------------------------------------------
+# the reference profile, swapped in under a scheduler
+# ---------------------------------------------------------------------------
+
+def _reference_availability_profile(self):
+    return ListProfile(*self._master_profile.as_lists())
+
+
+@contextlib.contextmanager
+def on_reference_profile():
+    """Within the block, every instance's availability profile is the
+    reference :class:`ListProfile` instead of the kernel, so an offline
+    scheduler run inside it places on the reference.  The library has
+    no knob for this: the differential tests are its only user."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ReservationInstance, "availability_profile",
+                      _reference_availability_profile)
+        yield
+
+
+@pytest.fixture
+def reference_profile():
+    """The :func:`on_reference_profile` context manager."""
+    return on_reference_profile
 
 
 # ---------------------------------------------------------------------------

@@ -189,12 +189,21 @@ class TestRunAndList:
         assert main(["run", str(bad)]) == 1
         assert "unsupported spec format" in capsys.readouterr().err
 
+    def test_run_refuses_profile_backends_factor(self, tmp_path, capsys):
+        spec = tmp_path / "old.json"
+        spec.write_text(json.dumps({
+            "format": "repro-spec/1", "algorithms": ["lsrc"],
+            "workloads": ["uniform"], "profile_backends": ["list", "array"],
+        }))
+        assert main(["run", str(spec)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'profile_backends' is gone" in err
+
     @pytest.mark.parametrize("kind,expected", [
         ("algorithms", "lsrc"),
         ("workloads", "alpha-uniform"),
         ("policies", "conservative"),
         ("metrics", "ratio_lb"),
-        ("backends", "list"),
     ])
     def test_list_kinds(self, kind, expected, capsys):
         assert main(["list", "--kind", kind]) == 0
@@ -204,8 +213,9 @@ class TestRunAndList:
         assert main(["list", "--kind", "all"]) == 0
         out = capsys.readouterr().out
         for section in ("algorithms:", "workloads:", "policies:",
-                        "metrics:", "backends:"):
+                        "metrics:"):
             assert section in out
+        assert "backends:" not in out
 
 
 class TestReplayJournalValidation:
@@ -328,7 +338,7 @@ class TestBenchResultPath:
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
         for tracked in (suite.CORE_THROUGHPUT_JSON,
                         suite.REPLAY_THROUGHPUT_JSON,
-                        suite.PROFILE_BACKENDS_JSON):
+                        suite.PROFILE_BENCH_JSON):
             assert suite.result_path(tracked, True, None) == (
                 tmp_path / "tmp" / tracked.name
             )
@@ -358,15 +368,15 @@ class TestBenchResultPath:
         """Run directly (not through ``repro bench``), the profile
         harness resolves its default report path as the suite does: a
         quick run writes the temp directory."""
-        baseline = suite.PROFILE_BACKENDS_JSON.read_bytes()
+        baseline = suite.PROFILE_BENCH_JSON.read_bytes()
         env = dict(os.environ, TMPDIR=str(tmp_path))
         subprocess.run(
             [sys.executable, str(suite.BENCH_DIR / "bench_profile_backends.py"),
              "--quick", "--jobs", "30", "--reservations", "4"],
             env=env, check=True, capture_output=True,
         )
-        assert suite.PROFILE_BACKENDS_JSON.read_bytes() == baseline
+        assert suite.PROFILE_BENCH_JSON.read_bytes() == baseline
         report = json.loads(
-            (tmp_path / suite.PROFILE_BACKENDS_JSON.name).read_text()
+            (tmp_path / suite.PROFILE_BENCH_JSON.name).read_text()
         )
         assert report["config"]["quick"] is True

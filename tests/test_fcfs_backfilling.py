@@ -209,9 +209,8 @@ def _time(kind: str, k: int, offset: bool):
         max_size=3,
     ),
     timebase=st.sampled_from(TIMEBASE_POLICIES),
-    array=st.booleans(),
 )
-def test_easy_matches_online_simulation(m, kind, jobs, holes, timebase, array):
+def test_easy_matches_online_simulation(m, kind, jobs, holes, timebase):
     """Offline EASY (a driver of the scheduler core's EASY pass) gives
     the starts of ``OnlineSimulation``'s protocol-level ``easy`` policy,
     an independent event loop, on every time type and timebase."""
@@ -225,10 +224,7 @@ def test_easy_matches_online_simulation(m, kind, jobs, holes, timebase, array):
         inst = ReservationInstance.from_specs(m, specs, res)
     except ReproError:
         assume(False)  # overlapping holes exceeded the machine
-    backend = "array" if array and kind == "int" else None
-    easy = EasyBackfillScheduler(
-        profile_backend=backend, timebase=timebase
-    ).schedule(inst)
+    easy = EasyBackfillScheduler(timebase=timebase).schedule(inst)
     reference = OnlineSimulation(inst, "easy", timebase=timebase).run()
     assert easy.starts == reference.schedule.starts
     easy.verify()

@@ -1,21 +1,29 @@
-"""The profile-backend protocol: two implementations, one behaviour.
+"""The profile protocol: the kernel and its reference, one behaviour.
 
-Three layers of evidence that :class:`ArrayProfile` is a drop-in for
-:class:`ListProfile` whatever the type of the times:
+The library builds one profile, the kernel :class:`ArrayProfile`
+(public name ``ResourceProfile``).  :class:`ListProfile` is the
+deliberately simple reference it is held to, whatever the type of the
+times:
 
 * *property round-trips* — reserve-then-add restores the profile, queries
   agree with brute-force references, Fraction/float breakpoints and
-  zero-capacity tails survive, all parametrized over the backends;
-* *cross-backend equivalence* — identical op sequences on int,
-  Fraction, float and mixed-type times leave every backend representing
-  the same function with the same time types, query for query;
+  zero-capacity tails survive, all parametrized over both classes;
+* *kernel-vs-reference equivalence* — identical op sequences on int,
+  Fraction, float and mixed-type times leave both representing the same
+  function with the same time types, query for query, and bad arguments
+  (NaN, infinities, negatives) fail alike and change nothing;
 * *scheduler differential* — LSRC, FCFS, conservative backfilling and
-  shelf produce **identical schedules** under either backend on 50+
-  randomized instances with mixed int/Fraction times.
+  shelf produce **identical schedules** on the kernel and, under the
+  :func:`conftest.on_reference_profile` fixture, on the reference, on
+  50+ randomized instances with mixed int/Fraction times.
 """
 
+import ast
+import importlib.util
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,12 +39,10 @@ from repro.core.profiles import (
     ArrayProfile,
     ListProfile,
     ProfileBackend,
-    available_backends,
-    convert_profile,
-    make_profile,
-    resolve_backend,
+    ResourceProfile,
 )
-from repro.errors import CapacityError, InvalidInstanceError
+from repro.errors import CapacityError, InvalidInstanceError, SchedulingError
+from repro.simulation.scheduler_core import SchedulerCore
 
 from conftest import NaiveCapacity, random_resa
 
@@ -45,47 +51,110 @@ BACKENDS = [ListProfile, ArrayProfile]
 
 @pytest.fixture(params=BACKENDS, ids=lambda cls: cls.__name__)
 def backend(request):
-    """Each test in this module runs once per backend."""
+    """Each test in this module runs once per profile class."""
     return request.param
 
 
 # ---------------------------------------------------------------------------
-# registry / selection
+# the one profile the library builds, and the test seam onto the reference
 # ---------------------------------------------------------------------------
 
 class TestRegistry:
-    def test_registry_names(self):
-        assert available_backends() == ["array", "list"]
+    """Profile selection as it stands: one profile in the library, a
+    two-name seam in the engine, and a test fixture onto the
+    reference."""
 
-    def test_resolve_by_name_class_and_none(self):
-        assert resolve_backend("list") is ListProfile
-        assert resolve_backend("array") is ArrayProfile
-        assert resolve_backend(ArrayProfile) is ArrayProfile
-        assert resolve_backend(None) is ListProfile
-        inst = ReservationInstance.from_specs(4, [(2, 2)], [(1, 1, 1)])
-        assert type(inst.availability_profile()) is ListProfile
+    def test_library_builds_the_kernel(self):
+        inst = ReservationInstance.from_specs(4, [(2, 2)], [(1, 2, 2)])
+        assert ResourceProfile is ArrayProfile
+        assert type(inst.availability_profile()) is ArrayProfile
+        schedule = ListScheduler().schedule(inst)
+        assert type(schedule.usage_profile()) is ArrayProfile
+        assert type(SchedulerCore(4).profile) is ArrayProfile
+        core = SchedulerCore(4, profile_backend="list")
+        assert type(core.profile) is ListProfile
 
     def test_resolve_unknown_rejected(self):
-        for name in ("btree", "tree", 42):
-            with pytest.raises(InvalidInstanceError):
-                resolve_backend(name)
+        # the engine seam takes its two names only
+        for value in ("array", None, "btree", "tree", ArrayProfile, 42):
+            with pytest.raises(SchedulingError, match="'auto'.*'list'"):
+                SchedulerCore(4, profile_backend=value)
 
-    def test_make_and_convert(self):
-        p = make_profile([0, 2], [4, 1], "array")
-        assert isinstance(p, ArrayProfile)
-        q = convert_profile(p, "list")
-        assert isinstance(q, ListProfile)
-        assert p == q
-        # conversion is a copy either way
-        r = convert_profile(p, "array")
-        r.add(0, 1, 1)
-        assert p != r
-
-    def test_availability_profile_accepts_backend(self, backend):
+    def test_availability_profile_accepts_backend(self, backend,
+                                                  reference_profile):
+        """The test seam houses an instance's profile on either class —
+        the scheduler differential below compares something only if the
+        fixture really swaps the reference in, and only inside its
+        block."""
         inst = ReservationInstance.from_specs(4, [(2, 2)], [(1, 2, 2)])
-        profile = inst.availability_profile(profile_backend=backend)
+        kernel = inst.availability_profile()
+        if backend is ListProfile:
+            with reference_profile():
+                profile = inst.availability_profile()
+                profile.reserve(0, 1, 1)  # a fresh copy, as on the kernel
+                assert type(inst.availability_profile()) is ListProfile
+            assert inst.availability_profile() == kernel != profile
+            profile.add(0, 1, 1)
+        else:
+            profile = kernel
         assert isinstance(profile, backend)
         assert profile.capacity_at(1) == 2
+        assert type(inst.availability_profile()) is ArrayProfile
+
+
+#: Where ``src/repro`` may name the reference profile and the engine's
+#: profile seam (paths relative to ``src/repro``).
+_LIST_PROFILE_HOMES = {
+    "core/profiles/list_backend.py",  # the reference itself
+    "core/profiles/__init__.py",      # its export
+    "simulation/scheduler_core.py",   # the engine's reference seam
+}
+_PROFILE_BACKEND_HOMES = {
+    "simulation/replay.py",
+    "simulation/scheduler_core.py",
+    "durability/journaled.py",
+}
+
+
+def _identifiers(tree):
+    """Every name the code binds or reads: names, attributes, function
+    parameters, keyword arguments, imports and definitions (docstrings
+    and other strings are not code)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.arg, ast.keyword)) and node.arg:
+            yield node.arg
+        elif isinstance(node, ast.alias):
+            yield node.name
+            if node.asname:
+                yield node.asname
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.ClassDef)):
+            yield node.name
+
+
+def test_src_builds_one_profile():
+    """Only the reference's own module, its export and the engine's
+    reference seam name ``ListProfile``; only the replay engine, the
+    scheduler core and the journaled replay that forwards engine
+    arguments name ``profile_backend``.  A scheduler, bound or
+    simulation that grows a profile choice again fails here."""
+    root = Path(__file__).resolve().parents[1] / "src" / "repro"
+    found = {"ListProfile": set(), "profile_backend": set()}
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        for name in _identifiers(ast.parse(path.read_text(), rel)):
+            for key in found:
+                if key in name:
+                    found[key].add(rel)
+    assert found["ListProfile"] <= _LIST_PROFILE_HOMES, found["ListProfile"]
+    assert found["profile_backend"] <= _PROFILE_BACKEND_HOMES, (
+        found["profile_backend"]
+    )
+    assert "core/profiles/list_backend.py" in found["ListProfile"]
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +553,7 @@ def test_backends_agree_segmentwise(m, holds):
 
 
 # ---------------------------------------------------------------------------
-# scheduler differential: identical schedules under either backend
+# scheduler differential: identical schedules on the kernel and the reference
 # ---------------------------------------------------------------------------
 
 def _fractionalized(inst: ReservationInstance, seed: int) -> ReservationInstance:
@@ -494,25 +563,25 @@ def _fractionalized(inst: ReservationInstance, seed: int) -> ReservationInstance
 
 
 # timebase="exact" pins the schedulers that grew an integer fast path to
-# the reference engine: this test compares the *backends*, which the fast
-# path deliberately bypasses (tests/test_timebase.py covers that axis).
+# the exact engine: this test compares the *profiles*, which the fast path
+# places on the kernel either way (tests/test_timebase.py covers that axis).
 DIFFERENTIAL_SCHEDULERS = [
-    ("lsrc", lambda b: ListScheduler(profile_backend=b, timebase="exact")),
-    ("lsrc-lpt",
-     lambda b: ListScheduler("lpt", profile_backend=b, timebase="exact")),
-    ("fcfs", lambda b: FCFSScheduler(profile_backend=b)),
+    ("lsrc", lambda: ListScheduler(timebase="exact")),
+    ("lsrc-lpt", lambda: ListScheduler("lpt", timebase="exact")),
+    ("fcfs", FCFSScheduler),
     ("backfill-cons",
-     lambda b: ConservativeBackfillScheduler(
-         profile_backend=b, timebase="exact")),
-    ("shelf-ff", lambda b: FirstFitShelfScheduler(profile_backend=b)),
+     lambda: ConservativeBackfillScheduler(timebase="exact")),
+    ("shelf-ff", FirstFitShelfScheduler),
 ]
 
 
 @pytest.mark.parametrize("name,factory", DIFFERENTIAL_SCHEDULERS,
                          ids=[n for n, _ in DIFFERENTIAL_SCHEDULERS])
-def test_schedulers_identical_across_backends(name, factory):
+def test_schedulers_identical_across_backends(name, factory,
+                                              reference_profile):
     """>= 50 randomized instances per scheduler, mixed int/Fraction times:
-    the schedule (start time of every job) must be identical."""
+    the schedule (start time of every job, with its type) on the kernel
+    must equal the one on the reference profile."""
     checked = 0
     seed = 0
     while checked < 55:
@@ -522,14 +591,33 @@ def test_schedulers_identical_across_backends(name, factory):
             inst = _fractionalized(inst, seed)
         if name == "shelf-ff" and any(j.release > 0 for j in inst.jobs):
             continue
-        a = factory("list").schedule(inst)
+        with reference_profile():
+            a = factory().schedule(inst)
         a.verify()
-        c = factory("array").schedule(inst)
-        assert c.starts == a.starts, f"{name} (array) diverged on seed {seed}"
+        c = factory().schedule(inst)
+        assert c.starts == a.starts, f"{name} (kernel) diverged on seed {seed}"
         assert [type(t) for t in c.starts.values()] == [
             type(t) for t in a.starts.values()
         ]
         checked += 1
+
+
+def test_conservative_identical_on_the_bench_trace(reference_profile):
+    """The trace of ``benchmarks/bench_profile_backends.py``'s quick
+    scheduling scenario, which times conservative backfilling on both
+    profiles: every job starts alike."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / (
+        "bench_profile_backends.py"
+    )
+    spec = importlib.util.spec_from_file_location("bench_profile_backends",
+                                                  path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    instance = bench.make_trace(800, 80, 256, 7)
+    scheduler = ConservativeBackfillScheduler(timebase="exact")
+    with reference_profile():
+        reference = scheduler.schedule(instance)
+    assert scheduler.schedule(instance).starts == reference.starts
 
 
 # ---------------------------------------------------------------------------
@@ -814,3 +902,52 @@ def _kernel_random_ops(kind):
                 ref.prune_before(cast(front))
             assert _typed_lists(kernel) == _typed_lists(ref)
             assert kernel.segment_count() == ref.segment_count()
+
+
+# ---------------------------------------------------------------------------
+# kernel-vs-reference: bad arguments fail alike and change nothing
+# ---------------------------------------------------------------------------
+
+_BAD_TIMES = (math.nan, math.inf, -math.inf, -1, -0.5)
+_PARITY_OPS = {
+    "reserve": lambda start, dur, q: (start, dur, q),
+    "add": lambda start, dur, q: (start, dur, q),
+    "try_reserve": lambda start, dur, q: (start, dur, q),
+    "fits": lambda start, dur, q: (q, start, dur),
+    "earliest_fit": lambda start, dur, q: (q, dur, start),
+}
+
+
+def _outcome(profile, op, args):
+    """The exception type a call raises (the profile must be unchanged
+    then), else the answer and the profile after it, both typed."""
+    before = _typed_lists(profile)
+    try:
+        answer = getattr(profile, op)(*args)
+    except Exception as exc:  # the type is what the test compares
+        assert _typed_lists(profile) == before, (op, args)
+        return type(exc)
+    # repr, so a NaN answer compares equal to itself
+    return repr(_typed(answer)), repr(_typed_lists(profile))
+
+
+def test_kernel_error_parity_on_bad_arguments():
+    """NaN, +-inf and negative starts, durations and widths through each
+    mutator and placement query: the kernel and the reference raise the
+    same exception type and leave the profile unchanged, or give the
+    same answer and the same profile.  A mutator refuses a NaN or
+    infinite start and a NaN duration outright."""
+    times = _BAD_TIMES + (0, 2, Fraction(5, 2), 2.5)
+    for op, arrange in _PARITY_OPS.items():
+        for start in times:
+            for dur in times:
+                for q in (1, 0, -1, math.nan, math.inf):
+                    args = arrange(start, dur, q)
+                    kernel = _outcome(ArrayProfile([0, 4], [4, 2]), op, args)
+                    ref = _outcome(ListProfile([0, 4], [4, 2]), op, args)
+                    assert kernel == ref, (op, args, kernel, ref)
+                    non_finite = start != start or start == math.inf
+                    if op in ("reserve", "add", "try_reserve") and (
+                        non_finite or dur != dur
+                    ):
+                        assert kernel is InvalidInstanceError, (op, args)

@@ -492,7 +492,7 @@ class TestReplayEngine:
         array kernel, so its peak is the kernel's live window."""
         jobs = list(synth_swf_jobs("steady", 4000, m=64, seed=0))
         listed = replay(jobs, 64, profile_backend="list")
-        kernel = replay(jobs, 64, profile_backend="array")
+        kernel = replay(jobs, 64, profile_backend="auto")
         peak = listed.totals["peak_profile_segments"]
         # without pruning the profile would hold ~2 breakpoints per job
         assert 1 < peak <= kernel.totals["peak_profile_segments"] < 200
@@ -531,7 +531,7 @@ _job_rows = st.lists(
 @given(
     rows=_job_rows,
     policy=st.sampled_from(["fcfs", "greedy", "easy", "conservative"]),
-    backend=st.sampled_from(["list", "array", "auto"]),
+    backend=st.sampled_from(["list", "auto"]),
     compress=st.booleans(),
 )
 @settings(max_examples=80, deadline=None)
@@ -541,9 +541,9 @@ def test_streamed_replay_is_byte_identical_to_in_memory(
     """The tentpole guarantee: chunked gzip/plain ``iter_swf`` ingestion
     through the pruning replay engine reproduces ``read_swf`` +
     ``OnlineSimulation`` exactly — schedules byte for byte, metrics
-    int-exact — for every policy x backend combination (including the
-    array kernel and ``"auto"``, whose fused decision passes this
-    differential therefore also covers)."""
+    int-exact — for every policy on the reference profile and on the
+    kernel (``"auto"``, whose fused decision passes this differential
+    therefore also covers)."""
     m = 8
     submit = 0
     swf_rows = []
@@ -561,11 +561,7 @@ def test_streamed_replay_is_byte_identical_to_in_memory(
         path.write_text(text)
 
     instance = read_swf(text).instance
-    # the in-memory engine has no "auto", which is "array"
-    ref_backend = "array" if backend == "auto" else backend
-    reference = OnlineSimulation(
-        instance, policy=policy, profile_backend=ref_backend
-    ).run()
+    reference = OnlineSimulation(instance, policy=policy).run()
     streamed = replay_swf(
         path, policy=policy, profile_backend=backend,
         window=5, record_starts=True,
@@ -581,7 +577,7 @@ def test_streamed_replay_is_byte_identical_to_in_memory(
 
 def test_replay_past_int64_matches_list():
     """Releases and ends at and past 2**63 replay on the array kernel
-    (explicit and ``auto``) to the list backend's starts, window rows
+    (``auto``) to the list reference's starts, window rows
     and totals, the peak-segment gauge included; only the wall clock
     differs."""
     rng = random.Random(5)
@@ -591,7 +587,7 @@ def test_replay_past_int64_matches_list():
         jobs.append(Job(id=i, p=rng.randint(1, 30), q=rng.randint(1, 8),
                         release=t))
     runs = {}
-    for backend in ("list", "array", "auto"):
+    for backend in ("list", "auto"):
         result = ReplayEngine(
             8, "easy", profile_backend=backend, window=7, record_starts=True
         ).run(jobs)
@@ -599,7 +595,7 @@ def test_replay_past_int64_matches_list():
         del totals["elapsed_seconds"]
         runs[backend] = (result.starts, result.windows, totals)
     assert max(runs["list"][0].values()) > 2**63
-    assert runs["array"] == runs["auto"] == runs["list"]
+    assert runs["auto"] == runs["list"]
 
 
 # ---------------------------------------------------------------------------
@@ -641,17 +637,6 @@ class TestTracesFactor:
         serial = Runner(jobs=1).run(spec)
         parallel = Runner(jobs=2).run(spec)
         assert serial.rows == parallel.rows
-
-    def test_backends_factor_sweeps_array(self):
-        """The spec's profile_backends factor reaches the replay
-        engine; every backend must agree on the replay metrics."""
-        spec = self._spec(profile_backends=("list", "array"))
-        result = Runner().run(spec)
-        assert len(result.rows) == 2
-        reference = result.rows[0]
-        for row in result.rows[1:]:
-            assert row["makespan"] == reference["makespan"]
-            assert row["utilization"] == reference["utilization"]
 
     def test_file_trace_source(self, tmp_path):
         path = str(tmp_path / "t.swf")
@@ -817,12 +802,13 @@ class TestEngineConfigurations:
                                         "conservative"])
     @pytest.mark.parametrize("profile", SYNTH_PROFILES)
     def test_list_equals_array_rows(self, profile, policy):
-        """Both backends are compacted by one rule, so they agree on
+        """The kernel and the reference are compacted by one rule, so
+        they agree on
         starts, window rows and every total, ``peak_profile_segments``
         included."""
         jobs = list(synth_swf_jobs(profile, 1500, m=64, seed=7))
         runs = []
-        for backend in ("list", "array"):
+        for backend in ("list", "auto"):
             result = ReplayEngine(64, policy=policy, window=400,
                                   profile_backend=backend,
                                   record_starts=True).run(jobs)
@@ -878,8 +864,8 @@ class TestEngineConfigurations:
 
     @pytest.mark.parametrize("time_type", [float, Fraction])
     def test_auto_array_list_agree_on_float_times(self, time_type):
-        """On a non-integral trace ``"auto"`` is the array kernel: it,
-        an explicit ``"array"`` and the ``"list"`` reference give equal
+        """On a non-integral trace ``"auto"`` is the array kernel: it
+        and the ``"list"`` reference give equal
         starts, window rows and totals, in value and in type, and the
         starts are the in-memory engine's."""
         from repro.core.instance import RigidInstance
@@ -901,7 +887,7 @@ class TestEngineConfigurations:
         runs = {
             backend: replay(jobs, 8, policy="easy", window=64,
                             profile_backend=backend, record_starts=True)
-            for backend in ("auto", "array", "list")
+            for backend in ("auto", "list")
         }
         ref = runs["list"]
         for result in runs.values():

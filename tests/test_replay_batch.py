@@ -296,26 +296,25 @@ class TestReplayCli:
         assert "replayed 800 jobs" in capsys.readouterr().out
         assert _stored_rows(paths["2"]) == _stored_rows(paths["1"])
 
-    def test_list_backends_reports_vector_path(self, capsys):
-        # no vectorised path is left to report: plain registry names
-        assert main(["list", "--kind", "backends"]) == 0
-        assert capsys.readouterr().out.split() == ["array", "list"]
-
     def test_no_demotion_no_warning(self, capsys, tmp_path):
-        """A trace with decimal runtimes replays on the default backend
-        with a clean stderr and writes the ``--backend list`` rows."""
+        """A trace with decimal runtimes replays on the kernel with a
+        clean stderr and writes the rows of an in-Python replay on the
+        ``list`` reference profile."""
+        from repro.simulation.replay import open_replay_source
+
         trace = tmp_path / "decimal.swf"
         trace.write_text("; MaxProcs: 8\n" + "".join(
             f"{i} {3 * i} -1 {2.5 + i % 4 * 1.25} {1 + i % 8}\n"
             for i in range(1, 40)
         ))
-        paths = {}
-        for backend in ("auto", "array", "list"):
-            paths[backend] = tmp_path / f"{backend}.jsonl"
-            assert main([
-                "replay", str(trace), "-p", "easy", "--window", "10",
-                "--backend", backend, "-o", str(paths[backend]),
-            ]) == 0
-            assert capsys.readouterr().err == ""
-        assert _stored_rows(paths["auto"]) == _stored_rows(paths["list"])
-        assert _stored_rows(paths["array"]) == _stored_rows(paths["list"])
+        kernel = tmp_path / "kernel.jsonl"
+        assert main([
+            "replay", str(trace), "-p", "easy", "--window", "10",
+            "-o", str(kernel),
+        ]) == 0
+        assert capsys.readouterr().err == ""
+        reference = tmp_path / "list.jsonl"
+        arrivals, m, stream = open_replay_source(str(trace))
+        ReplayEngine(m, "easy", profile_backend="list", window=10,
+                     store=str(reference)).run(arrivals, stream=stream)
+        assert _stored_rows(kernel) == _stored_rows(reference)

@@ -49,7 +49,6 @@ def tiny_spec(**overrides):
         ),
         seeds=(0, 1),
         metrics=("makespan", "ratio_lb"),
-        profile_backends=("list",),
     )
     base.update(overrides)
     return ExperimentSpec(**base)
@@ -235,6 +234,16 @@ class TestExperimentSpec:
                 "workloads": [{"name": "uniform", "parms": {"n": 3}}],
             }))
 
+    def test_profile_backends_factor_is_refused(self):
+        # the factor is gone; a stored spec that names it must not run a
+        # grid of another shape under keys it did not ask for
+        with pytest.raises(TraceFormatError,
+                           match="'profile_backends' is gone"):
+            loads_spec(json.dumps({
+                "format": "repro-spec/1", "algorithms": ["lsrc"],
+                "workloads": ["uniform"], "profile_backends": ["list"],
+            }))
+
     def test_bad_documents(self):
         with pytest.raises(TraceFormatError, match="unsupported spec format"):
             loads_spec(json.dumps({"format": "nope"}))
@@ -255,10 +264,6 @@ class TestExperimentSpec:
             tiny_spec(workloads=(WorkloadSpec("psychic"),)).validate()
         with pytest.raises(InvalidInstanceError, match="unknown metric"):
             tiny_spec(metrics=("vibes",)).validate()
-        with pytest.raises(InvalidInstanceError, match="unknown profile backend"):
-            tiny_spec(profile_backends=("abacus",)).validate()
-        with pytest.raises(InvalidInstanceError, match="unknown profile backend"):
-            tiny_spec(profile_backends=("tree",)).validate()
 
     def test_param_grid_overlap_rejected(self):
         with pytest.raises(InvalidInstanceError, match="both params and grid"):
@@ -358,34 +363,6 @@ class TestRunner:
         lsrc = result.filtered(algorithm="lsrc")
         online = result.filtered(algorithm="online:greedy")
         assert [r["makespan"] for r in lsrc] == [r["makespan"] for r in online]
-
-    def test_profile_backends_factor_reaches_offline_schedulers(
-        self, monkeypatch
-    ):
-        """There is no process-wide default backend to switch: an
-        ``("array",)`` point must hand the backend to the offline
-        scheduler itself, so backfill-cons places on an ArrayProfile."""
-        from repro.core.profiles import ArrayProfile
-
-        placed_on_array = []
-        earliest_fit = ArrayProfile.earliest_fit
-
-        def counted(self, *args, **kwargs):
-            placed_on_array.append(args)
-            return earliest_fit(self, *args, **kwargs)
-
-        monkeypatch.setattr(ArrayProfile, "earliest_fit", counted)
-        spec = dict(
-            algorithms=("backfill-cons",),
-            workloads=(WorkloadSpec("maintenance", params={"n": 6, "m": 8}),),
-        )
-        on_list = run_experiment(tiny_spec(profile_backends=("list",), **spec))
-        assert placed_on_array == []
-        on_array = run_experiment(tiny_spec(profile_backends=("array",), **spec))
-        assert len(placed_on_array) == 2 * 6  # 2 seeds x 6 jobs
-        assert [r["makespan"] for r in on_array.rows] == [
-            r["makespan"] for r in on_list.rows
-        ]
 
     def test_filtered_reaches_into_params_and_decodes(self):
         result = run_experiment(tiny_spec(seeds=(0,)))

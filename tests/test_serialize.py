@@ -163,3 +163,97 @@ def test_roundtrip_property(seed):
     round2 = loads_schedule(dumps_schedule(schedule))
     round2.verify()
     assert round2.makespan == schedule.makespan
+
+
+# ---------------------------------------------------------------------------
+# the finite-only rule: no NaN, no infinity, no overflowing number
+# ---------------------------------------------------------------------------
+
+_NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e400"]
+_TIME_FIELDS = [("job", "p"), ("job", "release"),
+                ("reservation", "start"), ("reservation", "p")]
+
+
+def _instance_text(owner, field, literal):
+    """A one-job, one-reservation instance document whose ``field`` of
+    its ``owner`` is the raw JSON ``literal``."""
+    job = {"id": "j", "p": 2, "q": 1, "release": 0}
+    res = {"id": "r", "start": 4, "p": 3, "q": 1}
+    (job if owner == "job" else res)[field] = "@"
+    text = json.dumps({"format": "repro-instance/1", "m": 2,
+                       "jobs": [job], "reservations": [res]})
+    return text.replace('"@"', literal)
+
+
+class TestNonFiniteNumbersRefused:
+    @pytest.mark.parametrize("literal", _NON_FINITE)
+    @pytest.mark.parametrize("owner, field", _TIME_FIELDS)
+    def test_instance_time_fields(self, owner, field, literal):
+        text = _instance_text(owner, field, literal)
+        name = "j" if owner == "job" else "r"
+        with pytest.raises(TraceFormatError, match=(
+            f"{owner} '{name}' field '{field}' must be finite"
+        )):
+            loads_instance(text)
+
+    @pytest.mark.parametrize("literal", _NON_FINITE)
+    def test_instance_widths_and_machine_count(self, literal):
+        for field in ("q", "m"):
+            data = json.loads(_instance_text("job", "p", "2"))
+            if field == "q":
+                data["jobs"][0]["q"] = "@"
+            else:
+                data["m"] = "@"
+            text = json.dumps(data).replace('"@"', literal)
+            with pytest.raises(TraceFormatError,
+                               match=f"field '{field}' must be finite"):
+                loads_instance(text)
+
+    @pytest.mark.parametrize("literal", _NON_FINITE)
+    def test_schedule_start_and_makespan(self, literal, tiny_resa):
+        data = json.loads(dumps_schedule(list_schedule(tiny_resa)))
+        for key in ("start", "makespan"):
+            doc = json.loads(json.dumps(data))
+            if key == "start":
+                doc["starts"][0]["start"] = "@"
+            else:
+                doc["makespan"] = "@"
+            text = json.dumps(doc).replace('"@"', literal)
+            with pytest.raises(TraceFormatError, match="must be finite"):
+                loads_schedule(text)
+
+    @pytest.mark.parametrize("literal", _NON_FINITE)
+    def test_spec_parameter(self, literal):
+        from repro.core.serialize import loads_spec
+
+        text = json.dumps({
+            "format": "repro-spec/1", "algorithms": ["lsrc"],
+            "workloads": [{"name": "uniform", "params": {"n": "@"}}],
+        }).replace('"@"', literal)
+        with pytest.raises(TraceFormatError,
+                           match="parameter 'n' must be finite"):
+            loads_spec(text)
+
+    @pytest.mark.parametrize("literal", _NON_FINITE)
+    def test_spec_seeds_and_repeats(self, literal):
+        from repro.core.serialize import loads_spec
+
+        for field, value in (("seeds", ["@"]), ("repeats", "@")):
+            text = json.dumps({
+                "format": "repro-spec/1", "algorithms": ["lsrc"],
+                "workloads": ["uniform"], field: value,
+            }).replace('"@"', literal)
+            with pytest.raises(TraceFormatError,
+                               match=f"field '{field}' must be finite"):
+                loads_spec(text)
+
+    def test_cli_prints_an_error_line(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "nan.json"
+        path.write_text(_instance_text("job", "p", "NaN"))
+        assert main(["schedule", str(path), "-a", "lsrc"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "job 'j' field 'p' must be finite, got nan" in err
+        assert "Traceback" not in err

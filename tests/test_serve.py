@@ -266,6 +266,17 @@ def _typed_state(core):
     return _typed(core.describe_state())
 
 
+def _on(backend):
+    """Core keyword arguments: ``profile_backend=backend``, or none at
+    all for ``"default"``."""
+    return {} if backend == "default" else {"profile_backend": backend}
+
+
+#: Cores on the kernel: named ``"auto"``, and by default (the id names
+#: the profile the default builds, ``ArrayProfile``).
+_KERNEL_CORES = ["auto", pytest.param("default", id="array")]
+
+
 class TestCoreVerbs:
     def test_submit_after_drain_rejects(self):
         core = SchedulerCore(4)
@@ -345,7 +356,7 @@ class TestCoreVerbs:
     @staticmethod
     def _fractional_hole_starts(backend):
         core = SchedulerCore(
-            4, "easy", window=0, record_starts=True, profile_backend=backend
+            4, "easy", window=0, record_starts=True, **_on(backend)
         )
         core.reserve(Fraction(1, 2), 1, 1)
         for i, (p, q, release) in enumerate(
@@ -355,10 +366,11 @@ class TestCoreVerbs:
         core.drain()
         return core
 
-    @pytest.mark.parametrize("backend", ["auto", "array"])
+    @pytest.mark.parametrize("backend", _KERNEL_CORES)
     def test_fractional_reserve_backends_agree(self, backend):
-        # a non-integral hole lands in the kernel: `auto`, `array` and
-        # the `list` reference end in one state, time types included
+        # a non-integral hole lands in the kernel (named `auto`, or by
+        # default) and the `list` reference in one state, time types
+        # included
         exact = self._fractional_hole_starts("list")
         core = self._fractional_hole_starts(backend)
         assert type(core.profile).__name__ == "ArrayProfile"
@@ -367,16 +379,15 @@ class TestCoreVerbs:
 
     @staticmethod
     def _huge_fractional_submit(backend):
-        core = SchedulerCore(4, window=0, record_starts=True,
-                             profile_backend=backend)
+        core = SchedulerCore(4, window=0, record_starts=True, **_on(backend))
         core.submit(Job(0, 4096.5, 1, float(2**63)))
         core.drain()
         return core
 
-    @pytest.mark.parametrize("backend", ["auto", "array"])
+    @pytest.mark.parametrize("backend", _KERNEL_CORES)
     def test_fractional_submit_backends_agree(self, backend):
-        # a float time far out on the line runs on the kernel, `auto`
-        # or `array`, exactly as on "list"
+        # a float time far out on the line runs on the kernel, named
+        # `auto` or by default, exactly as on "list"
         exact = self._huge_fractional_submit("list")
         assert exact.starts == {0: float(2**63)}
         core = self._huge_fractional_submit(backend)

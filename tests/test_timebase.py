@@ -77,7 +77,7 @@ class TestTimebase:
             4, [(Fraction(1, 2), 2)], [(Fraction(1, 2), Fraction(3, 2), 3)]
         )
         twin = Timebase.of(inst).normalize_instance(inst)
-        fast = ArrayProfile(*twin.availability_lists(), _validate=False)
+        fast = twin.availability_profile()
         assert list(fast.breakpoints) == [0, 1, 4]
         assert fast.capacity_at(0) == 4 and fast.capacity_at(2) == 1
 
@@ -626,7 +626,7 @@ def test_twin_equals_replace_built_twin(kind):
                 want.id, want.p, want.q, want.release, want.name
             )
             assert type(got.p) is int and type(got.release) is int
-        assert twin.availability_lists() == expected.availability_lists()
+        assert twin.availability_profile() == expected.availability_profile()
         if kind == "float":
             # the exactified instance has the same twin
             exact = exactify_instance(instance)
@@ -680,9 +680,8 @@ GRID_PLACED_SCHEDULERS = ("backfill-cons", "seq")
 
 @pytest.mark.parametrize("name", GRID_PLACED_SCHEDULERS)
 def test_grid_path_places_on_array_profile(monkeypatch, name):
-    """On the integer twin, conservative and ``seq`` place on an
-    ``ArrayProfile``; a named ``profile_backend`` still reaches the
-    grid path (the runner's ``profile_backends`` factor)."""
+    """On the integer twin, conservative and ``seq`` place on the
+    kernel ``ArrayProfile`` and never on the reference ``ListProfile``."""
     calls = {"int": 0, "list": 0}
 
     def counting(cls, key):
@@ -697,37 +696,36 @@ def test_grid_path_places_on_array_profile(monkeypatch, name):
     counting(ArrayProfile, "int")
     counting(ListProfile, "list")
     instance = _wrapper_instance("int", 1)
-    default = get_scheduler(name).schedule(instance)
+    get_scheduler(name).schedule(instance)
     assert calls["int"] > 0 and calls["list"] == 0
-    calls.update(int=0, list=0)
-    scheduler = get_scheduler(name)
-    scheduler.profile_backend = "list"
-    on_list = scheduler.schedule(instance)
-    assert calls["list"] > 0 and calls["int"] == 0
-    assert on_list.starts == default.starts
 
 
 def test_easy_profile_backend_reaches_the_core(monkeypatch):
-    """EASY runs the scheduler core's pass on the backend it names
-    (``None`` is ``"list"``), on the grid as on the exact path."""
-    calls = []
-    original = ArrayProfile.try_reserve
+    """Offline EASY places through the scheduler core's pass on the
+    core's profile, the kernel, on the grid as on the exact path, and
+    never on the reference."""
+    calls = {"kernel": 0, "list": 0}
 
-    def try_reserve(self, *args):
-        calls.append(args)
-        return original(self, *args)
+    def counting(cls, key):
+        original = cls.try_reserve
 
-    monkeypatch.setattr(ArrayProfile, "try_reserve", try_reserve)
+        def try_reserve(self, *args):
+            calls[key] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(cls, "try_reserve", try_reserve)
+
+    counting(ArrayProfile, "kernel")
+    counting(ListProfile, "list")
     instance = _wrapper_instance("int", 1)
+    starts = []
     for timebase in ("auto", "exact"):
-        default = EasyBackfillScheduler(timebase=timebase).schedule(instance)
-        assert calls == []
-        on_array = EasyBackfillScheduler(
-            profile_backend="array", timebase=timebase
-        ).schedule(instance)
-        assert calls
-        assert on_array.starts == default.starts
-        calls.clear()
+        calls.update(kernel=0, list=0)
+        starts.append(
+            EasyBackfillScheduler(timebase=timebase).schedule(instance).starts
+        )
+        assert calls["kernel"] > 0 and calls["list"] == 0, timebase
+    assert starts[0] == starts[1]
 
 
 def _reference_scale(times, exact_only: bool):
@@ -787,6 +785,12 @@ def test_timebase_of_type_fidelity(label, value, exact_only):
                       reservations=(Reservation(id=0, start=value, p=1, q=1),)),
     }
     for where, parts in placements.items():
+        if where == "start" and value != value:
+            # a NaN reservation start never reaches the timebase: the
+            # instance's availability profile refuses it
+            with pytest.raises(InvalidInstanceError, match="finite"):
+                ReservationInstance(m=2, **parts)
+            continue
         instance = ReservationInstance(m=2, **parts)
         times = [job.p for job in instance.jobs]
         times += [job.release for job in instance.jobs]
@@ -867,11 +871,11 @@ class TestRunTimebaseFactor:
         keys so existing JSONL stores still resume."""
         from repro.run.runner import ExperimentPoint
 
-        point = ExperimentPoint(0, "uniform", {"n": 4}, "lsrc", "list", 3,
+        point = ExperimentPoint(0, "uniform", {"n": 4}, "lsrc", 3,
                                 ("makespan",))
         assert point.timebase == "auto"
         assert "timebase" not in point.factors
-        pinned = ExperimentPoint(0, "uniform", {"n": 4}, "lsrc", "list", 3,
+        pinned = ExperimentPoint(0, "uniform", {"n": 4}, "lsrc", 3,
                                  ("makespan",), timebase="exact")
         assert pinned.factors["timebase"] == "exact"
         assert pinned.key != point.key

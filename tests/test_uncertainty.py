@@ -3,8 +3,8 @@
 The contracts under test are the PR's acceptance bar:
 
 * the ``exact`` model is *byte-identical* to no model at all, across
-  policies x profile backends x inlined/reference passes — window rows,
-  totals and recorded starts;
+  policies x profiles (kernel, reference) x inlined/reference passes —
+  window rows, totals and recorded starts;
 * every stochastic model is seed-deterministic: same seed => identical
   output, different seed => different draws, and a serial replay equals
   a chain of checkpointed slices (checkpoints round-trip the
@@ -21,6 +21,7 @@ import hashlib
 import json
 import math
 import pickle
+import random
 import struct
 import zlib
 from dataclasses import dataclass
@@ -81,6 +82,10 @@ _trace_rows = st.lists(
 )
 
 _policies = st.sampled_from(["fcfs", "greedy", "easy"])
+
+#: The engine's two profiles: the kernel (``"auto"``; the id names its
+#: class, ``ArrayProfile``) and the ``"list"`` reference.
+ENGINE_PROFILES = [pytest.param("auto", id="array"), "list"]
 
 _models = st.sampled_from([
     "lognormal:sigma=0.5",
@@ -399,7 +404,7 @@ class TestThirdPartyModel:
 
 class TestExactIdentity:
     @pytest.mark.parametrize("policy", ["fcfs", "greedy", "easy"])
-    @pytest.mark.parametrize("backend", ["array", "list"])
+    @pytest.mark.parametrize("backend", ENGINE_PROFILES)
     @pytest.mark.parametrize("fused", [False, True])
     def test_identity_matrix(self, policy, backend, fused):
         """policies x backends x inlined/reference passes: ``exact``
@@ -498,7 +503,7 @@ def _core_session(m, policy, backend, model, fast, jobs, reserve_every=10,
 
 class TestFastPassIdentity:
     @pytest.mark.parametrize("policy", ["fcfs", "greedy", "easy"])
-    @pytest.mark.parametrize("backend", ["array", "list"])
+    @pytest.mark.parametrize("backend", ENGINE_PROFILES)
     @pytest.mark.parametrize("model", _IDENTITY_MODELS)
     def test_fast_equals_reference(self, policy, backend, model):
         """Under every uncertainty mechanism, the inlined passes and the
@@ -526,34 +531,30 @@ class TestFastPassIdentity:
         assert runs[True] == runs[False]
 
 
-#: Sparse traces: bursts of arrivals apart by gaps longer than any
-#: runtime estimate, so the queue keeps emptying and the fast loop's two
-#: scalar shortcuts run — the lone-arrival start (one-job bursts) and
-#: the empty-queue drain, with failures, tail credits and grace
-#: extensions inside it and requeue and no-show wakes that must stop
-#: it.  Estimates cluster on a few values, so the jobs of a burst often
-#: share an end and exit early at different times.  The dense traces
-#: above almost never empty the queue.
-_sparse_rows = st.lists(
-    st.tuples(
-        st.sampled_from([30, 70, 130]),  # gap before the burst
-        st.lists(
-            st.tuples(
-                st.sampled_from([0, 0, 1, 2]),                # gap in the burst
-                st.sampled_from([2, 5, 10, 10, 10, 20, 25]),  # estimate
-                st.integers(min_value=1, max_value=10),       # processors
-            ),
-            min_size=1,
-            max_size=4,
-        ),
-    ),
-    min_size=3,
-    max_size=8,
-).map(lambda bursts: [
-    (gap if k == 0 else row[0], row[1], row[2])
-    for gap, burst in bursts
-    for k, row in enumerate(burst)
-])
+def _sparse_rows(seed, n_bursts):
+    """A sparse trace: ``n_bursts`` bursts of arrivals apart by gaps
+    longer than any runtime estimate, so the queue keeps emptying and
+    the fast loop's two scalar shortcuts run — the lone-arrival start
+    (one-job bursts) and the empty-queue drain, with failures, tail
+    credits and grace extensions inside it and requeue and no-show
+    wakes that must stop it.  Estimates cluster on a few values, so the
+    jobs of a burst often share an end and exit early at different
+    times.  The dense traces above almost never empty the queue.
+
+    The trace is expanded from two small integers, so a failing
+    example shrinks over those (a few dozen whole replays) instead of
+    over a list of jobs."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n_bursts):
+        gap = rng.choice([30, 70, 130])  # gap before the burst
+        for k in range(rng.randint(1, 4)):
+            rows.append((
+                gap if k == 0 else rng.choice([0, 0, 1, 2]),  # gap in it
+                rng.choice([2, 5, 10, 10, 10, 20, 25]),       # estimate
+                rng.randint(1, 10),                           # processors
+            ))
+    return rows
 
 
 def _core_replays(m, policy, backend, model, fast, jobs, cut):
@@ -595,12 +596,13 @@ def _core_replays(m, policy, backend, model, fast, jobs, cut):
 
 class TestSparseFastPassIdentity:
     @pytest.mark.parametrize("model", _IDENTITY_MODELS)
-    @given(rows=_sparse_rows, policy=_policies,
-           backend=st.sampled_from(["array", "list"]),
+    @given(trace_seed=st.integers(min_value=0, max_value=2**16 - 1),
+           n_bursts=st.integers(min_value=3, max_value=8),
+           policy=_policies, backend=st.sampled_from(["auto", "list"]),
            cut=st.integers(min_value=1, max_value=6))
     @settings(max_examples=20, deadline=None, derandomize=True)
-    def test_sparse_fast_equals_reference(self, model, rows, policy,
-                                          backend, cut):
+    def test_sparse_fast_equals_reference(self, model, trace_seed, n_bursts,
+                                          policy, backend, cut):
         """On traces whose queue keeps emptying, the inlined passes with
         their scalar shortcuts equal the protocol path (``decide`` a
         ``partial`` of the registered function) byte for byte: rows,
@@ -609,7 +611,7 @@ class TestSparseFastPassIdentity:
         checkpoint, and the states of a serve-style session whose clock
         also stops between arrivals."""
         m = 16
-        jobs = _jobs_from_rows(rows, m)
+        jobs = _jobs_from_rows(_sparse_rows(trace_seed, n_bursts), m)
         runs = {
             fast: (
                 _core_replays(m, policy, backend, model, fast, jobs, cut),
