@@ -47,6 +47,7 @@ from .base import (
     ProfileBackend,
     Segment,
     Time,
+    bad_query_time,
     check_reserve_args,
     iter_segments,
     merge_equal_segments,
@@ -189,10 +190,8 @@ class ArrayProfile(ProfileBackend):
         """Minimum capacity over the window ``[start, end)``."""
         if end <= start:
             raise InvalidInstanceError("window must have positive length")
-        if start < 0:
-            raise InvalidInstanceError(
-                f"profile queried at negative time {start!r}"
-            )
+        if not start >= 0:  # one compare refuses negatives and NaN
+            raise bad_query_time(start)
         times = self._times
         i = bisect_right(times, start) - 1
         j = bisect_left(times, end, i + 1)
@@ -261,7 +260,12 @@ class ArrayProfile(ProfileBackend):
             raise InvalidInstanceError("width must be non-negative")
         times, caps = self._times, self._caps
         n = len(times)
-        i = bisect_right(times, after) - 1 if after > 0 else 0
+        if after > 0:
+            i = bisect_right(times, after) - 1
+        elif after != after:  # NaN (a negative `after` reads as 0)
+            raise bad_query_time(after)
+        else:
+            i = 0
         candidate: Optional[Time] = None
         while i < n:
             if caps[i] >= q:
@@ -326,10 +330,8 @@ class ArrayProfile(ProfileBackend):
         end = start + duration
         if end <= start:  # as the reference's window check: start=inf too
             raise InvalidInstanceError("window must have positive length")
-        if start < 0:
-            raise InvalidInstanceError(
-                f"profile queried at negative time {start!r}"
-            )
+        if not start >= 0:  # one compare refuses negatives and NaN
+            raise bad_query_time(start)
         times = self._times
         i = bisect_right(times, start) - 1
         j = bisect_left(times, end, i + 1)

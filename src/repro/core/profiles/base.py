@@ -140,6 +140,14 @@ def check_reserve_args(start: Time, duration: Time, amount: int,
         raise InvalidInstanceError(f"{verb} start must be finite, got {start!r}")
 
 
+def bad_query_time(t: Time) -> InvalidInstanceError:
+    """The refusal of a query at ``t``, a negative or NaN time (a NaN
+    compares false with everything, so it would slip past the order
+    checks and answer from an arbitrary segment)."""
+    what = "negative" if t < 0 else "NaN"
+    return InvalidInstanceError(f"profile queried at {what} time {t!r}")
+
+
 def overlay_reservation_blocks(
     times: List[Time], caps: List[int], blocks: Iterable[Block]
 ) -> Tuple[List[Time], List[int]]:

@@ -28,6 +28,7 @@ from .base import (
     ProfileBackend,
     Segment,
     Time,
+    bad_query_time,
     check_reserve_args,
     iter_segments,
     merge_equal_segments,
@@ -122,6 +123,8 @@ class ListProfile(ProfileBackend):
         """Minimum capacity over the window ``[start, end)``."""
         if end <= start:
             raise InvalidInstanceError("window must have positive length")
+        if not start >= 0:
+            raise bad_query_time(start)
         i = self._index_at(start)
         lo = self._caps[i]
         j = i + 1
@@ -172,6 +175,8 @@ class ListProfile(ProfileBackend):
             raise InvalidInstanceError("duration must be positive")
         if q < 0:
             raise InvalidInstanceError("width must be non-negative")
+        if after != after:
+            raise bad_query_time(after)
         n = len(self._times)
         i = self._index_at(after) if after > 0 else 0
         candidate = None

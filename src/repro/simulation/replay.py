@@ -49,8 +49,9 @@ One event loop
 checkpoint when asked), streams the arrival iterator into the core's
 one event loop in a single ``feed`` call, then drains or checkpoints.
 ``repro serve`` and stochastic replay run the same loop, so the
-built-in policies' inlined passes and scalar shortcuts (documented on
-the core) serve every driver.  The per-event cost rests on the
+built-in policies' inlined passes and the conditions on the loop's
+completion and start steps (documented on the core) serve every
+driver.  The per-event cost rests on the
 array profile kernel (``profile_backend="auto"``) and on the
 bucketed calendar completion queue (see :class:`ReplayEngine`'s
 parameters); ``fused_policies=False`` runs the registered policy

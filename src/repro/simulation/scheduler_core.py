@@ -36,15 +36,18 @@ identity of the resolved policy function — run as passes inlined into
 the loop: placement through one
 :meth:`~repro.core.profiles.base.ProfileBackend.try_reserve` probe,
 EASY's shadow reservation as three window queries, a blocked-head
-earliest-fit memo and a capacity-at-now screen.  Two scalar shortcuts
-cover the operation mix real traces produce (~95% of event times carry
-a single arrival): with an empty queue, every completion before the
-next arrival drains in one tight loop (with a single compaction in the
-certain world; under an uncertainty model it resolves each completion's
-fate, compacts after each completion time and stops before a due
-requeue or no-show release), and a lone arrival on an empty queue
-starts through one probe without entering the queue, drawing its fate
-like any other start.  Any other callable (including a wrapper
+earliest-fit memo and a capacity-at-now screen.  Two conditions fit
+the loop's one completion step and one start step to the operation mix
+real traces produce (~95% of event times carry a single arrival): a
+completion on an empty queue is no decision moment, so the completion
+step goes on to the next completion time while the queue stays empty
+and no arrival is due (one compaction for the run in the certain
+world; under an uncertainty model each completion's fate is resolved,
+a due requeue or no-show release is applied and the profile is
+compacted per completion time, as on every other event), and a lone
+arrival on an empty queue is decided by one probe and goes from there
+straight to the per-start bookkeeping every pass start takes, without
+entering the queue.  Any other callable (including a wrapper
 re-registered under a built-in name) runs through ``decide(core, now)``
 against the policy protocol — ``queue``, ``queue_in_order``,
 ``can_start_now``, ``start_job``, ``earliest_start`` and ``profile`` —
@@ -764,10 +767,15 @@ class SchedulerCore:
         no limit and an open stream (``eof`` false) it stops once the
         arrivals run out (the slice frontier); otherwise it runs until
         no event remains.  Hot state lives in locals for the call and is
-        written back on return, the event count included.  The
-        per-start bookkeeping is inline, not a helper: a call per start,
-        or a closure turning every hot counter into a cell variable,
-        would slow the whole loop."""
+        written back on return, the event count included.
+
+        There is one completion step and one per-start bookkeeping
+        block.  With the inlined passes, the completion step carries on
+        over completion times while the queue is empty, and a lone
+        arrival's single probe hands it to the bookkeeping without a
+        pass (see the module docstring).  The bookkeeping is inline,
+        not a helper: a call per start, or a closure turning every hot
+        counter into a cell variable, would slow the whole loop."""
         m = self.m
         window = self.window
         bsld_tau = self.bsld_tau
@@ -783,10 +791,10 @@ class SchedulerCore:
         kind = self._pass
         easy = kind == "easy"
         greedy = kind == "greedy"
-        # the two scalar shortcuts belong to the inlined passes (the
-        # reference protocol path runs without them); under uncertainty
-        # they resolve fates and draw them exactly as the per-event path
-        # does, so they stay on
+        # the completion step's carry-on and the lone arrival's probe
+        # belong to the inlined passes (the reference protocol path runs
+        # without them); under uncertainty they resolve fates and draw
+        # them exactly as the per-event path does, so they stay on
         shortcuts = kind is not None and not use_heap
         requeue_ready = self._requeue_ready
         no_shows_at = self._no_shows_at
@@ -811,6 +819,8 @@ class SchedulerCore:
             getattr(self, name) for name in _CKPT_COUNTERS
         ]
 
+        n_starts = self.n_starts
+        n_bsld_le = self.n_bsld_le
         arrived0 = arrived
         completed0 = completed
         running0 = running_count
@@ -844,132 +854,89 @@ class SchedulerCore:
             while True:
                 if pending is None and frontier:
                     break  # slice exhausted: suspend at the frontier
-                if shortcuts and not queue and time_heap:
-                    tc = time_heap[0]
-                    if (t_arrival is None or tc < t_arrival) and (
-                        limit is None or tc <= limit
-                    ) and not (uncertain and (
-                        tc in requeue_ready or tc in no_shows_at
-                    )):
-                        # Empty-queue drain (any backend): no decision
-                        # can start anything, so every completion before
-                        # the next arrival is processed in one tight loop.
-                        # In the certain world nothing commits while
-                        # draining and completions leave the profile
-                        # alone, so one segment sample equals the peak
-                        # of per-completion samples, and one prune
-                        # reaches the same live window as one per
-                        # completion.  Under uncertainty completions
-                        # resolve their fates (early exits and failures
-                        # credit tails, grace extensions commit and
-                        # re-bucket), so the drain samples and prunes
-                        # after each completion time, as the per-event
-                        # path does, and stops before a time holding a
-                        # due requeue or a no-show release: those can
-                        # fill the queue.
-                        while True:
-                            heappop(time_heap)
-                            finished = buckets.pop(tc)
-                            if uncertain and finished:
-                                finished, extra, requeued, touched = (
-                                    self._resolve_fates(tc, finished)
-                                )
-                                uncertain_events += extra + requeued
-                                running_count -= requeued
-                                if touched:
-                                    blocked_id = None
-                            if finished:
-                                n = len(finished)
-                                completed += n
-                                running_count -= n
-                                last_completion = tc
-                                if running_ids is not None:
-                                    running_ids.difference_update(
-                                        [job.id for job in finished]
-                                    )
-                                if window:
-                                    for job in finished:
-                                        acc = window_of.pop(job.id)
-                                        acc.completed += 1
-                                        acc.last_completion = tc
-                                        if acc.full and acc.completed == acc.arrived:
-                                            self._emit_done_windows()
-                            if uncertain and completed != pruned_to:
-                                pruned_to = completed
-                                segments = seg_count()
-                                if segments > peak_segments:
-                                    peak_segments = segments
-                                prune(tc)
-                            if not time_heap:
-                                break
-                            tn = time_heap[0]
-                            if (t_arrival is not None and tn >= t_arrival) or (
-                                limit is not None and tn > limit
-                            ) or (uncertain and (
-                                tn in requeue_ready or tn in no_shows_at
-                            )):
-                                break
-                            tc = tn
-                        now = tc
-                        if completed != pruned_to:
-                            pruned_to = completed
-                            segments = seg_count()
-                            if segments > peak_segments:
-                                peak_segments = segments
-                            prune(last_completion)
-
                 # clock advance fused with completion processing: when
                 # the next completion is due it *is* the event
                 if time_heap and (t_arrival is None or time_heap[0] <= t_arrival):
                     tc = time_heap[0]
                     if limit is not None and tc > limit:
                         break
-                    now = tc
-                    # 1. completions at `now` free their processors first
-                    heappop(time_heap)
-                    finished = buckets.pop(now)
-                    if use_heap:
-                        for _ in range(1, len(finished)):
-                            heappop(time_heap)
-                    elif uncertain and finished:
-                        finished, extra, requeued, touched = (
-                            self._resolve_fates(now, finished)
-                        )
-                        # a requeue leaves the running count without a
-                        # completion: count its start here
-                        uncertain_events += extra + requeued
-                        running_count -= requeued
-                        if touched:
-                            # a credited tail or a grace extension moves
-                            # the blocked head's earliest fit; kills at
-                            # the estimate and exact ends change nothing
+                    # 1. completions at `now` free their processors first.
+                    # A completion on an empty queue is no decision
+                    # moment: with the shortcuts on, the step goes on to
+                    # the next completion time while the queue stays
+                    # empty, no arrival is due by then and `limit`
+                    # allows it.  A requeue or no-show due at that time
+                    # is released there by step 1b, and a refilled queue
+                    # ends the step.
+                    while True:
+                        now = tc
+                        heappop(time_heap)
+                        finished = buckets.pop(now)
+                        if use_heap:
+                            for _ in range(1, len(finished)):
+                                heappop(time_heap)
+                        elif uncertain and finished:
+                            finished, extra, requeued, touched = (
+                                self._resolve_fates(now, finished)
+                            )
+                            # a requeue leaves the running count without
+                            # a completion: count its start here
+                            uncertain_events += extra + requeued
+                            running_count -= requeued
+                            if touched:
+                                # a credited tail or a grace extension
+                                # moves the blocked head's earliest fit;
+                                # kills at the estimate and exact ends
+                                # change nothing
+                                blocked_id = None
+                        if finished:
+                            n = len(finished)
+                            completed += n
+                            running_count -= n
+                            last_completion = now
+                            if running_ids is not None:
+                                running_ids.difference_update(
+                                    [j.id for j in finished]
+                                )
+                            if window:
+                                for job in finished:
+                                    acc = window_of.pop(job.id)
+                                    acc.completed += 1
+                                    acc.last_completion = now
+                                    if acc.full and acc.completed == acc.arrived:
+                                        self._emit_done_windows()
+                        # 1b. uncertainty events at `now` (each has a
+                        # wake bucket): no-show holes release their
+                        # capacity, backed-off failed jobs re-enter the
+                        # queue — both before arrivals, so the decision
+                        # pass sees the true state.  Re-entry is strictly
+                        # after the failure (backoff >= 1), so no fate
+                        # resolved at `now` makes `now` itself due.
+                        if uncertain and (
+                            now in no_shows_at or now in requeue_ready
+                        ):
+                            uncertain_events += self._release_due(now)
                             blocked_id = None
-                    if finished:
-                        n = len(finished)
-                        completed += n
-                        running_count -= n
-                        last_completion = now
-                        if running_ids is not None:
-                            running_ids.difference_update([j.id for j in finished])
-                        if window:
-                            for job in finished:
-                                acc = window_of.pop(job.id)
-                                acc.completed += 1
-                                acc.last_completion = now
-                                if acc.full and acc.completed == acc.arrived:
-                                    self._emit_done_windows()
-                    # 1b. uncertainty events at `now` (each has a wake
-                    # bucket): no-show holes release their capacity,
-                    # backed-off failed jobs re-enter the queue — both
-                    # before arrivals, so the decision pass sees the
-                    # true state
-                    if uncertain and (
-                        now in no_shows_at or now in requeue_ready
-                    ):
-                        uncertain_events += self._release_due(now)
-                        blocked_id = None
-                        if len(queue) > peak_queue:
-                            peak_queue = len(queue)
+                            if len(queue) > peak_queue:
+                                peak_queue = len(queue)
+                        if queue or not shortcuts or not time_heap:
+                            break
+                        tc = time_heap[0]
+                        if (t_arrival is not None and tc >= t_arrival) or (
+                            limit is not None and tc > limit
+                        ):
+                            break
+                        if uncertain and completed != pruned_to:
+                            # under a model completions resolve fates
+                            # (early exits and failures credit tails,
+                            # grace extensions commit), so the profile is
+                            # sampled and pruned after each completion
+                            # time, as step 4 does on every other event
+                            pruned_to = completed
+                            segments = seg_count()
+                            if segments > peak_segments:
+                                peak_segments = segments
+                            prune(now)
                 elif pending is not None:
                     if limit is not None and t_arrival > limit:
                         break
@@ -978,8 +945,8 @@ class SchedulerCore:
                     break
 
                 # 2. arrivals at `now` join the queue in stream order
-                probed = False
-                while t_arrival == now and pending is not None:
+                started = None  # the starts at `now`, once decided
+                while t_arrival == now:  # None once the stream runs out
                     job = pending
                     jq = job.q
                     if jq > m:
@@ -1039,59 +1006,22 @@ class SchedulerCore:
                         continue
                     # Lone arrival on an empty queue: every built-in
                     # pass starts it iff it fits at `now`, so one probe
-                    # decides.  A blocked lone head backs no backfill
-                    # (and a new id misses EASY's memo), so the pass is
-                    # skipped after a failed probe: it would repeat it.
+                    # decides and the job skips the queue into the
+                    # per-start bookkeeping.  A blocked lone head backs
+                    # no backfill (and a new id misses EASY's memo), so
+                    # the pass is skipped after a failed probe: it would
+                    # repeat it.
                     if not peak_queue:
                         peak_queue = 1
-                    if not try_reserve(now, jp, jq):
-                        queue[job.id] = job
-                        probed = True
-                        continue
-                    running_count += 1
-                    end = now + jp
-                    if uncertain:
-                        end, doomed = self._draw_fate(job, now)
-                    if not (uncertain and doomed):
-                        # wait == 0, so the slowdown and bounded slowdown
-                        # are exactly 1 (x/x, and the clamp floors
-                        # jp/tau).  The slowdown keeps the reference
-                        # pass's quotient, whose type follows the times'
-                        # (an exact Fraction(1) when any of them is a
-                        # Fraction), so the sums match it.  As in the
-                        # pass, only a final attempt is measured.
-                        # repro: noqa-begin RPL2xx -- float slowdown/bsld gauges
-                        sum_slowdown += (now - rel + jp) / jp
-                        sum_bsld += 1.0
-                        if 1.0 > max_bsld:
-                            max_bsld = 1.0
-                        if window:
-                            acc = window_of[job.id]
-                            acc.started += 1
-                            acc.sum_bsld += 1.0
-                            if 1.0 > acc.max_bsld:
-                                acc.max_bsld = 1.0
-                        if uncertain:
-                            # a bsld of 1 is within the guarantee threshold
-                            self.n_starts += 1
-                            self.n_bsld_le += 1
-                            if window:
-                                acc.waits.append(now - rel)
-                                acc.bslds.append(1.0)
-                        # repro: noqa-end RPL2xx
-                    if record is not None:
-                        record[job.id] = now
-                    if running_ids is not None:
-                        running_ids.add(job.id)
-                    bucket = buckets.get(end)
-                    if bucket is None:
-                        buckets[end] = [job]
-                        heappush(time_heap, end)
+                    if try_reserve(now, jp, jq):
+                        started = (job,)
                     else:
-                        bucket.append(job)
+                        queue[job.id] = job
+                        started = ()
 
                 # 3. one decision pass (passes are idempotent per instant)
-                if queue and not probed:
+                # unless the lone arrival's probe already decided
+                if queue and started is None:
                     if easy:
                         # Blocked-head memo: while `blocked_id` heads the
                         # queue, `blocked_until` is its exact earliest
@@ -1183,6 +1113,9 @@ class SchedulerCore:
                             started.append(job)
                     else:
                         started = decide(self, now)
+                # the per-start bookkeeping, for the pass's starts and a
+                # lone arrival's alike
+                if started:
                     for job in started:
                         running_count += 1
                         jp = job.p
@@ -1209,14 +1142,20 @@ class SchedulerCore:
                             # job's wait
                             wait = now - job.release
                             sum_wait += wait
-                            if wait > max_wait:
-                                max_wait = wait
                             # repro: noqa-begin RPL2xx -- slowdown/bsld gauges
                             # are float aggregates; grid times never read them
                             sum_slowdown += (wait + jp) / jp
-                            den = jp if jp > bsld_tau else bsld_tau
-                            bsld = float(wait + jp) / float(den)
-                            if bsld < 1.0:
+                            if wait:
+                                if wait > max_wait:
+                                    max_wait = wait
+                                den = jp if jp > bsld_tau else bsld_tau
+                                bsld = float(wait + jp) / float(den)
+                                if bsld < 1.0:
+                                    bsld = 1.0
+                            else:
+                                # no wait (most starts): the clamp floors
+                                # jp/max(jp, tau) to exactly 1, and no
+                                # maximum wait can move
                                 bsld = 1.0
                             # repro: noqa-end RPL2xx
                             sum_bsld += bsld
@@ -1232,28 +1171,36 @@ class SchedulerCore:
                                 if bsld > acc.max_bsld:
                                     acc.max_bsld = bsld
                             if uncertain:
-                                self.n_starts += 1
+                                n_starts += 1
                                 if bsld <= DEFAULT_SLOWDOWN_THRESHOLD:
-                                    self.n_bsld_le += 1
+                                    n_bsld_le += 1
                                 if window:
                                     acc.waits.append(wait)
                                     acc.bslds.append(bsld)
-
-                if running_count > peak_running:
-                    peak_running = running_count
+                    if running_count > peak_running:
+                        peak_running = running_count
 
                 # 4. compact the profile behind the clock after every
                 # event with completions (capacity history only accrues
                 # when jobs finish).  Both backends prune with one prefix
                 # delete and count segments in O(1), so the live profile
                 # stays at the active window and the peak gauge, sampled
-                # before each compaction, is exact.
+                # before each compaction, is exact.  The cut is the last
+                # completion: `now` on an event the completion step did
+                # not carry on from.  After a run of completions on an
+                # empty queue in the certain world, nothing committed and
+                # completions leave the profile alone, so one sample
+                # equals the peak of per-completion samples and one
+                # prune reaches the same live window as one per
+                # completion; `now` may then be a later wake bucket
+                # without completions (a reservation's), where no event
+                # of its own would prune.
                 if completed != pruned_to:
                     pruned_to = completed
                     segments = seg_count()
                     if segments > peak_segments:
                         peak_segments = segments
-                    prune(now)
+                    prune(last_completion)
 
             if pending is not None:
                 # the look-ahead lies past `limit`: stage it again
@@ -1267,6 +1214,8 @@ class SchedulerCore:
             self._blocked_id = blocked_id
             self._blocked_until = blocked_until
             self.now = now
+            self.n_starts = n_starts
+            self.n_bsld_le = n_bsld_le
             # every event is an arrival, a start, a completion or an
             # uncertainty event; starts are not counted one by one but
             # recovered from the running count, which each start enters

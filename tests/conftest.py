@@ -175,6 +175,33 @@ def random_resa(seed: int, n=None, m=None, n_res=None) -> ReservationInstance:
     )
 
 
+def sparse_rows(seed, n_bursts):
+    """``(gap, runtime, procs)`` rows of a sparse trace: ``n_bursts``
+    bursts of arrivals apart by gaps longer than any runtime estimate,
+    so the queue keeps emptying and the fast loop's shortcuts run — the
+    lone arrival's one probe (one-job bursts) and the completion step
+    carrying on over an empty queue (under a runtime model, with
+    failures, tail credits and grace extensions inside it and requeue
+    and no-show wakes that must end it).  Estimates cluster on a few
+    values, so the jobs of a burst often share an end and exit early at
+    different times; dense random traces almost never empty the queue.
+
+    The trace is expanded from two small integers, so a failing
+    example shrinks over those (a few dozen whole replays) instead of
+    over a list of jobs."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(n_bursts):
+        gap = rng.choice([30, 70, 130])  # gap before the burst
+        for k in range(rng.randint(1, 4)):
+            rows.append((
+                gap if k == 0 else rng.choice([0, 0, 1, 2]),  # gap in it
+                rng.choice([2, 5, 10, 10, 10, 20, 25]),       # estimate
+                rng.randint(1, 10),                           # processors
+            ))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # checkpoint chaining
 # ---------------------------------------------------------------------------

@@ -914,6 +914,7 @@ _PARITY_OPS = {
     "add": lambda start, dur, q: (start, dur, q),
     "try_reserve": lambda start, dur, q: (start, dur, q),
     "fits": lambda start, dur, q: (q, start, dur),
+    "min_capacity": lambda start, dur, q: (start, start + dur),
     "earliest_fit": lambda start, dur, q: (q, dur, start),
 }
 
@@ -936,7 +937,9 @@ def test_kernel_error_parity_on_bad_arguments():
     mutator and placement query: the kernel and the reference raise the
     same exception type and leave the profile unchanged, or give the
     same answer and the same profile.  A mutator refuses a NaN or
-    infinite start and a NaN duration outright."""
+    infinite start and a NaN duration outright; the queries refuse a
+    NaN start (``fits``, ``min_capacity``) or ``after``
+    (``earliest_fit``)."""
     times = _BAD_TIMES + (0, 2, Fraction(5, 2), 2.5)
     for op, arrange in _PARITY_OPS.items():
         for start in times:
@@ -950,4 +953,6 @@ def test_kernel_error_parity_on_bad_arguments():
                     if op in ("reserve", "add", "try_reserve") and (
                         non_finite or dur != dur
                     ):
+                        assert kernel is InvalidInstanceError, (op, args)
+                    if start != start:
                         assert kernel is InvalidInstanceError, (op, args)

@@ -1,19 +1,20 @@
 """Differential tests for checkpoint chaining and the event loop's
-scalar shortcuts.
+shortcuts.
 
 The invariants here are the engine's contract: a trace replayed as a
 chain of ``run_slice`` calls, each resumed from its predecessor's
 checkpoint, produces byte-identical rows (modulo volatile wall-clock
-fields) to one serial run; and the inlined passes' empty-queue drain
-and lone-arrival probe produce exactly the reference protocol pass's
-rows and a schedule ``Schedule.verify()`` accepts.
+fields) to one serial run; and the inlined passes' shortcuts (the
+completion step carrying on over an empty queue, the lone arrival's
+one probe) produce exactly the reference protocol pass's rows and a
+schedule ``Schedule.verify()`` accepts.
 """
 
 import json
 from fractions import Fraction
 
 import pytest
-from conftest import replay_chained
+from conftest import replay_chained, sparse_rows
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
@@ -69,43 +70,32 @@ _trace_rows = st.lists(
     max_size=60,
 )
 
-#: sparse traces: long idle gaps (the queue empties and completions
-#: drain before the next arrival) and mostly lone arrivals, with the
-#: occasional tie or burst so both shortcuts meet live queues too
-_sparse_rows = st.lists(
-    st.tuples(
-        st.sampled_from([0, 1, 3, 20, 45, 90]),   # submit gap
-        st.integers(min_value=1, max_value=40),   # runtime
-        st.integers(min_value=1, max_value=16),   # processors
-    ),
-    min_size=1,
-    max_size=50,
-)
-
 _policies = st.sampled_from(["fcfs", "greedy", "easy"])
 
 
 # ---------------------------------------------------------------------------
-# the scalar shortcuts == the reference protocol pass
+# the shortcuts == the reference protocol pass
 # ---------------------------------------------------------------------------
 
 class TestFusedShortcuts:
-    @given(rows=_sparse_rows, policy=_policies,
-           window=st.sampled_from([0, 4]),
+    @given(trace_seed=st.integers(min_value=0, max_value=2**16 - 1),
+           n_bursts=st.integers(min_value=3, max_value=8),
+           policy=_policies, window=st.sampled_from([0, 4]),
            config=st.sampled_from([("auto", int), ("list", int),
                                    ("auto", Fraction), ("list", Fraction)]))
     @settings(max_examples=80, deadline=None)
     def test_sparse_traces_fused_equals_generic(
-        self, rows, policy, window, config
+        self, trace_seed, n_bursts, policy, window, config
     ):
-        """Idle gaps and lone arrivals drive the empty-queue drain and
-        the lone-arrival probe; the fused rows must equal the reference
-        pass's (Fraction releases included: their slowdown sums stay
-        exact), and the recorded starts must be a feasible schedule of
-        the certain-world instance."""
+        """Idle gaps and lone arrivals drive the completion step over an
+        empty queue and the lone arrival's probe; the fused rows must
+        equal the reference pass's (Fraction releases included: their
+        slowdown sums stay exact), and the recorded starts must be a
+        feasible schedule of the certain-world instance."""
         m = 16
         backend, time_type = config
-        jobs = _jobs_from_rows(rows, m, time_type)
+        jobs = _jobs_from_rows(sparse_rows(trace_seed, n_bursts), m,
+                               time_type)
         kwargs = dict(policy=policy, window=window, profile_backend=backend,
                       record_starts=True)
         fused = ReplayEngine(m, **kwargs).run(jobs)
@@ -136,8 +126,9 @@ class TestFusedShortcuts:
         assert calls["prune_before"] == 5
 
     def test_drain_streams_finished_windows(self):
-        """A window whose last job completes inside an empty-queue drain
-        is emitted then, not at the end of the run."""
+        """A window whose last job completes while the completion step
+        carries on over an empty queue is emitted then, not at the end
+        of the run."""
         jobs = [Job.trusted(i, 5, 2, t) for i, t in enumerate([0, 1, 50])]
         result = ReplayEngine(8, window=2).run_slice(jobs, drain=False)
         assert [row["window"] for row in result.windows] == [0]

@@ -394,6 +394,29 @@ class TestCoreVerbs:
         assert type(core.profile).__name__ == "ArrayProfile"
         assert _typed_state(core) == _typed_state(exact)
 
+    @staticmethod
+    def _lone_fractional_starts(policy, fast):
+        """Every job starts on arrival at a ``Fraction`` time: each is
+        a lone arrival on an empty queue, and the machine is idle."""
+        func = POLICIES.get(policy)
+        core = SchedulerCore(4, policy, window=2, record_starts=True,
+                             decide=func if fast else partial(func))
+        for i in range(5):
+            core.submit(Job(id=i, p=1 + i % 2, q=1 + i % 4,
+                            release=Fraction(7 * i, 2)))
+        core.drain()
+        return core
+
+    @pytest.mark.parametrize("policy", ["fcfs", "greedy", "easy"])
+    def test_lone_starts_match_reference_types(self, policy):
+        # a start without a wait sums the reference pass's typed wait
+        # (Fraction(0) here), not an int 0
+        fast = self._lone_fractional_starts(policy, True)
+        reference = self._lone_fractional_starts(policy, False)
+        assert fast.starts == {i: Fraction(7 * i, 2) for i in range(5)}
+        assert fast.starts == reference.starts
+        assert _typed_state(fast) == _typed_state(reference)
+
     def test_cancelled_fractional_submit_admits_large_ints(self):
         core = SchedulerCore(4, window=0, record_starts=True)
         core.submit(Job(id="f", p=Fraction(1, 2), q=1, release=0))

@@ -21,7 +21,6 @@ import hashlib
 import json
 import math
 import pickle
-import random
 import struct
 import zlib
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from conftest import replay_chained
+from conftest import replay_chained, sparse_rows
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
@@ -531,32 +530,6 @@ class TestFastPassIdentity:
         assert runs[True] == runs[False]
 
 
-def _sparse_rows(seed, n_bursts):
-    """A sparse trace: ``n_bursts`` bursts of arrivals apart by gaps
-    longer than any runtime estimate, so the queue keeps emptying and
-    the fast loop's two scalar shortcuts run — the lone-arrival start
-    (one-job bursts) and the empty-queue drain, with failures, tail
-    credits and grace extensions inside it and requeue and no-show
-    wakes that must stop it.  Estimates cluster on a few values, so the
-    jobs of a burst often share an end and exit early at different
-    times.  The dense traces above almost never empty the queue.
-
-    The trace is expanded from two small integers, so a failing
-    example shrinks over those (a few dozen whole replays) instead of
-    over a list of jobs."""
-    rng = random.Random(seed)
-    rows = []
-    for _ in range(n_bursts):
-        gap = rng.choice([30, 70, 130])  # gap before the burst
-        for k in range(rng.randint(1, 4)):
-            rows.append((
-                gap if k == 0 else rng.choice([0, 0, 1, 2]),  # gap in it
-                rng.choice([2, 5, 10, 10, 10, 20, 25]),       # estimate
-                rng.randint(1, 10),                           # processors
-            ))
-    return rows
-
-
 def _core_replays(m, policy, backend, model, fast, jobs, cut):
     """Replay ``jobs`` on bare cores, as :class:`ReplayEngine` does:
     once in full, then as a chain of slices of ``cut`` arrivals resumed
@@ -604,14 +577,14 @@ class TestSparseFastPassIdentity:
     def test_sparse_fast_equals_reference(self, model, trace_seed, n_bursts,
                                           policy, backend, cut):
         """On traces whose queue keeps emptying, the inlined passes with
-        their scalar shortcuts equal the protocol path (``decide`` a
+        their shortcuts equal the protocol path (``decide`` a
         ``partial`` of the registered function) byte for byte: rows,
         starts and canonical state (``peak_segments`` included) of a
         full replay and of every slice of a checkpointed chain, every
         checkpoint, and the states of a serve-style session whose clock
         also stops between arrivals."""
         m = 16
-        jobs = _jobs_from_rows(_sparse_rows(trace_seed, n_bursts), m)
+        jobs = _jobs_from_rows(sparse_rows(trace_seed, n_bursts), m)
         runs = {
             fast: (
                 _core_replays(m, policy, backend, model, fast, jobs, cut),
