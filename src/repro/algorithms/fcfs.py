@@ -49,12 +49,11 @@ class FCFSScheduler(Scheduler):
         gate = 0  # start of the previous job: FCFS forbids overtaking
         for job in jobs:
             floor = max(gate, job.release)
-            s = profile.earliest_fit(job.q, job.p, after=floor)
+            s = profile.reserve_earliest(job.q, job.p, after=floor)
             if s is None:
                 raise SchedulingError(
                     f"job {job.id!r} (q={job.q}) never fits in the profile"
                 )
-            profile.reserve(s, job.p, job.q)
             starts[job.id] = s
             gate = s
         return Schedule(instance, starts)

@@ -41,36 +41,51 @@ Two engines compute the *same* schedule;
   as jobs start) implements LSRC exactly.  Runs on any exact time
   type — the transparent implementation the theory modules cite.
 
-* the **incremental integer sweep** (:meth:`ListScheduler._run_grid`,
-  run on the instance's integer twin under ``timebase="auto"``/``"int"``,
-  see :mod:`repro.core.timebase`): the
-  sweep becomes *incremental* —
+* the **incremental integer sweep** (:func:`incremental_sweep`, run by
+  :meth:`ListScheduler._run_grid` on the instance's integer twin under
+  ``timebase="auto"``/``"int"``, see :mod:`repro.core.timebase`): the
+  same schedule from far fewer decision points.
 
-  - pending jobs live in a due-heap keyed by a cached lower bound on
-    their earliest feasible start (an ``earliest_fit`` miss is
-    remembered: the profile only ever loses capacity as jobs start, so
-    the bound never needs invalidating and the job is not reconsidered
-    before it);
-  - released pending jobs are bucketed by ``q_i``, and a whole decision
-    point is skipped with one ``max_capacity_between`` query when even
-    the narrowest pending job cannot fit before the next event;
-  - profile breakpoints are *not* decision points at all: the cached
-    ``earliest_fit`` wake-ups subsume them (an exchange argument in
-    ``tests/test_timebase.py`` checks the schedules stay identical);
-  - the profile is the kernel
-    :class:`~repro.core.profiles.ArrayProfile`, whose history is
-    pruned behind the sweep front, and a placement is one fused
-    probe-and-commit (:meth:`~repro.core.profiles.ArrayProfile.
-    try_reserve`).
+  - **Width index.**  Released, unplaced jobs are *ready*, held in one
+    heap of list indices per width ``q``, or *asleep*.  At a decision
+    point ``t`` only the widths with ``q <= capacity_at(t)`` are
+    merged, in list order (LSRC's rule); each commit lowers the
+    running capacity, and a width leaves the merge once it exceeds it.
+    A ready job that is wider than what is free costs nothing until
+    its width can fit.
+  - **Sleepers.**  A job that fits by width but whose window collides
+    with a hole later on gets one ``earliest_fit`` and sleeps until
+    that bound.
+  - **Lazy wake.**  When a scan leaves a ready width still too wide,
+    one wake is scheduled at ``earliest_fit(min(ready widths), 1,
+    after=t)``: the first instant the capacity reaches the narrowest
+    waiting width.  ``None`` there means that job can never run, and
+    the sweep raises :class:`~repro.errors.SchedulingError` at once.
+    The decision points are releases, sleepers' bounds and that wake,
+    never the completions themselves.
+  - **Soundness.**  Capacity only rises at profile breakpoints, and
+    placements only *remove* capacity.  So an ``earliest_fit`` taken
+    against an earlier profile state is a lower bound on every later
+    answer: a sleeper cannot start before its bound, and no ready job
+    can start before the lazy wake (its width is at least the one the
+    wake waits for).  Every instant at which the reference sweep starts
+    a job is therefore a decision point here, and at it the same jobs
+    are tried in the same order against the same profile.
+  - The profile is the kernel
+    :class:`~repro.core.profiles.ArrayProfile`, pruned behind the sweep
+    front, and a placement is one fused probe-and-commit
+    (:meth:`~repro.core.profiles.ArrayProfile.try_reserve`).
 
-  Per placed job the incremental sweep does O(1) profile operations on
-  the *active* window instead of rescanning the entire pending list at
-  every one of O(n + breakpoints) decision points.
+  A waiting job costs one ``earliest_fit`` per collision with a hole,
+  not one per event while it waits, and a scan touches only the widths
+  that fit; the reference sweep rescans the whole pending list at each
+  of its O(n + breakpoints) decision points.
 
 :class:`SequentialPlacementScheduler` (and conservative backfilling, its
 FIFO-ordered subclass) places with :func:`earliest_fit_placement` on the
 instance's availability profile (the kernel ``ArrayProfile``), on the
-integer twin and on the exact path alike.
+integer twin and on the exact path alike: one
+:meth:`~repro.core.profiles.ArrayProfile.reserve_earliest` scan per job.
 (EASY backfilling places through the scheduler core instead, see
 :mod:`repro.algorithms.backfilling`.)
 """
@@ -95,77 +110,82 @@ def incremental_sweep(job_rows: List, profile: ArrayProfile) -> Dict:
     ``job_rows`` is the priority-ordered list ``[(release, p, q, id)]``
     (all times on the grid).  Returns ``{id: start}``.
 
-    Equivalence with the reference sweep rests on monotonicity: placed
-    jobs only *remove* capacity, so an ``earliest_fit`` computed against
-    any earlier profile state lower-bounds the job's true earliest start
-    forever — a job cached as "not before ``s``" need not be looked at
-    again until time ``s``, and its wake-up chain (recompute on each
-    miss) provably terminates exactly at the reference start time.
+    Released, unplaced jobs are *ready* (held by width, each width a
+    heap of list indices) or *asleep* until an ``earliest_fit`` bound.
+    A decision point scans, in list order, the ready jobs whose width
+    still fits what is free at it; a job that fits by width but whose
+    window collides later goes to sleep until its ``earliest_fit``.
+    Decision points are releases, sleepers' bounds, and one lazy wake:
+    the first time the capacity reaches the narrowest width still ready
+    after a scan.  Placed jobs only *remove* capacity, so both kinds of
+    bound computed against an earlier profile stay lower bounds: no
+    skipped instant could have started a job (see the module docstring).
     """
     n = len(job_rows)
     starts: Dict = {}
-    if n == 0:
-        return starts
-    # Arrival order (stable on release ties = list order); the due-heap
-    # holds released-but-unplaced jobs keyed by their cached bound.
-    arrivals = sorted(range(n), key=lambda i: (job_rows[i][0], i))
-    ai = 0
-    due: List = []  # (cached earliest-possible start, list index)
-    bucket_count: Dict[int, int] = {}  # q -> released pending jobs
-    events: List = sorted({0, *(row[0] for row in job_rows)})
+    # (bound, list index): a job sleeps until its release first
+    asleep = [(row[0], i) for i, row in enumerate(job_rows)]
+    heapq.heapify(asleep)
+    ready: Dict[int, List[int]] = {}  # q -> heap of list indices
+    wake = None  # no ready job can start before it (None: none ready)
+    wake_q = 0  # the width `wake` was computed for
+    try_reserve = profile.try_reserve
+    earliest_fit = profile.earliest_fit
     placed = 0
-    guard = 0
-    max_iterations = 4 * (2 * n + 4) * (n + 1)
     while placed < n:
-        guard += 1
-        if guard > max_iterations or not events:
-            raise SchedulingError(
-                f"LSRC failed to place {n - placed} job(s); "
-                "the instance admits no feasible placement for them "
-                "(a job wider than the machine's eventual capacity?)"
-            )
-        t = heapq.heappop(events)
-        while events and events[0] == t:  # collapse duplicate events
-            heapq.heappop(events)
-        while ai < n and job_rows[arrivals[ai]][0] <= t:
-            i = arrivals[ai]
-            ai += 1
+        t = asleep[0][0] if asleep and (
+            wake is None or asleep[0][0] < wake) else wake
+        while asleep and asleep[0][0] <= t:
+            i = heapq.heappop(asleep)[1]
             q = job_rows[i][2]
-            bucket_count[q] = bucket_count.get(q, 0) + 1
-            heapq.heappush(due, (job_rows[i][0], i))
-        if not due or due[0][0] > t:
-            continue  # nothing can possibly start before its cached bound
-        # Skip the scan entirely when no pending width fits before the
-        # next decision point (one windowed query instead of a rescan).
-        if events and profile.max_capacity_between(t, events[0]) < min(
-            bucket_count
-        ):
-            continue
-        candidates: List[int] = []
-        while due and due[0][0] <= t:
-            candidates.append(heapq.heappop(due)[1])
-        candidates.sort()  # scan in list order — LSRC's defining rule
-        cap_now = profile.capacity_at(t)
-        for i in candidates:
-            _release, p, q, jid = job_rows[i]
-            if q <= cap_now and profile.try_reserve(t, p, q):
+            heap = ready.get(q)
+            if heap is None:
+                ready[q] = [i]
+            else:
+                heapq.heappush(heap, i)
+        cap = profile.capacity_at(t)
+        # merge the heads of the widths that fit, in list order — LSRC's
+        # defining rule; a width leaves the merge once it exceeds `cap`
+        heads = [(heap[0], q) for q, heap in ready.items() if q <= cap]
+        heapq.heapify(heads)
+        while heads:
+            i, q = heads[0]
+            if q > cap:
+                heapq.heappop(heads)
+                continue
+            heap = ready[q]
+            heapq.heappop(heap)
+            _release, p, _q, jid = job_rows[i]
+            if try_reserve(t, p, q):
                 starts[jid] = t
                 placed += 1
-                cap_now -= q  # the committed window starts at t
-                heapq.heappush(events, t + p)
-                remaining = bucket_count[q] - 1
-                if remaining:
-                    bucket_count[q] = remaining
-                else:
-                    del bucket_count[q]
+                cap -= q  # the committed window starts at t
             else:
-                s = profile.earliest_fit(q, p, after=t)
+                s = earliest_fit(q, p, after=t)
                 if s is None:
                     raise SchedulingError(
                         f"job {jid!r} (q={q}) never fits in the profile"
                     )
-                heapq.heappush(due, (s, i))
-                heapq.heappush(events, s)
+                heapq.heappush(asleep, (s, i))
+            if heap:
+                heapq.heapreplace(heads, (heap[0], q))
+            else:
+                heapq.heappop(heads)
+                del ready[q]
+        if ready:
+            # every ready width now exceeds what is free at t; a kept
+            # wake computed for a width no wider still comes no later
+            q = min(ready)
+            if wake is None or wake <= t or wake_q > q:
+                wake = earliest_fit(q, 1, after=t)
+                if wake is None:
+                    jid = job_rows[ready[q][0]][3]
+                    raise SchedulingError(
+                        f"job {jid!r} (q={q}) never fits in the profile"
+                    )
+                wake_q = q
+        else:
+            wake = None
         profile.prune_before(t)
     return starts
 
@@ -289,13 +309,13 @@ def earliest_fit_placement(
     revisiting an earlier placement — conservative backfilling's engine.
     """
     starts: Dict = {}
+    reserve_earliest = profile.reserve_earliest
     for job in jobs:
-        s = profile.earliest_fit(job.q, job.p, after=job.release)
+        s = reserve_earliest(job.q, job.p, after=job.release)
         if s is None:
             raise SchedulingError(
                 f"job {job.id!r} (q={job.q}) never fits in the profile"
             )
-        profile.reserve_fitting(s, job.p, job.q)  # earliest_fit verified it
         starts[job.id] = s
     return Schedule(instance, starts)
 

@@ -296,6 +296,7 @@ def _cmd_replay(args) -> int:
 
 
 def _replay(args) -> int:
+    from .durability.atomic import atomic_write_rows
     from .simulation.replay import (
         ReplayEngine,
         open_replay_source,
@@ -376,9 +377,11 @@ def _replay(args) -> int:
         # are byte-identical to a serial run
         multi = replay_policies(
             args.trace, policies, m=args.machines, jobs=args.jobs,
-            store=args.out, max_jobs=args.max_jobs, seed=args.seed,
-            window=args.window, **uncertain_kwargs,
+            max_jobs=args.max_jobs, seed=args.seed, window=args.window,
+            **uncertain_kwargs,
         )
+        if args.out:
+            atomic_write_rows(args.out, multi.rows)
         for policy in policies:
             t = multi.results[policy].totals
             print(
@@ -404,6 +407,10 @@ def _replay(args) -> int:
         machine, policy=policies[0], window=args.window, store=args.out,
         **uncertain_kwargs,
     )
+    if args.out:
+        # the store appends as rows come: start the file empty, so this
+        # run's rows replace an earlier run's instead of following them
+        atomic_write_rows(args.out, ())
     result = engine.run(arrivals, stream=stream)
     t = result.totals
     print(

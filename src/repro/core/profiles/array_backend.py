@@ -17,8 +17,9 @@ in two plain ``list`` columns, and its design points are:
 * **inline scans** — ``try_reserve`` and ``max_capacity_between`` walk
   the window from one bisection and stop at its right edge (or, for
   ``try_reserve``, at the first segment too low to fit);
-* **one commit** — ``reserve``, ``reserve_fitting``, ``try_reserve`` and
-  ``add`` all end in :meth:`ArrayProfile._commit`, which splits the two
+* **one commit** — ``reserve``, ``reserve_fitting``, ``try_reserve``,
+  ``reserve_earliest`` and ``add`` all end in
+  :meth:`ArrayProfile._commit`, which splits the two
   window boundaries, shifts the covered segments and re-merges only at
   those boundaries (a uniform delta cannot un-merge interior segments);
 * **batched overlay** — :meth:`reserve_many` rebuilds the columns in one
@@ -387,6 +388,38 @@ class ArrayProfile(ProfileBackend):
         if amount:
             self._commit(i, j, start, end, amount)
         return True
+
+    def reserve_earliest(
+        self, q: int, duration: Time, after: Time = 0
+    ) -> Optional[Time]:
+        """Earliest fit and commit in one scan: the ``earliest_fit``
+        walk, then :meth:`_commit` at the window's first and
+        one-past-last segments, which the walk has just found (see
+        :meth:`ProfileBackend.reserve_earliest` for the contract).
+        Non-int arguments, and a zero width, take the generic path."""
+        if (type(q) is not int or type(duration) is not int
+                or type(after) is not int or q <= 0 or duration <= 0
+                or after < 0):
+            return ProfileBackend.reserve_earliest(self, q, duration, after)
+        times, caps = self._times, self._caps
+        n = len(times)
+        i = bisect_right(times, after) - 1
+        first = i  # the segment holding the candidate start
+        candidate: Optional[int] = None
+        while i < n:
+            if caps[i] >= q:
+                if candidate is None:
+                    first = i
+                    seg_start = times[i]
+                    candidate = seg_start if seg_start > after else after
+                if i + 1 == n or times[i + 1] - candidate >= duration:
+                    self._commit(first, i + 1, candidate,
+                                 candidate + duration, q)
+                    return candidate
+            else:
+                candidate = None
+            i += 1
+        return None  # the final (infinite) segment's capacity is below q
 
     def prune_before(self, t: Time) -> None:
         """Drop breakpoints before ``t`` and re-anchor the frontier

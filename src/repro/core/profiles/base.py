@@ -10,6 +10,8 @@ point query                  :meth:`ProfileBackend.capacity_at`
 window queries               :meth:`ProfileBackend.min_capacity`,
                              :meth:`ProfileBackend.area`
 placement query              :meth:`ProfileBackend.earliest_fit`
+placement                    :meth:`ProfileBackend.try_reserve`,
+                             :meth:`ProfileBackend.reserve_earliest`
 mutation                     :meth:`ProfileBackend.reserve`,
                              :meth:`ProfileBackend.add`
 batch mutation               :meth:`ProfileBackend.reserve_many`
@@ -310,6 +312,23 @@ class ProfileBackend:
         self.reserve_fitting(start, duration, amount)
         return True
 
+    def reserve_earliest(self, q: int, duration: Time,
+                         after: Time = 0) -> Optional[Time]:
+        """Reserve ``q`` processors at the earliest feasible start and
+        return it: :meth:`earliest_fit` and the commit in one call.
+
+        Raises what :meth:`earliest_fit` raises on bad arguments;
+        returns ``None``, leaving the profile unchanged, exactly when
+        ``earliest_fit`` does.  The placement primitive of every
+        earliest-start scheduler (conservative backfilling, ``seq``,
+        FCFS); the kernel overrides it with one scan that commits at the
+        indices it found.
+        """
+        s = self.earliest_fit(q, duration, after)
+        if s is not None:
+            self.reserve_fitting(s, duration, q)
+        return s
+
     def first_time_area_reaches(self, work: Time,
                                 start: Time = 0) -> Optional[Time]:
         """Smallest ``T`` with ``area(start, T) >= work`` (area bound
@@ -405,11 +424,8 @@ class ProfileBackend:
                              end: Optional[Time] = None) -> int:
         """Largest capacity reached on the window ``[start, end)``.
 
-        ``end=None`` means "until infinity" (the suffix maximum).  This is
-        the dual of :meth:`min_capacity` that drives the incremental LSRC
-        ready-set: when the maximum until the next decision point is below
-        the smallest pending ``q_i``, the whole scan can be skipped.
-        Backends override this with sublinear variants.
+        ``end=None`` means "until infinity" (the suffix maximum): the
+        dual of :meth:`min_capacity`.
         """
         if start < 0:
             raise InvalidInstanceError(

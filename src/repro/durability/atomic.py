@@ -14,9 +14,10 @@ content, the double ``os.replace`` is harmless.
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
-from typing import Any, Optional
+from typing import Any, Dict, Iterable, Optional
 
 from ..devtools.failpoints import fire
 
@@ -50,6 +51,14 @@ def atomic_write_text(
 ) -> None:
     """Publish ``text`` (UTF-8) at ``path`` atomically."""
     atomic_write_bytes(path, text.encode("utf-8"), failpoint=failpoint)
+
+
+def atomic_write_rows(path: str, rows: Iterable[Dict]) -> None:
+    """Publish JSONL ``rows`` at ``path`` atomically, byte for byte what
+    sequential :meth:`~repro.run.store.JsonlStore.append` calls write
+    (no rows publishes an empty file)."""
+    content = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+    atomic_write_bytes(path, content.encode("utf-8"))
 
 
 def atomic_pickle(

@@ -35,7 +35,6 @@ possible over the deterministic fields.  The returned
 
 from __future__ import annotations
 
-import json
 import pickle
 import time as _time
 import warnings
@@ -55,7 +54,7 @@ from ..simulation.replay import (
     resolve_store,
     swf_counters,
 )
-from .atomic import atomic_write_bytes
+from .atomic import atomic_write_rows
 from .journal import JOURNAL_VERSION, Journal
 
 #: Jobs replayed between snapshots (and journal segment rolls).  At the
@@ -114,8 +113,7 @@ def _rewrite_store(store, rows: List[Dict]) -> None:
             "journaled resume needs a path-backed store (JsonlStore or "
             "a path), got " + type(store).__name__
         )
-    content = "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
-    atomic_write_bytes(path, content.encode("utf-8"))
+    atomic_write_rows(path, rows)
 
 
 def _result_from_rows(
@@ -165,10 +163,10 @@ def replay_journaled(
 
     ``store`` (path or :class:`~repro.run.store.JsonlStore`) receives
     the same window rows a plain replay writes plus a totals row with
-    volatile fields stripped; on resume it is rewritten to the
-    journal's committed prefix before new rows append.  Resuming an
-    already-committed journal is a pure read: the store is restored and
-    the recorded result returned.
+    volatile fields stripped; a fresh run starts its file empty, and a
+    resume rewrites it to the journal's committed prefix before new
+    rows append.  Resuming an already-committed journal is a pure read:
+    the store is restored and the recorded result returned.
 
     ``engine_kwargs`` pass through to :class:`ReplayEngine` (window,
     profile_backend, uncertainty, ...); the calendar completion queue is
@@ -277,6 +275,8 @@ def replay_journaled(
         _rewrite_store(store, committed_rows)
     else:
         journal = Journal.create(journal_dir, config, fsync=fsync)
+        if getattr(store, "path", None) is not None:
+            _rewrite_store(store, [])  # a fresh run's rows replace the file's
 
     skip = int(ckpt.counters["arrived"]) if ckpt is not None else 0
     if skip:

@@ -148,10 +148,9 @@ def policy_conservative(state: ClusterState, now) -> List:
     plan: Dict[object, object] = {}
     scratch = state.profile.copy()
     for job in state.queue_in_order():
-        s = scratch.earliest_fit(job.q, job.p, after=now)
+        s = scratch.reserve_earliest(job.q, job.p, after=now)
         if s is None:
             raise SchedulingError(f"job {job.id!r} can never start")
-        scratch.reserve(s, job.p, job.q)
         plan[job.id] = s
     started = []
     for job in state.queue_in_order():

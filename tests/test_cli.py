@@ -234,6 +234,45 @@ class TestReplayJournalValidation:
             capsys.readouterr().err
 
 
+class TestReplayOutputReplaced:
+    """``repro replay -o FILE`` run twice into one FILE leaves one run's
+    rows, in every mode; ``--resume`` rewrites FILE to the journal's."""
+
+    @staticmethod
+    def _rows(path):
+        rows = [json.loads(line) for line in Path(path).read_text().splitlines()]
+        for row in rows:
+            row.pop("elapsed_seconds", None)  # wall clock
+        return rows
+
+    @pytest.mark.parametrize("extra", [
+        ["-p", "easy"],
+        ["-p", "easy,fcfs"],
+        ["-p", "easy", "--journal", "{journal}"],
+    ], ids=["plain", "multi-policy", "journaled"])
+    def test_second_run_replaces_the_first(self, tmp_path, extra):
+        out = tmp_path / "rows.jsonl"
+        once = tmp_path / "once.jsonl"
+        base = ["replay", "synth:steady:60", "-m", "16", "--window", "20"]
+
+        def run(path, k):
+            args = [a.replace("{journal}", str(tmp_path / f"j{k}"))
+                    for a in extra]
+            assert main(base + args + ["-o", str(path)]) == 0
+
+        run(once, 0)
+        assert len(self._rows(once)) == 4 * (len(extra[1].split(",")))
+        run(out, 1)
+        run(out, 2)
+        assert self._rows(out) == self._rows(once)
+        if "--journal" in extra:
+            resume = base + ["-p", "easy", "--journal", str(tmp_path / "j2"),
+                             "--resume", "-o", str(out)]
+            assert main(resume) == 0
+            assert main(resume) == 0
+            assert self._rows(out) == self._rows(once)
+
+
 class TestServeValidation:
     """`repro serve` usage errors exit 2 before touching the journal."""
 

@@ -853,7 +853,7 @@ def _kernel_random_ops(kind):
             start = cast(v)
             dur = cast(rng.randint(1, 25))
             q = rng.randint(0, 8)
-            op = rng.randrange(11)
+            op = rng.randrange(12)
             if op == 0:
                 assert (_typed(kernel.capacity_at(start))
                         == _typed(ref.capacity_at(start)))
@@ -896,6 +896,9 @@ def _kernel_random_ops(kind):
                 work = cast(rng.randint(0, 400))
                 assert (_typed(kernel.first_time_area_reaches(work, start))
                         == _typed(ref.first_time_area_reaches(work, start)))
+            elif op == 9:
+                assert (_typed(kernel.reserve_earliest(q, dur, after=start))
+                        == _typed(ref.reserve_earliest(q, dur, after=start)))
             else:
                 front = max(front, v - rng.randint(0, 30))
                 kernel.prune_before(cast(front))
@@ -916,6 +919,7 @@ _PARITY_OPS = {
     "fits": lambda start, dur, q: (q, start, dur),
     "min_capacity": lambda start, dur, q: (start, start + dur),
     "earliest_fit": lambda start, dur, q: (q, dur, start),
+    "reserve_earliest": lambda start, dur, q: (q, dur, start),
 }
 
 
@@ -939,7 +943,7 @@ def test_kernel_error_parity_on_bad_arguments():
     same answer and the same profile.  A mutator refuses a NaN or
     infinite start and a NaN duration outright; the queries refuse a
     NaN start (``fits``, ``min_capacity``) or ``after``
-    (``earliest_fit``)."""
+    (``earliest_fit``, ``reserve_earliest``)."""
     times = _BAD_TIMES + (0, 2, Fraction(5, 2), 2.5)
     for op, arrange in _PARITY_OPS.items():
         for start in times:

@@ -33,6 +33,7 @@ from repro.algorithms.backfilling import (
 from repro.algorithms.list_scheduling import (
     ListScheduler,
     SequentialPlacementScheduler,
+    incremental_sweep,
 )
 from repro.core.instance import ReservationInstance
 from repro.core.job import Job, Reservation
@@ -47,7 +48,7 @@ from repro.core.timebase import (
     on_int_timebase,
     timebase_for,
 )
-from repro.errors import InvalidInstanceError, ReproError
+from repro.errors import InvalidInstanceError, ReproError, SchedulingError
 from repro.simulation import available_policies, simulate
 from repro.workloads import available_workloads, make_workload
 
@@ -183,7 +184,7 @@ class TestIntSweepProfile:
         for _ in range(120):
             ref, fast = _random_profile(rng)
             for _ in range(30):
-                op = rng.randrange(6)
+                op = rng.randrange(7)
                 start = rng.randint(0, 130)
                 dur = rng.randint(1, 25)
                 q = rng.randint(1, 8)
@@ -208,6 +209,14 @@ class TestIntSweepProfile:
                         ref.reserve(start, dur, q)
                     else:
                         assert _segments(fast) == before
+                    assert _segments(fast) == _segments(ref)
+                elif op == 5:
+                    # the fused earliest fit and commit: the reference's
+                    # earliest_fit, committed there (None changes nothing)
+                    s = ref.earliest_fit(q, dur, after=start)
+                    assert fast.reserve_earliest(q, dur, after=start) == s
+                    if s is not None:
+                        ref.reserve(s, dur, q)
                     assert _segments(fast) == _segments(ref)
                 else:
                     # the sweep commits only what it has probed to fit
@@ -416,6 +425,46 @@ def test_incremental_sweep_probes_only_jobs_that_fit_now(monkeypatch):
     for seed in (1, 2, 3, 4, 5):
         ListScheduler().schedule(_wrapper_instance("int", seed))
     assert all(probes)
+
+
+def test_incremental_sweep_wakes_waiting_jobs_by_width(monkeypatch):
+    """Where every job is released at 0 and holes cut the machine, a job
+    that waits for capacity costs no ``earliest_fit`` until its width
+    fits: one bound per collision with a hole, one lazy wake per
+    decision point — at most 2n calls, not one per job per event."""
+    calls = []
+    original = ArrayProfile.earliest_fit
+
+    def earliest_fit(self, q, duration, after=0):
+        calls.append(q)
+        return original(self, q, duration, after)
+
+    monkeypatch.setattr(ArrayProfile, "earliest_fit", earliest_fit)
+    rng = random.Random(33)
+    m, n = 64, 500
+    jobs = tuple(
+        Job(id=i, p=rng.choice([1, 2, 3, 5, 8, 13, 21, 34, 55]),
+            q=rng.choice([1, 1, 2, 2, 4, 8, 16, 32, 64]))
+        for i in range(n)
+    )
+    holes = tuple(
+        Reservation(id=f"r{k}", start=1 + 100 * k, p=33, q=m // 8)
+        for k in range(20)
+    )
+    instance = ReservationInstance(m=m, jobs=jobs, reservations=holes)
+    starts = ListScheduler().schedule(instance).starts
+    assert 0 < len(calls) <= 2 * n
+    assert starts == ListScheduler(timebase="exact").schedule(instance).starts
+
+
+@pytest.mark.parametrize("release", [0, 6])
+def test_incremental_sweep_refuses_a_job_that_never_fits(release):
+    """A job wider than the profile's eventual capacity fails at once:
+    released at 0 it fits by width, collides and has no bound to sleep
+    until; released at 6 it waits by width and has no lazy wake."""
+    profile = ArrayProfile([0, 5], [4, 2])
+    with pytest.raises(SchedulingError, match="job 'x' .q=3. never fits"):
+        incremental_sweep([(0, 1, 1, "a"), (release, 10, 3, "x")], profile)
 
 
 def test_on_int_timebase_generic_wrapper():
@@ -681,23 +730,24 @@ GRID_PLACED_SCHEDULERS = ("backfill-cons", "seq")
 @pytest.mark.parametrize("name", GRID_PLACED_SCHEDULERS)
 def test_grid_path_places_on_array_profile(monkeypatch, name):
     """On the integer twin, conservative and ``seq`` place on the
-    kernel ``ArrayProfile`` and never on the reference ``ListProfile``."""
+    kernel ``ArrayProfile`` and never on the reference ``ListProfile``,
+    one fused ``reserve_earliest`` per job."""
     calls = {"int": 0, "list": 0}
 
     def counting(cls, key):
-        original = cls.earliest_fit
+        original = cls.reserve_earliest
 
-        def earliest_fit(self, *args, **kwargs):
+        def reserve_earliest(self, *args, **kwargs):
             calls[key] += 1
             return original(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "earliest_fit", earliest_fit)
+        monkeypatch.setattr(cls, "reserve_earliest", reserve_earliest)
 
     counting(ArrayProfile, "int")
     counting(ListProfile, "list")
     instance = _wrapper_instance("int", 1)
     get_scheduler(name).schedule(instance)
-    assert calls["int"] > 0 and calls["list"] == 0
+    assert calls["int"] == len(instance.jobs) and calls["list"] == 0
 
 
 def test_easy_profile_backend_reaches_the_core(monkeypatch):
