@@ -24,11 +24,22 @@ from repro.workloads import (
 
 # every job released at 0: the paper's offline setting, where a sweep
 # that re-probes each waiting job at every completion goes quadratic
-# (n = 8,000 took ~22 s that way; waking jobs by width takes ~0.1 s)
-@pytest.mark.parametrize("n", [100, 500, 2000, 8000])
-def test_scaling_lsrc(benchmark, n):
+# (n = 8,000 took ~22 s that way; waking jobs by width takes ~0.1 s).
+# The off-grid leg sweeps the same instance on its own float times
+# (timebase="exact"), where a wake that fails to advance would loop.
+@pytest.mark.parametrize("n, off_grid", [
+    pytest.param(100, False, id="100"),
+    pytest.param(500, False, id="500"),
+    pytest.param(2000, False, id="2000"),
+    pytest.param(8000, False, id="8000"),
+    pytest.param(8000, True, id="8000-float"),
+])
+def test_scaling_lsrc(benchmark, n, off_grid):
     inst = uniform_instance(n, 64, p_range=(1, 100), q_range=(1, 32), seed=1)
-    result = benchmark(lambda: ListScheduler().schedule(inst))
+    if off_grid:
+        inst = inst.scaled(0.1)
+    scheduler = ListScheduler(timebase="exact" if off_grid else "auto")
+    result = benchmark(lambda: scheduler.schedule(inst))
     assert len(result.starts) == n
 
 

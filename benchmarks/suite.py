@@ -20,8 +20,9 @@ runs any of them, quick or full, and the JSON-producing harnesses feed a
 
 ``core-throughput`` is the headline harness of the integer-timebase fast
 path: it schedules the 10k-job maintenance trace with the exact
-reference LSRC sweep and with the incremental integer sweep
-(:mod:`repro.core.timebase`), asserts the schedules are *identical*, and
+reference LSRC sweep (:func:`~repro.algorithms.list_scheduling.
+reference_lsrc`, the tests' oracle) and with the incremental sweep on
+the integer twin (:mod:`repro.core.timebase`), asserts the schedules are *identical*, and
 appends an entry to ``BENCH_core_throughput.json`` — the acceptance gate
 is >= 5x end-to-end LSRC speedup over the frozen tree-backend number
 :data:`FROZEN_TREE_SCHEDULING_S`.
@@ -177,11 +178,16 @@ def _speedup_scenario(label, exact_fn, fast_fn, repeats, extra=None):
 def bench_core_throughput(
     quick: bool, repeats: int, out_dir: Optional[pathlib.Path]
 ) -> Dict:
-    """The exact LSRC sweep vs the incremental integer sweep, end to
-    end, both on the profile kernel."""
+    """The exact reference LSRC sweep vs the incremental sweep on the
+    integer twin, end to end, both on the profile kernel."""
     from bench_profile_backends import make_trace
 
     from repro.algorithms import ListScheduler
+    from repro.algorithms.list_scheduling import reference_lsrc
+    from repro.core import Schedule
+
+    def reference(instance):
+        return Schedule(instance, reference_lsrc(instance, instance.jobs))
 
     n_jobs = 800 if quick else 10_000
     n_res = 80 if quick else 1_000
@@ -191,10 +197,10 @@ def bench_core_throughput(
 
     scenarios: Dict[str, Dict] = {}
 
-    print("scenario 1/2: LSRC, exact sweep vs integer sweep ...")
+    print("scenario 1/2: LSRC, reference sweep vs integer sweep ...")
     scenarios["lsrc_scheduling"] = _speedup_scenario(
         "lsrc_scheduling",
-        lambda: ListScheduler(timebase="exact").schedule(instance),
+        lambda: reference(instance),
         lambda: ListScheduler(timebase="auto").schedule(instance),
         repeats,
     )
@@ -208,18 +214,19 @@ def bench_core_throughput(
         )
 
     # Fraction-timed twin of the trace: this is where the timebase earns
-    # its name — the exact path pays a gcd per arithmetic op, the fast
-    # path normalises once (scale lcm(3)=3) and runs on machine ints.
+    # its name — the reference sweep on Fraction times pays a gcd per
+    # arithmetic op, the fast path normalises once (scale lcm(3)=3) and
+    # runs on machine ints.
     frac_jobs = 200 if quick else 2_000
     frac_res = 30 if quick else 200
     print(f"scenario 2/2: Fraction-timed trace ({frac_jobs} jobs), "
-          "exact vs integer ...")
+          "reference vs integer ...")
     frac_instance = make_trace(frac_jobs, frac_res, m, seed).scaled(
         Fraction(1, 3)
     )
     scenarios["lsrc_fraction_times"] = _speedup_scenario(
         "lsrc_fraction_times",
-        lambda: ListScheduler(timebase="exact").schedule(frac_instance),
+        lambda: reference(frac_instance),
         lambda: ListScheduler(timebase="auto").schedule(frac_instance),
         repeats,
         extra={"time_scale_lcm": 3},
@@ -898,7 +905,7 @@ def _make_pytest_runner(path: pathlib.Path):
 
 register_bench(Benchmark(
     name="core-throughput",
-    description="exact LSRC sweep vs the incremental integer sweep "
+    description="reference LSRC sweep vs the incremental integer sweep "
                 "(int + Fraction-timed traces); "
                 "appends to BENCH_core_throughput.json",
     runner=bench_core_throughput,

@@ -30,9 +30,9 @@ class Scheduler(abc.ABC):
     A subclass that sets a ``timebase`` attribute (``"auto"``, ``"int"``
     or ``"exact"``, see :mod:`repro.core.timebase`) is scheduled through
     the grid round trip: :meth:`schedule` resolves the instance's integer
-    grid once, runs :meth:`_run_grid` on the integer twin (or
-    :meth:`_run` on the instance when the policy keeps it off the grid)
-    and maps the starts back.
+    grid once, runs :meth:`_run` on the integer twin (or on the instance
+    itself when the policy keeps it off the grid) and maps the starts
+    back.  The policy picks the arithmetic, never the algorithm.
     """
 
     #: Registry name; subclasses override.
@@ -45,18 +45,13 @@ class Scheduler(abc.ABC):
         if policy is None:
             schedule = self._run(inst)
         else:
-            schedule = run_on_grid(inst, policy, self._run_grid, self._run)[0]
+            schedule = run_on_grid(inst, policy, self._run)[0]
         schedule.algorithm = self.name
         return schedule
 
     @abc.abstractmethod
     def _run(self, instance: ReservationInstance) -> Schedule:
         """Algorithm body; must return a feasible schedule."""
-
-    def _run_grid(self, instance: ReservationInstance) -> Schedule:
-        """Algorithm body on an instance whose times are all ints (the
-        integer twin); the same as :meth:`_run` unless overridden."""
-        return self._run(instance)
 
     def __call__(self, instance) -> Schedule:
         return self.schedule(instance)

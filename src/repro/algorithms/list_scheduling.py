@@ -27,59 +27,55 @@ then it did not fit at ``t`` against the jobs and reservations present.
 
 Implementation
 --------------
-Two engines compute the *same* schedule;
-:meth:`~repro.algorithms.base.Scheduler.schedule` picks one by the
-``timebase`` policy:
+One engine, :func:`incremental_sweep`, runs LSRC on every time type:
+on the integer twin under ``timebase="auto"``/``"int"`` (see
+:mod:`repro.core.timebase`) and on the instance's own int, ``Fraction``
+or ``float`` times otherwise.  The policy picks the arithmetic, never
+the algorithm.
 
-* the **exact reference sweep** (:meth:`ListScheduler._run`, run under
-  ``timebase="exact"`` and on instances the policy keeps off the grid):
-  decision points are time 0, every distinct release time, every
-  availability-profile breakpoint, and every job completion.  Capacity
-  between consecutive decision points is constant and the feasible
-  window of any job only ever *opens* at such a point, so scanning the
-  list once per decision point (in list order, with the profile updated
-  as jobs start) implements LSRC exactly.  Runs on any exact time
-  type — the transparent implementation the theory modules cite.
+* **Width index.**  Released, unplaced jobs are *ready*, held in one
+  heap of list indices per width ``q``, or *asleep*.  At a decision
+  point ``t`` only the widths with ``q <= capacity_at(t)`` are merged,
+  in list order (LSRC's rule); each commit lowers the running
+  capacity, and a width leaves the merge once it exceeds it.  A ready
+  job that is wider than what is free costs nothing until its width
+  can fit.
+* **Sleepers.**  A job that fits by width but whose window collides
+  with a hole later on gets one ``earliest_fit`` and sleeps until that
+  bound.
+* **Lazy wake.**  When a scan leaves a ready width still too wide, one
+  wake is scheduled at ``earliest_fit(min(ready widths), pmin,
+  after=t)``, where ``pmin`` is the shortest runtime in the list: the
+  first instant a window as long as any job's holds the narrowest
+  waiting width.  ``None`` there means that job can never run, and the
+  sweep raises :class:`~repro.errors.SchedulingError` at once.  The
+  decision points are releases, sleepers' bounds and that wake, never
+  the completions themselves.
+* **Soundness.**  Capacity only rises at profile breakpoints, and
+  placements only *remove* capacity.  So an ``earliest_fit`` taken
+  against an earlier profile state is a lower bound on every later
+  answer: a sleeper cannot start before its bound, and no ready job
+  can start before the lazy wake, since its width is at least the one
+  the wake waits for and its window at least ``pmin`` long.  Nothing
+  here needs a grid: ``earliest_fit`` and ``try_reserve`` test the same
+  window ``[s, s + p)``, with the same rounded ``s + p`` on float
+  times, so a bound ``earliest_fit`` returns is one ``try_reserve``
+  accepts until a placement takes the room.  On the grid ``pmin >= 1``,
+  so the wake is never earlier than the first integer tick at which the
+  width fits.  Every instant at which LSRC starts a job is therefore a
+  decision point here, and at it the same jobs are tried in the same
+  order against the same profile.
+* The profile is the kernel :class:`~repro.core.profiles.ArrayProfile`,
+  pruned behind the sweep front, and a placement is one fused
+  probe-and-commit (:meth:`~repro.core.profiles.ArrayProfile.try_reserve`).
 
-* the **incremental integer sweep** (:func:`incremental_sweep`, run by
-  :meth:`ListScheduler._run_grid` on the instance's integer twin under
-  ``timebase="auto"``/``"int"``, see :mod:`repro.core.timebase`): the
-  same schedule from far fewer decision points.
-
-  - **Width index.**  Released, unplaced jobs are *ready*, held in one
-    heap of list indices per width ``q``, or *asleep*.  At a decision
-    point ``t`` only the widths with ``q <= capacity_at(t)`` are
-    merged, in list order (LSRC's rule); each commit lowers the
-    running capacity, and a width leaves the merge once it exceeds it.
-    A ready job that is wider than what is free costs nothing until
-    its width can fit.
-  - **Sleepers.**  A job that fits by width but whose window collides
-    with a hole later on gets one ``earliest_fit`` and sleeps until
-    that bound.
-  - **Lazy wake.**  When a scan leaves a ready width still too wide,
-    one wake is scheduled at ``earliest_fit(min(ready widths), 1,
-    after=t)``: the first instant the capacity reaches the narrowest
-    waiting width.  ``None`` there means that job can never run, and
-    the sweep raises :class:`~repro.errors.SchedulingError` at once.
-    The decision points are releases, sleepers' bounds and that wake,
-    never the completions themselves.
-  - **Soundness.**  Capacity only rises at profile breakpoints, and
-    placements only *remove* capacity.  So an ``earliest_fit`` taken
-    against an earlier profile state is a lower bound on every later
-    answer: a sleeper cannot start before its bound, and no ready job
-    can start before the lazy wake (its width is at least the one the
-    wake waits for).  Every instant at which the reference sweep starts
-    a job is therefore a decision point here, and at it the same jobs
-    are tried in the same order against the same profile.
-  - The profile is the kernel
-    :class:`~repro.core.profiles.ArrayProfile`, pruned behind the sweep
-    front, and a placement is one fused probe-and-commit
-    (:meth:`~repro.core.profiles.ArrayProfile.try_reserve`).
-
-  A waiting job costs one ``earliest_fit`` per collision with a hole,
-  not one per event while it waits, and a scan touches only the widths
-  that fit; the reference sweep rescans the whole pending list at each
-  of its O(n + breakpoints) decision points.
+A waiting job costs one ``earliest_fit`` per collision with a hole, not
+one per event while it waits, and a scan touches only the widths that
+fit.  :func:`reference_lsrc` is the transparent oracle the tests and
+``repro bench core-throughput`` hold the sweep to: decision points are
+time 0, every release, every profile breakpoint and every completion,
+and the whole pending list is rescanned at each of them.  No scheduler
+runs it.
 
 :class:`SequentialPlacementScheduler` (and conservative backfilling, its
 FIFO-ordered subclass) places with :func:`earliest_fit_placement` on the
@@ -105,10 +101,10 @@ from .priority import PriorityRule, explicit_order, resolve_priority
 
 
 def incremental_sweep(job_rows: List, profile: ArrayProfile) -> Dict:
-    """LSRC by incremental sweep on an integer-grid profile.
+    """LSRC by incremental sweep on ``profile``, any time type.
 
-    ``job_rows`` is the priority-ordered list ``[(release, p, q, id)]``
-    (all times on the grid).  Returns ``{id: start}``.
+    ``job_rows`` is the priority-ordered list ``[(release, p, q, id)]``.
+    Returns ``{id: start}``.
 
     Released, unplaced jobs are *ready* (held by width, each width a
     heap of list indices) or *asleep* until an ``earliest_fit`` bound.
@@ -116,13 +112,16 @@ def incremental_sweep(job_rows: List, profile: ArrayProfile) -> Dict:
     still fits what is free at it; a job that fits by width but whose
     window collides later goes to sleep until its ``earliest_fit``.
     Decision points are releases, sleepers' bounds, and one lazy wake:
-    the first time the capacity reaches the narrowest width still ready
-    after a scan.  Placed jobs only *remove* capacity, so both kinds of
-    bound computed against an earlier profile stay lower bounds: no
-    skipped instant could have started a job (see the module docstring).
+    the first time a window as long as the shortest job holds the
+    narrowest width still ready after a scan.  Placed jobs only *remove*
+    capacity, so both kinds of bound computed against an earlier profile
+    stay lower bounds: no skipped instant could have started a job (see
+    the module docstring).
     """
     n = len(job_rows)
     starts: Dict = {}
+    # no job's window is shorter (the default only serves an empty list)
+    pmin = min((row[1] for row in job_rows), default=1)
     # (bound, list index): a job sleeps until its release first
     asleep = [(row[0], i) for i, row in enumerate(job_rows)]
     heapq.heapify(asleep)
@@ -177,7 +176,7 @@ def incremental_sweep(job_rows: List, profile: ArrayProfile) -> Dict:
             # wake computed for a width no wider still comes no later
             q = min(ready)
             if wake is None or wake <= t or wake_q > q:
-                wake = earliest_fit(q, 1, after=t)
+                wake = earliest_fit(q, pmin, after=t)
                 if wake is None:
                     jid = job_rows[ready[q][0]][3]
                     raise SchedulingError(
@@ -200,11 +199,11 @@ class ListScheduler(Scheduler):
         :mod:`repro.algorithms.priority` (for example ``"lpt"``), or a
         callable ``jobs -> ordered jobs``.
     timebase:
-        ``"auto"`` (default) runs the incremental integer sweep whenever
-        the instance's times normalise exactly (ints/Fractions) and the
-        exact reference sweep otherwise; ``"int"`` additionally forces
-        float-timed instances onto the grid; ``"exact"`` always runs the
-        reference sweep.
+        ``"auto"`` (default) runs the sweep on the instance's integer
+        twin whenever its times normalise exactly (ints/Fractions) and
+        on its own times otherwise; ``"int"`` additionally grids
+        float-timed instances; ``"exact"`` always runs on the instance's
+        own times.  Every policy runs :func:`incremental_sweep`.
     """
 
     def __init__(
@@ -215,57 +214,67 @@ class ListScheduler(Scheduler):
         self._order, self.name = resolve_priority(priority, "lsrc", list)
         self.timebase = check_timebase_policy(timebase)
 
-    def _run_grid(self, instance: ReservationInstance) -> Schedule:
-        """The incremental integer sweep."""
+    def _run(self, instance: ReservationInstance) -> Schedule:
         rows = [(j.release, j.p, j.q, j.id) for j in self._order(instance.jobs)]
         return Schedule(
             instance, incremental_sweep(rows, instance.availability_profile())
         )
 
-    def _run(self, instance: ReservationInstance) -> Schedule:
-        """The exact reference sweep."""
-        jobs = self._order(instance.jobs)
-        profile = instance.availability_profile()
-        starts: Dict = {}
-        pending: List = list(jobs)
 
-        # Initial decision points: time 0, releases, profile breakpoints.
-        events: List = [0]
-        events.extend(job.release for job in jobs if job.release > 0)
-        events.extend(t for t in profile.breakpoints if t > 0)
-        heapq.heapify(events)
+def reference_lsrc(instance: ReservationInstance, jobs: Sequence) -> Dict:
+    """LSRC by the exact reference sweep: ``{id: start}`` for ``jobs``
+    (the instance's jobs in list order).
 
-        last_time = None
-        guard = 0
-        max_iterations = 4 * (len(jobs) + len(events) + 4) * (len(jobs) + 1)
-        while pending:
-            guard += 1
-            if guard > max_iterations or not events:
-                raise SchedulingError(
-                    f"LSRC failed to place {len(pending)} job(s); "
-                    "the instance admits no feasible placement for them "
-                    "(a job wider than the machine's eventual capacity?)"
-                )
-            t = heapq.heappop(events)
-            if last_time is not None and t == last_time:
-                continue  # duplicate decision point
-            last_time = t
-            # Single in-order pass: starting a job only removes capacity,
-            # so no earlier-listed job can become startable within the pass.
-            still_pending: List = []
-            cap_now = profile.capacity_at(t)
-            for job in pending:
-                if job.release <= t and job.q <= cap_now and profile.fits(
-                    job.q, t, job.p
-                ):
-                    profile.reserve(t, job.p, job.q)
-                    starts[job.id] = t
-                    cap_now = profile.capacity_at(t)
-                    heapq.heappush(events, t + job.p)
-                else:
-                    still_pending.append(job)
-            pending = still_pending
-        return Schedule(instance, starts)
+    Decision points are time 0, every distinct release time, every
+    availability-profile breakpoint, and every job completion.  Capacity
+    between consecutive decision points is constant and the feasible
+    window of any job only ever *opens* at such a point, so scanning the
+    list once per decision point (in list order, with the profile
+    updated as jobs start) implements LSRC exactly.  The oracle the
+    tests and the core-throughput benchmark hold
+    :func:`incremental_sweep` to; no scheduler runs it.
+    """
+    profile = instance.availability_profile()
+    starts: Dict = {}
+    pending: List = list(jobs)
+
+    # Initial decision points: time 0, releases, profile breakpoints.
+    events: List = [0]
+    events.extend(job.release for job in pending if job.release > 0)
+    events.extend(t for t in profile.breakpoints if t > 0)
+    heapq.heapify(events)
+
+    last_time = None
+    guard = 0
+    max_iterations = 4 * (len(pending) + len(events) + 4) * (len(pending) + 1)
+    while pending:
+        guard += 1
+        if guard > max_iterations or not events:
+            raise SchedulingError(
+                f"LSRC failed to place {len(pending)} job(s); "
+                "the instance admits no feasible placement for them "
+                "(a job wider than the machine's eventual capacity?)"
+            )
+        t = heapq.heappop(events)
+        if last_time is not None and t == last_time:
+            continue  # duplicate decision point
+        last_time = t
+        # Single in-order pass: starting a job only removes capacity,
+        # so no earlier-listed job can become startable within the pass.
+        still_pending: List = []
+        cap_now = profile.capacity_at(t)
+        for job in pending:
+            if job.release <= t and job.q <= cap_now and profile.fits(
+                job.q, t, job.p
+            ):
+                profile.reserve(t, job.p, job.q)
+                starts[job.id] = t
+                cap_now = profile.capacity_at(t)
+                heapq.heappush(events, t + job.p)
+            else:
+                still_pending.append(job)
+        pending = still_pending
+    return starts
 
 
 class SequentialPlacementScheduler(Scheduler):

@@ -14,9 +14,9 @@ in two plain ``list`` columns, and its design points are:
   behind its clock (the replay loop, on either profile, after every
   event with completions), so the live profile stays at tens of
   segments;
-* **inline scans** — ``try_reserve`` and ``max_capacity_between`` walk
-  the window from one bisection and stop at its right edge (or, for
-  ``try_reserve``, at the first segment too low to fit);
+* **inline scans** — ``try_reserve`` walks the window from one
+  bisection and stops at its right edge or at the first segment too
+  low to fit;
 * **one commit** — ``reserve``, ``reserve_fitting``, ``try_reserve``,
   ``reserve_earliest`` and ``add`` all end in
   :meth:`ArrayProfile._commit`, which splits the two
@@ -201,29 +201,6 @@ class ArrayProfile(ProfileBackend):
             return caps[i]
         return min(caps[i:j])
 
-    def max_capacity_between(
-        self, start: Time, end: Optional[Time] = None
-    ) -> int:
-        """Largest capacity on ``[start, end)`` (``end=None`` → infinity)."""
-        if end is not None and end <= start:
-            raise InvalidInstanceError("window must have positive length")
-        if start < 0:
-            raise InvalidInstanceError(
-                f"profile queried at negative time {start!r}"
-            )
-        times, caps = self._times, self._caps
-        i = bisect_right(times, start) - 1
-        if end is None:
-            return max(caps[i:])
-        best = caps[i]
-        n = len(times)
-        i += 1
-        while i < n and times[i] < end:
-            if caps[i] > best:
-                best = caps[i]
-            i += 1
-        return best
-
     def area(self, start: Time, end: Time) -> Time:
         """Integral of the capacity over ``[start, end)`` (bisects to the
         window like the list backend)."""
@@ -273,7 +250,8 @@ class ArrayProfile(ProfileBackend):
                 if candidate is None:
                     seg_start = times[i]
                     candidate = seg_start if seg_start > after else after
-                if i + 1 == n or times[i + 1] - candidate >= duration:
+                    end = candidate + duration
+                if i + 1 == n or times[i + 1] >= end:
                     return candidate
             else:
                 candidate = None
@@ -412,9 +390,9 @@ class ArrayProfile(ProfileBackend):
                     first = i
                     seg_start = times[i]
                     candidate = seg_start if seg_start > after else after
-                if i + 1 == n or times[i + 1] - candidate >= duration:
-                    self._commit(first, i + 1, candidate,
-                                 candidate + duration, q)
+                    end = candidate + duration
+                if i + 1 == n or times[i + 1] >= end:
+                    self._commit(first, i + 1, candidate, end, q)
                     return candidate
             else:
                 candidate = None

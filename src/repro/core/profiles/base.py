@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -352,7 +351,7 @@ class ProfileBackend:
         their own clock: a forward sweep whose current time has reached
         ``t`` only ever issues queries and mutations over windows
         contained in ``[t, inf)`` — ``capacity_at(u)``,
-        ``min_capacity``/``max_capacity_between``/``area`` on
+        ``min_capacity``/``area`` on
         ``[a, b) ⊆ [t, inf)``, ``earliest_fit(..., after >= t)`` and
         ``reserve``/``add`` starting at or after ``t`` — and each of
         these depends only on the function's restriction to ``[t, inf)``:
@@ -419,32 +418,6 @@ class ProfileBackend:
     def fits(self, q: int, start: Time, duration: Time) -> bool:
         """True when a ``q``-wide block of length ``duration`` fits at ``start``."""
         return self.min_capacity(start, start + duration) >= q
-
-    def max_capacity_between(self, start: Time,
-                             end: Optional[Time] = None) -> int:
-        """Largest capacity reached on the window ``[start, end)``.
-
-        ``end=None`` means "until infinity" (the suffix maximum): the
-        dual of :meth:`min_capacity`.
-        """
-        if start < 0:
-            raise InvalidInstanceError(
-                f"profile queried at negative time {start!r}"
-            )
-        if end is not None and end <= start:
-            raise InvalidInstanceError("window must have positive length")
-        times, caps = self.as_lists()
-        i = bisect_right(times, start) - 1
-        if end is None:
-            return max(caps[i:])
-        best = caps[i]
-        n = len(times)
-        i += 1
-        while i < n and times[i] < end:
-            if caps[i] > best:
-                best = caps[i]
-            i += 1
-        return best
 
     # ------------------------------------------------------------------
     # batch mutation

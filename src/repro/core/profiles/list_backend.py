@@ -6,10 +6,9 @@ times and segment capacities) kept in canonical merged form after every
 mutation.  Point and window queries bisect into the lists; mutations
 splice and re-merge; a batch of reservations is the protocol's
 validate-then-roll-back loop over :meth:`ListProfile.reserve`, and the
-derived queries (``breakpoints``, ``segment_count``,
-``max_capacity_between``, ...) are the protocol's generic ones.  No
-scheduler builds it: it is the independent oracle the differential
-tests hold the kernel
+derived queries (``breakpoints``, ``segment_count``, ...) are the
+protocol's generic ones.  No scheduler builds it: it is the
+independent oracle the differential tests hold the kernel
 :class:`~repro.core.profiles.array_backend.ArrayProfile` to, in value
 and in type, on int, ``Fraction``, ``float`` and mixed times, and the
 profile of the replay engine's reference configuration
@@ -186,7 +185,8 @@ class ListProfile(ProfileBackend):
             if self._caps[i] >= q:
                 if candidate is None:
                     candidate = seg_start if seg_start > after else after
-                if seg_end == math.inf or seg_end - candidate >= duration:
+                    end = candidate + duration
+                if seg_end == math.inf or seg_end >= end:
                     return candidate
             else:
                 candidate = None

@@ -21,14 +21,15 @@ This module exploits that closure property:
   Scheduler.schedule` runs every scheduler with a ``timebase`` policy
   through it, the online simulation uses it, and
   :func:`on_int_timebase` wraps any other scheduler in it;
-* the offline placement schedulers run on the twin on
-  :class:`~repro.core.profiles.ArrayProfile`, the one integer-grid
-  profile kernel (LSRC's incremental sweep, conservative backfilling
-  and ``seq``; the replay and serve event loop places on it too).  Its
-  columns hold Python ints of any magnitude, and because event-driven
-  schedulers only ever move *forward* in time, its ``prune_before``
-  drops segments behind the sweep front, keeping every bisect/splice
-  O(active window) instead of O(whole history).
+* the policy picks the arithmetic, never the algorithm: a scheduler
+  runs the same code on the twin and off it.  The offline placement
+  schedulers (LSRC's incremental sweep, conservative backfilling and
+  ``seq``) place on :class:`~repro.core.profiles.ArrayProfile`, the one
+  profile kernel (the replay and serve event loop places on it too).
+  On the twin its columns hold Python ints of any magnitude, and
+  because event-driven schedulers only ever move *forward* in time,
+  its ``prune_before`` drops segments behind the sweep front, keeping
+  every bisect/splice O(active window) instead of O(whole history).
 
 Float times are exact binary rationals, so they normalise exactly too —
 but float *arithmetic* in the exact path rounds (``0.1 + 0.2``), so
@@ -290,25 +291,24 @@ def exactify_instance(instance: Any) -> Any:
 def run_on_grid(
     instance: Any,
     policy: str,
-    run_grid: Callable[[Any], Schedule],
-    run_exact: Callable[[Any], Schedule],
+    run: Callable[[Any], Schedule],
 ) -> Tuple[Schedule, Optional[Timebase]]:
     """The grid round trip: resolve ``policy`` against ``instance`` once,
     then schedule it.
 
-    ``run_grid`` gets the instance's integer twin (the instance itself
-    when it is its own twin); ``run_exact`` gets the instance when the
-    policy keeps it off the grid.  The schedule comes back on
-    ``instance``'s own times, under the run's ``algorithm`` label.  The
-    second value is the timebase of a twin the run worked on, or
-    ``None`` when it worked on the instance itself; a caller maps any
-    other time the run produced (an event trace) back through it.
+    ``run`` gets the instance's integer twin (the instance itself when it
+    is its own twin), or the instance itself when the policy keeps it off
+    the grid.  The schedule comes back on ``instance``'s own times, under
+    the run's ``algorithm`` label.  The second value is the timebase of a
+    twin the run worked on, or ``None`` when it worked on the instance
+    itself; a caller maps any other time the run produced (an event
+    trace) back through it.
     """
     tb = timebase_for(instance, policy)
     if tb is None:
-        return run_exact(instance), None
+        return run(instance), None
     twin = tb.normalize_instance(instance)
-    scheduled = run_grid(twin)
+    scheduled = run(twin)
     if twin is instance:
         return scheduled, None
     starts = tb.denormalize_starts(scheduled.starts)
@@ -328,8 +328,9 @@ def on_int_timebase(scheduler: Any, instance: Any) -> Any:
     """
     if getattr(scheduler, "timebase", None) in ("auto", "int"):
         return scheduler.schedule(instance)
-    run = scheduler.schedule
-    return run_on_grid(as_reservation_instance(instance), "auto", run, run)[0]
+    return run_on_grid(
+        as_reservation_instance(instance), "auto", scheduler.schedule
+    )[0]
 
 
 #: Former name of the offline schedulers' integer profile, now the one

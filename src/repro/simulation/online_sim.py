@@ -225,7 +225,7 @@ class OnlineSimulation:
             runs.append(self._run_on(instance))
             return runs[-1].schedule
 
-        schedule, tb = run_on_grid(self.instance, self.timebase, run_on, run_on)
+        schedule, tb = run_on_grid(self.instance, self.timebase, run_on)
         result = runs[0]
         if tb is None:
             return result

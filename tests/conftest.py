@@ -12,6 +12,8 @@ import random
 
 import pytest
 
+from repro.algorithms import get_rule
+from repro.algorithms.list_scheduling import reference_lsrc
 from repro.core import Job, Reservation, ReservationInstance, RigidInstance
 from repro.core.profiles import ListProfile
 
@@ -173,6 +175,15 @@ def random_resa(seed: int, n=None, m=None, n_res=None) -> ReservationInstance:
         m=m, jobs=tuple(jobs), reservations=tuple(reservations),
         name=f"randres{seed}",
     )
+
+
+def reference_starts(instance, priority=None):
+    """LSRC's starts by the exact reference sweep, in the list order
+    ``ListScheduler(priority)`` keeps."""
+    jobs = list(instance.jobs) if priority is None else get_rule(priority)(
+        instance.jobs
+    )
+    return reference_lsrc(instance, jobs)
 
 
 def sparse_rows(seed, n_bursts):

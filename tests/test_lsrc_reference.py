@@ -12,6 +12,7 @@ library's central algorithm.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from typing import Dict
 
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from repro.algorithms import ListScheduler
 from repro.core import Job, Reservation, ReservationInstance, ResourceProfile
 
-from conftest import random_resa, random_rigid
+from conftest import random_resa, random_rigid, reference_starts
 
 
 def naive_lsrc(instance: ReservationInstance) -> Dict:
@@ -115,26 +116,42 @@ def test_production_equals_reference_random_reservations(seed):
     assert ListScheduler().schedule(inst).starts == naive_lsrc(inst)
 
 
-def release0_with_holes(seed: int) -> ReservationInstance:
-    """Every job released at 0, widths up to the whole machine, and
-    reservations that may take all of it for a while: the paper's
-    offline setting, where jobs wait by width and collide with holes."""
+#: Time casts for :func:`instance_with_holes`: tenths of a unit on float
+#: times are not binary rationals, so every sum there rounds.
+TIME_KINDS = {
+    "int": int,
+    "fraction": lambda v: Fraction(v, 3),
+    "float": lambda v: v / 10,
+}
+
+
+def instance_with_holes(
+    seed: int, kind: str = "int", staggered: bool = False
+) -> ReservationInstance:
+    """Widths up to the whole machine, and reservations that may take
+    all of it for a while, on ``kind`` times: every job released at 0
+    (the paper's offline setting, where jobs wait by width and collide
+    with holes) unless ``staggered``."""
     rng = random.Random(seed)
+    cast = TIME_KINDS[kind]
     m = rng.choice([2, 3, 4, 8, 16])
-    jobs = tuple(
-        Job(id=i, p=rng.randint(1, 12), q=rng.randint(1, m))
-        for i in range(rng.randint(1, 24))
-    )
+    jobs = []
+    for i in range(rng.randint(1, 24)):
+        p, q = cast(rng.randint(1, 12)), rng.randint(1, m)
+        release = cast(rng.randint(0, 30)) if staggered else 0
+        jobs.append(Job(id=i, p=p, q=q, release=release))
     room = ResourceProfile.constant(m)
     reservations = []
     for r in range(rng.randint(1, 5)):
-        start, dur = rng.randint(0, 40), rng.randint(1, 12)
+        start, dur = cast(rng.randint(0, 40)), cast(rng.randint(1, 12))
         avail = room.min_capacity(start, start + dur)
         if avail:
             q = rng.randint(1, avail)
             room.reserve(start, dur, q)
             reservations.append(Reservation(id=f"r{r}", start=start, p=dur, q=q))
-    return ReservationInstance(m=m, jobs=jobs, reservations=tuple(reservations))
+    return ReservationInstance(
+        m=m, jobs=tuple(jobs), reservations=tuple(reservations)
+    )
 
 
 # derandomized: the same instances every run, so tier-1 stays repeatable
@@ -142,11 +159,28 @@ def release0_with_holes(seed: int) -> ReservationInstance:
 @given(seed=st.integers(min_value=0, max_value=1_000_000))
 def test_sweep_equals_references_at_release_0_with_holes(seed):
     """The integer sweep (waiting jobs woken by width) against the naive
-    reference and the exact reference sweep, in list order and under
-    two priority rules."""
-    inst = release0_with_holes(seed)
+    reference in list order and the exact reference sweep under two
+    priority rules."""
+    inst = instance_with_holes(seed)
     assert ListScheduler().schedule(inst).starts == naive_lsrc(inst)
     for priority in ("lpt", "spt"):
         assert (ListScheduler(priority).schedule(inst).starts
-                == ListScheduler(priority, timebase="exact")
-                .schedule(inst).starts)
+                == reference_starts(inst, priority))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=1_000_000),
+    kind=st.sampled_from(sorted(TIME_KINDS)),
+    staggered=st.booleans(),
+    priority=st.sampled_from([None, "lpt", "spt"]),
+)
+def test_sweep_on_own_times_equals_references(seed, kind, staggered, priority):
+    """The sweep on the instance's own int, Fraction or float times
+    (``timebase="exact"``: no grid) against the exact reference sweep,
+    and against the naive reference in list order on small instances."""
+    inst = instance_with_holes(seed, kind, staggered)
+    starts = ListScheduler(priority, timebase="exact").schedule(inst).starts
+    assert starts == reference_starts(inst, priority)
+    if priority is None and len(inst.jobs) <= 12:
+        assert starts == naive_lsrc(inst)

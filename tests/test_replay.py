@@ -315,8 +315,6 @@ class TestPruneBefore:
         for a in range(frontier, 400, 31):
             b = a + rng.randint(1, 60)
             assert profile.min_capacity(a, b) == reference.min_capacity(a, b)
-            assert profile.max_capacity_between(a, b) == \
-                reference.max_capacity_between(a, b)
             assert profile.area(a, b) == reference.area(a, b)
         for q in (1, 5, 17):
             assert profile.earliest_fit(q, 9, after=frontier) == \
