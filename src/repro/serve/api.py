@@ -126,12 +126,15 @@ def decode_request(raw: bytes):
     """Decode one request body: UTF-8 JSON with finite numbers only.
 
     Raises :class:`~repro.errors.ServeProtocolError` on anything else
-    (invalid UTF-8, malformed JSON, a ``NaN``/``Infinity`` literal).
+    (invalid UTF-8, malformed JSON, a ``NaN``/``Infinity`` literal,
+    nesting deeper than the decoder can recurse).
     """
     try:
         return _DECODER.decode(raw.decode("utf-8"))
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
         raise ServeProtocolError(f"request body is not JSON: {exc}") from None
+    except RecursionError:
+        raise ServeProtocolError("request body is nested too deeply") from None
 
 
 def _require_number(payload: Dict, key: str, op: str):
@@ -171,8 +174,10 @@ def parse_request(body) -> Tuple[str, Dict]:
     or mistyped payload fields.  Job ids (``submit``'s ``job.id``,
     ``cancel``'s ``job``) must be JSON strings or integers; ``true``,
     ``false``, ``null``, fractional numbers, lists and objects are
-    refused.  The returned body has its numeric fields normalised
-    (integral floats to ``int``).
+    refused.  The returned body holds only the tag, the op and the op's
+    own fields, with its numeric fields normalised (integral floats to
+    ``int``): other fields are dropped, so the journal never records
+    what the op does not read.
     """
     if not isinstance(body, dict):
         raise ServeProtocolError(
@@ -188,6 +193,7 @@ def parse_request(body) -> Tuple[str, Dict]:
         raise ServeProtocolError(
             f"unknown op {op!r}; expected one of {', '.join(OPS)}"
         )
+    fields = {"format": tag, "op": op}
     if op == "submit":
         job = body.get("job")
         if not isinstance(job, dict):
@@ -209,18 +215,17 @@ def parse_request(body) -> Tuple[str, Dict]:
             raise ServeProtocolError("submit job name must be a string")
         if name:
             normalised["name"] = name
-        body = dict(body, job=normalised)
+        fields["job"] = normalised
     elif op == "cancel":
         if "job" not in body:
             raise ServeProtocolError("cancel request names no job id")
-        _require_id(body["job"], "cancel")
+        fields["job"] = _require_id(body["job"], "cancel")
     elif op == "advance":
-        body = dict(body, to=_require_number(body, "to", "advance"))
+        fields["to"] = _require_number(body, "to", "advance")
     elif op == "reserve":
-        body = dict(body)
         for key in ("start", "p", "q"):
-            body[key] = _require_number(body, key, "reserve")
-    return op, body
+            fields[key] = _require_number(body, key, "reserve")
+    return op, fields
 
 
 def job_from_payload(job: Dict) -> Job:

@@ -35,19 +35,22 @@ Two layers, separable for testing:
     mutation — the daemon never consults the wall clock.
 
 :class:`ServeDaemon`
-    A thin stdlib :mod:`http.server` front end (no new dependencies):
-    one single-threaded HTTP/JSON endpoint accepting ``repro-serve/1``
+    A thin stdlib :mod:`socket` front end (no new dependencies): one
+    single-threaded HTTP/1.0 JSON endpoint accepting ``repro-serve/1``
     bodies (:mod:`repro.serve.api`), serialising all ops through the
-    service.  Single-threading is load-bearing: one op stream, one
-    deterministic journal order.
+    service.  Each connection carries one request, read under one
+    deadline, and one reply, written in one ``sendall``.
+    Single-threading is load-bearing: one op stream, one deterministic
+    journal order.
 """
 
 from __future__ import annotations
 
 import json
 import pickle
+import socket
 import sys
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
 from typing import Dict, Optional, Tuple
 
 from ..devtools.failpoints import fire
@@ -77,13 +80,14 @@ SERVE_MODE = "serve"
 
 #: Largest accepted ``POST /v1/op`` body.  A request advertising more
 #: (or a negative or non-integer ``Content-Length``) is refused with a
-#: ``protocol`` error before a byte of its body is read.
+#: ``protocol`` error before a byte of its body is read; what the client
+#: sends after the reply is discarded.
 MAX_BODY_BYTES = 1 << 20
 
-#: Seconds a client may stall mid-request (request line, headers or
-#: body) before its connection is dropped.  The daemon is
-#: single-threaded, so without this bound one stalled client would
-#: block every other client.
+#: Seconds a client has to send its whole request (request line,
+#: headers and body) before its connection is dropped; its reply gets
+#: as long again.  The daemon is single-threaded, so without this bound
+#: one slow client would block every other client.
 REQUEST_TIMEOUT = 30.0
 
 
@@ -305,87 +309,159 @@ _GET_OPS = {
 _STATUS_BY_KIND = {"protocol": 400, "scheduling": 409, "model": 409}
 
 
-class _ServeHandler(BaseHTTPRequestHandler):
-    """One ``repro-serve/1`` request-response exchange."""
+#: Longest request line or header line accepted, terminator included.
+MAX_LINE_BYTES = 1 << 16
 
-    server: "_ServeHTTPServer"
-    #: per-connection socket timeout (``socketserver`` applies it in
-    #: ``setup``); a stalled request line or header is dropped by
-    #: ``http.server`` itself, a stalled body by :meth:`do_POST`
-    timeout = REQUEST_TIMEOUT
+#: Most header lines accepted in one request.
+MAX_HEADERS = 100
 
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # the daemon is quiet; state lives in the journal
-
-    def _respond(self, envelope: Dict) -> None:
-        if envelope.get("ok"):
-            status = 200
-        else:
-            kind = (envelope.get("error") or {}).get("kind", "internal")
-            status = _STATUS_BY_KIND.get(kind, 500)
-        payload = json.dumps(envelope, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def do_GET(self) -> None:
-        op = _GET_OPS.get(self.path)
-        if op is None:
-            self._respond(error_envelope(
-                ServeProtocolError(f"unknown path {self.path!r}")
-            ))
-            return
-        self._respond(self.server.service.handle(make_query(op)))
-
-    def do_POST(self) -> None:
-        if self.path == "/v1/shutdown":
-            self._respond(self.server.service.handle(make_query("shutdown")))
-            return
-        if self.path != "/v1/op":
-            self._respond(error_envelope(
-                ServeProtocolError(f"unknown path {self.path!r}")
-            ))
-            return
-        header = self.headers.get("Content-Length", "0")
-        try:
-            length = int(header)
-        except ValueError:
-            length = -1
-        if not 0 <= length <= MAX_BODY_BYTES:
-            # refused unread: the connection closes after the response
-            self.close_connection = True
-            self._respond(error_envelope(ServeProtocolError(
-                f"Content-Length {header!r} is not an integer in "
-                f"[0, {MAX_BODY_BYTES}]"
-            )))
-            return
-        try:
-            raw = self.rfile.read(length) if length else b""
-        except TimeoutError:
-            self.close_connection = True  # stalled mid-body: drop it
-            return
-        try:
-            body = decode_request(raw) if raw else None
-        except ServeProtocolError as exc:
-            self._respond(error_envelope(exc))
-            return
-        self._respond(self.server.service.handle(body))
+#: Status line per HTTP status the daemon answers with.
+_STATUS_LINES = {
+    200: b"HTTP/1.0 200 OK",
+    400: b"HTTP/1.0 400 Bad Request",
+    409: b"HTTP/1.0 409 Conflict",
+    500: b"HTTP/1.0 500 Internal Server Error",
+}
 
 
-class _ServeHTTPServer(HTTPServer):
-    """An :class:`HTTPServer` carrying the service it fronts."""
+class _RequestReader:
+    """Reads one request off a client connection under one deadline.
 
-    allow_reuse_address = True
+    Each ``recv`` waits only for the time the whole request has left,
+    so a client that dribbles its request line, headers or body cannot
+    hold the single-threaded daemon past ``timeout`` seconds.
+    """
 
-    def __init__(self, address, service: SchedulerService):
-        super().__init__(address, _ServeHandler)
-        self.service = service
+    def __init__(self, conn: socket.socket, timeout: float):
+        self._conn = conn
+        self._deadline = time.monotonic() + timeout
+        self._buf = b""
+        self._pos = 0  # start of the unread part of ``_buf``
+
+    def _fill(self) -> None:
+        remaining = self._deadline - time.monotonic()
+        if remaining <= 0:
+            raise TimeoutError("request deadline passed")
+        self._conn.settimeout(remaining)
+        chunk = self._conn.recv(1 << 16)
+        if not chunk:
+            raise ConnectionAbortedError("client closed mid-request")
+        self._buf += chunk
+
+    def line(self) -> bytes:
+        """The next line, terminator included."""
+        pos = self._pos
+        end = self._buf.find(b"\n", pos)
+        while end < 0:
+            if len(self._buf) - pos >= MAX_LINE_BYTES:
+                break
+            scanned = len(self._buf)
+            self._fill()
+            end = self._buf.find(b"\n", scanned)
+        if end < 0 or end + 1 - pos > MAX_LINE_BYTES:
+            raise ServeProtocolError(
+                f"request line or header line over {MAX_LINE_BYTES} bytes"
+            )
+        self._pos = end + 1
+        return self._buf[pos:end + 1]
+
+    def body(self, length: int) -> bytes:
+        while len(self._buf) - self._pos < length:
+            self._fill()
+        return self._buf[self._pos:self._pos + length]
+
+    def drain(self) -> None:
+        """Discard what the client still sends until it hangs up or the
+        deadline passes (raising :class:`OSError` either way): closing
+        with unread bytes resets the connection, which can destroy a
+        reply the client has not read yet."""
+        while True:
+            self._buf = b""
+            self._fill()
+
+
+def _read_request(reader: _RequestReader) -> Tuple[Optional[str], bytes]:
+    """Read and frame one HTTP/1.0 request.
+
+    Returns the query op a GET path or ``POST /v1/shutdown`` names (and
+    no body), or ``None`` and the raw body of a ``POST /v1/op``.  A
+    request the daemon refuses raises :class:`ServeProtocolError`; a
+    client that stalls past the deadline or hangs up raises
+    :class:`OSError`.
+    """
+    request_line = reader.line()
+    words = request_line.split()
+    if len(words) != 3 or not words[2].startswith(b"HTTP/"):
+        raise ServeProtocolError(
+            f"malformed request line {request_line[:80]!r}"
+        )
+    length = None
+    for _ in range(MAX_HEADERS + 1):
+        line = reader.line()
+        if line in (b"\r\n", b"\n"):
+            break
+        name, colon, value = line.partition(b":")
+        if not colon:
+            raise ServeProtocolError(f"malformed header line {line[:80]!r}")
+        if name.strip().lower() == b"content-length":
+            value = value.strip().decode("latin-1")
+            if length is not None and value != length:
+                raise ServeProtocolError(
+                    f"conflicting Content-Length headers {length!r} "
+                    f"and {value!r}"
+                )
+            length = value
+    else:
+        raise ServeProtocolError(f"more than {MAX_HEADERS} header lines")
+    method, path = words[0], words[1].decode("latin-1")
+    if method == b"GET":
+        op = _GET_OPS.get(path)
+    elif method == b"POST":
+        op = "shutdown" if path == "/v1/shutdown" else None
+        if op is None and path == "/v1/op":
+            header = "0" if length is None else length
+            # digits only: ``int`` alone would also take "+5" and "1_0",
+            # and raise past its digit limit
+            digits = header.isascii() and header.isdigit()
+            size = int(header) if digits and len(header) < 20 else -1
+            if not 0 <= size <= MAX_BODY_BYTES:
+                # refused unread: the reply goes out before the body
+                raise ServeProtocolError(
+                    f"Content-Length {header!r} is not an integer in "
+                    f"[0, {MAX_BODY_BYTES}]"
+                )
+            return None, reader.body(size)
+    else:
+        raise ServeProtocolError(
+            f"unsupported method {method.decode('latin-1')!r}"
+        )
+    if op is None:
+        raise ServeProtocolError(f"unknown path {path!r}")
+    return op, b""
+
+
+def _reply(envelope: Dict) -> bytes:
+    """The whole HTTP/1.0 response carrying ``envelope``."""
+    if envelope.get("ok"):
+        status = 200
+    else:
+        kind = (envelope.get("error") or {}).get("kind", "internal")
+        status = _STATUS_BY_KIND.get(kind, 500)
+    payload = json.dumps(envelope, sort_keys=True).encode("utf-8")
+    return b"%s\r\nContent-Type: application/json\r\nContent-Length: %d" \
+        b"\r\n\r\n%s" % (_STATUS_LINES[status], len(payload), payload)
 
 
 class ServeDaemon:
-    """The bound, single-threaded HTTP front end of one service."""
+    """The bound, single-threaded HTTP front end of one service.
+
+    Each connection carries one request and one reply.  Only the
+    client's socket errors (a stall past the deadline, a reset, a
+    broken pipe) drop a connection quietly; an exception from
+    :meth:`SchedulerService.handle` propagates out of
+    :meth:`serve_forever`, since the core may then be ahead of the
+    journal and only ``--resume`` can tell what was acknowledged.
+    """
 
     def __init__(
         self,
@@ -394,21 +470,55 @@ class ServeDaemon:
         port: int = 0,
     ):
         self.service = service
-        self._httpd = _ServeHTTPServer((host, port), service)
+        self._sock = socket.create_server((host, port))
 
     @property
     def address(self) -> Tuple[str, int]:
         """``(host, port)`` actually bound (``port=0`` picks one)."""
-        host, port = self._httpd.server_address[:2]
+        host, port = self._sock.getsockname()[:2]
         return host, port
 
     def serve_forever(self) -> None:
         """Handle requests one at a time until a ``shutdown`` op."""
         while not self.service.stop_requested:
-            self._httpd.handle_request()
+            try:
+                conn, _ = self._sock.accept()
+            except ConnectionError:
+                continue  # the client hung up before it was accepted
+            with conn:
+                self._exchange(conn)
+
+    def _exchange(self, conn: socket.socket) -> None:
+        reader = _RequestReader(conn, REQUEST_TIMEOUT)
+        try:
+            op, raw = _read_request(reader)
+        except ServeProtocolError as exc:
+            refused, envelope = True, error_envelope(exc)
+        except OSError:
+            return  # stalled past the deadline or hung up: drop it
+        else:
+            refused, envelope = False, self._answer(op, raw)
+        try:
+            conn.settimeout(REQUEST_TIMEOUT)
+            conn.sendall(_reply(envelope))
+            if refused:
+                # the refused request may be only partly read
+                conn.shutdown(socket.SHUT_WR)
+                reader.drain()
+        except OSError:
+            pass  # the client left, or is done with its reply
+
+    def _answer(self, op: Optional[str], raw: bytes) -> Dict:
+        if op is not None:
+            return self.service.handle(make_query(op))
+        try:
+            body = decode_request(raw) if raw else None
+        except ServeProtocolError as exc:
+            return error_envelope(exc)
+        return self.service.handle(body)
 
     def close(self) -> None:
-        self._httpd.server_close()
+        self._sock.close()
         self.service.close()
 
 

@@ -136,6 +136,17 @@ class TestApiRoundTrip:
             op, _ = parse_request(body)
             assert op in ALL_OPS
 
+    def test_fields_the_op_does_not_read_are_dropped(self):
+        for body in (
+            make_submit("j", 1, 1, 0),
+            make_cancel("j"),
+            make_advance(7),
+            make_reserve(5, 3, 2),
+            make_drain(),
+            make_query("status"),
+        ):
+            assert parse_request(dict(body, extra=[[1]])) == (body["op"], body)
+
     def test_integral_floats_normalise_to_int(self):
         # a sloppy JSON client sending 10.0 gets the rows of one sending 10
         op, parsed = parse_request(
@@ -589,6 +600,19 @@ class TestSchedulerService:
         assert not service.handle(make_submit("j", 5, 1, 0))["ok"]
         assert service.seq == 1
         service.close()
+
+    def test_deep_unknown_field_is_not_journaled(self, tmp_path):
+        """A field the op does not read never reaches the journal, so no
+        client can make the append fail after the op was applied."""
+        junk = []
+        for _ in range(5000):
+            junk = [junk]
+        service = SchedulerService.create(str(tmp_path / "j"), m=4)
+        assert service.handle(dict(make_advance(7), junk=junk))["ok"]
+        service.close()
+        resumed, _ = SchedulerService.resume(str(tmp_path / "j"))
+        assert resumed.seq == 1 and resumed.core.status()["horizon"] == 7
+        resumed.close()
 
     def test_snapshot_interval_validation(self):
         with pytest.raises(ServeError, match=">= 1"):
@@ -1111,20 +1135,19 @@ def test_resume_refuses_checkpoint_version_2_journal(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# hostile clients: body-size limit and read timeout
+# hostile clients: framing limits, the request deadline, service errors
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
 def live_daemon(monkeypatch):
-    """An in-process daemon on a background thread with a short read
-    timeout; yields its port and shuts it down afterwards."""
+    """An in-process daemon on a background thread with a short request
+    deadline; yields its port and shuts it down afterwards."""
     from repro.serve import daemon as daemon_module
 
-    # the shipped handler bounds every read; tests only shorten it
-    assert daemon_module._ServeHandler.timeout == daemon_module.REQUEST_TIMEOUT
-    assert 0 < daemon_module.REQUEST_TIMEOUT < float("inf")
-    monkeypatch.setattr(daemon_module._ServeHandler, "timeout", 0.5)
+    # the shipped daemon bounds every request; tests only shorten it
+    assert daemon_module.REQUEST_TIMEOUT == 30.0
+    monkeypatch.setattr(daemon_module, "REQUEST_TIMEOUT", 0.5)
     daemon = ServeDaemon(SchedulerService(SchedulerCore(4)))
     thread = threading.Thread(target=daemon.serve_forever, daemon=True)
     thread.start()
@@ -1217,3 +1240,101 @@ def test_stalled_body_is_dropped(live_daemon, capfd):
     _next_client_is_served(live_daemon)
     # dropped quietly: a timeout is an expected event, not a crash
     assert "Traceback" not in capfd.readouterr().err
+
+
+@pytest.mark.parametrize("unit", ["header-lines", "bytes"])
+def test_dribbling_client_is_dropped(live_daemon, unit):
+    """A client that keeps sending, but never finishes its request, is
+    dropped at the request's deadline, not kept for as long as it
+    dribbles."""
+    if unit == "header-lines":
+        pieces = [b"POST /v1/op HTTP/1.0\r\n"] + [
+            b"X-Dribble: %d\r\n" % i for i in range(20)
+        ]
+    else:
+        pieces = [bytes([byte]) for byte in _post_head(2)[:40]]
+    with socket.create_connection(("127.0.0.1", live_daemon),
+                                  timeout=10) as sock:
+        started = time.monotonic()
+        dropped = False
+        for piece in pieces:
+            try:
+                sock.sendall(piece)
+                sock.settimeout(0.3)
+                try:
+                    # a dropped client gets no response: the stream ends
+                    assert sock.recv(65536) == b""
+                    dropped = True
+                    break
+                except TimeoutError:
+                    pass
+            except ConnectionError:
+                dropped = True
+                break
+        assert dropped and time.monotonic() - started < 2.0
+    _next_client_is_served(live_daemon)
+
+
+_LONG = b"a" * (1 << 16)
+_STATUS_BODY = json.dumps(make_query("status")).encode()
+
+
+@pytest.mark.parametrize("head", [
+    b"GARBAGE\r\n\r\n",
+    b"GET /" + _LONG + b" HTTP/1.0\r\n\r\n",
+    b"GET /v1/status HTTP/1.0\r\nX-Long: " + _LONG + b"\r\n\r\n",
+    b"GET /v1/status HTTP/1.0\r\n" + b"X-Many: 1\r\n" * 101 + b"\r\n",
+    b"PUT /v1/op HTTP/1.0\r\nContent-Length: 2\r\n\r\n{}",
+    b"POST /v1/op HTTP/1.0\r\nContent-Length: 2\r\n"
+    b"Content-Length: 3\r\n\r\n{}",
+    b"POST /v1/op HTTP/1.0\r\nContent-Length: +%d\r\n\r\n%s"
+    % (len(_STATUS_BODY), _STATUS_BODY),
+    b"POST /v1/op HTTP/1.0\r\nContent-Length: " + b"9" * 5000
+    + b"\r\n\r\n",
+    b"POST /v1/op HTTP/1.0\r\nContent-Length: 100000\r\n\r\n"
+    + b"[" * 100000,
+], ids=["request-line", "long-request-line", "long-header-line",
+        "too-many-headers", "unsupported-method", "two-content-lengths",
+        "content-length-not-digits", "content-length-too-many-digits",
+        "body-nested-too-deeply"])
+def test_malformed_request_is_refused(live_daemon, head):
+    _refused_as_protocol_error(_raw_exchange(live_daemon, head))
+    _next_client_is_served(live_daemon)
+
+
+def test_service_error_stops_the_daemon(tmp_path, monkeypatch):
+    """An exception out of the service is not a client's fault: the
+    daemon stops instead of serving on with a core ahead of its
+    journal, and the op is never acknowledged."""
+    def broken_append(journal, record):
+        raise OSError("journal device gone")
+
+    monkeypatch.setattr(Journal, "append", broken_append)
+    daemon = ServeDaemon(SchedulerService.create(str(tmp_path / "j"), m=4))
+    raised = []
+
+    def serve():
+        try:
+            daemon.serve_forever()
+        except OSError as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    port = daemon.address[1]
+    body = json.dumps(make_submit("lost", 3, 1, 0)).encode()
+    try:
+        response = _raw_exchange(port, _post_head(len(body)), body)
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "the daemon kept serving"
+    finally:
+        if thread.is_alive():
+            _http("POST", port, "/v1/shutdown")
+            thread.join(timeout=10)
+        daemon.close()
+    assert response == b""  # not acknowledged
+    assert [str(exc) for exc in raised] == ["journal device gone"]
+    monkeypatch.undo()
+    resumed, _ = SchedulerService.resume(str(tmp_path / "j"))
+    assert resumed.seq == 0 and resumed.core.status()["staged"] == 0
+    resumed.close()
