@@ -6,6 +6,8 @@ verification), so performance regressions in the substrate are caught by
 the same harness that regenerates the science.
 """
 
+import random
+
 import pytest
 
 from repro.algorithms import (
@@ -14,7 +16,7 @@ from repro.algorithms import (
     FCFSScheduler,
     ListScheduler,
 )
-from repro.core import ResourceProfile
+from repro.core import Job, ReservationInstance, ResourceProfile
 from repro.workloads import (
     feitelson_instance,
     periodic_maintenance,
@@ -22,23 +24,47 @@ from repro.workloads import (
 )
 
 
+def released_with_maintenance(inst):
+    """``inst``'s jobs released apart by gaps of 0 to 40 (the machine
+    about two-thirds loaded: about half the jobs start at their release,
+    the rest wait up to a few hundred ticks) around ``periodic_maintenance``
+    holes of a quarter of the machine."""
+    rng = random.Random(1)
+    release = 0
+    jobs = []
+    for job in inst.jobs:
+        release += rng.randint(0, 40)
+        jobs.append(Job(id=job.id, p=job.p, q=job.q, release=release))
+    holes = periodic_maintenance(
+        inst.m, inst.m // 4, period=200, duration=40,
+        count=release // 200 + 1, first_start=1,
+    )
+    return ReservationInstance(m=inst.m, jobs=tuple(jobs), reservations=holes)
+
+
 # every job released at 0: the paper's offline setting, where a sweep
 # that re-probes each waiting job at every completion goes quadratic
 # (n = 8,000 took ~22 s that way; waking jobs by width takes ~0.1 s).
 # The off-grid leg sweeps the same instance on its own float times
 # (timebase="exact"), where a wake that fails to advance would loop.
-@pytest.mark.parametrize("n, off_grid", [
-    pytest.param(100, False, id="100"),
-    pytest.param(500, False, id="500"),
-    pytest.param(2000, False, id="2000"),
-    pytest.param(8000, False, id="8000"),
-    pytest.param(8000, True, id="8000-float"),
+# The released leg spreads the releases around holes, where most
+# decisions are a lone release's one probe and the rest merge releases,
+# sleepers and wakes.
+@pytest.mark.parametrize("n, shape", [
+    pytest.param(100, "release-0", id="100"),
+    pytest.param(500, "release-0", id="500"),
+    pytest.param(2000, "release-0", id="2000"),
+    pytest.param(8000, "release-0", id="8000"),
+    pytest.param(8000, "float", id="8000-float"),
+    pytest.param(8000, "released", id="8000-released"),
 ])
-def test_scaling_lsrc(benchmark, n, off_grid):
+def test_scaling_lsrc(benchmark, n, shape):
     inst = uniform_instance(n, 64, p_range=(1, 100), q_range=(1, 32), seed=1)
-    if off_grid:
+    if shape == "float":
         inst = inst.scaled(0.1)
-    scheduler = ListScheduler(timebase="exact" if off_grid else "auto")
+    elif shape == "released":
+        inst = released_with_maintenance(inst)
+    scheduler = ListScheduler(timebase="exact" if shape == "float" else "auto")
     result = benchmark(lambda: scheduler.schedule(inst))
     assert len(result.starts) == n
 

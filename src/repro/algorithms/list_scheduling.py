@@ -33,16 +33,26 @@ on the integer twin under ``timebase="auto"``/``"int"`` (see
 or ``float`` times otherwise.  The policy picks the arithmetic, never
 the algorithm.
 
-* **Width index.**  Released, unplaced jobs are *ready*, held in one
-  heap of list indices per width ``q``, or *asleep*.  At a decision
-  point ``t`` only the widths with ``q <= capacity_at(t)`` are merged,
-  in list order (LSRC's rule); each commit lowers the running
+* **Release run.**  Releases come off one run of list indices sorted
+  once by (release, list index), walked by a cursor.
+* **One probe.**  While no job is ready and no sleeper is due at the
+  next release ``t``, the released job is the first in list order that
+  could start at ``t`` (jobs released with it come later in the list),
+  so one ``try_reserve``, screened by ``capacity_at(t)``, decides it.
+  If the probe fails, the job joins the merge below with everything
+  else due at ``t``: a width above capacity waits as ready, and a hole
+  collision goes to sleep at once, as the merge would have sent it,
+  without a second probe.
+* **Width index.**  Otherwise released, unplaced jobs are *ready*, held
+  in one heap of list indices per width ``q``, or *asleep*.  At a
+  decision point ``t`` only the widths with ``q <= capacity_at(t)`` are
+  merged, in list order (LSRC's rule); each commit lowers the running
   capacity, and a width leaves the merge once it exceeds it.  A ready
   job that is wider than what is free costs nothing until its width
   can fit.
 * **Sleepers.**  A job that fits by width but whose window collides
-  with a hole later on gets one ``earliest_fit`` and sleeps until that
-  bound.
+  with a hole later on gets one ``earliest_fit`` and sleeps, in one
+  bound heap, until that bound.
 * **Lazy wake.**  When a scan leaves a ready width still too wide, one
   wake is scheduled at ``earliest_fit(min(ready widths), pmin,
   after=t)``, where ``pmin`` is the shortest runtime in the list: the
@@ -69,9 +79,12 @@ the algorithm.
   pruned behind the sweep front, and a placement is one fused
   probe-and-commit (:meth:`~repro.core.profiles.ArrayProfile.try_reserve`).
 
-A waiting job costs one ``earliest_fit`` per collision with a hole, not
-one per event while it waits, and a scan touches only the widths that
-fit.  :func:`reference_lsrc` is the transparent oracle the tests and
+A job that starts at its release while nothing else waits costs one
+capacity screen, one ``try_reserve`` and no heap operation; a waiting
+job costs
+one ``earliest_fit`` per collision with a hole, not one per event while
+it waits, and a scan touches only the widths that fit.
+:func:`reference_lsrc` is the transparent oracle the tests and
 ``repro bench core-throughput`` hold the sweep to: decision points are
 time 0, every release, every profile breakpoint and every completion,
 and the whole pending list is rescanned at each of them.  No scheduler
@@ -106,43 +119,70 @@ def incremental_sweep(job_rows: List, profile: ArrayProfile) -> Dict:
     ``job_rows`` is the priority-ordered list ``[(release, p, q, id)]``.
     Returns ``{id: start}``.
 
-    Released, unplaced jobs are *ready* (held by width, each width a
-    heap of list indices) or *asleep* until an ``earliest_fit`` bound.
-    A decision point scans, in list order, the ready jobs whose width
-    still fits what is free at it; a job that fits by width but whose
-    window collides later goes to sleep until its ``earliest_fit``.
-    Decision points are releases, sleepers' bounds, and one lazy wake:
-    the first time a window as long as the shortest job holds the
-    narrowest width still ready after a scan.  Placed jobs only *remove*
-    capacity, so both kinds of bound computed against an earlier profile
-    stay lower bounds: no skipped instant could have started a job (see
-    the module docstring).
+    Releases come off one run sorted by (release, list index).  While no
+    job is ready and no sleeper is due, a release is decided by one
+    capacity-screened ``try_reserve``: it is the first job in list order
+    that could start then.  Otherwise released, unplaced jobs are
+    *ready* (held by width, each width a heap of list indices) or
+    *asleep* until an ``earliest_fit`` bound, and a decision point scans,
+    in list order, the ready jobs whose width still fits what is free at
+    it; a job that fits by width but whose window collides later goes to
+    sleep until its ``earliest_fit``.  Decision points are releases,
+    sleepers' bounds, and one lazy wake: the first time a window as long
+    as the shortest job holds the narrowest width still ready after a
+    scan.  Placed jobs only *remove* capacity, so both kinds of bound
+    computed against an earlier profile stay lower bounds: no skipped
+    instant could have started a job (see the module docstring).
     """
     n = len(job_rows)
     starts: Dict = {}
     # no job's window is shorter (the default only serves an empty list)
     pmin = min((row[1] for row in job_rows), default=1)
-    # (bound, list index): a job sleeps until its release first
-    asleep = [(row[0], i) for i, row in enumerate(job_rows)]
-    heapq.heapify(asleep)
+    # list indices by (release, list index): the sort is stable
+    run = sorted(range(n), key=[row[0] for row in job_rows].__getitem__)
+    r = 0  # run[r:] are not released yet
+    asleep: List = []  # (earliest_fit bound, list index) after a collision
     ready: Dict[int, List[int]] = {}  # q -> heap of list indices
     wake = None  # no ready job can start before it (None: none ready)
     wake_q = 0  # the width `wake` was computed for
     try_reserve = profile.try_reserve
     earliest_fit = profile.earliest_fit
+    capacity_at = profile.capacity_at
     placed = 0
     while placed < n:
-        t = asleep[0][0] if asleep and (
-            wake is None or asleep[0][0] < wake) else wake
+        t = wake
+        if asleep and (t is None or asleep[0][0] < t):
+            t = asleep[0][0]
+        if r < n and (t is None or job_rows[run[r]][0] < t):
+            i = run[r]
+            t, p, q, jid = job_rows[i]
+            if not ready:
+                # nothing else is due at t, and later releases at t come
+                # later in the list: this job is LSRC's first candidate
+                r += 1
+                if q > capacity_at(t):
+                    ready[q] = [i]
+                elif try_reserve(t, p, q):
+                    starts[jid] = t
+                    placed += 1
+                    profile.prune_before(t)
+                    continue
+                else:  # a hole collision: the merge would sleep it too
+                    heapq.heappush(asleep, (_fit(earliest_fit, q, p, t, jid), i))
+        due = []
+        while r < n and job_rows[run[r]][0] <= t:
+            due.append(run[r])
+            r += 1
         while asleep and asleep[0][0] <= t:
-            i = heapq.heappop(asleep)[1]
+            due.append(heapq.heappop(asleep)[1])
+        for i in due:
             q = job_rows[i][2]
             heap = ready.get(q)
             if heap is None:
                 ready[q] = [i]
             else:
                 heapq.heappush(heap, i)
-        cap = profile.capacity_at(t)
+        cap = capacity_at(t)
         # merge the heads of the widths that fit, in list order — LSRC's
         # defining rule; a width leaves the merge once it exceeds `cap`
         heads = [(heap[0], q) for q, heap in ready.items() if q <= cap]
@@ -160,12 +200,7 @@ def incremental_sweep(job_rows: List, profile: ArrayProfile) -> Dict:
                 placed += 1
                 cap -= q  # the committed window starts at t
             else:
-                s = earliest_fit(q, p, after=t)
-                if s is None:
-                    raise SchedulingError(
-                        f"job {jid!r} (q={q}) never fits in the profile"
-                    )
-                heapq.heappush(asleep, (s, i))
+                heapq.heappush(asleep, (_fit(earliest_fit, q, p, t, jid), i))
             if heap:
                 heapq.heapreplace(heads, (heap[0], q))
             else:
@@ -176,17 +211,21 @@ def incremental_sweep(job_rows: List, profile: ArrayProfile) -> Dict:
             # wake computed for a width no wider still comes no later
             q = min(ready)
             if wake is None or wake <= t or wake_q > q:
-                wake = earliest_fit(q, pmin, after=t)
-                if wake is None:
-                    jid = job_rows[ready[q][0]][3]
-                    raise SchedulingError(
-                        f"job {jid!r} (q={q}) never fits in the profile"
-                    )
+                wake = _fit(earliest_fit, q, pmin, t, job_rows[ready[q][0]][3])
                 wake_q = q
         else:
             wake = None
         profile.prune_before(t)
     return starts
+
+
+def _fit(earliest_fit, q: int, p, t, jid):
+    """``earliest_fit(q, p, after=t)``; ``None`` there means job ``jid``
+    can never run, so it raises :class:`SchedulingError` instead."""
+    s = earliest_fit(q, p, after=t)
+    if s is None:
+        raise SchedulingError(f"job {jid!r} (q={q}) never fits in the profile")
+    return s
 
 
 class ListScheduler(Scheduler):

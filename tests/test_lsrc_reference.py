@@ -15,9 +15,11 @@ import random
 from fractions import Fraction
 from typing import Dict
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.algorithms import ListScheduler
+from repro.algorithms.priority import get_rule
 from repro.core import Job, Reservation, ReservationInstance, ResourceProfile
 
 from conftest import random_resa, random_rigid, reference_starts
@@ -184,3 +186,87 @@ def test_sweep_on_own_times_equals_references(seed, kind, staggered, priority):
     assert starts == reference_starts(inst, priority)
     if priority is None and len(inst.jobs) <= 12:
         assert starts == naive_lsrc(inst)
+
+
+def released_with_holes(seed: int) -> ReservationInstance:
+    """Releases spread by gaps of 0 to 9 (so a few jobs often share one
+    release time), widths up to the whole machine, and holes that may
+    take all of it for a while: the shape where a lone release's one
+    probe collides with a hole or finds its width taken, and where a
+    sleeper's bound meets a release."""
+    rng = random.Random(seed)
+    m = rng.choice([2, 3, 4, 8])
+    jobs = []
+    release = 0
+    for i in range(rng.randint(1, 16)):
+        release += rng.choice([0, 0, 1, 2, 5, 9])
+        jobs.append(Job(id=i, p=rng.randint(1, 10), q=rng.randint(1, m),
+                        release=release))
+    room = ResourceProfile.constant(m)
+    reservations = []
+    for r in range(rng.randint(1, 6)):
+        start, dur = rng.randint(0, release + 10), rng.randint(1, 10)
+        avail = room.min_capacity(start, start + dur)
+        if avail:
+            q = rng.randint(1, avail)
+            room.reserve(start, dur, q)
+            reservations.append(Reservation(id=f"r{r}", start=start, p=dur, q=q))
+    return ReservationInstance(
+        m=m, jobs=tuple(jobs), reservations=tuple(reservations)
+    )
+
+
+def in_list_order(instance: ReservationInstance, priority) -> ReservationInstance:
+    """``instance`` with its jobs in ``ListScheduler(priority)``'s list
+    order, the order :func:`naive_lsrc` scans."""
+    if priority is None:
+        return instance
+    return ReservationInstance(
+        m=instance.m, jobs=tuple(get_rule(priority)(instance.jobs)),
+        reservations=instance.reservations,
+    )
+
+
+# derandomized: the same instances every run, so tier-1 stays repeatable
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(min_value=0, max_value=1_000_000),
+    priority=st.sampled_from([None, "lpt", "spt"]),
+)
+def test_sweep_equals_references_on_spread_releases_with_holes(seed, priority):
+    """The integer sweep, whose lone releases are decided by one probe,
+    against the exact reference sweep and the naive reference, in list,
+    LPT and SPT order."""
+    inst = released_with_holes(seed)
+    starts = ListScheduler(priority).schedule(inst).starts
+    assert starts == reference_starts(inst, priority)
+    assert starts == naive_lsrc(in_list_order(inst, priority))
+
+
+@pytest.mark.parametrize("jobs, holes, want", [
+    # a's probe at 1 collides with the full-width hole and a sleeps
+    # until 5; b, released with it, joins the merge and starts at 1
+    ([(3, 1, 1), (1, 1, 1)], [(2, 3, 4)], {0: 5, 1: 1}),
+    # a sleeps until 5, when b is released: a comes first in the list
+    # and takes 3 of 4 processors, so b waits for a to end at 8
+    ([(3, 3, 1), (2, 2, 5)], [(2, 3, 4)], {0: 5, 1: 8}),
+    # b is released while a holds 3 of 4: its width is screened out
+    # without a probe and it starts when a ends
+    ([(4, 3, 0), (2, 2, 1)], [], {0: 0, 1: 4}),
+], ids=["lone-probe-collides", "sleeper-meets-release", "width-above-capacity"])
+def test_sweep_probe_cases(monkeypatch, jobs, holes, want):
+    """The three ways a release's probe meets other work, by hand, on
+    ``m = 4``: every ``try_reserve`` fits by width at its time, and the
+    starts are LSRC's."""
+    probes = []
+    original = ResourceProfile.try_reserve
+
+    def try_reserve(self, start, duration, amount):
+        probes.append(amount <= self.capacity_at(start))
+        return original(self, start, duration, amount)
+
+    monkeypatch.setattr(ResourceProfile, "try_reserve", try_reserve)
+    inst = ReservationInstance.from_specs(4, jobs, holes)
+    starts = ListScheduler().schedule(inst).starts
+    assert starts == want == naive_lsrc(inst) == reference_starts(inst)
+    assert probes and all(probes)

@@ -1142,19 +1142,38 @@ def test_resume_refuses_checkpoint_version_2_journal(tmp_path):
 @pytest.fixture
 def live_daemon(monkeypatch):
     """An in-process daemon on a background thread with a short request
-    deadline; yields its port and shuts it down afterwards."""
+    deadline; yields its port and shuts it down afterwards.
+
+    If the daemon thread dies, it closes the listening socket, so the
+    test's next request is refused at once instead of waiting out its
+    client timeout, and teardown re-raises the thread's exception."""
     from repro.serve import daemon as daemon_module
 
     # the shipped daemon bounds every request; tests only shorten it
     assert daemon_module.REQUEST_TIMEOUT == 30.0
     monkeypatch.setattr(daemon_module, "REQUEST_TIMEOUT", 0.5)
     daemon = ServeDaemon(SchedulerService(SchedulerCore(4)))
-    thread = threading.Thread(target=daemon.serve_forever, daemon=True)
+    died = []
+
+    def serve():
+        try:
+            daemon.serve_forever()
+        except BaseException as exc:  # re-raised by the teardown
+            died.append(exc)  # before the close, which clients then see
+            daemon.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
     thread.start()
     port = daemon.address[1]
     yield port
-    _http("POST", port, "/v1/shutdown")
+    try:
+        _http("POST", port, "/v1/shutdown")
+    except _DaemonDied:
+        if not died:
+            raise
     thread.join(timeout=10)
+    if died:
+        raise died[0]
     daemon.close()
     assert not thread.is_alive()
 

@@ -17,7 +17,8 @@ the no-show releases, the requeue re-entries and the arrivals; then it
 rebuilds the availability profile from scratch — ``m``, minus the holes
 still standing, minus every running job up to its estimated (or
 grace-extended) end — and applies the textbook rule: FCFS starts queue
-heads while they fit; EASY starts heads while they fit, reserves the
+heads while they fit; greedy (LSRC run online) starts every queued job
+that fits, in queue order; EASY starts heads while they fit, reserves the
 blocked head at its earliest fit and backfills, in queue order, each job
 that fits now on the profile holding that reservation.  Actual runtimes
 come from a test-side model overriding ``_actual``, as third-party
@@ -161,8 +162,13 @@ def tick_replay(m, policy, jobs, holes, model, max_ticks=10_000):
         while arrivals and arrivals[0].release == t:
             queue.append(arrivals.pop(0))
         # 4. the textbook rule on the profile as it stands at tick t
-        while queue and fits(queue[0].q, t, queue[0].p):
-            start(queue[0], t)
+        if policy == "greedy":
+            for job in list(queue):
+                if fits(job.q, t, job.p):
+                    start(job, t)
+        else:
+            while queue and fits(queue[0].q, t, queue[0].p):
+                start(queue[0], t)
         if policy == "easy" and len(queue) > 1:
             head = queue[0]
             shadow = t
@@ -232,7 +238,7 @@ _model = st.builds(
 )
 
 
-@pytest.mark.parametrize("policy", ["fcfs", "easy"])
+@pytest.mark.parametrize("policy", ["fcfs", "greedy", "easy"])
 @given(rows=_jobs, holes=_holes, model=_model)
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_event_core_equals_tick_oracle(policy, rows, holes, model):

@@ -459,6 +459,37 @@ def test_incremental_sweep_wakes_waiting_jobs_by_width(monkeypatch):
     assert starts == reference_starts(instance)
 
 
+def test_incremental_sweep_decides_a_lone_release_by_one_probe(monkeypatch):
+    """Where releases are spread and the machine, holes included, is
+    never short, every job starts at its release: the sweep decides each
+    one by a single ``try_reserve`` and never needs an ``earliest_fit``."""
+    calls = {"try_reserve": 0, "earliest_fit": 0}
+    for name in calls:
+        original = getattr(ArrayProfile, name)
+
+        def counted(self, *args, _name=name, _original=original, **kw):
+            calls[_name] += 1
+            return _original(self, *args, **kw)
+
+        monkeypatch.setattr(ArrayProfile, name, counted)
+    rng = random.Random(36)
+    m, n = 64, 400
+    release = 0
+    jobs = []
+    for i in range(n):
+        release += rng.randint(0, 3)
+        jobs.append(Job(id=i, p=rng.randint(1, 4), q=rng.randint(1, 4),
+                        release=release))
+    holes = tuple(
+        Reservation(id=f"r{k}", start=1 + 50 * k, p=10, q=m // 4)
+        for k in range(release // 50)
+    )
+    instance = ReservationInstance(m=m, jobs=tuple(jobs), reservations=holes)
+    starts = ListScheduler().schedule(instance).starts
+    assert starts == {job.id: job.release for job in jobs}
+    assert calls == {"try_reserve": n, "earliest_fit": 0}
+
+
 @pytest.mark.parametrize("release", [0, 6])
 def test_incremental_sweep_refuses_a_job_that_never_fits(release):
     """A job wider than the profile's eventual capacity fails at once:
