@@ -32,39 +32,16 @@ Quickstart::
     sched = list_schedule(inst)
     sched.verify()
     print(sched.makespan)
+
+Every name in ``__all__`` except ``__version__`` loads on first use
+(:mod:`repro._lazy`), as do the re-exports of :mod:`repro.core`,
+:mod:`repro.run`, :mod:`repro.workloads`, :mod:`repro.durability`,
+:mod:`repro.serve` and :mod:`repro.devtools.lint`: ``import repro``
+loads no other repro module, and a process compiles only the modules
+it uses.  ``from repro import X`` and ``repro.X`` work as before.
 """
 
-from .core import (
-    Job,
-    ProfileBackend,
-    Reservation,
-    ReservationInstance,
-    ResourceProfile,
-    RigidInstance,
-    Schedule,
-    ScheduleMetrics,
-    area_bound,
-    as_reservation_instance,
-    left_shifted,
-    lower_bound,
-    make_jobs,
-    make_reservations,
-    pmax_bound,
-    ratio_to_lower_bound,
-    summarize,
-    work_bound,
-)
-from .errors import (
-    AlphaViolationError,
-    CapacityError,
-    InfeasibleInstanceError,
-    InfeasibleScheduleError,
-    InvalidInstanceError,
-    ReproError,
-    SchedulingError,
-    SearchBudgetExceeded,
-    TraceFormatError,
-)
+from ._lazy import lazy_exports as _lazy_exports
 
 __version__ = "1.0.0"
 
@@ -100,13 +77,13 @@ __all__ = [
     "CapacityError",
     "SearchBudgetExceeded",
     "TraceFormatError",
-    # algorithms (lazily resolved)
+    # algorithms
     "list_schedule",
     "fcfs_schedule",
     "conservative_backfill",
     "easy_backfill",
     "optimal_schedule",
-    # experiment layer (lazily resolved)
+    # experiment layer
     "ExperimentSpec",
     "WorkloadSpec",
     "Runner",
@@ -114,27 +91,25 @@ __all__ = [
     "run_experiment",
 ]
 
-
-def __getattr__(name):
-    # Lazy imports keep `import repro` light and avoid import cycles.
-    if name in {
-        "list_schedule",
-        "fcfs_schedule",
-        "conservative_backfill",
-        "easy_backfill",
-        "optimal_schedule",
-    }:
-        from . import algorithms
-
-        return getattr(algorithms, name)
-    if name in {
-        "ExperimentSpec",
-        "WorkloadSpec",
-        "Runner",
-        "RunResult",
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), {
+    ".core": (
+        "Job", "ProfileBackend", "Reservation", "ReservationInstance",
+        "ResourceProfile", "RigidInstance", "Schedule", "ScheduleMetrics",
+        "area_bound", "as_reservation_instance", "left_shifted", "lower_bound",
+        "make_jobs", "make_reservations", "pmax_bound", "ratio_to_lower_bound",
+        "summarize", "work_bound",
+    ),
+    ".errors": (
+        "AlphaViolationError", "CapacityError", "InfeasibleInstanceError",
+        "InfeasibleScheduleError", "InvalidInstanceError", "ReproError",
+        "SchedulingError", "SearchBudgetExceeded", "TraceFormatError",
+    ),
+    ".algorithms": (
+        "list_schedule", "fcfs_schedule", "conservative_backfill",
+        "easy_backfill", "optimal_schedule",
+    ),
+    ".run": (
+        "ExperimentSpec", "WorkloadSpec", "Runner", "RunResult",
         "run_experiment",
-    }:
-        from . import run
-
-        return getattr(run, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    ),
+})

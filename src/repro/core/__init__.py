@@ -14,57 +14,7 @@ plus the shared machinery every scheduler uses: the availability profile
 and schedule metrics.
 """
 
-from .bounds import (
-    area_bound,
-    lower_bound,
-    pmax_bound,
-    ratio_to_lower_bound,
-    release_bound,
-    squashed_area_bound,
-    work_bound,
-)
-from .instance import (
-    ReservationInstance,
-    RigidInstance,
-    as_reservation_instance,
-)
-from .job import Job, Reservation, Time, make_jobs, make_reservations
-from .metrics import (
-    METRICS,
-    ScheduleMetrics,
-    available_area,
-    available_metrics,
-    bounded_slowdown,
-    bounded_slowdowns,
-    evaluate_metrics,
-    get_metric,
-    register_metric,
-    slowdowns,
-    summarize,
-    utilization,
-    waiting_times,
-)
-from .registry import Registry, RegistryCollisionWarning
-from .profiles import ProfileBackend, ResourceProfile
-from .schedule import Schedule, ScheduledJob, left_shifted
-from .timebase import (
-    TIMEBASE_POLICIES,
-    Timebase,
-    check_timebase_policy,
-    exactify_instance,
-    on_int_timebase,
-    timebase_for,
-)
-from .serialize import (
-    dumps_instance,
-    dumps_schedule,
-    load_instance,
-    load_schedule,
-    loads_instance,
-    loads_schedule,
-    save_instance,
-    save_schedule,
-)
+from .._lazy import lazy_exports as _lazy_exports
 
 __all__ = [
     "Job",
@@ -117,3 +67,31 @@ __all__ = [
     "save_schedule",
     "load_schedule",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), {
+    ".bounds": (
+        "area_bound", "lower_bound", "pmax_bound", "ratio_to_lower_bound",
+        "release_bound", "squashed_area_bound", "work_bound",
+    ),
+    ".instance": (
+        "ReservationInstance", "RigidInstance", "as_reservation_instance",
+    ),
+    ".job": ("Job", "Reservation", "Time", "make_jobs", "make_reservations"),
+    ".metrics": (
+        "METRICS", "ScheduleMetrics", "available_area", "available_metrics",
+        "bounded_slowdown", "bounded_slowdowns", "evaluate_metrics",
+        "get_metric", "register_metric", "slowdowns", "summarize",
+        "utilization", "waiting_times",
+    ),
+    ".registry": ("Registry", "RegistryCollisionWarning"),
+    ".profiles": ("ProfileBackend", "ResourceProfile"),
+    ".schedule": ("Schedule", "ScheduledJob", "left_shifted"),
+    ".timebase": (
+        "TIMEBASE_POLICIES", "Timebase", "check_timebase_policy",
+        "exactify_instance", "on_int_timebase", "timebase_for",
+    ),
+    ".serialize": (
+        "dumps_instance", "dumps_schedule", "load_instance", "load_schedule",
+        "loads_instance", "loads_schedule", "save_instance", "save_schedule",
+    ),
+})

@@ -16,11 +16,13 @@ extractors join via :func:`register_metric`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional
 
 from ..errors import InvalidInstanceError
 from .registry import Registry
-from .schedule import Schedule
+
+if TYPE_CHECKING:
+    from .schedule import Schedule
 
 
 @dataclass(frozen=True)

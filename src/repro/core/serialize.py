@@ -19,12 +19,14 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Dict, Union
+from typing import TYPE_CHECKING, Dict, Union
 
 from ..errors import TraceFormatError
 from .instance import ReservationInstance, RigidInstance
 from .job import Job, Reservation
-from .schedule import Schedule
+
+if TYPE_CHECKING:
+    from .schedule import Schedule
 
 INSTANCE_FORMAT = "repro-instance/1"
 SCHEDULE_FORMAT = "repro-schedule/1"
@@ -232,6 +234,8 @@ def schedule_from_dict(data: Dict) -> Schedule:
         }
     except (KeyError, TypeError) as exc:
         raise TraceFormatError(f"malformed schedule starts: {exc}") from exc
+    from .schedule import Schedule
+
     schedule = Schedule(instance, starts, algorithm=data.get("algorithm", ""))
     recorded = _decode_number(
         data.get("makespan", schedule.makespan), "field 'makespan'"

@@ -22,16 +22,7 @@ dependencies.
 
 from __future__ import annotations
 
-from .config import LintConfig, LintConfigError, load_config, resolve_config
-from .engine import LintReport, discover_files, run_lint
-from .model import (
-    RULES,
-    RULES_BY_CODE,
-    Rule,
-    Violation,
-    expand_rule_selector,
-)
-from .suppress import Suppression, SuppressionError, parse_suppressions
+from ..._lazy import lazy_exports as _lazy_exports
 
 __all__ = [
     "LintConfig",
@@ -50,3 +41,14 @@ __all__ = [
     "resolve_config",
     "run_lint",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), {
+    ".config": (
+        "LintConfig", "LintConfigError", "load_config", "resolve_config",
+    ),
+    ".engine": ("LintReport", "discover_files", "run_lint"),
+    ".model": (
+        "RULES", "RULES_BY_CODE", "Rule", "Violation", "expand_rule_selector",
+    ),
+    ".suppress": ("Suppression", "SuppressionError", "parse_suppressions"),
+})

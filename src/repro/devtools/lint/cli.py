@@ -12,9 +12,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .config import LintConfigError
-from .engine import run_lint
-
 _DEFAULT_PATHS = ("src", "tests", "benchmarks")
 
 
@@ -57,6 +54,11 @@ def _default_paths() -> List[Path]:
 
 
 def run(args: argparse.Namespace) -> int:
+    # every ``repro`` process builds this parser; only ``repro lint``
+    # loads the rule engine
+    from .config import LintConfigError
+    from .engine import run_lint
+
     paths = [Path(p) for p in args.paths] or _default_paths()
     try:
         report = run_lint(paths, rules=args.rule)

@@ -17,15 +17,7 @@ Three pieces, each usable on its own:
   output equals an uninterrupted run's byte for byte.
 """
 
-from .atomic import atomic_pickle, atomic_write_bytes, atomic_write_text
-from .journal import (
-    JOURNAL_VERSION,
-    Journal,
-    JournalRecovery,
-    JournalScan,
-    scan_journal,
-)
-from .journaled import DEFAULT_SNAPSHOT_INTERVAL, replay_journaled
+from .._lazy import lazy_exports as _lazy_exports
 
 __all__ = [
     "JOURNAL_VERSION",
@@ -39,3 +31,12 @@ __all__ = [
     "replay_journaled",
     "scan_journal",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), {
+    ".atomic": ("atomic_pickle", "atomic_write_bytes", "atomic_write_text"),
+    ".journal": (
+        "JOURNAL_VERSION", "Journal", "JournalRecovery", "JournalScan",
+        "scan_journal",
+    ),
+    ".journaled": ("DEFAULT_SNAPSHOT_INTERVAL", "replay_journaled"),
+})

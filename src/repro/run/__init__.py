@@ -36,37 +36,7 @@ Quickstart::
 The same spec runs from the command line: ``repro run spec.json --jobs 4``.
 """
 
-from .presets import (
-    PAPER_GRID_ALGORITHMS,
-    PAPER_GRID_ALPHAS,
-    mean_metric_series,
-    paper_grid_spec,
-    summary_rows,
-)
-from .runner import (
-    ExperimentPoint,
-    RunResult,
-    Runner,
-    execute_point,
-    expand_points,
-    run_experiment,
-)
-from .spec import (
-    ONLINE_PREFIX,
-    SPEC_FORMAT,
-    TRACE_WORKLOAD,
-    ExperimentSpec,
-    TraceSpec,
-    WorkloadSpec,
-    decode_value,
-    dumps_spec,
-    encode_value,
-    iter_grid,
-    load_spec,
-    loads_spec,
-    save_spec,
-)
-from .store import JsonlStore
+from .._lazy import lazy_exports as _lazy_exports
 
 __all__ = [
     "ExperimentSpec",
@@ -95,3 +65,20 @@ __all__ = [
     "mean_metric_series",
     "summary_rows",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), {
+    ".presets": (
+        "PAPER_GRID_ALGORITHMS", "PAPER_GRID_ALPHAS", "mean_metric_series",
+        "paper_grid_spec", "summary_rows",
+    ),
+    ".runner": (
+        "ExperimentPoint", "RunResult", "Runner", "execute_point",
+        "expand_points", "run_experiment",
+    ),
+    ".spec": (
+        "ONLINE_PREFIX", "SPEC_FORMAT", "TRACE_WORKLOAD", "ExperimentSpec",
+        "TraceSpec", "WorkloadSpec", "decode_value", "dumps_spec",
+        "encode_value", "iter_grid", "load_spec", "loads_spec", "save_spec",
+    ),
+    ".store": ("JsonlStore",),
+})

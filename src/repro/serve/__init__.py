@@ -9,13 +9,7 @@
   HTTP/JSON server (:class:`ServeDaemon`).
 """
 
-from .api import SERVE_FORMAT
-from .daemon import (
-    DEFAULT_OP_SNAPSHOT_INTERVAL,
-    SchedulerService,
-    ServeDaemon,
-    run_serve,
-)
+from .._lazy import lazy_exports as _lazy_exports
 
 __all__ = [
     "DEFAULT_OP_SNAPSHOT_INTERVAL",
@@ -24,3 +18,11 @@ __all__ = [
     "ServeDaemon",
     "run_serve",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), {
+    ".api": ("SERVE_FORMAT",),
+    ".daemon": (
+        "DEFAULT_OP_SNAPSHOT_INTERVAL", "SchedulerService", "ServeDaemon",
+        "run_serve",
+    ),
+})

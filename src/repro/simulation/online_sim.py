@@ -30,16 +30,17 @@ the experiment layer (:mod:`repro.run`) and the CLI address them by name
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from ..core.instance import ReservationInstance, as_reservation_instance
 from ..core.registry import Registry
-from ..core.schedule import Schedule
-from ..core.timebase import check_timebase_policy, run_on_grid
 from ..errors import SchedulingError
 from ..workloads.uncertainty import resolve_uncertainty
 from .cluster import ClusterState, RunningJob
 from .engine import Simulator
+
+if TYPE_CHECKING:
+    from ..core.schedule import Schedule
 
 
 @dataclass(frozen=True)
@@ -191,6 +192,10 @@ class OnlineSimulation:
                  timebase: str = "auto", uncertainty=None):
         self.instance: ReservationInstance = as_reservation_instance(instance)
         self.policy_name = policy
+        # replay and serve import this module for its policies only;
+        # the timebase and the schedule are loaded by a simulation
+        from ..core.timebase import check_timebase_policy
+
         self._policy = POLICIES.get(policy)
         self.timebase = check_timebase_policy(timebase)
         model = resolve_uncertainty(uncertainty)
@@ -219,6 +224,8 @@ class OnlineSimulation:
             # draws are functions of each job's own estimate, so the
             # normalised twin would draw from rescaled estimates.
             return self._run_on(self.instance)
+        from ..core.timebase import run_on_grid
+
         runs: List[SimulationResult] = []
 
         def run_on(instance: ReservationInstance) -> Schedule:
@@ -340,6 +347,8 @@ class OnlineSimulation:
                     state.finished[job.id].job for job in instance.jobs
                 ),
             )
+        from ..core.schedule import Schedule
+
         schedule = Schedule(
             instance, state.starts(), algorithm=f"online-{self.policy_name}"
         )

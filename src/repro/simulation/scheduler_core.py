@@ -71,7 +71,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from ..core.job import Job
 from ..core.metrics import BSLD_TAU, DEFAULT_SLOWDOWN_THRESHOLD
-from ..core.profiles import ListProfile, ResourceProfile
+from ..core.profiles import ResourceProfile
 from ..devtools.failpoints import fire
 from ..errors import CapacityError, InvalidInstanceError, SchedulingError
 from ..workloads.uncertainty import resolve_uncertainty
@@ -218,7 +218,9 @@ class SchedulerCore:
         self.use_heap = completion_queue == "heap"
         self.store = resolve_store(store)
 
-        profile_cls = ListProfile if profile_backend == "list" else ResourceProfile
+        profile_cls = ResourceProfile
+        if profile_backend == "list":
+            from ..core.profiles.list_backend import ListProfile as profile_cls
         if resume is not None:
             self.profile = profile_cls(
                 list(resume.profile_times), list(resume.profile_caps)

@@ -14,50 +14,7 @@
   reschedule-on-actual engines.
 """
 
-from .characterize import WorkloadProfile, characterize, characterize_many
-from .feitelson import FeitelsonModel, feitelson_instance
-from .reservations import (
-    nonincreasing_staircase,
-    periodic_maintenance,
-    random_alpha_reservations,
-    reservation_load,
-)
-from .registry import (
-    WORKLOADS,
-    available_workloads,
-    get_workload,
-    make_workload,
-    register_workload,
-)
-from .swf import (
-    SAMPLE_SWF,
-    SYNTH_PROFILES,
-    SWFReadReport,
-    SWFStream,
-    iter_swf,
-    read_swf,
-    save_swf_trace,
-    synth_swf_instance,
-    synth_swf_jobs,
-    write_swf,
-    write_swf_jobs,
-)
-from .uncertainty import (
-    DEFAULT_FAILURE_RATE,
-    UNCERTAINTY_MODELS,
-    UncertaintyModel,
-    available_uncertainty_models,
-    parse_uncertainty,
-    register_uncertainty_model,
-    resolve_uncertainty,
-)
-from .synthetic import (
-    alpha_constrained_instance,
-    loguniform_instance,
-    small_exact_instance,
-    uniform_instance,
-    with_poisson_releases,
-)
+from .._lazy import lazy_exports as _lazy_exports
 
 __all__ = [
     "uniform_instance",
@@ -98,3 +55,30 @@ __all__ = [
     "register_uncertainty_model",
     "resolve_uncertainty",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, globals(), {
+    ".characterize": ("WorkloadProfile", "characterize", "characterize_many"),
+    ".feitelson": ("FeitelsonModel", "feitelson_instance"),
+    ".reservations": (
+        "nonincreasing_staircase", "periodic_maintenance",
+        "random_alpha_reservations", "reservation_load",
+    ),
+    ".registry": (
+        "WORKLOADS", "available_workloads", "get_workload", "make_workload",
+        "register_workload",
+    ),
+    ".swf": (
+        "SAMPLE_SWF", "SYNTH_PROFILES", "SWFReadReport", "SWFStream",
+        "iter_swf", "read_swf", "save_swf_trace", "synth_swf_instance",
+        "synth_swf_jobs", "write_swf", "write_swf_jobs",
+    ),
+    ".uncertainty": (
+        "DEFAULT_FAILURE_RATE", "UNCERTAINTY_MODELS", "UncertaintyModel",
+        "available_uncertainty_models", "parse_uncertainty",
+        "register_uncertainty_model", "resolve_uncertainty",
+    ),
+    ".synthetic": (
+        "alpha_constrained_instance", "loguniform_instance",
+        "small_exact_instance", "uniform_instance", "with_poisson_releases",
+    ),
+})

@@ -532,6 +532,11 @@ def write_swf_jobs(
         target.write(f"; Note: {note}\n")
     count = 0
     for count, job in enumerate(jobs, start=1):
+        p, release = job.p, job.release
+        if type(p) is int and type(release) is int:
+            # the line ``_fmt`` gives these fields, in one step
+            target.write(_INT_LINE % (count, release, p, job.q, job.q, p))
+            continue
         fields = [-1] * SWF_FIELDS
         fields[0] = count
         fields[1] = job.release
@@ -554,6 +559,12 @@ def save_swf_trace(path: Union[str, os.PathLike], jobs: Iterable[Job],
             return write_swf_jobs(jobs, m, fh, note=note)
     with open(path, "w") as fh:
         return write_swf_jobs(jobs, m, fh, note=note)
+
+
+#: An SWF line of an int-timed job: number, submit, wait 0, run time,
+#: processors, two unknowns, requested processors and time, the rest
+#: unknown.  ``q`` is an ``Integral``, so ``%s`` writes what ``_fmt`` does.
+_INT_LINE = "%d %d 0 %d %s -1 -1 %s %d" + " -1" * (SWF_FIELDS - 9) + "\n"
 
 
 def _fmt(value) -> str:

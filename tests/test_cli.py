@@ -326,6 +326,38 @@ class TestLeanImports:
         heavy = ["scipy", "repro.analysis", "repro.algorithms", "repro.run"]
         assert self._loaded("repro.cli", heavy) == []
 
+    @pytest.mark.parametrize("module", [
+        "repro.run.store", "repro.simulation.replay", "repro.workloads.swf",
+    ])
+    def test_replay_path_skips_the_experiment_layer(self, module):
+        # the replay benchmark's set-up imports exactly these three: the
+        # lazy package inits keep the runner, its process pool, the spec
+        # codec and the bounds out of it
+        heavy = ["repro.run.runner", "repro.run.presets", "repro.run.spec",
+                 "multiprocessing", "concurrent.futures",
+                 "repro.core.bounds", "repro.core.serialize"]
+        assert self._loaded(module, heavy) == []
+
+    @pytest.mark.parametrize("module", ["repro", "repro.cli"])
+    def test_entry_point_loads_no_core_module(self, module):
+        probe = (
+            f"import json, sys, {module}; "
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m == 'repro.core' or m.startswith('repro.core.'))))"
+        )
+        assert json.loads(self._python("-c", probe)) == []
+
+    def test_cli_parser_skips_the_lint_engine(self):
+        # every ``repro`` process builds the full parser, ``repro lint``'s
+        # options included; only ``repro lint`` loads the rule engine
+        probe = (
+            "import json, sys; from repro.cli import build_parser; "
+            "build_parser(); print(json.dumps(sorted(m for m in sys.modules "
+            "if m.startswith('repro.devtools.lint.') "
+            "and m != 'repro.devtools.lint.cli')))"
+        )
+        assert json.loads(self._python("-c", probe)) == []
+
     def test_algorithms_import_skips_simulation(self):
         # offline EASY imports the scheduler core lazily: an offline run
         # (and its timed set-up) loads no simulation module

@@ -235,6 +235,72 @@ class TestSWF:
         assert buf.getvalue() == text
 
 
+def _fmt_lines(jobs, m, note=""):
+    """SWF text of ``jobs`` with every field through ``swf._fmt``: the
+    reference for ``write_swf_jobs``'s one-step int-timed line."""
+    from repro.workloads.swf import SWF_FIELDS, _fmt
+
+    out = ["; Generated by repro (IPDPS'07 reservations reproduction)\n",
+           f"; MaxProcs: {m}\n"]
+    if note:
+        out.append(f"; Note: {note}\n")
+    for k, job in enumerate(jobs, start=1):
+        fields = [-1] * SWF_FIELDS
+        fields[0], fields[1], fields[2] = k, job.release, 0
+        fields[3], fields[4] = job.p, job.q
+        fields[7], fields[8] = job.q, job.p
+        out.append(" ".join(_fmt(v) for v in fields) + "\n")
+    return "".join(out)
+
+
+class TestWriteSwfJobsLines:
+    """``write_swf_jobs`` formats an int-timed job's line in one step;
+    every other job goes field by field.  The text stays byte-identical
+    to the field-by-field formatting of every job."""
+
+    @pytest.mark.parametrize("profile", ["steady", "bursty", "heavy"])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_synth_traces_match_field_formatting(self, profile, seed):
+        from repro.workloads import synth_swf_jobs, write_swf_jobs
+
+        jobs = list(synth_swf_jobs(profile, 300, m=64, seed=seed))
+        assert all(type(j.p) is int and type(j.release) is int for j in jobs)
+        buf = io.StringIO()
+        assert write_swf_jobs(jobs, 64, buf, note="n") == len(jobs)
+        assert buf.getvalue() == _fmt_lines(jobs, 64, note="n")
+        base = jobs[0].release
+        again = read_swf(buf.getvalue(), m=64).instance.jobs
+        assert [(j.p, j.q, j.release) for j in again] == [
+            (j.p, j.q, j.release - base) for j in jobs
+        ]
+
+    def test_float_fraction_and_mixed_jobs(self):
+        from fractions import Fraction
+
+        from repro.core import Job
+        from repro.workloads import write_swf_jobs
+
+        jobs = [
+            Job(1, 10, 2, 0),
+            Job(2, 2.5, 3, 1.0),            # float times
+            Job(3, 7.0, 1, 4),              # integral float run time
+            Job(4, 4, 2, 2.5),              # int run time, float release
+            Job(5, Fraction(3, 2), 1, 6),   # exact times
+            Job(6, 3, 4, Fraction(13, 2)),
+            Job(7, 5, 8, 9),
+        ]
+        buf = io.StringIO()
+        write_swf_jobs(jobs, 8, buf)
+        text = buf.getvalue()
+        assert text == _fmt_lines(jobs, 8)
+        assert "3/2" in text and "2.5" in text
+        # SWF has no fraction syntax: only the int and float rows come back
+        report = read_swf(text, m=8)
+        assert [(j.id, j.p, j.release) for j in report.instance.jobs] == [
+            (1, 10, 0), (2, 2.5, 1), (3, 7, 4), (4, 4, 2.5), (7, 5, 9),
+        ]
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=30),
