@@ -562,17 +562,18 @@ def bench_replay_throughput(
     * ``ingest_100k_gz`` — parse-only pass of a gzipped 100k-job SWF
       file through the chunked streaming reader.
     * ``identity_100k`` — the byte-identity matrix: for every built-in
-      policy, ``OnlineSimulation`` is the reference and the streamed
-      replay must reproduce its start times and int-exact metrics on
-      both profile backends × plain/gzip ingestion; additionally the
-      multi-policy sharded runner's merged rows must equal the serial
-      runner's byte for byte.  Quick runs shrink the matrix to one
-      policy × gzip.  (Checkpoint-chained replay is held to the serial
-      rows by ``journal_overhead_100k``, whose journaled leg runs the
-      trace as a chain of ``run_slice`` calls.)  The conservative
-      policy's in-memory reference is roughly quadratic in trace
-      length, so its ``OnlineSimulation`` leg runs on a 20k prefix (see
-      the inline note).
+      policy, an in-memory run of the whole instance through the
+      scheduler core's policy protocol (the registered policy function
+      run by ``decide``, not the inlined pass) is the reference, and the
+      streamed replay must reproduce its start times and int-exact
+      metrics on both profile backends × plain/gzip ingestion;
+      additionally the multi-policy sharded runner's merged rows must
+      equal the serial runner's byte for byte.  Quick runs shrink the
+      matrix to one policy × gzip.  (Checkpoint-chained replay is held
+      to the serial rows by ``journal_overhead_100k``, whose journaled
+      leg runs the trace as a chain of ``run_slice`` calls.)  The
+      conservative policy's legs run on a 20k prefix (see the inline
+      note).
 
     The 1M-job legs run once regardless of ``--repeats``; the gate
     scenario is best-of-``max(repeats, 6)`` interleaved pairs (wall-clock
@@ -582,8 +583,8 @@ def bench_replay_throughput(
     import gzip
 
     from repro.core.metrics import summarize
+    from repro.core.schedule import Schedule
     from repro.simulation import (
-        OnlineSimulation,
         replay,
         replay_policies,
         replay_swf,
@@ -721,7 +722,7 @@ def bench_replay_throughput(
             print(
                 f"identity matrix: {len(id_policies)} policies x "
                 f"{len(id_backends)} backends x "
-                f"{len(id_compressions)} compression(s) vs OnlineSimulation "
+                f"{len(id_compressions)} compression(s) vs the in-memory protocol run "
                 "+ serial-vs-sharded rows ..."
             )
             with gzip.open(gz_path, "rt") as fh:
@@ -730,15 +731,15 @@ def bench_replay_throughput(
             in_memory_s = {}
             reference_jobs = {}
             for policy in id_policies:
-                # The conservative policy replans the whole queue on a
-                # *copy* of the profile at every event, so its cost scales
-                # with profile size: the in-memory reference (unpruned,
-                # roughly quadratic on the list backend: 0.7 s at 5k,
-                # 8.1 s at 20k, 34 s at 40k jobs on a 2-vCPU Xeon VM)
-                # runs on a 20k prefix of the same trace (synthetic
-                # traces are prefix-stable).  Its replay legs stay cheap:
-                # the replay loop prunes every backend's profile after
-                # each event with completions, which bounds the copy.
+                # The conservative legs run on a 20k prefix of the same
+                # trace (synthetic traces are prefix-stable), as
+                # `reference_jobs` records.  The prefix was sized for an
+                # unpruned in-memory reference whose profile copies grew
+                # with the trace (8.1 s at 20k jobs on a 2-vCPU Xeon VM);
+                # the core prunes its profile after each event with
+                # completions, so the protocol-path reference takes
+                # ~1.2 s for all 100k jobs there, and the prefix only
+                # keeps the recorded matrix comparable.
                 ref_n = 20_000 if policy == "conservative" else small_n
                 reference_jobs[policy] = ref_n
                 if ref_n == small_n:
@@ -747,9 +748,12 @@ def bench_replay_throughput(
                     with gzip.open(gz_path, "rt") as fh:
                         ref_instance = read_swf(fh, max_jobs=ref_n).instance
                 t0 = time.perf_counter()
-                reference = OnlineSimulation(ref_instance, policy=policy).run()
+                reference = Schedule(ref_instance, replay(
+                    ref_instance.jobs, m, policy=policy, window=0,
+                    record_starts=True, fused_policies=False,
+                ).starts)
                 in_memory_s[policy] = round(time.perf_counter() - t0, 2)
-                summary = summarize(reference.schedule)
+                summary = summarize(reference)
                 for id_backend in id_backends:
                     for compressed in id_compressions:
                         path = gz_path if compressed else plain_path
@@ -760,7 +764,7 @@ def bench_replay_throughput(
                             max_jobs=ref_n if ref_n != small_n else None,
                             record_starts=True,
                         )
-                        assert streamed.starts == reference.schedule.starts, (
+                        assert streamed.starts == reference.starts, (
                             f"{label}: streamed replay start times diverged "
                             "from the in-memory engine"
                         )
@@ -808,7 +812,7 @@ def bench_replay_throughput(
             }
             print(
                 f"  {checked} replay configs byte-identical to "
-                "OnlineSimulation; sharded == serial rows"
+                "the in-memory protocol run; sharded == serial rows"
             )
 
     entry = {

@@ -45,7 +45,7 @@ class Scheduler(abc.ABC):
         if policy is None:
             schedule = self._run(inst)
         else:
-            schedule = run_on_grid(inst, policy, self._run)[0]
+            schedule = run_on_grid(inst, policy, self._run)
         schedule.algorithm = self.name
         return schedule
 

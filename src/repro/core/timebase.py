@@ -47,7 +47,7 @@ import math
 import numbers
 from dataclasses import replace
 from fractions import Fraction
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Optional, Union
 
 from ..errors import InvalidInstanceError
 from .instance import as_reservation_instance
@@ -292,27 +292,24 @@ def run_on_grid(
     instance: Any,
     policy: str,
     run: Callable[[Any], Schedule],
-) -> Tuple[Schedule, Optional[Timebase]]:
+) -> Schedule:
     """The grid round trip: resolve ``policy`` against ``instance`` once,
     then schedule it.
 
     ``run`` gets the instance's integer twin (the instance itself when it
     is its own twin), or the instance itself when the policy keeps it off
     the grid.  The schedule comes back on ``instance``'s own times, under
-    the run's ``algorithm`` label.  The second value is the timebase of a
-    twin the run worked on, or ``None`` when it worked on the instance
-    itself; a caller maps any other time the run produced (an event
-    trace) back through it.
+    the run's ``algorithm`` label.
     """
     tb = timebase_for(instance, policy)
     if tb is None:
-        return run(instance), None
+        return run(instance)
     twin = tb.normalize_instance(instance)
     scheduled = run(twin)
     if twin is instance:
-        return scheduled, None
+        return scheduled
     starts = tb.denormalize_starts(scheduled.starts)
-    return Schedule(instance, starts, algorithm=scheduled.algorithm), tb
+    return Schedule(instance, starts, algorithm=scheduled.algorithm)
 
 
 def on_int_timebase(scheduler: Any, instance: Any) -> Any:
@@ -330,7 +327,7 @@ def on_int_timebase(scheduler: Any, instance: Any) -> Any:
         return scheduler.schedule(instance)
     return run_on_grid(
         as_reservation_instance(instance), "auto", scheduler.schedule
-    )[0]
+    )
 
 
 #: Former name of the offline schedulers' integer profile, now the one

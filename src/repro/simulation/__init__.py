@@ -1,11 +1,9 @@
 """Discrete-event online cluster simulation (built from scratch).
 
-* :mod:`repro.simulation.engine` — generic calendar-queue event loop;
-* :mod:`repro.simulation.cluster` — resource-manager state (profile,
-  queue, running set);
-* :mod:`repro.simulation.online_sim` — online policies (fcfs, easy,
-  conservative, greedy/LSRC) driven by the engine, producing verified
-  schedules plus event traces;
+* :mod:`repro.simulation.online_sim` — the online policies (fcfs, easy,
+  conservative, greedy/LSRC) and :func:`simulate`, which runs an
+  instance through the scheduler core, producing verified schedules
+  plus event traces;
 * :mod:`repro.simulation.replay` — rolling-horizon replay of arrival
   *streams* (SWF traces, synthetic generators) with bounded memory and
   windowed metrics, for traces too large to materialise;
@@ -13,17 +11,15 @@
   the built-in policies' inlined passes) behind a ``submit`` / ``feed``
   / ``reserve`` / ``cancel`` / ``advance_to`` / ``drain`` surface.
 
-:class:`SchedulerCore` is the supported embedding API: trace replay
-(:class:`ReplayEngine`), journaled replay and the ``repro serve`` daemon
-all drive it.  Reaching into its private loop
-(``SchedulerCore._event_loop``) is flagged by lint rule RPL503.
+:class:`SchedulerCore` is the supported embedding API: online
+simulation (:func:`simulate`), trace replay (:class:`ReplayEngine`),
+journaled replay and the ``repro serve`` daemon all drive it.
+Reaching into its private loop (``SchedulerCore._event_loop``) is
+flagged by lint rule RPL503.
 """
 
-from .cluster import ClusterState, RunningJob
-from .engine import SimulationError, Simulator
 from .online_sim import (
     POLICIES,
-    OnlineSimulation,
     SimulationResult,
     TraceEvent,
     available_policies,
@@ -48,11 +44,6 @@ from .replay import (
 from .scheduler_core import SchedulerCore
 
 __all__ = [
-    "Simulator",
-    "SimulationError",
-    "ClusterState",
-    "RunningJob",
-    "OnlineSimulation",
     "SimulationResult",
     "TraceEvent",
     "simulate",

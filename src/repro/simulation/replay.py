@@ -1,11 +1,11 @@
 """Rolling-horizon trace replay: online policies at million-job scale.
 
-:class:`~repro.simulation.online_sim.OnlineSimulation` materialises the
-whole instance, preloads every arrival into the event calendar and keeps
-the full event trace — the right shape for paper-scale experiments, and
-exactly the wrong one for archive SWF traces (10⁵–10⁷ jobs).  This
-module is the out-of-core twin: :class:`ReplayEngine` consumes *any*
-iterator of :class:`~repro.core.job.Job` arrivals in release order
+:func:`~repro.simulation.online_sim.simulate` materialises the whole
+instance and keeps every start — the right shape for paper-scale
+experiments, and exactly the wrong one for archive SWF traces
+(10⁵–10⁷ jobs).  This module is the out-of-core driver of the same
+event loop: :class:`ReplayEngine` consumes *any* iterator of
+:class:`~repro.core.job.Job` arrivals in release order
 (:func:`repro.workloads.swf.iter_swf` streams them off disk in constant
 memory, :func:`repro.workloads.swf.synth_swf_jobs` generates them), runs
 one of the registered online policies
@@ -24,17 +24,17 @@ window* of the simulation rather than by trace length:
   segments only and the ``peak_profile_segments`` gauge reads the same
   on each.
 
-Equivalence with the in-memory engine
--------------------------------------
-The engine processes, at each distinct event time, all completions, then
-all arrivals, then one policy decision pass — the same
-completion < arrival < decision ordering the event calendar of
-:class:`~repro.simulation.engine.Simulator` enforces.  The built-in
-policies are *pass-idempotent* (a second decision pass at the same
-instant starts nothing new), so one pass per event time yields the exact
-start times ``OnlineSimulation`` produces; a hypothesis differential
-test in ``tests/test_replay.py`` asserts byte-identical schedules and
-metrics across policies and plain/gzip ingestion.
+Equivalence with the in-memory run
+----------------------------------
+The core processes, at each distinct event time, all completions, then
+all arrivals, then one policy decision pass.  The built-in policies are
+*pass-idempotent* (a second decision pass at the same instant starts
+nothing new), so one pass per event time loses no start.  A hypothesis
+differential test in ``tests/test_replay.py`` asserts byte-identical
+schedules and metrics against an in-memory run of the whole instance
+on the core's policy protocol, across policies and plain/gzip
+ingestion, and ``tests/test_tick_oracle.py`` checks the event-time-only
+decisions against a reference that decides at every integer tick.
 Third-party policies must be pass-idempotent to share that guarantee.
 
 Times pass through arithmetically untouched: integer traces (all SWF
@@ -48,13 +48,13 @@ One event loop
 :class:`~repro.simulation.scheduler_core.SchedulerCore` (resumed from a
 checkpoint when asked), streams the arrival iterator into the core's
 one event loop in a single ``feed`` call, then drains or checkpoints.
-``repro serve`` and stochastic replay run the same loop, so the
-built-in policies' inlined passes and the conditions on the loop's
-completion and start steps (documented on the core) serve every
-driver.  The per-event cost rests on the
-array profile kernel (``profile_backend="auto"``) and on the
-bucketed calendar completion queue (see :class:`ReplayEngine`'s
-parameters); ``fused_policies=False`` runs the registered policy
+``repro serve``, stochastic replay and ``simulate`` run the same loop,
+so the built-in policies' inlined passes and the conditions on the
+loop's completion and start steps (documented on the core) serve every
+driver.  The per-event cost rests on the array profile kernel
+(``profile_backend="auto"``) and on the bucketed calendar completion
+queue (see :class:`ReplayEngine`'s parameters);
+``fused_policies=False`` runs the registered policy
 functions through the core's policy protocol instead of the inlined
 passes, and with ``profile_backend="list"`` and
 ``completion_queue="heap"`` it makes the reference configuration the

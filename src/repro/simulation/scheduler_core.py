@@ -1,4 +1,5 @@
-"""The scheduler engine core: the one event loop behind replay and serve.
+"""The scheduler engine core: the one event loop behind replay, serve
+and online simulation.
 
 :class:`SchedulerCore` owns the live availability profile, the
 arrived-but-unstarted queue, the in-flight calendar and the
@@ -24,10 +25,12 @@ window/total accumulators, and exposes an explicit verb surface:
     quiescence, emitting every remaining window row.
 
 :class:`~repro.simulation.replay.ReplayEngine` is a short trace-driving
-client of this class (``feed`` then ``drain``, or a checkpoint), and
-``repro serve`` is another driver feeding the same core from sockets.
-Both run the same loop, so rows, totals and checkpoints are
-byte-identical whichever driver is in front.  At each distinct event
+client of this class (``feed`` then ``drain``, or a checkpoint),
+``repro serve`` is another driver feeding the same core from sockets,
+and :func:`~repro.simulation.online_sim.simulate` and offline EASY
+reserve an instance's holes, submit its jobs and drain.  All run the
+same loop, so rows, totals and checkpoints are byte-identical
+whichever driver is in front.  At each distinct event
 time the loop applies completions, then uncertainty events, then
 arrivals, then one policy decision pass, then profile compaction.
 

@@ -9,13 +9,23 @@ from __future__ import annotations
 
 import contextlib
 import random
+from dataclasses import dataclass
+from functools import partial
+from typing import Tuple
 
 import pytest
 
 from repro.algorithms import get_rule
 from repro.algorithms.list_scheduling import reference_lsrc
-from repro.core import Job, Reservation, ReservationInstance, RigidInstance
+from repro.core import (
+    Job,
+    Reservation,
+    ReservationInstance,
+    RigidInstance,
+    as_reservation_instance,
+)
 from repro.core.profiles import ListProfile
+from repro.workloads.uncertainty import UncertaintyModel
 
 
 # ---------------------------------------------------------------------------
@@ -244,3 +254,209 @@ def replay_chained(jobs, interval, m, store=None, **engine_kwargs):
     result.windows = windows + result.windows
     result.starts = starts
     return result
+
+
+# ---------------------------------------------------------------------------
+# online references: the tick-stepped oracle and the policy protocol
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class OffsetModel(UncertaintyModel):
+    """Each attempt runs its estimate plus one of ``offsets`` (at least
+    one tick), picked by the attempt's first uniform: early exits, exact
+    runs and overruns in proportions the test chooses."""
+
+    offsets: Tuple[int, ...] = (0,)
+
+    def _actual(self, rng, p):
+        offset = self.offsets[int(rng.random() * len(self.offsets))]
+        return max(1, p + offset)
+
+
+class _Running:
+    """One attempt holding ``q`` processors over ``[hold_from, hold_to)``
+    whose fate ``kind`` is due at ``event``."""
+
+    __slots__ = ("job", "hold_from", "hold_to", "event", "kind",
+                 "actual_end", "seq")
+
+    def __init__(self, job, hold_from, hold_to, event, kind, actual_end, seq):
+        self.job = job
+        self.hold_from = hold_from
+        self.hold_to = hold_to
+        self.event = event
+        self.kind = kind
+        self.actual_end = actual_end
+        self.seq = seq
+
+
+def tick_replay(m, policy, jobs, holes, model=None, max_ticks=10_000):
+    """Replay ``jobs`` (release order) around the reservation ``holes``
+    (``(start, p, q)``, accepted in order) one integer tick at a time;
+    returns the observable outcome as a dict.  ``model`` is the runtime
+    model (``None``: every job runs its estimate).
+
+    The scheduler core decides only at event times; this oracle decides
+    at every tick, so by Yao & Zhang's significant-moment argument it
+    checks that the core misses no moment.  At each tick it applies the
+    fates due then (in the order they were scheduled), the no-show
+    releases, the requeue re-entries and the arrivals; then it rebuilds
+    the availability profile from scratch — ``m``, minus the holes still
+    standing, minus every running job up to its estimated (or
+    grace-extended) end — and applies the textbook rule: FCFS starts
+    queue heads while they fit; greedy (LSRC run online) starts every
+    queued job that fits, in queue order; EASY starts heads while they
+    fit, reserves the blocked head at its earliest fit and backfills, in
+    queue order, each job that fits now on the profile holding that
+    reservation; conservative reserves every queued job, in queue order,
+    at its earliest fit on the profile holding the reservations before
+    it, and starts the jobs whose reservation is the current tick."""
+    if model is None:
+        model = UncertaintyModel(model="exact")
+    no_show = [
+        model.no_show_rate > 0.0 and model.is_no_show(i)
+        for i in range(len(holes))
+    ]
+    standing = list(range(len(holes)))
+    arrivals = list(jobs)
+    queue = []
+    running = []
+    requeue = {}
+    attempts = {}
+    out = dict(starts={}, kills=0, requeues=0, early_exits=0, no_shows=0,
+               completed=0, last_completion=0)
+    seq = 0
+
+    def capacity(tau, extra=()):
+        used = sum(holes[h][2] for h in standing
+                   if holes[h][0] <= tau < holes[h][0] + holes[h][1])
+        used += sum(r.job.q for r in running
+                    if r.hold_from <= tau < r.hold_to)
+        used += sum(q for s, e, q in extra if s <= tau < e)
+        return m - used
+
+    def fits(q, s, p, extra=()):
+        return all(capacity(tau, extra) >= q for tau in range(s, s + p))
+
+    def earliest_fit(job, extra=()):
+        s = t
+        while not fits(job.q, s, job.p, extra):
+            s += 1
+        return s
+
+    def start(job, t):
+        nonlocal seq
+        actual, fail_at = model.draw(job.id, job.p, attempts.get(job.id, 0))
+        est_end = t + job.p
+        if fail_at is not None:
+            event, kind = t + fail_at, "fail"
+        elif actual < job.p:
+            event, kind = t + actual, "early"
+        elif actual > job.p:
+            event, kind = est_end, model.overrun
+        else:
+            event, kind = est_end, "done"
+        seq += 1
+        running.append(_Running(job, t, est_end, event, kind, t + actual, seq))
+        queue.remove(job)
+        out["starts"][job.id] = t
+
+    def complete(t):
+        out["completed"] += 1
+        out["last_completion"] = t
+
+    t = 0
+    # a no-show still standing is released at its start, even when no
+    # job is left by then (the core's wake bucket is an event too)
+    while (arrivals or queue or running or requeue
+           or any(no_show[h] for h in standing)):
+        assert t < max_ticks, "the tick replay does not terminate"
+        # 1. the fates due now, in the order they were scheduled
+        for r in sorted((r for r in running if r.event == t),
+                        key=lambda r: r.seq):
+            running.remove(r)
+            job = r.job
+            if r.kind == "fail":
+                attempts[job.id] = attempts.get(job.id, 0) + 1
+                out["requeues"] += 1
+                requeue.setdefault(t + model.backoff, []).append(job)
+                continue
+            if r.kind == "grace":
+                end = min(r.actual_end, t + model.grace_budget(job.p))
+                if fits(job.q, t, end - t):
+                    seq += 1
+                    kind = "kill" if end < r.actual_end else "done"
+                    running.append(
+                        _Running(job, t, end, end, kind, r.actual_end, seq)
+                    )
+                    continue
+                out["kills"] += 1
+            elif r.kind == "kill":
+                out["kills"] += 1
+            elif r.kind == "early":
+                out["early_exits"] += 1
+            attempts.pop(job.id, None)
+            complete(t)
+        # 2. no-show holes release their capacity at their start
+        for h in list(standing):
+            if no_show[h] and holes[h][0] == t:
+                standing.remove(h)
+                out["no_shows"] += 1
+        # 3. failed jobs re-enter the queue, then arrivals join it
+        queue.extend(requeue.pop(t, ()))
+        while arrivals and arrivals[0].release == t:
+            queue.append(arrivals.pop(0))
+        # 4. the textbook rule on the profile as it stands at tick t
+        if policy == "conservative":
+            held = []
+            plan = []
+            for job in queue:
+                s = earliest_fit(job, held)
+                held.append((s, s + job.p, job.q))
+                plan.append((job, s))
+            for job, s in plan:
+                if s == t:
+                    start(job, t)
+        elif policy == "greedy":
+            for job in list(queue):
+                if fits(job.q, t, job.p):
+                    start(job, t)
+        else:
+            while queue and fits(queue[0].q, t, queue[0].p):
+                start(queue[0], t)
+        if policy == "easy" and len(queue) > 1:
+            head = queue[0]
+            shadow = earliest_fit(head)
+            held = ((shadow, shadow + head.p, head.q),)
+            for job in list(queue[1:]):
+                if fits(job.q, t, job.p, held):
+                    start(job, t)
+        t += 1
+    return out
+
+
+def protocol_schedule(instance, policy, timebase="auto"):
+    """``instance`` run online through the scheduler core's policy
+    protocol: the registered policy function wrapped, so the core runs
+    it through ``decide(core, now)`` instead of its inlined pass (the
+    reference the inlined passes are pinned to).  Holes are reserved
+    up front and jobs submitted in release order, as
+    :func:`repro.simulation.simulate` does."""
+    from repro.core.job import reservation_block
+    from repro.core.schedule import Schedule
+    from repro.core.timebase import run_on_grid
+    from repro.simulation import POLICIES, SchedulerCore
+
+    decide = partial(POLICIES.get(policy))
+
+    def run(inst):
+        core = SchedulerCore(inst.m, policy, window=0, record_starts=True,
+                             decide=decide)
+        for res in inst.reservations:
+            core.reserve(*reservation_block(res))
+        for job in sorted(inst.jobs, key=lambda j: j.release):
+            core.submit(job)
+        core.drain()
+        return Schedule(inst, core.starts)
+
+    return run_on_grid(as_reservation_instance(instance), timebase, run)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface (direct main() calls)."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -112,6 +113,57 @@ class TestGanttAndSimulate:
     def test_simulate(self, instance_file, policy, capsys):
         assert main(["simulate", instance_file, "-p", policy]) == 0
         assert "Cmax" in capsys.readouterr().out
+
+    #: policy -> (stdout line, starts of jobs 0..6, sha256 of the ``-o``
+    #: schedule file)
+    SIMULATE_GOLDEN = {
+        "fcfs": (
+            "online fcfs: Cmax=18  mean_wait=6.42857  events=21",
+            [0, 7, 7, 11, 12, 12, 12],
+            "29ce3da1a6ab1dcfd9463b8128b9888a212138c0b26b0aff0767292af00332a9",
+        ),
+        "greedy": (
+            "online greedy: Cmax=12  mean_wait=3.14286  events=21",
+            [0, 9, 1, 11, 7, 4, 6],
+            "7976dd06a70c19ccc056a51324e925d32f1b1fe19e071fda6eeebf3a50cfae32",
+        ),
+        "easy": (
+            "online easy: Cmax=13  mean_wait=4  events=21",
+            [0, 7, 1, 10, 11, 4, 11],
+            "4286211b968bef8e4d9ca87990f2ab7cb4b6ffe0763cf9c8ce94746f80d75525",
+        ),
+        "conservative": (
+            "online conservative: Cmax=16  mean_wait=3.28571  events=21",
+            [0, 7, 1, 9, 5, 10, 7],
+            "abf6679fd9f2ead5724c808b13a08231a7cfc9466004ee70fdb3a511ecb752e1",
+        ),
+    }
+
+    @pytest.mark.parametrize("policy", sorted(SIMULATE_GOLDEN))
+    def test_simulate_golden(self, tmp_path, policy, capsys):
+        """``repro simulate`` on one hole and staggered releases: the
+        stdout line and the ``-o`` schedule file are pinned byte for
+        byte."""
+        from repro.core import ReservationInstance, save_instance
+
+        inst = ReservationInstance.from_specs(
+            4,
+            [(3, 2, 0), (2, 3, 0), (4, 1, 1), (1, 4, 2), (2, 2, 3),
+             (6, 1, 4), (2, 1, 6)],
+            [(4, 3, 2)],
+        )
+        inst_path = tmp_path / "inst.json"
+        save_instance(inst, str(inst_path))
+        out_path = tmp_path / "sched.json"
+        assert main(["simulate", str(inst_path), "-p", policy,
+                     "-o", str(out_path)]) == 0
+        line, starts, digest = self.SIMULATE_GOLDEN[policy]
+        assert capsys.readouterr().out == (
+            f"{line}\nschedule written to {out_path}\n"
+        )
+        doc = json.loads(out_path.read_text())
+        assert [s["start"] for s in doc["starts"]] == starts
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
 
     def test_simulate_unknown_policy_is_loud(self, instance_file, capsys):
         # no argparse choices: the policy registry owns the name check, so

@@ -16,9 +16,8 @@ from repro.algorithms import (
 from repro.core import ReservationInstance, RigidInstance
 from repro.core.timebase import TIMEBASE_POLICIES
 from repro.errors import ReproError
-from repro.simulation import OnlineSimulation
 
-from conftest import random_resa, random_rigid
+from conftest import protocol_schedule, random_resa, random_rigid, tick_replay
 
 
 class TestFCFS:
@@ -211,9 +210,11 @@ def _time(kind: str, k: int, offset: bool):
     timebase=st.sampled_from(TIMEBASE_POLICIES),
 )
 def test_easy_matches_online_simulation(m, kind, jobs, holes, timebase):
-    """Offline EASY (a driver of the scheduler core's EASY pass) gives
-    the starts of ``OnlineSimulation``'s protocol-level ``easy`` policy,
-    an independent event loop, on every time type and timebase."""
+    """Offline EASY (a driver of the scheduler core's inlined EASY pass)
+    gives the starts of an independent online EASY on every time type
+    and timebase: the tick-stepped oracle on int instances, the core's
+    protocol path (the registered ``policy_easy`` function run through
+    ``decide``) on Fraction and float ones."""
     specs = [
         (_time(kind, p, off), min(q, m), _time(kind, r, off))
         for p, q, r, off in jobs
@@ -225,6 +226,11 @@ def test_easy_matches_online_simulation(m, kind, jobs, holes, timebase):
     except ReproError:
         assume(False)  # overlapping holes exceeded the machine
     easy = EasyBackfillScheduler(timebase=timebase).schedule(inst)
-    reference = OnlineSimulation(inst, "easy", timebase=timebase).run()
-    assert easy.starts == reference.schedule.starts
+    if kind == "int":
+        arrivals = sorted(inst.jobs, key=lambda j: j.release)
+        blocks = [(r.start, r.p, r.q) for r in inst.reservations]
+        want = tick_replay(m, "easy", arrivals, blocks)["starts"]
+    else:
+        want = protocol_schedule(inst, "easy", timebase).starts
+    assert easy.starts == want
     easy.verify()

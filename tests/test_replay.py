@@ -3,7 +3,8 @@
 The load-bearing guarantee is *differential*: chunked ``iter_swf``
 ingestion driving the bounded-memory replay engine must produce
 byte-identical schedules — and identical int-exact metrics — to the
-whole-file ``read_swf`` + ``OnlineSimulation`` path, across policies,
+whole-file ``read_swf`` path run in memory on the core's policy
+protocol (``tests/conftest.py::protocol_schedule``), across policies,
 profile backends and plain/gzip trace files.  A hypothesis property test
 pins that down on random traces; the unit tests cover the streaming
 reader's edge behaviour, ``prune_before`` soundness on both backends,
@@ -28,7 +29,6 @@ from repro.core.profiles import ArrayProfile, ListProfile
 from repro.errors import SchedulingError, TraceFormatError
 from repro.run import ExperimentSpec, Runner, TraceSpec, dumps_spec, loads_spec
 from repro.simulation import (
-    OnlineSimulation,
     ReplayEngine,
     replay,
     replay_policies,
@@ -47,6 +47,8 @@ from repro.workloads import (
     write_swf_jobs,
 )
 from repro.workloads.swf import _parse_swf_number
+
+from conftest import protocol_schedule
 
 
 # ---------------------------------------------------------------------------
@@ -430,13 +432,13 @@ def test_prune_preserves_post_frontier_segments(cls, seed, frontier):
 class TestReplayEngine:
     def test_totals_match_summarize(self):
         inst = synth_swf_instance("steady", n=250, m=32, seed=6)
-        reference = OnlineSimulation(inst, policy="easy").run()
+        reference = protocol_schedule(inst, "easy")
         result = replay(
             synth_swf_jobs("steady", 250, m=32, seed=6), 32, policy="easy",
             window=50, record_starts=True,
         )
-        assert result.starts == reference.schedule.starts
-        summary = summarize(reference.schedule)
+        assert result.starts == reference.starts
+        summary = summarize(reference)
         totals = result.totals
         assert totals["makespan"] == summary.makespan
         assert totals["total_work"] == summary.total_work
@@ -537,11 +539,11 @@ def test_streamed_replay_is_byte_identical_to_in_memory(
     tmp_path_factory, rows, policy, backend, compress
 ):
     """The tentpole guarantee: chunked gzip/plain ``iter_swf`` ingestion
-    through the pruning replay engine reproduces ``read_swf`` +
-    ``OnlineSimulation`` exactly — schedules byte for byte, metrics
-    int-exact — for every policy on the reference profile and on the
-    kernel (``"auto"``, whose fused decision passes this differential
-    therefore also covers)."""
+    through the pruning replay engine reproduces ``read_swf`` run in
+    memory on the core's policy protocol exactly — schedules byte for
+    byte, metrics int-exact — for every policy on the reference profile
+    and on the kernel (``"auto"``, whose fused decision passes this
+    differential therefore also covers)."""
     m = 8
     submit = 0
     swf_rows = []
@@ -559,13 +561,13 @@ def test_streamed_replay_is_byte_identical_to_in_memory(
         path.write_text(text)
 
     instance = read_swf(text).instance
-    reference = OnlineSimulation(instance, policy=policy).run()
+    reference = protocol_schedule(instance, policy)
     streamed = replay_swf(
         path, policy=policy, profile_backend=backend,
         window=5, record_starts=True,
     )
-    assert streamed.starts == reference.schedule.starts
-    summary = summarize(reference.schedule)
+    assert streamed.starts == reference.starts
+    summary = summarize(reference)
     assert streamed.totals["makespan"] == summary.makespan
     assert streamed.totals["total_work"] == summary.total_work
     assert streamed.totals["utilization"] == summary.utilization
@@ -896,10 +898,10 @@ class TestEngineConfigurations:
             totals = dict(result.totals, elapsed_seconds=0)
             ref_totals = dict(ref.totals, elapsed_seconds=0)
             assert typed(totals.values()) == typed(ref_totals.values())
-        reference = OnlineSimulation(
-            RigidInstance(m=8, jobs=tuple(jobs)), policy="easy"
-        ).run()
-        assert ref.starts == reference.schedule.starts
+        reference = protocol_schedule(
+            RigidInstance(m=8, jobs=tuple(jobs)), "easy"
+        )
+        assert ref.starts == reference.starts
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Tests for the discrete-event engine and the online cluster simulation."""
+"""Tests for the online cluster simulation (``simulate`` on the scheduler
+core) and its derived event trace."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,128 +7,10 @@ from hypothesis import given, settings, strategies as st
 from repro.algorithms import fcfs_schedule, list_schedule
 from repro.core import ReservationInstance, RigidInstance
 from repro.errors import SchedulingError
-from repro.simulation import (
-    ClusterState,
-    OnlineSimulation,
-    SimulationError,
-    Simulator,
-    simulate,
-)
+from repro.simulation import simulate
 from repro.workloads import uniform_instance, with_poisson_releases
 
-from conftest import random_resa
-
-
-class TestEngine:
-    def test_events_run_in_time_order(self):
-        sim = Simulator()
-        log = []
-        sim.schedule_at(5, lambda s: log.append(5))
-        sim.schedule_at(1, lambda s: log.append(1))
-        sim.schedule_at(3, lambda s: log.append(3))
-        sim.run()
-        assert log == [1, 3, 5]
-        assert sim.now == 5
-        assert sim.processed == 3
-
-    def test_priority_order_at_same_time(self):
-        sim = Simulator()
-        log = []
-        sim.schedule_at(2, lambda s: log.append("decision"), priority=2)
-        sim.schedule_at(2, lambda s: log.append("completion"), priority=0)
-        sim.schedule_at(2, lambda s: log.append("arrival"), priority=1)
-        sim.run()
-        assert log == ["completion", "arrival", "decision"]
-
-    def test_fifo_among_equal_priority(self):
-        sim = Simulator()
-        log = []
-        for i in range(5):
-            sim.schedule_at(1, lambda s, i=i: log.append(i), priority=1)
-        sim.run()
-        assert log == [0, 1, 2, 3, 4]
-
-    def test_handlers_can_schedule(self):
-        sim = Simulator()
-        log = []
-
-        def chain(s):
-            log.append(s.now)
-            if s.now < 3:
-                s.schedule_in(1, chain)
-
-        sim.schedule_at(0, chain)
-        sim.run()
-        assert log == [0, 1, 2, 3]
-
-    def test_no_time_travel(self):
-        sim = Simulator()
-        sim.schedule_at(5, lambda s: s.schedule_at(1, lambda s2: None))
-        with pytest.raises(SimulationError):
-            sim.run()
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator().schedule_in(-1, lambda s: None)
-
-    def test_run_until(self):
-        sim = Simulator()
-        log = []
-        for t in (1, 2, 10):
-            sim.schedule_at(t, lambda s: log.append(s.now))
-        sim.run(until=5)
-        assert log == [1, 2]
-        assert sim.pending == 1
-
-    def test_runaway_guard(self):
-        sim = Simulator()
-
-        def forever(s):
-            s.schedule_in(1, forever)
-
-        sim.schedule_at(0, forever)
-        with pytest.raises(SimulationError):
-            sim.run(max_events=100)
-
-    def test_step_and_peek(self):
-        sim = Simulator()
-        sim.schedule_at(4, lambda s: None)
-        assert sim.peek_time() == 4
-        assert sim.step()
-        assert not sim.step()
-
-
-class TestClusterState:
-    def test_start_and_complete(self, tiny_rigid):
-        state = ClusterState(tiny_rigid.to_reservation_instance())
-        job = tiny_rigid.jobs[0]
-        state.enqueue(job)
-        assert state.can_start_now(job, 0)
-        placed = state.start_job(job, 0)
-        assert placed.end == job.p
-        assert not state.queue
-        state.complete_job(job.id, job.p)
-        assert state.all_done
-
-    def test_start_unfit_rejected(self, tiny_resa):
-        state = ClusterState(tiny_resa)
-        wide = tiny_resa.jobs[3]  # q = 4, blocked by the reservation
-        state.enqueue(wide)
-        with pytest.raises(SchedulingError):
-            state.start_job(wide, 3)
-
-    def test_complete_wrong_time_rejected(self, tiny_rigid):
-        state = ClusterState(tiny_rigid.to_reservation_instance())
-        job = tiny_rigid.jobs[0]
-        state.enqueue(job)
-        state.start_job(job, 0)
-        with pytest.raises(SchedulingError):
-            state.complete_job(job.id, job.p + 1)
-
-    def test_complete_unknown_rejected(self, tiny_rigid):
-        state = ClusterState(tiny_rigid.to_reservation_instance())
-        with pytest.raises(SchedulingError):
-            state.complete_job("ghost", 0)
+from conftest import OffsetModel, random_resa
 
 
 class TestOnlinePolicies:
@@ -199,7 +82,7 @@ class TestOnlinePolicies:
     def test_unknown_policy(self):
         inst = uniform_instance(3, 4, seed=0)
         with pytest.raises(SchedulingError):
-            OnlineSimulation(inst, "psychic")
+            simulate(inst, "psychic")
 
     def test_easy_head_not_delayed(self):
         """EASY's contract: the queue head never starts later than its
@@ -211,6 +94,51 @@ class TestOnlinePolicies:
         easy = simulate(inst, "easy").schedule
         assert easy.starts[1] == 2   # same as offline analysis
         assert easy.starts[3] == 0   # short narrow backfilled
+
+
+def _events(result):
+    return [(e.time, e.kind, e.job_id, e.queue_length) for e in result.trace]
+
+
+class TestDerivedTrace:
+    """The trace is rebuilt from the schedule: at one instant finishes
+    (in start order), then arrivals (in queue order), then the pass's
+    starts, each start carrying the queue left after the whole pass."""
+
+    def test_finish_arrival_and_start_pass_share_an_instant(self):
+        # greedy on 4 processors: job 0 holds the machine over [0, 2);
+        # at 2 it finishes, jobs 2 and 3 arrive, and one pass starts
+        # jobs 1 and 2 and leaves job 3 (all 4 processors) queued
+        inst = ReservationInstance.from_specs(
+            4, [(2, 4, 0), (1, 2, 1), (3, 2, 2), (1, 4, 2)]
+        )
+        assert _events(simulate(inst, "greedy")) == [
+            (0, "arrive", 0, 1), (0, "start", 0, 0),
+            (1, "arrive", 1, 1),
+            (2, "finish", 0, 1), (2, "arrive", 2, 2), (2, "arrive", 3, 3),
+            (2, "start", 1, 1), (2, "start", 2, 1),
+            (3, "finish", 1, 1),
+            (5, "finish", 2, 1), (5, "start", 3, 0),
+            (6, "finish", 3, 0),
+        ]
+
+    def test_finish_at_the_actual_end(self):
+        # every job runs one tick under its estimate: job 0 (estimate
+        # 3) finishes at 2, where jobs 1 and 2 start together and both
+        # finish at 3 (in start order) instead of at their estimated 4
+        inst = ReservationInstance.from_specs(
+            4, [(3, 4, 0), (2, 2, 1), (2, 2, 2)]
+        )
+        model = OffsetModel(model="offset", offsets=(-1,))
+        result = simulate(inst, "greedy", uncertainty=model)
+        assert _events(result) == [
+            (0, "arrive", 0, 1), (0, "start", 0, 0),
+            (1, "arrive", 1, 1),
+            (2, "finish", 0, 1), (2, "arrive", 2, 2),
+            (2, "start", 1, 0), (2, "start", 2, 0),
+            (3, "finish", 1, 0), (3, "finish", 2, 0),
+        ]
+        assert [j.p for j in result.schedule.instance.jobs] == [2, 1, 1]
 
 
 @settings(max_examples=30, deadline=None)
